@@ -42,12 +42,15 @@ from .evaluation import (
 )
 from .hsmodel import (
     FilterTrace,
+    LabelArrays,
     ModelParams,
     OperationTable,
     StateBelief,
     TrainedModel,
     TransitionTensor,
     advance_slot,
+    encode_labels,
+    filter_streams,
     fit_operations,
     fit_transitions,
     observe_operation,

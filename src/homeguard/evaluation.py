@@ -34,13 +34,15 @@ from .detector import (
 )
 from .errors import ModelError, ValidationError
 from .hsmodel import (
+    LabelArrays,
     ModelParams,
     TrainedModel,
+    encode_labels,
+    filter_streams,
     fit_operations,
     fit_transitions,
-    run_filter,
-    slots_by_day,
-    uniform_belief,
+    kept_day_streams,
+    run_filter,  # noqa: F401 - not called here; perfbench/child.py traces this name
 )
 from .ingest import SLOTS_PER_DAY, EventRecord, SensorFrame, TimeslotRecord, build_timeslots
 from .labeling import ALPHABET, LabeledSlot, LabelingParams, label_states
@@ -183,12 +185,17 @@ class Method(Protocol):  # pragma: no cover - structural type
 
 
 class FoldContext:
-    """Per-fold training artifacts, built lazily and shared across methods."""
+    """Per-fold training artifacts, built lazily and shared across methods.
+
+    ``arrays`` is the encoding of ``labeled``; the folds of one labeling share
+    it, and each fold fits by masking its held-out and excluded days.
+    """
 
     def __init__(
         self,
         dataset: EvalDataset,
         labeled: Sequence[LabeledSlot],
+        arrays: LabelArrays,
         heldout_day: int,
         labeling_params: LabelingParams,
         model_params: ModelParams,
@@ -196,40 +203,47 @@ class FoldContext:
     ) -> None:
         self.dataset = dataset
         self.labeled = labeled
+        self.arrays = arrays
         self.heldout_day = heldout_day
         self.labeling_params = labeling_params
         self.model_params = model_params
         self.seq_params = seq_params
         self._cache: dict[str, object] = {}
 
+    def release(self) -> None:
+        """Drop the fold's models, traces and stores; they rebuild on demand."""
+        self._cache.clear()
+
     def training_labeled(self) -> list[LabeledSlot]:
-        if "training_labeled" not in self._cache:
-            self._cache["training_labeled"] = [
-                item
-                for item in self.labeled
-                if (item.slot.t - 1) // SLOTS_PER_DAY != self.heldout_day
-                and not item.excluded_day
-            ]
-        return self._cache["training_labeled"]  # type: ignore[return-value]
+        """The fold's training slots as a list (the encoded fits do not need it)."""
+        return [item for item, keep in zip(self.labeled, self.training_arrays().keep) if keep]
+
+    def training_arrays(self) -> LabelArrays:
+        arrays = self.arrays
+        return arrays.select((arrays.day != self.heldout_day) & ~arrays.excluded)
 
     def state_model(self):
         if "state_model" not in self._cache:
-            kept = self.training_labeled()
-            if not kept:
+            kept = self.training_arrays()
+            if not kept.keep.any():
                 raise ModelError("no usable training days in fold")
             transitions = fit_transitions(kept, self.model_params.t_z_max)
             operations = fit_operations(kept, self.dataset.vocabulary)
             self._cache["state_model"] = (transitions, operations)
         return self._cache["state_model"]
 
+    def _filter_days(self) -> None:
+        """Filter the training days and the held-out day in one lockstep pass."""
+        transitions, operations = self.state_model()
+        streams = kept_day_streams(self.labeled, self.training_arrays())
+        streams.append(self.dataset.day_slots(self.heldout_day))
+        traces = filter_streams(streams, transitions, operations)
+        self._cache["training_traces"] = traces[:-1]
+        self._cache["detection_trace"] = traces[-1]
+
     def training_traces(self):
         if "training_traces" not in self._cache:
-            transitions, operations = self.state_model()
-            traces = [
-                run_filter([item.slot for item in day_slots], transitions, operations)
-                for _, day_slots in sorted(slots_by_day(self.training_labeled()).items())
-            ]
-            self._cache["training_traces"] = traces
+            self._filter_days()
         return self._cache["training_traces"]
 
     def sequence_store(self, seq_params: SeqParams | None = None):
@@ -259,13 +273,7 @@ class FoldContext:
 
     def detection_trace(self):
         if "detection_trace" not in self._cache:
-            transitions, operations = self.state_model()
-            self._cache["detection_trace"] = run_filter(
-                self.dataset.day_slots(self.heldout_day),
-                transitions,
-                operations,
-                uniform_belief(len(ALPHABET)),
-            )
+            self._filter_days()
         return self._cache["detection_trace"]
 
     def proposed_model(self, seq_params: SeqParams | None = None) -> TrainedModel:
@@ -410,8 +418,9 @@ def _make_folds(
     labeled = label_states(
         dataset.slots, dataset.events, labeling_params, dataset.vocabulary
     )
+    arrays = encode_labels(labeled)
     return [
-        FoldContext(dataset, labeled, day, labeling_params, model_params, seq_params)
+        FoldContext(dataset, labeled, arrays, day, labeling_params, model_params, seq_params)
         for day in range(dataset.n_days)
     ]
 
@@ -830,6 +839,7 @@ def _collect_records(
                 injections_per_day, seed,
             )
         )
+        fold.release()  # the scores are recorded; keep one fold's artifacts at a time
     return records
 
 

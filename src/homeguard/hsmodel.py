@@ -4,20 +4,29 @@ Transitions are estimated per slot-of-day: the chain of end-of-slot states
 contributes one (previous state, next state) pair per slot boundary, and the
 estimate for slot-of-day ``k`` pools the pairs arriving at slots-of-day within
 an adaptive window ``k - T_Z .. k + T_Z`` (wrapping at midnight).  ``T_Z`` is
-chosen per ``k`` as the smallest halfwidth such that every state occurs at
-least once inside the window, capped at ``t_z_max``.
+chosen per ``k`` as the smallest halfwidth such that every *learnable* state
+(one the training data realizes at all) occurs at least once inside the
+window, capped at ``t_z_max``.  That halfwidth has a closed form: the largest,
+over learnable states, of the cyclic distance from ``k`` to the nearest
+slot-of-day where the state occurs.
+
+Fits count over a labeled stream encoded once as integer arrays
+(``LabelArrays``); a leave-one-day-out fold selects its slots with a mask
+instead of re-encoding or refitting from scratch.
 
 The filter maintains a belief over the state alphabet: a matrix product and
 renormalization at every slot boundary, a componentwise multiply by the
 operation probabilities at every observed event.  Degenerate updates (all
 probability mass annihilated) reset the belief to uniform so detection can
-always proceed.
+always proceed.  Days that share their slots-of-day run in lockstep: one
+(D, S) belief matrix advances all of them per slot, and events update single
+rows.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import datetime, time
 from pathlib import Path
 from typing import Sequence
@@ -101,66 +110,173 @@ class StateBelief:
     event_index: int = 0
 
 
+@dataclass(frozen=True)
+class LabelArrays:
+    """A labeled slot stream encoded as integer arrays, plus the slots to count.
+
+    Per slot, by position ``p`` in the stream: ``day`` (``(t - 1) // 1440``),
+    ``k0`` (slot-of-day minus one), ``state`` (end state), ``entry`` (entry
+    state), ``succ`` (position of the slot numbered ``t + 1``, or -1) and
+    ``excluded`` (the slot's day is excluded from training).
+
+    Only slots with events add rows.  The denominator rows
+    (``extra_pos``, ``extra_state``) hold every state in force at one of the
+    slot's events other than its entry state.  The numerator rows
+    (``op_pos``, ``op_pair``, ``op_state``) hold each distinct (operation,
+    state) of the slot; ``op_pair`` indexes ``pairs``.
+
+    ``keep`` selects the slots a fit counts.  A transition pair counts only
+    when both of its slots are kept, so a dropped day also drops the pairs
+    that cross its midnights.
+    """
+
+    day: np.ndarray
+    k0: np.ndarray
+    state: np.ndarray
+    entry: np.ndarray
+    succ: np.ndarray
+    excluded: np.ndarray
+    extra_pos: np.ndarray
+    extra_state: np.ndarray
+    op_pos: np.ndarray
+    op_pair: np.ndarray
+    op_state: np.ndarray
+    pairs: tuple[tuple[str, str], ...]
+    keep: np.ndarray
+
+    def select(self, keep: np.ndarray) -> "LabelArrays":
+        """The same encoding counting only the slots where ``keep`` is true."""
+        return replace(self, keep=np.asarray(keep, dtype=bool))
+
+
+def encode_labels(labeled: Sequence[LabeledSlot]) -> LabelArrays:
+    """Encode a labeled stream once; fits then count any subset of its slots."""
+    n = len(labeled)
+    t = np.fromiter((item.slot.t for item in labeled), dtype=np.int64, count=n)
+    k0 = np.fromiter((item.slot.k - 1 for item in labeled), dtype=np.int16, count=n)
+    state = np.fromiter((STATE_INDEX[item.state] for item in labeled), dtype=np.int8, count=n)
+    entry = np.fromiter(
+        (STATE_INDEX[item.entry_state] for item in labeled), dtype=np.int8, count=n
+    )
+    excluded = np.fromiter((item.excluded_day for item in labeled), dtype=bool, count=n)
+
+    # The successor of a slot is the last slot numbered t + 1, as a dict keyed
+    # by t would find it.
+    order = np.argsort(t, kind="stable")
+    ordered_t = t[order]
+    at = np.searchsorted(ordered_t, t + 1, side="right") - 1
+    found = at >= 0
+    found[found] = ordered_t[at[found]] == t[found] + 1
+    succ = np.full(n, -1, dtype=np.int32)
+    succ[found] = order[at[found]]
+
+    extra_pos: list[int] = []
+    extra_state: list[int] = []
+    op_pos: list[int] = []
+    op_pair: list[int] = []
+    op_state: list[int] = []
+    pair_index: dict[tuple[str, str], int] = {}
+    for pos, item in enumerate(labeled):
+        if not item.event_states:
+            continue
+        states = [STATE_INDEX[s] for s in item.event_states]
+        for i in sorted(set(states) - {int(entry[pos])}):
+            extra_pos.append(pos)
+            extra_state.append(i)
+        seen: set[tuple[tuple[str, str], int]] = set()
+        for event, i in zip(item.slot.events, states):
+            if (event.pair, i) in seen:
+                continue
+            seen.add((event.pair, i))
+            op_pos.append(pos)
+            op_pair.append(pair_index.setdefault(event.pair, len(pair_index)))
+            op_state.append(i)
+
+    def rows(values: list[int]) -> np.ndarray:
+        return np.asarray(values, dtype=np.intp)
+
+    return LabelArrays(
+        day=((t - 1) // SLOTS_PER_DAY).astype(np.int32),
+        k0=k0,
+        state=state,
+        entry=entry,
+        succ=succ,
+        excluded=excluded,
+        extra_pos=rows(extra_pos),
+        extra_state=rows(extra_state),
+        op_pos=rows(op_pos),
+        op_pair=rows(op_pair),
+        op_state=rows(op_state),
+        pairs=tuple(pair_index),
+        keep=np.ones(n, dtype=bool),
+    )
+
+
+def _as_arrays(labeled: Sequence[LabeledSlot] | LabelArrays) -> LabelArrays:
+    return labeled if isinstance(labeled, LabelArrays) else encode_labels(labeled)
+
+
+def window_halfwidths(presence: np.ndarray, t_z_max: int) -> np.ndarray:
+    """``T_Z`` per slot-of-day from the (1440, S) presence counts.
+
+    The window ``k - h .. k + h`` holds state ``i`` exactly when the cyclic
+    distance from ``k`` to the nearest slot-of-day where ``i`` occurs is at
+    most ``h``, so the smallest window holding every learnable state has the
+    largest of those distances as its halfwidth.  States absent from the
+    training data are not learnable: they keep their zero rows whatever the
+    window, and letting them veto every window would force the cap
+    everywhere and erase the time-of-day structure of the others.
+    """
+    learnable = presence.sum(axis=0) > 0
+    if not learnable.any():
+        return np.zeros(SLOTS_PER_DAY, dtype=np.int64)
+    present = np.tile(presence[:, learnable] > 0, (3, 1))
+    index = np.arange(3 * SLOTS_PER_DAY)[:, None]
+    far = 3 * SLOTS_PER_DAY
+    last = np.maximum.accumulate(np.where(present, index, -far), axis=0)
+    following = np.minimum.accumulate(np.where(present, index, 2 * far)[::-1], axis=0)[::-1]
+    middle = slice(SLOTS_PER_DAY, 2 * SLOTS_PER_DAY)
+    nearest = np.minimum(index[middle] - last[middle], following[middle] - index[middle])
+    return np.minimum(nearest.max(axis=1), t_z_max).astype(np.int64)
+
+
 def fit_transitions(
-    labeled: Sequence[LabeledSlot],
+    labeled: Sequence[LabeledSlot] | LabelArrays,
     t_z_max: int = 720,
     n_states: int = len(ALPHABET),
 ) -> TransitionTensor:
     """Estimate the transition tensor from a labeled slot stream.
 
-    Callers must have dropped the slots of excluded days already; gaps in the
-    ``t`` sequence simply contribute no transition pairs.
+    Callers must have dropped the slots of excluded days already, from the
+    list or from the encoding's ``keep``; gaps in the ``t`` sequence simply
+    contribute no transition pairs.
     """
-    if not labeled:
+    arrays = _as_arrays(labeled)
+    keep = arrays.keep
+    if not keep.any():
         raise ModelError("no labeled slots to fit transitions on")
 
-    presence = np.zeros((SLOTS_PER_DAY, n_states), dtype=np.int64)
-    pairs = np.zeros((SLOTS_PER_DAY, n_states, n_states), dtype=np.int64)
-    by_t = {item.slot.t: item for item in labeled}
-    for item in labeled:
-        k0 = item.slot.k - 1
-        i = STATE_INDEX[item.state]
-        presence[k0, i] += 1
-        succ = by_t.get(item.slot.t + 1)
-        if succ is not None:
-            # The pair is pooled by the slot-of-day it arrives at.
-            pairs[succ.slot.k - 1, i, STATE_INDEX[succ.state]] += 1
+    k0 = arrays.k0.astype(np.intp)
+    state = arrays.state.astype(np.intp)
+    presence = np.bincount(
+        k0[keep] * n_states + state[keep], minlength=SLOTS_PER_DAY * n_states
+    ).reshape(SLOTS_PER_DAY, n_states)
+    src = np.flatnonzero(keep & (arrays.succ >= 0))
+    dst = arrays.succ[src]
+    both = keep[dst]
+    src, dst = src[both], dst[both]
+    # The pair is pooled by the slot-of-day it arrives at.
+    pairs = np.bincount(
+        (k0[dst] * n_states + state[src]) * n_states + state[dst],
+        minlength=SLOTS_PER_DAY * n_states * n_states,
+    ).reshape(SLOTS_PER_DAY, n_states, n_states)
 
+    t_z = window_halfwidths(presence, t_z_max)
     # Prefix sums over a tripled axis give O(1) circular window sums, windows
     # up to +-720 included (the antipodal slot is counted twice then, exactly
     # as a literal sum over 1441 modular indices would).
-    tiled_presence = np.concatenate([presence] * 3, axis=0)
-    presence_ps = np.zeros((3 * SLOTS_PER_DAY + 1, n_states), dtype=np.int64)
-    np.cumsum(tiled_presence, axis=0, out=presence_ps[1:])
-    tiled_pairs = np.concatenate([pairs] * 3, axis=0)
     pairs_ps = np.zeros((3 * SLOTS_PER_DAY + 1, n_states, n_states), dtype=np.int64)
-    np.cumsum(tiled_pairs, axis=0, out=pairs_ps[1:])
-
-    # The support condition ranges over states the training data realizes at
-    # all: a globally absent state keeps its zero rows no matter the window,
-    # and letting it veto every window would force the cap everywhere and
-    # erase the time-of-day structure for the learnable states.
-    learnable = presence.sum(axis=0) > 0
-
-    def window_supported(k0: int, halfwidth: int) -> bool:
-        center = k0 + SLOTS_PER_DAY
-        window = presence_ps[center + halfwidth + 1] - presence_ps[center - halfwidth]
-        return bool((window[learnable] > 0).all())
-
-    t_z = np.empty(SLOTS_PER_DAY, dtype=np.int64)
-    for k0 in range(SLOTS_PER_DAY):
-        if not window_supported(k0, t_z_max):
-            t_z[k0] = t_z_max
-            continue
-        lo, hi = 0, t_z_max
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if window_supported(k0, mid):
-                hi = mid
-            else:
-                lo = mid + 1
-        t_z[k0] = lo
-
+    np.cumsum(np.concatenate([pairs] * 3, axis=0), axis=0, out=pairs_ps[1:])
     centers = np.arange(SLOTS_PER_DAY) + SLOTS_PER_DAY
     windows = (
         pairs_ps[centers + t_z + 1] - pairs_ps[centers - t_z]
@@ -171,7 +287,7 @@ def fit_transitions(
 
 
 def fit_operations(
-    labeled: Sequence[LabeledSlot],
+    labeled: Sequence[LabeledSlot] | LabelArrays,
     vocabulary: Vocabulary | None = None,
     n_states: int = len(ALPHABET),
 ) -> OperationTable:
@@ -183,26 +299,22 @@ def fit_operations(
     count once, keeping every entry inside [0, 1]).
     """
     vocabulary = vocabulary or Vocabulary()
-    denom = np.zeros(n_states, dtype=np.int64)
-    numer: dict[tuple[str, str], np.ndarray] = {}
-    for item in labeled:
-        states_here = {item.entry_state} | set(item.event_states)
-        for state in states_here:
-            denom[STATE_INDEX[state]] += 1
-        seen: set[tuple[tuple[str, str], int]] = set()
-        for event, state in zip(item.slot.events, item.event_states):
-            key = (event.pair, STATE_INDEX[state])
-            if key in seen:
-                continue
-            seen.add(key)
-            counts = numer.setdefault(event.pair, np.zeros(n_states, dtype=np.int64))
-            counts[STATE_INDEX[state]] += 1
+    arrays = _as_arrays(labeled)
+    keep = arrays.keep
+    denom = np.bincount(
+        arrays.entry[keep].astype(np.intp), minlength=n_states
+    ) + np.bincount(arrays.extra_state[keep[arrays.extra_pos]], minlength=n_states)
+    kept_ops = keep[arrays.op_pos]
+    numer = np.bincount(
+        arrays.op_pair[kept_ops] * n_states + arrays.op_state[kept_ops],
+        minlength=len(arrays.pairs) * n_states,
+    ).reshape(len(arrays.pairs), n_states)
+    rows = {arrays.pairs[p]: numer[p] for p in np.flatnonzero(numer.sum(axis=1))}
 
     table = OperationTable(n_states=n_states)
-    all_pairs = set(vocabulary.all_pairs()) | set(numer)
-    for pair in sorted(all_pairs):
-        counts = numer.get(pair)
-        if counts is None or counts.sum() == 0:
+    for pair in sorted(set(vocabulary.all_pairs()) | set(rows)):
+        counts = rows.get(pair)
+        if counts is None:
             # Never observed in training: neutral element for the filter.
             table.probs[pair] = np.ones(n_states)
         else:
@@ -228,16 +340,19 @@ def advance_slot(belief: StateBelief, k: int, transitions: TransitionTensor) -> 
     return StateBelief(_normalize_or_uniform(projected), t=belief.t + 1, event_index=0)
 
 
+def _apply_operation(probs: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    if np.all(vec == 1.0):
+        # Unseen operation: exact no-op, belief bitwise unchanged.
+        return probs
+    return _normalize_or_uniform(vec * probs)
+
+
 def observe_operation(
     belief: StateBelief, pair: tuple[str, str], operations: OperationTable
 ) -> StateBelief:
     """Update the belief with one observed operation."""
-    vec = operations.vector(pair)
-    if np.all(vec == 1.0):
-        # Unseen operation: exact no-op, belief bitwise unchanged.
-        return StateBelief(belief.probs, t=belief.t, event_index=belief.event_index + 1)
     return StateBelief(
-        _normalize_or_uniform(vec * belief.probs),
+        _apply_operation(belief.probs, operations.vector(pair)),
         t=belief.t,
         event_index=belief.event_index + 1,
     )
@@ -308,6 +423,96 @@ class FilterTrace:
         return probs
 
 
+def _lockstep(
+    streams: Sequence[Sequence[TimeslotRecord]],
+    transitions: TransitionTensor,
+    operations: OperationTable,
+    initial: np.ndarray,
+) -> list[FilterTrace]:
+    """Filter streams of equal length whose slots share their slot-of-day.
+
+    Row ``d`` of the (D, S) belief matrix follows stream ``d``: one matrix
+    product advances every row across a slot boundary, and events update
+    single rows.  Each trace's ``entry`` is a view of one array.
+    """
+    n_slots, n_states = len(streams[0]), transitions.n_states
+    rows_at: dict[int, list[int]] = {}
+    for row, stream in enumerate(streams):
+        for pos in [pos for pos, slot in enumerate(stream) if slot.events]:
+            rows_at.setdefault(pos, []).append(row)
+
+    # Indexed by slot-of-day k; list indexing is cheaper than array indexing.
+    matrices = [None, *transitions.probs]
+    uniform = uniform_belief(n_states)
+    # Stream-major, so each trace's beliefs are contiguous for the per-slot
+    # state selection of the sequence store; a step stores all rows at once.
+    entry = np.empty((len(streams), n_slots, n_states))
+    steps: list[list[EventStep]] = [[] for _ in streams]
+    belief = np.tile(initial, (len(streams), 1))
+    # Bound once: each step is a handful of calls on tiny arrays, so call
+    # overhead is most of its cost.
+    dot, add_reduce = np.dot, np.add.reduce
+    for pos, slot in enumerate(streams[0]):
+        if pos:
+            belief = dot(belief, matrices[slot.k])
+            totals = add_reduce(belief, 1, None, None, True)
+            if min(totals.ravel().tolist()) > 0.0:
+                belief /= totals
+            else:
+                # A row whose mass vanished resets to uniform; the others
+                # normalize as usual.
+                dead = totals[:, 0] <= 0.0
+                belief[~dead] /= totals[~dead]
+                belief[dead] = uniform
+        entry[:, pos] = belief
+        for row in rows_at.get(pos, ()):
+            pre = belief[row].copy()
+            for event_pos, event in enumerate(streams[row][pos].events):
+                post = _apply_operation(pre, operations.vector(event.pair))
+                steps[row].append(EventStep(pos, event_pos, event, pre, post))
+                pre = post
+            belief[row] = pre
+    return [
+        FilterTrace(slots=stream, initial=initial, entry=entry[row], events=steps[row])
+        for row, stream in enumerate(streams)
+    ]
+
+
+def filter_streams(
+    streams: Sequence[Sequence[TimeslotRecord]],
+    transitions: TransitionTensor,
+    operations: OperationTable,
+    initial: np.ndarray | None = None,
+) -> list[FilterTrace]:
+    """Run the forward filter over each stream, all from the same initial belief.
+
+    Contiguous streams of equal length that start at the same slot-of-day
+    (the days of a training set, say) share every transition matrix, so they
+    run in lockstep; any other stream runs alone.  Traces come back in the
+    order of ``streams``.
+    """
+    n_states = transitions.n_states
+    init = (
+        uniform_belief(n_states)
+        if initial is None
+        else _normalize_or_uniform(np.asarray(initial, dtype=np.float64))
+    )
+    groups: dict[object, list[int]] = {}
+    for index, stream in enumerate(streams):
+        if stream and stream[-1].t - stream[0].t == len(stream) - 1:
+            key: object = (len(stream), stream[0].k)
+        else:
+            key = index  # empty, or with gaps: runs alone
+        groups.setdefault(key, []).append(index)
+
+    traces: list[FilterTrace | None] = [None] * len(streams)
+    for members in groups.values():
+        batch = _lockstep([streams[index] for index in members], transitions, operations, init)
+        for index, trace in zip(members, batch):
+            traces[index] = trace
+    return traces  # type: ignore[return-value]
+
+
 def run_filter(
     slots: Sequence[TimeslotRecord],
     transitions: TransitionTensor,
@@ -315,23 +520,7 @@ def run_filter(
     initial: np.ndarray | None = None,
 ) -> FilterTrace:
     """Run the forward filter over a contiguous slot stream."""
-    n_states = transitions.n_states
-    init = uniform_belief(n_states) if initial is None else _normalize_or_uniform(np.asarray(initial, dtype=np.float64))
-    if not slots:
-        return FilterTrace(slots=slots, initial=init, entry=np.zeros((0, n_states)), events=[])
-
-    entry = np.empty((len(slots), n_states))
-    events: list[EventStep] = []
-    belief = StateBelief(init, t=slots[0].t, event_index=0)
-    for pos, slot in enumerate(slots):
-        if pos > 0:
-            belief = advance_slot(belief, slot.k, transitions)
-        entry[pos] = belief.probs
-        for event_pos, event in enumerate(slot.events):
-            pre = belief.probs
-            belief = observe_operation(belief, event.pair, operations)
-            events.append(EventStep(pos, event_pos, event, pre, belief.probs))
-    return FilterTrace(slots=slots, initial=init, entry=entry, events=events)
+    return filter_streams([slots], transitions, operations, initial)[0]
 
 
 @dataclass
@@ -454,11 +643,17 @@ def _labeling_params_from_payload(payload: dict) -> LabelingParams:
     return LabelingParams(**data)
 
 
-def slots_by_day(labeled: Sequence[LabeledSlot]) -> dict[int, list[LabeledSlot]]:
-    grouped: dict[int, list[LabeledSlot]] = {}
-    for item in labeled:
-        grouped.setdefault((item.slot.t - 1) // SLOTS_PER_DAY, []).append(item)
-    return grouped
+def kept_day_streams(
+    labeled: Sequence[LabeledSlot], arrays: LabelArrays
+) -> list[list[TimeslotRecord]]:
+    """The kept slots of each day, day by day, ready for ``filter_streams``."""
+    positions = np.flatnonzero(arrays.keep)
+    if not len(positions):
+        return []
+    cuts = np.flatnonzero(np.diff(arrays.day[positions])) + 1
+    return [
+        [labeled[pos].slot for pos in chunk.tolist()] for chunk in np.split(positions, cuts)
+    ]
 
 
 def train_model(
@@ -478,19 +673,21 @@ def train_model(
     seq_params = seq_params or SeqParams()
 
     labeled = label_states(slots, events, labeling_params, vocabulary)
-    kept = [item for item in labeled if not item.excluded_day]
-    if not kept:
+    arrays = encode_labels(labeled)
+    kept = arrays.select(~arrays.excluded)
+    if not kept.keep.any():
         raise ModelError("no usable training days after exclusions")
     transitions = fit_transitions(kept, model_params.t_z_max)
     operations = fit_operations(kept, vocabulary)
 
-    traces = [
-        run_filter([item.slot for item in day_slots], transitions, operations)
-        for _, day_slots in sorted(slots_by_day(kept).items())
-    ]
+    days = kept_day_streams(labeled, kept)
+    # The labels hold a state object per slot and event; free them before the
+    # filter allocates its beliefs, which keeps them out of the peak memory.
+    del labeled
+    traces = filter_streams(days, transitions, operations)
     store = store_sequences(traces, vocabulary.detection_target, seq_params, len(ALPHABET))
     baseline_store = build_timed_store(
-        [event for item in labeled for event in item.slot.events],
+        [event for slot in slots for event in slot.events],
         vocabulary.detection_target,
         seq_params,
     )

@@ -17,6 +17,8 @@ from homeguard.evaluation import (
     ProposedMethod,
     SequenceGrid,
     SequenceMethod,
+    _collect_records,
+    _make_folds,
     best_at,
     cross_validate,
     grid_search,
@@ -24,10 +26,11 @@ from homeguard.evaluation import (
     make_params,
     pareto_frontier,
 )
+from homeguard.hsmodel import ModelParams, fit_operations, fit_transitions
 from homeguard.ingest import EventRecord, build_timeslots
 from homeguard.labeling import LabelingParams
 from homeguard.seqstore import SeqParams
-from homeguard.vocab import Vocabulary
+from homeguard.vocab import DEFAULT_PAIRS, Vocabulary
 
 from conftest import frame
 
@@ -263,6 +266,78 @@ class TestGridSearch:
         for p in points:
             assert 0.0 <= p.misdetection_ratio <= 1.0
             assert p.tp + p.fn == 100
+
+
+def mixed_dataset() -> EvalDataset:
+    """Five toy days; day 2 is excluded (a device runs in an empty home) and
+    a washing machine, outside the vocabulary, runs on day 4 only."""
+    dataset = toy_dataset(n_days=5)
+    events = dataset.events + [
+        EventRecord(BASE + timedelta(days=2, hours=6), "user_position", "exit"),
+        EventRecord(BASE + timedelta(days=4, hours=12), "washing_machine", "on"),
+    ]
+    frames = [slot.sensors for slot in dataset.slots[:: 12 * 60]]
+    pairs = {device: actions for device, actions in DEFAULT_PAIRS.items() if device != "washing_machine"}
+    return EvalDataset(slots=build_timeslots(events, frames), vocabulary=Vocabulary(pairs=pairs))
+
+
+class TestFoldFits:
+    # Held out: the first day, a middle day next to the excluded day 2, the
+    # day after it, and the last day (the only one with the washing machine).
+    @pytest.mark.parametrize("heldout", [0, 1, 3, 4])
+    @pytest.mark.parametrize("t_z_max", [720, 5])
+    def test_fold_fits_equal_a_refit(self, heldout, t_z_max):
+        dataset = mixed_dataset()
+        folds = _make_folds(
+            dataset, LabelingParams(t_x=3, t_y=3, t_c=2), ModelParams(t_z_max=t_z_max), SeqParams()
+        )
+        fold = folds[heldout]
+        assert all(other.arrays is fold.arrays for other in folds)
+        excluded_days = set(fold.arrays.day[fold.arrays.excluded].tolist())
+        assert excluded_days == {2}
+
+        transitions, operations = fold.state_model()
+        kept = fold.training_labeled()
+        assert {(item.slot.t - 1) // 1440 for item in kept} == {0, 1, 3, 4} - {heldout}
+        reference_t = fit_transitions(kept, t_z_max)
+        reference_o = fit_operations(kept, dataset.vocabulary)
+        assert np.array_equal(transitions.probs, reference_t.probs)
+        assert np.array_equal(transitions.t_z, reference_t.t_z)
+        assert list(operations.probs) == list(reference_o.probs)
+        for pair, vec in reference_o.probs.items():
+            assert np.array_equal(operations.probs[pair], vec)
+        assert (("washing_machine", "on") in operations.probs) == (heldout != 4)
+
+    def test_fold_traces_cover_kept_days_and_heldout_day(self):
+        dataset = mixed_dataset()
+        fold = _make_folds(dataset, LabelingParams(t_x=3, t_y=3, t_c=2), ModelParams(), SeqParams())[3]
+        training = fold.training_traces()
+        assert [trace.slots[0].t // 1440 for trace in training] == [0, 1, 4]
+        assert fold.detection_trace().slots == dataset.day_slots(3)
+
+    def test_serial_collection_releases_each_fold(self):
+        dataset = toy_dataset(n_days=3)
+        folds = _make_folds(dataset, LabelingParams(t_x=2, t_y=2, t_c=1), ModelParams(), SeqParams())
+        records = _collect_records(folds, (1,), True, (900.0,), SeqParams(), 10, 1)
+        assert len(records) == 3 * (10 + 2)
+        assert all(not fold._cache for fold in folds)
+
+
+class TestParallelJobs:
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ProposedGrid(t_x=(2, 3), t_y=(2,), t_c=(1,), l_values=(1, 2)),
+            EstimationGrid(t_x=(2,), t_y=(2,), t_c=(1,)),
+            SequenceGrid(alpha_seq=(900.0, 3600.0)),
+        ],
+        ids=["proposed", "estimation", "sequence"],
+    )
+    def test_two_workers_equal_one(self, grid):
+        dataset = toy_dataset(n_days=3)
+        serial = grid_search(dataset, grid, injections_per_day=20, seed=3, jobs=1)
+        parallel = grid_search(dataset, grid, injections_per_day=20, seed=3, jobs=2)
+        assert serial and parallel == serial
 
 
 def pt(mis: float, det: float, tag: str = "x") -> EvalPoint:

@@ -14,12 +14,15 @@ from homeguard.hsmodel import (
     TrainedModel,
     TransitionTensor,
     advance_slot,
+    encode_labels,
+    filter_streams,
     fit_operations,
     fit_transitions,
     observe_operation,
     run_filter,
     train_model,
     uniform_belief,
+    window_halfwidths,
 )
 from homeguard.labeling import ALPHABET, STATE_INDEX, LabeledSlot, LabelingParams, parse_state_key
 from homeguard.seqstore import SeqParams
@@ -199,6 +202,156 @@ class TestFitOperations:
             table.vector(("mystery", "zap"))
 
 
+def binary_search_t_z(presence: np.ndarray, t_z_max: int) -> np.ndarray:
+    """The former per-slot search for T_Z: the smallest halfwidth whose window
+    holds every learnable state, found by bisection over window sums."""
+    n_states = presence.shape[1]
+    presence_ps = np.zeros((3 * 1440 + 1, n_states), dtype=np.int64)
+    np.cumsum(np.concatenate([presence] * 3, axis=0), axis=0, out=presence_ps[1:])
+    learnable = presence.sum(axis=0) > 0
+
+    def window_supported(k0: int, halfwidth: int) -> bool:
+        center = k0 + 1440
+        window = presence_ps[center + halfwidth + 1] - presence_ps[center - halfwidth]
+        return bool((window[learnable] > 0).all())
+
+    t_z = np.empty(1440, dtype=np.int64)
+    for k0 in range(1440):
+        if not window_supported(k0, t_z_max):
+            t_z[k0] = t_z_max
+            continue
+        lo, hi = 0, t_z_max
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if window_supported(k0, mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        t_z[k0] = lo
+    return t_z
+
+
+def loop_counts(labeled):
+    """Presence, pair and operation counts tallied slot by slot, as the fits
+    did before they counted over encoded arrays."""
+    presence = np.zeros((1440, S), dtype=np.int64)
+    pairs = np.zeros((1440, S, S), dtype=np.int64)
+    by_t = {item.slot.t: item for item in labeled}
+    for item in labeled:
+        presence[item.slot.k - 1, STATE_INDEX[item.state]] += 1
+        succ = by_t.get(item.slot.t + 1)
+        if succ is not None:
+            pairs[succ.slot.k - 1, STATE_INDEX[item.state], STATE_INDEX[succ.state]] += 1
+    denom = np.zeros(S, dtype=np.int64)
+    numer = {}
+    for item in labeled:
+        for state in {item.entry_state} | set(item.event_states):
+            denom[STATE_INDEX[state]] += 1
+        for pair, i in {(e.pair, STATE_INDEX[st]) for e, st in zip(item.slot.events, item.event_states)}:
+            numer.setdefault(pair, np.zeros(S, dtype=np.int64))[i] += 1
+    return presence, pairs, denom, numer
+
+
+def random_labeled_days(rng, n_days, excluded_days=(), pairs=(("tv", "on"), ("refrigerator", "opening"))):
+    """A multi-day labeled stream with random states, random events whose
+    states differ from the slot's entry state, and the given days excluded."""
+    keys = [state.key for state in ALPHABET]
+    learnable = rng.choice(keys, size=int(rng.integers(2, S)), replace=False)
+    n = n_days * 1440
+    events = {}
+    for pos in rng.choice(n, size=40, replace=False):
+        bucket = [ev(pos + 0.1 * (j + 1), *pairs[int(rng.integers(0, len(pairs)))]) for j in range(int(rng.integers(1, 4)))]
+        events[int(pos)] = bucket
+    slots = make_slots(n, events=events)
+    out = []
+    for pos, slot in enumerate(slots):
+        state = parse_state_key(learnable[int(rng.integers(0, len(learnable)))])
+        entry = parse_state_key(learnable[int(rng.integers(0, len(learnable)))])
+        out.append(
+            LabeledSlot(
+                slot=slot,
+                state=state,
+                entry_state=entry,
+                event_states=tuple(
+                    parse_state_key(learnable[int(rng.integers(0, len(learnable)))])
+                    for _ in slot.events
+                ),
+                excluded_day=pos // 1440 in excluded_days,
+            )
+        )
+    return out
+
+
+class TestEncodedFits:
+    def test_fits_equal_slot_by_slot_counts(self, vocab):
+        rng = np.random.default_rng(5)
+        for t_z_max in (720, 30, 0):
+            labeled = random_labeled_days(rng, 3)
+            presence, pairs, denom, numer = loop_counts(labeled)
+            tensor = fit_transitions(labeled, t_z_max)
+            assert np.array_equal(tensor.t_z, binary_search_t_z(presence, t_z_max))
+            windows = np.zeros((1440, S, S))
+            for k0 in range(1440):
+                for offset in range(-int(tensor.t_z[k0]), int(tensor.t_z[k0]) + 1):
+                    windows[k0] += pairs[(k0 + offset) % 1440]
+            sums = windows.sum(axis=2, keepdims=True)
+            expected = np.divide(windows, sums, out=np.zeros_like(windows), where=sums > 0)
+            assert np.array_equal(tensor.probs, expected)
+
+            table = fit_operations(labeled, vocab)
+            assert set(table.probs) == set(vocab.all_pairs()) | set(numer)
+            for pair, counts in numer.items():
+                assert np.array_equal(
+                    table.probs[pair],
+                    np.divide(counts.astype(float), denom, out=np.zeros(S), where=denom > 0),
+                )
+
+    def test_selection_equals_fit_on_the_kept_list(self, vocab):
+        # Dropping a middle day must also drop the two pairs that cross its
+        # midnights, exactly as fitting the list without that day does.
+        rng = np.random.default_rng(8)
+        labeled = random_labeled_days(rng, 4, excluded_days=(1,))
+        arrays = encode_labels(labeled)
+        for heldout in range(4):
+            keep = (arrays.day != heldout) & ~arrays.excluded
+            kept = [item for item, flag in zip(labeled, keep) if flag]
+            got_t = fit_transitions(arrays.select(keep), 720)
+            ref_t = fit_transitions(kept, 720)
+            assert np.array_equal(got_t.probs, ref_t.probs)
+            assert np.array_equal(got_t.t_z, ref_t.t_z)
+            got_o = fit_operations(arrays.select(keep), vocab)
+            ref_o = fit_operations(kept, vocab)
+            assert list(got_o.probs) == list(ref_o.probs)
+            for pair, vec in ref_o.probs.items():
+                assert np.array_equal(got_o.probs[pair], vec)
+
+    def test_nothing_kept_errors(self):
+        arrays = encode_labels(labeled_stream(["active:none"] * 3))
+        with pytest.raises(ModelError):
+            fit_transitions(arrays.select(np.zeros(3, dtype=bool)), 10)
+
+
+class TestWindowHalfwidths:
+    def test_closed_form_equals_binary_search(self):
+        rng = np.random.default_rng(21)
+        for trial in range(12):
+            n_states = int(rng.integers(1, 8))
+            presence = np.zeros((1440, n_states), dtype=np.int64)
+            for i in range(n_states):
+                if rng.random() < 0.25:
+                    continue  # absent state: never learnable
+                n_hits = int(rng.integers(1, 12)) if rng.random() < 0.7 else int(rng.integers(100, 1440))
+                presence[rng.integers(0, 1440, size=n_hits), i] += 1
+            # Caps from zero up to past the halfwidth the sparse states need.
+            for t_z_max in (0, 1, 5, int(rng.integers(0, 721)), 720):
+                assert np.array_equal(
+                    window_halfwidths(presence, t_z_max), binary_search_t_z(presence, t_z_max)
+                ), (trial, t_z_max)
+
+    def test_no_learnable_state(self):
+        assert (window_halfwidths(np.zeros((1440, 3), dtype=np.int64), 30) == 0).all()
+
+
 def toy_tensor(matrix_by_k: dict[int, np.ndarray], n_states: int) -> TransitionTensor:
     probs = np.zeros((1440, n_states, n_states))
     for k, matrix in matrix_by_k.items():
@@ -368,6 +521,85 @@ class TestRunFilter:
         # An instant equal to the event time sees only strictly earlier updates.
         at_event = trace.belief_before(BASE + timedelta(minutes=1, seconds=30))
         assert np.allclose(at_event, [0.5, 0.5])
+
+
+def assert_matches_brute_force(trace, slots, tensor, table, initial):
+    expected = brute_force_trace(
+        [slot.k for slot in slots],
+        [[event.pair for event in slot.events] for slot in slots],
+        lambda k: tensor.probs[k - 1].tolist(),
+        lambda pair: table.probs[pair].tolist(),
+        list(initial),
+    )
+    got = trace.snapshots()
+    assert len(got) == len(expected)
+    for snap, ref in zip(got, expected):
+        assert np.max(np.abs(snap.probs - np.array(ref))) <= 1e-12
+
+
+class TestLockstepFilter:
+    def test_randomized_streams_match_brute_force(self):
+        rng = np.random.default_rng(99)
+        for _ in range(20):
+            n_streams = int(rng.integers(2, 6))
+            first, tensor, table, _ = random_filter_instance(rng)
+            n_slots, k0 = len(first), first[0].k
+            streams = [first]
+            for row in range(1, n_streams):
+                events = {}
+                for _ in range(int(rng.integers(0, 11))):
+                    pos = int(rng.integers(0, n_slots))
+                    pair = list(table.probs)[int(rng.integers(0, len(table.probs)))]
+                    events.setdefault(pos, []).append(ev(pos + float(rng.random()) * 0.9, *pair))
+                for bucket in events.values():
+                    bucket.sort(key=lambda e: e.timestamp)
+                streams.append(make_slots(n_slots, events=events, k0=k0, t0=1 + row * 1440))
+            traces = filter_streams(streams, tensor, table)
+            assert all(trace.entry.base is traces[0].entry.base for trace in traces)
+            for stream, trace in zip(streams, traces):
+                assert trace.slots is stream
+                assert_matches_brute_force(trace, stream, tensor, table, uniform_belief(tensor.n_states))
+
+    def test_resets_stay_in_their_row(self):
+        # Row 0 pins its belief on state 0 by an observation, and state 0 has
+        # no outgoing transitions at k=3, so row 0 alone resets when entering
+        # slot 3.  Row 1 alone sees an annihilating observation in slot 4.
+        n_states = 3
+        matrix = np.array([[0.6, 0.3, 0.1], [0.2, 0.5, 0.3], [0.1, 0.2, 0.7]])
+        dead_row = matrix.copy()
+        dead_row[0] = 0.0
+        tensor = toy_tensor({1: matrix, 2: matrix, 3: dead_row, 4: matrix, 5: matrix}, n_states)
+        table = OperationTable(
+            n_states=n_states,
+            probs={
+                ("dev", "pin"): np.array([1.0, 0.0, 0.0]),
+                ("dev", "kill"): np.zeros(n_states),
+                ("dev", "tilt"): np.array([0.2, 0.3, 0.5]),
+            },
+        )
+        streams = [
+            make_slots(5, events={1: [ev(1.5, "dev", "pin")]}),
+            make_slots(5, t0=1441, events={0: [ev(0.5, "dev", "tilt")], 3: [ev(3.5, "dev", "kill")]}),
+            make_slots(5, t0=2881, events={1: [ev(1.5, "dev", "tilt")]}),
+        ]
+        traces = filter_streams(streams, tensor, table)
+        uniform = uniform_belief(n_states)
+        assert np.array_equal(traces[0].entry[2], uniform)
+        assert not np.allclose(traces[2].entry[2], uniform)
+        assert np.array_equal(traces[1].events[1].post, uniform)
+        assert not np.allclose(traces[1].entry[3], uniform)
+        for stream, trace in zip(streams, traces):
+            assert_matches_brute_force(trace, stream, tensor, table, uniform)
+
+    def test_unaligned_streams_run_alone(self):
+        rng = np.random.default_rng(4)
+        _, tensor, table, _ = random_filter_instance(rng)
+        streams = [make_slots(7, k0=10), make_slots(4, k0=10), make_slots(7, k0=11), []]
+        traces = filter_streams(streams, tensor, table)
+        assert traces[0].entry.base is not traces[2].entry.base
+        assert len(traces[3].entry) == 0
+        for stream, trace in zip(streams[:3], traces):
+            assert_matches_brute_force(trace, stream, tensor, table, uniform_belief(tensor.n_states))
 
 
 class TestTrainedModelRoundTrip:
