@@ -25,16 +25,12 @@ from .errors import (
 )
 from .evaluation import (
     EstimationGrid,
-    EstimationMethod,
     EvalDataset,
     EvalPoint,
     InjectionPlan,
     ProposedGrid,
-    ProposedMethod,
     SequenceGrid,
-    SequenceMethod,
     best_at,
-    cross_validate,
     grid_search,
     inject_anomalies,
     pareto_frontier,
@@ -89,7 +85,6 @@ from .seqstore import (
     build_timed_store,
     generate_subsequences,
     select_states,
-    sequence_probability,
     store_sequences,
 )
 from .synthgen import Scenario, generate, scenario_calibration, scenario_s1

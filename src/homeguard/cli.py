@@ -30,7 +30,7 @@ from .evaluation import (
 from .hsmodel import ModelParams, TrainedModel, run_filter, train_model
 from .ingest import build_timeslots, parse_operation_log, parse_sensor_log
 from .labeling import LabelingParams, export_event_labels, export_labels, label_states
-from .seqstore import SeqParams
+from .seqstore import SeqParams, window_start
 from .synthgen import generate, load_scenario, scenario_calibration, scenario_s1
 from .vocab import Vocabulary
 
@@ -161,24 +161,16 @@ def cmd_detect(args) -> int:
     thresholds = Thresholds(
         n_single=setting("n_single") or 0.0, n_multi=setting("n_multi") or 0.0
     )
-    baseline = BaselineParams(
-        theta=setting("theta") if setting("theta") is not None else 0.5,
-        alpha_seq=setting("alpha_seq") if setting("alpha_seq") is not None else 900.0,
-        n_seq_single=setting("n_seq_single") if setting("n_seq_single") is not None else 0.1,
-        n_seq_multi=setting("n_seq_multi") if setting("n_seq_multi") is not None else 0.1,
-    )
+    names = ("theta", "alpha_seq", "n_seq_single", "n_seq_multi")
+    baseline = BaselineParams(**{n: setting(n) for n in names if setting(n) is not None})
     target = vocabulary.detection_target
-    all_steps = trace.events
+    stream = [step.event for step in trace.events]
+    times = [event.timestamp for event in stream]
     lines: list[str] = []
-    for idx, step in enumerate(all_steps):
+    for idx, step in enumerate(trace.events):
         if step.event.device != target:
             continue
-        horizon = step.event.timestamp
-        preceding = [
-            s.event
-            for s in all_steps[:idx]
-            if (horizon - s.event.timestamp).total_seconds() <= model.seq_params.t_seq
-        ]
+        preceding = stream[window_start(times, step.event.timestamp, model.seq_params.t_seq) : idx]
         if args.method == "proposed":
             verdict = judge_proposed(model, step.pre, preceding, step.event, thresholds)
         elif args.method == "estimation":

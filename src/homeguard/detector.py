@@ -1,11 +1,19 @@
 """Verdicts on target-device operations.
 
-The combined method scores every candidate subsequence ending at the judged
-operation by the belief-weighted sequence probability and accepts the
-operation if any candidate clears its per-length threshold.  Two simpler
-methods are provided for comparison: one thresholds the belief-weighted
-operation probability, the other counts stored equivalent sequences near the
-same time of day.
+Candidates are the distinct subsequences of the judged operation's window
+that end with the operation.  The combined method scores a candidate by its
+belief-weighted sequence probability; the time-of-day sequence method scores
+it by the share of stored target operations whose equivalent sequence
+completed near the same time of day.  Both reduce a window to two scores:
+``s_single`` for the candidate of length one and ``s_multi``, the best score
+among longer candidates (0.0 when the window holds only the operation).  One
+decision rule judges both, and ``evaluate`` sweeps its thresholds over the
+same recorded scores::
+
+    anomalous  iff  s_single < n_single  and  s_multi < n_multi
+
+The estimation method scores the belief-weighted operation probability alone:
+anomalous iff score <= theta.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from datetime import timedelta
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -22,6 +30,7 @@ from .ingest import EventRecord, format_timestamp
 from .seqstore import (
     Items,
     SeqParams,
+    SequenceStore,
     TimedSequenceStore,
     candidates_ending_at,
     seconds_of_day,
@@ -48,9 +57,6 @@ class Thresholds:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValidationError("must be in [0, 1]", field=name)
 
-    def for_length(self, length: int) -> float:
-        return self.n_single if length == 1 else self.n_multi
-
 
 @dataclass
 class BaselineParams:
@@ -69,9 +75,6 @@ class BaselineParams:
         for name in ("n_seq_single", "n_seq_multi"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValidationError("must be in [0, 1]", field=name)
-
-    def n_seq_for_length(self, length: int) -> float:
-        return self.n_seq_single if length == 1 else self.n_seq_multi
 
 
 @dataclass
@@ -105,6 +108,18 @@ class Verdict:
         )
 
 
+class LevelScores(NamedTuple):
+    """A window's best score per length level and the candidates that won.
+
+    ``multi_items`` is None when the window holds only the judged operation.
+    """
+
+    single: float
+    multi: float
+    single_items: Items
+    multi_items: Items | None
+
+
 def _window_pairs(
     preceding: Sequence[EventRecord], op: EventRecord, t_seq: float, w_max: int
 ) -> list[tuple[str, str]]:
@@ -122,6 +137,97 @@ def _window_pairs(
     return pairs
 
 
+def _best_per_level(
+    candidates: Sequence[Items], score: Callable[[Items], float]
+) -> LevelScores:
+    """Score the length-1 candidate, which comes first, and keep the first
+    maximum among the longer ones."""
+    multi, multi_items = 0.0, None
+    for items in candidates[1:]:
+        value = score(items)
+        if multi_items is None or value > multi:
+            multi, multi_items = value, items
+    return LevelScores(score(candidates[0]), multi, candidates[0], multi_items)
+
+
+def proposed_scores(
+    model: "TrainedModel",
+    belief: np.ndarray,
+    preceding: Sequence[EventRecord],
+    op: EventRecord,
+) -> LevelScores:
+    """Best occurrence probability ``sum_i b'(i, y) * belief_i`` per level."""
+    params = model.seq_params
+    pairs = _window_pairs(preceding, op, params.t_seq, params.w_max)
+    store = model.store if model.store is not None else SequenceStore(n_states=len(belief))
+
+    def score(items: Items) -> float:
+        # Convex combination of values in [0, 1]; clamp the float residue.
+        return min(1.0, max(0.0, float(np.dot(store.vector(items), belief))))
+
+    return _best_per_level(candidates_ending_at(pairs, params.l_max), score)
+
+
+def sequence_scores(
+    store: TimedSequenceStore,
+    preceding: Sequence[EventRecord],
+    op: EventRecord,
+    alpha_seq: float,
+    seq_params: SeqParams,
+) -> LevelScores:
+    """Best time-of-day match ratio per level.
+
+    A candidate's ratio counts its stored occurrences within ``alpha_seq``
+    seconds of the operation's time of day (cyclic distance) and divides by
+    the number of stored target operations; with nothing stored it is 0.0.
+    """
+    pairs = _window_pairs(preceding, op, seq_params.t_seq, seq_params.w_max)
+    tod = seconds_of_day(op.timestamp)
+    return _best_per_level(
+        candidates_ending_at(pairs, seq_params.l_max),
+        lambda items: store.ratio(items, tod, alpha_seq),
+    )
+
+
+def estimation_score(
+    operations: "OperationTable", belief: np.ndarray, op: EventRecord
+) -> float:
+    """Belief-weighted operation probability of the judged operation."""
+    return min(1.0, max(0.0, float(np.dot(belief, operations.vector(op.pair)))))
+
+
+def two_level_anomalous(s_single, s_multi, n_single, n_multi):
+    """The decision rule of the two-level methods, on numbers or arrays."""
+    return (s_single < n_single) & (s_multi < n_multi)
+
+
+def _two_level_verdict(
+    op: EventRecord,
+    method: str,
+    scores: LevelScores,
+    n_single: float,
+    n_multi: float,
+    belief: np.ndarray | None = None,
+) -> Verdict:
+    """Decide by the rule; the evidence is the level with the larger margin
+    over its threshold, the single level winning ties."""
+    anomalous = two_level_anomalous(scores.single, scores.multi, n_single, n_multi)
+    if scores.multi_items is not None and scores.multi - n_multi > scores.single - n_single:
+        delta, threshold, items = scores.multi, n_multi, scores.multi_items
+    else:
+        delta, threshold, items = scores.single, n_single, scores.single_items
+    return Verdict(
+        operation=op,
+        method=method,
+        decision=ANOMALOUS if anomalous else LEGITIMATE,
+        delta=delta,
+        threshold=threshold,
+        sequence=items,
+        sequence_length=len(items),
+        belief=belief,
+    )
+
+
 def _require_target(op: EventRecord, target_device: str) -> None:
     if op.device != target_device:
         raise UsageError(
@@ -136,54 +242,12 @@ def judge_proposed(
     op: EventRecord,
     thresholds: Thresholds,
 ) -> Verdict:
-    """Judge one target operation with the combined state/sequence method.
-
-    Every candidate subsequence ending at the operation gets the occurrence
-    probability ``sum_i b'(i, y) * alpha_i``; the operation is legitimate if
-    any candidate reaches its per-length threshold.  The evidence reports the
-    candidate with the largest margin over its threshold.
-    """
+    """Judge one target operation with the combined state/sequence method."""
     _require_target(op, model.vocabulary.detection_target)
-    params = model.seq_params
-    pairs = _window_pairs(preceding, op, params.t_seq, params.w_max)
-    candidates = candidates_ending_at(pairs, params.l_max)
-
-    best_margin = -np.inf
-    best: tuple[float, float, Items] | None = None
-    legitimate = False
-    for items in candidates:
-        if model.store is None:
-            delta = 0.0
-        else:
-            # Convex combination of values in [0, 1]; clamp the float residue.
-            delta = min(1.0, max(0.0, float(np.dot(model.store.vector(items), belief))))
-        threshold = thresholds.for_length(len(items))
-        if delta >= threshold:
-            legitimate = True
-        margin = delta - threshold
-        if margin > best_margin:
-            best_margin = margin
-            best = (delta, threshold, items)
-
-    assert best is not None  # the single-operation candidate always exists
-    delta, threshold, items = best
-    return Verdict(
-        operation=op,
-        method="proposed",
-        decision=LEGITIMATE if legitimate else ANOMALOUS,
-        delta=delta,
-        threshold=threshold,
-        sequence=items,
-        sequence_length=len(items),
-        belief=belief,
+    scores = proposed_scores(model, belief, preceding, op)
+    return _two_level_verdict(
+        op, "proposed", scores, thresholds.n_single, thresholds.n_multi, belief
     )
-
-
-def estimation_score(
-    operations: "OperationTable", belief: np.ndarray, op: EventRecord
-) -> float:
-    """Belief-weighted operation probability of the judged operation."""
-    return min(1.0, max(0.0, float(np.dot(belief, operations.vector(op.pair)))))
 
 
 def judge_estimation_baseline(
@@ -206,27 +270,6 @@ def judge_estimation_baseline(
     )
 
 
-def sequence_scores(
-    store: TimedSequenceStore,
-    preceding: Sequence[EventRecord],
-    op: EventRecord,
-    alpha_seq: float,
-    seq_params: SeqParams,
-) -> tuple[float, float]:
-    """Best match ratio among length-1 and length>=2 candidates."""
-    pairs = _window_pairs(preceding, op, seq_params.t_seq, seq_params.w_max)
-    tod = seconds_of_day(op.timestamp)
-    best_single = 0.0
-    best_multi = 0.0
-    for items in candidates_ending_at(pairs, seq_params.l_max):
-        ratio = store.ratio(items, tod, alpha_seq)
-        if len(items) == 1:
-            best_single = max(best_single, ratio)
-        else:
-            best_multi = max(best_multi, ratio)
-    return best_single, best_multi
-
-
 def judge_sequence_baseline(
     store: TimedSequenceStore,
     preceding: Sequence[EventRecord],
@@ -235,51 +278,9 @@ def judge_sequence_baseline(
     seq_params: SeqParams,
     target_device: str,
 ) -> Verdict:
-    """Judge by counting stored equivalent sequences near the time of day.
-
-    For each candidate subsequence ending at the operation, the stored
-    occurrences of the same sequence within ``alpha_seq`` seconds of the
-    operation's time of day (cyclic distance) are counted and divided by the
-    total number of stored target operations.  With nothing stored the
-    operation is anomalous outright.
-    """
+    """Judge by counting stored equivalent sequences near the time of day."""
     _require_target(op, target_device)
-    pairs = _window_pairs(preceding, op, seq_params.t_seq, seq_params.w_max)
-    candidates = candidates_ending_at(pairs, seq_params.l_max)
-    tod = seconds_of_day(op.timestamp)
-
-    if store.target_total == 0:
-        return Verdict(
-            operation=op,
-            method="sequence",
-            decision=ANOMALOUS,
-            delta=0.0,
-            threshold=params.n_seq_for_length(1),
-            sequence=candidates[0],
-            sequence_length=1,
-        )
-
-    best_margin = -np.inf
-    best: tuple[float, float, Items] | None = None
-    legitimate = False
-    for items in candidates:
-        ratio = store.ratio(items, tod, params.alpha_seq)
-        threshold = params.n_seq_for_length(len(items))
-        if ratio >= threshold:
-            legitimate = True
-        margin = ratio - threshold
-        if margin > best_margin:
-            best_margin = margin
-            best = (ratio, threshold, items)
-
-    assert best is not None
-    ratio, threshold, items = best
-    return Verdict(
-        operation=op,
-        method="sequence",
-        decision=LEGITIMATE if legitimate else ANOMALOUS,
-        delta=ratio,
-        threshold=threshold,
-        sequence=items,
-        sequence_length=len(items),
+    scores = sequence_scores(store, preceding, op, params.alpha_seq, seq_params)
+    return _two_level_verdict(
+        op, "sequence", scores, params.n_seq_single, params.n_seq_multi
     )

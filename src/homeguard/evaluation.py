@@ -3,9 +3,12 @@ detection/misdetection ratios, parameter grids, and Pareto frontiers.
 
 Injected operations are judged counterfactually: each one sees the belief and
 event window of the real stream at its instant and never contaminates the
-stream, so judgments are independent of injection order.  Threshold
-parameters are swept over recorded per-operation scores instead of refitting,
-which makes dense threshold grids tractable without changing any outcome.
+stream, so judgments are independent of injection order.  Each operation is
+scored once by the detector's scorers; threshold parameters are then swept
+over the recorded scores with the detector's decision rule instead of
+refitting, which makes dense threshold grids tractable without changing any
+outcome.  A grid with one value per threshold is the evaluation of one fixed
+detector.
 """
 
 from __future__ import annotations
@@ -18,20 +21,16 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, time, timedelta
 from itertools import product
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .detector import (
-    ANOMALOUS,
-    BaselineParams,
-    Thresholds,
     estimation_score,
-    judge_estimation_baseline,
-    judge_proposed,
-    judge_sequence_baseline,
     sequence_scores,
+    two_level_anomalous,
 )
+from .detector import proposed_scores as _best_deltas  # perfbench/child.py traces this name
 from .errors import ModelError, ValidationError
 from .hsmodel import (
     LabelArrays,
@@ -46,7 +45,7 @@ from .hsmodel import (
 )
 from .ingest import SLOTS_PER_DAY, EventRecord, SensorFrame, TimeslotRecord, build_timeslots
 from .labeling import ALPHABET, LabeledSlot, LabelingParams, label_states
-from .seqstore import SeqParams, build_timed_store, store_sequences
+from .seqstore import SeqParams, build_timed_store, store_sequences, window_start
 from .vocab import Vocabulary
 
 SECONDS_PER_DAY = 86400
@@ -177,13 +176,6 @@ class OperationContext:
         return self._belief
 
 
-class Method(Protocol):  # pragma: no cover - structural type
-    name: str
-
-    def fit(self, fold: "FoldContext") -> Callable[[OperationContext], bool]:
-        """Train on the fold and return a judge mapping context -> anomalous."""
-
-
 class FoldContext:
     """Per-fold training artifacts, built lazily and shared across methods.
 
@@ -297,16 +289,16 @@ class FoldContext:
         """Real target operations of the held-out day, then injected ones."""
         target = self.dataset.vocabulary.detection_target
         day_slots = self.dataset.day_slots(self.heldout_day)
-        day_events = [event for slot in day_slots for event in slot.events]
+        day_events = self.dataset.day_events(self.heldout_day)
         event_times = [event.timestamp for event in day_events]
-        span = timedelta(seconds=self.seq_params.t_seq)
+        t_seq = self.seq_params.t_seq
 
         contexts: list[OperationContext] = []
         global_pos = 0
         for slot_pos, slot in enumerate(day_slots):
             for event_pos, event in enumerate(slot.events):
                 if event.device == target:
-                    lo = bisect_left(event_times, event.timestamp - span)
+                    lo = window_start(event_times, event.timestamp, t_seq)
                     preceding = day_events[lo:global_pos]
                     contexts.append(
                         OperationContext(
@@ -327,7 +319,7 @@ class FoldContext:
             action=injection_action,
         )
         for op in plan.operations:
-            lo = bisect_left(event_times, op.timestamp - span)
+            lo = window_start(event_times, op.timestamp, t_seq)
             hi = bisect_left(event_times, op.timestamp)
             preceding = day_events[lo:hi]
             contexts.append(
@@ -354,59 +346,6 @@ class FoldContext:
         return lambda: self.detection_trace().belief_before(ts)
 
 
-@dataclass
-class ProposedMethod:
-    thresholds: Thresholds = field(default_factory=Thresholds)
-    name: str = "proposed"
-
-    def fit(self, fold: FoldContext) -> Callable[[OperationContext], bool]:
-        model = fold.proposed_model()
-        thresholds = self.thresholds
-
-        def judge(ctx: OperationContext) -> bool:
-            verdict = judge_proposed(model, ctx.belief, ctx.preceding, ctx.op, thresholds)
-            return verdict.decision == ANOMALOUS
-
-        return judge
-
-
-@dataclass
-class EstimationMethod:
-    theta: float = 0.5
-    name: str = "estimation"
-
-    def fit(self, fold: FoldContext) -> Callable[[OperationContext], bool]:
-        _, operations = fold.state_model()
-        target = fold.dataset.vocabulary.detection_target
-        theta = self.theta
-
-        def judge(ctx: OperationContext) -> bool:
-            verdict = judge_estimation_baseline(operations, ctx.belief, ctx.op, theta, target)
-            return verdict.decision == ANOMALOUS
-
-        return judge
-
-
-@dataclass
-class SequenceMethod:
-    params: BaselineParams = field(default_factory=BaselineParams)
-    name: str = "sequence"
-
-    def fit(self, fold: FoldContext) -> Callable[[OperationContext], bool]:
-        store = fold.timed_store()
-        target = fold.dataset.vocabulary.detection_target
-        seq_params = fold.seq_params
-        params = self.params
-
-        def judge(ctx: OperationContext) -> bool:
-            verdict = judge_sequence_baseline(
-                store, ctx.preceding, ctx.op, params, seq_params, target
-            )
-            return verdict.decision == ANOMALOUS
-
-        return judge
-
-
 def _make_folds(
     dataset: EvalDataset,
     labeling_params: LabelingParams,
@@ -423,48 +362,6 @@ def _make_folds(
         FoldContext(dataset, labeled, arrays, day, labeling_params, model_params, seq_params)
         for day in range(dataset.n_days)
     ]
-
-
-def cross_validate(
-    dataset: EvalDataset,
-    methods: Sequence[Method],
-    labeling_params: LabelingParams | None = None,
-    model_params: ModelParams | None = None,
-    seq_params: SeqParams | None = None,
-    injections_per_day: int = 100,
-    seed: int = 0,
-) -> dict[str, EvalPoint]:
-    """Aggregate per-method confusion counts over all leave-one-day-out folds.
-
-    Real target operations are expected legitimate (anomalous verdicts are
-    false positives), injected ones are expected anomalous (legitimate
-    verdicts are false negatives).
-    """
-    labeling_params = labeling_params or LabelingParams()
-    model_params = model_params or ModelParams()
-    seq_params = seq_params or SeqParams()
-
-    counts = {method.name: [0, 0, 0, 0] for method in methods}  # tp, fn, fp, tn
-    for fold in _make_folds(dataset, labeling_params, model_params, seq_params):
-        judges = {method.name: method.fit(fold) for method in methods}
-        for ctx in fold.judged_operations(injections_per_day, seed):
-            for name, judge in judges.items():
-                anomalous = judge(ctx)
-                bucket = counts[name]
-                if ctx.injected:
-                    if anomalous:
-                        bucket[0] += 1
-                    else:
-                        bucket[1] += 1
-                else:
-                    if anomalous:
-                        bucket[2] += 1
-                    else:
-                        bucket[3] += 1
-    return {
-        name: EvalPoint(name, make_params({}), tp=c[0], fn=c[1], fp=c[2], tn=c[3])
-        for name, c in counts.items()
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -513,17 +410,6 @@ TABLE_GRID_ESTIMATION = EstimationGrid(
 )
 _SEQ_N_VALUES = (0.0, 0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 1.0)
 TABLE_GRID_SEQUENCE = SequenceGrid(n_single=_SEQ_N_VALUES, n_multi=_SEQ_N_VALUES)
-
-
-def _two_level_counts(
-    s1: np.ndarray, s2: np.ndarray, injected: np.ndarray, n1: float, n2: float
-) -> tuple[int, int, int, int]:
-    anomalous = (s1 < n1) & (s2 < n2)
-    tp = int(np.count_nonzero(anomalous & injected))
-    fn = int(np.count_nonzero(~anomalous & injected))
-    fp = int(np.count_nonzero(anomalous & ~injected))
-    tn = int(np.count_nonzero(~anomalous & ~injected))
-    return tp, fn, fp, tn
 
 
 def _candidate_thresholds(scores: np.ndarray, cap: int = 2000) -> np.ndarray:
@@ -596,8 +482,8 @@ def _frontier_indices(mis: np.ndarray, det: np.ndarray) -> list[int]:
 class _ScoreRecord:
     injected: bool
     estimation: float
-    proposed: dict  # l value -> (s1, s2)
-    sequence: dict  # alpha_seq -> (s1, s2)
+    proposed: dict  # l value -> (s_single, s_multi)
+    sequence: dict  # alpha_seq -> (s_single, s_multi)
 
 
 def _collect_fold_scores(
@@ -624,40 +510,18 @@ def _collect_fold_scores(
     timed = fold.timed_store() if need_sequence else None
 
     for ctx in fold.judged_operations(injections_per_day, seed):
-        proposed_scores: dict = {}
-        for l_value, model in proposed_models.items():
-            proposed_scores[l_value] = _best_deltas(model, ctx)
+        # Keep (s_single, s_multi) only: the sweeps need no evidence.
+        proposed = {
+            l_value: _best_deltas(model, ctx.belief, ctx.preceding, ctx.op)[:2]
+            for l_value, model in proposed_models.items()
+        }
         est = estimation_score(operations, ctx.belief, ctx.op) if need_estimation else 0.0
-        seq_scores: dict = {}
-        if need_sequence:
-            for alpha in need_sequence:
-                seq_scores[alpha] = sequence_scores(
-                    timed, ctx.preceding, ctx.op, alpha, seq_params_base
-                )
-        records.append(_ScoreRecord(ctx.injected, est, proposed_scores, seq_scores))
+        sequence = {
+            alpha: sequence_scores(timed, ctx.preceding, ctx.op, alpha, seq_params_base)[:2]
+            for alpha in need_sequence or ()
+        }
+        records.append(_ScoreRecord(ctx.injected, est, proposed, sequence))
     return records
-
-
-def _best_deltas(model: TrainedModel, ctx: OperationContext) -> tuple[float, float]:
-    """Best occurrence probability among length-1 and length>=2 candidates."""
-    from .detector import _window_pairs
-    from .seqstore import candidates_ending_at
-
-    params = model.seq_params
-    pairs = _window_pairs(ctx.preceding, ctx.op, params.t_seq, params.w_max)
-    best_single = 0.0
-    best_multi = 0.0
-    for items in candidates_ending_at(pairs, params.l_max):
-        delta = min(1.0, float(np.dot(model.store.vector(items), ctx.belief)))
-        if len(items) == 1:
-            best_single = max(best_single, delta)
-        else:
-            best_multi = max(best_multi, delta)
-    return best_single, best_multi
-
-
-def _structural_labeling(base: LabelingParams, t_x: int, t_y: int, t_c: int) -> LabelingParams:
-    return replace(base, t_x=t_x, t_y=t_y, t_c=t_c)
 
 
 def _sweep_two_level(
@@ -676,12 +540,14 @@ def _sweep_two_level(
     if n_single == "auto" or n_multi == "auto":
         return _auto_two_level_points(method, base_params, s1, s2, injected, name1, name2)
     points = []
+    n_inj = int(np.count_nonzero(injected))
+    n_real = len(injected) - n_inj
     for v1, v2 in product(n_single, n_multi):
-        tp, fn, fp, tn = _two_level_counts(s1, s2, injected, v1, v2)
-        params = dict(base_params)
-        params[name1] = float(v1)
-        params[name2] = float(v2)
-        points.append(EvalPoint(method, make_params(params), tp, fn, fp, tn))
+        anomalous = two_level_anomalous(s1, s2, v1, v2)
+        tp = int(np.count_nonzero(anomalous & injected))
+        fp = int(np.count_nonzero(anomalous & ~injected))
+        params = {**base_params, name1: float(v1), name2: float(v2)}
+        points.append(EvalPoint(method, make_params(params), tp, n_inj - tp, fp, n_real - fp))
     points.sort(key=lambda p: p.sort_key)
     return points
 
@@ -733,7 +599,7 @@ def grid_search(
         return points
 
     for t_x, t_y, t_c in product(grid.t_x, grid.t_y, grid.t_c):
-        labeling = _structural_labeling(labeling_base, t_x, t_y, t_c)
+        labeling = replace(labeling_base, t_x=t_x, t_y=t_y, t_c=t_c)
         structural = {"t_x": t_x, "t_y": t_y, "t_c": t_c}
         if isinstance(grid, EstimationGrid):
             folds = _make_folds(dataset, labeling, model_params, seq_base)
@@ -772,39 +638,27 @@ def _sweep_estimation(
     inj_scores = np.sort(scores[injected])
     real_scores = np.sort(scores[~injected])
     n_inj, n_real = len(inj_scores), len(real_scores)
-
-    def counts(th: float) -> tuple[int, int, int, int]:
-        # Anomalous iff score <= theta (the legitimacy test is strict >).
-        tp = int(np.searchsorted(inj_scores, th, side="right"))
-        fp = int(np.searchsorted(real_scores, th, side="right"))
-        return tp, n_inj - tp, fp, n_real - fp
-
-    points = []
-    if theta == "auto":
-        candidates = _candidate_thresholds(scores)
-        tp = np.searchsorted(inj_scores, candidates, side="right")
-        fp = np.searchsorted(real_scores, candidates, side="right")
+    auto = theta == "auto"
+    candidates = _candidate_thresholds(scores) if auto else np.asarray(theta, dtype=np.float64)
+    # Anomalous iff score <= theta (the legitimacy test is strict >).
+    tp = np.searchsorted(inj_scores, candidates, side="right")
+    fp = np.searchsorted(real_scores, candidates, side="right")
+    keep: Iterable[int] = range(len(candidates))
+    if auto:
         det = np.divide(tp, n_inj, out=np.zeros(len(tp)), where=n_inj > 0)
         mis = np.divide(fp, n_real, out=np.zeros(len(fp)), where=n_real > 0)
-        for idx in _frontier_indices(mis, det):
-            params = dict(structural)
-            params["theta"] = float(candidates[idx])
-            points.append(
-                EvalPoint(
-                    "estimation",
-                    make_params(params),
-                    int(tp[idx]),
-                    n_inj - int(tp[idx]),
-                    int(fp[idx]),
-                    n_real - int(fp[idx]),
-                )
-            )
-    else:
-        for th in theta:
-            tp_, fn_, fp_, tn_ = counts(float(th))
-            params = dict(structural)
-            params["theta"] = float(th)
-            points.append(EvalPoint("estimation", make_params(params), tp_, fn_, fp_, tn_))
+        keep = _frontier_indices(mis, det)
+    points = [
+        EvalPoint(
+            "estimation",
+            make_params({**structural, "theta": float(candidates[idx])}),
+            int(tp[idx]),
+            n_inj - int(tp[idx]),
+            int(fp[idx]),
+            n_real - int(fp[idx]),
+        )
+        for idx in keep
+    ]
     points.sort(key=lambda p: p.sort_key)
     return points
 

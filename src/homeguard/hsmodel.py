@@ -39,7 +39,7 @@ from .labeling import ALPHABET, STATE_INDEX, HomeState, LabeledSlot, LabelingPar
 from .seqstore import SeqParams, SequenceStore, TimedSequenceStore, build_timed_store, store_sequences
 from .vocab import Vocabulary
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def uniform_belief(n_states: int = len(ALPHABET)) -> np.ndarray:
@@ -586,8 +586,12 @@ class TrainedModel:
         t_z = np.asarray(payload["t_z"], dtype=np.int64)
         probs = np.zeros((SLOTS_PER_DAY, n_states, n_states))
         for k_text, rows in payload["a"].items():
+            k = _payload_index(k_text, 1, SLOTS_PER_DAY, "transition slot")
             for i_text, row in rows.items():
-                probs[int(k_text) - 1, int(i_text)] = row
+                i = _payload_index(i_text, 0, n_states - 1, f"transition slot {k} state")
+                if not isinstance(row, list) or len(row) != n_states:
+                    raise ModelError(f"transition slot {k} state {i}: need {n_states} values")
+                probs[k - 1, i] = row
         operations = OperationTable(n_states=n_states)
         for pair_text, vec in payload["b"].items():
             device, _, action = pair_text.partition(":")
@@ -611,6 +615,13 @@ class TrainedModel:
     @classmethod
     def load(cls, path: str | Path) -> "TrainedModel":
         return cls.from_payload(json.loads(Path(path).read_text()))
+
+
+def _payload_index(text: str, low: int, high: int, what: str) -> int:
+    """An integer key of the model payload, checked to lie in [low, high]."""
+    if not (text.isdecimal() and low <= int(text) <= high):
+        raise ModelError(f"{what} {text!r} must be an integer in {low}..{high}")
+    return int(text)
 
 
 def _labeling_params_payload(params: LabelingParams) -> dict:

@@ -79,7 +79,6 @@ class SeqParams:
     alpha_select_below: bool = False
     l_max: int = 5
     w_max: int = 16
-    argmax_slot_counting: bool = False
 
     def __post_init__(self) -> None:
         if self.t_seq <= 0:
@@ -102,7 +101,6 @@ class SeqParams:
             "alpha_select_below": self.alpha_select_below,
             "l_max": self.l_max,
             "w_max": self.w_max,
-            "argmax_slot_counting": self.argmax_slot_counting,
         }
 
     @classmethod
@@ -152,6 +150,12 @@ def generate_subsequences(
     ]
 
 
+def window_start(times: Sequence[datetime], ts: datetime, t_seq: float) -> int:
+    """Index of the first of the sorted ``times`` at most ``t_seq`` seconds
+    before ``ts``: where the window of an event at ``ts`` begins."""
+    return bisect_left(times, ts - timedelta(seconds=t_seq))
+
+
 def candidates_ending_at(window_pairs: Sequence[Pair], l_max: int) -> list[Items]:
     """Distinct subsequences of the window that end with its final item."""
     if not window_pairs:
@@ -180,9 +184,6 @@ def select_states(belief: np.ndarray, params: SeqParams) -> list[int]:
 
 def _selection_matrix(entry: np.ndarray, params: SeqParams) -> np.ndarray:
     """Vectorized ``select_states`` over a (n_slots, S) belief matrix."""
-    if params.argmax_slot_counting:
-        best = entry.max(axis=1, keepdims=True)
-        return entry >= best
     if params.criterion == "rank":
         ranks = 1 + (entry[:, None, :] > entry[:, :, None]).sum(axis=2)
         return ranks <= params.l_rank
@@ -242,12 +243,10 @@ class SequenceStore:
             )
         steps = trace.events
         times = [step.event.timestamp for step in steps]
-        window_span = timedelta(seconds=params.t_seq)
         for idx, step in enumerate(steps):
             if step.event.device != target_device:
                 continue
-            lo = bisect_left(times, step.event.timestamp - window_span)
-            window = steps[lo : idx + 1]
+            window = steps[window_start(times, step.event.timestamp, params.t_seq) : idx + 1]
             if len(window) > params.w_max:
                 window = window[-params.w_max :]
             pairs = [s.event.pair for s in window]
@@ -298,10 +297,6 @@ def store_sequences(
     for trace in traces:  # type: ignore[union-attr]
         store.ingest_trace(trace, target_device, params)
     return store
-
-
-def sequence_probability(store: SequenceStore, state: int, items: Items) -> float:
-    return store.probability(state, items)
 
 
 def seconds_of_day(ts: datetime) -> float:
@@ -364,14 +359,12 @@ def build_timed_store(
     """Store target-related sequences with their completion times of day."""
     events = sorted(events, key=lambda e: e.timestamp)
     times = [event.timestamp for event in events]
-    window_span = timedelta(seconds=params.t_seq)
     store = TimedSequenceStore()
     for idx, event in enumerate(events):
         if event.device != target_device:
             continue
         store.target_total += 1
-        lo = bisect_left(times, event.timestamp - window_span)
-        window = events[lo : idx + 1]
+        window = events[window_start(times, event.timestamp, params.t_seq) : idx + 1]
         if len(window) > params.w_max:
             window = window[-params.w_max :]
         pairs = [e.pair for e in window]

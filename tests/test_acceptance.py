@@ -17,7 +17,6 @@ from homeguard.evaluation import (
     ProposedGrid,
     SequenceGrid,
     best_at,
-    cross_validate,
     grid_search,
     inject_anomalies,
     make_params,
@@ -43,7 +42,7 @@ from homeguard.vocab import Vocabulary
 
 from conftest import ev
 from test_detector import make_model, store_with
-from test_evaluation import ScriptedMethod, toy_dataset
+from test_evaluation import scripted_point, toy_dataset
 from test_hsmodel import brute_force_trace, labeled_stream, random_filter_instance
 
 
@@ -155,13 +154,7 @@ def test_criterion_5_metrics_arithmetic():
     with criterion("C5 metrics arithmetic"):
         dataset = toy_dataset(n_days=2)
         predicate = lambda ctx: ctx.op.timestamp.minute % 2 == 0
-        results = cross_validate(
-            dataset,
-            [ScriptedMethod(predicate, name="parity")],
-            injections_per_day=100,
-            seed=5,
-        )
-        point = results["parity"]
+        point = scripted_point(dataset, predicate, injections_per_day=100, seed=5)
         assert point.tp + point.fn == 200
 
         base = datetime(2021, 3, 1)

@@ -2,11 +2,24 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from homeguard import cli
 from homeguard.cli import main
-from homeguard.ingest import write_operation_log, write_sensor_log
+from homeguard.detector import BaselineParams, Thresholds
+from homeguard.hsmodel import FORMAT_VERSION, TrainedModel, run_filter
+from homeguard.ingest import (
+    build_timeslots,
+    parse_operation_log,
+    parse_sensor_log,
+    write_operation_log,
+    write_sensor_log,
+)
 from homeguard.synthgen import generate, scenario_calibration
 
 from conftest import GoldenSample
@@ -98,7 +111,7 @@ class TestTrainCommand:
         assert code == 0
         payload = json.loads(model_path.read_text())
         assert len(payload["states"]) == 10
-        assert payload["format_version"] == 1
+        assert payload["format_version"] == FORMAT_VERSION
 
     def test_retrain_byte_identical(self, tmp_path, small_home):
         ops, sensors = small_home
@@ -219,6 +232,79 @@ class TestDetectCommand:
              "--sensors", str(sensors)]
         )
         assert code == 0
+
+
+    def test_format_version_1_model_exits_2(self, tmp_path, trained, small_home, capsys):
+        ops, sensors = small_home
+        payload = json.loads(trained.read_text())
+        payload["format_version"] = 1
+        payload["seq_params"]["argmax_slot_counting"] = False
+        trained.write_text(json.dumps(payload))
+        code = main(["detect", "--model", str(trained), "--operations", str(ops),
+                     "--sensors", str(sensors)])
+        assert code == 2
+        assert "format_version 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["proposed", "sequence"])
+    def test_windows_match_a_scan_of_every_earlier_event(self, tmp_path, trained, small_home,
+                                                         method, monkeypatch):
+        ops, sensors = small_home
+        judge_name = {"proposed": "judge_proposed", "sequence": "judge_sequence_baseline"}[method]
+        judge = getattr(cli, judge_name)
+        windows = []
+
+        def recording_judge(*args):
+            windows.append(list(args[1 if method == "sequence" else 2]))
+            return judge(*args)
+
+        monkeypatch.setattr(cli, judge_name, recording_judge)
+        out_path = tmp_path / "verdicts.jsonl"
+        assert main(["detect", "--model", str(trained), "--operations", str(ops),
+                     "--sensors", str(sensors), "--method", method,
+                     "--n-single", "0.01", "--n-multi", "0.01", "--output", str(out_path)]) == 0
+
+        model = TrainedModel.load(trained)
+        target = model.vocabulary.detection_target
+        slots = build_timeslots(
+            parse_operation_log(ops, model.vocabulary, on_unknown="skip"),
+            parse_sensor_log(sensors, ranges=model.vocabulary.sensor_ranges),
+        )
+        steps = run_filter(slots, model.transitions, model.operations).events
+        expected_windows, expected = [], []
+        for idx, step in enumerate(steps):
+            op = step.event
+            if op.device != target:
+                continue
+            preceding = [
+                s.event for s in steps[:idx]
+                if (op.timestamp - s.event.timestamp).total_seconds() <= model.seq_params.t_seq
+            ]
+            expected_windows.append(preceding)
+            if method == "proposed":
+                verdict = judge(model, step.pre, preceding, op, Thresholds(0.01, 0.01))
+            else:
+                verdict = judge(
+                    model.baseline_store, preceding, op, BaselineParams(), model.seq_params, target
+                )
+            expected.append(verdict.to_jsonl())
+        assert any(expected_windows)
+        assert windows == expected_windows
+        assert out_path.read_text().splitlines() == expected
+
+
+def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
+    """The benchmark's tracer wraps program functions by name and crashes
+    before writing its status file when one is missing."""
+    root = Path(__file__).resolve().parents[1]
+    status = tmp_path / "status.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "child.py"), "cli", "--trace",
+         "--status", str(status), "--"],
+        cwd=root, env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert status.is_file(), proc.stderr
+    assert json.loads(status.read_text())["exit_code"] == 2
 
 
 class TestEvaluateCommand:

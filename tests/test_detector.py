@@ -11,8 +11,11 @@ from homeguard.detector import (
     judge_estimation_baseline,
     judge_proposed,
     judge_sequence_baseline,
+    proposed_scores,
+    sequence_scores,
 )
 from homeguard.errors import UsageError
+from homeguard.evaluation import _sweep_two_level
 from homeguard.hsmodel import ModelParams, OperationTable, TrainedModel, TransitionTensor
 from homeguard.labeling import ALPHABET, LabelingParams
 from homeguard.seqstore import SeqParams, SequenceStore, TimedSequenceStore
@@ -131,7 +134,8 @@ class TestJudgeProposed:
             (("tv", "on"), ("refrigerator", "opening"), ("cooking_stove", "on")),
         ]
         passes = [
-            float(np.dot(store.vector(items), belief)) >= thresholds.for_length(len(items))
+            float(np.dot(store.vector(items), belief))
+            >= (thresholds.n_single if len(items) == 1 else thresholds.n_multi)
             for items in candidates
         ]
         assert (verdict.decision == LEGITIMATE) == any(passes)
@@ -163,6 +167,43 @@ class TestJudgeProposed:
             judge_proposed(
                 model, np.array([0.5, 0.5]), [], ev(0.5, "tv", "on"), Thresholds()
             )
+
+    def test_zero_multi_threshold_with_a_lone_operation_is_legitimate(self):
+        # No candidate longer than one exists, so s_multi = 0.0 >= n_multi = 0;
+        # the evaluate grid decides so too.
+        model = make_model(store_with({}, [10, 10]))
+        belief = np.array([0.5, 0.5])
+        op = ev(0.5, "cooking_stove", "on")
+        verdict = judge_proposed(model, belief, [], op, Thresholds(n_single=0.1, n_multi=0.0))
+        assert verdict.decision == LEGITIMATE
+        assert (verdict.delta, verdict.threshold, verdict.sequence) == (0.0, 0.1, STOVE_ON)
+        assert grid_flags(proposed_scores(model, belief, [], op), 0.1, 0.0) == 0
+
+    def test_missing_store_scores_zero(self):
+        model = make_model(store_with({}, [10, 10]))
+        model.store = None
+        verdict = judge_proposed(
+            model, np.array([0.5, 0.5]), [], ev(0.5, "cooking_stove", "on"), Thresholds(0.1, 0.1)
+        )
+        assert verdict.decision == ANOMALOUS and verdict.delta == 0.0
+
+    def test_evidence_is_the_level_with_the_larger_margin(self):
+        # s_single = 0.25, s_multi = 0.5 (fridge then stove); exact in binary.
+        pair = (("refrigerator", "opening"), ("cooking_stove", "on"))
+        model = make_model(store_with({STOVE_ON: [1, 1], pair: [2, 2]}, [4, 4]))
+        belief = np.array([0.5, 0.5])
+        preceding = [ev(0.2, "refrigerator", "opening")]
+        op = ev(0.5, "cooking_stove", "on")
+        multi = judge_proposed(model, belief, preceding, op, Thresholds(0.125, 0.25))
+        assert (multi.sequence, multi.delta, multi.threshold) == (pair, 0.5, 0.25)
+        tie = judge_proposed(model, belief, preceding, op, Thresholds(0.125, 0.375))
+        assert (tie.sequence, tie.delta, tie.threshold) == (STOVE_ON, 0.25, 0.125)
+
+
+def grid_flags(scores, n_single, n_multi) -> int:
+    """Anomalous verdicts the evaluate grid gives one real operation's scores."""
+    [point] = _sweep_two_level("m", {}, [scores], [False], (n_single,), (n_multi,))
+    return point.fp
 
 
 class TestJudgeEstimation:
@@ -216,9 +257,22 @@ class TestJudgeSequence:
         store = TimedSequenceStore()
         verdict = judge_sequence_baseline(
             store, [], ev(0.5, "cooking_stove", "on"),
-            BaselineParams(n_seq_single=0.0, n_seq_multi=0.0), SeqParams(), "cooking_stove",
+            BaselineParams(n_seq_single=0.1, n_seq_multi=0.1), SeqParams(), "cooking_stove",
         )
         assert verdict.decision == ANOMALOUS
+        assert (verdict.delta, verdict.sequence_length) == (0.0, 1)
+
+    def test_nothing_stored_with_zero_thresholds_is_legitimate(self):
+        # An empty store scores 0.0 like any other miss, and 0.0 >= 0.
+        op = ev(0.5, "cooking_stove", "on")
+        preceding = [ev(0.2, "tv", "on")]
+        params = BaselineParams(n_seq_single=0.0, n_seq_multi=0.0)
+        verdict = judge_sequence_baseline(
+            TimedSequenceStore(), preceding, op, params, SeqParams(), "cooking_stove"
+        )
+        assert verdict.decision == LEGITIMATE
+        scores = sequence_scores(TimedSequenceStore(), preceding, op, 900.0, SeqParams())
+        assert grid_flags(scores, 0.0, 0.0) == 0
 
     def test_hand_ratio(self):
         # 3 of 10 stored target operations match within the window: 0.3 >= 0.25.

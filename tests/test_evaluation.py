@@ -1,26 +1,28 @@
 """Injection, cross-validation counts, grid search, and frontier extraction."""
 
-from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
 
-from homeguard.detector import BaselineParams, Thresholds
+from homeguard.detector import (
+    BaselineParams,
+    Thresholds,
+    judge_estimation_baseline,
+    judge_proposed,
+    judge_sequence_baseline,
+)
 from homeguard.errors import ModelError
 from homeguard.evaluation import (
     EstimationGrid,
-    EstimationMethod,
     EvalDataset,
     EvalPoint,
     ProposedGrid,
-    ProposedMethod,
     SequenceGrid,
-    SequenceMethod,
     _collect_records,
     _make_folds,
+    _sweep_two_level,
     best_at,
-    cross_validate,
     grid_search,
     inject_anomalies,
     make_params,
@@ -55,15 +57,54 @@ def toy_dataset(n_days=2) -> EvalDataset:
     return EvalDataset(slots=build_timeslots(events, frames), vocabulary=Vocabulary())
 
 
-@dataclass
-class ScriptedMethod:
-    """Judge by a fixed predicate on the operation context."""
+def scripted_point(dataset, predicate, injections_per_day, seed) -> EvalPoint:
+    """The grid's counts for scripted scores over every fold's judged
+    operations: (0, 0) where ``predicate`` flags the operation, else (1, 1),
+    swept at the fixed thresholds (0.5, 0.5)."""
+    folds = _make_folds(dataset, LabelingParams(), ModelParams(), SeqParams())
+    contexts = [ctx for fold in folds for ctx in fold.judged_operations(injections_per_day, seed)]
+    scores = [(0.0, 0.0) if predicate(ctx) else (1.0, 1.0) for ctx in contexts]
+    injected = [ctx.injected for ctx in contexts]
+    [point] = _sweep_two_level("scripted", {}, scores, injected, (0.5,), (0.5,))
+    return point
 
-    predicate: object
-    name: str = "scripted"
 
-    def fit(self, fold):
-        return lambda ctx: self.predicate(ctx)
+def judge_tally(dataset, verdicts_of, labeling, seq, injections_per_day, seed):
+    """(tp, fn, fp, tn) of ``verdicts_of(fold)(ctx)`` verdicts over all folds."""
+    counts = [0, 0, 0, 0]
+    for fold in _make_folds(dataset, labeling, ModelParams(), seq):
+        verdict = verdicts_of(fold)
+        for ctx in fold.judged_operations(injections_per_day, seed):
+            anomalous = verdict(ctx).is_anomalous
+            if ctx.injected:
+                counts[0 if anomalous else 1] += 1  # tp, fn
+            else:
+                counts[2 if anomalous else 3] += 1  # fp, tn
+    return tuple(counts)
+
+
+def proposed_verdicts(thresholds):
+    def fit(fold):
+        model = fold.proposed_model()
+        return lambda ctx: judge_proposed(model, ctx.belief, ctx.preceding, ctx.op, thresholds)
+    return fit
+
+
+def estimation_verdicts(theta):
+    def fit(fold):
+        operations = fold.state_model()[1]
+        target = fold.dataset.vocabulary.detection_target
+        return lambda ctx: judge_estimation_baseline(operations, ctx.belief, ctx.op, theta, target)
+    return fit
+
+
+def sequence_verdicts(params):
+    def fit(fold):
+        store, target = fold.timed_store(), fold.dataset.vocabulary.detection_target
+        return lambda ctx: judge_sequence_baseline(
+            store, ctx.preceding, ctx.op, params, fold.seq_params, target
+        )
+    return fit
 
 
 class TestInjectAnomalies:
@@ -103,9 +144,7 @@ class TestInjectAnomalies:
 class TestCrossValidate:
     def test_flag_everything(self):
         dataset = toy_dataset(n_days=2)
-        method = ScriptedMethod(lambda ctx: True, name="flag_all")
-        results = cross_validate(dataset, [method], injections_per_day=100, seed=0)
-        point = results["flag_all"]
+        point = scripted_point(dataset, lambda ctx: True, injections_per_day=100, seed=0)
         assert point.tp + point.fn == 200
         assert point.detection_ratio == 1.0
         assert point.misdetection_ratio == 1.0
@@ -113,18 +152,14 @@ class TestCrossValidate:
 
     def test_perfect_oracle_method(self):
         dataset = toy_dataset(n_days=2)
-        method = ScriptedMethod(lambda ctx: ctx.injected, name="oracle")
-        results = cross_validate(dataset, [method], injections_per_day=50, seed=0)
-        point = results["oracle"]
+        point = scripted_point(dataset, lambda ctx: ctx.injected, injections_per_day=50, seed=0)
         assert (point.tp, point.fn, point.fp) == (100, 0, 0)
         assert point.misdetection_ratio == 0.0
 
     def test_scripted_counts_match_hand_tally(self):
         dataset = toy_dataset(n_days=2)
         predicate = lambda ctx: ctx.op.timestamp.minute % 2 == 0
-        method = ScriptedMethod(predicate, name="parity")
-        results = cross_validate(dataset, [method], injections_per_day=100, seed=5)
-        point = results["parity"]
+        point = scripted_point(dataset, predicate, injections_per_day=100, seed=5)
 
         expected_tp = 0
         for day in range(2):
@@ -144,23 +179,23 @@ class TestCrossValidate:
     def test_single_day_rejected(self):
         dataset = toy_dataset(n_days=1)
         with pytest.raises(ModelError):
-            cross_validate(dataset, [ScriptedMethod(lambda ctx: True)])
+            grid_search(dataset, SequenceGrid(alpha_seq=(900.0,), n_single=(0.1,), n_multi=(0.1,)))
 
     def test_builtin_methods_run(self):
         dataset = toy_dataset(n_days=3)
-        methods = [
-            ProposedMethod(Thresholds(n_single=0.01, n_multi=0.01)),
-            EstimationMethod(theta=0.001),
-            SequenceMethod(BaselineParams(alpha_seq=3600.0, n_seq_single=0.2, n_seq_multi=0.2)),
+        grids = [
+            ProposedGrid(t_x=(3,), t_y=(3,), t_c=(2,), l_values=(2,),
+                         n_single=(0.01,), n_multi=(0.01,)),
+            EstimationGrid(t_x=(3,), t_y=(3,), t_c=(2,), theta=(0.001,)),
+            SequenceGrid(alpha_seq=(3600.0,), n_single=(0.2,), n_multi=(0.2,)),
         ]
-        results = cross_validate(
-            dataset, methods,
-            labeling_params=LabelingParams(t_x=3, t_y=3, t_c=2),
-            seq_params=SeqParams(l_rank=2),
-            injections_per_day=20, seed=1,
-        )
-        for name in ("proposed", "estimation", "sequence"):
-            point = results[name]
+        for grid in grids:
+            [point] = grid_search(
+                dataset, grid,
+                labeling_params=LabelingParams(t_x=3, t_y=3, t_c=2),
+                seq_params=SeqParams(l_rank=2),
+                injections_per_day=20, seed=1,
+            )
             assert point.tp + point.fn == 60
             assert point.fp + point.tn == 6
             # The toy home is extremely regular; anything sane detects most
@@ -202,55 +237,56 @@ class TestGridSearch:
             (p.params_json, p.tp, p.fp) for p in backward
         }
 
-    def test_grid_point_matches_cross_validate(self):
+    # A fixed-threshold grid point is the cross-validation of one detector:
+    # it must count what the judge_* verdicts on every fold's operations count.
+    def test_grid_point_matches_cross_validate(self, thresholds=(0.05, 0.05)):
         dataset = toy_dataset(n_days=2)
         labeling = LabelingParams(t_x=2, t_y=2, t_c=1)
         seq = SeqParams(criterion="rank", l_rank=1)
+        n_single, n_multi = thresholds
 
-        grid_points = grid_search(
+        [point] = grid_search(
             dataset,
             ProposedGrid(t_x=(2,), t_y=(2,), t_c=(1,), criterion="rank",
-                         l_values=(1,), n_single=(0.05,), n_multi=(0.05,)),
+                         l_values=(1,), n_single=(n_single,), n_multi=(n_multi,)),
             labeling_params=labeling, seq_params=seq,
             injections_per_day=30, seed=9,
         )
-        cv = cross_validate(
-            dataset, [ProposedMethod(Thresholds(0.05, 0.05))],
-            labeling_params=labeling, seq_params=seq,
-            injections_per_day=30, seed=9,
-        )["proposed"]
-        point = grid_points[0]
-        assert (point.tp, point.fn, point.fp, point.tn) == (cv.tp, cv.fn, cv.fp, cv.tn)
+        tally = judge_tally(
+            dataset, proposed_verdicts(Thresholds(n_single, n_multi)), labeling, seq, 30, 9
+        )
+        assert (point.tp, point.fn, point.fp, point.tn) == tally
 
     def test_estimation_grid_matches_cross_validate(self):
         dataset = toy_dataset(n_days=2)
         labeling = LabelingParams(t_x=2, t_y=2, t_c=1)
-        grid_points = grid_search(
+        [point] = grid_search(
             dataset,
             EstimationGrid(t_x=(2,), t_y=(2,), t_c=(1,), theta=(0.001,)),
             labeling_params=labeling, injections_per_day=30, seed=9,
         )
-        cv = cross_validate(
-            dataset, [EstimationMethod(theta=0.001)],
-            labeling_params=labeling, injections_per_day=30, seed=9,
-        )["estimation"]
-        point = grid_points[0]
-        assert (point.tp, point.fn, point.fp, point.tn) == (cv.tp, cv.fn, cv.fp, cv.tn)
+        tally = judge_tally(dataset, estimation_verdicts(0.001), labeling, SeqParams(), 30, 9)
+        assert (point.tp, point.fn, point.fp, point.tn) == tally
 
-    def test_sequence_grid_matches_cross_validate(self):
+    def test_sequence_grid_matches_cross_validate(self, thresholds=(0.2, 0.2)):
         dataset = toy_dataset(n_days=2)
-        grid_points = grid_search(
+        n_single, n_multi = thresholds
+        [point] = grid_search(
             dataset,
-            SequenceGrid(alpha_seq=(3600.0,), n_single=(0.2,), n_multi=(0.2,)),
+            SequenceGrid(alpha_seq=(3600.0,), n_single=(n_single,), n_multi=(n_multi,)),
             injections_per_day=30, seed=9,
         )
-        cv = cross_validate(
-            dataset,
-            [SequenceMethod(BaselineParams(alpha_seq=3600.0, n_seq_single=0.2, n_seq_multi=0.2))],
-            injections_per_day=30, seed=9,
-        )["sequence"]
-        point = grid_points[0]
-        assert (point.tp, point.fn, point.fp, point.tn) == (cv.tp, cv.fn, cv.fp, cv.tn)
+        params = BaselineParams(alpha_seq=3600.0, n_seq_single=n_single, n_seq_multi=n_multi)
+        tally = judge_tally(
+            dataset, sequence_verdicts(params), LabelingParams(), SeqParams(), 30, 9
+        )
+        assert (point.tp, point.fn, point.fp, point.tn) == tally
+
+    def test_zero_thresholds_match_cross_validate(self):
+        # Zero multi thresholds accept every operation, also one whose window
+        # holds no other event.
+        self.test_grid_point_matches_cross_validate(thresholds=(0.05, 0.0))
+        self.test_sequence_grid_matches_cross_validate(thresholds=(0.0, 0.0))
 
     def test_auto_thresholds_yield_frontier_points(self):
         dataset = toy_dataset(n_days=2)

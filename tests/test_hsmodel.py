@@ -638,3 +638,27 @@ class TestTrainedModelRoundTrip:
 
     def test_uniform_belief_sums_to_one(self):
         assert abs(uniform_belief(10).sum() - 1.0) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda a: a.update({"0": a.pop(next(iter(a)))}), "transition slot '0'"),
+            (lambda a: next(iter(a.values())).update({"99": [0.0] * 10}), "state '99'"),
+            (lambda a: a.update({"1441": {"0": [0.0] * 10}}), "transition slot '1441'"),
+            (lambda a: a.update({"x": {"0": [0.0] * 10}}), "transition slot 'x'"),
+            (lambda a: a.update({"5": {"0": [1.0] * 9}}), "need 10 values"),
+        ],
+        ids=["slot-0", "state-99", "slot-1441", "slot-not-a-number", "short-row"],
+    )
+    def test_transition_rows_outside_the_model_are_rejected(self, edit, message):
+        payload = self.build_model().to_payload()
+        edit(payload["a"])
+        with pytest.raises(ModelError, match=message):
+            TrainedModel.from_payload(payload)
+
+    def test_format_version_1_is_rejected(self):
+        payload = self.build_model().to_payload()
+        payload["format_version"] = 1
+        payload["seq_params"]["argmax_slot_counting"] = False
+        with pytest.raises(ModelError, match="format_version 1"):
+            TrainedModel.from_payload(payload)

@@ -1,0 +1,161 @@
+"""Property tests: every judge decides by its scorer's output and one rule.
+
+Over random stores, beliefs, windows and thresholds, ``judge_proposed`` and
+``judge_sequence_baseline`` must decide as the two-level rule decides on
+``proposed_scores`` / ``sequence_scores``, and as the ``evaluate`` grid counts
+those scores; ``judge_estimation_baseline`` must decide ``score <= theta``.
+The scorers themselves are checked against a per-candidate oracle.
+"""
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from homeguard.detector import (  # noqa: E402
+    BaselineParams,
+    Thresholds,
+    estimation_score,
+    judge_estimation_baseline,
+    judge_proposed,
+    judge_sequence_baseline,
+    proposed_scores,
+    sequence_scores,
+    two_level_anomalous,
+)
+from homeguard.hsmodel import OperationTable  # noqa: E402
+from homeguard.seqstore import (  # noqa: E402
+    SeqParams,
+    SequenceStore,
+    TimedSequenceStore,
+    candidates_ending_at,
+    seconds_of_day,
+)
+
+from conftest import ev  # noqa: E402
+from test_detector import grid_flags, make_model  # noqa: E402
+
+TARGET = "cooking_stove"
+PAIRS = [(TARGET, "on"), ("refrigerator", "opening"), ("tv", "on"), ("rice_cooker", "on")]
+OP_MINUTE = 30.0
+SEQ = SeqParams(t_seq=600.0, l_max=3, w_max=4)
+
+# Up to five earlier events, some outside the 10-minute window.
+windows = st.lists(
+    st.tuples(st.floats(10.0, OP_MINUTE), st.sampled_from(PAIRS)), max_size=5
+).map(lambda items: [ev(minute, *pair) for minute, pair in sorted(items)])
+unit = st.floats(0.0, 1.0)
+
+
+def candidates_of(preceding, op):
+    """Candidates of the op's window: the events at most ``t_seq`` seconds
+    before it, the last ``w_max - 1`` of them, then the op."""
+    pairs = [
+        event.pair for event in preceding
+        if (op.timestamp - event.timestamp).total_seconds() <= SEQ.t_seq
+    ]
+    return candidates_ending_at(pairs[-(SEQ.w_max - 1):] + [op.pair], SEQ.l_max)
+
+
+def thresholds(data, scores):
+    """A threshold pair, often exactly at an achieved score or at zero."""
+    level = st.one_of(unit, st.sampled_from([0.0, scores.single, scores.multi]))
+    return data.draw(level), data.draw(level)
+
+
+def check_levels(scores, window_candidates, score):
+    """s_single scores the lone operation; s_multi is the best longer one,
+    and the first candidate to reach it is its evidence."""
+    assert window_candidates[0] == scores.single_items
+    assert scores.single == score(window_candidates[0])
+    longer = [score(items) for items in window_candidates[1:]]
+    assert scores.multi == max(longer, default=0.0)
+    if longer:
+        assert scores.multi_items == window_candidates[1 + longer.index(scores.multi)]
+    else:
+        assert scores.multi_items is None
+
+
+def check_verdict(verdict, scores, n_single, n_multi):
+    expected = bool(two_level_anomalous(scores.single, scores.multi, n_single, n_multi))
+    assert verdict.is_anomalous == expected
+    assert grid_flags(scores, n_single, n_multi) == int(expected)
+    margins = [scores.single - n_single]
+    if scores.multi_items is not None:
+        margins.append(scores.multi - n_multi)
+    assert verdict.delta - verdict.threshold == max(margins)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    preceding=windows,
+    n_states=st.integers(1, 4),
+    data=st.data(),
+)
+def test_proposed_judge_is_the_rule_on_its_scores(preceding, n_states, data):
+    op = ev(OP_MINUTE, TARGET, "on")
+    store = SequenceStore(n_states=n_states)
+    store.slot_counts = np.asarray(data.draw(st.lists(st.integers(0, 6), min_size=n_states,
+                                                      max_size=n_states)), dtype=np.int64)
+    window_candidates = candidates_of(preceding, op)
+    for items in data.draw(st.lists(st.sampled_from(window_candidates), unique=True)):
+        store.counts[items] = np.asarray(
+            [data.draw(st.integers(0, int(c))) for c in store.slot_counts], dtype=np.int64
+        )
+    weights = np.asarray(data.draw(st.lists(unit, min_size=n_states, max_size=n_states)))
+    belief = weights / weights.sum() if weights.sum() > 0 else np.full(n_states, 1 / n_states)
+    model = make_model(store, SEQ)
+
+    scores = proposed_scores(model, belief, preceding, op)
+    check_levels(
+        scores, window_candidates,
+        lambda items: min(1.0, max(0.0, float(np.dot(store.vector(items), belief)))),
+    )
+    n_single, n_multi = thresholds(data, scores)
+    verdict = judge_proposed(model, belief, preceding, op, Thresholds(n_single, n_multi))
+    check_verdict(verdict, scores, n_single, n_multi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    preceding=windows,
+    alpha_seq=st.sampled_from([0.0, 900.0, 3600.0, 43200.0]),
+    data=st.data(),
+)
+def test_sequence_judge_is_the_rule_on_its_scores(preceding, alpha_seq, data):
+    op = ev(OP_MINUTE, TARGET, "on")
+    window_candidates = candidates_of(preceding, op)
+    store = TimedSequenceStore()
+    seconds = st.floats(0.0, 86399.0)
+    for items in data.draw(st.lists(st.sampled_from(window_candidates), unique=True)):
+        store.times[items] = sorted(data.draw(st.lists(seconds, min_size=1, max_size=4)))
+    stored = max((len(times) for times in store.times.values()), default=0)
+    store.target_total = data.draw(st.integers(stored, stored + 3))
+
+    scores = sequence_scores(store, preceding, op, alpha_seq, SEQ)
+    tod = seconds_of_day(op.timestamp)
+    check_levels(scores, window_candidates, lambda items: store.ratio(items, tod, alpha_seq))
+    n_single, n_multi = thresholds(data, scores)
+    params = BaselineParams(alpha_seq=alpha_seq, n_seq_single=n_single, n_seq_multi=n_multi)
+    verdict = judge_sequence_baseline(store, preceding, op, params, SEQ, TARGET)
+    check_verdict(verdict, scores, n_single, n_multi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    vector=st.lists(unit, min_size=3, max_size=3),
+    weights=st.lists(unit, min_size=3, max_size=3),
+    data=st.data(),
+)
+def test_estimation_judge_is_strict_threshold_on_its_score(vector, weights, data):
+    op = ev(OP_MINUTE, TARGET, "on")
+    table = OperationTable(n_states=3, probs={op.pair: np.asarray(vector)})
+    weights = np.asarray(weights)
+    belief = weights / weights.sum() if weights.sum() > 0 else np.full(3, 1 / 3)
+    score = estimation_score(table, belief, op)
+    theta = data.draw(st.one_of(unit, st.just(score)))
+    verdict = judge_estimation_baseline(table, belief, op, theta, TARGET)
+    assert verdict.is_anomalous == (score <= theta)
+    assert (verdict.delta, verdict.threshold) == (score, theta)

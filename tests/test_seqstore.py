@@ -14,7 +14,6 @@ from homeguard.seqstore import (
     candidates_ending_at,
     generate_subsequences,
     select_states,
-    sequence_probability,
     store_sequences,
 )
 
@@ -138,7 +137,7 @@ class TestSequenceStore:
         )
         store = store_sequences(trace, "cooking_stove", SeqParams(l_rank=1), 2)
         assert store.counts == {}
-        assert sequence_probability(store, 0, (("cooking_stove", "on"),)) == 0.0
+        assert store.probability(0, (("cooking_stove", "on"),)) == 0.0
 
     def test_hand_trace_probability_one_quarter(self):
         # State 0 selected at 4 of 10 slot entries; one target operation with
