@@ -44,12 +44,10 @@ from .hsmodel import (
     StateBelief,
     TrainedModel,
     TransitionTensor,
-    advance_slot,
     encode_labels,
     filter_streams,
     fit_operations,
     fit_transitions,
-    observe_operation,
     run_filter,
     train_model,
     uniform_belief,

@@ -6,6 +6,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from dataclasses import fields
 from datetime import time
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from .evaluation import (
     pareto_frontier,
     write_results_csv,
 )
-from .hsmodel import ModelParams, TrainedModel, run_filter, train_model
+from .hsmodel import ModelParams, TrainedModel, params_from_payload, run_filter, train_model
 from .ingest import build_timeslots, parse_operation_log, parse_sensor_log
 from .labeling import LabelingParams, export_event_labels, export_labels, label_states
 from .seqstore import SeqParams, window_start
@@ -47,24 +48,27 @@ def _parse_values(text: str, cast):
 
 
 def _load_config(args) -> dict:
-    if getattr(args, "config", None):
-        return json.loads(Path(args.config).read_text())
-    return {}
+    path = getattr(args, "config", None)
+    if not path:
+        return {}
+    try:
+        config = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise UsageError(f"config {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise UsageError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(config, dict):
+        raise UsageError(f"config {path}: expected a JSON object")
+    return config
 
 
-def _merge_params(cls, section: dict, overrides: dict):
-    data = dict(section)
-    for key, value in overrides.items():
-        if value is not None:
-            data[key] = value
-    if cls is LabelingParams:
-        if "night_window" in data and isinstance(data["night_window"], (list, tuple)):
-            data["night_window"] = tuple(
-                _parse_time(x) if isinstance(x, str) else x for x in data["night_window"]
-            )
-        if "night_split" in data and isinstance(data["night_split"], str):
-            data["night_split"] = _parse_time(data["night_split"])
-    return cls(**data)
+def _merge_params(cls, args, config: dict, section: str, overrides: dict):
+    """The section's parameters with the command-line values laid over them."""
+    data = config.get(section, {})
+    if isinstance(data, dict):
+        data = {**data, **{key: value for key, value in overrides.items() if value is not None}}
+    where = f"config {args.config} section {section!r}" if config else f"{section} options"
+    return params_from_payload(cls, data, where, UsageError)
 
 
 def _labeling_params(args, config: dict) -> LabelingParams:
@@ -77,9 +81,8 @@ def _labeling_params(args, config: dict) -> LabelingParams:
         "initial_occupants": getattr(args, "initial_occupants", None),
     }
     if getattr(args, "night_window", None):
-        start, _, end = args.night_window.partition("-")
-        overrides["night_window"] = (_parse_time(start), _parse_time(end))
-    return _merge_params(LabelingParams, config.get("labeling", {}), overrides)
+        overrides["night_window"] = args.night_window.split("-")
+    return _merge_params(LabelingParams, args, config, "labeling", overrides)
 
 
 def _seq_params(args, config: dict) -> SeqParams:
@@ -89,12 +92,12 @@ def _seq_params(args, config: dict) -> SeqParams:
         "l_rank": getattr(args, "l_rank", None),
         "l_alpha": getattr(args, "l_alpha", None),
     }
-    return _merge_params(SeqParams, config.get("seq", {}), overrides)
+    return _merge_params(SeqParams, args, config, "seq", overrides)
 
 
 def _model_params(args, config: dict) -> ModelParams:
     overrides = {"t_z_max": getattr(args, "t_z_max", None)}
-    return _merge_params(ModelParams, config.get("model", {}), overrides)
+    return _merge_params(ModelParams, args, config, "model", overrides)
 
 
 def _vocabulary(args) -> Vocabulary:
@@ -145,24 +148,33 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _detector_params(args) -> tuple[Thresholds, BaselineParams]:
+    """The config's detector section with the command-line values laid over it."""
+    config = _load_config(args)
+    where = f"config {args.config} section 'detector'" if config else "detector options"
+    section = config.get("detector", {})
+    if not isinstance(section, dict):
+        raise UsageError(f"{where}: expected a JSON object, got {section!r}")
+    owners = {f.name: cls for cls in (Thresholds, BaselineParams) for f in fields(cls)}
+    data: dict = {Thresholds: {}, BaselineParams: {}}
+    for key, value in section.items():
+        if key not in owners:
+            raise UsageError(f"{where}: unknown key {key!r}")
+        data[owners[key]][key] = value
+    for key, cls in owners.items():
+        if getattr(args, key) is not None:
+            data[cls][key] = getattr(args, key)
+    return tuple(params_from_payload(cls, data[cls], where, UsageError) for cls in data)
+
+
 def cmd_detect(args) -> int:
-    config = _load_config(args).get("detector", {})
+    thresholds, baseline = _detector_params(args)
     model = TrainedModel.load(args.model)
     vocabulary = model.vocabulary
     events = parse_operation_log(args.operations, vocabulary, on_unknown="skip")
     frames = parse_sensor_log(args.sensors, ranges=vocabulary.sensor_ranges or None)
     slots = build_timeslots(events, frames, day_origin=_parse_time(args.day_origin))
     trace = run_filter(slots, model.transitions, model.operations)
-
-    def setting(name):
-        value = getattr(args, name)
-        return config.get(name, value) if value is None else value
-
-    thresholds = Thresholds(
-        n_single=setting("n_single") or 0.0, n_multi=setting("n_multi") or 0.0
-    )
-    names = ("theta", "alpha_seq", "n_seq_single", "n_seq_multi")
-    baseline = BaselineParams(**{n: setting(n) for n in names if setting(n) is not None})
     target = vocabulary.detection_target
     stream = [step.event for step in trace.events]
     times = [event.timestamp for event in stream]
@@ -246,7 +258,6 @@ def cmd_evaluate(args) -> int:
             seq_params=seq_params,
             injections_per_day=args.injections,
             seed=args.seed,
-            jobs=args.jobs,
         )
         frontier = pareto_frontier(points)
         write_results_csv(points, output_dir / f"results_{method}.csv")
@@ -352,7 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="'all' or comma list of proposed,estimation,sequence")
     p_eval.add_argument("--injections", type=int, default=100)
     p_eval.add_argument("--seed", type=int, default=0)
-    p_eval.add_argument("--jobs", type=int, default=1)
+    p_eval.add_argument("--jobs", type=int, choices=(1,), default=1,
+                        help="accepted for compatibility; the folds always run one "
+                             "after another in one process, so only 1 is allowed")
     p_eval.add_argument("--best-at", type=float, dest="best_at")
     p_eval.add_argument("--t-x-values", default="15", dest="t_x_values")
     p_eval.add_argument("--t-y-values", default="15", dest="t_y_values")

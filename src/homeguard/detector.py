@@ -120,21 +120,23 @@ class LevelScores(NamedTuple):
     multi_items: Items | None
 
 
-def _window_pairs(
-    preceding: Sequence[EventRecord], op: EventRecord, t_seq: float, w_max: int
-) -> list[tuple[str, str]]:
-    """The judged window: events within ``t_seq`` seconds leading up to the
-    operation, the operation itself as final item."""
-    horizon = op.timestamp - timedelta(seconds=t_seq)
+def window_candidates(
+    preceding: Sequence[EventRecord], op: EventRecord, seq_params: SeqParams
+) -> list[Items]:
+    """Candidates of the judged window, the length-1 candidate first.
+
+    The window holds the events within ``t_seq`` seconds leading up to the
+    operation and the operation itself as final item, cut to its last
+    ``w_max`` items.
+    """
+    horizon = op.timestamp - timedelta(seconds=seq_params.t_seq)
     pairs = [
         event.pair
         for event in preceding
         if horizon <= event.timestamp <= op.timestamp
     ]
     pairs.append(op.pair)
-    if len(pairs) > w_max:
-        pairs = pairs[-w_max:]
-    return pairs
+    return candidates_ending_at(pairs[-seq_params.w_max :], seq_params.l_max)
 
 
 def _best_per_level(
@@ -151,29 +153,19 @@ def _best_per_level(
 
 
 def proposed_scores(
-    model: "TrainedModel",
-    belief: np.ndarray,
-    preceding: Sequence[EventRecord],
-    op: EventRecord,
+    store: SequenceStore, belief: np.ndarray, candidates: Sequence[Items]
 ) -> LevelScores:
     """Best occurrence probability ``sum_i b'(i, y) * belief_i`` per level."""
-    params = model.seq_params
-    pairs = _window_pairs(preceding, op, params.t_seq, params.w_max)
-    store = model.store if model.store is not None else SequenceStore(n_states=len(belief))
 
     def score(items: Items) -> float:
         # Convex combination of values in [0, 1]; clamp the float residue.
         return min(1.0, max(0.0, float(np.dot(store.vector(items), belief))))
 
-    return _best_per_level(candidates_ending_at(pairs, params.l_max), score)
+    return _best_per_level(candidates, score)
 
 
 def sequence_scores(
-    store: TimedSequenceStore,
-    preceding: Sequence[EventRecord],
-    op: EventRecord,
-    alpha_seq: float,
-    seq_params: SeqParams,
+    store: TimedSequenceStore, candidates: Sequence[Items], tod: float, alpha_seq: float
 ) -> LevelScores:
     """Best time-of-day match ratio per level.
 
@@ -181,12 +173,7 @@ def sequence_scores(
     seconds of the operation's time of day (cyclic distance) and divides by
     the number of stored target operations; with nothing stored it is 0.0.
     """
-    pairs = _window_pairs(preceding, op, seq_params.t_seq, seq_params.w_max)
-    tod = seconds_of_day(op.timestamp)
-    return _best_per_level(
-        candidates_ending_at(pairs, seq_params.l_max),
-        lambda items: store.ratio(items, tod, alpha_seq),
-    )
+    return _best_per_level(candidates, lambda items: store.ratio(items, tod, alpha_seq))
 
 
 def estimation_score(
@@ -244,7 +231,9 @@ def judge_proposed(
 ) -> Verdict:
     """Judge one target operation with the combined state/sequence method."""
     _require_target(op, model.vocabulary.detection_target)
-    scores = proposed_scores(model, belief, preceding, op)
+    store = model.store if model.store is not None else SequenceStore(n_states=len(belief))
+    candidates = window_candidates(preceding, op, model.seq_params)
+    scores = proposed_scores(store, belief, candidates)
     return _two_level_verdict(
         op, "proposed", scores, thresholds.n_single, thresholds.n_multi, belief
     )
@@ -280,7 +269,8 @@ def judge_sequence_baseline(
 ) -> Verdict:
     """Judge by counting stored equivalent sequences near the time of day."""
     _require_target(op, target_device)
-    scores = sequence_scores(store, preceding, op, params.alpha_seq, seq_params)
+    candidates = window_candidates(preceding, op, seq_params)
+    scores = sequence_scores(store, candidates, seconds_of_day(op.timestamp), params.alpha_seq)
     return _two_level_verdict(
         op, "sequence", scores, params.n_seq_single, params.n_seq_multi
     )

@@ -3,12 +3,13 @@ detection/misdetection ratios, parameter grids, and Pareto frontiers.
 
 Injected operations are judged counterfactually: each one sees the belief and
 event window of the real stream at its instant and never contaminates the
-stream, so judgments are independent of injection order.  Each operation is
-scored once by the detector's scorers; threshold parameters are then swept
-over the recorded scores with the detector's decision rule instead of
-refitting, which makes dense threshold grids tractable without changing any
-outcome.  A grid with one value per threshold is the evaluation of one fixed
-detector.
+stream, so judgments are independent of injection order.  The folds run one
+after another in one process.  Each judged window is enumerated once per grid
+and its candidates are scored for every grid value (each ``l`` value or each
+``alpha_seq``); threshold parameters are then swept over the recorded scores
+with the detector's decision rule instead of refitting, which makes dense
+threshold grids tractable without changing any outcome.  A grid with one value
+per threshold is the evaluation of one fixed detector.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 from bisect import bisect_left
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, time, timedelta
 from itertools import product
@@ -29,13 +29,13 @@ from .detector import (
     estimation_score,
     sequence_scores,
     two_level_anomalous,
+    window_candidates,
 )
 from .detector import proposed_scores as _best_deltas  # perfbench/child.py traces this name
 from .errors import ModelError, ValidationError
 from .hsmodel import (
     LabelArrays,
     ModelParams,
-    TrainedModel,
     encode_labels,
     filter_streams,
     fit_operations,
@@ -45,7 +45,13 @@ from .hsmodel import (
 )
 from .ingest import SLOTS_PER_DAY, EventRecord, SensorFrame, TimeslotRecord, build_timeslots
 from .labeling import ALPHABET, LabeledSlot, LabelingParams, label_states
-from .seqstore import SeqParams, build_timed_store, store_sequences, window_start
+from .seqstore import (
+    SeqParams,
+    build_timed_store,
+    seconds_of_day,
+    store_sequences,
+    window_start,
+)
 from .vocab import Vocabulary
 
 SECONDS_PER_DAY = 86400
@@ -189,7 +195,6 @@ class FoldContext:
         labeled: Sequence[LabeledSlot],
         arrays: LabelArrays,
         heldout_day: int,
-        labeling_params: LabelingParams,
         model_params: ModelParams,
         seq_params: SeqParams,
     ) -> None:
@@ -197,7 +202,6 @@ class FoldContext:
         self.labeled = labeled
         self.arrays = arrays
         self.heldout_day = heldout_day
-        self.labeling_params = labeling_params
         self.model_params = model_params
         self.seq_params = seq_params
         self._cache: dict[str, object] = {}
@@ -267,21 +271,6 @@ class FoldContext:
         if "detection_trace" not in self._cache:
             self._filter_days()
         return self._cache["detection_trace"]
-
-    def proposed_model(self, seq_params: SeqParams | None = None) -> TrainedModel:
-        seq_params = seq_params or self.seq_params
-        transitions, operations = self.state_model()
-        return TrainedModel(
-            vocabulary=self.dataset.vocabulary,
-            states=ALPHABET,
-            labeling_params=self.labeling_params,
-            model_params=self.model_params,
-            seq_params=seq_params,
-            transitions=transitions,
-            operations=operations,
-            store=self.sequence_store(seq_params),
-            baseline_store=None,
-        )
 
     def judged_operations(
         self, injections_per_day: int, seed: int, injection_action: str = "on"
@@ -359,7 +348,7 @@ def _make_folds(
     )
     arrays = encode_labels(labeled)
     return [
-        FoldContext(dataset, labeled, arrays, day, labeling_params, model_params, seq_params)
+        FoldContext(dataset, labeled, arrays, day, model_params, seq_params)
         for day in range(dataset.n_days)
     ]
 
@@ -486,44 +475,6 @@ class _ScoreRecord:
     sequence: dict  # alpha_seq -> (s_single, s_multi)
 
 
-def _collect_fold_scores(
-    fold: FoldContext,
-    need_proposed: Sequence | None,
-    need_estimation: bool,
-    need_sequence: Sequence[float] | None,
-    seq_params_base: SeqParams,
-    injections_per_day: int,
-    seed: int,
-) -> list[_ScoreRecord]:
-    records: list[_ScoreRecord] = []
-    target = fold.dataset.vocabulary.detection_target
-
-    proposed_models: dict = {}
-    if need_proposed:
-        for l_value in need_proposed:
-            if seq_params_base.criterion == "rank":
-                sp = replace(seq_params_base, l_rank=int(l_value))
-            else:
-                sp = replace(seq_params_base, l_alpha=float(l_value))
-            proposed_models[l_value] = fold.proposed_model(sp)
-    operations = fold.state_model()[1] if (need_proposed or need_estimation) else None
-    timed = fold.timed_store() if need_sequence else None
-
-    for ctx in fold.judged_operations(injections_per_day, seed):
-        # Keep (s_single, s_multi) only: the sweeps need no evidence.
-        proposed = {
-            l_value: _best_deltas(model, ctx.belief, ctx.preceding, ctx.op)[:2]
-            for l_value, model in proposed_models.items()
-        }
-        est = estimation_score(operations, ctx.belief, ctx.op) if need_estimation else 0.0
-        sequence = {
-            alpha: sequence_scores(timed, ctx.preceding, ctx.op, alpha, seq_params_base)[:2]
-            for alpha in need_sequence or ()
-        }
-        records.append(_ScoreRecord(ctx.injected, est, proposed, sequence))
-    return records
-
-
 def _sweep_two_level(
     method: str,
     base_params: Mapping[str, object],
@@ -560,7 +511,6 @@ def grid_search(
     seq_params: SeqParams | None = None,
     injections_per_day: int = 100,
     seed: int = 0,
-    jobs: int = 1,
 ) -> list[EvalPoint]:
     """One EvalPoint per parameter combination of the grid.
 
@@ -578,7 +528,7 @@ def grid_search(
     if isinstance(grid, SequenceGrid):
         folds = _make_folds(dataset, labeling_base, model_params, seq_base)
         records = _collect_records(
-            folds, None, False, grid.alpha_seq, seq_base, injections_per_day, seed, jobs
+            folds, None, False, grid.alpha_seq, seq_base, injections_per_day, seed
         )
         injected = [r.injected for r in records]
         for alpha in grid.alpha_seq:
@@ -604,14 +554,14 @@ def grid_search(
         if isinstance(grid, EstimationGrid):
             folds = _make_folds(dataset, labeling, model_params, seq_base)
             records = _collect_records(
-                folds, None, True, None, seq_base, injections_per_day, seed, jobs
+                folds, None, True, None, seq_base, injections_per_day, seed
             )
             points.extend(_sweep_estimation(records, structural, grid.theta))
         else:
             seq_struct = replace(seq_base, criterion=grid.criterion)
             folds = _make_folds(dataset, labeling, model_params, seq_struct)
             records = _collect_records(
-                folds, grid.l_values, False, None, seq_struct, injections_per_day, seed, jobs
+                folds, grid.l_values, False, None, seq_struct, injections_per_day, seed
             )
             injected = [r.injected for r in records]
             for l_value in grid.l_values:
@@ -665,40 +615,53 @@ def _sweep_estimation(
 
 def _collect_records(
     folds: Sequence[FoldContext],
-    need_proposed,
+    need_proposed: Sequence | None,
     need_estimation: bool,
-    need_sequence,
+    need_sequence: Sequence[float] | None,
     seq_params_base: SeqParams,
     injections_per_day: int,
     seed: int,
-    jobs: int = 1,
 ) -> list[_ScoreRecord]:
-    if jobs > 1:
-        args = [
-            (fold, need_proposed, need_estimation, need_sequence, seq_params_base,
-             injections_per_day, seed)
-            for fold in folds
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_collect_fold_scores_star, args))
-        records: list[_ScoreRecord] = []
-        for chunk in chunks:
-            records.extend(chunk)
-        return records
-    records = []
+    """Score every judged operation of every fold, one fold at a time.
+
+    Each operation's window is enumerated once and its candidates are scored
+    for every ``l`` value and every ``alpha_seq``.
+    """
+    records: list[_ScoreRecord] = []
     for fold in folds:
-        records.extend(
-            _collect_fold_scores(
-                fold, need_proposed, need_estimation, need_sequence, seq_params_base,
-                injections_per_day, seed,
+        stores = {
+            l_value: fold.sequence_store(
+                replace(seq_params_base, l_rank=int(l_value))
+                if seq_params_base.criterion == "rank"
+                else replace(seq_params_base, l_alpha=float(l_value))
             )
-        )
-        fold.release()  # the scores are recorded; keep one fold's artifacts at a time
+            for l_value in need_proposed or ()
+        }
+        operations = fold.state_model()[1] if need_estimation else None
+        timed = fold.timed_store() if need_sequence else None
+        for ctx in fold.judged_operations(injections_per_day, seed):
+            candidates = (
+                window_candidates(ctx.preceding, ctx.op, seq_params_base)
+                if stores or timed is not None
+                else ()
+            )
+            # Keep (s_single, s_multi) only: the sweeps need no evidence.
+            proposed = {
+                l_value: _best_deltas(store, ctx.belief, candidates)[:2]
+                for l_value, store in stores.items()
+            }
+            est = estimation_score(operations, ctx.belief, ctx.op) if need_estimation else 0.0
+            tod = seconds_of_day(ctx.op.timestamp)
+            sequence = {
+                alpha: sequence_scores(timed, candidates, tod, alpha)[:2]
+                for alpha in need_sequence or ()
+            }
+            records.append(_ScoreRecord(ctx.injected, est, proposed, sequence))
+        # The scores are recorded; keep one fold's artifacts at a time, so
+        # drop this fold's stores before the next fold builds its own.
+        fold.release()
+        del stores, operations, timed
     return records
-
-
-def _collect_fold_scores_star(args) -> list[_ScoreRecord]:
-    return _collect_fold_scores(*args)
 
 
 def pareto_frontier(points: Sequence[EvalPoint]) -> list[EvalPoint]:

@@ -26,14 +26,14 @@ rows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, time
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import ModelError, VocabularyError
+from .errors import HomeguardError, ModelError, VocabularyError
 from .ingest import SLOTS_PER_DAY, EventRecord, TimeslotRecord
 from .labeling import ALPHABET, STATE_INDEX, HomeState, LabeledSlot, LabelingParams, parse_state_key
 from .seqstore import SeqParams, SequenceStore, TimedSequenceStore, build_timed_store, store_sequences
@@ -334,28 +334,11 @@ def _normalize_or_uniform(values: np.ndarray) -> np.ndarray:
     return values / total
 
 
-def advance_slot(belief: StateBelief, k: int, transitions: TransitionTensor) -> StateBelief:
-    """Move the belief across a slot boundary into slot-of-day ``k``."""
-    projected = transitions.matrix(k).T @ belief.probs
-    return StateBelief(_normalize_or_uniform(projected), t=belief.t + 1, event_index=0)
-
-
 def _apply_operation(probs: np.ndarray, vec: np.ndarray) -> np.ndarray:
     if np.all(vec == 1.0):
         # Unseen operation: exact no-op, belief bitwise unchanged.
         return probs
     return _normalize_or_uniform(vec * probs)
-
-
-def observe_operation(
-    belief: StateBelief, pair: tuple[str, str], operations: OperationTable
-) -> StateBelief:
-    """Update the belief with one observed operation."""
-    return StateBelief(
-        _apply_operation(belief.probs, operations.vector(pair)),
-        t=belief.t,
-        event_index=belief.event_index + 1,
-    )
 
 
 @dataclass
@@ -577,11 +560,16 @@ class TrainedModel:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "TrainedModel":
+        if not isinstance(payload, dict):
+            raise ModelError("model must be a JSON object")
         if payload.get("format_version") != FORMAT_VERSION:
             raise ModelError(
                 f"unsupported model format_version {payload.get('format_version')!r}"
             )
-        states = tuple(parse_state_key(key) for key in payload["states"])
+        for key in _PAYLOAD_KEYS:
+            if key not in payload:
+                raise ModelError(f"model has no {key!r} key")
+        states = tuple(_state_from_payload(key) for key in payload["states"])
         n_states = len(states)
         t_z = np.asarray(payload["t_z"], dtype=np.int64)
         probs = np.zeros((SLOTS_PER_DAY, n_states, n_states))
@@ -594,27 +582,56 @@ class TrainedModel:
                 probs[k - 1, i] = row
         operations = OperationTable(n_states=n_states)
         for pair_text, vec in payload["b"].items():
+            if not isinstance(vec, list) or len(vec) != n_states:
+                raise ModelError(f"operation {pair_text!r}: need {n_states} values")
             device, _, action = pair_text.partition(":")
             operations.probs[(device, action)] = np.asarray(vec, dtype=np.float64)
-        store_payload = payload.get("store")
-        baseline_payload = payload.get("baseline_store")
         return cls(
             vocabulary=Vocabulary.from_payload(payload["vocabulary"]),
             states=states,
-            labeling_params=_labeling_params_from_payload(payload["labeling_params"]),
-            model_params=ModelParams(**payload["model_params"]),
-            seq_params=SeqParams.from_payload(payload["seq_params"]),
+            labeling_params=params_from_payload(
+                LabelingParams, payload["labeling_params"], "labeling_params"
+            ),
+            model_params=params_from_payload(ModelParams, payload["model_params"], "model_params"),
+            seq_params=params_from_payload(SeqParams, payload["seq_params"], "seq_params"),
             transitions=TransitionTensor(probs=probs, t_z=t_z),
             operations=operations,
-            store=SequenceStore.from_payload(store_payload) if store_payload else None,
-            baseline_store=(
-                TimedSequenceStore.from_payload(baseline_payload) if baseline_payload else None
-            ),
+            store=_store_from_payload(SequenceStore, payload, "store"),
+            baseline_store=_store_from_payload(TimedSequenceStore, payload, "baseline_store"),
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "TrainedModel":
-        return cls.from_payload(json.loads(Path(path).read_text()))
+        try:
+            payload = json.loads(Path(path).read_text())
+        except OSError as exc:
+            raise ModelError(f"model file {path}: {exc.strerror or exc}") from None
+        except ValueError as exc:
+            raise ModelError(f"model file {path} is not valid JSON: {exc}") from None
+        return cls.from_payload(payload)
+
+
+_PAYLOAD_KEYS = (
+    "vocabulary", "states", "labeling_params", "model_params", "seq_params",
+    "t_z", "a", "b", "store", "baseline_store",
+)
+
+
+def _state_from_payload(key) -> HomeState:
+    try:
+        return parse_state_key(key)
+    except (AttributeError, ValueError):
+        raise ModelError(f"states: {key!r} is not a state") from None
+
+
+def _store_from_payload(store_cls, payload: dict, key: str):
+    """A model's store; ``train`` always writes both, so null is an error."""
+    if not isinstance(payload[key], dict):
+        raise ModelError(f"{key} must be a JSON object, got {payload[key]!r}")
+    try:
+        return store_cls.from_payload(payload[key])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelError(f"{key} is malformed: {exc!r}") from None
 
 
 def _payload_index(text: str, low: int, high: int, what: str) -> int:
@@ -643,15 +660,51 @@ def _labeling_params_payload(params: LabelingParams) -> dict:
 
 
 def _parse_hhmm(text: str) -> time:
+    if not isinstance(text, str):
+        raise TypeError(text)
     hours, _, minutes = text.partition(":")
     return time(int(hours), int(minutes))
 
 
-def _labeling_params_from_payload(payload: dict) -> LabelingParams:
-    data = dict(payload)
-    data["night_window"] = tuple(_parse_hhmm(x) for x in data["night_window"])
-    data["night_split"] = _parse_hhmm(data["night_split"])
-    return LabelingParams(**data)
+def _typed_like(default, value):
+    """``value`` checked to be of the type of ``default``; "HH:MM" text stands
+    for a time of day, and an int for a float.  Raises TypeError or
+    ValueError when it is not."""
+    if isinstance(default, time):
+        return value if isinstance(value, time) else _parse_hhmm(value)
+    if isinstance(default, tuple):
+        if not isinstance(value, (list, tuple)) or len(value) != len(default):
+            raise TypeError(value)
+        return tuple(_typed_like(d, v) for d, v in zip(default, value))
+    if isinstance(value, bool) != isinstance(default, bool):
+        raise TypeError(value)
+    if not isinstance(value, (int, float) if isinstance(default, float) else type(default)):
+        raise TypeError(value)
+    return value
+
+
+def params_from_payload(cls, data, where: str, error: type[HomeguardError] = ModelError):
+    """``cls(**data)`` for a parameter dataclass, checked key by key.
+
+    Every key must name a field of ``cls``, and its value must have the type
+    of the field's default.  A fault raises ``error`` naming ``where`` and
+    the key.
+    """
+    if not isinstance(data, dict):
+        raise error(f"{where}: expected a JSON object, got {data!r}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    values = {}
+    for key, value in data.items():
+        if key not in defaults:
+            raise error(f"{where}: unknown key {key!r}")
+        try:
+            values[key] = _typed_like(defaults[key], value)
+        except (TypeError, ValueError):
+            raise error(f"{where}: bad value for {key!r}: {value!r}") from None
+    try:
+        return cls(**values)
+    except HomeguardError as exc:
+        raise error(f"{where}: {exc}") from None
 
 
 def kept_day_streams(

@@ -103,10 +103,6 @@ class SeqParams:
             "w_max": self.w_max,
         }
 
-    @classmethod
-    def from_payload(cls, payload: dict) -> "SeqParams":
-        return cls(**payload)
-
 
 def _enumerate_distinct(pairs: Sequence[Pair], l_max: int) -> dict[Items, int]:
     """All distinct order-preserving subsequences mapped to their final position.

@@ -25,13 +25,10 @@ from homeguard.evaluation import (
 )
 from homeguard.hsmodel import (
     OperationTable,
-    StateBelief,
     TrainedModel,
     TransitionTensor,
-    advance_slot,
     fit_operations,
     fit_transitions,
-    observe_operation,
     run_filter,
 )
 from homeguard.ingest import build_timeslots
@@ -43,7 +40,13 @@ from homeguard.vocab import Vocabulary
 from conftest import ev
 from test_detector import make_model, store_with
 from test_evaluation import scripted_point, toy_dataset
-from test_hsmodel import brute_force_trace, labeled_stream, random_filter_instance
+from test_hsmodel import (
+    brute_force_trace,
+    labeled_stream,
+    observe,
+    random_filter_instance,
+    step_into,
+)
 
 
 @contextmanager
@@ -144,10 +147,8 @@ def test_criterion_4_normalization_suite():
 
         # Observing an operation absent from training is an exact no-op.
         unseen = OperationTable(n_states=4, probs={("tv", "on"): np.ones(4)})
-        probs = np.array([0.4, 0.3, 0.2, 0.1])
-        belief = StateBelief(probs, t=1)
-        after = observe_operation(belief, ("tv", "on"), unseen)
-        assert after.probs is probs
+        step = observe(("tv", "on"), unseen, np.array([0.4, 0.3, 0.2, 0.1]))
+        assert step.post is step.pre
 
 
 def test_criterion_5_metrics_arithmetic():
@@ -302,11 +303,11 @@ def test_criterion_9_degenerate_branches():
 
         # All-zero belief updates reset to uniform.
         zero_tensor = TransitionTensor(np.zeros((1440, 3, 3)), np.zeros(1440, dtype=np.int64))
-        reset = advance_slot(StateBelief(np.array([1.0, 0.0, 0.0]), t=1), 5, zero_tensor)
+        reset = step_into(5, zero_tensor, np.array([1.0, 0.0, 0.0]))
         assert np.allclose(reset.probs, [1 / 3] * 3)
         zero_table = OperationTable(n_states=3, probs={("tv", "on"): np.zeros(3)})
-        reset = observe_operation(StateBelief(np.array([0.5, 0.5, 0.0]), t=1), ("tv", "on"), zero_table)
-        assert np.allclose(reset.probs, [1 / 3] * 3)
+        reset = observe(("tv", "on"), zero_table, np.array([0.5, 0.5, 0.0]))
+        assert np.allclose(reset.post, [1 / 3] * 3)
 
         # Detection against an empty store: anomalous with zero probability.
         model = make_model(store_with({}, [10, 10]))

@@ -292,6 +292,135 @@ class TestDetectCommand:
         assert out_path.read_text().splitlines() == expected
 
 
+@pytest.fixture(scope="module")
+def model_home(tmp_path_factory):
+    """A four-day home and the payload of a model trained on it."""
+    root = tmp_path_factory.mktemp("model_home")
+    paths = generate(scenario_calibration(seed=2, n_days=4)).write(root / "data")
+    model_path = root / "model.json"
+    assert main(["train", "--operations", str(paths["operations"]),
+                 "--sensors", str(paths["sensors"]), "--output", str(model_path)]) == 0
+    return paths["operations"], paths["sensors"], json.loads(model_path.read_text())
+
+
+def set_key(section, key, value):
+    def edit(payload):
+        payload[section][key] = value
+    return edit
+
+
+def drop_key(key):
+    return lambda payload: payload.pop(key)
+
+
+def replace_key(key, value):
+    return lambda payload: payload.update({key: value})
+
+
+def short_b_vector(payload):
+    payload["b"]["cooking_stove:on"] = [0.5]
+
+
+class TestMalformedModel:
+    """A model file that ``train`` could not have written exits 2 with a
+    message naming the fault, whichever method reads it."""
+
+    def detect(self, tmp_path, model_home, edit, method, capsys):
+        ops, sensors, payload = model_home
+        payload = json.loads(json.dumps(payload))
+        edit(payload)
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        code = main(["detect", "--model", str(model), "--operations", str(ops),
+                     "--sensors", str(sensors), "--method", method])
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["proposed", "estimation", "sequence"])
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            (drop_key("b"), "'b'"),
+            (set_key("seq_params", "bogus", 1), "'bogus'"),
+            (set_key("model_params", "bogus", 1), "'bogus'"),
+            (set_key("labeling_params", "bogus", 1), "'bogus'"),
+            (set_key("seq_params", "w_max", "16"), "'w_max'"),
+            (set_key("labeling_params", "night_split", "noon"), "'night_split'"),
+            (replace_key("states", ["x:y"]), "'x:y'"),
+            (short_b_vector, "'cooking_stove:on'"),
+            (replace_key("store", None), "store"),
+            (replace_key("baseline_store", None), "baseline_store"),
+        ],
+        ids=["no-b", "seq-bogus", "model-bogus", "labeling-bogus", "w_max-text",
+             "night_split-text", "state-x:y", "short-b", "store-null", "baseline_store-null"],
+    )
+    def test_exits_2_naming_the_fault(self, tmp_path, model_home, edit, named, method, capsys):
+        code, err = self.detect(tmp_path, model_home, edit, method, capsys)
+        assert code == 2, err
+        assert named in err
+
+    def test_missing_file_exits_2(self, tmp_path, model_home, capsys):
+        ops, sensors, _ = model_home
+        missing = tmp_path / "absent.json"
+        code = main(["detect", "--model", str(missing), "--operations", str(ops),
+                     "--sensors", str(sensors)])
+        assert code == 2
+        assert str(missing) in capsys.readouterr().err
+
+    def test_invalid_json_exits_2(self, tmp_path, model_home, capsys):
+        ops, sensors, _ = model_home
+        model = tmp_path / "model.json"
+        model.write_text('{"format_version": 2,')
+        code = main(["detect", "--model", str(model), "--operations", str(ops),
+                     "--sensors", str(sensors)])
+        assert code == 2
+        assert "not valid JSON" in capsys.readouterr().err
+
+
+class TestBadConfig:
+    """A config file that cannot be read, or names a key no section has,
+    exits 2 with a message naming the file and the section."""
+
+    def run(self, model_home, config, command):
+        ops, sensors, _ = model_home
+        argv = ["--operations", str(ops), "--sensors", str(sensors), "--config", str(config)]
+        if command == "train":
+            return main(["train", *argv, "--output", str(config.parent / "model.json")])
+        model = config.parent / "model.json"
+        model.write_text(json.dumps(model_home[2]))
+        return main(["detect", "--model", str(model), *argv])
+
+    def test_missing_file_exits_2(self, tmp_path, model_home, capsys):
+        config = tmp_path / "absent.json"
+        assert self.run(model_home, config, "train") == 2
+        assert str(config) in capsys.readouterr().err
+
+    def test_invalid_json_exits_2(self, tmp_path, model_home, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("{seq: 1}")
+        assert self.run(model_home, config, "train") == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and "not valid JSON" in err
+
+    @pytest.mark.parametrize(
+        "command, content, section, named",
+        [
+            ("train", {"seq": {"bogus": 1}}, "seq", "'bogus'"),
+            ("train", {"labeling": {"bogus": 1}}, "labeling", "'bogus'"),
+            ("train", {"model": {"t_z_max": "wide"}}, "model", "'t_z_max'"),
+            ("detect", {"detector": {"bogus": 1}}, "detector", "'bogus'"),
+            ("detect", {"detector": {"n_single": "high"}}, "detector", "'n_single'"),
+        ],
+        ids=["seq-bogus", "labeling-bogus", "model-text", "detector-bogus", "detector-text"],
+    )
+    def test_bad_section_exits_2(self, tmp_path, model_home, command, content, section, named,
+                                 capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(content))
+        assert self.run(model_home, config, command) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and f"section '{section}'" in err and named in err
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
     """The benchmark's tracer wraps program functions by name and crashes
     before writing its status file when one is missing."""
@@ -327,6 +456,14 @@ class TestEvaluateCommand:
         assert "sequence:" in out
         for name in ("results_sequence.csv", "frontier_sequence.csv"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    def test_jobs_other_than_one_exits_2(self, tmp_path, small_home, capsys):
+        ops, sensors = small_home
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", "--operations", str(ops), "--sensors", str(sensors),
+                  "--output-dir", str(tmp_path / "eval"), "--jobs", "2"])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
 
     def test_all_methods_write_three_frontiers(self, tmp_path, small_home):
         ops, sensors = small_home

@@ -13,12 +13,13 @@ from homeguard.detector import (
     judge_sequence_baseline,
     proposed_scores,
     sequence_scores,
+    window_candidates,
 )
 from homeguard.errors import UsageError
 from homeguard.evaluation import _sweep_two_level
 from homeguard.hsmodel import ModelParams, OperationTable, TrainedModel, TransitionTensor
 from homeguard.labeling import ALPHABET, LabelingParams
-from homeguard.seqstore import SeqParams, SequenceStore, TimedSequenceStore
+from homeguard.seqstore import SeqParams, SequenceStore, TimedSequenceStore, seconds_of_day
 from homeguard.vocab import Vocabulary
 
 from conftest import ev
@@ -177,7 +178,8 @@ class TestJudgeProposed:
         verdict = judge_proposed(model, belief, [], op, Thresholds(n_single=0.1, n_multi=0.0))
         assert verdict.decision == LEGITIMATE
         assert (verdict.delta, verdict.threshold, verdict.sequence) == (0.0, 0.1, STOVE_ON)
-        assert grid_flags(proposed_scores(model, belief, [], op), 0.1, 0.0) == 0
+        candidates = window_candidates([], op, model.seq_params)
+        assert grid_flags(proposed_scores(model.store, belief, candidates), 0.1, 0.0) == 0
 
     def test_missing_store_scores_zero(self):
         model = make_model(store_with({}, [10, 10]))
@@ -271,7 +273,8 @@ class TestJudgeSequence:
             TimedSequenceStore(), preceding, op, params, SeqParams(), "cooking_stove"
         )
         assert verdict.decision == LEGITIMATE
-        scores = sequence_scores(TimedSequenceStore(), preceding, op, 900.0, SeqParams())
+        candidates = window_candidates(preceding, op, SeqParams())
+        scores = sequence_scores(TimedSequenceStore(), candidates, seconds_of_day(op.timestamp), 900.0)
         assert grid_flags(scores, 0.0, 0.0) == 0
 
     def test_hand_ratio(self):

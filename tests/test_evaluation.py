@@ -5,6 +5,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+from homeguard import detector
 from homeguard.detector import (
     BaselineParams,
     Thresholds,
@@ -35,6 +36,7 @@ from homeguard.seqstore import SeqParams
 from homeguard.vocab import DEFAULT_PAIRS, Vocabulary
 
 from conftest import frame
+from test_detector import make_model
 
 BASE = datetime(2021, 3, 1)
 
@@ -85,7 +87,7 @@ def judge_tally(dataset, verdicts_of, labeling, seq, injections_per_day, seed):
 
 def proposed_verdicts(thresholds):
     def fit(fold):
-        model = fold.proposed_model()
+        model = make_model(fold.sequence_store(), fold.seq_params)
         return lambda ctx: judge_proposed(model, ctx.belief, ctx.preceding, ctx.op, thresholds)
     return fit
 
@@ -359,21 +361,27 @@ class TestFoldFits:
         assert all(not fold._cache for fold in folds)
 
 
-class TestParallelJobs:
+class TestWindowEnumeration:
     @pytest.mark.parametrize(
         "grid",
         [
-            ProposedGrid(t_x=(2, 3), t_y=(2,), t_c=(1,), l_values=(1, 2)),
-            EstimationGrid(t_x=(2,), t_y=(2,), t_c=(1,)),
-            SequenceGrid(alpha_seq=(900.0, 3600.0)),
+            SequenceGrid(alpha_seq=(0.0, 900.0, 3600.0)),
+            ProposedGrid(t_x=(2,), t_y=(2,), t_c=(1,), l_values=(1, 2)),
         ],
-        ids=["proposed", "estimation", "sequence"],
+        ids=["sequence", "proposed"],
     )
-    def test_two_workers_equal_one(self, grid):
-        dataset = toy_dataset(n_days=3)
-        serial = grid_search(dataset, grid, injections_per_day=20, seed=3, jobs=1)
-        parallel = grid_search(dataset, grid, injections_per_day=20, seed=3, jobs=2)
-        assert serial and parallel == serial
+    def test_each_judged_window_is_enumerated_once(self, grid, monkeypatch):
+        enumerate_window = detector.candidates_ending_at
+        calls = []
+
+        def counting(pairs, l_max):
+            calls.append(len(pairs))
+            return enumerate_window(pairs, l_max)
+
+        monkeypatch.setattr(detector, "candidates_ending_at", counting)
+        grid_search(toy_dataset(n_days=3), grid, injections_per_day=10, seed=2)
+        # Each fold judges its day's two stove operations and 10 injected ones.
+        assert len(calls) == 3 * (2 + 10)
 
 
 def pt(mis: float, det: float, tag: str = "x") -> EvalPoint:

@@ -10,15 +10,12 @@ from homeguard.errors import ModelError, VocabularyError
 from homeguard.hsmodel import (
     ModelParams,
     OperationTable,
-    StateBelief,
     TrainedModel,
     TransitionTensor,
-    advance_slot,
     encode_labels,
     filter_streams,
     fit_operations,
     fit_transitions,
-    observe_operation,
     run_filter,
     train_model,
     uniform_belief,
@@ -359,46 +356,55 @@ def toy_tensor(matrix_by_k: dict[int, np.ndarray], n_states: int) -> TransitionT
     return TransitionTensor(probs=probs, t_z=np.zeros(1440, dtype=np.int64))
 
 
+def step_into(k, tensor, initial):
+    """The snapshot after the filter crosses one slot boundary into
+    slot-of-day ``k``."""
+    slots = make_slots(2, k0=k - 1)
+    return run_filter(slots, tensor, OperationTable(n_states=tensor.n_states), initial).snapshots()[1]
+
+
+def observe(pair, table, initial):
+    """The one event step of a one-slot stream carrying ``pair``."""
+    slots = make_slots(1, events={0: [ev(0.5, *pair)]})
+    tensor = toy_tensor({}, table.n_states)
+    [step] = run_filter(slots, tensor, table, initial).events
+    return step
+
+
 class TestBeliefUpdates:
     def test_uniform_fixed_point(self):
         tensor = toy_tensor({5: np.full((2, 2), 0.5)}, 2)
-        belief = StateBelief(np.array([0.5, 0.5]), t=1)
-        out = advance_slot(belief, 5, tensor)
+        out = step_into(5, tensor, np.array([0.5, 0.5]))
         assert np.allclose(out.probs, [0.5, 0.5])
         assert out.t == 2 and out.event_index == 0
 
     def test_hand_advance(self):
         a = np.array([[0.9, 0.1], [0.2, 0.8]])
         tensor = toy_tensor({1: a}, 2)
-        belief = StateBelief(np.array([1.0, 0.0]), t=1)
-        out = advance_slot(belief, 1, tensor)
+        out = step_into(1, tensor, np.array([1.0, 0.0]))
         assert np.allclose(out.probs, [0.9, 0.1])
 
     def test_zero_support_resets_to_uniform(self):
         tensor = toy_tensor({}, 3)  # all-zero matrices
-        belief = StateBelief(np.array([1.0, 0.0, 0.0]), t=1)
-        out = advance_slot(belief, 10, tensor)
+        out = step_into(10, tensor, np.array([1.0, 0.0, 0.0]))
         assert np.allclose(out.probs, [1 / 3] * 3)
 
     def test_hand_observation(self):
         table = OperationTable(n_states=2, probs={("tv", "on"): np.array([0.8, 0.2])})
-        belief = StateBelief(np.array([0.5, 0.5]), t=1)
-        out = observe_operation(belief, ("tv", "on"), table)
+        slots = make_slots(1, events={0: [ev(0.5, "tv", "on")]})
+        out = run_filter(slots, toy_tensor({}, 2), table, np.array([0.5, 0.5])).snapshots()[-1]
         assert np.allclose(out.probs, [0.8, 0.2])
         assert out.event_index == 1
 
     def test_unseen_operation_bitwise_unchanged(self):
         table = OperationTable(n_states=3, probs={("tv", "on"): np.ones(3)})
-        probs = np.array([0.2, 0.5, 0.3])
-        belief = StateBelief(probs, t=1)
-        out = observe_operation(belief, ("tv", "on"), table)
-        assert out.probs is probs  # exact no-op, not merely close
+        step = observe(("tv", "on"), table, np.array([0.2, 0.5, 0.3]))
+        assert step.post is step.pre  # exact no-op, not merely close
 
     def test_zero_product_resets_to_uniform(self):
         table = OperationTable(n_states=2, probs={("tv", "on"): np.zeros(2)})
-        belief = StateBelief(np.array([0.6, 0.4]), t=1)
-        out = observe_operation(belief, ("tv", "on"), table)
-        assert np.allclose(out.probs, [0.5, 0.5])
+        step = observe(("tv", "on"), table, np.array([0.6, 0.4]))
+        assert np.allclose(step.post, [0.5, 0.5])
 
 
 def brute_force_trace(slot_ks, slot_events, a_of_k, b_of_pair, initial):

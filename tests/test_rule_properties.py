@@ -4,7 +4,8 @@ Over random stores, beliefs, windows and thresholds, ``judge_proposed`` and
 ``judge_sequence_baseline`` must decide as the two-level rule decides on
 ``proposed_scores`` / ``sequence_scores``, and as the ``evaluate`` grid counts
 those scores; ``judge_estimation_baseline`` must decide ``score <= theta``.
-The scorers themselves are checked against a per-candidate oracle.
+The scorers themselves are checked against a per-candidate oracle, and
+``window_candidates`` against a direct cut of the window.
 """
 
 import numpy as np
@@ -24,6 +25,7 @@ from homeguard.detector import (  # noqa: E402
     proposed_scores,
     sequence_scores,
     two_level_anomalous,
+    window_candidates,
 )
 from homeguard.hsmodel import OperationTable  # noqa: E402
 from homeguard.seqstore import (  # noqa: E402
@@ -59,21 +61,28 @@ def candidates_of(preceding, op):
     return candidates_ending_at(pairs[-(SEQ.w_max - 1):] + [op.pair], SEQ.l_max)
 
 
+@settings(max_examples=150, deadline=None)
+@given(preceding=windows, action=st.sampled_from(["on", "off"]))
+def test_window_candidates_cut_the_window_as_the_oracle_does(preceding, action):
+    op = ev(OP_MINUTE, TARGET, action)
+    assert window_candidates(preceding, op, SEQ) == candidates_of(preceding, op)
+
+
 def thresholds(data, scores):
     """A threshold pair, often exactly at an achieved score or at zero."""
     level = st.one_of(unit, st.sampled_from([0.0, scores.single, scores.multi]))
     return data.draw(level), data.draw(level)
 
 
-def check_levels(scores, window_candidates, score):
+def check_levels(scores, candidates, score):
     """s_single scores the lone operation; s_multi is the best longer one,
     and the first candidate to reach it is its evidence."""
-    assert window_candidates[0] == scores.single_items
-    assert scores.single == score(window_candidates[0])
-    longer = [score(items) for items in window_candidates[1:]]
+    assert candidates[0] == scores.single_items
+    assert scores.single == score(candidates[0])
+    longer = [score(items) for items in candidates[1:]]
     assert scores.multi == max(longer, default=0.0)
     if longer:
-        assert scores.multi_items == window_candidates[1 + longer.index(scores.multi)]
+        assert scores.multi_items == candidates[1 + longer.index(scores.multi)]
     else:
         assert scores.multi_items is None
 
@@ -99,8 +108,8 @@ def test_proposed_judge_is_the_rule_on_its_scores(preceding, n_states, data):
     store = SequenceStore(n_states=n_states)
     store.slot_counts = np.asarray(data.draw(st.lists(st.integers(0, 6), min_size=n_states,
                                                       max_size=n_states)), dtype=np.int64)
-    window_candidates = candidates_of(preceding, op)
-    for items in data.draw(st.lists(st.sampled_from(window_candidates), unique=True)):
+    candidates = candidates_of(preceding, op)
+    for items in data.draw(st.lists(st.sampled_from(candidates), unique=True)):
         store.counts[items] = np.asarray(
             [data.draw(st.integers(0, int(c))) for c in store.slot_counts], dtype=np.int64
         )
@@ -108,9 +117,9 @@ def test_proposed_judge_is_the_rule_on_its_scores(preceding, n_states, data):
     belief = weights / weights.sum() if weights.sum() > 0 else np.full(n_states, 1 / n_states)
     model = make_model(store, SEQ)
 
-    scores = proposed_scores(model, belief, preceding, op)
+    scores = proposed_scores(store, belief, window_candidates(preceding, op, SEQ))
     check_levels(
-        scores, window_candidates,
+        scores, candidates,
         lambda items: min(1.0, max(0.0, float(np.dot(store.vector(items), belief)))),
     )
     n_single, n_multi = thresholds(data, scores)
@@ -126,17 +135,17 @@ def test_proposed_judge_is_the_rule_on_its_scores(preceding, n_states, data):
 )
 def test_sequence_judge_is_the_rule_on_its_scores(preceding, alpha_seq, data):
     op = ev(OP_MINUTE, TARGET, "on")
-    window_candidates = candidates_of(preceding, op)
+    candidates = candidates_of(preceding, op)
     store = TimedSequenceStore()
     seconds = st.floats(0.0, 86399.0)
-    for items in data.draw(st.lists(st.sampled_from(window_candidates), unique=True)):
+    for items in data.draw(st.lists(st.sampled_from(candidates), unique=True)):
         store.times[items] = sorted(data.draw(st.lists(seconds, min_size=1, max_size=4)))
     stored = max((len(times) for times in store.times.values()), default=0)
     store.target_total = data.draw(st.integers(stored, stored + 3))
 
-    scores = sequence_scores(store, preceding, op, alpha_seq, SEQ)
     tod = seconds_of_day(op.timestamp)
-    check_levels(scores, window_candidates, lambda items: store.ratio(items, tod, alpha_seq))
+    scores = sequence_scores(store, window_candidates(preceding, op, SEQ), tod, alpha_seq)
+    check_levels(scores, candidates, lambda items: store.ratio(items, tod, alpha_seq))
     n_single, n_multi = thresholds(data, scores)
     params = BaselineParams(alpha_seq=alpha_seq, n_seq_single=n_single, n_seq_multi=n_multi)
     verdict = judge_sequence_baseline(store, preceding, op, params, SEQ, TARGET)
