@@ -28,17 +28,32 @@ from .evaluation import (
     pareto_frontier,
     write_results_csv,
 )
-from .hsmodel import ModelParams, TrainedModel, params_from_payload, run_filter, train_model
+from .hsmodel import (
+    ModelParams,
+    TrainedModel,
+    params_from_payload,
+    parse_hhmm,
+    run_filter,
+    train_model,
+)
 from .ingest import build_timeslots, parse_operation_log, parse_sensor_log
 from .labeling import LabelingParams, export_event_labels, export_labels, label_states
 from .seqstore import SeqParams, window_start
 from .synthgen import generate, load_scenario, scenario_calibration, scenario_s1
 from .vocab import Vocabulary
 
+# The top-level keys a config file may hold; a command reads the ones it uses.
+CONFIG_SECTIONS = ("labeling", "seq", "model", "detector", "days")
+
 
 def _parse_time(text: str) -> time:
-    hours, _, minutes = text.partition(":")
-    return time(int(hours), int(minutes))
+    try:
+        return parse_hhmm(text)
+    except ValueError:
+        raise UsageError(
+            f"--day-origin: expected H:MM or HH:MM with hours 0-23 and minutes 0-59,"
+            f" got {text!r}"
+        ) from None
 
 
 def _parse_values(text: str, cast):
@@ -59,6 +74,12 @@ def _load_config(args) -> dict:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise UsageError(f"config {path}: expected a JSON object")
+    for key in config:
+        if key not in CONFIG_SECTIONS:
+            raise UsageError(
+                f"config {path}: unknown section {key!r}, expected one of"
+                f" {', '.join(CONFIG_SECTIONS)}"
+            )
     return config
 
 
@@ -174,25 +195,29 @@ def cmd_detect(args) -> int:
     events = parse_operation_log(args.operations, vocabulary, on_unknown="skip")
     frames = parse_sensor_log(args.sensors, ranges=vocabulary.sensor_ranges or None)
     slots = build_timeslots(events, frames, day_origin=_parse_time(args.day_origin))
-    trace = run_filter(slots, model.transitions, model.operations)
+    # Only the proposed and estimation methods read a belief, so only they
+    # pay for the filter; its steps come in stream order.
+    if args.method == "sequence":
+        stream = [event for slot in slots for event in slot.events]
+    else:
+        steps = run_filter(slots, model.transitions, model.operations).events
+        stream = [step.event for step in steps]
     target = vocabulary.detection_target
-    stream = [step.event for step in trace.events]
     times = [event.timestamp for event in stream]
     lines: list[str] = []
-    for idx, step in enumerate(trace.events):
-        if step.event.device != target:
+    for idx, event in enumerate(stream):
+        if event.device != target:
             continue
-        preceding = stream[window_start(times, step.event.timestamp, model.seq_params.t_seq) : idx]
+        preceding = stream[window_start(times, event.timestamp, model.seq_params.t_seq) : idx]
         if args.method == "proposed":
-            verdict = judge_proposed(model, step.pre, preceding, step.event, thresholds)
+            verdict = judge_proposed(model, steps[idx].pre, preceding, event, thresholds)
         elif args.method == "estimation":
             verdict = judge_estimation_baseline(
-                model.operations, step.pre, step.event, baseline.theta, target
+                model.operations, steps[idx].pre, event, baseline.theta, target
             )
         else:
             verdict = judge_sequence_baseline(
-                model.baseline_store, preceding, step.event, baseline,
-                model.seq_params, target,
+                model.baseline_store, preceding, event, baseline, model.seq_params, target
             )
         lines.append(verdict.to_jsonl())
 

@@ -16,7 +16,8 @@ class ParseError(HomeguardError):
 
 
 class SchemaError(HomeguardError):
-    """A record refers to a device/action pair outside the registered vocabulary."""
+    """A record refers to a device/action pair outside the registered vocabulary,
+    or a vocabulary file or section is malformed."""
 
 
 class ValidationError(HomeguardError):

@@ -26,6 +26,7 @@ rows.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, time
 from pathlib import Path
@@ -586,8 +587,12 @@ class TrainedModel:
                 raise ModelError(f"operation {pair_text!r}: need {n_states} values")
             device, _, action = pair_text.partition(":")
             operations.probs[(device, action)] = np.asarray(vec, dtype=np.float64)
+        try:
+            vocabulary = Vocabulary.from_payload(payload["vocabulary"])
+        except HomeguardError as exc:
+            raise ModelError(f"vocabulary: {exc}") from None
         return cls(
-            vocabulary=Vocabulary.from_payload(payload["vocabulary"]),
+            vocabulary=vocabulary,
             states=states,
             labeling_params=params_from_payload(
                 LabelingParams, payload["labeling_params"], "labeling_params"
@@ -659,11 +664,19 @@ def _labeling_params_payload(params: LabelingParams) -> dict:
     }
 
 
-def _parse_hhmm(text: str) -> time:
+_HHMM = re.compile(r"([0-9]{1,2}):([0-9]{2})")
+
+
+def parse_hhmm(text: str) -> time:
+    """``H:MM`` or ``HH:MM`` text as a time of day.  Raises TypeError for a
+    value that is not text and ValueError for any other text, hours above 23
+    and minutes above 59 included."""
     if not isinstance(text, str):
         raise TypeError(text)
-    hours, _, minutes = text.partition(":")
-    return time(int(hours), int(minutes))
+    match = _HHMM.fullmatch(text)
+    if match is None:
+        raise ValueError(text)
+    return time(int(match[1]), int(match[2]))
 
 
 def _typed_like(default, value):
@@ -671,7 +684,7 @@ def _typed_like(default, value):
     for a time of day, and an int for a float.  Raises TypeError or
     ValueError when it is not."""
     if isinstance(default, time):
-        return value if isinstance(value, time) else _parse_hhmm(value)
+        return value if isinstance(value, time) else parse_hhmm(value)
     if isinstance(default, tuple):
         if not isinstance(value, (list, tuple)) or len(value) != len(default):
             raise TypeError(value)

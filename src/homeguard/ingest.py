@@ -8,14 +8,23 @@ Two CSV formats come in, one unified per-timeslot record stream comes out:
   sampled roughly every five minutes.
 
 ``build_timeslots`` aligns both onto a fixed one-minute grid covering whole
-days, forward-filling the most recent sensor frame into each slot.
+days, forward-filling the most recent sensor frame into each slot.  It builds
+the grid in one forward sweep (a cursor over the sorted frames, events
+bucketed by slot index) and refuses inputs spanning more than
+``MAX_SPAN_DAYS`` days before it allocates a slot.
+
+Timestamps are ``YYYY-MM-DDTHH:MM:SS`` text.  ``parse_timestamp`` first
+tries ``datetime.fromisoformat`` and keeps its result only when the value
+is naive and formats back to exactly the input text, which is the case for
+every canonical timestamp the writers here produce; any other text goes
+through ``datetime.strptime`` with ``TIMESTAMP_FORMAT``, so the accepted
+set, the values and the error messages are those of ``strptime`` alone.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from datetime import datetime, time, timedelta
 from pathlib import Path
@@ -28,6 +37,9 @@ logger = logging.getLogger(__name__)
 
 SLOT_SECONDS = 60
 SLOTS_PER_DAY = 1440
+# Longest span of input ``build_timeslots`` accepts: two years, leap day
+# included.  A grid of that span holds about a million slots.
+MAX_SPAN_DAYS = 731
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%S"
 
 OPERATION_HEADER = ("timestamp", "device", "action", "actor")
@@ -86,6 +98,16 @@ def format_timestamp(ts: datetime) -> str:
 
 
 def parse_timestamp(text: str, line: int | None = None) -> datetime:
+    try:
+        value = datetime.fromisoformat(text)
+    except ValueError:
+        pass
+    else:
+        # fromisoformat also takes offsets, fractions, a space separator and
+        # bare dates, which strptime rejects; only text that is already in
+        # the canonical form is taken from it.
+        if value.tzinfo is None and value.isoformat(timespec="seconds") == text:
+            return value
     try:
         return datetime.strptime(text, TIMESTAMP_FORMAT)
     except ValueError as exc:
@@ -168,7 +190,7 @@ def parse_sensor_log(
                 f"expected {len(SENSOR_HEADER)} fields, got {len(row)}", line=line_no
             )
         ts = parse_timestamp(row[0].strip(), line=line_no)
-        values: dict[str, float] = {}
+        values: list[float] = []
         for name, cell in zip(SENSOR_FIELDS, row[1:]):
             try:
                 value = float(cell)
@@ -181,8 +203,8 @@ def parse_sensor_log(
                         f"line {line_no}: value {value} outside [{low}, {high}]",
                         field=name,
                     )
-            values[name] = value
-        frames.append(SensorFrame(ts, **values))
+            values.append(value)
+        frames.append(SensorFrame(ts, *values))
     frames.sort(key=lambda f: f.timestamp)
     return frames
 
@@ -233,44 +255,50 @@ def build_timeslots(
     day boundary strictly after the latest input, so the slot count is always
     a multiple of 1440.  Sensor values are forward-filled: each slot carries
     the latest frame with timestamp <= slot start.  Every event lands in
-    exactly one slot.
+    exactly one slot.  A grid longer than ``MAX_SPAN_DAYS`` days raises
+    ``ValidationError`` before any slot is built.
     """
     if not events and not frames:
         return []
     timestamps = [e.timestamp for e in events] + [f.timestamp for f in frames]
-    start = floor_to_day_origin(min(timestamps), day_origin)
-    last = max(timestamps)
-    end = floor_to_day_origin(last, day_origin) + timedelta(days=1)
+    first, last = min(timestamps), max(timestamps)
+    start = floor_to_day_origin(first, day_origin)
+    n_days = (floor_to_day_origin(last, day_origin) - start).days + 1
+    if n_days > MAX_SPAN_DAYS:
+        raise ValidationError(
+            f"timestamps from {first} to {last} need a grid of {n_days} days,"
+            f" more than the limit of {MAX_SPAN_DAYS}"
+        )
 
     frames = sorted(frames, key=lambda f: f.timestamp)
-    frame_times = [f.timestamp for f in frames]
-    events = sorted(events, key=lambda e: e.timestamp)
-    event_times = [e.timestamp for e in events]
-
-    n_slots = int((end - start).total_seconds()) // SLOT_SECONDS
-    slots: list[TimeslotRecord] = []
-    for idx in range(n_slots):
-        slot_start = start + timedelta(seconds=idx * SLOT_SECONDS)
-        slot_end = slot_start + timedelta(seconds=SLOT_SECONDS)
-        frame_idx = bisect_right(frame_times, slot_start) - 1
-        if frame_idx < 0:
-            if default_frame is None:
-                raise InitializationError(
-                    f"no sensor frame at or before first slot {slot_start}"
-                    " and no default frame supplied"
-                )
-            sensors = replace(default_frame, timestamp=slot_start)
-        else:
-            sensors = frames[frame_idx]
-        lo = bisect_left(event_times, slot_start)
-        hi = bisect_left(event_times, slot_end)
-        slots.append(
-            TimeslotRecord(
-                t=idx + 1,
-                k=idx % SLOTS_PER_DAY + 1,
-                start=slot_start,
-                sensors=sensors,
-                events=tuple(events[lo:hi]),
-            )
+    if default_frame is None and (not frames or frames[0].timestamp > start):
+        raise InitializationError(
+            f"no sensor frame at or before first slot {start}"
+            " and no default frame supplied"
         )
+    one_slot = timedelta(seconds=SLOT_SECONDS)
+    buckets: dict[int, list[EventRecord]] = {}
+    for event in sorted(events, key=lambda e: e.timestamp):  # stable: ties keep order
+        buckets.setdefault((event.timestamp - start) // one_slot, []).append(event)
+
+    # One forward sweep: ``ahead`` counts the frames at or before the slot
+    # start, so frames[ahead - 1] is the one to forward-fill.
+    frame_times = [f.timestamp for f in frames]
+    n_frames = len(frames)
+    ahead = 0
+    no_events: tuple[EventRecord, ...] = ()
+    slots: list[TimeslotRecord] = []
+    append = slots.append
+    slot_start = start
+    for idx in range(n_days * SLOTS_PER_DAY):
+        while ahead < n_frames and frame_times[ahead] <= slot_start:
+            ahead += 1
+        if ahead:
+            sensors = frames[ahead - 1]
+        else:
+            sensors = replace(default_frame, timestamp=slot_start)
+        bucket = buckets.get(idx)
+        append(TimeslotRecord(idx + 1, idx % SLOTS_PER_DAY + 1, slot_start, sensors,
+                              tuple(bucket) if bucket else no_events))
+        slot_start += one_slot
     return slots

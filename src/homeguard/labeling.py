@@ -350,6 +350,13 @@ def _combine(u: UserActivity, d: DeviceUsage) -> HomeState:
     return HomeState(u, d)
 
 
+# Every (u, d) channel pair mapped to its state once, so labeling a slot
+# looks states up instead of building them.
+_STATE_OF: dict[tuple[UserActivity, DeviceUsage], HomeState] = {
+    (u, d): _combine(u, d) for u in UserActivity for d in DeviceUsage
+}
+
+
 def label_states(
     slots: Sequence[TimeslotRecord],
     events: Sequence[EventRecord],
@@ -361,37 +368,34 @@ def label_states(
     ua = label_user_activity(slots, events, params, vocabulary)
     du = label_device_usage(slots, events, params, vocabulary)
     pre_run_label = DeviceUsage.BEFORE if params.t_x >= 1 else DeviceUsage.NONE
+    state_of, count_at, excluded = _STATE_OF, ua.count_at, ua.excluded_dates
+    run_start_ops, usages = du.run_start_ops, du.usages
+    out, active = UserActivity.OUT, UserActivity.ACTIVE
 
     labeled: list[LabeledSlot] = []
-    for pos, slot in enumerate(slots):
-        u_final = ua.activities[pos]
-        d_final = du.usages[pos]
-        run_op = du.run_start_ops.get(pos)
-
-        def instant_u(ts: datetime) -> UserActivity:
-            if ua.count_at(ts) == 0:
-                return UserActivity.OUT
-            return u_final if u_final != UserActivity.OUT else UserActivity.ACTIVE
+    for pos, (slot, u_final) in enumerate(zip(slots, ua.activities)):
+        d_final = usages[pos]
+        run_op = run_start_ops.get(pos)
+        # The activity at an instant: out while nobody is counted home, else
+        # the slot's activity with out read as active.
+        u_home = active if u_final is out else u_final
 
         d_entry = pre_run_label if run_op is not None and run_op > slot.start else d_final
-        entry_state = _combine(instant_u(slot.start), d_entry)
-
-        event_states = []
-        for event in slot.events:
-            if run_op is not None and event.timestamp < run_op:
-                d_ev = pre_run_label
-            else:
-                d_ev = d_final
-            event_states.append(_combine(instant_u(event.timestamp), d_ev))
-
-        final_state = _combine(u_final, d_final)
+        entry_state = state_of[out if count_at(slot.start) == 0 else u_home, d_entry]
+        event_states = tuple(
+            state_of[
+                out if count_at(event.timestamp) == 0 else u_home,
+                pre_run_label if run_op is not None and event.timestamp < run_op else d_final,
+            ]
+            for event in slot.events
+        ) if slot.events else ()
         labeled.append(
             LabeledSlot(
-                slot=slot,
-                state=final_state,
-                entry_state=entry_state,
-                event_states=tuple(event_states),
-                excluded_day=slot.start.date() in ua.excluded_dates,
+                slot,
+                state_of[u_final, d_final],
+                entry_state,
+                event_states,
+                slot.start.date() in excluded if excluded else False,
             )
         )
     return labeled

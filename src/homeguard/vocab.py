@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import SchemaError, ValidationError
 
 # Default registry: one entry per device with its action set.
 DEFAULT_PAIRS: dict[str, tuple[str, ...]] = {
@@ -121,17 +121,47 @@ class Vocabulary:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "Vocabulary":
+        """A vocabulary from its JSON form; a missing key takes its default.
+
+        A key outside the five this class writes, or a value of the wrong
+        shape, raises ``SchemaError`` naming the key.
+        """
+        if not isinstance(payload, dict):
+            raise SchemaError(f"expected a JSON object, got {payload!r}")
+        for key in payload:
+            if key not in _PAYLOAD_KEYS:
+                raise SchemaError(f"unknown key {key!r}")
+        pairs = payload.get("pairs", DEFAULT_PAIRS)
+        if not isinstance(pairs, dict) or not all(
+            _is_text_list(actions) for actions in pairs.values()
+        ):
+            raise SchemaError(
+                f"'pairs' must map each device to a list of actions, got {pairs!r}"
+            )
+        cooking = payload.get("cooking_appliances", DEFAULT_COOKING_APPLIANCES)
+        if not _is_text_list(cooking):
+            raise SchemaError(
+                f"'cooking_appliances' must be a list of devices, got {cooking!r}"
+            )
+        roles = {}
+        for key, default in (("detection_target", DEFAULT_DETECTION_TARGET),
+                             ("presence_device", PRESENCE_DEVICE)):
+            roles[key] = payload.get(key, default)
+            if not isinstance(roles[key], str):
+                raise SchemaError(f"{key!r} must be a device name, got {roles[key]!r}")
+        ranges = payload.get("sensor_ranges", DEFAULT_SENSOR_RANGES)
+        if not isinstance(ranges, dict) or not all(
+            name in SENSOR_FIELDS and _is_range(rng) for name, rng in ranges.items()
+        ):
+            raise SchemaError(
+                "'sensor_ranges' must map sensor names"
+                f" ({', '.join(SENSOR_FIELDS)}) to [low, high], got {ranges!r}"
+            )
         return cls(
-            pairs={d: tuple(a) for d, a in payload.get("pairs", DEFAULT_PAIRS).items()},
-            cooking_appliances=tuple(
-                payload.get("cooking_appliances", DEFAULT_COOKING_APPLIANCES)
-            ),
-            detection_target=payload.get("detection_target", DEFAULT_DETECTION_TARGET),
-            presence_device=payload.get("presence_device", PRESENCE_DEVICE),
-            sensor_ranges={
-                name: (float(rng[0]), float(rng[1]))
-                for name, rng in payload.get("sensor_ranges", DEFAULT_SENSOR_RANGES).items()
-            },
+            pairs={device: tuple(actions) for device, actions in pairs.items()},
+            cooking_appliances=tuple(cooking),
+            sensor_ranges={name: (float(rng[0]), float(rng[1])) for name, rng in ranges.items()},
+            **roles,
         )
 
     def save(self, path: str | Path) -> None:
@@ -139,4 +169,30 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        return cls.from_payload(json.loads(Path(path).read_text()))
+        try:
+            payload = json.loads(Path(path).read_text())
+        except OSError as exc:
+            raise SchemaError(f"vocabulary file {path}: {exc.strerror or exc}") from None
+        except ValueError as exc:
+            raise SchemaError(f"vocabulary file {path} is not valid JSON: {exc}") from None
+        try:
+            return cls.from_payload(payload)
+        except (SchemaError, ValidationError) as exc:
+            raise SchemaError(f"vocabulary file {path}: {exc}") from None
+
+
+_PAYLOAD_KEYS = (
+    "pairs", "cooking_appliances", "detection_target", "presence_device", "sensor_ranges",
+)
+
+
+def _is_text_list(value) -> bool:
+    return isinstance(value, (list, tuple)) and all(isinstance(item, str) for item in value)
+
+
+def _is_range(value) -> bool:
+    return (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
+    )

@@ -1,0 +1,137 @@
+"""Slow reference versions of optimized paths, kept as test oracles.
+
+Each function is the straightforward implementation that a faster one in
+``src`` replaced; the differential tests assert that both give the same
+result.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from dataclasses import replace
+from datetime import datetime, time, timedelta
+from typing import Sequence
+
+from homeguard.errors import InitializationError, ParseError
+from homeguard.ingest import (
+    SLOT_SECONDS,
+    SLOTS_PER_DAY,
+    TIMESTAMP_FORMAT,
+    EventRecord,
+    SensorFrame,
+    TimeslotRecord,
+    floor_to_day_origin,
+)
+from homeguard.labeling import (
+    DeviceUsage,
+    LabeledSlot,
+    LabelingParams,
+    UserActivity,
+    _combine,
+    label_device_usage,
+    label_user_activity,
+)
+from homeguard.vocab import Vocabulary
+
+
+def parse_timestamp_strptime(text: str, line: int | None = None) -> datetime:
+    """``TIMESTAMP_FORMAT`` through ``strptime`` alone."""
+    try:
+        return datetime.strptime(text, TIMESTAMP_FORMAT)
+    except ValueError as exc:
+        raise ParseError(f"bad timestamp {text!r}: {exc}", line=line) from None
+
+
+def build_timeslots_bisect(
+    events: Sequence[EventRecord],
+    frames: Sequence[SensorFrame],
+    day_origin: time = time(0, 0),
+    default_frame: SensorFrame | None = None,
+) -> list[TimeslotRecord]:
+    """The grid built slot by slot, one binary search per slot for the
+    sensor frame and two for the slot's events."""
+    if not events and not frames:
+        return []
+    timestamps = [e.timestamp for e in events] + [f.timestamp for f in frames]
+    start = floor_to_day_origin(min(timestamps), day_origin)
+    last = max(timestamps)
+    end = floor_to_day_origin(last, day_origin) + timedelta(days=1)
+
+    frames = sorted(frames, key=lambda f: f.timestamp)
+    frame_times = [f.timestamp for f in frames]
+    events = sorted(events, key=lambda e: e.timestamp)
+    event_times = [e.timestamp for e in events]
+
+    n_slots = int((end - start).total_seconds()) // SLOT_SECONDS
+    slots: list[TimeslotRecord] = []
+    for idx in range(n_slots):
+        slot_start = start + timedelta(seconds=idx * SLOT_SECONDS)
+        slot_end = slot_start + timedelta(seconds=SLOT_SECONDS)
+        frame_idx = bisect_right(frame_times, slot_start) - 1
+        if frame_idx < 0:
+            if default_frame is None:
+                raise InitializationError(
+                    f"no sensor frame at or before first slot {slot_start}"
+                    " and no default frame supplied"
+                )
+            sensors = replace(default_frame, timestamp=slot_start)
+        else:
+            sensors = frames[frame_idx]
+        lo = bisect_left(event_times, slot_start)
+        hi = bisect_left(event_times, slot_end)
+        slots.append(
+            TimeslotRecord(
+                t=idx + 1,
+                k=idx % SLOTS_PER_DAY + 1,
+                start=slot_start,
+                sensors=sensors,
+                events=tuple(events[lo:hi]),
+            )
+        )
+    return slots
+
+
+def label_states_per_slot(
+    slots: Sequence[TimeslotRecord],
+    events: Sequence[EventRecord],
+    params: LabelingParams,
+    vocabulary: Vocabulary | None = None,
+) -> list[LabeledSlot]:
+    """Joint labeling that builds every state with ``_combine`` as it goes."""
+    vocabulary = vocabulary or Vocabulary()
+    ua = label_user_activity(slots, events, params, vocabulary)
+    du = label_device_usage(slots, events, params, vocabulary)
+    pre_run_label = DeviceUsage.BEFORE if params.t_x >= 1 else DeviceUsage.NONE
+
+    labeled: list[LabeledSlot] = []
+    for pos, slot in enumerate(slots):
+        u_final = ua.activities[pos]
+        d_final = du.usages[pos]
+        run_op = du.run_start_ops.get(pos)
+
+        def instant_u(ts: datetime) -> UserActivity:
+            if ua.count_at(ts) == 0:
+                return UserActivity.OUT
+            return u_final if u_final != UserActivity.OUT else UserActivity.ACTIVE
+
+        d_entry = pre_run_label if run_op is not None and run_op > slot.start else d_final
+        entry_state = _combine(instant_u(slot.start), d_entry)
+
+        event_states = []
+        for event in slot.events:
+            if run_op is not None and event.timestamp < run_op:
+                d_ev = pre_run_label
+            else:
+                d_ev = d_final
+            event_states.append(_combine(instant_u(event.timestamp), d_ev))
+
+        labeled.append(
+            LabeledSlot(
+                slot=slot,
+                state=_combine(u_final, d_final),
+                entry_state=entry_state,
+                event_states=tuple(event_states),
+                excluded_day=slot.start.date() in ua.excluded_dates,
+            )
+        )
+    return labeled

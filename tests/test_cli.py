@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+from datetime import time
 from pathlib import Path
 
 import pytest
 
 from homeguard import cli
 from homeguard.cli import main
-from homeguard.detector import BaselineParams, Thresholds
+from homeguard.detector import BaselineParams, Thresholds, judge_sequence_baseline
 from homeguard.hsmodel import FORMAT_VERSION, TrainedModel, run_filter
 from homeguard.ingest import (
     build_timeslots,
@@ -20,7 +21,9 @@ from homeguard.ingest import (
     write_operation_log,
     write_sensor_log,
 )
+from homeguard.seqstore import window_start
 from homeguard.synthgen import generate, scenario_calibration
+from homeguard.vocab import Vocabulary
 
 from conftest import GoldenSample
 
@@ -292,6 +295,41 @@ class TestDetectCommand:
         assert out_path.read_text().splitlines() == expected
 
 
+    def test_sequence_method_runs_no_filter(self, tmp_path, trained, small_home, monkeypatch):
+        ops, sensors = small_home
+        model = TrainedModel.load(trained)
+        target = model.vocabulary.detection_target
+        slots = build_timeslots(
+            parse_operation_log(ops, model.vocabulary, on_unknown="skip"),
+            parse_sensor_log(sensors, ranges=model.vocabulary.sensor_ranges),
+        )
+        # The stream as the filter's steps give it, as detect read it before.
+        stream = [step.event for step in run_filter(slots, model.transitions,
+                                                    model.operations).events]
+        times = [event.timestamp for event in stream]
+        expected = [
+            judge_sequence_baseline(
+                model.baseline_store,
+                stream[window_start(times, op.timestamp, model.seq_params.t_seq) : idx],
+                op, BaselineParams(), model.seq_params, target,
+            ).to_jsonl()
+            for idx, op in enumerate(stream) if op.device == target
+        ]
+        assert expected
+
+        def no_filter(*args, **kwargs):
+            raise AssertionError("the filter ran")
+
+        monkeypatch.setattr(cli, "run_filter", no_filter)
+        argv = ["detect", "--model", str(trained), "--operations", str(ops),
+                "--sensors", str(sensors)]
+        out_path = tmp_path / "verdicts.jsonl"
+        assert main([*argv, "--method", "sequence", "--output", str(out_path)]) == 0
+        assert out_path.read_text() == "\n".join(expected) + "\n"
+        # The methods that read a belief still run it.
+        assert main([*argv, "--method", "estimation"]) == 3
+
+
 @pytest.fixture(scope="module")
 def model_home(tmp_path_factory):
     """A four-day home and the payload of a model trained on it."""
@@ -349,9 +387,14 @@ class TestMalformedModel:
             (short_b_vector, "'cooking_stove:on'"),
             (replace_key("store", None), "store"),
             (replace_key("baseline_store", None), "baseline_store"),
+            (set_key("vocabulary", "pairs", 5), "'pairs'"),
+            (set_key("vocabulary", "sensor_ranges", {"co2": "high"}), "'sensor_ranges'"),
+            (set_key("vocabulary", "bogus", 1), "'bogus'"),
+            (replace_key("vocabulary", []), "vocabulary"),
         ],
         ids=["no-b", "seq-bogus", "model-bogus", "labeling-bogus", "w_max-text",
-             "night_split-text", "state-x:y", "short-b", "store-null", "baseline_store-null"],
+             "night_split-text", "state-x:y", "short-b", "store-null", "baseline_store-null",
+             "vocabulary-pairs", "vocabulary-ranges", "vocabulary-bogus", "vocabulary-list"],
     )
     def test_exits_2_naming_the_fault(self, tmp_path, model_home, edit, named, method, capsys):
         code, err = self.detect(tmp_path, model_home, edit, method, capsys)
@@ -409,8 +452,12 @@ class TestBadConfig:
             ("train", {"model": {"t_z_max": "wide"}}, "model", "'t_z_max'"),
             ("detect", {"detector": {"bogus": 1}}, "detector", "'bogus'"),
             ("detect", {"detector": {"n_single": "high"}}, "detector", "'n_single'"),
+            ("train", {"labeling": {"night_split": "5:0"}}, "labeling", "'night_split'"),
+            ("train", {"labeling": {"night_window": ["22:00", "24:00"]}}, "labeling",
+             "'night_window'"),
         ],
-        ids=["seq-bogus", "labeling-bogus", "model-text", "detector-bogus", "detector-text"],
+        ids=["seq-bogus", "labeling-bogus", "model-text", "detector-bogus", "detector-text",
+             "night_split-short", "night_window-24"],
     )
     def test_bad_section_exits_2(self, tmp_path, model_home, command, content, section, named,
                                  capsys):
@@ -419,6 +466,93 @@ class TestBadConfig:
         assert self.run(model_home, config, command) == 2
         err = capsys.readouterr().err
         assert str(config) in err and f"section '{section}'" in err and named in err
+
+
+    @pytest.mark.parametrize("command", ["train", "detect"])
+    def test_unknown_section_exits_2(self, tmp_path, model_home, command, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"sq": {"t_seq": 5}}))
+        assert self.run(model_home, config, command) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and "unknown section 'sq'" in err
+
+
+class TestBadVocabulary:
+    """A vocabulary file that is missing, not JSON, or of the wrong shape
+    exits 2 with a message naming the file and the key."""
+
+    def run(self, tmp_path, model_home, command, vocabulary):
+        ops, sensors, _ = model_home
+        argv = [command, "--operations", str(ops), "--sensors", str(sensors),
+                "--vocabulary", str(vocabulary)]
+        if command == "train":
+            argv += ["--output", str(tmp_path / "model.json")]
+        elif command == "evaluate":
+            argv += ["--output-dir", str(tmp_path / "eval")]
+        return main(argv)
+
+    @pytest.mark.parametrize("command", ["label", "train", "evaluate"])
+    def test_missing_file_exits_2(self, tmp_path, model_home, command, capsys):
+        vocabulary = tmp_path / "absent.json"
+        assert self.run(tmp_path, model_home, command, vocabulary) == 2
+        assert str(vocabulary) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["label", "train", "evaluate"])
+    def test_invalid_json_exits_2(self, tmp_path, model_home, command, capsys):
+        vocabulary = tmp_path / "vocab.json"
+        vocabulary.write_text('{"pairs": ')
+        assert self.run(tmp_path, model_home, command, vocabulary) == 2
+        err = capsys.readouterr().err
+        assert str(vocabulary) in err and "not valid JSON" in err
+
+    @pytest.mark.parametrize("command", ["label", "train", "evaluate"])
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            ({"pairs": 5}, "'pairs'"),
+            ({"pairs": {"tv": "on"}}, "'pairs'"),
+            ({"cooking_appliances": "cooking_stove"}, "'cooking_appliances'"),
+            ({"detection_target": 3}, "'detection_target'"),
+            ({"presence_device": ["user_position"]}, "'presence_device'"),
+            ({"sensor_ranges": {"co2": [0]}}, "'sensor_ranges'"),
+            ({"sensor_ranges": {"co3": [0, 5000]}}, "'sensor_ranges'"),
+            ({"pair": {}}, "'pair'"),
+            ([], "JSON object"),
+            ({"detection_target": "kettle"}, "'kettle'"),
+        ],
+        ids=["pairs-int", "pairs-text", "cooking-text", "target-int", "presence-list",
+             "range-short", "range-unknown", "unknown-key", "not-object", "target-unknown"],
+    )
+    def test_bad_shape_exits_2(self, tmp_path, model_home, command, content, named, capsys):
+        vocabulary = tmp_path / "vocab.json"
+        vocabulary.write_text(json.dumps(content))
+        assert self.run(tmp_path, model_home, command, vocabulary) == 2
+        err = capsys.readouterr().err
+        assert str(vocabulary) in err and named in err
+
+    def test_saved_vocabulary_loads_back(self, tmp_path):
+        vocabulary = Vocabulary(pairs={**Vocabulary().pairs, "kettle": ("on",)},
+                                cooking_appliances=("kettle",), detection_target="kettle")
+        path = tmp_path / "vocab.json"
+        vocabulary.save(path)
+        assert Vocabulary.load(path) == vocabulary
+
+
+class TestDayOrigin:
+    @pytest.mark.parametrize("text", ["xx", "24:00", "12:60", "1:5", "123:00", "", "12:00:00",
+                                      "-1:30", "\uff11\uff12:00", "7.30"])
+    def test_malformed_exits_2(self, golden_files, text, capsys):
+        ops, sensors, vocab = golden_files
+        code = main(["label", "--operations", str(ops), "--sensors", str(sensors),
+                     "--vocabulary", str(vocab), f"--day-origin={text}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--day-origin" in err and repr(text) in err
+
+    @pytest.mark.parametrize("text, expected", [("0:00", time(0, 0)), ("7:05", time(7, 5)),
+                                                ("07:05", time(7, 5)), ("23:59", time(23, 59))])
+    def test_h_mm_and_hh_mm_accepted(self, text, expected):
+        assert cli._parse_time(text) == expected
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):

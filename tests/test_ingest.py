@@ -1,20 +1,27 @@
 """Parsing, validation, and timeslot alignment."""
 
+from dataclasses import replace
 from datetime import datetime, time, timedelta
+from time import perf_counter
 
 import pytest
 
+from homeguard import ingest
 from homeguard.errors import InitializationError, ParseError, SchemaError, ValidationError
 from homeguard.ingest import (
+    MAX_SPAN_DAYS,
     EventRecord,
     SensorFrame,
     build_timeslots,
+    format_timestamp,
     parse_operation_log,
     parse_sensor_log,
+    parse_timestamp,
     write_operation_log,
     write_sensor_log,
 )
 from conftest import frame
+from oracles import build_timeslots_bisect, parse_timestamp_strptime
 
 
 def write(path, text):
@@ -224,3 +231,136 @@ class TestBuildTimeslots:
 
     def test_empty_inputs(self):
         assert build_timeslots([], []) == []
+
+
+class TestBuildTimeslotsMatchesBisect:
+    """The one-sweep grid equals the per-slot binary-search build."""
+
+    BASE = datetime(2020, 1, 1)
+
+    def assert_same(self, events, frames, **kwargs):
+        expected = build_timeslots_bisect(events, frames, **kwargs)
+        assert build_timeslots(events, frames, **kwargs) == expected
+        return expected
+
+    @pytest.mark.parametrize("origin", [time(0, 0), time(23, 59)], ids=["00:00", "23:59"])
+    def test_frames_with_seconds_and_boundary_events(self, origin):
+        base = self.BASE
+        first = datetime.combine(base.date() - timedelta(days=2), origin)
+        frames = [frame(first + timedelta(minutes=7 * i, seconds=17 * i % 60))
+                  for i in range(900)]
+        events = [
+            EventRecord(base + timedelta(hours=8), "tv", "on"),  # on a slot boundary
+            EventRecord(base + timedelta(hours=8, seconds=59, microseconds=999999), "tv", "off"),
+            EventRecord(base + timedelta(hours=23, minutes=59), "refrigerator", "opening"),
+            EventRecord(base + timedelta(days=1), "room_light", "on"),  # on a day boundary
+        ]
+        slots = self.assert_same(events, frames, day_origin=origin)
+        assert [e for slot in slots for e in slot.events] == events
+
+    def test_tied_timestamps_keep_file_order(self):
+        at = self.BASE + timedelta(hours=10, minutes=3, seconds=30)
+        events = [EventRecord(at, "tv", "on"), EventRecord(at, "room_light", "off"),
+                  EventRecord(at - timedelta(seconds=20), "heater", "on"),
+                  EventRecord(at, "microwave", "on")]
+        frames = [frame(self.BASE), frame(at, co2=700.0), frame(at, co2=800.0)]
+        slots = self.assert_same(events, frames)
+        assert [e.device for e in slots[603].events] == ["heater", "tv", "room_light",
+                                                         "microwave"]
+        assert slots[604].sensors.co2 == 800.0
+
+    def test_default_frame_before_first_frame(self):
+        default = frame(self.BASE - timedelta(days=3), temperature=11.0)
+        frames = [frame(self.BASE + timedelta(hours=5, seconds=1), temperature=30.0)]
+        events = [EventRecord(self.BASE + timedelta(hours=2), "tv", "on")]
+        slots = self.assert_same(events, frames, default_frame=default)
+        assert slots[300].sensors == replace(default, timestamp=slots[300].start)
+        assert slots[301].sensors is frames[0]
+
+    def test_events_only_with_default_frame(self):
+        events = [EventRecord(self.BASE + timedelta(days=2, minutes=5), "tv", "on")]
+        self.assert_same(events, [], default_frame=frame(self.BASE))
+
+    def test_missing_frame_error_is_the_same(self):
+        frames = [frame(self.BASE + timedelta(minutes=3))]
+        with pytest.raises(InitializationError) as fast:
+            build_timeslots([], frames)
+        with pytest.raises(InitializationError) as slow:
+            build_timeslots_bisect([], frames)
+        assert str(fast.value) == str(slow.value)
+
+
+class TestSpanLimit:
+    def test_century_apart_refused_before_any_slot(self, monkeypatch):
+        def no_slots(*args, **kwargs):
+            raise AssertionError("a slot was built")
+
+        monkeypatch.setattr(ingest, "TimeslotRecord", no_slots)
+        early = datetime(1925, 6, 1, 8, 0, 0)
+        late = datetime(2025, 6, 1, 8, 0, 0)
+        events = [EventRecord(early, "tv", "on"), EventRecord(late, "tv", "off")]
+        begun = perf_counter()
+        with pytest.raises(ValidationError) as info:
+            build_timeslots(events, [frame(early)])
+        assert perf_counter() - begun < 1.0
+        assert str(early) in str(info.value) and str(late) in str(info.value)
+        assert str(MAX_SPAN_DAYS) in str(info.value)
+
+    def test_longest_span_accepted(self, monkeypatch):
+        monkeypatch.setattr(ingest, "MAX_SPAN_DAYS", 3)
+        start = datetime(2020, 1, 1)
+        last = start + timedelta(days=3) - timedelta(seconds=1)
+        assert len(build_timeslots([EventRecord(last, "tv", "on")], [frame(start)])) == 3 * 1440
+        with pytest.raises(ValidationError, match="4 days"):
+            build_timeslots([EventRecord(last + timedelta(seconds=1), "tv", "on")],
+                            [frame(start)])
+
+
+# Every kind of text a log may carry: the canonical form and forms that
+# fromisoformat reads but strptime does not, or the other way round.
+TIMESTAMP_TEXTS = [
+    "2020-01-03T23:58:35",
+    "2026-1-1T0:5:0",
+    "2026-01-01T00:05:00+01:00",
+    "2026-01-01T00:05:00Z",
+    "2026-01-01T00:05:00.123456",
+    "2026-01-01T00:05:00.000000",
+    "2026-01-01T00:05:00.5",
+    "2026-01-01 00:05:00",
+    "2026-01-01",
+    "2026-01-01T00:05",
+    "20260101T000500",
+    "2026-W01-1T00:05:00",
+    "2026-02-29T00:00:00",
+    "2024-02-29T00:00:00",
+    "2026-01-01T24:00:00",
+    "2026-01-01T23:59:60",
+    "0001-01-01T00:00:00",
+    "9999-12-31T23:59:59",
+    "2026-01-01t00:05:00",
+    "２０２６-01-01T00:05:00",
+    "",
+    "not-a-time",
+]
+
+
+class TestParseTimestampMatchesStrptime:
+    @pytest.mark.parametrize("text", TIMESTAMP_TEXTS)
+    def test_same_value_or_same_error(self, text):
+        assert_parse_matches_strptime(text)
+
+    def test_canonical_text_round_trips(self):
+        value = datetime(2021, 3, 1, 7, 5, 9)
+        assert parse_timestamp(format_timestamp(value)) == value
+
+
+def assert_parse_matches_strptime(text: str) -> None:
+    try:
+        expected = parse_timestamp_strptime(text, line=7)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as info:
+            parse_timestamp(text, line=7)
+        assert str(info.value) == str(exc)
+    else:
+        value = parse_timestamp(text, line=7)
+        assert value == expected and value.tzinfo is None

@@ -1,10 +1,12 @@
 """User-activity and device-usage labeling rules."""
 
+from dataclasses import replace
 from datetime import datetime, timedelta
 
 import pytest
 
 from homeguard.errors import BookkeepingError
+from homeguard.ingest import build_timeslots
 from homeguard.labeling import (
     ALPHABET,
     DeviceUsage,
@@ -15,8 +17,10 @@ from homeguard.labeling import (
     label_states,
     label_user_activity,
 )
+from homeguard.synthgen import generate, scenario_s1
 
 from conftest import BASE, ev, frame, make_slots
+from oracles import label_states_per_slot
 
 ACTIVE, OUT, SLEEP = UserActivity.ACTIVE, UserActivity.OUT, UserActivity.SLEEP
 USE, BEFORE, AFTER, NONE = (
@@ -296,3 +300,34 @@ class TestGoldenSample:
         assert by_t[4321].state == HomeState(ACTIVE, AFTER)
         assert by_t[4322].state == HomeState(SLEEP, NONE)
         assert not any(item.excluded_day for item in labeled)
+
+
+@pytest.fixture(scope="module")
+def s1_week():
+    result = generate(scenario_s1(seed=3, n_days=7))
+    slots = build_timeslots(result.events, result.frames)
+    return slots, [event for slot in slots for event in slot.events]
+
+
+class TestLabelStatesMatchesPerSlot:
+    """States looked up in the interned table equal states built per slot."""
+
+    @pytest.mark.parametrize("t_x", [0, 1])
+    def test_golden_sample(self, golden_sample, t_x):
+        slots = golden_sample.slots()
+        events = [event for slot in slots for event in slot.events]
+        params = replace(golden_sample.params, t_x=t_x)
+        expected = label_states_per_slot(slots, events, params, golden_sample.vocabulary)
+        assert label_states(slots, events, params, golden_sample.vocabulary) == expected
+
+    @pytest.mark.parametrize("t_x", [0, 1, 15])
+    @pytest.mark.parametrize("occupants", [0, 2])
+    def test_synthetic_s1(self, s1_week, vocab, t_x, occupants):
+        slots, events = s1_week
+        params = LabelingParams(t_x=t_x, initial_occupants=occupants)
+        expected = label_states_per_slot(slots, events, params, vocab)
+        labeled = label_states(slots, events, params, vocab)
+        assert labeled == expected
+        # Starting from an empty home, early operations exclude their day.
+        assert any(item.excluded_day for item in labeled) == (occupants == 0)
+        assert any(len(item.event_states) > 1 for item in labeled)
