@@ -81,8 +81,6 @@ from .seqstore import (
     SequenceStore,
     TimedSequenceStore,
     build_timed_store,
-    generate_subsequences,
-    select_states,
     store_sequences,
 )
 from .synthgen import Scenario, generate, scenario_calibration, scenario_s1

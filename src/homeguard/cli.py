@@ -44,6 +44,8 @@ from .vocab import Vocabulary
 
 # The top-level keys a config file may hold; a command reads the ones it uses.
 CONFIG_SECTIONS = ("labeling", "seq", "model", "detector", "days")
+# The methods `evaluate --methods all` scores, in the order it reports them.
+METHODS = ("proposed", "estimation", "sequence")
 
 
 def _parse_time(text: str) -> time:
@@ -56,10 +58,22 @@ def _parse_time(text: str) -> time:
         ) from None
 
 
-def _parse_values(text: str, cast):
-    if text == "auto":
+def _parse_values(args, name: str, cast, auto: bool = False):
+    """The comma list given to the option that sets ``name``; "auto" where the
+    option is a threshold swept over the recorded scores."""
+    text = getattr(args, name)
+    if auto and text == "auto":
         return "auto"
-    return tuple(cast(part) for part in text.split(",") if part)
+    try:
+        values = tuple(cast(part) for part in text.split(",") if part)
+    except ValueError:
+        values = ()
+    if not values:
+        raise UsageError(
+            f"--{name.replace('_', '-')}: expected {'auto or ' if auto else ''}a comma list"
+            f" of numbers, got {text!r}"
+        )
+    return values
 
 
 def _load_config(args) -> dict:
@@ -230,6 +244,39 @@ def cmd_detect(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    methods = METHODS if args.methods == "all" else tuple(args.methods.split(","))
+    for method in methods:
+        if method not in METHODS:
+            raise UsageError(
+                f"--methods: unknown method {method!r}, expected 'all' or a comma list"
+                f" of {', '.join(METHODS)}"
+            )
+        if methods.count(method) > 1:
+            raise UsageError(f"--methods: {method!r} is given more than once")
+    labelings = {
+        name: _parse_values(args, f"{name}_values", int) for name in ("t_x", "t_y", "t_c")
+    }
+    grids = []
+    for method in methods:
+        if method == "proposed":
+            l_cast = float if args.criterion == "alpha" else int
+            grids.append(ProposedGrid(
+                **labelings,
+                criterion=args.criterion,
+                l_values=_parse_values(args, "l_values", l_cast),
+                n_single=_parse_values(args, "n_single_values", float, auto=True),
+                n_multi=_parse_values(args, "n_multi_values", float, auto=True),
+            ))
+        elif method == "estimation":
+            theta = _parse_values(args, "theta_values", float, auto=True)
+            grids.append(EstimationGrid(**labelings, theta=theta))
+        else:
+            grids.append(SequenceGrid(
+                alpha_seq=_parse_values(args, "alpha_seq_values", float),
+                n_single=_parse_values(args, "n_seq_single_values", float, auto=True),
+                n_multi=_parse_values(args, "n_seq_multi_values", float, auto=True),
+            ))
+
     config = _load_config(args)
     vocabulary = _vocabulary(args)
     labeling = _labeling_params(args, config)
@@ -240,52 +287,22 @@ def cmd_evaluate(args) -> int:
     dataset = EvalDataset.from_logs(
         events, frames, vocabulary, day_origin=_parse_time(args.day_origin)
     )
-
-    methods = (
-        ("proposed", "estimation", "sequence")
-        if args.methods == "all"
-        else tuple(args.methods.split(","))
-    )
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
+    points = grid_search(
+        dataset,
+        *grids,
+        labeling_params=labeling,
+        model_params=model_params,
+        seq_params=seq_params,
+        injections_per_day=args.injections,
+        seed=args.seed,
+    )
 
     for method in methods:
-        if method == "proposed":
-            grid = ProposedGrid(
-                t_x=_parse_values(args.t_x_values, int),
-                t_y=_parse_values(args.t_y_values, int),
-                t_c=_parse_values(args.t_c_values, int),
-                criterion=args.criterion,
-                l_values=_parse_values(args.l_values, float if args.criterion == "alpha" else int),
-                n_single=_parse_values(args.n_single_values, float),
-                n_multi=_parse_values(args.n_multi_values, float),
-            )
-        elif method == "estimation":
-            grid = EstimationGrid(
-                t_x=_parse_values(args.t_x_values, int),
-                t_y=_parse_values(args.t_y_values, int),
-                t_c=_parse_values(args.t_c_values, int),
-                theta=_parse_values(args.theta_values, float),
-            )
-        elif method == "sequence":
-            grid = SequenceGrid(
-                alpha_seq=_parse_values(args.alpha_seq_values, float),
-                n_single=_parse_values(args.n_seq_single_values, float),
-                n_multi=_parse_values(args.n_seq_multi_values, float),
-            )
-        else:
-            raise UsageError(f"unknown method {method!r}")
-        points = grid_search(
-            dataset,
-            grid,
-            labeling_params=labeling,
-            model_params=model_params,
-            seq_params=seq_params,
-            injections_per_day=args.injections,
-            seed=args.seed,
-        )
-        frontier = pareto_frontier(points)
-        write_results_csv(points, output_dir / f"results_{method}.csv")
+        method_points = [point for point in points if point.method == method]
+        frontier = pareto_frontier(method_points)
+        write_results_csv(method_points, output_dir / f"results_{method}.csv")
         write_results_csv(frontier, output_dir / f"frontier_{method}.csv")
         if args.best_at is not None:
             point = best_at(frontier, args.best_at)
@@ -309,8 +326,14 @@ def cmd_synth(args) -> int:
         scenario = load_scenario(args.scenario)
         if args.seed is not None:
             scenario.seed = args.seed
-    days = args.days or config.get("days")
-    if days:
+    if args.days is not None or "days" in config:
+        days, where = (
+            (args.days, "--days")
+            if args.days is not None
+            else (config["days"], f"config {args.config} key 'days'")
+        )
+        if isinstance(days, bool) or not isinstance(days, int) or days < 1:
+            raise UsageError(f"{where}: expected a whole number of days, at least 1, got {days!r}")
         scenario.n_days = days
     result = generate(scenario)
     paths = result.write(args.output_dir)

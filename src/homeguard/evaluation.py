@@ -4,8 +4,9 @@ detection/misdetection ratios, parameter grids, and Pareto frontiers.
 Injected operations are judged counterfactually: each one sees the belief and
 event window of the real stream at its instant and never contaminates the
 stream, so judgments are independent of injection order.  The folds run one
-after another in one process.  Each judged window is enumerated once per grid
-and its candidates are scored for every grid value (each ``l`` value or each
+after another in one process, and one pass over them scores every method.
+Each judged window is enumerated once per labeling combination and its
+candidates are scored for every grid value (each ``l`` value and each
 ``alpha_seq``); threshold parameters are then swept over the recorded scores
 with the detector's decision rule instead of refitting, which makes dense
 threshold grids tractable without changing any outcome.  A grid with one value
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from datetime import datetime, time, timedelta
 from itertools import product
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -210,10 +211,6 @@ class FoldContext:
         """Drop the fold's models, traces and stores; they rebuild on demand."""
         self._cache.clear()
 
-    def training_labeled(self) -> list[LabeledSlot]:
-        """The fold's training slots as a list (the encoded fits do not need it)."""
-        return [item for item, keep in zip(self.labeled, self.training_arrays().keep) if keep]
-
     def training_arrays(self) -> LabelArrays:
         arrays = self.arrays
         return arrays.select((arrays.day != self.heldout_day) & ~arrays.excluded)
@@ -359,6 +356,7 @@ def _make_folds(
 
 @dataclass
 class ProposedGrid:
+    method: ClassVar[str] = "proposed"
     t_x: tuple[int, ...] = (15,)
     t_y: tuple[int, ...] = (15,)
     t_c: tuple[int, ...] = (20,)
@@ -370,6 +368,7 @@ class ProposedGrid:
 
 @dataclass
 class EstimationGrid:
+    method: ClassVar[str] = "estimation"
     t_x: tuple[int, ...] = (15,)
     t_y: tuple[int, ...] = (15,)
     t_c: tuple[int, ...] = (20,)
@@ -378,6 +377,7 @@ class EstimationGrid:
 
 @dataclass
 class SequenceGrid:
+    method: ClassVar[str] = "sequence"
     alpha_seq: tuple[float, ...] = (0.0, 900.0, 3600.0, 10800.0, 32400.0, 43200.0)
     n_single: tuple[float, ...] | str = "auto"
     n_multi: tuple[float, ...] | str = "auto"
@@ -424,47 +424,47 @@ def _auto_two_level_points(
     pos1 = np.searchsorted(c1, s1, side="right")
     pos2 = np.searchsorted(c2, s2, side="right")
 
-    def cumulative(mask: np.ndarray) -> np.ndarray:
-        hist = np.zeros((len(c1) + 1, len(c2) + 1), dtype=np.int64)
-        np.add.at(hist, (pos1[mask], pos2[mask]), 1)
-        return hist.cumsum(axis=0).cumsum(axis=1)
+    def below(mask: np.ndarray) -> np.ndarray:
+        """below[a * len(c2) + b] = operations in ``mask`` with s1 < c1[a] and
+        s2 < c2[b]; a score at or above a level's last candidate is below none."""
+        inside = mask & (pos1 < len(c1)) & (pos2 < len(c2))
+        hist = np.zeros((len(c1), len(c2)), dtype=np.int64)
+        np.add.at(hist, (pos1[inside], pos2[inside]), 1)
+        # In place: on a dense grid each copy of the table is tens of MB.
+        np.cumsum(hist, axis=0, out=hist)
+        np.cumsum(hist, axis=1, out=hist)
+        return hist.ravel()
 
-    inj_below = cumulative(injected)  # inj_below[a, b] = injected with s1 < c1[a], s2 < c2[b]
-    real_below = cumulative(~injected)
+    tp = below(injected)
+    fp = below(~injected)
     n_inj = int(np.count_nonzero(injected))
-    n_real = int(np.count_nonzero(~injected))
+    n_real = len(injected) - n_inj
+    # tp + fn is n_inj at every candidate pair, and fp + tn is n_real.
+    det = tp / n_inj if n_inj else np.zeros(len(tp))
+    mis = fp / n_real if n_real else np.zeros(len(fp))
 
-    tp = inj_below[: len(c1), : len(c2)].ravel()
-    fp = real_below[: len(c1), : len(c2)].ravel()
-    fn = n_inj - tp
-    tn = n_real - fp
-    det = np.divide(tp, tp + fn, out=np.zeros(len(tp)), where=(tp + fn) > 0)
-    mis = np.divide(fp, fp + tn, out=np.zeros(len(fp)), where=(fp + tn) > 0)
-
-    keep = _frontier_indices(mis, det)
     points = []
-    for flat in keep:
+    for flat in _frontier_indices(mis, det):
         a, b = divmod(flat, len(c2))
-        params = dict(base_params)
-        params[name1] = float(c1[a])
-        params[name2] = float(c2[b])
+        params = {**base_params, name1: float(c1[a]), name2: float(c2[b])}
+        hits, false_alarms = int(tp[flat]), int(fp[flat])
         points.append(
-            EvalPoint(method, make_params(params), int(tp[flat]), int(fn[flat]),
-                      int(fp[flat]), int(tn[flat]))
+            EvalPoint(method, make_params(params), hits, n_inj - hits,
+                      false_alarms, n_real - false_alarms)
         )
     points.sort(key=lambda p: p.sort_key)
     return points
 
 
 def _frontier_indices(mis: np.ndarray, det: np.ndarray) -> list[int]:
+    """Indices of the frontier in order of rising misdetection: ordered by
+    misdetection, then falling detection, then position, keep each point whose
+    detection exceeds that of every point before it."""
     order = np.lexsort((-det, mis))
-    keep: list[int] = []
-    best = -1.0
-    for idx in order:
-        if det[idx] > best:
-            keep.append(int(idx))
-            best = float(det[idx])
-    return keep
+    ordered = det[order]
+    best_before = np.concatenate(([-1.0], ordered[:-1]))
+    np.maximum.accumulate(best_before, out=best_before)
+    return order[ordered > best_before].tolist()
 
 
 @dataclass
@@ -503,77 +503,96 @@ def _sweep_two_level(
     return points
 
 
+def _labelings(grid: ProposedGrid | EstimationGrid | None) -> list[tuple[int, int, int]]:
+    """The grid's (t_x, t_y, t_c) combinations; none without a grid."""
+    return [] if grid is None else list(product(grid.t_x, grid.t_y, grid.t_c))
+
+
 def grid_search(
     dataset: EvalDataset,
-    grid: ProposedGrid | EstimationGrid | SequenceGrid,
+    *grids: ProposedGrid | EstimationGrid | SequenceGrid,
     labeling_params: LabelingParams | None = None,
     model_params: ModelParams | None = None,
     seq_params: SeqParams | None = None,
     injections_per_day: int = 100,
     seed: int = 0,
 ) -> list[EvalPoint]:
-    """One EvalPoint per parameter combination of the grid.
+    """One EvalPoint per parameter combination of each grid (one grid per method).
 
     Structural parameters (labeling windows, state-selection values) retrain
     the model; threshold parameters are replayed over the recorded scores of
     each structural combination, so their sweeps are effectively free.  With
     "auto" thresholds the Pareto-optimal outcomes of a per-score sweep are
     emitted instead of a fixed list.
+
+    Every method is scored in one pass over the folds of each labeling: the
+    union of the proposed and estimation labeling combinations is labeled once
+    each, and the sequence method, which reads no labels, rides along on the
+    first of them.  The points of all methods come back in one sorted list.
     """
+    by_method: dict[str, ProposedGrid | EstimationGrid | SequenceGrid] = {}
+    for grid in grids:
+        if grid.method in by_method:
+            raise ValidationError(f"more than one {grid.method} grid")
+        by_method[grid.method] = grid
+    if not by_method:
+        raise ValidationError("grid_search needs at least one grid")
+    proposed = by_method.get("proposed")
+    estimation = by_method.get("estimation")
+    sequence = by_method.get("sequence")
+
     labeling_base = labeling_params or LabelingParams()
     model_params = model_params or ModelParams()
     seq_base = seq_params or SeqParams()
-    points: list[EvalPoint] = []
+    if proposed is not None:
+        seq_base = replace(seq_base, criterion=proposed.criterion)
+    proposed_labelings = _labelings(proposed)
+    estimation_labelings = _labelings(estimation)
+    labelings = list(dict.fromkeys(proposed_labelings + estimation_labelings))
+    if sequence is not None and not labelings:
+        labelings = [(labeling_base.t_x, labeling_base.t_y, labeling_base.t_c)]
 
-    if isinstance(grid, SequenceGrid):
-        folds = _make_folds(dataset, labeling_base, model_params, seq_base)
+    points: list[EvalPoint] = []
+    for index, labeling in enumerate(labelings):
+        structural = dict(zip(("t_x", "t_y", "t_c"), labeling))
+        l_values = proposed.l_values if labeling in proposed_labelings else ()
+        need_estimation = labeling in estimation_labelings
+        alphas = sequence.alpha_seq if sequence is not None and index == 0 else ()
+        folds = _make_folds(
+            dataset, replace(labeling_base, **structural), model_params, seq_base
+        )
         records = _collect_records(
-            folds, None, False, grid.alpha_seq, seq_base, injections_per_day, seed
+            folds, l_values, need_estimation, alphas, seq_base, injections_per_day, seed
         )
         injected = [r.injected for r in records]
-        for alpha in grid.alpha_seq:
-            scores = [r.sequence[alpha] for r in records]
+        for l_value in l_values:
+            base = {**structural, "criterion": proposed.criterion}
+            base["l_rank" if proposed.criterion == "rank" else "l_alpha"] = l_value
+            points.extend(
+                _sweep_two_level(
+                    "proposed",
+                    base,
+                    [r.proposed[l_value] for r in records],
+                    injected,
+                    proposed.n_single,
+                    proposed.n_multi,
+                )
+            )
+        if need_estimation:
+            points.extend(_sweep_estimation(records, structural, estimation.theta))
+        for alpha in alphas:
             points.extend(
                 _sweep_two_level(
                     "sequence",
                     {"alpha_seq": float(alpha), "t_seq": seq_base.t_seq},
-                    scores,
+                    [r.sequence[alpha] for r in records],
                     injected,
-                    grid.n_single,
-                    grid.n_multi,
+                    sequence.n_single,
+                    sequence.n_multi,
                     name1="n_seq_single",
                     name2="n_seq_multi",
                 )
             )
-        points.sort(key=lambda p: p.sort_key)
-        return points
-
-    for t_x, t_y, t_c in product(grid.t_x, grid.t_y, grid.t_c):
-        labeling = replace(labeling_base, t_x=t_x, t_y=t_y, t_c=t_c)
-        structural = {"t_x": t_x, "t_y": t_y, "t_c": t_c}
-        if isinstance(grid, EstimationGrid):
-            folds = _make_folds(dataset, labeling, model_params, seq_base)
-            records = _collect_records(
-                folds, None, True, None, seq_base, injections_per_day, seed
-            )
-            points.extend(_sweep_estimation(records, structural, grid.theta))
-        else:
-            seq_struct = replace(seq_base, criterion=grid.criterion)
-            folds = _make_folds(dataset, labeling, model_params, seq_struct)
-            records = _collect_records(
-                folds, grid.l_values, False, None, seq_struct, injections_per_day, seed
-            )
-            injected = [r.injected for r in records]
-            for l_value in grid.l_values:
-                scores = [r.proposed[l_value] for r in records]
-                base = dict(structural)
-                base["criterion"] = grid.criterion
-                base["l_rank" if grid.criterion == "rank" else "l_alpha"] = l_value
-                points.extend(
-                    _sweep_two_level(
-                        "proposed", base, scores, injected, grid.n_single, grid.n_multi
-                    )
-                )
     points.sort(key=lambda p: p.sort_key)
     return points
 
@@ -615,9 +634,9 @@ def _sweep_estimation(
 
 def _collect_records(
     folds: Sequence[FoldContext],
-    need_proposed: Sequence | None,
+    need_proposed: Sequence,
     need_estimation: bool,
-    need_sequence: Sequence[float] | None,
+    need_sequence: Sequence[float],
     seq_params_base: SeqParams,
     injections_per_day: int,
     seed: int,
@@ -635,7 +654,7 @@ def _collect_records(
                 if seq_params_base.criterion == "rank"
                 else replace(seq_params_base, l_alpha=float(l_value))
             )
-            for l_value in need_proposed or ()
+            for l_value in need_proposed
         }
         operations = fold.state_model()[1] if need_estimation else None
         timed = fold.timed_store() if need_sequence else None
@@ -654,7 +673,7 @@ def _collect_records(
             tod = seconds_of_day(ctx.op.timestamp)
             sequence = {
                 alpha: sequence_scores(timed, candidates, tod, alpha)[:2]
-                for alpha in need_sequence or ()
+                for alpha in need_sequence
             }
             records.append(_ScoreRecord(ctx.injected, est, proposed, sequence))
         # The scores are recorded; keep one fold's artifacts at a time, so
@@ -671,19 +690,10 @@ def pareto_frontier(points: Sequence[EvalPoint]) -> list[EvalPoint]:
     non-decreasing detection ratio; every input point is dominated by (or
     equal to) some output point.
     """
-    if not points:
-        return []
-    ordered = sorted(
-        points,
-        key=lambda p: (p.misdetection_ratio, -p.detection_ratio, p.sort_key),
-    )
-    frontier: list[EvalPoint] = []
-    best = -1.0
-    for point in ordered:
-        if point.detection_ratio > best:
-            frontier.append(point)
-            best = point.detection_ratio
-    return frontier
+    ordered = sorted(points, key=lambda p: p.sort_key)
+    mis = np.array([p.misdetection_ratio for p in ordered])
+    det = np.array([p.detection_ratio for p in ordered])
+    return [ordered[idx] for idx in _frontier_indices(mis, det)]
 
 
 def best_at(points: Sequence[EvalPoint], misdetection_cap: float = 0.10) -> EvalPoint | None:

@@ -14,7 +14,6 @@ instant just before the sequence's final event.
 
 from __future__ import annotations
 
-import logging
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
@@ -28,8 +27,6 @@ from .ingest import EventRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hsmodel import FilterTrace
-
-logger = logging.getLogger(__name__)
 
 SECONDS_PER_DAY = 86400
 
@@ -123,29 +120,6 @@ def _enumerate_distinct(pairs: Sequence[Pair], l_max: int) -> dict[Items, int]:
     return out
 
 
-def generate_subsequences(
-    window: Sequence[EventRecord], l_max: int = 5, w_max: int = 16
-) -> list[EventSequence]:
-    """Distinct order-preserving subsequences of a window, shortest first.
-
-    For ``n`` distinct events and ``l_max >= n`` this is the full power set
-    minus the empty set: ``2**n - 1`` sequences.  Oversized windows keep only
-    their most recent ``w_max`` events.
-    """
-    events = list(window)
-    if len(events) > w_max:
-        logger.warning(
-            "window of %d events truncated to the most recent %d", len(events), w_max
-        )
-        events = events[-w_max:]
-    pairs = [event.pair for event in events]
-    distinct = _enumerate_distinct(pairs, l_max)
-    return [
-        EventSequence(items, events[final].timestamp)
-        for items, final in sorted(distinct.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    ]
-
-
 def window_start(times: Sequence[datetime], ts: datetime, t_seq: float) -> int:
     """Index of the first of the sorted ``times`` at most ``t_seq`` seconds
     before ``ts``: where the window of an event at ``ts`` begins."""
@@ -165,21 +139,10 @@ def candidates_ending_at(window_pairs: Sequence[Pair], l_max: int) -> list[Items
     return sorted(out, key=lambda items: (len(items), items))
 
 
-def select_states(belief: np.ndarray, params: SeqParams) -> list[int]:
-    """State indices satisfying the active storing criterion; may be empty."""
-    belief = np.asarray(belief)
-    if params.criterion == "rank":
-        ranks = 1 + (belief[None, :] > belief[:, None]).sum(axis=1)
-        mask = ranks <= params.l_rank
-    elif params.alpha_select_below:
-        mask = belief <= params.l_alpha
-    else:
-        mask = belief >= params.l_alpha
-    return [int(i) for i in np.flatnonzero(mask)]
-
-
 def _selection_matrix(entry: np.ndarray, params: SeqParams) -> np.ndarray:
-    """Vectorized ``select_states`` over a (n_slots, S) belief matrix."""
+    """Which states each row of a (n, S) belief matrix selects under the
+    active storing criterion; a row may select none.  A state's rank is one
+    plus the number of states with a strictly greater belief."""
     if params.criterion == "rank":
         ranks = 1 + (entry[:, None, :] > entry[:, :, None]).sum(axis=2)
         return ranks <= params.l_rank
@@ -238,24 +201,27 @@ class SequenceStore:
                 axis=0, dtype=np.int64
             )
         steps = trace.events
+        if not steps:
+            return
+        # The states each event's "just before" belief selects, in one call.
+        selected = _selection_matrix(np.array([step.pre for step in steps]), params)
         times = [step.event.timestamp for step in steps]
         for idx, step in enumerate(steps):
             if step.event.device != target_device:
                 continue
-            window = steps[window_start(times, step.event.timestamp, params.t_seq) : idx + 1]
-            if len(window) > params.w_max:
-                window = window[-params.w_max :]
-            pairs = [s.event.pair for s in window]
+            start = window_start(times, step.event.timestamp, params.t_seq)
+            lo = max(start, idx + 1 - params.w_max)  # keep the last w_max events
+            pairs = [s.event.pair for s in steps[lo : idx + 1]]
             for items, final in _enumerate_distinct(pairs, params.l_max).items():
                 if not any(device == target_device for device, _ in items):
                     continue
-                selected = select_states(window[final].pre, params)
-                if not selected:
+                mask = selected[lo + final]
+                if not mask.any():
                     continue
                 counts = self.counts.setdefault(
                     items, np.zeros(self.n_states, dtype=np.int64)
                 )
-                counts[selected] += 1
+                counts[mask] += 1
 
     def to_payload(self) -> dict:
         return {

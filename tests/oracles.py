@@ -12,6 +12,8 @@ from dataclasses import replace
 from datetime import datetime, time, timedelta
 from typing import Sequence
 
+import numpy as np
+
 from homeguard.errors import InitializationError, ParseError
 from homeguard.ingest import (
     SLOT_SECONDS,
@@ -30,6 +32,13 @@ from homeguard.labeling import (
     _combine,
     label_device_usage,
     label_user_activity,
+)
+from homeguard.seqstore import (
+    EventSequence,
+    SeqParams,
+    SequenceStore,
+    _enumerate_distinct,
+    window_start,
 )
 from homeguard.vocab import Vocabulary
 
@@ -135,3 +144,73 @@ def label_states_per_slot(
             )
         )
     return labeled
+
+
+def generate_subsequences(
+    window: Sequence[EventRecord], l_max: int = 5, w_max: int = 16
+) -> list[EventSequence]:
+    """Distinct order-preserving subsequences of a window, shortest first.
+
+    For ``n`` distinct events and ``l_max >= n`` this is the full power set
+    minus the empty set: ``2**n - 1`` sequences.  Oversized windows keep only
+    their most recent ``w_max`` events.
+    """
+    events = list(window)[-w_max:]
+    pairs = [event.pair for event in events]
+    distinct = _enumerate_distinct(pairs, l_max)
+    return [
+        EventSequence(items, events[final].timestamp)
+        for items, final in sorted(distinct.items(), key=lambda kv: (len(kv[0]), kv[0]))
+    ]
+
+
+def select_states(belief: np.ndarray, params: SeqParams) -> list[int]:
+    """State indices satisfying the active storing criterion; may be empty."""
+    belief = np.asarray(belief)
+    if params.criterion == "rank":
+        ranks = 1 + (belief[None, :] > belief[:, None]).sum(axis=1)
+        mask = ranks <= params.l_rank
+    elif params.alpha_select_below:
+        mask = belief <= params.l_alpha
+    else:
+        mask = belief >= params.l_alpha
+    return [int(i) for i in np.flatnonzero(mask)]
+
+
+def store_sequences_per_window(traces, target_device: str, params: SeqParams, n_states: int):
+    """The sequence store built window by window, selecting the states of each
+    stored sequence with one ``select_states`` call on its final belief."""
+    store = SequenceStore(n_states=n_states, criterion=params.criterion)
+    for trace in traces:
+        for row in trace.entry:
+            store.slot_counts[select_states(row, params)] += 1
+        steps = trace.events
+        times = [step.event.timestamp for step in steps]
+        for idx, step in enumerate(steps):
+            if step.event.device != target_device:
+                continue
+            window = steps[window_start(times, step.event.timestamp, params.t_seq) : idx + 1]
+            window = window[-params.w_max :]
+            pairs = [s.event.pair for s in window]
+            for items, final in _enumerate_distinct(pairs, params.l_max).items():
+                if not any(device == target_device for device, _ in items):
+                    continue
+                selected = select_states(window[final].pre, params)
+                if not selected:
+                    continue
+                counts = store.counts.setdefault(items, np.zeros(n_states, dtype=np.int64))
+                counts[selected] += 1
+    return store
+
+
+def frontier_indices_loop(mis: np.ndarray, det: np.ndarray) -> list[int]:
+    """Frontier indices by a scan in (misdetection, -detection) order that
+    keeps each point beating the best detection seen so far."""
+    order = np.lexsort((-det, mis))
+    keep: list[int] = []
+    best = -1.0
+    for idx in order:
+        if det[idx] > best:
+            keep.append(int(idx))
+            best = float(det[idx])
+    return keep

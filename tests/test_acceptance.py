@@ -33,11 +33,12 @@ from homeguard.hsmodel import (
 )
 from homeguard.ingest import build_timeslots
 from homeguard.labeling import STATE_INDEX, LabelingParams, label_states, parse_state_key
-from homeguard.seqstore import SequenceStore, generate_subsequences
+from homeguard.seqstore import SequenceStore
 from homeguard.synthgen import generate, scenario_s1
 from homeguard.vocab import Vocabulary
 
 from conftest import ev
+from oracles import generate_subsequences
 from test_detector import make_model, store_with
 from test_evaluation import scripted_point, toy_dataset
 from test_hsmodel import (
@@ -210,18 +211,19 @@ def _s1_operating_points(seed: int):
         slots=build_timeslots(result.events, result.frames), vocabulary=Vocabulary()
     )
     labeling = LabelingParams(t_x=15, t_y=15, t_c=10, initial_occupants=2)
-    proposed_points = grid_search(
+    # Both methods are judged on the same folds in one pass.
+    points = grid_search(
         dataset,
         ProposedGrid(t_x=(15,), t_y=(15,), t_c=(10,), criterion="rank", l_values=(1, 2)),
+        SequenceGrid(),
         labeling_params=labeling,
         injections_per_day=100,
         seed=seed,
     )
-    sequence_points = grid_search(
-        dataset, SequenceGrid(), labeling_params=labeling, injections_per_day=100, seed=seed
+    proposed, sequence = (
+        best_at(pareto_frontier([p for p in points if p.method == method]), 0.10)
+        for method in ("proposed", "sequence")
     )
-    proposed = best_at(pareto_frontier(proposed_points), 0.10)
-    sequence = best_at(pareto_frontier(sequence_points), 0.10)
     return proposed, sequence
 
 

@@ -614,7 +614,109 @@ class TestEvaluateCommand:
             assert (out_dir / f"frontier_{method}.csv").exists()
 
 
+    @pytest.mark.parametrize("methods, named", [
+        ("proposed,bogus", "'bogus'"),
+        ("sequence,sequence", "'sequence'"),
+        ("proposed,", "''"),
+        ("all,estimation", "'all'"),
+    ])
+    def test_bad_methods_exit_2_before_any_work(self, tmp_path, small_home, monkeypatch,
+                                                methods, named, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("evaluate read its input before checking --methods")
+
+        monkeypatch.setattr(cli, "parse_operation_log", no_work)
+        ops, sensors = small_home
+        out_dir = tmp_path / "eval"
+        code = main(["evaluate", "--operations", str(ops), "--sensors", str(sensors),
+                     "--output-dir", str(out_dir), "--methods", methods])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--methods" in err and named in err
+        assert not out_dir.exists()
+
+    # "auto" sweeps a threshold over the recorded scores; a structural value
+    # list has nothing to sweep over, and an empty list would judge nothing.
+    @pytest.mark.parametrize("option, text", [
+        ("--l-values", "1.5"),
+        ("--l-values", "auto"),
+        ("--t-x-values", "x"),
+        ("--t-c-values", "auto"),
+        ("--t-y-values", ","),
+        ("--alpha-seq-values", "900,soon"),
+        ("--alpha-seq-values", "auto"),
+        ("--n-single-values", ""),
+        ("--theta-values", "high"),
+    ])
+    def test_bad_value_list_exits_2_before_any_work(self, tmp_path, small_home, monkeypatch,
+                                                    option, text, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("evaluate read its input before checking its value lists")
+
+        monkeypatch.setattr(cli, "parse_operation_log", no_work)
+        ops, sensors = small_home
+        code = main(["evaluate", "--operations", str(ops), "--sensors", str(sensors),
+                     "--output-dir", str(tmp_path / "eval"), f"{option}={text}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert option in err and repr(text) in err
+
+    def test_all_methods_equal_one_method_runs(self, tmp_path, small_home, capsys):
+        ops, sensors = small_home
+        common = ["--operations", str(ops), "--sensors", str(sensors),
+                  "--injections", "10", "--seed", "2", "--best-at", "0.5",
+                  "--t-x-values", "3", "--t-y-values", "3", "--t-c-values", "2,3",
+                  "--l-values", "1,2", "--alpha-seq-values", "900,3600"]
+        together = tmp_path / "together"
+        assert main(["evaluate", *common, "--output-dir", str(together),
+                     "--methods", "sequence,proposed,estimation"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        alone_lines = []
+        for method in ("sequence", "proposed", "estimation"):
+            alone = tmp_path / method
+            assert main(["evaluate", *common, "--output-dir", str(alone),
+                         "--methods", method]) == 0
+            alone_lines += capsys.readouterr().out.splitlines()
+            for name in (f"results_{method}.csv", f"frontier_{method}.csv"):
+                assert (together / name).read_bytes() == (alone / name).read_bytes()
+        assert lines == alone_lines
+        assert [line.split(":")[0] for line in lines] == ["sequence", "proposed", "estimation"]
+
+
 class TestSynthCommand:
+    @pytest.mark.parametrize("flags, config, named", [
+        (["--days", "-2"], None, "--days"),
+        (["--days", "0"], None, "--days"),
+        (["--days", "0"], {"days": 2}, "--days"),
+        ([], {"days": "x"}, "key 'days'"),
+        ([], {"days": 0.5}, "key 'days'"),
+        ([], {"days": 0}, "key 'days'"),
+        ([], {"days": -3}, "key 'days'"),
+        ([], {"days": True}, "key 'days'"),
+        ([], {"days": None}, "key 'days'"),
+    ])
+    def test_bad_days_exit_2(self, tmp_path, flags, config, named, capsys):
+        argv = ["synth", "--scenario", "calibration", "--output-dir", str(tmp_path / "out"),
+                *flags]
+        if config is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_days_honored_and_flag_wins(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"days": 2}))
+        for flags, days in (([], 2), (["--days", "1"], 1)):
+            out = tmp_path / f"out{days}"
+            assert main(["synth", "--scenario", "calibration", "--output-dir", str(out),
+                         "--config", str(config), *flags]) == 0
+            truth_lines = (out / "truth.csv").read_text().splitlines()
+            assert len(truth_lines) == 1 + days * 1440
+
     def test_synth_writes_dataset(self, tmp_path, capsys):
         out_dir = tmp_path / "synth"
         code = main(

@@ -5,7 +5,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from homeguard import detector
+from homeguard import detector, evaluation
 from homeguard.detector import (
     BaselineParams,
     Thresholds,
@@ -13,14 +13,16 @@ from homeguard.detector import (
     judge_proposed,
     judge_sequence_baseline,
 )
-from homeguard.errors import ModelError
+from homeguard.errors import ModelError, ValidationError
 from homeguard.evaluation import (
     EstimationGrid,
     EvalDataset,
     EvalPoint,
     ProposedGrid,
     SequenceGrid,
+    _candidate_thresholds,
     _collect_records,
+    _frontier_indices,
     _make_folds,
     _sweep_two_level,
     best_at,
@@ -36,6 +38,7 @@ from homeguard.seqstore import SeqParams
 from homeguard.vocab import DEFAULT_PAIRS, Vocabulary
 
 from conftest import frame
+from oracles import frontier_indices_loop
 from test_detector import make_model
 
 BASE = datetime(2021, 3, 1)
@@ -305,6 +308,30 @@ class TestGridSearch:
             assert 0.0 <= p.misdetection_ratio <= 1.0
             assert p.tp + p.fn == 100
 
+    def test_auto_sweep_is_the_frontier_of_every_threshold_pair(self):
+        rng = np.random.default_rng(41)
+        for trial in range(40):
+            n = int(rng.integers(1, 60))
+            s1 = rng.integers(0, 6, size=n) / 5.0
+            s2 = rng.integers(0, 6, size=n) / 5.0
+            injected = rng.random(n) < 0.5
+            if trial % 10 == 0:
+                injected[:] = trial % 20 == 0  # only injected, or only real operations
+            scores = list(zip(s1, s2))
+            auto = _sweep_two_level("m", {}, scores, injected, "auto", "auto")
+            every = _sweep_two_level(
+                "m", {}, scores, injected,
+                tuple(_candidate_thresholds(s1)), tuple(_candidate_thresholds(s2)),
+            )
+            counts = lambda points: sorted((p.tp, p.fn, p.fp, p.tn) for p in points)
+            assert counts(auto) == counts(pareto_frontier(every))
+            for point in auto:
+                params = dict(point.params)
+                [fixed] = _sweep_two_level(
+                    "m", {}, scores, injected, (params["n_single"],), (params["n_multi"],)
+                )
+                assert fixed == point
+
 
 def mixed_dataset() -> EvalDataset:
     """Five toy days; day 2 is excluded (a device runs in an empty home) and
@@ -335,7 +362,7 @@ class TestFoldFits:
         assert excluded_days == {2}
 
         transitions, operations = fold.state_model()
-        kept = fold.training_labeled()
+        kept = [item for item, keep in zip(fold.labeled, fold.training_arrays().keep) if keep]
         assert {(item.slot.t - 1) // 1440 for item in kept} == {0, 1, 3, 4} - {heldout}
         reference_t = fit_transitions(kept, t_z_max)
         reference_o = fit_operations(kept, dataset.vocabulary)
@@ -363,25 +390,81 @@ class TestFoldFits:
 
 class TestWindowEnumeration:
     @pytest.mark.parametrize(
-        "grid",
+        "grids",
         [
-            SequenceGrid(alpha_seq=(0.0, 900.0, 3600.0)),
-            ProposedGrid(t_x=(2,), t_y=(2,), t_c=(1,), l_values=(1, 2)),
+            (SequenceGrid(alpha_seq=(0.0, 900.0, 3600.0)),),
+            (ProposedGrid(t_x=(2,), t_y=(2,), t_c=(1,), l_values=(1, 2)),),
+            (
+                ProposedGrid(t_x=(2,), t_y=(2,), t_c=(1,), l_values=(1, 2)),
+                SequenceGrid(alpha_seq=(0.0, 900.0, 3600.0)),
+            ),
         ],
-        ids=["sequence", "proposed"],
+        ids=["sequence", "proposed", "proposed+sequence"],
     )
-    def test_each_judged_window_is_enumerated_once(self, grid, monkeypatch):
+    def test_each_judged_window_is_enumerated_once(self, grids, monkeypatch):
         enumerate_window = detector.candidates_ending_at
-        calls = []
+        label = evaluation.label_states
+        calls, labelings = [], []
 
         def counting(pairs, l_max):
             calls.append(len(pairs))
             return enumerate_window(pairs, l_max)
 
+        def counting_labels(*args, **kwargs):
+            labelings.append(args[2])
+            return label(*args, **kwargs)
+
         monkeypatch.setattr(detector, "candidates_ending_at", counting)
-        grid_search(toy_dataset(n_days=3), grid, injections_per_day=10, seed=2)
+        monkeypatch.setattr(evaluation, "label_states", counting_labels)
+        grid_search(toy_dataset(n_days=3), *grids, injections_per_day=10, seed=2)
         # Each fold judges its day's two stove operations and 10 injected ones.
         assert len(calls) == 3 * (2 + 10)
+        assert len(labelings) == 1
+
+
+class TestOneFoldPass:
+    def grids(self):
+        return (
+            ProposedGrid(t_x=(2, 3), t_y=(2,), t_c=(1,), l_values=(1, 2)),
+            EstimationGrid(t_x=(3, 4), t_y=(2,), t_c=(1,)),
+            SequenceGrid(alpha_seq=(900.0, 3600.0)),
+        )
+
+    def test_all_methods_equal_one_grid_calls(self):
+        dataset = toy_dataset(n_days=3)
+        kwargs = dict(labeling_params=LabelingParams(t_x=2, t_y=2, t_c=1),
+                      injections_per_day=15, seed=4)
+        together = grid_search(dataset, *self.grids(), **kwargs)
+        alone = [p for grid in self.grids() for p in grid_search(dataset, grid, **kwargs)]
+        assert together == sorted(alone, key=lambda p: p.sort_key)
+        assert {p.method for p in together} == {"proposed", "estimation", "sequence"}
+
+    def test_each_labeling_is_labeled_once(self, monkeypatch):
+        label = evaluation.label_states
+        labelings = []
+
+        def counting_labels(*args, **kwargs):
+            labelings.append((args[2].t_x, args[2].t_y, args[2].t_c))
+            return label(*args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "label_states", counting_labels)
+        grid_search(toy_dataset(n_days=3), *self.grids(), injections_per_day=5, seed=1)
+        # The union of the proposed and estimation labelings, in grid order.
+        assert labelings == [(2, 2, 1), (3, 2, 1), (4, 2, 1)]
+
+    @pytest.mark.parametrize(
+        "grids",
+        [
+            (SequenceGrid(), SequenceGrid()),
+            (ProposedGrid(), EstimationGrid(), ProposedGrid(l_values=(2,))),
+            (),
+        ],
+        ids=["two-sequence", "two-proposed", "none"],
+    )
+    def test_one_grid_per_method(self, grids, monkeypatch):
+        monkeypatch.setattr(evaluation, "label_states", None)  # no work before the check
+        with pytest.raises(ValidationError):
+            grid_search(toy_dataset(n_days=2), *grids)
 
 
 def pt(mis: float, det: float, tag: str = "x") -> EvalPoint:
@@ -435,6 +518,38 @@ class TestParetoFrontier:
 
     def test_empty(self):
         assert pareto_frontier([]) == []
+
+    def test_running_maximum_equals_the_loop(self):
+        # Few distinct values, so ties in misdetection, in detection and in
+        # both are common.
+        rng = np.random.default_rng(23)
+        for _ in range(500):
+            n = int(rng.integers(1, 60))
+            mis = rng.integers(0, 6, size=n) / 5.0
+            det = rng.integers(0, 6, size=n) / 5.0
+            assert _frontier_indices(mis, det) == frontier_indices_loop(mis, det)
+        assert _frontier_indices(np.array([]), np.array([])) == []
+
+    def test_points_equal_a_sort_and_scan(self):
+        # The rule pareto_frontier followed before it went through
+        # _frontier_indices: sort by (mis, -det, sort_key), keep rising det.
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            points = [
+                pt(float(rng.integers(0, 4)) / 10.0, float(rng.integers(0, 4)) / 4.0,
+                   str(rng.integers(0, 5)))
+                for _ in range(int(rng.integers(1, 30)))
+            ]
+            ordered = sorted(points, key=lambda p: (p.misdetection_ratio,
+                                                    -p.detection_ratio, p.sort_key))
+            expected, best = [], -1.0
+            for point in ordered:
+                if point.detection_ratio > best:
+                    expected.append(point)
+                    best = point.detection_ratio
+            frontier = pareto_frontier(points)
+            assert len(frontier) == len(expected)
+            assert all(a is b for a, b in zip(frontier, expected))
 
 
 class TestBestAt:

@@ -1,23 +1,29 @@
 """Subsequence generation, state selection, and the sequence stores."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from homeguard.hsmodel import EventStep, FilterTrace
+from homeguard.evaluation import EvalDataset, _make_folds
+from homeguard.hsmodel import EventStep, FilterTrace, ModelParams
+from homeguard.ingest import build_timeslots
+from homeguard.labeling import ALPHABET, LabelingParams
 from homeguard.seqstore import (
     SeqParams,
     SequenceStore,
     TimedSequenceStore,
     build_timed_store,
     candidates_ending_at,
-    generate_subsequences,
-    select_states,
     store_sequences,
 )
 
+from homeguard.synthgen import generate, scenario_calibration
+from homeguard.vocab import Vocabulary
+
 from conftest import ev, make_slots
+from oracles import generate_subsequences, select_states, store_sequences_per_window
 
 
 def is_subsequence(sub, seq):
@@ -240,6 +246,72 @@ class TestSequenceStore:
         assert store.probability(0, key) == pytest.approx(0.25)
         assert store.probability(1, key) == 0.0  # zero slot count
         assert store.probability(2, (("tv", "on"),)) == 0.0  # unknown sequence
+
+
+SELECTIONS = {
+    "rank-1": dict(criterion="rank", l_rank=1),
+    "rank-3": dict(criterion="rank", l_rank=3),
+    "alpha-above": dict(criterion="alpha", l_alpha=0.1),
+    "alpha-below": dict(criterion="alpha", l_alpha=0.1, alpha_select_below=True),
+}
+
+
+def assert_bitwise_equal(store, oracle):
+    assert list(store.counts) == list(oracle.counts)  # key order included
+    for items, counts in oracle.counts.items():
+        assert store.counts[items].dtype == counts.dtype
+        assert np.array_equal(store.counts[items], counts)
+    assert store.slot_counts.dtype == oracle.slot_counts.dtype
+    assert np.array_equal(store.slot_counts, oracle.slot_counts)
+
+
+class TestStoreAgainstPerWindowOracle:
+    """One state selection per trace gives the store that selecting the
+    states of every stored sequence one by one gives."""
+
+    @pytest.fixture(scope="class")
+    def dense_traces(self):
+        # Habit rates x20 fill the windows, as in the dense benchmark workload.
+        scenario = scenario_calibration(seed=3, n_days=3)
+        scenario.habits = tuple(
+            replace(h, rate_per_hour=h.rate_per_hour * 20) for h in scenario.habits
+        )
+        result = generate(scenario)
+        dataset = EvalDataset(
+            slots=build_timeslots(result.events, result.frames), vocabulary=Vocabulary()
+        )
+        folds = _make_folds(
+            dataset, LabelingParams(initial_occupants=2), ModelParams(), SeqParams(t_seq=1800)
+        )
+        return [fold.training_traces() for fold in folds]
+
+    @pytest.mark.parametrize("selection", SELECTIONS.values(), ids=SELECTIONS.keys())
+    def test_fold_stores(self, dense_traces, selection):
+        params = SeqParams(t_seq=1800, **selection)
+        for traces in dense_traces:
+            store = store_sequences(traces, "cooking_stove", params, len(ALPHABET))
+            assert store.counts
+            oracle = store_sequences_per_window(traces, "cooking_stove", params, len(ALPHABET))
+            assert_bitwise_equal(store, oracle)
+
+    @pytest.mark.parametrize("selection", SELECTIONS.values(), ids=SELECTIONS.keys())
+    def test_tied_beliefs(self, selection):
+        # Beliefs on a coarse grid tie often, also at the top rank.
+        rng = np.random.default_rng(31)
+        devices = [("cooking_stove", "on"), ("refrigerator", "opening"), ("tv", "on")]
+        for _ in range(20):
+            n_slots = 40
+            entry = rng.integers(0, 3, size=(n_slots, 4)) / 4.0
+            specs = [
+                (int(pos), ev(float(pos) + 0.5, *devices[rng.integers(0, 3)]),
+                 rng.integers(0, 3, size=4) / 4.0)
+                for pos in sorted(rng.choice(n_slots, size=12, replace=False))
+            ]
+            trace = fabricate_trace(entry, specs)
+            params = SeqParams(t_seq=600, w_max=6, **selection)
+            store = store_sequences(trace, "cooking_stove", params, 4)
+            oracle = store_sequences_per_window([trace], "cooking_stove", params, 4)
+            assert_bitwise_equal(store, oracle)
 
 
 class TestTimedSequenceStore:
