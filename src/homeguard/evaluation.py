@@ -47,7 +47,9 @@ from .hsmodel import (
 from .ingest import SLOTS_PER_DAY, EventRecord, SensorFrame, TimeslotRecord, build_timeslots
 from .labeling import ALPHABET, LabeledSlot, LabelingParams, label_states
 from .seqstore import (
+    DayWindows,
     SeqParams,
+    TrainingBeliefs,
     build_timed_store,
     seconds_of_day,
     store_sequences,
@@ -188,6 +190,8 @@ class FoldContext:
 
     ``arrays`` is the encoding of ``labeled``; the folds of one labeling share
     it, and each fold fits by masking its held-out and excluded days.
+    ``windows`` holds the dataset's target windows; every fold and labeling
+    of a run shares it, so each window is enumerated once per run.
     """
 
     def __init__(
@@ -198,6 +202,7 @@ class FoldContext:
         heldout_day: int,
         model_params: ModelParams,
         seq_params: SeqParams,
+        windows: DayWindows,
     ) -> None:
         self.dataset = dataset
         self.labeled = labeled
@@ -205,6 +210,7 @@ class FoldContext:
         self.heldout_day = heldout_day
         self.model_params = model_params
         self.seq_params = seq_params
+        self.windows = windows
         self._cache: dict[str, object] = {}
 
     def release(self) -> None:
@@ -239,12 +245,23 @@ class FoldContext:
             self._filter_days()
         return self._cache["training_traces"]
 
+    def training_beliefs(self) -> TrainingBeliefs:
+        """The training traces joined to the run's windows of their days;
+        the stores of every selection value share their ranking."""
+        if "training_beliefs" not in self._cache:
+            kept = self.training_arrays()
+            days = np.unique(kept.day[kept.keep]).tolist()
+            self._cache["training_beliefs"] = TrainingBeliefs(
+                self.training_traces(), self.windows, days
+            )
+        return self._cache["training_beliefs"]
+
     def sequence_store(self, seq_params: SeqParams | None = None):
         seq_params = seq_params or self.seq_params
         key = ("store", json.dumps(seq_params.to_payload(), sort_keys=True))
         if key not in self._cache:
             self._cache[key] = store_sequences(
-                self.training_traces(),
+                self.training_beliefs(),
                 self.dataset.vocabulary.detection_target,
                 seq_params,
                 len(ALPHABET),
@@ -252,15 +269,13 @@ class FoldContext:
         return self._cache[key]
 
     def timed_store(self):
+        """The timed store of every day but the held-out one."""
         if "timed_store" not in self._cache:
-            events = [
-                event
-                for day in range(self.dataset.n_days)
-                if day != self.heldout_day
-                for event in self.dataset.day_events(day)
-            ]
             self._cache["timed_store"] = build_timed_store(
-                events, self.dataset.vocabulary.detection_target, self.seq_params
+                self.windows,
+                self.dataset.vocabulary.detection_target,
+                self.seq_params,
+                without_day=self.heldout_day,
             )
         return self._cache["timed_store"]
 
@@ -332,20 +347,30 @@ class FoldContext:
         return lambda: self.detection_trace().belief_before(ts)
 
 
+def _dataset_windows(dataset: EvalDataset, seq_params: SeqParams) -> DayWindows:
+    days = [dataset.day_events(day) for day in range(dataset.n_days)]
+    return DayWindows(days, dataset.vocabulary.detection_target, seq_params)
+
+
 def _make_folds(
     dataset: EvalDataset,
     labeling_params: LabelingParams,
     model_params: ModelParams,
     seq_params: SeqParams,
+    windows: DayWindows | None = None,
 ) -> list[FoldContext]:
+    """One fold per day.  ``windows`` carries the windows enumerated so far
+    in the run; without it the folds start a fresh enumeration."""
     if dataset.n_days < 2:
         raise ModelError("cross-validation needs at least two days of data")
     labeled = label_states(
         dataset.slots, dataset.events, labeling_params, dataset.vocabulary
     )
     arrays = encode_labels(labeled)
+    if windows is None:
+        windows = _dataset_windows(dataset, seq_params)
     return [
-        FoldContext(dataset, labeled, arrays, day, model_params, seq_params)
+        FoldContext(dataset, labeled, arrays, day, model_params, seq_params, windows)
         for day in range(dataset.n_days)
     ]
 
@@ -439,12 +464,11 @@ def _auto_two_level_points(
     fp = below(~injected)
     n_inj = int(np.count_nonzero(injected))
     n_real = len(injected) - n_inj
-    # tp + fn is n_inj at every candidate pair, and fp + tn is n_real.
-    det = tp / n_inj if n_inj else np.zeros(len(tp))
-    mis = fp / n_real if n_real else np.zeros(len(fp))
 
     points = []
-    for flat in _frontier_indices(mis, det):
+    # tp + fn is n_inj at every candidate pair and fp + tn is n_real, so the
+    # counts order the pairs as their ratios would.
+    for flat in _frontier_indices(fp, tp):
         a, b = divmod(flat, len(c2))
         params = {**base_params, name1: float(c1[a]), name2: float(c2[b])}
         hits, false_alarms = int(tp[flat]), int(fp[flat])
@@ -459,10 +483,18 @@ def _auto_two_level_points(
 def _frontier_indices(mis: np.ndarray, det: np.ndarray) -> list[int]:
     """Indices of the frontier in order of rising misdetection: ordered by
     misdetection, then falling detection, then position, keep each point whose
-    detection exceeds that of every point before it."""
+    detection exceeds that of every point before it.
+
+    The ratios may be given as the counts they divide (fp and tp over
+    constant totals): a division by a positive constant keeps the order and
+    the ties of integers, and a zero total makes every ratio 0, as every
+    count is then.
+    """
     order = np.lexsort((-det, mis))
     ordered = det[order]
-    best_before = np.concatenate(([-1.0], ordered[:-1]))
+    best_before = np.empty_like(ordered)
+    best_before[:1] = -1
+    best_before[1:] = ordered[:-1]
     np.maximum.accumulate(best_before, out=best_before)
     return order[ordered > best_before].tolist()
 
@@ -552,6 +584,8 @@ def grid_search(
     if sequence is not None and not labelings:
         labelings = [(labeling_base.t_x, labeling_base.t_y, labeling_base.t_c)]
 
+    # Windows depend on the events alone: one enumeration serves every labeling.
+    windows = _dataset_windows(dataset, seq_base)
     points: list[EvalPoint] = []
     for index, labeling in enumerate(labelings):
         structural = dict(zip(("t_x", "t_y", "t_c"), labeling))
@@ -559,7 +593,7 @@ def grid_search(
         need_estimation = labeling in estimation_labelings
         alphas = sequence.alpha_seq if sequence is not None and index == 0 else ()
         folds = _make_folds(
-            dataset, replace(labeling_base, **structural), model_params, seq_base
+            dataset, replace(labeling_base, **structural), model_params, seq_base, windows
         )
         records = _collect_records(
             folds, l_values, need_estimation, alphas, seq_base, injections_per_day, seed
@@ -612,11 +646,7 @@ def _sweep_estimation(
     # Anomalous iff score <= theta (the legitimacy test is strict >).
     tp = np.searchsorted(inj_scores, candidates, side="right")
     fp = np.searchsorted(real_scores, candidates, side="right")
-    keep: Iterable[int] = range(len(candidates))
-    if auto:
-        det = np.divide(tp, n_inj, out=np.zeros(len(tp)), where=n_inj > 0)
-        mis = np.divide(fp, n_real, out=np.zeros(len(fp)), where=n_real > 0)
-        keep = _frontier_indices(mis, det)
+    keep: Iterable[int] = _frontier_indices(fp, tp) if auto else range(len(candidates))
     points = [
         EvalPoint(
             "estimation",

@@ -25,12 +25,14 @@ rows.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import re
 from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, time
+from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -572,36 +574,56 @@ class TrainedModel:
                 raise ModelError(f"model has no {key!r} key")
         states = tuple(_state_from_payload(key) for key in payload["states"])
         n_states = len(states)
-        t_z = np.asarray(payload["t_z"], dtype=np.int64)
-        probs = np.zeros((SLOTS_PER_DAY, n_states, n_states))
-        for k_text, rows in payload["a"].items():
+        model_params = params_from_payload(ModelParams, payload["model_params"], "model_params")
+        t_z = _payload_counts(payload["t_z"], SLOTS_PER_DAY, model_params.t_z_max, "t_z")
+        if not isinstance(payload["a"], dict):
+            raise ModelError("a: expected a JSON object")
+        cells, rows = [], []
+        for k_text, slot_rows in payload["a"].items():
             k = _payload_index(k_text, 1, SLOTS_PER_DAY, "transition slot")
-            for i_text, row in rows.items():
+            if not isinstance(slot_rows, dict):
+                raise ModelError(f"a: transition slot {k}: expected a JSON object")
+            for i_text, row in slot_rows.items():
                 i = _payload_index(i_text, 0, n_states - 1, f"transition slot {k} state")
-                if not isinstance(row, list) or len(row) != n_states:
-                    raise ModelError(f"transition slot {k} state {i}: need {n_states} values")
-                probs[k - 1, i] = row
+                cells.append((k, i))
+                rows.append(row)
+        # train leaves out the rows it saw no transition from, so every row
+        # present is a distribution.
+        values = _payload_probabilities(
+            rows, n_states, lambda j: "a: transition slot {} state {}".format(*cells[j]),
+            stochastic=True,
+        )
+        probs = np.zeros((SLOTS_PER_DAY, n_states, n_states))
+        ks, states_i = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+        probs[ks - 1, states_i] = values
+        if not isinstance(payload["b"], dict):
+            raise ModelError("b: expected a JSON object")
+        pairs = list(payload["b"])
+        vectors = _payload_probabilities(
+            list(payload["b"].values()), n_states, lambda j: f"b: operation {pairs[j]!r}"
+        )
         operations = OperationTable(n_states=n_states)
-        for pair_text, vec in payload["b"].items():
-            if not isinstance(vec, list) or len(vec) != n_states:
-                raise ModelError(f"operation {pair_text!r}: need {n_states} values")
+        for pair_text, vec in zip(pairs, vectors):
             device, _, action = pair_text.partition(":")
-            operations.probs[(device, action)] = np.asarray(vec, dtype=np.float64)
+            operations.probs[(device, action)] = vec
         try:
             vocabulary = Vocabulary.from_payload(payload["vocabulary"])
         except HomeguardError as exc:
             raise ModelError(f"vocabulary: {exc}") from None
+        store = _store_from_payload(SequenceStore, payload, "store")
+        if store.n_states != n_states:
+            raise ModelError(f"store: n_states must be {n_states}, got {store.n_states!r}")
         return cls(
             vocabulary=vocabulary,
             states=states,
             labeling_params=params_from_payload(
                 LabelingParams, payload["labeling_params"], "labeling_params"
             ),
-            model_params=params_from_payload(ModelParams, payload["model_params"], "model_params"),
+            model_params=model_params,
             seq_params=params_from_payload(SeqParams, payload["seq_params"], "seq_params"),
             transitions=TransitionTensor(probs=probs, t_z=t_z),
             operations=operations,
-            store=_store_from_payload(SequenceStore, payload, "store"),
+            store=store,
             baseline_store=_store_from_payload(TimedSequenceStore, payload, "baseline_store"),
         )
 
@@ -637,6 +659,51 @@ def _store_from_payload(store_cls, payload: dict, key: str):
         return store_cls.from_payload(payload[key])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"{key} is malformed: {exc!r}") from None
+
+
+def _payload_counts(values, length: int, high: int, what: str) -> np.ndarray:
+    """A list of ``length`` integers in 0..``high`` from the model payload."""
+    if not (
+        isinstance(values, list)
+        and len(values) == length
+        and all(type(x) is int and 0 <= x <= high for x in values)
+    ):
+        raise ModelError(f"{what}: need {length} integers in 0..{high}")
+    return np.asarray(values, dtype=np.int64)
+
+
+def _payload_probabilities(
+    rows: list, length: int, name: Callable[[int], str], stochastic: bool = False
+) -> np.ndarray:
+    """Rows of ``length`` probabilities from the model payload as one
+    (len(rows), length) array, checked at once; a ``stochastic`` row must
+    also sum to 1.  A fault names its row by ``name(row index)``."""
+    values = None
+    if (
+        set(map(type, rows)) <= {list}
+        and set(map(len, rows)) <= {length}
+        and set(map(type, chain.from_iterable(rows))) <= {int, float}
+    ):
+        with contextlib.suppress(OverflowError):  # an int too large for a float
+            values = np.array(rows, dtype=np.float64).reshape(len(rows), length)
+    if values is not None:
+        good = ((values >= 0.0) & (values <= 1.0)).all(axis=1)  # NaN fails both
+        if stochastic:
+            good &= np.abs(values.sum(axis=1) - 1.0) <= 1e-6
+        if good.all():
+            return values
+        bad = int(np.argmin(good))
+    else:
+        bad = next(
+            j for j, row in enumerate(rows)
+            if not (
+                isinstance(row, list)
+                and len(row) == length
+                and all(type(x) in (int, float) and 0.0 <= x <= 1.0 for x in row)
+            )
+        )
+    need = "summing to 1" if stochastic else "in [0, 1]"
+    raise ModelError(f"{name(bad)}: need {length} values, finite probabilities {need}")
 
 
 def _payload_index(text: str, low: int, high: int, what: str) -> int:

@@ -19,6 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
 from enum import Enum
+from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -153,22 +154,22 @@ class DeviceUsageLabels:
     run_start_ops: dict[int, datetime]  # slot position -> first cooking op of the run
 
 
-def _calendar_day_bounds(slots: Sequence[TimeslotRecord]) -> tuple[list[int], list[int]]:
+DayBounds = tuple[list[int], list[int]]
+
+
+def _calendar_day_bounds(slots: Sequence[TimeslotRecord]) -> DayBounds:
     """First and last position sharing each slot's calendar date.
 
     Labeling windows never cross these bounds, so labels stay decomposable by
     day and cannot leak across cross-validation folds.
     """
-    n = len(slots)
-    day_lo = [0] * n
-    day_hi = [0] * n
-    block_start = 0
-    for pos in range(1, n + 1):
-        if pos == n or slots[pos].start.date() != slots[block_start].start.date():
-            for w in range(block_start, pos):
-                day_lo[w] = block_start
-                day_hi[w] = pos - 1
-            block_start = pos
+    day_lo: list[int] = []
+    day_hi: list[int] = []
+    for _, block in groupby(slot.start.date() for slot in slots):
+        lo = len(day_lo)
+        size = sum(1 for _ in block)
+        day_lo += [lo] * size
+        day_hi += [lo + size - 1] * size
     return day_lo, day_hi
 
 
@@ -177,6 +178,7 @@ def label_user_activity(
     events: Sequence[EventRecord],
     params: LabelingParams,
     vocabulary: Vocabulary | None = None,
+    day_bounds: DayBounds | None = None,
 ) -> UserActivityLabels:
     """Assign one user activity per slot.
 
@@ -187,6 +189,7 @@ def label_user_activity(
     count to one from that slot on and excludes the day from model fitting;
     an operation late at night clears sleep for the preceding hours; an
     operation in the morning clears sleep for the following hours.
+    ``day_bounds`` are the slots' ``_calendar_day_bounds``, when known.
     """
     vocabulary = vocabulary or Vocabulary()
     if not slots:
@@ -250,7 +253,7 @@ def label_user_activity(
 
     # Operation corrections, slot-granular and clipped to the operation's
     # calendar day.
-    day_lo, day_hi = _calendar_day_bounds(slots)
+    day_lo, day_hi = day_bounds or _calendar_day_bounds(slots)
     _, night_end = params.night_window
     for op in device_ops:
         tod = op.timestamp.time()
@@ -281,6 +284,7 @@ def label_device_usage(
     events: Sequence[EventRecord],
     params: LabelingParams,
     vocabulary: Vocabulary | None = None,
+    day_bounds: DayBounds | None = None,
 ) -> DeviceUsageLabels:
     """Assign one device-usage label per slot.
 
@@ -288,13 +292,14 @@ def label_device_usage(
     slots as use; use runs within ``use_gap_merge`` minutes of each other are
     merged; each maximal run then gets ``t_x`` slots of before and ``t_y``
     slots of after, with precedence use > before > after and all windows
-    clipped at day boundaries.
+    clipped at day boundaries.  ``day_bounds`` are the slots'
+    ``_calendar_day_bounds``, when known.
     """
     vocabulary = vocabulary or Vocabulary()
     n = len(slots)
     usages = [DeviceUsage.NONE] * n
     use = [False] * n
-    day_lo, day_hi = _calendar_day_bounds(slots)
+    day_lo, day_hi = day_bounds or _calendar_day_bounds(slots)
 
     # First cooking operation per slot, if any.
     first_op: dict[int, datetime] = {}
@@ -365,8 +370,10 @@ def label_states(
 ) -> list[LabeledSlot]:
     """Joint per-slot labeling with intra-slot refinement at run starts."""
     vocabulary = vocabulary or Vocabulary()
-    ua = label_user_activity(slots, events, params, vocabulary)
-    du = label_device_usage(slots, events, params, vocabulary)
+    # Both channels clip their windows at the same calendar days.
+    bounds = _calendar_day_bounds(slots)
+    ua = label_user_activity(slots, events, params, vocabulary, bounds)
+    du = label_device_usage(slots, events, params, vocabulary, bounds)
     pre_run_label = DeviceUsage.BEFORE if params.t_x >= 1 else DeviceUsage.NONE
     state_of, count_at, excluded = _STATE_OF, ua.count_at, ua.excluded_dates
     run_start_ops, usages = du.run_start_ops, du.usages

@@ -10,6 +10,15 @@ Target-related sequences are stored per estimated home state: a sequence is
 credited to every state whose filtered probability satisfies the configured
 criterion (top-``l_rank`` states, or probability against ``l_alpha``) at the
 instant just before the sequence's final event.
+
+A window and its subsequences depend only on the events, ``t_seq``, ``w_max``
+and ``l_max``, never on beliefs.  ``DayWindows`` therefore enumerates each
+window of a stream of days once, interning every stored subsequence to an
+integer id, and keeps (id, final event) arrays.  ``TrainingBeliefs`` joins a
+training set's belief traces to those arrays and ranks every belief once, so
+the store for each selection value is one comparison and one count with
+numpy.  The time-of-day store is merged from the same arrays; only windows
+that reach back across midnight into a left-out day are enumerated again.
 """
 
 from __future__ import annotations
@@ -139,18 +148,6 @@ def candidates_ending_at(window_pairs: Sequence[Pair], l_max: int) -> list[Items
     return sorted(out, key=lambda items: (len(items), items))
 
 
-def _selection_matrix(entry: np.ndarray, params: SeqParams) -> np.ndarray:
-    """Which states each row of a (n, S) belief matrix selects under the
-    active storing criterion; a row may select none.  A state's rank is one
-    plus the number of states with a strictly greater belief."""
-    if params.criterion == "rank":
-        ranks = 1 + (entry[:, None, :] > entry[:, :, None]).sum(axis=2)
-        return ranks <= params.l_rank
-    if params.alpha_select_below:
-        return entry <= params.l_alpha
-    return entry >= params.l_alpha
-
-
 @dataclass
 class SequenceStore:
     """Counts of target-related sequences per estimated state.
@@ -194,35 +191,6 @@ class SequenceStore:
             where=self.slot_counts > 0,
         )
 
-    def ingest_trace(self, trace: "FilterTrace", target_device: str, params: SeqParams) -> None:
-        """Fold one training-day belief trace into the store."""
-        if len(trace.slots):
-            self.slot_counts += _selection_matrix(trace.entry, params).sum(
-                axis=0, dtype=np.int64
-            )
-        steps = trace.events
-        if not steps:
-            return
-        # The states each event's "just before" belief selects, in one call.
-        selected = _selection_matrix(np.array([step.pre for step in steps]), params)
-        times = [step.event.timestamp for step in steps]
-        for idx, step in enumerate(steps):
-            if step.event.device != target_device:
-                continue
-            start = window_start(times, step.event.timestamp, params.t_seq)
-            lo = max(start, idx + 1 - params.w_max)  # keep the last w_max events
-            pairs = [s.event.pair for s in steps[lo : idx + 1]]
-            for items, final in _enumerate_distinct(pairs, params.l_max).items():
-                if not any(device == target_device for device, _ in items):
-                    continue
-                mask = selected[lo + final]
-                if not mask.any():
-                    continue
-                counts = self.counts.setdefault(
-                    items, np.zeros(self.n_states, dtype=np.int64)
-                )
-                counts[mask] += 1
-
     def to_payload(self) -> dict:
         return {
             "n_states": self.n_states,
@@ -236,29 +204,26 @@ class SequenceStore:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "SequenceStore":
+        n_states = payload["n_states"]
         store = cls(
-            n_states=payload["n_states"],
+            n_states=n_states,
             criterion=payload.get("criterion", "rank"),
-            slot_counts=np.asarray(payload["slot_counts"], dtype=np.int64),
+            slot_counts=_count_vector(payload["slot_counts"], n_states, "slot_counts"),
         )
         for key, counts in payload["counts"].items():
-            store.counts[_items_from_key(key)] = np.asarray(counts, dtype=np.int64)
+            store.counts[_items_from_key(key)] = _count_vector(counts, n_states, f"counts {key!r}")
         return store
 
 
-def store_sequences(
-    traces: "FilterTrace | Iterable[FilterTrace]",
-    target_device: str,
-    params: SeqParams,
-    n_states: int,
-) -> SequenceStore:
-    """Build a sequence store from one or more training belief traces."""
-    if hasattr(traces, "entry"):
-        traces = [traces]  # type: ignore[list-item]
-    store = SequenceStore(n_states=n_states, criterion=params.criterion)
-    for trace in traces:  # type: ignore[union-attr]
-        store.ingest_trace(trace, target_device, params)
-    return store
+def _count_vector(values, n_states: int, what: str) -> np.ndarray:
+    """One count per state, read from a payload; raises ValueError."""
+    if not (
+        isinstance(values, list)
+        and len(values) == n_states
+        and all(type(x) is int and 0 <= x < 2**63 for x in values)
+    ):
+        raise ValueError(f"{what}: need {n_states} non-negative integers")
+    return np.asarray(values, dtype=np.int64)
 
 
 def seconds_of_day(ts: datetime) -> float:
@@ -306,36 +271,342 @@ class TimedSequenceStore:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "TimedSequenceStore":
-        return cls(
-            times={
-                _items_from_key(key): [float(x) for x in times]
-                for key, times in payload["times"].items()
-            },
-            target_total=payload["target_total"],
-        )
+        """Raises ValueError for a count or a time list ``count_near``
+        could not read."""
+        total = payload["target_total"]
+        if type(total) is not int or total < 0:
+            raise ValueError(f"target_total: need a non-negative integer, got {total!r}")
+        times = {}
+        for key, stored in payload["times"].items():
+            if not (
+                isinstance(stored, list)
+                and all(type(x) in (int, float) and 0 <= x < SECONDS_PER_DAY for x in stored)
+                and all(a <= b for a, b in zip(stored, stored[1:]))
+            ):
+                raise ValueError(f"times {key!r}: need ascending seconds of day")
+            times[_items_from_key(key)] = [float(x) for x in stored]
+        return cls(times=times, target_total=total)
+
+
+# ---------------------------------------------------------------------------
+# Building the stores: windows enumerated once, beliefs ranked once
+
+
+def _cuts(params: SeqParams) -> tuple[float, int, int]:
+    """The parameters a window and its subsequences depend on."""
+    return (params.t_seq, params.w_max, params.l_max)
+
+
+@dataclass(frozen=True)
+class WindowEntries:
+    """The stored subsequences of a list of windows, window after window.
+
+    Entry ``j`` is subsequence ``ids[j]`` (an id of the ``DayWindows`` that
+    enumerated it) completed by the event at stream position ``finals[j]``.
+    The entries of window ``w`` are ``bounds[w]:bounds[w + 1]``.
+    """
+
+    ids: np.ndarray
+    finals: np.ndarray
+    bounds: np.ndarray
+
+
+@dataclass(frozen=True)
+class _StreamWindows:
+    """The windows of the timed store over a whole stream of days."""
+
+    pairs: list[Pair]
+    offsets: np.ndarray  # day d's events are offsets[d]:offsets[d + 1]
+    ends: np.ndarray  # stream position of each target operation
+    reach: np.ndarray  # first position within t_seq before each of them
+    entries: WindowEntries  # one window per target operation
+    tod: np.ndarray  # seconds-of-day of every event
+
+
+class DayWindows:
+    """The target windows of a stream of whole days, each enumerated once.
+
+    ``days`` holds each day's events in time order, as a slot stream holds
+    them.  Every target-related subsequence gets one integer id
+    (``items[id]``), shared by all the windows this object enumerates.  Two
+    kinds of windows are kept, each enumerated on first use:
+
+    - ``day(d)``: the windows of day ``d`` alone, as a training trace of the
+      sequence store sees them.  They never depend on which days a fold keeps.
+    - ``timed_store(without_day)``: the timed store's windows run over the
+      whole stream, across midnight; one that starts inside its own day is
+      that day's window.  A window that reaches into the left-out day holds
+      other events without it (and ``w_max`` cuts another set), so only
+      those are enumerated again.
+    """
+
+    def __init__(
+        self, days: Sequence[Sequence[EventRecord]], target_device: str, params: SeqParams
+    ) -> None:
+        self.days = days
+        self.target_device = target_device
+        self.cuts = _cuts(params)
+        self.items: list[Items] = []
+        self._ids: dict[Items, int] = {}
+        self._day_entries: dict[int, WindowEntries] = {}
+        self._stream: _StreamWindows | None = None
+
+    def check(self, target_device: str, params: SeqParams) -> None:
+        if target_device != self.target_device or _cuts(params) != self.cuts:
+            raise ValidationError(
+                "windows were enumerated for another target device, t_seq, w_max or l_max"
+            )
+
+    def _window(
+        self, pairs: Sequence[Pair], positions: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The ids and final positions of the stored subsequences of the
+        window over ``positions``."""
+        target, known = self.target_device, self._ids
+        ids: list[int] = []
+        finals: list[int] = []
+        distinct = _enumerate_distinct([pairs[p] for p in positions], self.cuts[2])
+        for items, final in distinct.items():
+            sid = known.get(items)
+            if sid is None:
+                related = any(device == target for device, _ in items)
+                sid = known[items] = len(self.items) if related else -1
+                if related:
+                    self.items.append(items)
+            if sid >= 0:
+                ids.append(sid)
+                finals.append(positions[final])
+        return np.array(ids, dtype=np.intp), np.array(finals, dtype=np.intp)
+
+    def _span(self, end: int, start: int) -> range:
+        """Positions of the window ending at ``end``: from ``start`` on, the
+        last ``w_max`` events."""
+        return range(max(start, end + 1 - self.cuts[1]), end + 1)
+
+    def _targets(self, events: Sequence[EventRecord]) -> tuple[list[int], list[int]]:
+        """Positions of the target operations, and where their windows start."""
+        times = [event.timestamp for event in events]
+        ends = [i for i, event in enumerate(events) if event.device == self.target_device]
+        return ends, [window_start(times, times[i], self.cuts[0]) for i in ends]
+
+    def day(self, d: int) -> WindowEntries:
+        """Day ``d``'s own windows; positions count the day's events."""
+        entries = self._day_entries.get(d)
+        if entries is None:
+            events = self.days[d]
+            pairs = [event.pair for event in events]
+            windows = [self._window(pairs, self._span(*op)) for op in zip(*self._targets(events))]
+            entries = self._day_entries[d] = _entries(windows)
+        return entries
+
+    def _stream_windows(self) -> _StreamWindows:
+        if self._stream is None:
+            events = [event for day in self.days for event in day]
+            offsets = np.cumsum([0] + [len(day) for day in self.days])
+            pairs = [event.pair for event in events]
+            ends, reach = self._targets(events)
+            windows = []
+            for d, lo in enumerate(offsets[:-1].tolist()):
+                own, first = self.day(d), bisect_left(ends, lo)
+                for w in range(len(own.bounds) - 1):
+                    op = first + w
+                    if reach[op] >= lo:  # starts inside its day
+                        a, b = own.bounds[w], own.bounds[w + 1]
+                        windows.append((own.ids[a:b], own.finals[a:b] + lo))
+                    else:
+                        windows.append(self._window(pairs, self._span(ends[op], reach[op])))
+            self._stream = _StreamWindows(
+                pairs=pairs,
+                offsets=offsets,
+                ends=np.array(ends, dtype=np.intp),
+                reach=np.array(reach, dtype=np.intp),
+                entries=_entries(windows),
+                tod=np.array([seconds_of_day(e.timestamp) for e in events], dtype=np.float64),
+            )
+        return self._stream
+
+    def timed_store(self, without_day: int | None = None) -> "TimedSequenceStore":
+        """The timed store of the stream, or of the stream without one day."""
+        stream = self._stream_windows()
+        entries = stream.entries
+        ids, finals = entries.ids, entries.finals
+        n_targets = len(stream.ends)
+        if without_day is not None:
+            lo, hi = stream.offsets[without_day : without_day + 2].tolist()
+            # The day's own operations go, then the later ones whose reach
+            # starts inside it or before it (reach grows with position).
+            first, after = np.searchsorted(stream.ends, [lo, hi]).tolist()
+            last = after + int(np.searchsorted(stream.reach[after:], hi)) if lo < hi else after
+            w_max = self.cuts[1]
+            windows = []
+            reaching = zip(stream.ends[after:last].tolist(), stream.reach[after:last].tolist())
+            for end, start in reaching:
+                tail = range(max(hi, end + 1 - w_max), end + 1)
+                head = range(max(start, lo - (w_max - len(tail))), lo) if len(tail) < w_max else ()
+                windows.append(self._window(stream.pairs, [*head, *tail]))
+            kept_to, kept_from = entries.bounds[first], entries.bounds[last]
+            ids = np.concatenate([ids[:kept_to], *(w[0] for w in windows), ids[kept_from:]])
+            finals = np.concatenate(
+                [finals[:kept_to], *(w[1] for w in windows), finals[kept_from:]]
+            )
+            n_targets -= after - first
+        store = TimedSequenceStore(target_total=n_targets)
+        if len(ids):
+            keys, rows = _first_seen(ids)
+            tod = stream.tod[finals]
+            order = np.lexsort((tod, rows))
+            flat = tod[order].tolist()
+            cuts = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(keys))))).tolist()
+            store.times = {
+                self.items[key]: flat[a:b] for key, a, b in zip(keys, cuts, cuts[1:])
+            }
+        return store
+
+
+_NONE = np.empty(0, dtype=np.intp)
+
+
+def _entries(windows: Sequence[tuple[np.ndarray, np.ndarray]]) -> WindowEntries:
+    """One ``WindowEntries`` from the (ids, finals) of each window."""
+    return WindowEntries(
+        np.concatenate([_NONE, *(ids for ids, _ in windows)]),
+        np.concatenate([_NONE, *(finals for _, finals in windows)]),
+        np.cumsum([0, *(len(ids) for ids, _ in windows)]),
+    )
+
+
+def _first_seen(ids: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The distinct ``ids`` in order of first appearance (the key order of a
+    dict filled entry by entry), and each entry's index into that list."""
+    distinct, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    row_of = np.empty_like(order)
+    row_of[order] = np.arange(len(order))
+    return distinct[order].tolist(), row_of[inverse.ravel()]
+
+
+def _ranks(beliefs: np.ndarray) -> np.ndarray:
+    """Each state's rank in each row of a (n, S) belief matrix: one plus the
+    number of states with a strictly greater belief, so ties share a rank."""
+    ranks = np.ones(beliefs.shape, dtype=np.int16)
+    for column in beliefs.T:
+        ranks += column[:, None] > beliefs
+    return ranks
+
+
+def _alpha_selected(beliefs: np.ndarray, params: SeqParams) -> np.ndarray:
+    if params.alpha_select_below:
+        return beliefs <= params.l_alpha
+    return beliefs >= params.l_alpha
+
+
+class TrainingBeliefs:
+    """The belief traces of a training set, joined to their windows.
+
+    Trace ``i`` is day ``days[i]`` of ``windows``.  On first use every belief
+    is ranked once: the slot entries into a count of rows per (rank, state),
+    the instants just before events row by row.  A store for any ``l_rank``
+    then takes a prefix sum and one comparison per event, and an ``l_alpha``
+    store compares the beliefs themselves.
+    """
+
+    def __init__(
+        self, traces: Sequence["FilterTrace"], windows: DayWindows, days: Iterable[int]
+    ) -> None:
+        self.traces = traces
+        self.windows = windows
+        self.days = list(days)
+        self._ranked: tuple[np.ndarray, ...] | None = None
+
+    def _rank(self, n_states: int) -> tuple[np.ndarray, ...]:
+        if self._ranked is None:
+            # at_rank[r - 1, i]: slot entries at which state i ranks r.  Day
+            # by day, so no copy of the entry beliefs is made.
+            at_rank = np.zeros(n_states * n_states, dtype=np.int64)
+            states = np.arange(n_states)
+            for trace in self.traces:
+                if len(trace.slots):
+                    cells = (_ranks(trace.entry).astype(np.intp) - 1) * n_states + states
+                    at_rank += np.bincount(cells.ravel(), minlength=n_states * n_states)
+            pre = np.array(
+                [step.pre for trace in self.traces for step in trace.events], dtype=np.float64
+            ).reshape(-1, n_states)
+            ids, finals, offset = [], [], 0
+            for trace, day in zip(self.traces, self.days):
+                entries = self.windows.day(day)
+                ids.append(entries.ids)
+                finals.append(entries.finals + offset)
+                offset += len(trace.events)
+            self._ranked = (
+                at_rank.reshape(n_states, n_states),
+                pre,
+                _ranks(pre),
+                np.concatenate([_NONE, *ids]),
+                np.concatenate([_NONE, *finals]),
+            )
+        return self._ranked
+
+    def store(self, params: SeqParams, n_states: int) -> SequenceStore:
+        at_rank, pre, pre_ranks, ids, finals = self._rank(n_states)
+        store = SequenceStore(n_states=n_states, criterion=params.criterion)
+        # Each stored subsequence is credited to the states its final event's
+        # "just before" belief selects.
+        if params.criterion == "rank":
+            store.slot_counts = at_rank[: params.l_rank].sum(axis=0)
+            chosen = (pre_ranks <= params.l_rank)[finals]
+        else:
+            for trace in self.traces:
+                if len(trace.slots):
+                    store.slot_counts += _alpha_selected(trace.entry, params).sum(axis=0)
+            chosen = _alpha_selected(pre, params)[finals]
+        credited = chosen.any(axis=1)
+        if credited.any():
+            keys, rows = _first_seen(ids[credited])
+            entry_at, state = np.nonzero(chosen[credited])
+            counts = np.bincount(
+                rows[entry_at] * n_states + state, minlength=len(keys) * n_states
+            ).astype(np.int64, copy=False)
+            items = self.windows.items
+            store.counts = dict(
+                zip([items[key] for key in keys], counts.reshape(len(keys), n_states))
+            )
+        return store
+
+
+def store_sequences(
+    traces: "FilterTrace | Iterable[FilterTrace] | TrainingBeliefs",
+    target_device: str,
+    params: SeqParams,
+    n_states: int,
+) -> SequenceStore:
+    """Build a sequence store from one or more training belief traces.
+
+    ``TrainingBeliefs`` share their windows and their ranking with every
+    other store built from them.
+    """
+    if not isinstance(traces, TrainingBeliefs):
+        if hasattr(traces, "entry"):
+            traces = [traces]  # type: ignore[list-item]
+        traces = list(traces)  # type: ignore[arg-type]
+        days = [[step.event for step in trace.events] for trace in traces]
+        windows = DayWindows(days, target_device, params)
+        traces = TrainingBeliefs(traces, windows, range(len(days)))
+    traces.windows.check(target_device, params)
+    return traces.store(params, n_states)
 
 
 def build_timed_store(
-    events: Sequence[EventRecord], target_device: str, params: SeqParams
+    events: Sequence[EventRecord] | DayWindows,
+    target_device: str,
+    params: SeqParams,
+    without_day: int | None = None,
 ) -> TimedSequenceStore:
-    """Store target-related sequences with their completion times of day."""
-    events = sorted(events, key=lambda e: e.timestamp)
-    times = [event.timestamp for event in events]
-    store = TimedSequenceStore()
-    for idx, event in enumerate(events):
-        if event.device != target_device:
-            continue
-        store.target_total += 1
-        window = events[window_start(times, event.timestamp, params.t_seq) : idx + 1]
-        if len(window) > params.w_max:
-            window = window[-params.w_max :]
-        pairs = [e.pair for e in window]
-        for items, final in _enumerate_distinct(pairs, params.l_max).items():
-            if not any(device == target_device for device, _ in items):
-                continue
-            store.times.setdefault(items, []).append(
-                seconds_of_day(window[final].timestamp)
-            )
-    for stored in store.times.values():
-        stored.sort()
-    return store
+    """Store target-related sequences with their completion times of day.
+
+    From the ``DayWindows`` of a stream of days, the store of the stream
+    without ``without_day`` is merged from windows enumerated before.
+    """
+    if not isinstance(events, DayWindows):
+        events = DayWindows([sorted(events, key=lambda e: e.timestamp)], target_device, params)
+    events.check(target_device, params)
+    return events.timed_store(without_day)

@@ -37,7 +37,9 @@ from homeguard.seqstore import (
     EventSequence,
     SeqParams,
     SequenceStore,
+    TimedSequenceStore,
     _enumerate_distinct,
+    seconds_of_day,
     window_start,
 )
 from homeguard.vocab import Vocabulary
@@ -98,6 +100,22 @@ def build_timeslots_bisect(
             )
         )
     return slots
+
+
+def calendar_day_bounds_scan(slots: Sequence[TimeslotRecord]) -> tuple[list[int], list[int]]:
+    """First and last position sharing each slot's calendar date, by a scan
+    that compares each slot's date with the first of its block."""
+    n = len(slots)
+    day_lo = [0] * n
+    day_hi = [0] * n
+    block_start = 0
+    for pos in range(1, n + 1):
+        if pos == n or slots[pos].start.date() != slots[block_start].start.date():
+            for w in range(block_start, pos):
+                day_lo[w] = block_start
+                day_hi[w] = pos - 1
+            block_start = pos
+    return day_lo, day_hi
 
 
 def label_states_per_slot(
@@ -178,8 +196,9 @@ def select_states(belief: np.ndarray, params: SeqParams) -> list[int]:
 
 
 def store_sequences_per_window(traces, target_device: str, params: SeqParams, n_states: int):
-    """The sequence store built window by window, selecting the states of each
-    stored sequence with one ``select_states`` call on its final belief."""
+    """The sequence store built window by window: each training trace's
+    windows enumerated anew, and the states of each stored sequence selected
+    with one ``select_states`` call on its final belief."""
     store = SequenceStore(n_states=n_states, criterion=params.criterion)
     for trace in traces:
         for row in trace.entry:
@@ -200,6 +219,29 @@ def store_sequences_per_window(traces, target_device: str, params: SeqParams, n_
                     continue
                 counts = store.counts.setdefault(items, np.zeros(n_states, dtype=np.int64))
                 counts[selected] += 1
+    return store
+
+
+def build_timed_store_per_window(events, target_device: str, params: SeqParams):
+    """The timed store built window by window over the time-sorted events,
+    every window enumerated anew."""
+    events = sorted(events, key=lambda e: e.timestamp)
+    times = [event.timestamp for event in events]
+    store = TimedSequenceStore()
+    for idx, event in enumerate(events):
+        if event.device != target_device:
+            continue
+        store.target_total += 1
+        window = events[window_start(times, event.timestamp, params.t_seq) : idx + 1]
+        if len(window) > params.w_max:
+            window = window[-params.w_max :]
+        pairs = [e.pair for e in window]
+        for items, final in _enumerate_distinct(pairs, params.l_max).items():
+            if not any(device == target_device for device, _ in items):
+                continue
+            store.times.setdefault(items, []).append(seconds_of_day(window[final].timestamp))
+    for stored in store.times.values():
+        stored.sort()
     return store
 
 

@@ -359,6 +359,18 @@ def short_b_vector(payload):
     payload["b"]["cooking_stove:on"] = [0.5]
 
 
+def negative_b_vector(payload):
+    payload["b"]["cooking_stove:on"] = [-0.5] * len(payload["states"])
+
+
+def a_row_value(value):
+    """Set the first value of the model's first transition row."""
+    def edit(payload):
+        row = next(iter(next(iter(payload["a"].values())).values()))
+        row[0] = value
+    return edit
+
+
 class TestMalformedModel:
     """A model file that ``train`` could not have written exits 2 with a
     message naming the fault, whichever method reads it."""
@@ -391,10 +403,19 @@ class TestMalformedModel:
             (set_key("vocabulary", "sensor_ranges", {"co2": "high"}), "'sensor_ranges'"),
             (set_key("vocabulary", "bogus", 1), "'bogus'"),
             (replace_key("vocabulary", []), "vocabulary"),
+            (a_row_value("x"), "a: transition slot"),
+            (a_row_value(float("nan")), "a: transition slot"),
+            (replace_key("t_z", "abc"), "t_z"),
+            (replace_key("t_z", [0]), "t_z"),
+            (set_key("baseline_store", "target_total", "x"), "target_total"),
+            (negative_b_vector, "'cooking_stove:on'"),
+            (set_key("store", "slot_counts", [5]), "slot_counts"),
         ],
         ids=["no-b", "seq-bogus", "model-bogus", "labeling-bogus", "w_max-text",
              "night_split-text", "state-x:y", "short-b", "store-null", "baseline_store-null",
-             "vocabulary-pairs", "vocabulary-ranges", "vocabulary-bogus", "vocabulary-list"],
+             "vocabulary-pairs", "vocabulary-ranges", "vocabulary-bogus", "vocabulary-list",
+             "a-row-text", "a-row-nan", "t_z-text", "t_z-short", "target_total-text",
+             "b-negative", "slot_counts-short"],
     )
     def test_exits_2_naming_the_fault(self, tmp_path, model_home, edit, named, method, capsys):
         code, err = self.detect(tmp_path, model_home, edit, method, capsys)

@@ -5,7 +5,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from homeguard import detector, evaluation
+from homeguard import detector, evaluation, seqstore
 from homeguard.detector import (
     BaselineParams,
     Thresholds,
@@ -421,6 +421,26 @@ class TestWindowEnumeration:
         assert len(calls) == 3 * (2 + 10)
         assert len(labelings) == 1
 
+    def test_each_training_window_is_enumerated_once_per_run(self, monkeypatch):
+        enumerate_window = seqstore._enumerate_distinct
+        windows = []
+
+        def counting(pairs, l_max):
+            windows.append(tuple(pairs))
+            return enumerate_window(pairs, l_max)
+
+        monkeypatch.setattr(seqstore, "_enumerate_distinct", counting)
+        grids = (
+            ProposedGrid(t_x=(2, 3), t_y=(2,), t_c=(1,), l_values=(1, 2, 3)),
+            SequenceGrid(alpha_seq=(0.0, 900.0)),
+        )
+        grid_search(toy_dataset(n_days=3), *grids, injections_per_day=10, seed=2)
+        # Two labelings, three folds each, three l values and the timed store,
+        # yet each day's two stove windows are enumerated once: the timed
+        # store's windows start after midnight and are the days' own.
+        assert len(windows) == 3 * 2
+        assert [len(pairs) for pairs in windows] == [2, 1] * 3  # stove on, stove off
+
 
 class TestOneFoldPass:
     def grids(self):
@@ -529,6 +549,24 @@ class TestParetoFrontier:
             det = rng.integers(0, 6, size=n) / 5.0
             assert _frontier_indices(mis, det) == frontier_indices_loop(mis, det)
         assert _frontier_indices(np.array([]), np.array([])) == []
+
+    @pytest.mark.parametrize("inj, real", [(6, 9), (0, 9), (6, 0), (0, 0)])
+    def test_counts_give_the_frontier_of_their_ratios(self, inj, real):
+        # Count tables shaped like the auto sweep's: a histogram of the
+        # operations over the candidate pairs, summed along both axes.
+        rng = np.random.default_rng(41 + inj + real)
+
+        def table(n_ops, shape):
+            hist = np.zeros(shape, dtype=np.int64)
+            np.add.at(hist, tuple(rng.integers(0, n, size=n_ops) for n in shape), 1)
+            return hist.cumsum(axis=0).cumsum(axis=1).ravel()
+
+        for _ in range(200):
+            shape = tuple(int(n) for n in rng.integers(1, 12, size=2))
+            tp, fp = table(inj, shape), table(real, shape)
+            det = tp / inj if inj else np.zeros(tp.size)
+            mis = fp / real if real else np.zeros(fp.size)
+            assert _frontier_indices(fp, tp) == frontier_indices_loop(mis, det)
 
     def test_points_equal_a_sort_and_scan(self):
         # The rule pareto_frontier followed before it went through

@@ -662,6 +662,19 @@ class TestTrainedModelRoundTrip:
         with pytest.raises(ModelError, match=message):
             TrainedModel.from_payload(payload)
 
+    @pytest.mark.parametrize(
+        "row",
+        [[0.05] * 10, [0.2] * 10, [1.5, -0.5] + [0.0] * 8, [float("inf")] + [0.0] * 9,
+         [10**400] + [0] * 9, [True] + [0.0] * 9],
+        ids=["sum-half", "sum-two", "outside-0-1", "infinite", "int-beyond-float", "bool"],
+    )
+    def test_transition_rows_must_be_distributions(self, row):
+        payload = self.build_model().to_payload()
+        rows = next(iter(payload["a"].values()))
+        rows[next(iter(rows))] = row
+        with pytest.raises(ModelError, match="a: transition slot .* summing to 1"):
+            TrainedModel.from_payload(payload)
+
     def test_format_version_1_is_rejected(self):
         payload = self.build_model().to_payload()
         payload["format_version"] = 1

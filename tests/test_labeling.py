@@ -1,10 +1,11 @@
 """User-activity and device-usage labeling rules."""
 
 from dataclasses import replace
-from datetime import datetime, timedelta
+from datetime import datetime, time, timedelta
 
 import pytest
 
+from homeguard import labeling
 from homeguard.errors import BookkeepingError
 from homeguard.ingest import build_timeslots
 from homeguard.labeling import (
@@ -20,7 +21,7 @@ from homeguard.labeling import (
 from homeguard.synthgen import generate, scenario_s1
 
 from conftest import BASE, ev, frame, make_slots
-from oracles import label_states_per_slot
+from oracles import calendar_day_bounds_scan, label_states_per_slot
 
 ACTIVE, OUT, SLEEP = UserActivity.ACTIVE, UserActivity.OUT, UserActivity.SLEEP
 USE, BEFORE, AFTER, NONE = (
@@ -331,3 +332,27 @@ class TestLabelStatesMatchesPerSlot:
         # Starting from an empty home, early operations exclude their day.
         assert any(item.excluded_day for item in labeled) == (occupants == 0)
         assert any(len(item.event_states) > 1 for item in labeled)
+
+
+class TestCalendarDayBounds:
+    @pytest.mark.parametrize("origin", [time(0, 0), time(6, 30)], ids=["midnight", "06:30"])
+    def test_equal_the_scan(self, s1_week, origin):
+        slots, events = s1_week
+        # A grid day starting at 06:30 spans two calendar dates.
+        frames = [slot.sensors for slot in slots[::720]]
+        shifted = build_timeslots(events, frames, origin, default_frame=frames[0])
+        for stream in (slots, shifted, shifted[100:2000], shifted[:1], []):
+            assert labeling._calendar_day_bounds(stream) == calendar_day_bounds_scan(stream)
+
+    def test_computed_once_per_labeling(self, s1_week, vocab, monkeypatch):
+        slots, events = s1_week
+        bounds = labeling._calendar_day_bounds
+        calls = []
+
+        def counting(stream):
+            calls.append(len(stream))
+            return bounds(stream)
+
+        monkeypatch.setattr(labeling, "_calendar_day_bounds", counting)
+        label_states(slots, events, LabelingParams(), vocab)
+        assert calls == [len(slots)]

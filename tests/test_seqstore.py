@@ -1,14 +1,17 @@
 """Subsequence generation, state selection, and the sequence stores."""
 
 from dataclasses import replace
+from datetime import timedelta
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+from homeguard import seqstore
+from homeguard.errors import ValidationError
 from homeguard.evaluation import EvalDataset, _make_folds
 from homeguard.hsmodel import EventStep, FilterTrace, ModelParams
-from homeguard.ingest import build_timeslots
+from homeguard.ingest import EventRecord, build_timeslots
 from homeguard.labeling import ALPHABET, LabelingParams
 from homeguard.seqstore import (
     SeqParams,
@@ -22,8 +25,13 @@ from homeguard.seqstore import (
 from homeguard.synthgen import generate, scenario_calibration
 from homeguard.vocab import Vocabulary
 
-from conftest import ev, make_slots
-from oracles import generate_subsequences, select_states, store_sequences_per_window
+from conftest import BASE, ev, frame, make_slots
+from oracles import (
+    build_timed_store_per_window,
+    generate_subsequences,
+    select_states,
+    store_sequences_per_window,
+)
 
 
 def is_subsequence(sub, seq):
@@ -271,15 +279,7 @@ class TestStoreAgainstPerWindowOracle:
 
     @pytest.fixture(scope="class")
     def dense_traces(self):
-        # Habit rates x20 fill the windows, as in the dense benchmark workload.
-        scenario = scenario_calibration(seed=3, n_days=3)
-        scenario.habits = tuple(
-            replace(h, rate_per_hour=h.rate_per_hour * 20) for h in scenario.habits
-        )
-        result = generate(scenario)
-        dataset = EvalDataset(
-            slots=build_timeslots(result.events, result.frames), vocabulary=Vocabulary()
-        )
+        dataset = dense_dataset()
         folds = _make_folds(
             dataset, LabelingParams(initial_occupants=2), ModelParams(), SeqParams(t_seq=1800)
         )
@@ -312,6 +312,133 @@ class TestStoreAgainstPerWindowOracle:
             store = store_sequences(trace, "cooking_stove", params, 4)
             oracle = store_sequences_per_window([trace], "cooking_stove", params, 4)
             assert_bitwise_equal(store, oracle)
+
+
+def dense_dataset(n_days=3):
+    # Habit rates x20 fill the windows, as in the dense benchmark workload.
+    scenario = scenario_calibration(seed=3, n_days=n_days)
+    scenario.habits = tuple(
+        replace(h, rate_per_hour=h.rate_per_hour * 20) for h in scenario.habits
+    )
+    result = generate(scenario)
+    return EvalDataset(
+        slots=build_timeslots(result.events, result.frames), vocabulary=Vocabulary()
+    )
+
+
+def midnight_dataset(n_days=4):
+    """Days whose first stove operations come minutes after midnight, behind
+    a run of events from the evening before; the third day is quiet until
+    noon."""
+    devices = [("tv", "on"), ("room_light", "on"), ("heater", "on"), ("refrigerator", "opening")]
+    events, frames = [], []
+    for day in range(n_days):
+        start = BASE + timedelta(days=day)
+        frames.append(frame(start))
+        at = lambda hours, minutes: start + timedelta(hours=hours, minutes=minutes)
+        if day != 2:
+            events += [
+                EventRecord(at(0, 1), "refrigerator", "opening"),
+                EventRecord(at(0, 3), "cooking_stove", "on"),
+                EventRecord(at(0, 9), "cooking_stove", "off"),
+            ]
+        events += [EventRecord(at(12, 0), "tv", "on"), EventRecord(at(12, 2), "cooking_stove", "on")]
+        events += [EventRecord(at(23, 50 + i), *devices[i % 4]) for i in range(6)]
+    return EvalDataset(slots=build_timeslots(events, frames), vocabulary=Vocabulary())
+
+
+def assert_timed_equal(store, oracle):
+    assert store.target_total == oracle.target_total
+    assert list(store.times) == list(oracle.times)  # key order included
+    assert store.times == oracle.times
+
+
+def fold_oracle(fold, params):
+    """The timed store of the fold's kept days, built window by window."""
+    dataset = fold.dataset
+    kept = [
+        event
+        for day in range(dataset.n_days)
+        if day != fold.heldout_day
+        for event in dataset.day_events(day)
+    ]
+    return build_timed_store_per_window(kept, dataset.vocabulary.detection_target, params)
+
+
+class TestFoldStoresFromSharedWindows:
+    """Every fold's stores, built from windows enumerated once per run and
+    beliefs ranked once per fold, equal the stores built window by window."""
+
+    SELECTIONS = {
+        **{f"rank-{l}": dict(criterion="rank", l_rank=l) for l in (0, 1, 2, 3, 12)},
+        "alpha-above": dict(criterion="alpha", l_alpha=0.1),
+        "alpha-below": dict(criterion="alpha", l_alpha=0.1, alpha_select_below=True),
+    }
+
+    @pytest.mark.parametrize(
+        "make, params",
+        [
+            (dense_dataset, SeqParams(t_seq=1800)),
+            (midnight_dataset, SeqParams(t_seq=600, w_max=4)),
+            (midnight_dataset, SeqParams(t_seq=90000, w_max=6)),
+        ],
+        ids=["dense", "midnight-w_max", "t_seq-over-a-day"],
+    )
+    def test_every_fold_and_selection(self, make, params):
+        dataset = make()
+        folds = _make_folds(dataset, LabelingParams(initial_occupants=2), ModelParams(), params)
+        for fold in folds:
+            traces = fold.training_traces()
+            for selection in self.SELECTIONS.values():
+                selected = replace(params, **selection)
+                store = fold.sequence_store(selected)
+                oracle = store_sequences_per_window(
+                    traces, "cooking_stove", selected, len(ALPHABET)
+                )
+                assert_bitwise_equal(store, oracle)
+            assert_timed_equal(fold.timed_store(), fold_oracle(fold, params))
+        assert any(fold.sequence_store().counts for fold in folds)
+
+    @pytest.mark.parametrize("heldout", [0, 1, 2, 3])
+    @pytest.mark.parametrize(
+        "params",
+        [SeqParams(t_seq=600), SeqParams(t_seq=600, w_max=4), SeqParams(t_seq=90000, w_max=6)],
+        ids=["after-midnight", "w_max-across-midnight", "t_seq-over-a-day"],
+    )
+    def test_timed_store_around_midnight(self, heldout, params, monkeypatch):
+        dataset = midnight_dataset()
+        [fold] = [f for f in _make_folds(dataset, LabelingParams(), ModelParams(), params)
+                  if f.heldout_day == heldout]
+        fold.windows.timed_store()  # the whole stream, enumerated up front
+        enumerate_window = seqstore._enumerate_distinct
+        again = []
+
+        def counting(pairs, l_max):
+            again.append(pairs)
+            return enumerate_window(pairs, l_max)
+
+        monkeypatch.setattr(seqstore, "_enumerate_distinct", counting)
+        assert_timed_equal(fold.timed_store(), fold_oracle(fold, params))
+        # Only windows reaching into the held-out day are enumerated again:
+        # none after the last day, and within ten minutes only those of the
+        # early stove operations, which the quiet day 2 lacks.
+        reaching = heldout < 3 and (params.t_seq > 86400 or heldout != 1)
+        assert bool(again) == reaching
+
+    def test_whole_stream_equals_the_per_window_store(self):
+        dataset = midnight_dataset()
+        for params in (SeqParams(t_seq=600, w_max=4), SeqParams(t_seq=90000, w_max=6)):
+            store = build_timed_store(dataset.events, "cooking_stove", params)
+            oracle = build_timed_store_per_window(dataset.events, "cooking_stove", params)
+            assert_timed_equal(store, oracle)
+
+    def test_windows_for_other_cuts_are_refused(self):
+        dataset = midnight_dataset()
+        [fold, *_] = _make_folds(dataset, LabelingParams(), ModelParams(), SeqParams(t_seq=600))
+        with pytest.raises(ValidationError):
+            fold.sequence_store(SeqParams(t_seq=900))
+        with pytest.raises(ValidationError):
+            build_timed_store(fold.windows, "cooking_stove", SeqParams(t_seq=600, l_max=3))
 
 
 class TestTimedSequenceStore:
