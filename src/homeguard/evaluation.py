@@ -234,10 +234,11 @@ class FoldContext:
     def _filter_days(self) -> None:
         """Filter the training days and the held-out day in one lockstep pass."""
         transitions, operations = self.state_model()
-        streams = kept_day_streams(self.labeled, self.training_arrays())
+        days, streams = kept_day_streams(self.labeled, self.training_arrays())
         streams.append(self.dataset.day_slots(self.heldout_day))
         traces = filter_streams(streams, transitions, operations)
         self._cache["training_traces"] = traces[:-1]
+        self._cache["training_days"] = days
         self._cache["detection_trace"] = traces[-1]
 
     def training_traces(self):
@@ -249,10 +250,9 @@ class FoldContext:
         """The training traces joined to the run's windows of their days;
         the stores of every selection value share their ranking."""
         if "training_beliefs" not in self._cache:
-            kept = self.training_arrays()
-            days = np.unique(kept.day[kept.keep]).tolist()
+            traces = self.training_traces()
             self._cache["training_beliefs"] = TrainingBeliefs(
-                self.training_traces(), self.windows, days
+                traces, self.windows, self._cache["training_days"]
             )
         return self._cache["training_beliefs"]
 
@@ -357,18 +357,15 @@ def _make_folds(
     labeling_params: LabelingParams,
     model_params: ModelParams,
     seq_params: SeqParams,
-    windows: DayWindows | None = None,
+    windows: DayWindows,
 ) -> list[FoldContext]:
-    """One fold per day.  ``windows`` carries the windows enumerated so far
-    in the run; without it the folds start a fresh enumeration."""
+    """One fold per day, all sharing the run's ``windows``."""
     if dataset.n_days < 2:
         raise ModelError("cross-validation needs at least two days of data")
     labeled = label_states(
         dataset.slots, dataset.events, labeling_params, dataset.vocabulary
     )
     arrays = encode_labels(labeled)
-    if windows is None:
-        windows = _dataset_windows(dataset, seq_params)
     return [
         FoldContext(dataset, labeled, arrays, day, model_params, seq_params, windows)
         for day in range(dataset.n_days)

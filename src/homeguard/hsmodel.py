@@ -789,15 +789,23 @@ def params_from_payload(cls, data, where: str, error: type[HomeguardError] = Mod
 
 def kept_day_streams(
     labeled: Sequence[LabeledSlot], arrays: LabelArrays
-) -> list[list[TimeslotRecord]]:
-    """The kept slots of each day, day by day, ready for ``filter_streams``."""
+) -> tuple[list[int | None], list[list[TimeslotRecord]]]:
+    """The kept slots of each day, day by day, ready for ``filter_streams``.
+
+    Next to each stream comes its day, or None where the stream lacks some
+    of the day's slots (a day that spans an excluded date in part).
+    """
     positions = np.flatnonzero(arrays.keep)
     if not len(positions):
-        return []
+        return [], []
     cuts = np.flatnonzero(np.diff(arrays.day[positions])) + 1
-    return [
-        [labeled[pos].slot for pos in chunk.tolist()] for chunk in np.split(positions, cuts)
+    chunks = np.split(positions, cuts)
+    slots_of_day = np.bincount(arrays.day)
+    days = [
+        int(day) if len(chunk) == slots_of_day[day] else None
+        for chunk, day in zip(chunks, arrays.day[positions[[0, *cuts]]])
     ]
+    return days, [[labeled[pos].slot for pos in chunk.tolist()] for chunk in chunks]
 
 
 def train_model(
@@ -824,11 +832,11 @@ def train_model(
     transitions = fit_transitions(kept, model_params.t_z_max)
     operations = fit_operations(kept, vocabulary)
 
-    days = kept_day_streams(labeled, kept)
+    _, streams = kept_day_streams(labeled, kept)
     # The labels hold a state object per slot and event; free them before the
     # filter allocates its beliefs, which keeps them out of the peak memory.
     del labeled
-    traces = filter_streams(days, transitions, operations)
+    traces = filter_streams(streams, transitions, operations)
     store = store_sequences(traces, vocabulary.detection_target, seq_params, len(ALPHABET))
     baseline_store = build_timed_store(
         [event for slot in slots for event in slot.events],

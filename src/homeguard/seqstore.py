@@ -17,7 +17,9 @@ window of a stream of days once, interning every stored subsequence to an
 integer id, and keeps (id, final event) arrays.  ``TrainingBeliefs`` joins a
 training set's belief traces to those arrays and ranks every belief once, so
 the store for each selection value is one comparison and one count with
-numpy.  The time-of-day store is merged from the same arrays; only windows
+numpy.  A trace that holds only part of its day (an excluded calendar date
+cuts a day that does not start at midnight) has windows of its own events,
+enumerated for it alone.  The time-of-day store is merged from the same arrays; only windows
 that reach back across midnight into a left-out day are enumerated again.
 """
 
@@ -332,7 +334,8 @@ class DayWindows:
     kinds of windows are kept, each enumerated on first use:
 
     - ``day(d)``: the windows of day ``d`` alone, as a training trace of the
-      sequence store sees them.  They never depend on which days a fold keeps.
+      whole day sees them.  They never depend on which days a fold keeps.
+      ``windows_of`` enumerates, uncached, those of a trace kept in part.
     - ``timed_store(without_day)``: the timed store's windows run over the
       whole stream, across midnight; one that starts inside its own day is
       that day's window.  A window that reaches into the left-out day holds
@@ -389,14 +392,18 @@ class DayWindows:
         ends = [i for i, event in enumerate(events) if event.device == self.target_device]
         return ends, [window_start(times, times[i], self.cuts[0]) for i in ends]
 
+    def windows_of(self, events: Sequence[EventRecord]) -> WindowEntries:
+        """The windows of ``events`` alone; positions count ``events``."""
+        pairs = [event.pair for event in events]
+        return _entries(
+            [self._window(pairs, self._span(*op)) for op in zip(*self._targets(events))]
+        )
+
     def day(self, d: int) -> WindowEntries:
-        """Day ``d``'s own windows; positions count the day's events."""
+        """Day ``d``'s own windows, enumerated on first use."""
         entries = self._day_entries.get(d)
         if entries is None:
-            events = self.days[d]
-            pairs = [event.pair for event in events]
-            windows = [self._window(pairs, self._span(*op)) for op in zip(*self._targets(events))]
-            entries = self._day_entries[d] = _entries(windows)
+            entries = self._day_entries[d] = self.windows_of(self.days[d])
         return entries
 
     def _stream_windows(self) -> _StreamWindows:
@@ -503,19 +510,26 @@ def _alpha_selected(beliefs: np.ndarray, params: SeqParams) -> np.ndarray:
 class TrainingBeliefs:
     """The belief traces of a training set, joined to their windows.
 
-    Trace ``i`` is day ``days[i]`` of ``windows``.  On first use every belief
-    is ranked once: the slot entries into a count of rows per (rank, state),
-    the instants just before events row by row.  A store for any ``l_rank``
+    Trace ``i`` holds every event of day ``days[i]`` of ``windows`` and
+    shares that day's windows; where ``days[i]`` is None (a day kept in
+    part, say) its windows are enumerated from its own events.  On first
+    use every belief is ranked once: the slot entries into a count of rows
+    per (rank, state), the instants just before events row by row.  A store for any ``l_rank``
     then takes a prefix sum and one comparison per event, and an ``l_alpha``
     store compares the beliefs themselves.
     """
 
     def __init__(
-        self, traces: Sequence["FilterTrace"], windows: DayWindows, days: Iterable[int]
+        self,
+        traces: Sequence["FilterTrace"],
+        windows: DayWindows,
+        days: Sequence[int | None],
     ) -> None:
+        if len(days) != len(traces):
+            raise ValueError(f"{len(traces)} training traces but {len(days)} days")
         self.traces = traces
         self.windows = windows
-        self.days = list(days)
+        self.days = days
         self._ranked: tuple[np.ndarray, ...] | None = None
 
     def _rank(self, n_states: int) -> tuple[np.ndarray, ...]:
@@ -533,7 +547,15 @@ class TrainingBeliefs:
             ).reshape(-1, n_states)
             ids, finals, offset = [], [], 0
             for trace, day in zip(self.traces, self.days):
-                entries = self.windows.day(day)
+                if day is None:
+                    entries = self.windows.windows_of([step.event for step in trace.events])
+                elif len(trace.events) == len(self.windows.days[day]):
+                    entries = self.windows.day(day)
+                else:
+                    raise ValueError(
+                        f"a trace of {len(trace.events)} events joined to day {day},"
+                        f" which has {len(self.windows.days[day])}"
+                    )
                 ids.append(entries.ids)
                 finals.append(entries.finals + offset)
                 offset += len(trace.events)
@@ -588,9 +610,8 @@ def store_sequences(
         if hasattr(traces, "entry"):
             traces = [traces]  # type: ignore[list-item]
         traces = list(traces)  # type: ignore[arg-type]
-        days = [[step.event for step in trace.events] for trace in traces]
-        windows = DayWindows(days, target_device, params)
-        traces = TrainingBeliefs(traces, windows, range(len(days)))
+        windows = DayWindows([], target_device, params)
+        traces = TrainingBeliefs(traces, windows, [None] * len(traces))
     traces.windows.check(target_device, params)
     return traces.store(params, n_states)
 

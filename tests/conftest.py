@@ -53,6 +53,14 @@ def ev(minute_offset: float, device: str, action: str, start: datetime = BASE) -
     return EventRecord(start + timedelta(minutes=minute_offset), device, action)
 
 
+def make_folds(dataset, labeling_params, model_params, seq_params):
+    """One evaluation fold per day, sharing the windows of one enumeration."""
+    from homeguard.evaluation import _dataset_windows, _make_folds
+
+    windows = _dataset_windows(dataset, seq_params)
+    return _make_folds(dataset, labeling_params, model_params, seq_params, windows)
+
+
 @pytest.fixture
 def vocab() -> Vocabulary:
     return Vocabulary()

@@ -23,7 +23,6 @@ from homeguard.evaluation import (
     _candidate_thresholds,
     _collect_records,
     _frontier_indices,
-    _make_folds,
     _sweep_two_level,
     best_at,
     grid_search,
@@ -37,7 +36,7 @@ from homeguard.labeling import LabelingParams
 from homeguard.seqstore import SeqParams
 from homeguard.vocab import DEFAULT_PAIRS, Vocabulary
 
-from conftest import frame
+from conftest import frame, make_folds
 from oracles import frontier_indices_loop
 from test_detector import make_model
 
@@ -66,7 +65,7 @@ def scripted_point(dataset, predicate, injections_per_day, seed) -> EvalPoint:
     """The grid's counts for scripted scores over every fold's judged
     operations: (0, 0) where ``predicate`` flags the operation, else (1, 1),
     swept at the fixed thresholds (0.5, 0.5)."""
-    folds = _make_folds(dataset, LabelingParams(), ModelParams(), SeqParams())
+    folds = make_folds(dataset, LabelingParams(), ModelParams(), SeqParams())
     contexts = [ctx for fold in folds for ctx in fold.judged_operations(injections_per_day, seed)]
     scores = [(0.0, 0.0) if predicate(ctx) else (1.0, 1.0) for ctx in contexts]
     injected = [ctx.injected for ctx in contexts]
@@ -77,7 +76,7 @@ def scripted_point(dataset, predicate, injections_per_day, seed) -> EvalPoint:
 def judge_tally(dataset, verdicts_of, labeling, seq, injections_per_day, seed):
     """(tp, fn, fp, tn) of ``verdicts_of(fold)(ctx)`` verdicts over all folds."""
     counts = [0, 0, 0, 0]
-    for fold in _make_folds(dataset, labeling, ModelParams(), seq):
+    for fold in make_folds(dataset, labeling, ModelParams(), seq):
         verdict = verdicts_of(fold)
         for ctx in fold.judged_operations(injections_per_day, seed):
             anomalous = verdict(ctx).is_anomalous
@@ -353,7 +352,7 @@ class TestFoldFits:
     @pytest.mark.parametrize("t_z_max", [720, 5])
     def test_fold_fits_equal_a_refit(self, heldout, t_z_max):
         dataset = mixed_dataset()
-        folds = _make_folds(
+        folds = make_folds(
             dataset, LabelingParams(t_x=3, t_y=3, t_c=2), ModelParams(t_z_max=t_z_max), SeqParams()
         )
         fold = folds[heldout]
@@ -375,14 +374,14 @@ class TestFoldFits:
 
     def test_fold_traces_cover_kept_days_and_heldout_day(self):
         dataset = mixed_dataset()
-        fold = _make_folds(dataset, LabelingParams(t_x=3, t_y=3, t_c=2), ModelParams(), SeqParams())[3]
+        fold = make_folds(dataset, LabelingParams(t_x=3, t_y=3, t_c=2), ModelParams(), SeqParams())[3]
         training = fold.training_traces()
         assert [trace.slots[0].t // 1440 for trace in training] == [0, 1, 4]
         assert fold.detection_trace().slots == dataset.day_slots(3)
 
     def test_serial_collection_releases_each_fold(self):
         dataset = toy_dataset(n_days=3)
-        folds = _make_folds(dataset, LabelingParams(t_x=2, t_y=2, t_c=1), ModelParams(), SeqParams())
+        folds = make_folds(dataset, LabelingParams(t_x=2, t_y=2, t_c=1), ModelParams(), SeqParams())
         records = _collect_records(folds, (1,), True, (900.0,), SeqParams(), 10, 1)
         assert len(records) == 3 * (10 + 2)
         assert all(not fold._cache for fold in folds)

@@ -1,7 +1,7 @@
 """Subsequence generation, state selection, and the sequence stores."""
 
 from dataclasses import replace
-from datetime import timedelta
+from datetime import time, timedelta
 from itertools import combinations
 
 import numpy as np
@@ -9,7 +9,7 @@ import pytest
 
 from homeguard import seqstore
 from homeguard.errors import ValidationError
-from homeguard.evaluation import EvalDataset, _make_folds
+from homeguard.evaluation import EvalDataset
 from homeguard.hsmodel import EventStep, FilterTrace, ModelParams
 from homeguard.ingest import EventRecord, build_timeslots
 from homeguard.labeling import ALPHABET, LabelingParams
@@ -25,7 +25,7 @@ from homeguard.seqstore import (
 from homeguard.synthgen import generate, scenario_calibration
 from homeguard.vocab import Vocabulary
 
-from conftest import BASE, ev, frame, make_slots
+from conftest import BASE, ev, frame, make_folds, make_slots
 from oracles import (
     build_timed_store_per_window,
     generate_subsequences,
@@ -280,7 +280,7 @@ class TestStoreAgainstPerWindowOracle:
     @pytest.fixture(scope="class")
     def dense_traces(self):
         dataset = dense_dataset()
-        folds = _make_folds(
+        folds = make_folds(
             dataset, LabelingParams(initial_occupants=2), ModelParams(), SeqParams(t_seq=1800)
         )
         return [fold.training_traces() for fold in folds]
@@ -347,6 +347,35 @@ def midnight_dataset(n_days=4):
     return EvalDataset(slots=build_timeslots(events, frames), vocabulary=Vocabulary())
 
 
+def partial_day_dataset(n_days=4):
+    """Days from 06:30 to 06:30, so each spans two calendar dates.  The home
+    starts empty: the first operation excludes its date (the 06:30-24:00 part
+    of day 0), and an exit before an operation at 05:30 excludes the date
+    that the end of day 1 and the start of day 2 share."""
+    devices = [("tv", "on"), ("room_light", "on"), ("heater", "on"), ("refrigerator", "opening")]
+    events, frames = [], []
+    for day in range(n_days):
+        start = BASE + timedelta(days=day, hours=6, minutes=30)
+        frames.append(frame(start))
+        at = lambda hours, minutes: start + timedelta(hours=hours, minutes=minutes)
+        events += [
+            EventRecord(at(1, 0), "refrigerator", "opening"),
+            EventRecord(at(1, 2), "cooking_stove", "on"),
+            EventRecord(at(1, 9), "cooking_stove", "off"),
+            EventRecord(at(5, 0), "tv", "on"),
+            EventRecord(at(5, 2), "cooking_stove", "on"),
+        ]
+        events += [EventRecord(at(17, 25 + i), *devices[i % 4]) for i in range(6)]
+        events += [EventRecord(at(17, 32), "cooking_stove", "on")]
+        if day == 1:
+            events.append(EventRecord(at(21, 0), "user_position", "exit"))
+        events += [
+            EventRecord(at(23, 0), "refrigerator", "opening"),
+            EventRecord(at(23, 3), "cooking_stove", "on"),
+        ]
+    return EvalDataset.from_logs(events, frames, Vocabulary(), day_origin=time(6, 30))
+
+
 def assert_timed_equal(store, oracle):
     assert store.target_total == oracle.target_total
     assert list(store.times) == list(oracle.times)  # key order included
@@ -386,7 +415,7 @@ class TestFoldStoresFromSharedWindows:
     )
     def test_every_fold_and_selection(self, make, params):
         dataset = make()
-        folds = _make_folds(dataset, LabelingParams(initial_occupants=2), ModelParams(), params)
+        folds = make_folds(dataset, LabelingParams(initial_occupants=2), ModelParams(), params)
         for fold in folds:
             traces = fold.training_traces()
             for selection in self.SELECTIONS.values():
@@ -399,6 +428,40 @@ class TestFoldStoresFromSharedWindows:
             assert_timed_equal(fold.timed_store(), fold_oracle(fold, params))
         assert any(fold.sequence_store().counts for fold in folds)
 
+    @pytest.mark.parametrize(
+        "params", [SeqParams(t_seq=600), SeqParams(t_seq=600, w_max=3)], ids=["t_seq", "w_max"]
+    )
+    def test_partly_excluded_days(self, params):
+        # A training trace of a day with an excluded date holds only the
+        # day's kept slots, and its windows only their events.
+        dataset = partial_day_dataset()
+        labeling = LabelingParams(initial_occupants=0)
+        folds = make_folds(dataset, labeling, ModelParams(), params)
+        partial = 0
+        for fold in folds:
+            traces = fold.training_traces()
+            partial += sum(len(trace.slots) < 1440 for trace in traces)
+            for selection in self.SELECTIONS.values():
+                selected = replace(params, **selection)
+                oracle = store_sequences_per_window(
+                    traces, "cooking_stove", selected, len(ALPHABET)
+                )
+                assert_bitwise_equal(fold.sequence_store(selected), oracle)
+            assert_timed_equal(fold.timed_store(), fold_oracle(fold, params))
+        assert partial == 3 * 3  # days 0, 1 and 2, each in the folds that keep it
+        assert all(fold.sequence_store().counts for fold in folds)
+
+    def test_only_whole_days_share_the_day_windows(self):
+        dataset = partial_day_dataset()
+        params = SeqParams(t_seq=600)
+        [fold, *_] = make_folds(dataset, LabelingParams(initial_occupants=0), ModelParams(), params)
+        beliefs = fold.training_beliefs()
+        assert beliefs.days == [None, None, 3]
+        # A trace joined to a day whose events it does not hold is refused.
+        wrong = seqstore.TrainingBeliefs(beliefs.traces, fold.windows, [3, 3, 3])
+        with pytest.raises(ValueError):
+            store_sequences(wrong, "cooking_stove", params, len(ALPHABET))
+
     @pytest.mark.parametrize("heldout", [0, 1, 2, 3])
     @pytest.mark.parametrize(
         "params",
@@ -407,7 +470,7 @@ class TestFoldStoresFromSharedWindows:
     )
     def test_timed_store_around_midnight(self, heldout, params, monkeypatch):
         dataset = midnight_dataset()
-        [fold] = [f for f in _make_folds(dataset, LabelingParams(), ModelParams(), params)
+        [fold] = [f for f in make_folds(dataset, LabelingParams(), ModelParams(), params)
                   if f.heldout_day == heldout]
         fold.windows.timed_store()  # the whole stream, enumerated up front
         enumerate_window = seqstore._enumerate_distinct
@@ -434,7 +497,7 @@ class TestFoldStoresFromSharedWindows:
 
     def test_windows_for_other_cuts_are_refused(self):
         dataset = midnight_dataset()
-        [fold, *_] = _make_folds(dataset, LabelingParams(), ModelParams(), SeqParams(t_seq=600))
+        [fold, *_] = make_folds(dataset, LabelingParams(), ModelParams(), SeqParams(t_seq=600))
         with pytest.raises(ValidationError):
             fold.sequence_store(SeqParams(t_seq=900))
         with pytest.raises(ValidationError):
