@@ -17,7 +17,7 @@ from .detector import (
     judge_proposed,
     judge_sequence_baseline,
 )
-from .errors import HomeguardError, UsageError
+from .errors import HomeguardError, UsageError, ValidationError
 from .evaluation import (
     EstimationGrid,
     EvalDataset,
@@ -271,11 +271,13 @@ def cmd_evaluate(args) -> int:
             theta = _parse_values(args, "theta_values", float, auto=True)
             grids.append(EstimationGrid(**labelings, theta=theta))
         else:
-            grids.append(SequenceGrid(
-                alpha_seq=_parse_values(args, "alpha_seq_values", float),
-                n_single=_parse_values(args, "n_seq_single_values", float, auto=True),
-                n_multi=_parse_values(args, "n_seq_multi_values", float, auto=True),
-            ))
+            alpha_seq = _parse_values(args, "alpha_seq_values", float)
+            n_single = _parse_values(args, "n_seq_single_values", float, auto=True)
+            n_multi = _parse_values(args, "n_seq_multi_values", float, auto=True)
+            try:
+                grids.append(SequenceGrid(alpha_seq=alpha_seq, n_single=n_single, n_multi=n_multi))
+            except ValidationError as exc:
+                raise UsageError(f"--alpha-seq-values: {exc}") from None
 
     config = _load_config(args)
     vocabulary = _vocabulary(args)

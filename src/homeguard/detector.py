@@ -14,14 +14,23 @@ same recorded scores::
 
 The estimation method scores the belief-weighted operation probability alone:
 anomalous iff score <= theta.
+
+The proposed scorer reads each stored sequence's probability vector from its
+store, computed there once per sequence; a candidate the store lacks scores
+0.0.  The time-of-day scorer takes a batch of windows and ``alpha_seq``
+values at once: ``evaluate`` passes a fold's judged windows, ``detect`` one
+window per operation.  Its counts are exact integers, found by binary search
+in the store's rank-coded times, so a batch scores exactly as one candidate
+at a time would.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from datetime import timedelta
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,6 +67,14 @@ class Thresholds:
                 raise ValidationError("must be in [0, 1]", field=name)
 
 
+def check_alpha_seq(value: float) -> None:
+    """A time-of-day tolerance is a finite number of seconds, at least 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValidationError(
+            f"must be a finite non-negative number, got {value!r}", field="alpha_seq"
+        )
+
+
 @dataclass
 class BaselineParams:
     """Parameters of the two comparison methods."""
@@ -70,8 +87,7 @@ class BaselineParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.theta <= 1.0:
             raise ValidationError("must be in [0, 1]", field="theta")
-        if self.alpha_seq < 0:
-            raise ValidationError("must be non-negative", field="alpha_seq")
+        check_alpha_seq(self.alpha_seq)
         for name in ("n_seq_single", "n_seq_multi"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValidationError("must be in [0, 1]", field=name)
@@ -139,41 +155,67 @@ def window_candidates(
     return candidates_ending_at(pairs[-seq_params.w_max :], seq_params.l_max)
 
 
-def _best_per_level(
-    candidates: Sequence[Items], score: Callable[[Items], float]
-) -> LevelScores:
-    """Score the length-1 candidate, which comes first, and keep the first
-    maximum among the longer ones."""
-    multi, multi_items = 0.0, None
-    for items in candidates[1:]:
-        value = score(items)
-        if multi_items is None or value > multi:
-            multi, multi_items = value, items
-    return LevelScores(score(candidates[0]), multi, candidates[0], multi_items)
+def _best_per_level(candidates: Sequence[Items], scores: np.ndarray) -> LevelScores:
+    """The score of the length-1 candidate, which comes first, and the first
+    maximum among the longer ones (0.0 and None when there are none)."""
+    if len(candidates) == 1:
+        return LevelScores(float(scores[0]), 0.0, candidates[0], None)
+    at = 1 + int(np.argmax(scores[1:]))  # argmax keeps the first maximum
+    return LevelScores(float(scores[0]), float(scores[at]), candidates[0], candidates[at])
 
 
 def proposed_scores(
     store: SequenceStore, belief: np.ndarray, candidates: Sequence[Items]
 ) -> LevelScores:
-    """Best occurrence probability ``sum_i b'(i, y) * belief_i`` per level."""
+    """Best occurrence probability ``sum_i b'(i, y) * belief_i`` per level;
+    a sequence the store lacks scores 0.0."""
 
     def score(items: Items) -> float:
+        vector = store.stored_vector(items)
+        if vector is None:
+            return 0.0
         # Convex combination of values in [0, 1]; clamp the float residue.
-        return min(1.0, max(0.0, float(np.dot(store.vector(items), belief))))
+        return min(1.0, max(0.0, float(np.dot(vector, belief))))
 
-    return _best_per_level(candidates, score)
+    return _best_per_level(candidates, np.array([score(items) for items in candidates]))
 
 
 def sequence_scores(
-    store: TimedSequenceStore, candidates: Sequence[Items], tod: float, alpha_seq: float
-) -> LevelScores:
-    """Best time-of-day match ratio per level.
+    store: TimedSequenceStore,
+    windows: Sequence[tuple[Sequence[Items] | np.ndarray, float]],
+    alpha_seq: Sequence[float],
+) -> list[list[LevelScores]]:
+    """Best time-of-day match ratio per level, for each (candidates, time of
+    day) window and each ``alpha_seq`` value, in that order.
 
     A candidate's ratio counts its stored occurrences within ``alpha_seq``
     seconds of the operation's time of day (cyclic distance) and divides by
     the number of stored target operations; with nothing stored it is 0.0.
+    The counts of every candidate of the batch come from one integer search
+    per ``alpha_seq``.  A window's candidates may come as their
+    ``store.key_ids``, so that a large batch holds integers, not tuples; its
+    scores then carry key ids in place of items.
     """
-    return _best_per_level(candidates, lambda items: store.ratio(items, tod, alpha_seq))
+    keyed = [
+        candidates if isinstance(candidates, np.ndarray) else store.key_ids(candidates)
+        for candidates, _ in windows
+    ]
+    keys = np.concatenate([np.empty(0, dtype=np.int64), *keyed])
+    sizes = [len(candidates) for candidates in keyed]
+    window = np.repeat(np.arange(len(windows)), sizes)
+    tods = [tod for _, tod in windows]
+    total = store.target_total
+    ratios = [
+        store.counts_near(keys, window, tods, alpha) / total if total else np.zeros(len(keys))
+        for alpha in alpha_seq
+    ]
+    out, start = [], 0
+    for (candidates, _), size in zip(windows, sizes):
+        out.append(
+            [_best_per_level(candidates, ratio[start : start + size]) for ratio in ratios]
+        )
+        start += size
+    return out
 
 
 def estimation_score(
@@ -270,7 +312,9 @@ def judge_sequence_baseline(
     """Judge by counting stored equivalent sequences near the time of day."""
     _require_target(op, target_device)
     candidates = window_candidates(preceding, op, seq_params)
-    scores = sequence_scores(store, candidates, seconds_of_day(op.timestamp), params.alpha_seq)
+    [[scores]] = sequence_scores(
+        store, [(candidates, seconds_of_day(op.timestamp))], (params.alpha_seq,)
+    )
     return _two_level_verdict(
         op, "sequence", scores, params.n_seq_single, params.n_seq_multi
     )

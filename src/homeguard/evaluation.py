@@ -27,6 +27,7 @@ from typing import Callable, ClassVar, Iterable, Mapping, Sequence
 import numpy as np
 
 from .detector import (
+    check_alpha_seq,
     estimation_score,
     sequence_scores,
     two_level_anomalous,
@@ -404,6 +405,10 @@ class SequenceGrid:
     n_single: tuple[float, ...] | str = "auto"
     n_multi: tuple[float, ...] | str = "auto"
 
+    def __post_init__(self) -> None:
+        for alpha in self.alpha_seq:
+            check_alpha_seq(alpha)
+
 
 # Reference grids covering the full documented parameter ranges.  The per-length
 # thresholds are swept over recorded scores ("auto"): every distinct achieved
@@ -685,6 +690,7 @@ def _collect_records(
         }
         operations = fold.state_model()[1] if need_estimation else None
         timed = fold.timed_store() if need_sequence else None
+        fold_records, windows = [], []
         for ctx in fold.judged_operations(injections_per_day, seed):
             candidates = (
                 window_candidates(ctx.preceding, ctx.op, seq_params_base)
@@ -697,16 +703,20 @@ def _collect_records(
                 for l_value, store in stores.items()
             }
             est = estimation_score(operations, ctx.belief, ctx.op) if need_estimation else 0.0
-            tod = seconds_of_day(ctx.op.timestamp)
-            sequence = {
-                alpha: sequence_scores(timed, candidates, tod, alpha)[:2]
-                for alpha in need_sequence
-            }
-            records.append(_ScoreRecord(ctx.injected, est, proposed, sequence))
+            fold_records.append(_ScoreRecord(ctx.injected, est, proposed, {}))
+            if timed is not None:
+                # Key ids, not the candidate tuples: a fold's tuples add up.
+                windows.append((timed.key_ids(candidates), seconds_of_day(ctx.op.timestamp)))
+        if timed is not None:
+            # The fold's windows in one batch, for every alpha_seq at once.
+            for record, levels in zip(fold_records, sequence_scores(timed, windows, need_sequence)):
+                for alpha, scores in zip(need_sequence, levels):
+                    record.sequence[alpha] = scores[:2]
+        records += fold_records
         # The scores are recorded; keep one fold's artifacts at a time, so
         # drop this fold's stores before the next fold builds its own.
         fold.release()
-        del stores, operations, timed
+        del stores, operations, timed, windows
     return records
 
 

@@ -21,11 +21,19 @@ numpy.  A trace that holds only part of its day (an excluded calendar date
 cuts a day that does not start at midnight) has windows of its own events,
 enumerated for it alone.  The time-of-day store is merged from the same arrays; only windows
 that reach back across midnight into a left-out day are enumerated again.
+
+A judged window's candidates (``candidates_ending_at``) are built directly as
+distinct subsequences from a next-occurrence table, never as position
+combinations.  The time-of-day store counts matches through an index built on
+first use: every stored time replaced by its rank among the distinct stored
+times and coded with its sequence's key, in one sorted integer array, so each
+count is a difference of two binary searches.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from itertools import combinations
@@ -89,8 +97,10 @@ class SeqParams:
     w_max: int = 16
 
     def __post_init__(self) -> None:
-        if self.t_seq <= 0:
-            raise ValidationError("must be positive", field="t_seq")
+        if not (math.isfinite(self.t_seq) and self.t_seq > 0):
+            raise ValidationError(
+                f"must be a finite positive number, got {self.t_seq!r}", field="t_seq"
+            )
         if self.criterion not in ("rank", "alpha"):
             raise ValidationError("must be 'rank' or 'alpha'", field="criterion")
         if self.l_rank < 0:
@@ -138,16 +148,35 @@ def window_start(times: Sequence[datetime], ts: datetime, t_seq: float) -> int:
 
 
 def candidates_ending_at(window_pairs: Sequence[Pair], l_max: int) -> list[Items]:
-    """Distinct subsequences of the window that end with its final item."""
+    """Distinct subsequences of the window that end with its final item,
+    shortest first, then in item order.
+
+    The heads before the final item are built level by level from a
+    next-occurrence table, so each distinct head is reached once, through its
+    earliest embedding, and each level comes out in item order.
+    """
     if not window_pairs:
         return []
-    head = list(window_pairs[:-1])
-    last = window_pairs[-1]
-    out: set[Items] = {(last,)}
-    for length in range(1, min(l_max - 1, len(head)) + 1):
-        for combo in combinations(range(len(head)), length):
-            out.add(tuple(head[p] for p in combo) + (last,))
-    return sorted(out, key=lambda items: (len(items), items))
+    *head, last = window_pairs
+    # after[e + 1]: each symbol that occurs past head position e, in symbol
+    # order, mapped to its first position there.
+    symbols = sorted(set(head))
+    after: list[dict[Pair, int]] = [{}] * (len(head) + 1)
+    first: dict[Pair, int] = {}
+    for e in range(len(head) - 1, -2, -1):
+        after[e + 1] = {symbol: first[symbol] for symbol in symbols if symbol in first}
+        if e >= 0:
+            first[head[e]] = e
+    # The heads of one length, each with the position it ends at.
+    heads: list[Items] = [()]
+    ends = [-1]
+    out: list[Items] = []
+    for length in range(min(max(l_max, 1) - 1, len(head)) + 1):
+        if length:
+            heads = [items + (symbol,) for items, e in zip(heads, ends) for symbol in after[e + 1]]
+            ends = [at for e in ends for at in after[e + 1].values()]
+        out.extend(items + (last,) for items in heads)
+    return out
 
 
 @dataclass
@@ -163,6 +192,10 @@ class SequenceStore:
     criterion: str = "rank"
     counts: dict[Items, np.ndarray] = field(default_factory=dict)
     slot_counts: np.ndarray | None = None
+    # ``vector`` of each stored sequence, computed on first use.
+    _vectors: dict[Items, np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.slot_counts is None:
@@ -192,6 +225,15 @@ class SequenceStore:
             out=np.zeros(self.n_states),
             where=self.slot_counts > 0,
         )
+
+    def stored_vector(self, items: Items) -> np.ndarray | None:
+        """``vector(items)``, computed once per stored sequence; None for a
+        sequence the store lacks.  The store must not change after its first
+        use."""
+        vector = self._vectors.get(items)
+        if vector is None and items in self.counts:
+            vector = self._vectors[items] = self.vector(items)
+        return vector
 
     def to_payload(self) -> dict:
         return {
@@ -232,35 +274,83 @@ def seconds_of_day(ts: datetime) -> float:
     return ts.hour * 3600 + ts.minute * 60 + ts.second + ts.microsecond / 1e6
 
 
+@dataclass(frozen=True)
+class _TimeIndex:
+    """The stored times of every sequence as one ascending integer array.
+
+    Each time is replaced by its rank among the ``distinct`` stored times,
+    and the time of key ``k`` is coded ``k * (len(distinct) + 1) + rank``, so
+    the codes ascend by key, then by time.  The stored times of key ``k``
+    below a value of rank ``r`` (the count of distinct times below it) are
+    then the codes below ``k * (len(distinct) + 1) + r``.  Key ``len(ids)``
+    stands for every sequence the store lacks and has no times.
+    """
+
+    ids: dict[Items, int]
+    distinct: np.ndarray
+    codes: np.ndarray
+    starts: np.ndarray  # key k's codes are codes[starts[k]:starts[k + 1]]
+
+
 @dataclass
 class TimedSequenceStore:
     """Sequence occurrences indexed by time of day, for the time-based method.
 
-    ``times[y]`` holds the seconds-of-day at which sequence ``y`` completed in
-    training; ``target_total`` counts the stored target-device operations and
-    is the denominator of every match ratio.
+    ``times[y]`` holds, ascending, the seconds-of-day at which sequence ``y``
+    completed in training; ``target_total`` counts the stored target-device
+    operations and is the denominator of every match ratio.  Counting goes
+    through an index built on first use, so the store must not change after
+    that.
     """
 
     times: dict[Items, list[float]] = field(default_factory=dict)
     target_total: int = 0
+    _index: _TimeIndex | None = field(default=None, init=False, repr=False, compare=False)
 
-    def count_near(self, items: Items, tod: float, alpha_seq: float) -> int:
-        """Stored occurrences of ``items`` within cyclic ``alpha_seq`` seconds."""
-        stored = self.times.get(items)
-        if not stored:
-            return 0
+    def _time_index(self) -> _TimeIndex:
+        if self._index is None:
+            stored = [np.asarray(times, dtype=np.float64) for times in self.times.values()]
+            flat = np.concatenate([np.empty(0), *stored])
+            distinct, ranks = np.unique(flat, return_inverse=True)
+            sizes = [len(times) for times in stored]
+            keys = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+            self._index = _TimeIndex(
+                ids={items: k for k, items in enumerate(self.times)},
+                distinct=distinct,
+                codes=keys * (len(distinct) + 1) + ranks.ravel(),
+                starts=np.cumsum([0, *sizes, 0]),
+            )
+        return self._index
+
+    def key_ids(self, candidates: Sequence[Items]) -> np.ndarray:
+        """The index key of each candidate; one key stands for all absent ones."""
+        ids = self._time_index().ids
+        absent = len(ids)
+        return np.fromiter(
+            (ids.get(items, absent) for items in candidates), dtype=np.int64, count=len(candidates)
+        )
+
+    def counts_near(
+        self, keys: np.ndarray, window: np.ndarray, tods: Sequence[float], alpha_seq: float
+    ) -> np.ndarray:
+        """Stored occurrences of key ``keys[j]`` within cyclic ``alpha_seq``
+        seconds of ``tods[window[j]]``: exact integer counts."""
+        index = self._time_index()
+        first, end = index.starts[keys], index.starts[keys + 1]
         if 2 * alpha_seq >= SECONDS_PER_DAY:
-            return len(stored)
-        lo = (tod - alpha_seq) % SECONDS_PER_DAY
-        hi = (tod + alpha_seq) % SECONDS_PER_DAY
-        if lo <= hi:
-            return bisect_right(stored, hi) - bisect_left(stored, lo)
-        return (len(stored) - bisect_left(stored, lo)) + bisect_right(stored, hi)
-
-    def ratio(self, items: Items, tod: float, alpha_seq: float) -> float:
-        if self.target_total == 0:
-            return 0.0
-        return self.count_near(items, tod, alpha_seq) / self.target_total
+            return end - first
+        lo = [(tod - alpha_seq) % SECONDS_PER_DAY for tod in tods]
+        hi = [(tod + alpha_seq) % SECONDS_PER_DAY for tod in tods]
+        wraps = np.array([a > b for a, b in zip(lo, hi)], dtype=bool)[window]
+        base = keys * (len(index.distinct) + 1)
+        # Codes of stored times below lo, and of those at or below hi.
+        below_lo = np.searchsorted(
+            index.codes, base + np.searchsorted(index.distinct, lo, side="left")[window]
+        )
+        upto_hi = np.searchsorted(
+            index.codes, base + np.searchsorted(index.distinct, hi, side="right")[window]
+        )
+        return np.where(wraps, (end - below_lo) + (upto_hi - first), upto_hi - below_lo)
 
     def to_payload(self) -> dict:
         return {
@@ -273,8 +363,8 @@ class TimedSequenceStore:
 
     @classmethod
     def from_payload(cls, payload: dict) -> "TimedSequenceStore":
-        """Raises ValueError for a count or a time list ``count_near``
-        could not read."""
+        """Raises ValueError for a count or a time list the index could
+        not read."""
         total = payload["target_total"]
         if type(total) is not int or total < 0:
             raise ValueError(f"target_total: need a non-negative integer, got {total!r}")

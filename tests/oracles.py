@@ -10,10 +10,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from datetime import datetime, time, timedelta
-from typing import Sequence
+from itertools import combinations
+from typing import Callable, Sequence
 
 import numpy as np
 
+from homeguard.detector import LevelScores
 from homeguard.errors import InitializationError, ParseError
 from homeguard.ingest import (
     SLOT_SECONDS,
@@ -34,7 +36,10 @@ from homeguard.labeling import (
     label_user_activity,
 )
 from homeguard.seqstore import (
+    SECONDS_PER_DAY,
     EventSequence,
+    Items,
+    Pair,
     SeqParams,
     SequenceStore,
     TimedSequenceStore,
@@ -180,6 +185,53 @@ def generate_subsequences(
         EventSequence(items, events[final].timestamp)
         for items, final in sorted(distinct.items(), key=lambda kv: (len(kv[0]), kv[0]))
     ]
+
+
+def candidates_ending_at_combinations(window_pairs: Sequence[Pair], l_max: int) -> list[Items]:
+    """Candidates from every combination of head positions, deduplicated
+    through a set and sorted shortest first, then in item order."""
+    if not window_pairs:
+        return []
+    head = list(window_pairs[:-1])
+    last = window_pairs[-1]
+    out: set[Items] = {(last,)}
+    for length in range(1, min(l_max - 1, len(head)) + 1):
+        for combo in combinations(range(len(head)), length):
+            out.add(tuple(head[p] for p in combo) + (last,))
+    return sorted(out, key=lambda items: (len(items), items))
+
+
+def best_per_level_loop(candidates: Sequence[Items], score: Callable[[Items], float]):
+    """``LevelScores`` by scoring one candidate at a time: the length-1
+    candidate, which comes first, and the first maximum of the longer ones."""
+    multi, multi_items = 0.0, None
+    for items in candidates[1:]:
+        value = score(items)
+        if multi_items is None or value > multi:
+            multi, multi_items = value, items
+    return LevelScores(score(candidates[0]), multi, candidates[0], multi_items)
+
+
+def count_near(store: TimedSequenceStore, items: Items, tod: float, alpha_seq: float) -> int:
+    """Stored occurrences of ``items`` within cyclic ``alpha_seq`` seconds,
+    by two binary searches in the sequence's own time list."""
+    stored = store.times.get(items)
+    if not stored:
+        return 0
+    if 2 * alpha_seq >= SECONDS_PER_DAY:
+        return len(stored)
+    lo = (tod - alpha_seq) % SECONDS_PER_DAY
+    hi = (tod + alpha_seq) % SECONDS_PER_DAY
+    if lo <= hi:
+        return bisect_right(stored, hi) - bisect_left(stored, lo)
+    return (len(stored) - bisect_left(stored, lo)) + bisect_right(stored, hi)
+
+
+def ratio(store: TimedSequenceStore, items: Items, tod: float, alpha_seq: float) -> float:
+    """One candidate's match ratio: ``count_near`` over the stored targets."""
+    if store.target_total == 0:
+        return 0.0
+    return count_near(store, items, tod, alpha_seq) / store.target_total
 
 
 def select_states(belief: np.ndarray, params: SeqParams) -> list[int]:

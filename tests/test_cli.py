@@ -760,3 +760,74 @@ class TestSynthCommand:
             ) == 0
         assert (a / "operations.csv").read_bytes() == (b / "operations.csv").read_bytes()
         assert (a / "sensors.csv").read_bytes() == (b / "sensors.csv").read_bytes()
+
+
+class TestNonFiniteTolerances:
+    """A tolerance that is not a finite number exits 2 naming its option,
+    wherever it comes from, before any scoring."""
+
+    @pytest.mark.parametrize("text", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_t_seq_flag(self, tmp_path, model_home, command, text, capsys):
+        ops, sensors, _ = model_home
+        argv = [command, "--operations", str(ops), "--sensors", str(sensors), "--t-seq", text]
+        if command == "train":
+            argv += ["--output", str(tmp_path / "model.json")]
+        else:
+            argv += ["--output-dir", str(tmp_path / "eval"), "--injections", "2"]
+        assert main(argv) == 2
+        assert "t_seq" in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_t_seq_in_config(self, tmp_path, model_home, command, value, capsys):
+        ops, sensors, _ = model_home
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seq": {"t_seq": value}}))  # writes NaN / Infinity
+        argv = [command, "--operations", str(ops), "--sensors", str(sensors),
+                "--config", str(config)]
+        if command == "train":
+            argv += ["--output", str(tmp_path / "model.json")]
+        else:
+            argv += ["--output-dir", str(tmp_path / "eval"), "--injections", "2"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and "t_seq" in err
+
+    @pytest.mark.parametrize("method", ["proposed", "sequence"])
+    def test_t_seq_in_model(self, tmp_path, model_home, method, capsys):
+        ops, sensors, payload = model_home
+        payload = json.loads(json.dumps(payload))
+        payload["seq_params"]["t_seq"] = float("nan")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        assert main(["detect", "--model", str(model), "--operations", str(ops),
+                     "--sensors", str(sensors), "--method", method]) == 2
+        assert "t_seq" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["nan", "inf", "-1"])
+    def test_alpha_seq_flag_of_detect(self, tmp_path, model_home, text, capsys):
+        ops, sensors, payload = model_home
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "verdicts.jsonl"
+        assert main(["detect", "--model", str(model), "--operations", str(ops),
+                     "--sensors", str(sensors), "--method", "sequence",
+                     "--alpha-seq", text, "--output", str(out)]) == 2
+        assert "alpha_seq" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["900,nan", "inf", "900,-5"])
+    def test_alpha_seq_values_of_evaluate(self, tmp_path, model_home, monkeypatch, text, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("evaluate read its input before checking --alpha-seq-values")
+
+        monkeypatch.setattr(cli, "parse_operation_log", no_work)
+        ops, sensors, _ = model_home
+        out_dir = tmp_path / "eval"
+        assert main(["evaluate", "--operations", str(ops), "--sensors", str(sensors),
+                     "--output-dir", str(out_dir), "--methods", "sequence",
+                     "--alpha-seq-values", text]) == 2
+        assert "--alpha-seq-values" in capsys.readouterr().err
+        assert not out_dir.exists()

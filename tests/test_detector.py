@@ -19,10 +19,17 @@ from homeguard.errors import UsageError
 from homeguard.evaluation import _sweep_two_level
 from homeguard.hsmodel import ModelParams, OperationTable, TrainedModel, TransitionTensor
 from homeguard.labeling import ALPHABET, LabelingParams
-from homeguard.seqstore import SeqParams, SequenceStore, TimedSequenceStore, seconds_of_day
+from homeguard.seqstore import (
+    SeqParams,
+    SequenceStore,
+    TimedSequenceStore,
+    candidates_ending_at,
+    seconds_of_day,
+)
 from homeguard.vocab import Vocabulary
 
 from conftest import ev
+from oracles import best_per_level_loop, ratio
 
 STOVE_ON = (("cooking_stove", "on"),)
 
@@ -274,7 +281,9 @@ class TestJudgeSequence:
         )
         assert verdict.decision == LEGITIMATE
         candidates = window_candidates(preceding, op, SeqParams())
-        scores = sequence_scores(TimedSequenceStore(), candidates, seconds_of_day(op.timestamp), 900.0)
+        [[scores]] = sequence_scores(
+            TimedSequenceStore(), [(candidates, seconds_of_day(op.timestamp))], (900.0,)
+        )
         assert grid_flags(scores, 0.0, 0.0) == 0
 
     def test_hand_ratio(self):
@@ -345,3 +354,78 @@ class TestVerdictSerialization:
         }
         assert payload["method"] == "proposed"
         assert payload["decision"] == "legitimate"
+
+
+class TestBatchedScorersAgainstPerCandidateLoops:
+    """The batched time-of-day scorer and the cached proposed vectors give,
+    to the bit, what scoring one candidate at a time gives."""
+
+    PAIRS = [("cooking_stove", "on"), ("tv", "on"), ("heater", "on"), ("refrigerator", "opening")]
+    ALPHAS = (0.0, 0.5, 900.0, 43199.5, 43200.0, 60000.0)
+
+    def random_windows(self, rng, count):
+        """(candidates, tod) windows of 1 to 7 items, one-item windows included."""
+        windows = []
+        for _ in range(count):
+            pairs = [self.PAIRS[i] for i in rng.integers(0, 4, size=rng.integers(0, 7))]
+            tod = float(rng.choice([0.0, 0.25, 450.5, 43200.0, 86399.75, rng.uniform(0, 86400)]))
+            windows.append((candidates_ending_at([*pairs, self.PAIRS[0]], 4), tod))
+        return windows
+
+    @pytest.mark.parametrize("target_total", [0, 1, 9])
+    def test_sequence_scores_equal_the_count_near_loop(self, target_total):
+        rng = np.random.default_rng(target_total)
+        times = [0.0, 0.5, 300.0, 300.0, 43200.0, 86000.25, 86399.5]
+        for _ in range(20):
+            windows = self.random_windows(rng, 12)
+            known = sorted({items for candidates, _ in windows for items in candidates})
+            store = TimedSequenceStore(target_total=target_total)
+            for items in known:
+                if rng.random() < 0.6:  # the others are absent
+                    # Shared time lists make equal ratios, so first maxima matter.
+                    picked = rng.choice(times, size=rng.integers(1, 4)).tolist()
+                    store.times[items] = sorted(picked)
+            batch = sequence_scores(store, windows, self.ALPHAS)
+            for (candidates, tod), levels in zip(windows, batch):
+                assert levels == [
+                    best_per_level_loop(candidates, lambda items: ratio(store, items, tod, alpha))
+                    for alpha in self.ALPHAS
+                ]
+
+    def test_all_zero_window_keeps_the_first_longer_candidate(self):
+        candidates = candidates_ending_at([("tv", "on"), ("heater", "on"), STOVE_ON[0]], 3)
+        [[scores]] = sequence_scores(TimedSequenceStore(target_total=4), [(candidates, 10.0)], (900.0,))
+        assert scores == (0.0, 0.0, candidates[0], candidates[1])
+
+    def test_cached_vectors_equal_store_vector(self):
+        rng = np.random.default_rng(2)
+        store = store_with(
+            {(pair,): rng.integers(0, 5, size=3) for pair in self.PAIRS[:3]},
+            slot_counts=[4, 0, 7],
+            n_states=3,
+        )
+        for pair in self.PAIRS:
+            cached = store.stored_vector((pair,))
+            if (pair,) in store.counts:
+                assert cached.tobytes() == store.vector((pair,)).tobytes()
+                assert store.stored_vector((pair,)) is cached
+            else:
+                assert cached is None
+
+    def test_proposed_scores_equal_the_vector_loop(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            windows = self.random_windows(rng, 6)
+            known = sorted({items for candidates, _ in windows for items in candidates})
+            store = store_with(
+                {items: rng.integers(0, 6, size=4) for items in known if rng.random() < 0.6},
+                slot_counts=rng.integers(0, 8, size=4),
+                n_states=4,
+            )
+            belief = rng.dirichlet(np.ones(4))
+            for candidates, _ in windows:
+                expected = best_per_level_loop(
+                    candidates,
+                    lambda items: min(1.0, max(0.0, float(np.dot(store.vector(items), belief)))),
+                )
+                assert proposed_scores(store, belief, candidates) == expected

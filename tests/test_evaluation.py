@@ -1,5 +1,6 @@
 """Injection, cross-validation counts, grid search, and frontier extraction."""
 
+from dataclasses import replace
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -12,6 +13,7 @@ from homeguard.detector import (
     judge_estimation_baseline,
     judge_proposed,
     judge_sequence_baseline,
+    window_candidates,
 )
 from homeguard.errors import ModelError, ValidationError
 from homeguard.evaluation import (
@@ -33,12 +35,13 @@ from homeguard.evaluation import (
 from homeguard.hsmodel import ModelParams, fit_operations, fit_transitions
 from homeguard.ingest import EventRecord, build_timeslots
 from homeguard.labeling import LabelingParams
-from homeguard.seqstore import SeqParams
+from homeguard.seqstore import SeqParams, seconds_of_day
 from homeguard.vocab import DEFAULT_PAIRS, Vocabulary
 
 from conftest import frame, make_folds
-from oracles import frontier_indices_loop
+from oracles import best_per_level_loop, frontier_indices_loop, ratio
 from test_detector import make_model
+from test_seqstore import dense_dataset
 
 BASE = datetime(2021, 3, 1)
 
@@ -385,6 +388,43 @@ class TestFoldFits:
         records = _collect_records(folds, (1,), True, (900.0,), SeqParams(), 10, 1)
         assert len(records) == 3 * (10 + 2)
         assert all(not fold._cache for fold in folds)
+
+
+class TestBatchedFoldScores:
+    def test_records_equal_scoring_window_by_window(self):
+        """On a habit-x20 home, every fold's recorded (s_single, s_multi)
+        equal scoring each judged window alone, one candidate at a time."""
+        seq = SeqParams(t_seq=1800)
+        folds = make_folds(dense_dataset(), LabelingParams(initial_occupants=2), ModelParams(), seq)
+        l_values, alphas = (1, 2), (0.0, 900.0, 1234.5, 43200.0)
+        records = _collect_records(folds, l_values, False, alphas, seq, 10, 1)
+        expected, longest = [], 0
+        for fold in folds:
+            stores = {l: fold.sequence_store(replace(seq, l_rank=l)) for l in l_values}
+            timed = fold.timed_store()
+            for ctx in fold.judged_operations(10, 1):
+                candidates = window_candidates(ctx.preceding, ctx.op, seq)
+                longest = max(longest, len(candidates))
+                tod = seconds_of_day(ctx.op.timestamp)
+                proposed = {
+                    l: best_per_level_loop(
+                        candidates,
+                        lambda items: min(
+                            1.0, max(0.0, float(np.dot(store.vector(items), ctx.belief)))
+                        ),
+                    )[:2]
+                    for l, store in stores.items()
+                }
+                sequence = {
+                    alpha: best_per_level_loop(
+                        candidates, lambda items: ratio(timed, items, tod, alpha)
+                    )[:2]
+                    for alpha in alphas
+                }
+                expected.append((ctx.injected, proposed, sequence))
+            fold.release()
+        assert longest > 300  # windows near w_max
+        assert [(r.injected, r.proposed, r.sequence) for r in records] == expected
 
 
 class TestWindowEnumeration:

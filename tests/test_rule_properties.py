@@ -37,6 +37,7 @@ from homeguard.seqstore import (  # noqa: E402
 )
 
 from conftest import ev  # noqa: E402
+from oracles import ratio  # noqa: E402
 from test_detector import grid_flags, make_model  # noqa: E402
 
 TARGET = "cooking_stove"
@@ -144,8 +145,10 @@ def test_sequence_judge_is_the_rule_on_its_scores(preceding, alpha_seq, data):
     store.target_total = data.draw(st.integers(stored, stored + 3))
 
     tod = seconds_of_day(op.timestamp)
-    scores = sequence_scores(store, window_candidates(preceding, op, SEQ), tod, alpha_seq)
-    check_levels(scores, candidates, lambda items: store.ratio(items, tod, alpha_seq))
+    [[scores]] = sequence_scores(
+        store, [(window_candidates(preceding, op, SEQ), tod)], (alpha_seq,)
+    )
+    check_levels(scores, candidates, lambda items: ratio(store, items, tod, alpha_seq))
     n_single, n_multi = thresholds(data, scores)
     params = BaselineParams(alpha_seq=alpha_seq, n_seq_single=n_single, n_seq_multi=n_multi)
     verdict = judge_sequence_baseline(store, preceding, op, params, SEQ, TARGET)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from homeguard import seqstore
+from homeguard.detector import sequence_scores
 from homeguard.errors import ValidationError
 from homeguard.evaluation import EvalDataset
 from homeguard.hsmodel import EventStep, FilterTrace, ModelParams
@@ -28,10 +29,23 @@ from homeguard.vocab import Vocabulary
 from conftest import BASE, ev, frame, make_folds, make_slots
 from oracles import (
     build_timed_store_per_window,
+    candidates_ending_at_combinations,
+    count_near,
     generate_subsequences,
+    ratio,
     select_states,
     store_sequences_per_window,
 )
+
+
+def near(store, items, tod, alpha_seq):
+    """``count_near``, checked against the store's own batch count."""
+    count = count_near(store, items, tod, alpha_seq)
+    keys = np.array(store.key_ids([items]))
+    assert store.counts_near(keys, np.zeros(1, dtype=np.intp), [tod], alpha_seq).tolist() == [
+        count
+    ]
+    return count
 
 
 def is_subsequence(sub, seq):
@@ -92,6 +106,32 @@ class TestGenerateSubsequences:
         result = candidates_ending_at(pairs, l_max=5)
         assert all(items[-1] == ("cooking_stove", "on") for items in result)
         assert len(result) == 4  # subsets of the two preceding events, op appended
+
+
+class TestCandidatesAgainstCombinations:
+    """Candidates built from the next-occurrence table are the combinations
+    oracle's list, element for element and in its order."""
+
+    PAIRS = [("tv", "on"), ("heater", "on"), ("cooking_stove", "on"), ("tv", "off")]
+
+    @pytest.mark.parametrize("l_max", range(1, 7))
+    def test_random_windows_with_repeats(self, l_max):
+        rng = np.random.default_rng(l_max)
+        for length in range(17):
+            for _ in range(6):
+                # Two or four symbols: windows repeat their pairs often.
+                symbols = self.PAIRS[: rng.choice([2, 4])]
+                pairs = [symbols[i] for i in rng.integers(0, len(symbols), size=length)]
+                assert candidates_ending_at(pairs, l_max) == candidates_ending_at_combinations(
+                    pairs, l_max
+                )
+
+    def test_one_symbol_and_all_distinct(self):
+        for pairs in ([("tv", "on")] * 16, [("tv", str(i)) for i in range(16)]):
+            for l_max in (1, 3, 6):
+                assert candidates_ending_at(pairs, l_max) == candidates_ending_at_combinations(
+                    pairs, l_max
+                )
 
 
 class TestSelectStates:
@@ -522,17 +562,40 @@ class TestTimedSequenceStore:
         )
         key = (("cooking_stove", "on"),)
         # 00:00:10 is within 60 s of both 00:00:30 and 23:59:50.
-        assert store.count_near(key, 10.0, 60.0) == 2
-        assert store.count_near(key, 10.0, 5.0) == 0
+        assert near(store, key, 10.0, 60.0) == 2
+        assert near(store, key, 10.0, 5.0) == 0
 
     def test_half_day_window_is_vacuous(self):
         times = [float(s) for s in (0, 20000, 43200, 70000, 86399)]
         store = TimedSequenceStore(times={(("cooking_stove", "on"),): times}, target_total=5)
-        assert store.count_near((("cooking_stove", "on"),), 12345.0, 43200.0) == 5
+        assert near(store, (("cooking_stove", "on"),), 12345.0, 43200.0) == 5
 
     def test_ratio_zero_without_stored_targets(self):
         store = TimedSequenceStore()
-        assert store.ratio((("cooking_stove", "on"),), 100.0, 900.0) == 0.0
+        assert ratio(store, (("cooking_stove", "on"),), 100.0, 900.0) == 0.0
+        [[scores]] = sequence_scores(store, [([(("cooking_stove", "on"),)], 100.0)], (900.0,))
+        assert scores.single == 0.0
+
+    def test_counts_equal_the_binary_search_oracle(self):
+        # Wrap-around, fractional and duplicate times, tolerances from 0 to
+        # past half a day, and keys that share or lack times.
+        rng = np.random.default_rng(5)
+        keys = [(("cooking_stove", "on"),), (("tv", "on"), ("cooking_stove", "on")),
+                (("cooking_stove", "off"),), (("heater", "on"), ("cooking_stove", "on"))]
+        grid = np.array([0.0, 0.5, 30.0, 900.0, 900.25, 43200.0, 86399.5])
+        for _ in range(30):
+            times = {}
+            for items in keys[: rng.integers(0, 4)]:
+                values = np.concatenate([grid[rng.integers(0, len(grid), 3)],
+                                         np.round(rng.uniform(0, 86400, 4), 1) % 86400])
+                times[items] = sorted(values.tolist())
+            store = TimedSequenceStore(times=times, target_total=7)
+            tods = [0.0, 10.0, 899.75, 43200.0, 86399.75, float(rng.uniform(0, 86400))]
+            window = np.repeat(np.arange(len(tods)), len(keys))
+            ids = np.array(store.key_ids(keys * len(tods)))
+            for alpha in (0.0, 0.25, 30.0, 900.0, 43199.5, 43200.0, 50000.0):
+                expected = [count_near(store, items, tod, alpha) for tod in tods for items in keys]
+                assert store.counts_near(ids, window, tods, alpha).tolist() == expected
 
     def test_payload_round_trip(self):
         events = [ev(100.0, "cooking_stove", "on"), ev(200.0, "cooking_stove", "off")]
