@@ -5,19 +5,39 @@
 Runs ``perfbench/run.py --seconds 0 --trace 0`` for every workload and seed,
 once in BASE_TREE and once in the current directory, and compares the
 sha256 digests of the output files (every CSV, JSONL and ``model.json``)
-that each run record lists.  Exits 1 when a run fails, lists no outputs, or
-any digest differs.  Standard library only.
+that each run record lists.  Then runs ``homeguard evaluate`` in both trees
+on paths the benchmark never takes (``EVALUATE_RUNS``), on one synthetic
+home generated by the current tree, and compares the digests of the CSVs
+it writes.  Exits 1 when a run fails, lists no outputs, or any digest
+differs.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import hashlib
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 WORKLOADS = ("loocv-s1-28d", "loocv-dense-7d", "train-detect-s1-90d")
+# evaluate runs on a 5-day s1 home: (name, day origin, arguments).  The home
+# cut to start at 04:00, with nobody home at first, has its first date
+# excluded, so its first day is kept only from midnight to 04:00.
+EVALUATE_RUNS = (
+    ("criterion-alpha", "00:00",
+     ("--methods", "proposed", "--criterion", "alpha", "--l-values", "0.05,0.2",
+      "--initial-occupants", "2")),
+    ("day-origin-excluded-date", "04:00",
+     ("--methods", "all", "--l-values", "1,2", "--initial-occupants", "0")),
+    ("two-labelings", "00:00",
+     ("--methods", "proposed,estimation", "--t-x-values", "15,30", "--l-values", "1,2",
+      "--initial-occupants", "2")),
+)
 
 
 def digests(tree: Path, workload: str, seed: int) -> dict[str, str]:
@@ -38,6 +58,52 @@ def digests(tree: Path, workload: str, seed: int) -> dict[str, str]:
     return record["sha256"]
 
 
+def homeguard(tree: Path, *args: str) -> subprocess.CompletedProcess:
+    """``homeguard ARGS`` run from ``tree``'s source, BLAS on one thread."""
+    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    return subprocess.run([sys.executable, "-m", "homeguard.cli", *args],
+                          env=env, capture_output=True, text=True)
+
+
+def synth_homes(work: Path) -> dict[str, Path]:
+    """A 5-day s1 home by day origin: whole, and cut to start at 04:00."""
+    whole = work / "home-00:00"
+    proc = homeguard(Path.cwd(), "synth", "--scenario", "s1", "--days", "5", "--seed", "3",
+                     "--output-dir", str(whole))
+    if proc.returncode != 0:
+        raise SystemExit(f"synth exited {proc.returncode}\n{proc.stderr[-2000:]}")
+    cut = work / "home-04:00"
+    cut.mkdir()
+    for name in ("operations.csv", "sensors.csv"):
+        with (whole / name).open(newline="") as handle:
+            header, *rows = csv.reader(handle)
+        start = rows[0][0][:10] + "T04:00:00"  # ISO timestamps compare as text
+        with (cut / name).open("w", newline="") as handle:
+            csv.writer(handle).writerows([header, *(row for row in rows if row[0] >= start)])
+    return {"00:00": whole, "04:00": cut}
+
+
+def evaluate_digests(tree: Path, home: Path, origin: str, args, out: Path) -> dict[str, str]:
+    """The digests of the CSVs one evaluate run writes in ``tree``; empty on failure."""
+    proc = homeguard(tree, "evaluate", "--operations", str(home / "operations.csv"),
+                     "--sensors", str(home / "sensors.csv"), "--day-origin", origin,
+                     "--injections", "20", "--seed", "1", "--output-dir", str(out), *args)
+    if proc.returncode != 0:
+        print(f"{tree}: evaluate exited {proc.returncode}\n{proc.stderr[-2000:]}")
+        return {}
+    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(out.glob("*.csv"))}
+
+
+def compare(label: str, base: dict[str, str], new: dict[str, str]) -> bool:
+    same = bool(base) and base == new
+    print(f"{label}: {len(new)} outputs, {'same' if same else 'DIFFER'}")
+    for name in sorted(set(base) | set(new)):
+        if base.get(name) != new.get(name):
+            print(f"  {name}: {base.get(name)} -> {new.get(name)}")
+    return same
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path, help="checkout of the commit to compare against")
@@ -49,12 +115,16 @@ def main(argv=None) -> int:
     for workload in args.workloads:
         for seed in args.seeds:
             base, new = digests(args.base, workload, seed), digests(head, workload, seed)
-            same = bool(base) and base == new
-            print(f"{workload} seed {seed}: {len(new)} outputs, {'same' if same else 'DIFFER'}")
-            for name in sorted(set(base) | set(new)):
-                if base.get(name) != new.get(name):
-                    print(f"  {name}: {base.get(name)} -> {new.get(name)}")
-            failed += not same
+            failed += not compare(f"{workload} seed {seed}", base, new)
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        homes = synth_homes(work)
+        for name, origin, run_args in EVALUATE_RUNS:
+            base, new = (
+                evaluate_digests(tree, homes[origin], origin, run_args, work / f"{side}-{name}")
+                for side, tree in (("base", args.base), ("head", head))
+            )
+            failed += not compare(f"evaluate {name}", base, new)
     return 1 if failed else 0
 
 

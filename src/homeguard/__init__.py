@@ -41,7 +41,6 @@ from .hsmodel import (
     LabelArrays,
     ModelParams,
     OperationTable,
-    StateBelief,
     TrainedModel,
     TransitionTensor,
     encode_labels,

@@ -58,11 +58,12 @@ def _parse_time(text: str) -> time:
         ) from None
 
 
-def _parse_values(args, name: str, cast, auto: bool = False):
-    """The comma list given to the option that sets ``name``; "auto" where the
-    option is a threshold swept over the recorded scores."""
+def _parse_values(args, name: str, cast, threshold: bool = False):
+    """The comma list given to the option that sets ``name``.  A threshold
+    list may be "auto" (swept over the recorded scores); otherwise each of
+    its values must lie in [0, 1], as the detector's thresholds do."""
     text = getattr(args, name)
-    if auto and text == "auto":
+    if threshold and text == "auto":
         return "auto"
     try:
         values = tuple(cast(part) for part in text.split(",") if part)
@@ -70,8 +71,12 @@ def _parse_values(args, name: str, cast, auto: bool = False):
         values = ()
     if not values:
         raise UsageError(
-            f"--{name.replace('_', '-')}: expected {'auto or ' if auto else ''}a comma list"
-            f" of numbers, got {text!r}"
+            f"--{name.replace('_', '-')}: expected {'auto or ' if threshold else ''}a comma"
+            f" list of numbers, got {text!r}"
+        )
+    if threshold and not all(0.0 <= value <= 1.0 for value in values):
+        raise UsageError(
+            f"--{name.replace('_', '-')}: every value must be a number in [0, 1], got {text!r}"
         )
     return values
 
@@ -253,6 +258,8 @@ def cmd_evaluate(args) -> int:
             )
         if methods.count(method) > 1:
             raise UsageError(f"--methods: {method!r} is given more than once")
+    if args.best_at is not None and not 0.0 <= args.best_at <= 1.0:
+        raise UsageError(f"--best-at: expected a number in [0, 1], got {args.best_at!r}")
     labelings = {
         name: _parse_values(args, f"{name}_values", int) for name in ("t_x", "t_y", "t_c")
     }
@@ -264,16 +271,16 @@ def cmd_evaluate(args) -> int:
                 **labelings,
                 criterion=args.criterion,
                 l_values=_parse_values(args, "l_values", l_cast),
-                n_single=_parse_values(args, "n_single_values", float, auto=True),
-                n_multi=_parse_values(args, "n_multi_values", float, auto=True),
+                n_single=_parse_values(args, "n_single_values", float, threshold=True),
+                n_multi=_parse_values(args, "n_multi_values", float, threshold=True),
             ))
         elif method == "estimation":
-            theta = _parse_values(args, "theta_values", float, auto=True)
+            theta = _parse_values(args, "theta_values", float, threshold=True)
             grids.append(EstimationGrid(**labelings, theta=theta))
         else:
             alpha_seq = _parse_values(args, "alpha_seq_values", float)
-            n_single = _parse_values(args, "n_seq_single_values", float, auto=True)
-            n_multi = _parse_values(args, "n_seq_multi_values", float, auto=True)
+            n_single = _parse_values(args, "n_seq_single_values", float, threshold=True)
+            n_multi = _parse_values(args, "n_seq_multi_values", float, threshold=True)
             try:
                 grids.append(SequenceGrid(alpha_seq=alpha_seq, n_single=n_single, n_multi=n_multi))
             except ValidationError as exc:

@@ -4,7 +4,9 @@ detection/misdetection ratios, parameter grids, and Pareto frontiers.
 Injected operations are judged counterfactually: each one sees the belief and
 event window of the real stream at its instant and never contaminates the
 stream, so judgments are independent of injection order.  The folds run one
-after another in one process, and one pass over them scores every method.
+after another in one process, and one pass over them scores every method;
+their forward filters run a group of folds at a time, every model of the
+group in one lockstep pass over the days.
 Each judged window is enumerated once per labeling combination and its
 candidates are scored for every grid value (each ``l`` value and each
 ``alpha_seq``); threshold parameters are then swept over the recorded scores
@@ -39,10 +41,9 @@ from .hsmodel import (
     LabelArrays,
     ModelParams,
     encode_labels,
-    filter_streams,
+    filter_models,
     fit_operations,
     fit_transitions,
-    kept_day_streams,
     run_filter,  # noqa: F401 - not called here; perfbench/child.py traces this name
 )
 from .ingest import SLOTS_PER_DAY, EventRecord, SensorFrame, TimeslotRecord, build_timeslots
@@ -59,6 +60,11 @@ from .seqstore import (
 from .vocab import Vocabulary
 
 SECONDS_PER_DAY = 86400
+# Folds filtered together in one lockstep pass.  A group's models and traces
+# stay alive until its last fold is scored: per fold one (1440, S, S) model and
+# N x 1440 x S floats of slot entries (3.2 MB on 28 days), plus event steps.
+# Four keeps the 28-day protocol's fold loop under the peak of its sweep.
+FOLD_GROUP = 4
 
 
 @dataclass(frozen=True)
@@ -232,19 +238,50 @@ class FoldContext:
             self._cache["state_model"] = (transitions, operations)
         return self._cache["state_model"]
 
-    def _filter_days(self) -> None:
-        """Filter the training days and the held-out day in one lockstep pass."""
-        transitions, operations = self.state_model()
-        days, streams = kept_day_streams(self.labeled, self.training_arrays())
-        streams.append(self.dataset.day_slots(self.heldout_day))
-        traces = filter_streams(streams, transitions, operations)
-        self._cache["training_traces"] = traces[:-1]
-        self._cache["training_days"] = days
-        self._cache["detection_trace"] = traces[-1]
+    @staticmethod
+    def filter_group(folds: Sequence["FoldContext"]) -> None:
+        """Filter the training days and the held-out days of folds of one
+        labeling in one lockstep pass, one model per fold.
+
+        Every model filters every day of the dataset whole (row = day, the
+        held-out day included) and the kept part of each day kept only in
+        part.  A fold takes the traces of its kept days and of its held-out
+        day, each bitwise what filtering them on their own would give.
+        """
+        first = folds[0]
+        dataset, arrays = first.dataset, first.arrays
+        kept = ~arrays.excluded
+        kept_slots = np.bincount(arrays.day[kept], minlength=dataset.n_days)
+        streams = [dataset.day_slots(day) for day in range(dataset.n_days)]
+        # (day, stream, the day whose windows the trace shares or None).
+        training: list[tuple[int, int, int | None]] = []
+        for day in np.flatnonzero(kept_slots).tolist():
+            if kept_slots[day] == SLOTS_PER_DAY:
+                training.append((day, day, day))
+            else:
+                positions = np.flatnonzero(kept & (arrays.day == day)).tolist()
+                training.append((day, len(streams), None))
+                streams.append([first.labeled[pos].slot for pos in positions])
+        kept_by_fold = [
+            [(stream, shared) for day, stream, shared in training if day != fold.heldout_day]
+            for fold in folds
+        ]
+        traces = filter_models(
+            streams,
+            [fold.state_model() for fold in folds],
+            [
+                [stream for stream, _ in fold_kept] + [fold.heldout_day]
+                for fold, fold_kept in zip(folds, kept_by_fold)
+            ],
+        )
+        for fold, fold_kept, fold_traces in zip(folds, kept_by_fold, traces):
+            fold._cache["training_traces"] = [fold_traces[stream] for stream, _ in fold_kept]
+            fold._cache["training_days"] = [shared for _, shared in fold_kept]
+            fold._cache["detection_trace"] = fold_traces[fold.heldout_day]
 
     def training_traces(self):
         if "training_traces" not in self._cache:
-            self._filter_days()
+            FoldContext.filter_group([self])
         return self._cache["training_traces"]
 
     def training_beliefs(self) -> TrainingBeliefs:
@@ -282,7 +319,7 @@ class FoldContext:
 
     def detection_trace(self):
         if "detection_trace" not in self._cache:
-            self._filter_days()
+            FoldContext.filter_group([self])
         return self._cache["detection_trace"]
 
     def judged_operations(
@@ -675,48 +712,72 @@ def _collect_records(
 ) -> list[_ScoreRecord]:
     """Score every judged operation of every fold, one fold at a time.
 
-    Each operation's window is enumerated once and its candidates are scored
-    for every ``l`` value and every ``alpha_seq``.
+    The folds are filtered in groups of ``FOLD_GROUP``, one pass per group,
+    when a method reads beliefs.  Each operation's window is enumerated once
+    and its candidates are scored for every ``l`` value and every
+    ``alpha_seq``.
     """
     records: list[_ScoreRecord] = []
-    for fold in folds:
-        stores = {
-            l_value: fold.sequence_store(
-                replace(seq_params_base, l_rank=int(l_value))
-                if seq_params_base.criterion == "rank"
-                else replace(seq_params_base, l_alpha=float(l_value))
+    for start in range(0, len(folds), FOLD_GROUP):
+        group = folds[start : start + FOLD_GROUP]
+        if need_proposed or need_estimation:
+            FoldContext.filter_group(group)
+        for fold in group:
+            records += _score_fold(
+                fold, need_proposed, need_estimation, need_sequence, seq_params_base,
+                injections_per_day, seed,
             )
-            for l_value in need_proposed
+            # The scores are recorded: drop the fold's models, traces and
+            # stores before the next fold builds its own.
+            fold.release()
+    return records
+
+
+def _score_fold(
+    fold: FoldContext,
+    need_proposed: Sequence,
+    need_estimation: bool,
+    need_sequence: Sequence[float],
+    seq_params_base: SeqParams,
+    injections_per_day: int,
+    seed: int,
+) -> list[_ScoreRecord]:
+    """The records of one fold's judged operations.  Nothing of the fold
+    outlives the call but its cache, which the caller releases: a judged
+    operation's belief is a view into its group's slot entries, and a loop
+    variable left over would keep them alive through the next group's pass."""
+    stores = {
+        l_value: fold.sequence_store(
+            replace(seq_params_base, l_rank=int(l_value))
+            if seq_params_base.criterion == "rank"
+            else replace(seq_params_base, l_alpha=float(l_value))
+        )
+        for l_value in need_proposed
+    }
+    operations = fold.state_model()[1] if need_estimation else None
+    timed = fold.timed_store() if need_sequence else None
+    records, windows = [], []
+    for ctx in fold.judged_operations(injections_per_day, seed):
+        candidates = (
+            window_candidates(ctx.preceding, ctx.op, seq_params_base)
+            if stores or timed is not None
+            else ()
+        )
+        # Keep (s_single, s_multi) only: the sweeps need no evidence.
+        proposed = {
+            l_value: _best_deltas(store, ctx.belief, candidates)[:2]
+            for l_value, store in stores.items()
         }
-        operations = fold.state_model()[1] if need_estimation else None
-        timed = fold.timed_store() if need_sequence else None
-        fold_records, windows = [], []
-        for ctx in fold.judged_operations(injections_per_day, seed):
-            candidates = (
-                window_candidates(ctx.preceding, ctx.op, seq_params_base)
-                if stores or timed is not None
-                else ()
-            )
-            # Keep (s_single, s_multi) only: the sweeps need no evidence.
-            proposed = {
-                l_value: _best_deltas(store, ctx.belief, candidates)[:2]
-                for l_value, store in stores.items()
-            }
-            est = estimation_score(operations, ctx.belief, ctx.op) if need_estimation else 0.0
-            fold_records.append(_ScoreRecord(ctx.injected, est, proposed, {}))
-            if timed is not None:
-                # Key ids, not the candidate tuples: a fold's tuples add up.
-                windows.append((timed.key_ids(candidates), seconds_of_day(ctx.op.timestamp)))
+        est = estimation_score(operations, ctx.belief, ctx.op) if need_estimation else 0.0
+        records.append(_ScoreRecord(ctx.injected, est, proposed, {}))
         if timed is not None:
-            # The fold's windows in one batch, for every alpha_seq at once.
-            for record, levels in zip(fold_records, sequence_scores(timed, windows, need_sequence)):
-                for alpha, scores in zip(need_sequence, levels):
-                    record.sequence[alpha] = scores[:2]
-        records += fold_records
-        # The scores are recorded; keep one fold's artifacts at a time, so
-        # drop this fold's stores before the next fold builds its own.
-        fold.release()
-        del stores, operations, timed, windows
+            # Key ids, not the candidate tuples: a fold's tuples add up.
+            windows.append((timed.key_ids(candidates), seconds_of_day(ctx.op.timestamp)))
+    if timed is not None:
+        # The fold's windows in one batch, for every alpha_seq at once.
+        for record, levels in zip(records, sequence_scores(timed, windows, need_sequence)):
+            for alpha, scores in zip(need_sequence, levels):
+                record.sequence[alpha] = scores[:2]
     return records
 
 

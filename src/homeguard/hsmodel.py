@@ -20,7 +20,9 @@ operation probabilities at every observed event.  Degenerate updates (all
 probability mass annihilated) reset the belief to uniform so detection can
 always proceed.  Days that share their slots-of-day run in lockstep: one
 (D, S) belief matrix advances all of them per slot, and events update single
-rows.
+rows.  Several models can filter the same days in one pass, as an (M, D, S)
+tensor advanced by one batched matrix product per slot; an event then updates
+its day's row under every model at once.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, time
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -98,19 +100,6 @@ class OperationTable:
         if vec is None:
             raise VocabularyError(f"operation {pair!r} is not registered in the model")
         return vec
-
-
-@dataclass
-class StateBelief:
-    """Belief over the state alphabet at one instant.
-
-    ``t`` is the slot-of-data index, ``event_index`` the number of within-slot
-    event updates already applied (0 right after the slot boundary).
-    """
-
-    probs: np.ndarray
-    t: int
-    event_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -337,14 +326,7 @@ def _normalize_or_uniform(values: np.ndarray) -> np.ndarray:
     return values / total
 
 
-def _apply_operation(probs: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    if np.all(vec == 1.0):
-        # Unseen operation: exact no-op, belief bitwise unchanged.
-        return probs
-    return _normalize_or_uniform(vec * probs)
-
-
-@dataclass
+@dataclass(slots=True)
 class EventStep:
     slot_pos: int
     event_pos: int
@@ -369,18 +351,6 @@ class FilterTrace:
     entry: np.ndarray
     events: list[EventStep]
     _by_slot: dict[int, list[EventStep]] | None = None
-
-    def snapshots(self) -> list[StateBelief]:
-        if not len(self.slots):
-            return [StateBelief(self.initial, t=0, event_index=0)]
-        result: list[StateBelief] = []
-        steps = self.events_by_slot()
-        for pos, slot in enumerate(self.slots):
-            result.append(StateBelief(self.entry[pos], t=slot.t, event_index=0))
-            for step in steps.get(pos, ()):
-                result.append(StateBelief(step.pre, t=slot.t, event_index=step.event_pos))
-                result.append(StateBelief(step.post, t=slot.t, event_index=step.event_pos + 1))
-        return result
 
     def events_by_slot(self) -> dict[int, list[EventStep]]:
         if self._by_slot is None:
@@ -409,75 +379,147 @@ class FilterTrace:
         return probs
 
 
+def _event_vectors(
+    tables: Sequence[OperationTable], pair: tuple[str, str]
+) -> tuple[np.ndarray, np.ndarray | None, bool]:
+    """The (M, S) operation vectors of ``pair``, one row per model, the mask
+    of the models for which it is all ones (None when there is none), and
+    whether it is all ones for every model.  An all-ones vector marks an
+    operation the model never saw: observing it leaves the belief untouched."""
+    vectors = np.array([table.vector(pair) for table in tables])
+    neutral = (vectors == 1.0).all(axis=1)
+    return vectors, (neutral if neutral.any() else None), bool(neutral.all())
+
+
+class _StackedMatrices:
+    """The (M, S, S) transition matrices of M models into slot-of-day ``k``,
+    stacked when asked for; a stack of every slot-of-day would hold
+    1440 x M x S x S floats through the whole pass."""
+
+    def __init__(self, tensors: Sequence[np.ndarray]) -> None:
+        self.tensors = tensors
+
+    def __getitem__(self, k: int) -> np.ndarray:
+        return np.array([probs[k - 1] for probs in self.tensors])
+
+
 def _lockstep(
     streams: Sequence[Sequence[TimeslotRecord]],
-    transitions: TransitionTensor,
-    operations: OperationTable,
+    models: Sequence[tuple[TransitionTensor, OperationTable]],
     initial: np.ndarray,
-) -> list[FilterTrace]:
-    """Filter streams of equal length whose slots share their slot-of-day.
+) -> list[list[FilterTrace]]:
+    """Filter streams of equal length whose slots share their slot-of-day,
+    under every one of ``models``; ``traces[m][d]`` follows stream ``d``
+    under model ``m``.
 
-    Row ``d`` of the (D, S) belief matrix follows stream ``d``: one matrix
-    product advances every row across a slot boundary, and events update
-    single rows.  Each trace's ``entry`` is a view of one array.
+    Row ``(m, d)`` of the (M, D, S) belief tensor follows stream ``d`` under
+    model ``m``.  One batched matrix product advances every row across a slot
+    boundary.  An event of stream ``d`` updates row ``d`` under every model
+    at once: a multiply, the row sums and a divide on an (M, S) matrix.  With
+    one model the beliefs are a (D, S) matrix and the product is ``np.dot``,
+    which costs less than ``np.matmul`` for a single row; each model's rows
+    come out bitwise equal either way.  Each trace's ``entry`` is a view of
+    one array.
     """
-    n_slots, n_states = len(streams[0]), transitions.n_states
+    n_models, n_rows = len(models), len(streams)
+    n_slots, n_states = len(streams[0]), models[0][0].n_states
     rows_at: dict[int, list[int]] = {}
     for row, stream in enumerate(streams):
         for pos in [pos for pos, slot in enumerate(stream) if slot.events]:
             rows_at.setdefault(pos, []).append(row)
 
     # Indexed by slot-of-day k; list indexing is cheaper than array indexing.
-    matrices = [None, *transitions.probs]
+    if n_models == 1:
+        matrices = [None, *models[0][0].probs]
+        product = np.dot
+        belief = np.tile(initial, (n_rows, 1))
+        row_at = [slice(row, row + 1) for row in range(n_rows)]
+    else:
+        matrices = _StackedMatrices([transitions.probs for transitions, _ in models])
+        product = np.matmul
+        belief = np.tile(initial, (n_models, n_rows, 1))
+        row_at = [(slice(None), row) for row in range(n_rows)]
+    tables = [operations for _, operations in models]
+    vectors: dict[tuple[str, str], tuple] = {}
     uniform = uniform_belief(n_states)
     # Stream-major, so each trace's beliefs are contiguous for the per-slot
     # state selection of the sequence store; a step stores all rows at once.
-    entry = np.empty((len(streams), n_slots, n_states))
-    steps: list[list[EventStep]] = [[] for _ in streams]
-    belief = np.tile(initial, (len(streams), 1))
+    entry = np.empty((n_models, n_rows, n_slots, n_states))
+    entry_at = entry[0] if n_models == 1 else entry
+    steps: list[list[list[EventStep]]] = [[[] for _ in streams] for _ in models]
     # Bound once: each step is a handful of calls on tiny arrays, so call
     # overhead is most of its cost.
-    dot, add_reduce = np.dot, np.add.reduce
+    add_reduce = np.add.reduce
     for pos, slot in enumerate(streams[0]):
         if pos:
-            belief = dot(belief, matrices[slot.k])
-            totals = add_reduce(belief, 1, None, None, True)
+            belief = product(belief, matrices[slot.k])
+            totals = add_reduce(belief, -1, None, None, True)
             if min(totals.ravel().tolist()) > 0.0:
                 belief /= totals
             else:
                 # A row whose mass vanished resets to uniform; the others
                 # normalize as usual.
-                dead = totals[:, 0] <= 0.0
+                dead = totals[..., 0] <= 0.0
                 belief[~dead] /= totals[~dead]
                 belief[dead] = uniform
-        entry[:, pos] = belief
+        entry_at[..., pos, :] = belief
         for row in rows_at.get(pos, ()):
-            pre = belief[row].copy()
+            at = row_at[row]
+            row_steps = [steps[m][row] for m in range(n_models)]
+            pre = belief[at].copy()  # (M, S)
+            pre_rows = list(pre)
             for event_pos, event in enumerate(streams[row][pos].events):
-                post = _apply_operation(pre, operations.vector(event.pair))
-                steps[row].append(EventStep(pos, event_pos, event, pre, post))
-                pre = post
-            belief[row] = pre
+                found = vectors.get(event.pair)
+                if found is None:
+                    found = vectors[event.pair] = _event_vectors(tables, event.pair)
+                vec, neutral, all_neutral = found
+                if all_neutral:
+                    post, post_rows = pre, pre_rows
+                else:
+                    post = vec * pre
+                    totals = add_reduce(post, 1, None, None, True)
+                    if min(totals.ravel().tolist()) > 0.0:
+                        post /= totals
+                    else:
+                        dead = totals[:, 0] <= 0.0
+                        post[~dead] /= totals[~dead]
+                        post[dead] = uniform
+                    if neutral is not None:
+                        post[neutral] = pre[neutral]
+                    post_rows = list(post)
+                for trace_steps, before, after in zip(row_steps, pre_rows, post_rows):
+                    trace_steps.append(EventStep(pos, event_pos, event, before, after))
+                pre, pre_rows = post, post_rows
+            belief[at] = pre
     return [
-        FilterTrace(slots=stream, initial=initial, entry=entry[row], events=steps[row])
-        for row, stream in enumerate(streams)
+        [
+            FilterTrace(slots=stream, initial=initial, entry=entry[m, row], events=steps[m][row])
+            for row, stream in enumerate(streams)
+        ]
+        for m in range(n_models)
     ]
 
 
-def filter_streams(
+def filter_models(
     streams: Sequence[Sequence[TimeslotRecord]],
-    transitions: TransitionTensor,
-    operations: OperationTable,
+    models: Sequence[tuple[TransitionTensor, OperationTable]],
+    wanted: Sequence[Iterable[int]],
     initial: np.ndarray | None = None,
-) -> list[FilterTrace]:
-    """Run the forward filter over each stream, all from the same initial belief.
+) -> list[dict[int, FilterTrace]]:
+    """Filter ``streams`` under several (transitions, operations) models, all
+    from the same initial belief: model ``m`` filters the streams indexed by
+    ``wanted[m]``, and gets its traces back keyed by stream index.
 
     Contiguous streams of equal length that start at the same slot-of-day
-    (the days of a training set, say) share every transition matrix, so they
-    run in lockstep; any other stream runs alone.  Traces come back in the
-    order of ``streams``.
+    (the days of a dataset, say) share every transition matrix, so they run
+    in lockstep, under every model that wants two or more of them at once.
+    A model that wants a single stream of such a group filters it alone, as
+    would any stream that is empty or has gaps: numpy multiplies a single row
+    by another BLAS path than several rows, whose products do not depend on
+    the number of rows.  So each model's traces are bitwise those of
+    ``filter_streams`` over the streams it wants.
     """
-    n_states = transitions.n_states
+    n_states = models[0][0].n_states
     init = (
         uniform_belief(n_states)
         if initial is None
@@ -491,12 +533,42 @@ def filter_streams(
             key = index  # empty, or with gaps: runs alone
         groups.setdefault(key, []).append(index)
 
-    traces: list[FilterTrace | None] = [None] * len(streams)
+    wanted_sets = [set(indices) for indices in wanted]
+    traces: list[dict[int, FilterTrace]] = [{} for _ in models]
     for members in groups.values():
-        batch = _lockstep([streams[index] for index in members], transitions, operations, init)
-        for index, trace in zip(members, batch):
-            traces[index] = trace
-    return traces  # type: ignore[return-value]
+        shared, alone = [], []
+        for m, indices in enumerate(wanted_sets):
+            mine = [index for index in members if index in indices]
+            if len(mine) > 1:
+                shared.append(m)
+            elif mine:
+                alone.append((m, mine[0]))
+        if shared:
+            batch = _lockstep(
+                [streams[index] for index in members], [models[m] for m in shared], init
+            )
+            for m, model_traces in zip(shared, batch):
+                for index, trace in zip(members, model_traces):
+                    if index in wanted_sets[m]:
+                        traces[m][index] = trace
+        for m, index in alone:
+            [[traces[m][index]]] = _lockstep([streams[index]], [models[m]], init)
+    return traces
+
+
+def filter_streams(
+    streams: Sequence[Sequence[TimeslotRecord]],
+    transitions: TransitionTensor,
+    operations: OperationTable,
+    initial: np.ndarray | None = None,
+) -> list[FilterTrace]:
+    """Run the forward filter over each stream, all from the same initial belief.
+
+    Streams aligned on their slots-of-day run in lockstep (see
+    ``filter_models``).  Traces come back in the order of ``streams``.
+    """
+    [traces] = filter_models(streams, [(transitions, operations)], [range(len(streams))], initial)
+    return [traces[index] for index in range(len(streams))]
 
 
 def run_filter(

@@ -8,7 +8,7 @@ result.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from datetime import datetime, time, timedelta
 from itertools import combinations
 from typing import Callable, Sequence
@@ -17,6 +17,7 @@ import numpy as np
 
 from homeguard.detector import LevelScores
 from homeguard.errors import InitializationError, ParseError
+from homeguard.hsmodel import EventStep, FilterTrace, filter_streams, kept_day_streams
 from homeguard.ingest import (
     SLOT_SECONDS,
     SLOTS_PER_DAY,
@@ -308,3 +309,90 @@ def frontier_indices_loop(mis: np.ndarray, det: np.ndarray) -> list[int]:
             keep.append(int(idx))
             best = float(det[idx])
     return keep
+
+
+@dataclass
+class StateBelief:
+    """Belief over the state alphabet at one instant.
+
+    ``t`` is the slot-of-data index, ``event_index`` the number of within-slot
+    event updates already applied (0 right after the slot boundary).
+    """
+
+    probs: np.ndarray
+    t: int
+    event_index: int = 0
+
+
+def snapshots(trace: FilterTrace) -> list[StateBelief]:
+    """Every instant of a trace in order: each slot entry, then the beliefs
+    just before and just after each of the slot's events."""
+    if not len(trace.slots):
+        return [StateBelief(trace.initial, t=0, event_index=0)]
+    result: list[StateBelief] = []
+    steps = trace.events_by_slot()
+    for pos, slot in enumerate(trace.slots):
+        result.append(StateBelief(trace.entry[pos], t=slot.t, event_index=0))
+        for step in steps.get(pos, ()):
+            result.append(StateBelief(step.pre, t=slot.t, event_index=step.event_pos))
+            result.append(StateBelief(step.post, t=slot.t, event_index=step.event_pos + 1))
+    return result
+
+
+def filter_folds_one_by_one(folds) -> list[tuple[list[FilterTrace], list[int | None], FilterTrace]]:
+    """Each fold's (training traces, training days, detection trace) from
+    filtering its kept days and its held-out day on their own, one fold at a
+    time."""
+    result = []
+    for fold in folds:
+        transitions, operations = fold.state_model()
+        days, streams = kept_day_streams(fold.labeled, fold.training_arrays())
+        streams.append(fold.dataset.day_slots(fold.heldout_day))
+        traces = filter_streams(streams, transitions, operations)
+        result.append((traces[:-1], days, traces[-1]))
+    return result
+
+
+def filter_streams_per_event(streams, transitions, operations) -> list[FilterTrace]:
+    """One model's forward filter from uniform, each aligned group of streams
+    in lockstep as a (D, S) matrix, each event applied to its row alone with
+    an all-ones check of the operation vector per event."""
+    n_states = transitions.n_states
+    uniform = np.full(n_states, 1.0 / n_states)
+
+    def apply(probs, vec):
+        if np.all(vec == 1.0):
+            return probs
+        total = (vec * probs).sum()
+        return uniform.copy() if total <= 0.0 else vec * probs / total
+
+    groups: dict[object, list[int]] = {}
+    for index, stream in enumerate(streams):
+        aligned = stream and stream[-1].t - stream[0].t == len(stream) - 1
+        groups.setdefault((len(stream), stream[0].k) if aligned else index, []).append(index)
+    traces: list = [None] * len(streams)
+    for members in groups.values():
+        group = [streams[index] for index in members]
+        entry = np.empty((len(group), len(group[0]), n_states))
+        steps: list[list[EventStep]] = [[] for _ in group]
+        belief = np.tile(uniform, (len(group), 1))
+        for pos, slot in enumerate(group[0]):
+            if pos:
+                belief = np.dot(belief, transitions.probs[slot.k - 1])
+                totals = belief.sum(axis=1, keepdims=True)
+                dead = totals[:, 0] <= 0.0
+                belief[~dead] /= totals[~dead]
+                belief[dead] = uniform
+            entry[:, pos] = belief
+            for row, stream in enumerate(group):
+                pre = belief[row].copy()
+                for event_pos, event in enumerate(stream[pos].events):
+                    post = apply(pre, operations.vector(event.pair))
+                    steps[row].append(EventStep(pos, event_pos, event, pre, post))
+                    pre = post
+                belief[row] = pre
+        for index, row in zip(members, range(len(group))):
+            traces[index] = FilterTrace(
+                slots=group[row], initial=uniform, entry=entry[row], events=steps[row]
+            )
+    return traces

@@ -38,7 +38,7 @@ from homeguard.synthgen import generate, scenario_s1
 from homeguard.vocab import Vocabulary
 
 from conftest import ev
-from oracles import generate_subsequences
+from oracles import generate_subsequences, snapshots
 from test_detector import make_model, store_with
 from test_evaluation import scripted_point, toy_dataset
 from test_hsmodel import (
@@ -75,9 +75,9 @@ def test_criterion_1_forward_filter_oracle_equivalence():
                 lambda pair: table.probs[pair].tolist(),
                 initial.tolist(),
             )
-            snapshots = trace.snapshots()
-            assert len(snapshots) == len(expected)
-            for snap, ref in zip(snapshots, expected):
+            snaps = snapshots(trace)
+            assert len(snaps) == len(expected)
+            for snap, ref in zip(snaps, expected):
                 worst = max(worst, float(np.max(np.abs(snap.probs - np.array(ref)))))
         elapsed = time.time() - started
         assert worst <= 1e-9, f"max component error {worst}"
@@ -129,7 +129,7 @@ def test_criterion_4_normalization_suite():
         rng = np.random.default_rng(77)
         for _ in range(40):
             slots, tensor, table, initial = random_filter_instance(rng)
-            for snap in run_filter(slots, tensor, table, initial).snapshots():
+            for snap in snapshots(run_filter(slots, tensor, table, initial)):
                 assert abs(float(snap.probs.sum()) - 1.0) <= 1e-9
 
         # A trained model over a real synthetic stream, same check.
@@ -143,7 +143,7 @@ def test_criterion_4_normalization_suite():
         )
         tensor = fit_transitions(labeled, t_z_max=120)
         table = fit_operations(labeled, Vocabulary())
-        for snap in run_filter(slots[:1440], tensor, table).snapshots():
+        for snap in snapshots(run_filter(slots[:1440], tensor, table)):
             assert abs(float(snap.probs.sum()) - 1.0) <= 1e-9
 
         # Observing an operation absent from training is an exact no-op.

@@ -831,3 +831,56 @@ class TestNonFiniteTolerances:
                      "--alpha-seq-values", text]) == 2
         assert "--alpha-seq-values" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+class TestThresholdValues:
+    """evaluate's fixed threshold lists and --best-at hold numbers in [0, 1],
+    as Thresholds and BaselineParams require; any other value exits 2 naming
+    its option before any input is read."""
+
+    class Reached(BaseException):
+        """Raised where evaluate reads its input; main turns an Exception
+        into exit 3, so this one is not."""
+
+    def run(self, tmp_path, model_home, monkeypatch, *options):
+        def reached(*args, **kwargs):
+            raise self.Reached
+
+        monkeypatch.setattr(cli, "parse_operation_log", reached)
+        ops, sensors, _ = model_home
+        return main(["evaluate", "--operations", str(ops), "--sensors", str(sensors),
+                     "--output-dir", str(tmp_path / "eval"), *options])
+
+    @pytest.mark.parametrize("option, method, text", [
+        ("--n-single-values", "proposed", "nan,0.1"),
+        ("--n-single-values", "proposed", "0.1,1.5"),
+        ("--n-multi-values", "proposed", "-0.1"),
+        ("--n-multi-values", "proposed", "inf"),
+        ("--n-seq-single-values", "sequence", "nan,0.1"),
+        ("--n-seq-single-values", "sequence", "2"),
+        ("--n-seq-multi-values", "sequence", "0.1,-1"),
+        ("--theta-values", "estimation", "2"),
+        ("--theta-values", "estimation", "nan,2"),
+        ("--n-single-values", "all", "nan"),
+    ])
+    def test_value_outside_0_1_exits_2(self, tmp_path, model_home, monkeypatch, option,
+                                       method, text, capsys):
+        assert self.run(tmp_path, model_home, monkeypatch, "--methods", method,
+                        f"{option}={text}") == 2
+        err = capsys.readouterr().err
+        assert option in err and repr(text) in err and "[0, 1]" in err
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("text", ["nan", "-0.1", "1.5", "inf"])
+    def test_best_at_outside_0_1_exits_2(self, tmp_path, model_home, monkeypatch, text, capsys):
+        assert self.run(tmp_path, model_home, monkeypatch, "--best-at", text) == 2
+        err = capsys.readouterr().err
+        assert "--best-at" in err and "[0, 1]" in err
+        assert not (tmp_path / "eval").exists()
+
+    def test_bounds_are_allowed(self, tmp_path, model_home, monkeypatch):
+        with pytest.raises(self.Reached):
+            self.run(tmp_path, model_home, monkeypatch, "--methods", "all",
+                     "--n-single-values", "0,1", "--n-multi-values", "0.0,1.0",
+                     "--theta-values", "0,0.5,1", "--n-seq-single-values", "1",
+                     "--n-seq-multi-values", "0", "--best-at", "1")

@@ -1,12 +1,12 @@
 """Injection, cross-validation counts, grid search, and frontier extraction."""
 
 from dataclasses import replace
-from datetime import datetime, timedelta
+from datetime import datetime, time, timedelta
 
 import numpy as np
 import pytest
 
-from homeguard import detector, evaluation, seqstore
+from homeguard import detector, evaluation, hsmodel, seqstore
 from homeguard.detector import (
     BaselineParams,
     Thresholds,
@@ -20,6 +20,7 @@ from homeguard.evaluation import (
     EstimationGrid,
     EvalDataset,
     EvalPoint,
+    FoldContext,
     ProposedGrid,
     SequenceGrid,
     _candidate_thresholds,
@@ -39,8 +40,9 @@ from homeguard.seqstore import SeqParams, seconds_of_day
 from homeguard.vocab import DEFAULT_PAIRS, Vocabulary
 
 from conftest import frame, make_folds
-from oracles import best_per_level_loop, frontier_indices_loop, ratio
+from oracles import best_per_level_loop, filter_folds_one_by_one, frontier_indices_loop, ratio
 from test_detector import make_model
+from test_hsmodel import assert_traces_equal
 from test_seqstore import dense_dataset
 
 BASE = datetime(2021, 3, 1)
@@ -647,3 +649,82 @@ class TestBestAt:
 
     def test_empty_absence(self):
         assert best_at([], 0.10) is None
+
+
+def early_origin_dataset(n_days=6) -> EvalDataset:
+    """Days from 04:00 to 04:00.  An operation in an empty home excludes its
+    date on the second and fourth calendar dates, so days 0 and 2 keep only
+    their 04:00-24:00 part and days 1 and 3 their 00:00-04:00 part."""
+    events, frames = [], []
+    for day in range(n_days):
+        start = BASE + timedelta(days=day, hours=4)
+        frames.append(frame(start))
+        at = lambda hours, minutes: start + timedelta(hours=hours, minutes=minutes)
+        events += [
+            EventRecord(at(3, 28), "refrigerator", "opening"),
+            EventRecord(at(3, 30), "cooking_stove", "on"),
+            EventRecord(at(3, 45), "cooking_stove", "off"),
+            EventRecord(at(14, 5), "tv", "on"),
+            EventRecord(at(14, 7 + day), "cooking_stove", "on"),
+            EventRecord(at(21, 0), "room_light", "on"),
+            EventRecord(at(22, 40), "refrigerator", "opening"),
+        ]
+        if day in (0, 2):
+            events += [
+                EventRecord(at(21, 10), "user_position", "exit"),
+                EventRecord(at(21, 30), "tv", "on"),
+            ]
+    return EvalDataset.from_logs(events, frames, Vocabulary(), day_origin=time(4, 0))
+
+
+class TestGroupedFoldFilter:
+    """Every fold's traces from the grouped pass are bitwise those of
+    filtering its kept days and its held-out day on their own."""
+
+    # Group size -> the most models sharing a pass over the kept parts.
+    @pytest.mark.parametrize("group, sharing", [(1, 1), (2, 2), (4, 2), (6, 4)])
+    def test_groups_equal_one_fold_at_a_time(self, group, sharing, monkeypatch):
+        dataset = early_origin_dataset()
+        folds = make_folds(dataset, LabelingParams(t_x=3, t_y=3, t_c=2), ModelParams(), SeqParams())
+        expected = filter_folds_one_by_one(folds)
+        assert expected[5][1] == [None, None, None, None, 4]
+        shapes = []
+        lockstep = hsmodel._lockstep
+
+        def recording(streams, models, initial):
+            shapes.append((len(models), len(streams), len(streams[0])))
+            return lockstep(streams, models, initial)
+
+        monkeypatch.setattr(hsmodel, "_lockstep", recording)
+        for start in range(0, len(folds), group):
+            FoldContext.filter_group(folds[start : start + group])
+        for fold, (training, days, detection) in zip(folds, expected):
+            assert fold._cache["training_days"] == days
+            assert len(fold.training_traces()) == len(training)
+            for got, ref in zip(fold.training_traces(), training):
+                assert_traces_equal(got, ref)
+            assert_traces_equal(fold.detection_trace(), detection)
+        # Every model of a group filters the six days whole.  A kept part runs
+        # in lockstep with the other part of its length under the folds that
+        # keep both, and alone under the folds that keep one.
+        assert (min(group, 6), 6, 1440) in shapes
+        assert (1, 1, 1200) in shapes and (1, 1, 240) in shapes
+        assert max(m for m, rows, n in shapes if rows == 2 and n < 1440) == sharing
+
+    def test_collect_records_filters_each_group_once(self, monkeypatch):
+        dataset = early_origin_dataset()
+        folds = make_folds(dataset, LabelingParams(t_x=3, t_y=3, t_c=2), ModelParams(), SeqParams())
+        groups = []
+        filter_group = FoldContext.filter_group
+
+        def recording(group):
+            groups.append(list(group))
+            filter_group(group)
+
+        monkeypatch.setattr(FoldContext, "filter_group", staticmethod(recording))
+        records = _collect_records(folds, (1,), True, (), SeqParams(), 5, 1)
+        size = evaluation.FOLD_GROUP
+        assert groups == [folds[start : start + size] for start in range(0, len(folds), size)]
+        assert all(not fold._cache for fold in folds)
+        stove = [e for e in dataset.events if e.device == "cooking_stove"]
+        assert len(records) == len(stove) + 5 * len(folds)

@@ -12,7 +12,9 @@ from homeguard.hsmodel import (
     OperationTable,
     TrainedModel,
     TransitionTensor,
+    _normalize_or_uniform,
     encode_labels,
+    filter_models,
     filter_streams,
     fit_operations,
     fit_transitions,
@@ -26,6 +28,7 @@ from homeguard.seqstore import SeqParams
 from homeguard.vocab import Vocabulary
 
 from conftest import BASE, ev, make_slots
+from oracles import filter_streams_per_event, snapshots
 
 S = len(ALPHABET)
 
@@ -360,7 +363,7 @@ def step_into(k, tensor, initial):
     """The snapshot after the filter crosses one slot boundary into
     slot-of-day ``k``."""
     slots = make_slots(2, k0=k - 1)
-    return run_filter(slots, tensor, OperationTable(n_states=tensor.n_states), initial).snapshots()[1]
+    return snapshots(run_filter(slots, tensor, OperationTable(n_states=tensor.n_states), initial))[1]
 
 
 def observe(pair, table, initial):
@@ -392,7 +395,7 @@ class TestBeliefUpdates:
     def test_hand_observation(self):
         table = OperationTable(n_states=2, probs={("tv", "on"): np.array([0.8, 0.2])})
         slots = make_slots(1, events={0: [ev(0.5, "tv", "on")]})
-        out = run_filter(slots, toy_tensor({}, 2), table, np.array([0.5, 0.5])).snapshots()[-1]
+        out = snapshots(run_filter(slots, toy_tensor({}, 2), table, np.array([0.5, 0.5])))[-1]
         assert np.allclose(out.probs, [0.8, 0.2])
         assert out.event_index == 1
 
@@ -477,7 +480,7 @@ class TestRunFilter:
     def test_empty_stream(self):
         tensor = toy_tensor({}, 2)
         trace = run_filter([], tensor, OperationTable(n_states=2), np.array([0.3, 0.7]))
-        snaps = trace.snapshots()
+        snaps = snapshots(trace)
         assert len(snaps) == 1
         assert np.allclose(snaps[0].probs, [0.3, 0.7])
 
@@ -486,7 +489,7 @@ class TestRunFilter:
         tensor = toy_tensor({1: np.eye(2)}, 2)
         slots = make_slots(1, events={0: [ev(0.5, "tv", "on")]})
         trace = run_filter(slots, tensor, table, np.array([0.5, 0.5]))
-        snaps = trace.snapshots()
+        snaps = snapshots(trace)
         assert len(snaps) == 3
         assert np.allclose(snaps[0].probs, [0.5, 0.5])  # slot entry
         assert np.allclose(snaps[1].probs, [0.5, 0.5])  # pre-event
@@ -510,7 +513,7 @@ class TestRunFilter:
                 lambda pair: table.probs[pair].tolist(),
                 initial.tolist(),
             )
-            got = trace.snapshots()
+            got = snapshots(trace)
             assert len(got) == len(expected)
             for snap, ref in zip(got, expected):
                 assert np.max(np.abs(snap.probs - np.array(ref))) <= 1e-9
@@ -537,7 +540,7 @@ def assert_matches_brute_force(trace, slots, tensor, table, initial):
         lambda pair: table.probs[pair].tolist(),
         list(initial),
     )
-    got = trace.snapshots()
+    got = snapshots(trace)
     assert len(got) == len(expected)
     for snap, ref in zip(got, expected):
         assert np.max(np.abs(snap.probs - np.array(ref))) <= 1e-12
@@ -681,3 +684,127 @@ class TestTrainedModelRoundTrip:
         payload["seq_params"]["argmax_slot_counting"] = False
         with pytest.raises(ModelError, match="format_version 1"):
             TrainedModel.from_payload(payload)
+
+
+def assert_traces_equal(got, expected):
+    """Bitwise equal beliefs at every instant, the same events in order."""
+    assert got.slots == expected.slots
+    assert np.array_equal(got.entry, expected.entry)
+    assert len(got.events) == len(expected.events)
+    for step, ref in zip(got.events, expected.events):
+        assert (step.slot_pos, step.event_pos, step.event) == (ref.slot_pos, ref.event_pos, ref.event)
+        assert np.array_equal(step.pre, ref.pre)
+        assert np.array_equal(step.post, ref.post)
+
+
+PAIRS = [("dev", name) for name in ("a", "b", "pin", "kill", "unseen")]
+
+
+def random_model(rng, n_states):
+    """Transitions with dead rows and whole dead slots; operation vectors
+    that pin the belief, annihilate it, or were never seen (all ones, in some
+    models only)."""
+    probs = rng.random((1440, n_states, n_states))
+    probs[rng.random((1440, n_states)) < 0.25] = 0.0
+    probs[rng.random(1440) < 0.05] = 0.0
+    sums = probs.sum(axis=2, keepdims=True)
+    probs = np.divide(probs, sums, out=np.zeros_like(probs), where=sums > 0)
+    table = OperationTable(n_states=n_states)
+    for pair in PAIRS:
+        draw = rng.random()
+        if pair[1] == "pin":
+            vec = np.eye(n_states)[int(rng.integers(0, n_states))]
+        elif pair[1] == "kill" and draw < 0.5:
+            vec = np.zeros(n_states)
+        elif pair[1] == "unseen" or draw < 0.3:
+            vec = np.ones(n_states)
+        else:
+            vec = rng.random(n_states)
+        table.probs[pair] = vec
+    return TransitionTensor(probs=probs, t_z=np.zeros(1440, dtype=np.int64)), table
+
+
+def random_stream(rng, n_slots, k0, t0):
+    events = {}
+    for _ in range(int(rng.integers(0, 3 * n_slots))):
+        pos = int(rng.integers(0, n_slots))
+        pair = PAIRS[int(rng.integers(0, len(PAIRS)))]
+        events.setdefault(pos, []).append(ev(t0 - 1 + pos + float(rng.random()) * 0.9, *pair))
+    for bucket in events.values():
+        bucket.sort(key=lambda e: e.timestamp)
+    return make_slots(n_slots, start=BASE + timedelta(minutes=t0 - 1), events=events, k0=k0, t0=t0)
+
+
+class TestFilterModels:
+    """The M-model lockstep filter against filter_streams under each model
+    alone, and filter_streams against the per-event single-model filter;
+    compared bit for bit."""
+
+    def instance(self, rng):
+        n_states = int(rng.integers(2, 6))
+        models = [random_model(rng, n_states) for _ in range(int(rng.integers(1, 6)))]
+        n_slots, k0 = int(rng.integers(1, 40)), int(rng.integers(1, 1441))
+        n_aligned = int(rng.integers(1, 7))
+        streams = [random_stream(rng, n_slots, k0, 1 + row * 1440) for row in range(n_aligned)]
+        # Unaligned: another length, another first slot-of-day, a gap, empty.
+        streams.append(random_stream(rng, n_slots + 1, k0, 1 + n_aligned * 1440))
+        streams.append(random_stream(rng, n_slots, k0 % 1440 + 1, 1 + (n_aligned + 1) * 1440))
+        gapped = random_stream(rng, n_slots + 2, k0, 1 + (n_aligned + 2) * 1440)
+        streams.append(gapped[:1] + gapped[2:])
+        streams.append([])
+        return models, streams
+
+    def test_every_model_equals_filtering_alone(self):
+        rng = np.random.default_rng(2026)
+        resets = mixed = 0
+        for _ in range(60):
+            models, streams = self.instance(rng)
+            wanted = [
+                [index for index in range(len(streams)) if rng.random() < 0.7]
+                for _ in models
+            ]
+            got = filter_models(streams, models, wanted)
+            for (transitions, operations), indices, traces in zip(models, wanted, got):
+                assert sorted(traces) == sorted(indices)
+                alone = filter_streams([streams[i] for i in indices], transitions, operations)
+                for index, expected in zip(indices, alone):
+                    assert_traces_equal(traces[index], expected)
+                    uniform = uniform_belief(transitions.n_states)
+                    resets += sum(np.array_equal(row, uniform) for row in expected.entry[1:])
+            neutral = [operations.probs[PAIRS[0]].min() == 1.0 for _, operations in models]
+            mixed += 0 < sum(neutral) < len(neutral)
+        assert resets and mixed  # both degenerate paths were taken
+
+    def test_whole_lockstep_group_under_every_model(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            models, streams = self.instance(rng)
+            aligned = streams[:-4]  # the four unaligned streams come last
+            got = filter_models(aligned, models, [range(len(aligned))] * len(models))
+            for (transitions, operations), traces in zip(models, got):
+                for index, expected in enumerate(filter_streams(aligned, transitions, operations)):
+                    assert_traces_equal(traces[index], expected)
+                    if len(aligned) > 1:
+                        assert traces[index].entry.base is traces[0].entry.base
+
+    def test_filter_streams_equals_the_per_event_filter(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            models, streams = self.instance(rng)
+            for transitions, operations in models:
+                got = filter_streams(streams, transitions, operations)
+                expected = filter_streams_per_event(streams, transitions, operations)
+                for trace, ref in zip(got, expected):
+                    assert_traces_equal(trace, ref)
+
+    def test_event_normalization_equals_the_single_row_rule(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            n_models, n_states = int(rng.integers(1, 6)), int(rng.integers(2, 12))
+            pre = rng.random((n_models, n_states))
+            vec = rng.random((n_models, n_states)) * (rng.random((n_models, n_states)) < 0.6)
+            product = vec * pre
+            totals = np.add.reduce(product, 1, None, None, True)
+            for m in range(n_models):
+                if totals[m, 0] > 0.0:
+                    assert np.array_equal(product[m] / totals[m], _normalize_or_uniform(vec[m] * pre[m]))
