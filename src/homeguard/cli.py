@@ -215,12 +215,12 @@ def cmd_detect(args) -> int:
     frames = parse_sensor_log(args.sensors, ranges=vocabulary.sensor_ranges or None)
     slots = build_timeslots(events, frames, day_origin=_parse_time(args.day_origin))
     # Only the proposed and estimation methods read a belief, so only they
-    # pay for the filter; its steps come in stream order.
+    # pay for the filter; its events come in stream order.
     if args.method == "sequence":
         stream = [event for slot in slots for event in slot.events]
     else:
-        steps = run_filter(slots, model.transitions, model.operations).events
-        stream = [step.event for step in steps]
+        trace = run_filter(slots, model.transitions, model.operations)
+        stream = trace.events
     target = vocabulary.detection_target
     times = [event.timestamp for event in stream]
     lines: list[str] = []
@@ -229,10 +229,10 @@ def cmd_detect(args) -> int:
             continue
         preceding = stream[window_start(times, event.timestamp, model.seq_params.t_seq) : idx]
         if args.method == "proposed":
-            verdict = judge_proposed(model, steps[idx].pre, preceding, event, thresholds)
+            verdict = judge_proposed(model, trace.pre[idx], preceding, event, thresholds)
         elif args.method == "estimation":
             verdict = judge_estimation_baseline(
-                model.operations, steps[idx].pre, event, baseline.theta, target
+                model.operations, trace.pre[idx], event, baseline.theta, target
             )
         else:
             verdict = judge_sequence_baseline(

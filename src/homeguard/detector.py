@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from datetime import timedelta
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
@@ -43,6 +42,7 @@ from .seqstore import (
     TimedSequenceStore,
     candidates_ending_at,
     seconds_of_day,
+    window_horizon,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -145,7 +145,7 @@ def window_candidates(
     operation and the operation itself as final item, cut to its last
     ``w_max`` items.
     """
-    horizon = op.timestamp - timedelta(seconds=seq_params.t_seq)
+    horizon = window_horizon(op.timestamp, seq_params.t_seq)
     pairs = [
         event.pair
         for event in preceding

@@ -62,7 +62,8 @@ from .vocab import Vocabulary
 SECONDS_PER_DAY = 86400
 # Folds filtered together in one lockstep pass.  A group's models and traces
 # stay alive until its last fold is scored: per fold one (1440, S, S) model and
-# N x 1440 x S floats of slot entries (3.2 MB on 28 days), plus event steps.
+# N x 1440 x S floats of slot entries (3.2 MB on 28 days), plus 2 x S floats
+# per event for the beliefs just before and just after it.
 # Four keeps the 28-day protocol's fold loop under the peak of its sweep.
 FOLD_GROUP = 4
 
@@ -333,21 +334,17 @@ class FoldContext:
         t_seq = self.seq_params.t_seq
 
         contexts: list[OperationContext] = []
-        global_pos = 0
-        for slot_pos, slot in enumerate(day_slots):
-            for event_pos, event in enumerate(slot.events):
-                if event.device == target:
-                    lo = window_start(event_times, event.timestamp, t_seq)
-                    preceding = day_events[lo:global_pos]
-                    contexts.append(
-                        OperationContext(
-                            event,
-                            injected=False,
-                            preceding=preceding,
-                            belief_provider=self._event_belief(slot_pos, event_pos),
-                        )
+        for index, event in enumerate(day_events):
+            if event.device == target:
+                lo = window_start(event_times, event.timestamp, t_seq)
+                contexts.append(
+                    OperationContext(
+                        event,
+                        injected=False,
+                        preceding=day_events[lo:index],
+                        belief_provider=self._event_belief(index),
                     )
-                global_pos += 1
+                )
 
         plan = inject_anomalies(
             day_slots[0].start,
@@ -371,15 +368,9 @@ class FoldContext:
             )
         return contexts
 
-    def _event_belief(self, slot_pos: int, event_pos: int) -> Callable[[], np.ndarray]:
-        def provider() -> np.ndarray:
-            trace = self.detection_trace()
-            for step in trace.events_by_slot().get(slot_pos, ()):
-                if step.event_pos == event_pos:
-                    return step.pre
-            raise RuntimeError("event missing from detection trace")
-
-        return provider
+    def _event_belief(self, index: int) -> Callable[[], np.ndarray]:
+        """The belief just before the held-out day's event ``index``."""
+        return lambda: self.detection_trace().pre[index]
 
     def _injected_belief(self, ts: datetime) -> Callable[[], np.ndarray]:
         return lambda: self.detection_trace().belief_before(ts)

@@ -23,6 +23,10 @@ always proceed.  Days that share their slots-of-day run in lockstep: one
 rows.  Several models can filter the same days in one pass, as an (M, D, S)
 tensor advanced by one batched matrix product per slot; an event then updates
 its day's row under every model at once.
+
+A ``FilterTrace`` holds arrays only: the belief entering each slot, the
+beliefs just before and just after each event of the stream, in order, and
+where each slot's events begin.
 """
 
 from __future__ import annotations
@@ -264,15 +268,15 @@ def fit_transitions(
     ).reshape(SLOTS_PER_DAY, n_states, n_states)
 
     t_z = window_halfwidths(presence, t_z_max)
-    # Prefix sums over a tripled axis give O(1) circular window sums, windows
-    # up to +-720 included (the antipodal slot is counted twice then, exactly
-    # as a literal sum over 1441 modular indices would).
-    pairs_ps = np.zeros((3 * SLOTS_PER_DAY + 1, n_states, n_states), dtype=np.int64)
-    np.cumsum(np.concatenate([pairs] * 3, axis=0), axis=0, out=pairs_ps[1:])
-    centers = np.arange(SLOTS_PER_DAY) + SLOTS_PER_DAY
-    windows = (
-        pairs_ps[centers + t_z + 1] - pairs_ps[centers - t_z]
-    ).astype(np.float64)  # (1440, S, S)
+    # One day's prefix sums plus whole laps of the day give O(1) circular
+    # window sums, windows up to +-720 included (the antipodal slot is counted
+    # twice then, exactly as a literal sum over 1441 modular indices would).
+    pairs_ps = np.zeros((SLOTS_PER_DAY + 1, n_states, n_states), dtype=np.int64)
+    np.cumsum(pairs, axis=0, out=pairs_ps[1:])
+    centers = np.arange(SLOTS_PER_DAY)
+    laps, rest = np.divmod(np.stack([centers + t_z + 1, centers - t_z]), SLOTS_PER_DAY)
+    ends = pairs_ps[rest] + laps[..., None, None] * pairs_ps[SLOTS_PER_DAY]  # (2, 1440, S, S)
+    windows = (ends[0] - ends[1]).astype(np.float64)
     row_sums = windows.sum(axis=2, keepdims=True)
     probs = np.divide(windows, row_sums, out=np.zeros_like(windows), where=row_sums > 0)
     return TransitionTensor(probs=probs, t_z=t_z)
@@ -326,39 +330,25 @@ def _normalize_or_uniform(values: np.ndarray) -> np.ndarray:
     return values / total
 
 
-@dataclass(slots=True)
-class EventStep:
-    slot_pos: int
-    event_pos: int
-    event: EventRecord
-    pre: np.ndarray
-    post: np.ndarray
-
-
 @dataclass
 class FilterTrace:
     """Belief trajectory over a slot stream.
 
     ``entry[p]`` is the belief right after entering slot ``p`` (for the first
     slot this is the initial belief itself: the stream starts there, no
-    transition is applied).  ``events`` holds the pre/post beliefs around
-    every within-slot update, realizing the instants "just before" and "just
-    after" each observation.
+    transition is applied).  ``events`` lists the stream's events in order;
+    ``pre[i]`` and ``post[i]`` are the beliefs just before and just after
+    the update by ``events[i]``.  The events of slot ``p`` are
+    ``first[p]:first[p + 1]``.
     """
 
     slots: Sequence[TimeslotRecord]
     initial: np.ndarray
-    entry: np.ndarray
-    events: list[EventStep]
-    _by_slot: dict[int, list[EventStep]] | None = None
-
-    def events_by_slot(self) -> dict[int, list[EventStep]]:
-        if self._by_slot is None:
-            grouped: dict[int, list[EventStep]] = {}
-            for step in self.events:
-                grouped.setdefault(step.slot_pos, []).append(step)
-            self._by_slot = grouped
-        return self._by_slot
+    entry: np.ndarray  # (n_slots, S)
+    events: list[EventRecord]
+    pre: np.ndarray  # (n_events, S)
+    post: np.ndarray  # (n_events, S)
+    first: np.ndarray  # (n_slots + 1,) int
 
     def belief_before(self, ts: datetime) -> np.ndarray:
         """Belief after all updates strictly earlier than ``ts``.
@@ -371,9 +361,9 @@ class FilterTrace:
         if not 0 <= offset < len(self.slots):
             raise ValueError(f"timestamp {ts} outside the filtered stream")
         probs = self.entry[offset]
-        for step in self.events_by_slot().get(offset, ()):
-            if step.event.timestamp < ts:
-                probs = step.post
+        for i in range(self.first[offset], self.first[offset + 1]):
+            if self.events[i].timestamp < ts:
+                probs = self.post[i]
             else:
                 break
         return probs
@@ -419,12 +409,15 @@ def _lockstep(
     one model the beliefs are a (D, S) matrix and the product is ``np.dot``,
     which costs less than ``np.matmul`` for a single row; each model's rows
     come out bitwise equal either way.  Each trace's ``entry`` is a view of
-    one array.
+    one array, and its ``pre`` and ``post`` are views of one (M, n_events, S)
+    array per stream.
     """
     n_models, n_rows = len(models), len(streams)
     n_slots, n_states = len(streams[0]), models[0][0].n_states
+    first = np.zeros((n_rows, n_slots + 1), dtype=np.intp)
     rows_at: dict[int, list[int]] = {}
     for row, stream in enumerate(streams):
+        np.cumsum([len(slot.events) for slot in stream], dtype=np.intp, out=first[row, 1:])
         for pos in [pos for pos, slot in enumerate(stream) if slot.events]:
             rows_at.setdefault(pos, []).append(row)
 
@@ -443,11 +436,14 @@ def _lockstep(
     vectors: dict[tuple[str, str], tuple] = {}
     uniform = uniform_belief(n_states)
     # Stream-major, so each trace's beliefs are contiguous for the per-slot
-    # state selection of the sequence store; a step stores all rows at once.
+    # state selection of the sequence store; an update stores all rows at once.
     entry = np.empty((n_models, n_rows, n_slots, n_states))
     entry_at = entry[0] if n_models == 1 else entry
-    steps: list[list[list[EventStep]]] = [[[] for _ in streams] for _ in models]
-    # Bound once: each step is a handful of calls on tiny arrays, so call
+    n_events = first[:, -1].tolist()
+    pre = [np.empty((n_models, n, n_states)) for n in n_events]
+    post = [np.empty((n_models, n, n_states)) for n in n_events]
+    starts = first.tolist()
+    # Bound once: each update is a handful of calls on tiny arrays, so call
     # overhead is most of its cost.
     add_reduce = np.add.reduce
     for pos, slot in enumerate(streams[0]):
@@ -465,35 +461,35 @@ def _lockstep(
         entry_at[..., pos, :] = belief
         for row in rows_at.get(pos, ()):
             at = row_at[row]
-            row_steps = [steps[m][row] for m in range(n_models)]
-            pre = belief[at].copy()  # (M, S)
-            pre_rows = list(pre)
-            for event_pos, event in enumerate(streams[row][pos].events):
+            row_pre, row_post = pre[row], post[row]
+            now = belief[at]  # (M, S)
+            for i, event in enumerate(streams[row][pos].events, starts[row][pos]):
+                row_pre[:, i] = now
                 found = vectors.get(event.pair)
                 if found is None:
                     found = vectors[event.pair] = _event_vectors(tables, event.pair)
                 vec, neutral, all_neutral = found
-                if all_neutral:
-                    post, post_rows = pre, pre_rows
-                else:
-                    post = vec * pre
-                    totals = add_reduce(post, 1, None, None, True)
+                if not all_neutral:
+                    updated = vec * now
+                    totals = add_reduce(updated, 1, None, None, True)
                     if min(totals.ravel().tolist()) > 0.0:
-                        post /= totals
+                        updated /= totals
                     else:
                         dead = totals[:, 0] <= 0.0
-                        post[~dead] /= totals[~dead]
-                        post[dead] = uniform
+                        updated[~dead] /= totals[~dead]
+                        updated[dead] = uniform
                     if neutral is not None:
-                        post[neutral] = pre[neutral]
-                    post_rows = list(post)
-                for trace_steps, before, after in zip(row_steps, pre_rows, post_rows):
-                    trace_steps.append(EventStep(pos, event_pos, event, before, after))
-                pre, pre_rows = post, post_rows
-            belief[at] = pre
+                        updated[neutral] = now[neutral]
+                    now = updated
+                row_post[:, i] = now
+            belief[at] = now
+    events = [[event for slot in stream for event in slot.events] for stream in streams]
     return [
         [
-            FilterTrace(slots=stream, initial=initial, entry=entry[m, row], events=steps[m][row])
+            FilterTrace(
+                slots=stream, initial=initial, entry=entry[m, row], events=events[row],
+                pre=pre[row][m], post=post[row][m], first=first[row],
+            )
             for row, stream in enumerate(streams)
         ]
         for m in range(n_models)
@@ -644,6 +640,8 @@ class TrainedModel:
         for key in _PAYLOAD_KEYS:
             if key not in payload:
                 raise ModelError(f"model has no {key!r} key")
+        if not isinstance(payload["states"], list):
+            raise ModelError("states: expected a JSON list")
         states = tuple(_state_from_payload(key) for key in payload["states"])
         n_states = len(states)
         model_params = params_from_payload(ModelParams, payload["model_params"], "model_params")

@@ -94,7 +94,8 @@ class TimeslotRecord:
 
 
 def format_timestamp(ts: datetime) -> str:
-    return ts.strftime(TIMESTAMP_FORMAT)
+    # strftime would write year 1 as "1", which parse_timestamp rejects.
+    return ts.isoformat(timespec="seconds")
 
 
 def parse_timestamp(text: str, line: int | None = None) -> datetime:
@@ -243,6 +244,17 @@ def slot_of_day(ts: datetime, day_origin: time) -> int:
     return int((ts - boundary).total_seconds() // SLOT_SECONDS) + 1
 
 
+def _grid_bound(ts: datetime, day_origin: time, days: int) -> datetime:
+    """The day boundary at or before ``ts``, ``days`` days on."""
+    try:
+        return floor_to_day_origin(ts, day_origin) + timedelta(days=days)
+    except OverflowError:
+        raise ValidationError(
+            f"timestamp {ts} needs a grid day outside the dates"
+            f" {datetime.min.date()} to {datetime.max.date()}"
+        ) from None
+
+
 def build_timeslots(
     events: Sequence[EventRecord],
     frames: Sequence[SensorFrame],
@@ -255,15 +267,16 @@ def build_timeslots(
     day boundary strictly after the latest input, so the slot count is always
     a multiple of 1440.  Sensor values are forward-filled: each slot carries
     the latest frame with timestamp <= slot start.  Every event lands in
-    exactly one slot.  A grid longer than ``MAX_SPAN_DAYS`` days raises
-    ``ValidationError`` before any slot is built.
+    exactly one slot.  A grid longer than ``MAX_SPAN_DAYS`` days, or with a
+    day bound outside the dates ``datetime`` holds, raises ``ValidationError``
+    before any slot is built.
     """
     if not events and not frames:
         return []
     timestamps = [e.timestamp for e in events] + [f.timestamp for f in frames]
     first, last = min(timestamps), max(timestamps)
-    start = floor_to_day_origin(first, day_origin)
-    n_days = (floor_to_day_origin(last, day_origin) - start).days + 1
+    start = _grid_bound(first, day_origin, 0)
+    n_days = (_grid_bound(last, day_origin, 1) - start).days
     if n_days > MAX_SPAN_DAYS:
         raise ValidationError(
             f"timestamps from {first} to {last} need a grid of {n_days} days,"

@@ -32,7 +32,6 @@ count is a difference of two binary searches.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
@@ -42,12 +41,15 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import EventRecord
+from .ingest import MAX_SPAN_DAYS, EventRecord
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hsmodel import FilterTrace
 
 SECONDS_PER_DAY = 86400
+# The longest window ``t_seq`` may span: the longest grid that
+# ``build_timeslots`` accepts.
+MAX_T_SEQ = MAX_SPAN_DAYS * SECONDS_PER_DAY
 
 Pair = tuple[str, str]
 Items = tuple[Pair, ...]
@@ -97,9 +99,10 @@ class SeqParams:
     w_max: int = 16
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.t_seq) and self.t_seq > 0):
+        if not 0 < self.t_seq <= MAX_T_SEQ:  # NaN fails too
             raise ValidationError(
-                f"must be a finite positive number, got {self.t_seq!r}", field="t_seq"
+                f"must be a positive number of seconds up to {MAX_T_SEQ}, got {self.t_seq!r}",
+                field="t_seq",
             )
         if self.criterion not in ("rank", "alpha"):
             raise ValidationError("must be 'rank' or 'alpha'", field="criterion")
@@ -141,10 +144,17 @@ def _enumerate_distinct(pairs: Sequence[Pair], l_max: int) -> dict[Items, int]:
     return out
 
 
+def window_horizon(ts: datetime, t_seq: float) -> datetime:
+    """The instant ``t_seq`` seconds before ``ts``, or the first instant a
+    ``datetime`` holds when that lies before it."""
+    span = timedelta(seconds=t_seq)
+    return ts - span if ts - datetime.min > span else datetime.min
+
+
 def window_start(times: Sequence[datetime], ts: datetime, t_seq: float) -> int:
     """Index of the first of the sorted ``times`` at most ``t_seq`` seconds
     before ``ts``: where the window of an event at ``ts`` begins."""
-    return bisect_left(times, ts - timedelta(seconds=t_seq))
+    return bisect_left(times, window_horizon(ts, t_seq))
 
 
 def candidates_ending_at(window_pairs: Sequence[Pair], l_max: int) -> list[Items]:
@@ -254,9 +264,17 @@ class SequenceStore:
             criterion=payload.get("criterion", "rank"),
             slot_counts=_count_vector(payload["slot_counts"], n_states, "slot_counts"),
         )
-        for key, counts in payload["counts"].items():
+        for key, counts in _payload_object(payload, "counts").items():
             store.counts[_items_from_key(key)] = _count_vector(counts, n_states, f"counts {key!r}")
         return store
+
+
+def _payload_object(payload: dict, key: str) -> dict:
+    """A store payload's JSON object under ``key``; raises ValueError."""
+    value = payload[key]
+    if not isinstance(value, dict):
+        raise ValueError(f"{key}: expected a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _count_vector(values, n_states: int, what: str) -> np.ndarray:
@@ -369,7 +387,7 @@ class TimedSequenceStore:
         if type(total) is not int or total < 0:
             raise ValueError(f"target_total: need a non-negative integer, got {total!r}")
         times = {}
-        for key, stored in payload["times"].items():
+        for key, stored in _payload_object(payload, "times").items():
             if not (
                 isinstance(stored, list)
                 and all(type(x) in (int, float) and 0 <= x < SECONDS_PER_DAY for x in stored)
@@ -632,13 +650,11 @@ class TrainingBeliefs:
                 if len(trace.slots):
                     cells = (_ranks(trace.entry).astype(np.intp) - 1) * n_states + states
                     at_rank += np.bincount(cells.ravel(), minlength=n_states * n_states)
-            pre = np.array(
-                [step.pre for trace in self.traces for step in trace.events], dtype=np.float64
-            ).reshape(-1, n_states)
+            pre = np.concatenate([np.empty((0, n_states)), *(trace.pre for trace in self.traces)])
             ids, finals, offset = [], [], 0
             for trace, day in zip(self.traces, self.days):
                 if day is None:
-                    entries = self.windows.windows_of([step.event for step in trace.events])
+                    entries = self.windows.windows_of(trace.events)
                 elif len(trace.events) == len(self.windows.days[day]):
                     entries = self.windows.day(day)
                 else:

@@ -17,7 +17,7 @@ import numpy as np
 
 from homeguard.detector import LevelScores
 from homeguard.errors import InitializationError, ParseError
-from homeguard.hsmodel import EventStep, FilterTrace, filter_streams, kept_day_streams
+from homeguard.hsmodel import FilterTrace, filter_streams, kept_day_streams
 from homeguard.ingest import (
     SLOT_SECONDS,
     SLOTS_PER_DAY,
@@ -256,18 +256,17 @@ def store_sequences_per_window(traces, target_device: str, params: SeqParams, n_
     for trace in traces:
         for row in trace.entry:
             store.slot_counts[select_states(row, params)] += 1
-        steps = trace.events
-        times = [step.event.timestamp for step in steps]
-        for idx, step in enumerate(steps):
-            if step.event.device != target_device:
+        events = trace.events
+        times = [event.timestamp for event in events]
+        for idx, event in enumerate(events):
+            if event.device != target_device:
                 continue
-            window = steps[window_start(times, step.event.timestamp, params.t_seq) : idx + 1]
-            window = window[-params.w_max :]
-            pairs = [s.event.pair for s in window]
+            lo = max(window_start(times, event.timestamp, params.t_seq), idx + 1 - params.w_max)
+            pairs = [e.pair for e in events[lo : idx + 1]]
             for items, final in _enumerate_distinct(pairs, params.l_max).items():
                 if not any(device == target_device for device, _ in items):
                     continue
-                selected = select_states(window[final].pre, params)
+                selected = select_states(trace.pre[lo + final], params)
                 if not selected:
                     continue
                 counts = store.counts.setdefault(items, np.zeros(n_states, dtype=np.int64))
@@ -330,13 +329,31 @@ def snapshots(trace: FilterTrace) -> list[StateBelief]:
     if not len(trace.slots):
         return [StateBelief(trace.initial, t=0, event_index=0)]
     result: list[StateBelief] = []
-    steps = trace.events_by_slot()
     for pos, slot in enumerate(trace.slots):
         result.append(StateBelief(trace.entry[pos], t=slot.t, event_index=0))
-        for step in steps.get(pos, ()):
-            result.append(StateBelief(step.pre, t=slot.t, event_index=step.event_pos))
-            result.append(StateBelief(step.post, t=slot.t, event_index=step.event_pos + 1))
+        for event_index, i in enumerate(range(trace.first[pos], trace.first[pos + 1])):
+            result.append(StateBelief(trace.pre[i], t=slot.t, event_index=event_index))
+            result.append(StateBelief(trace.post[i], t=slot.t, event_index=event_index + 1))
     return result
+
+
+def belief_before_walk(trace: FilterTrace, ts: datetime) -> np.ndarray:
+    """``FilterTrace.belief_before`` by walking the events of the slot that
+    holds ``ts``, as its slot record lists them, counting the events of the
+    earlier slots to find their place in the trace."""
+    if not len(trace.slots):
+        return trace.initial
+    offset = int((ts - trace.slots[0].start).total_seconds() // 60)
+    if not 0 <= offset < len(trace.slots):
+        raise ValueError(f"timestamp {ts} outside the filtered stream")
+    i = sum(len(slot.events) for slot in trace.slots[:offset])
+    probs = trace.entry[offset]
+    for event in trace.slots[offset].events:
+        if not event.timestamp < ts:
+            break
+        probs = trace.post[i]
+        i += 1
+    return probs
 
 
 def filter_folds_one_by_one(folds) -> list[tuple[list[FilterTrace], list[int | None], FilterTrace]]:
@@ -374,7 +391,8 @@ def filter_streams_per_event(streams, transitions, operations) -> list[FilterTra
     for members in groups.values():
         group = [streams[index] for index in members]
         entry = np.empty((len(group), len(group[0]), n_states))
-        steps: list[list[EventStep]] = [[] for _ in group]
+        pre: list[list[np.ndarray]] = [[] for _ in group]
+        post: list[list[np.ndarray]] = [[] for _ in group]
         belief = np.tile(uniform, (len(group), 1))
         for pos, slot in enumerate(group[0]):
             if pos:
@@ -385,14 +403,22 @@ def filter_streams_per_event(streams, transitions, operations) -> list[FilterTra
                 belief[dead] = uniform
             entry[:, pos] = belief
             for row, stream in enumerate(group):
-                pre = belief[row].copy()
-                for event_pos, event in enumerate(stream[pos].events):
-                    post = apply(pre, operations.vector(event.pair))
-                    steps[row].append(EventStep(pos, event_pos, event, pre, post))
-                    pre = post
-                belief[row] = pre
+                probs = belief[row].copy()
+                for event in stream[pos].events:
+                    pre[row].append(probs)
+                    probs = apply(probs, operations.vector(event.pair))
+                    post[row].append(probs)
+                belief[row] = probs
         for index, row in zip(members, range(len(group))):
+            slots = group[row]
+            counts = [len(slot.events) for slot in slots]
             traces[index] = FilterTrace(
-                slots=group[row], initial=uniform, entry=entry[row], events=steps[row]
+                slots=slots,
+                initial=uniform,
+                entry=entry[row],
+                events=[event for slot in slots for event in slot.events],
+                pre=np.array(pre[row]).reshape(-1, n_states),
+                post=np.array(post[row]).reshape(-1, n_states),
+                first=np.cumsum([0, *counts]),
             )
     return traces

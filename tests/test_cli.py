@@ -272,19 +272,18 @@ class TestDetectCommand:
             parse_operation_log(ops, model.vocabulary, on_unknown="skip"),
             parse_sensor_log(sensors, ranges=model.vocabulary.sensor_ranges),
         )
-        steps = run_filter(slots, model.transitions, model.operations).events
+        trace = run_filter(slots, model.transitions, model.operations)
         expected_windows, expected = [], []
-        for idx, step in enumerate(steps):
-            op = step.event
+        for idx, op in enumerate(trace.events):
             if op.device != target:
                 continue
             preceding = [
-                s.event for s in steps[:idx]
-                if (op.timestamp - s.event.timestamp).total_seconds() <= model.seq_params.t_seq
+                e for e in trace.events[:idx]
+                if (op.timestamp - e.timestamp).total_seconds() <= model.seq_params.t_seq
             ]
             expected_windows.append(preceding)
             if method == "proposed":
-                verdict = judge(model, step.pre, preceding, op, Thresholds(0.01, 0.01))
+                verdict = judge(model, trace.pre[idx], preceding, op, Thresholds(0.01, 0.01))
             else:
                 verdict = judge(
                     model.baseline_store, preceding, op, BaselineParams(), model.seq_params, target
@@ -303,9 +302,8 @@ class TestDetectCommand:
             parse_operation_log(ops, model.vocabulary, on_unknown="skip"),
             parse_sensor_log(sensors, ranges=model.vocabulary.sensor_ranges),
         )
-        # The stream as the filter's steps give it, as detect read it before.
-        stream = [step.event for step in run_filter(slots, model.transitions,
-                                                    model.operations).events]
+        # The stream as the filter's trace gives it, as detect read it before.
+        stream = run_filter(slots, model.transitions, model.operations).events
         times = [event.timestamp for event in stream]
         expected = [
             judge_sequence_baseline(
@@ -410,12 +408,17 @@ class TestMalformedModel:
             (set_key("baseline_store", "target_total", "x"), "target_total"),
             (negative_b_vector, "'cooking_stove:on'"),
             (set_key("store", "slot_counts", [5]), "slot_counts"),
+            (set_key("store", "counts", []), "counts"),
+            (set_key("baseline_store", "times", 5), "times"),
+            (replace_key("states", 5), "states"),
+            (set_key("seq_params", "t_seq", 10**30), "t_seq"),
         ],
         ids=["no-b", "seq-bogus", "model-bogus", "labeling-bogus", "w_max-text",
              "night_split-text", "state-x:y", "short-b", "store-null", "baseline_store-null",
              "vocabulary-pairs", "vocabulary-ranges", "vocabulary-bogus", "vocabulary-list",
              "a-row-text", "a-row-nan", "t_z-text", "t_z-short", "target_total-text",
-             "b-negative", "slot_counts-short"],
+             "b-negative", "slot_counts-short", "counts-list", "times-int", "states-int",
+             "t_seq-huge"],
     )
     def test_exits_2_naming_the_fault(self, tmp_path, model_home, edit, named, method, capsys):
         code, err = self.detect(tmp_path, model_home, edit, method, capsys)
@@ -574,6 +577,54 @@ class TestDayOrigin:
                                                 ("07:05", time(7, 5)), ("23:59", time(23, 59))])
     def test_h_mm_and_hh_mm_accepted(self, text, expected):
         assert cli._parse_time(text) == expected
+
+
+class TestDateRangeEnds:
+    """Logs whose grid days reach past the dates a ``datetime`` holds exit 2
+    naming the timestamp; logs just inside the range run."""
+
+    def write_logs(self, tmp_path, day):
+        ops = tmp_path / "ops.csv"
+        sensors = tmp_path / "sensors.csv"
+        ops.write_text("timestamp,device,action,actor\n"
+                       f"{day}T00:03:00,cooking_stove,on,\n{day}T10:00:00,tv,on,\n")
+        sensors.write_text("timestamp,temperature,humidity,atmosphere,co2,noise\n"
+                           f"{day}T00:00:00,21,50,1010,600,45\n")
+        return ops, sensors
+
+    def write_model(self, tmp_path, model_home):
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(model_home[2]))
+        return model
+
+    @pytest.mark.parametrize("command, day, origin, named", [
+        ("train", "9999-12-31", "00:00", "9999-12-31 10:00:00"),
+        ("detect", "9999-12-31", "00:00", "9999-12-31 10:00:00"),
+        ("detect", "0001-01-01", "04:00", "0001-01-01 00:00:00"),
+    ])
+    def test_grid_outside_the_dates_exits_2(self, tmp_path, model_home, command, day, origin,
+                                            named, capsys):
+        ops, sensors = self.write_logs(tmp_path, day)
+        argv = [command, "--operations", str(ops), "--sensors", str(sensors),
+                "--day-origin", origin]
+        if command == "train":
+            argv += ["--output", str(tmp_path / "out.json")]
+        else:
+            argv += ["--model", str(self.write_model(tmp_path, model_home))]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method", ["proposed", "estimation", "sequence"])
+    def test_first_minutes_of_year_1_detect(self, tmp_path, model_home, method):
+        # The target operation comes less than t_seq after the first instant
+        # a datetime holds, so its window reaches back past it.
+        ops, sensors = self.write_logs(tmp_path, "0001-01-01")
+        out = tmp_path / "verdicts.jsonl"
+        assert main(["detect", "--model", str(self.write_model(tmp_path, model_home)),
+                     "--operations", str(ops), "--sensors", str(sensors),
+                     "--method", method, "--output", str(out)]) == 0
+        [verdict] = [json.loads(line) for line in out.read_text().splitlines()]
+        assert verdict["timestamp"] == "0001-01-01T00:03:00"
 
 
 def test_benchmark_tracer_finds_every_name_it_wraps(tmp_path):
@@ -766,7 +817,7 @@ class TestNonFiniteTolerances:
     """A tolerance that is not a finite number exits 2 naming its option,
     wherever it comes from, before any scoring."""
 
-    @pytest.mark.parametrize("text", ["nan", "inf"])
+    @pytest.mark.parametrize("text", ["nan", "inf", "1e30", "1e12"])
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_t_seq_flag(self, tmp_path, model_home, command, text, capsys):
         ops, sensors, _ = model_home
@@ -779,7 +830,7 @@ class TestNonFiniteTolerances:
         assert "t_seq" in capsys.readouterr().err
         assert not (tmp_path / "model.json").exists()
 
-    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**30])
     @pytest.mark.parametrize("command", ["train", "evaluate"])
     def test_t_seq_in_config(self, tmp_path, model_home, command, value, capsys):
         ops, sensors, _ = model_home

@@ -28,7 +28,7 @@ from homeguard.seqstore import SeqParams
 from homeguard.vocab import Vocabulary
 
 from conftest import BASE, ev, make_slots
-from oracles import filter_streams_per_event, snapshots
+from oracles import belief_before_walk, filter_streams_per_event, snapshots
 
 S = len(ALPHABET)
 
@@ -367,11 +367,13 @@ def step_into(k, tensor, initial):
 
 
 def observe(pair, table, initial):
-    """The one event step of a one-slot stream carrying ``pair``."""
+    """The beliefs just before and just after the one event of a one-slot
+    stream carrying ``pair``."""
     slots = make_slots(1, events={0: [ev(0.5, *pair)]})
     tensor = toy_tensor({}, table.n_states)
-    [step] = run_filter(slots, tensor, table, initial).events
-    return step
+    trace = run_filter(slots, tensor, table, initial)
+    [pre], [post] = trace.pre, trace.post
+    return pre, post
 
 
 class TestBeliefUpdates:
@@ -401,13 +403,13 @@ class TestBeliefUpdates:
 
     def test_unseen_operation_bitwise_unchanged(self):
         table = OperationTable(n_states=3, probs={("tv", "on"): np.ones(3)})
-        step = observe(("tv", "on"), table, np.array([0.2, 0.5, 0.3]))
-        assert step.post is step.pre  # exact no-op, not merely close
+        pre, post = observe(("tv", "on"), table, np.array([0.2, 0.5, 0.3]))
+        assert np.array_equal(post, pre)  # exact no-op, not merely close
 
     def test_zero_product_resets_to_uniform(self):
         table = OperationTable(n_states=2, probs={("tv", "on"): np.zeros(2)})
-        step = observe(("tv", "on"), table, np.array([0.6, 0.4]))
-        assert np.allclose(step.post, [0.5, 0.5])
+        _, post = observe(("tv", "on"), table, np.array([0.6, 0.4]))
+        assert np.allclose(post, [0.5, 0.5])
 
 
 def brute_force_trace(slot_ks, slot_events, a_of_k, b_of_pair, initial):
@@ -595,7 +597,7 @@ class TestLockstepFilter:
         uniform = uniform_belief(n_states)
         assert np.array_equal(traces[0].entry[2], uniform)
         assert not np.allclose(traces[2].entry[2], uniform)
-        assert np.array_equal(traces[1].events[1].post, uniform)
+        assert np.array_equal(traces[1].post[1], uniform)
         assert not np.allclose(traces[1].entry[3], uniform)
         for stream, trace in zip(streams, traces):
             assert_matches_brute_force(trace, stream, tensor, table, uniform)
@@ -690,11 +692,10 @@ def assert_traces_equal(got, expected):
     """Bitwise equal beliefs at every instant, the same events in order."""
     assert got.slots == expected.slots
     assert np.array_equal(got.entry, expected.entry)
-    assert len(got.events) == len(expected.events)
-    for step, ref in zip(got.events, expected.events):
-        assert (step.slot_pos, step.event_pos, step.event) == (ref.slot_pos, ref.event_pos, ref.event)
-        assert np.array_equal(step.pre, ref.pre)
-        assert np.array_equal(step.post, ref.post)
+    assert got.events == expected.events
+    assert np.array_equal(got.first, expected.first)
+    assert np.array_equal(got.pre, expected.pre)
+    assert np.array_equal(got.post, expected.post)
 
 
 PAIRS = [("dev", name) for name in ("a", "b", "pin", "kill", "unseen")]
@@ -774,6 +775,45 @@ class TestFilterModels:
             neutral = [operations.probs[PAIRS[0]].min() == 1.0 for _, operations in models]
             mixed += 0 < sum(neutral) < len(neutral)
         assert resets and mixed  # both degenerate paths were taken
+
+    def test_trace_arrays_line_up_with_the_events(self):
+        rng = np.random.default_rng(13)
+        for _ in range(30):
+            models, streams = self.instance(rng)
+            got = filter_models(streams, models, [range(len(streams))] * len(models))
+            for traces in got:
+                for index, trace in traces.items():
+                    events = [event for slot in streams[index] for event in slot.events]
+                    assert trace.events == events
+                    assert len(trace.events) == len(trace.pre) == len(trace.post) == trace.first[-1]
+                    assert len(trace.first) == len(trace.slots) + 1
+                    assert all(
+                        trace.events[trace.first[pos] : trace.first[pos + 1]] == list(slot.events)
+                        for pos, slot in enumerate(trace.slots)
+                    )
+
+    def test_belief_before_equals_the_event_walk(self):
+        rng = np.random.default_rng(17)
+        seen = dict.fromkeys(["at an event", "before a first event", "no events", "reset"], 0)
+        for _ in range(30):
+            models, streams = self.instance(rng)
+            got = filter_models(streams, models, [range(len(streams))] * len(models))
+            for (transitions, _), traces in zip(models, got):
+                uniform = uniform_belief(transitions.n_states)
+                for trace in traces.values():
+                    if trace.slots and trace.slots[-1].t - trace.slots[0].t != len(trace.slots) - 1:
+                        continue  # belief_before reads contiguous streams only
+                    instants = [event.timestamp for event in trace.events]
+                    seen["at an event"] += len(instants)
+                    for slot in trace.slots:
+                        instants.append(slot.start)
+                        instants.append(slot.start + timedelta(seconds=float(rng.random()) * 60))
+                        seen["before a first event"] += bool(slot.events)
+                        seen["no events"] += not slot.events
+                    seen["reset"] += sum(np.array_equal(row, uniform) for row in trace.post)
+                    for ts in instants:
+                        assert np.array_equal(trace.belief_before(ts), belief_before_walk(trace, ts))
+        assert all(seen.values()), seen
 
     def test_whole_lockstep_group_under_every_model(self):
         rng = np.random.default_rng(7)

@@ -306,6 +306,22 @@ class TestSpanLimit:
         assert str(early) in str(info.value) and str(late) in str(info.value)
         assert str(MAX_SPAN_DAYS) in str(info.value)
 
+    @pytest.mark.parametrize("ts, origin", [
+        (datetime(9999, 12, 31, 10, 0), time(0, 0)),
+        (datetime(9999, 12, 31, 23, 0), time(22, 0)),
+        (datetime(1, 1, 1, 3, 0), time(4, 0)),
+    ])
+    def test_day_bounds_outside_the_dates_refused(self, ts, origin):
+        with pytest.raises(ValidationError) as info:
+            build_timeslots([EventRecord(ts, "tv", "on")], [], origin, frame(ts))
+        assert str(ts) in str(info.value)
+
+    def test_first_and_last_whole_days_accepted(self):
+        for day in (datetime(1, 1, 1), datetime(9999, 12, 30)):
+            last = day + timedelta(minutes=1439)
+            slots = build_timeslots([EventRecord(last, "tv", "on")], [frame(day)])
+            assert len(slots) == 1440 and slots[-1].events[0].timestamp == last
+
     def test_longest_span_accepted(self, monkeypatch):
         monkeypatch.setattr(ingest, "MAX_SPAN_DAYS", 3)
         start = datetime(2020, 1, 1)
@@ -350,8 +366,9 @@ class TestParseTimestampMatchesStrptime:
         assert_parse_matches_strptime(text)
 
     def test_canonical_text_round_trips(self):
-        value = datetime(2021, 3, 1, 7, 5, 9)
-        assert parse_timestamp(format_timestamp(value)) == value
+        for value in (datetime(2021, 3, 1, 7, 5, 9), datetime(1, 1, 1, 0, 30),
+                      datetime(999, 2, 3, 4, 5, 6), datetime(9999, 12, 31, 23, 59, 59)):
+            assert parse_timestamp(format_timestamp(value)) == value
 
 
 def assert_parse_matches_strptime(text: str) -> None:

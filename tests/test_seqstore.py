@@ -1,7 +1,7 @@
 """Subsequence generation, state selection, and the sequence stores."""
 
 from dataclasses import replace
-from datetime import time, timedelta
+from datetime import datetime, time, timedelta
 from itertools import combinations
 
 import numpy as np
@@ -11,8 +11,8 @@ from homeguard import seqstore
 from homeguard.detector import sequence_scores
 from homeguard.errors import ValidationError
 from homeguard.evaluation import EvalDataset
-from homeguard.hsmodel import EventStep, FilterTrace, ModelParams
-from homeguard.ingest import EventRecord, build_timeslots
+from homeguard.hsmodel import FilterTrace, ModelParams
+from homeguard.ingest import MAX_SPAN_DAYS, EventRecord, build_timeslots
 from homeguard.labeling import ALPHABET, LabelingParams
 from homeguard.seqstore import (
     SeqParams,
@@ -21,6 +21,7 @@ from homeguard.seqstore import (
     build_timed_store,
     candidates_ending_at,
     store_sequences,
+    window_start,
 )
 
 from homeguard.synthgen import generate, scenario_calibration
@@ -168,19 +169,27 @@ class TestSelectStates:
 
 
 def fabricate_trace(entry_rows, event_specs, n_slots=None):
-    """FilterTrace with prescribed entry beliefs and event steps.
+    """FilterTrace with prescribed entry beliefs and event beliefs.
 
-    ``event_specs``: list of (slot_pos, event, pre_belief) tuples.
+    ``event_specs``: list of (slot_pos, event, pre_belief) tuples; each
+    event leaves the belief as it was.
     """
     entry = np.asarray(entry_rows, dtype=np.float64)
     n_slots = n_slots or len(entry_rows)
-    slots = make_slots(n_slots)
-    steps = [
-        EventStep(slot_pos, 0, event, np.asarray(pre, dtype=np.float64), np.asarray(pre))
-        for slot_pos, event, pre in event_specs
-    ]
-    steps.sort(key=lambda s: s.event.timestamp)
-    return FilterTrace(slots=slots, initial=entry[0], entry=entry, events=steps)
+    specs = sorted(event_specs, key=lambda spec: spec[1].timestamp)
+    pre = np.array([belief for _, _, belief in specs], dtype=np.float64).reshape(
+        len(specs), entry.shape[1]
+    )
+    counts = np.bincount([slot_pos for slot_pos, _, _ in specs], minlength=n_slots)
+    return FilterTrace(
+        slots=make_slots(n_slots),
+        initial=entry[0],
+        entry=entry,
+        events=[event for _, event, _ in specs],
+        pre=pre,
+        post=pre.copy(),
+        first=np.cumsum([0, *counts]),
+    )
 
 
 class TestSequenceStore:
@@ -542,6 +551,23 @@ class TestFoldStoresFromSharedWindows:
             fold.sequence_store(SeqParams(t_seq=900))
         with pytest.raises(ValidationError):
             build_timed_store(fold.windows, "cooking_stove", SeqParams(t_seq=600, l_max=3))
+
+
+class TestSeqParams:
+    @pytest.mark.parametrize("t_seq", [0, -1.0, float("nan"), float("inf"),
+                                       seqstore.MAX_T_SEQ + 1, 10**30])
+    def test_t_seq_outside_the_grid_span_refused(self, t_seq):
+        with pytest.raises(ValidationError, match="t_seq"):
+            SeqParams(t_seq=t_seq)
+
+    def test_longest_t_seq_accepted(self):
+        assert seqstore.MAX_T_SEQ == MAX_SPAN_DAYS * 86400
+        SeqParams(t_seq=seqstore.MAX_T_SEQ)
+
+    def test_window_reaching_past_the_first_date_starts_at_zero(self):
+        times = [datetime(1, 1, 1, 0, 2), datetime(1, 1, 1, 0, 4)]
+        assert window_start(times, datetime(1, 1, 1, 0, 4), seqstore.MAX_T_SEQ) == 0
+        assert window_start(times, datetime(1, 1, 1, 0, 13), 600) == 1
 
 
 class TestTimedSequenceStore:
