@@ -5,11 +5,11 @@
 Runs ``perfbench/run.py --seconds 0 --trace 0`` for every workload and seed,
 once in BASE_TREE and once in the current directory, and compares the
 sha256 digests of the output files (every CSV, JSONL and ``model.json``)
-that each run record lists.  Then runs ``homeguard evaluate`` in both trees
-on paths the benchmark never takes (``EVALUATE_RUNS``), on one synthetic
-home generated by the current tree, and compares the digests of the CSVs
-it writes.  Exits 1 when a run fails, lists no outputs, or any digest
-differs.  Standard library only.
+that each run record lists.  Then runs ``homeguard evaluate`` and
+``homeguard label`` in both trees on paths the benchmark never takes
+(``EVALUATE_RUNS``, ``LABEL_RUNS``), on one synthetic home generated by the
+current tree, and compares the digests of the CSVs they write.  Exits 1 when
+a run fails, lists no outputs, or any digest differs.  Standard library only.
 """
 
 from __future__ import annotations
@@ -37,6 +37,14 @@ EVALUATE_RUNS = (
     ("two-labelings", "00:00",
      ("--methods", "proposed,estimation", "--t-x-values", "15,30", "--l-values", "1,2",
       "--initial-occupants", "2")),
+)
+
+# label runs on the same homes, each writing the slot and the per-event label
+# CSVs: (name, day origin, arguments).  Nobody home at first excludes dates; on
+# the 04:00 home a grid day then spans an excluded date in part.
+LABEL_RUNS = (
+    ("excluded-days", "00:00", ("--initial-occupants", "0")),
+    ("day-origin-excluded-date", "04:00", ("--initial-occupants", "0")),
 )
 
 
@@ -83,16 +91,27 @@ def synth_homes(work: Path) -> dict[str, Path]:
     return {"00:00": whole, "04:00": cut}
 
 
-def evaluate_digests(tree: Path, home: Path, origin: str, args, out: Path) -> dict[str, str]:
-    """The digests of the CSVs one evaluate run writes in ``tree``; empty on failure."""
-    proc = homeguard(tree, "evaluate", "--operations", str(home / "operations.csv"),
-                     "--sensors", str(home / "sensors.csv"), "--day-origin", origin,
-                     "--injections", "20", "--seed", "1", "--output-dir", str(out), *args)
+def csv_digests(
+    tree: Path, command: str, home: Path, origin: str, args, out: Path
+) -> dict[str, str]:
+    """The digests of the CSVs one ``homeguard COMMAND`` run on ``home``
+    writes into ``out`` in ``tree``; empty on failure."""
+    out.mkdir(parents=True)
+    proc = homeguard(tree, command, "--operations", str(home / "operations.csv"),
+                     "--sensors", str(home / "sensors.csv"), "--day-origin", origin, *args)
     if proc.returncode != 0:
-        print(f"{tree}: evaluate exited {proc.returncode}\n{proc.stderr[-2000:]}")
+        print(f"{tree}: {command} exited {proc.returncode}\n{proc.stderr[-2000:]}")
         return {}
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.glob("*.csv"))}
+
+
+def evaluate_args(out: Path, args) -> tuple[str, ...]:
+    return ("--injections", "20", "--seed", "1", "--output-dir", str(out), *args)
+
+
+def label_args(out: Path, args) -> tuple[str, ...]:
+    return ("--export", str(out / "labels.csv"), "--events-csv", str(out / "events.csv"), *args)
 
 
 def compare(label: str, base: dict[str, str], new: dict[str, str]) -> bool:
@@ -119,12 +138,18 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         homes = synth_homes(work)
-        for name, origin, run_args in EVALUATE_RUNS:
+        runs = [("evaluate", evaluate_args, run) for run in EVALUATE_RUNS]
+        runs += [("label", label_args, run) for run in LABEL_RUNS]
+        for command, command_args, (name, origin, run_args) in runs:
             base, new = (
-                evaluate_digests(tree, homes[origin], origin, run_args, work / f"{side}-{name}")
-                for side, tree in (("base", args.base), ("head", head))
+                csv_digests(tree, command, homes[origin], origin,
+                            command_args(out, run_args), out)
+                for tree, out in (
+                    (args.base, work / f"base-{command}-{name}"),
+                    (head, work / f"head-{command}-{name}"),
+                )
             )
-            failed += not compare(f"evaluate {name}", base, new)
+            failed += not compare(f"{command} {name}", base, new)
     return 1 if failed else 0
 
 

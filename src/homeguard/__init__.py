@@ -38,12 +38,10 @@ from .evaluation import (
 )
 from .hsmodel import (
     FilterTrace,
-    LabelArrays,
     ModelParams,
     OperationTable,
     TrainedModel,
     TransitionTensor,
-    encode_labels,
     filter_streams,
     fit_operations,
     fit_transitions,
@@ -67,7 +65,7 @@ from .labeling import (
     STATE_INDEX,
     DeviceUsage,
     HomeState,
-    LabeledSlot,
+    LabelArrays,
     LabelingParams,
     UserActivity,
     label_device_usage,

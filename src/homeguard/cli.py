@@ -5,10 +5,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 from dataclasses import fields
 from datetime import time
 from pathlib import Path
+
+import numpy as np
 
 from .detector import (
     BaselineParams,
@@ -37,7 +38,7 @@ from .hsmodel import (
     train_model,
 )
 from .ingest import build_timeslots, parse_operation_log, parse_sensor_log
-from .labeling import LabelingParams, export_event_labels, export_labels, label_states
+from .labeling import ALPHABET, LabelingParams, export_event_labels, export_labels, label_states
 from .seqstore import SeqParams, window_start
 from .synthgen import generate, load_scenario, scenario_calibration, scenario_s1
 from .vocab import Vocabulary
@@ -158,16 +159,16 @@ def cmd_label(args) -> int:
     params = _labeling_params(args, config)
     slots = _load_stream(args, vocabulary)
     events = [event for slot in slots for event in slot.events]
-    labeled = label_states(slots, events, params, vocabulary)
+    labels = label_states(slots, events, params, vocabulary)
     if args.export:
-        export_labels(labeled, args.export)
+        export_labels(slots, labels, args.export)
     if args.events_csv:
-        export_event_labels(labeled, args.events_csv)
+        export_event_labels(slots, labels, args.events_csv)
     if not args.export and not args.events_csv:
-        histogram = Counter(item.state.key for item in labeled)
-        excluded = len({(item.slot.t - 1) // 1440 for item in labeled if item.excluded_day})
-        print(f"slots={len(labeled)} days={len(labeled) // 1440} excluded_days={excluded}")
-        for key, count in sorted(histogram.items()):
+        counts = np.bincount(labels.state, minlength=len(ALPHABET))
+        excluded = np.count_nonzero(np.bincount(labels.day[labels.excluded]))
+        print(f"slots={len(slots)} days={len(slots) // 1440} excluded_days={excluded}")
+        for key, count in sorted((state.key, n) for state, n in zip(ALPHABET, counts) if n):
             print(f"{key} {count}")
     return 0
 
@@ -260,6 +261,9 @@ def cmd_evaluate(args) -> int:
             raise UsageError(f"--methods: {method!r} is given more than once")
     if args.best_at is not None and not 0.0 <= args.best_at <= 1.0:
         raise UsageError(f"--best-at: expected a number in [0, 1], got {args.best_at!r}")
+    for option, value in (("--injections", args.injections), ("--seed", args.seed)):
+        if value < 0:
+            raise UsageError(f"{option}: expected a non-negative integer, got {value}")
     labelings = {
         name: _parse_values(args, f"{name}_values", int) for name in ("t_x", "t_y", "t_c")
     }
@@ -327,14 +331,16 @@ def cmd_evaluate(args) -> int:
 
 def cmd_synth(args) -> int:
     config = _load_config(args)
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed: expected a non-negative integer, got {args.seed}")
     if args.scenario == "s1":
-        scenario = scenario_s1(seed=args.seed)
+        scenario = scenario_s1()
     elif args.scenario == "calibration":
-        scenario = scenario_calibration(seed=args.seed)
+        scenario = scenario_calibration()
     else:
         scenario = load_scenario(args.scenario)
-        if args.seed is not None:
-            scenario.seed = args.seed
+    if args.seed is not None:
+        scenario.seed = args.seed
     if args.days is not None or "days" in config:
         days, where = (
             (args.days, "--days")
@@ -443,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.add_argument("--scenario", default="s1",
                          help="'s1', 'calibration', or a scenario JSON path")
     p_synth.add_argument("--output-dir", required=True, dest="output_dir")
-    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--seed", type=int,
+                         help="overrides the scenario's seed (the built-in ones use 0)")
     p_synth.add_argument("--days", type=int)
     p_synth.add_argument("--config", help="JSON file; 'days' key honored")
     p_synth.set_defaults(func=cmd_synth)

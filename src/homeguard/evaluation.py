@@ -38,16 +38,14 @@ from .detector import (
 from .detector import proposed_scores as _best_deltas  # perfbench/child.py traces this name
 from .errors import ModelError, ValidationError
 from .hsmodel import (
-    LabelArrays,
     ModelParams,
-    encode_labels,
     filter_models,
     fit_operations,
     fit_transitions,
     run_filter,  # noqa: F401 - not called here; perfbench/child.py traces this name
 )
 from .ingest import SLOTS_PER_DAY, EventRecord, SensorFrame, TimeslotRecord, build_timeslots
-from .labeling import ALPHABET, LabeledSlot, LabelingParams, label_states
+from .labeling import ALPHABET, LabelArrays, LabelingParams, label_states
 from .seqstore import (
     DayWindows,
     SeqParams,
@@ -196,8 +194,8 @@ class OperationContext:
 class FoldContext:
     """Per-fold training artifacts, built lazily and shared across methods.
 
-    ``arrays`` is the encoding of ``labeled``; the folds of one labeling share
-    it, and each fold fits by masking its held-out and excluded days.
+    ``arrays`` holds the dataset's labels; the folds of one labeling share
+    them, and each fold fits by masking its held-out and excluded days.
     ``windows`` holds the dataset's target windows; every fold and labeling
     of a run shares it, so each window is enumerated once per run.
     """
@@ -205,7 +203,6 @@ class FoldContext:
     def __init__(
         self,
         dataset: EvalDataset,
-        labeled: Sequence[LabeledSlot],
         arrays: LabelArrays,
         heldout_day: int,
         model_params: ModelParams,
@@ -213,7 +210,6 @@ class FoldContext:
         windows: DayWindows,
     ) -> None:
         self.dataset = dataset
-        self.labeled = labeled
         self.arrays = arrays
         self.heldout_day = heldout_day
         self.model_params = model_params
@@ -262,7 +258,7 @@ class FoldContext:
             else:
                 positions = np.flatnonzero(kept & (arrays.day == day)).tolist()
                 training.append((day, len(streams), None))
-                streams.append([first.labeled[pos].slot for pos in positions])
+                streams.append([dataset.slots[pos] for pos in positions])
         kept_by_fold = [
             [(stream, shared) for day, stream, shared in training if day != fold.heldout_day]
             for fold in folds
@@ -391,12 +387,9 @@ def _make_folds(
     """One fold per day, all sharing the run's ``windows``."""
     if dataset.n_days < 2:
         raise ModelError("cross-validation needs at least two days of data")
-    labeled = label_states(
-        dataset.slots, dataset.events, labeling_params, dataset.vocabulary
-    )
-    arrays = encode_labels(labeled)
+    arrays = label_states(dataset.slots, dataset.events, labeling_params, dataset.vocabulary)
     return [
-        FoldContext(dataset, labeled, arrays, day, model_params, seq_params, windows)
+        FoldContext(dataset, arrays, day, model_params, seq_params, windows)
         for day in range(dataset.n_days)
     ]
 

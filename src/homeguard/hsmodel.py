@@ -10,9 +10,9 @@ window, capped at ``t_z_max``.  That halfwidth has a closed form: the largest,
 over learnable states, of the cyclic distance from ``k`` to the nearest
 slot-of-day where the state occurs.
 
-Fits count over a labeled stream encoded once as integer arrays
-(``LabelArrays``); a leave-one-day-out fold selects its slots with a mask
-instead of re-encoding or refitting from scratch.
+Fits count over the integer label arrays that ``labeling.label_states``
+returns (``LabelArrays``); a leave-one-day-out fold selects its slots with a
+mask instead of relabeling or refitting from scratch.
 
 The filter maintains a belief over the state alphabet: a matrix product and
 renormalization at every slot boundary, a componentwise multiply by the
@@ -34,7 +34,7 @@ from __future__ import annotations
 import contextlib
 import json
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from datetime import datetime, time
 from itertools import chain
 from pathlib import Path
@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import HomeguardError, ModelError, VocabularyError
 from .ingest import SLOTS_PER_DAY, EventRecord, TimeslotRecord
-from .labeling import ALPHABET, STATE_INDEX, HomeState, LabeledSlot, LabelingParams, parse_state_key
+from .labeling import ALPHABET, HomeState, LabelArrays, LabelingParams, parse_state_key
 from .seqstore import SeqParams, SequenceStore, TimedSequenceStore, build_timed_store, store_sequences
 from .vocab import Vocabulary
 
@@ -106,112 +106,6 @@ class OperationTable:
         return vec
 
 
-@dataclass(frozen=True)
-class LabelArrays:
-    """A labeled slot stream encoded as integer arrays, plus the slots to count.
-
-    Per slot, by position ``p`` in the stream: ``day`` (``(t - 1) // 1440``),
-    ``k0`` (slot-of-day minus one), ``state`` (end state), ``entry`` (entry
-    state), ``succ`` (position of the slot numbered ``t + 1``, or -1) and
-    ``excluded`` (the slot's day is excluded from training).
-
-    Only slots with events add rows.  The denominator rows
-    (``extra_pos``, ``extra_state``) hold every state in force at one of the
-    slot's events other than its entry state.  The numerator rows
-    (``op_pos``, ``op_pair``, ``op_state``) hold each distinct (operation,
-    state) of the slot; ``op_pair`` indexes ``pairs``.
-
-    ``keep`` selects the slots a fit counts.  A transition pair counts only
-    when both of its slots are kept, so a dropped day also drops the pairs
-    that cross its midnights.
-    """
-
-    day: np.ndarray
-    k0: np.ndarray
-    state: np.ndarray
-    entry: np.ndarray
-    succ: np.ndarray
-    excluded: np.ndarray
-    extra_pos: np.ndarray
-    extra_state: np.ndarray
-    op_pos: np.ndarray
-    op_pair: np.ndarray
-    op_state: np.ndarray
-    pairs: tuple[tuple[str, str], ...]
-    keep: np.ndarray
-
-    def select(self, keep: np.ndarray) -> "LabelArrays":
-        """The same encoding counting only the slots where ``keep`` is true."""
-        return replace(self, keep=np.asarray(keep, dtype=bool))
-
-
-def encode_labels(labeled: Sequence[LabeledSlot]) -> LabelArrays:
-    """Encode a labeled stream once; fits then count any subset of its slots."""
-    n = len(labeled)
-    t = np.fromiter((item.slot.t for item in labeled), dtype=np.int64, count=n)
-    k0 = np.fromiter((item.slot.k - 1 for item in labeled), dtype=np.int16, count=n)
-    state = np.fromiter((STATE_INDEX[item.state] for item in labeled), dtype=np.int8, count=n)
-    entry = np.fromiter(
-        (STATE_INDEX[item.entry_state] for item in labeled), dtype=np.int8, count=n
-    )
-    excluded = np.fromiter((item.excluded_day for item in labeled), dtype=bool, count=n)
-
-    # The successor of a slot is the last slot numbered t + 1, as a dict keyed
-    # by t would find it.
-    order = np.argsort(t, kind="stable")
-    ordered_t = t[order]
-    at = np.searchsorted(ordered_t, t + 1, side="right") - 1
-    found = at >= 0
-    found[found] = ordered_t[at[found]] == t[found] + 1
-    succ = np.full(n, -1, dtype=np.int32)
-    succ[found] = order[at[found]]
-
-    extra_pos: list[int] = []
-    extra_state: list[int] = []
-    op_pos: list[int] = []
-    op_pair: list[int] = []
-    op_state: list[int] = []
-    pair_index: dict[tuple[str, str], int] = {}
-    for pos, item in enumerate(labeled):
-        if not item.event_states:
-            continue
-        states = [STATE_INDEX[s] for s in item.event_states]
-        for i in sorted(set(states) - {int(entry[pos])}):
-            extra_pos.append(pos)
-            extra_state.append(i)
-        seen: set[tuple[tuple[str, str], int]] = set()
-        for event, i in zip(item.slot.events, states):
-            if (event.pair, i) in seen:
-                continue
-            seen.add((event.pair, i))
-            op_pos.append(pos)
-            op_pair.append(pair_index.setdefault(event.pair, len(pair_index)))
-            op_state.append(i)
-
-    def rows(values: list[int]) -> np.ndarray:
-        return np.asarray(values, dtype=np.intp)
-
-    return LabelArrays(
-        day=((t - 1) // SLOTS_PER_DAY).astype(np.int32),
-        k0=k0,
-        state=state,
-        entry=entry,
-        succ=succ,
-        excluded=excluded,
-        extra_pos=rows(extra_pos),
-        extra_state=rows(extra_state),
-        op_pos=rows(op_pos),
-        op_pair=rows(op_pair),
-        op_state=rows(op_state),
-        pairs=tuple(pair_index),
-        keep=np.ones(n, dtype=bool),
-    )
-
-
-def _as_arrays(labeled: Sequence[LabeledSlot] | LabelArrays) -> LabelArrays:
-    return labeled if isinstance(labeled, LabelArrays) else encode_labels(labeled)
-
-
 def window_halfwidths(presence: np.ndarray, t_z_max: int) -> np.ndarray:
     """``T_Z`` per slot-of-day from the (1440, S) presence counts.
 
@@ -237,17 +131,16 @@ def window_halfwidths(presence: np.ndarray, t_z_max: int) -> np.ndarray:
 
 
 def fit_transitions(
-    labeled: Sequence[LabeledSlot] | LabelArrays,
+    arrays: LabelArrays,
     t_z_max: int = 720,
     n_states: int = len(ALPHABET),
 ) -> TransitionTensor:
-    """Estimate the transition tensor from a labeled slot stream.
+    """Estimate the transition tensor from the kept slots of a labeled stream.
 
     Callers must have dropped the slots of excluded days already, from the
-    list or from the encoding's ``keep``; gaps in the ``t`` sequence simply
-    contribute no transition pairs.
+    labels' ``keep``; gaps in the ``t`` sequence simply contribute no
+    transition pairs.
     """
-    arrays = _as_arrays(labeled)
     keep = arrays.keep
     if not keep.any():
         raise ModelError("no labeled slots to fit transitions on")
@@ -283,7 +176,7 @@ def fit_transitions(
 
 
 def fit_operations(
-    labeled: Sequence[LabeledSlot] | LabelArrays,
+    arrays: LabelArrays,
     vocabulary: Vocabulary | None = None,
     n_states: int = len(ALPHABET),
 ) -> OperationTable:
@@ -295,16 +188,22 @@ def fit_operations(
     count once, keeping every entry inside [0, 1]).
     """
     vocabulary = vocabulary or Vocabulary()
-    arrays = _as_arrays(labeled)
     keep = arrays.keep
-    denom = np.bincount(
-        arrays.entry[keep].astype(np.intp), minlength=n_states
-    ) + np.bincount(arrays.extra_state[keep[arrays.extra_pos]], minlength=n_states)
-    kept_ops = keep[arrays.op_pos]
+    n_pairs = len(arrays.pairs)
+    kept = keep[arrays.event_pos]
+    pos, pair = arrays.event_pos[kept], arrays.event_pair[kept]
+    state = arrays.event_state[kept].astype(np.intp)
+    # Each slot counts once per state in force at its start or at one of its
+    # events, and once per (operation, state) of its events.
+    extra = state != arrays.entry[pos]
+    extra_states = np.unique(pos[extra] * n_states + state[extra]) % n_states
+    denom = np.bincount(arrays.entry[keep], minlength=n_states) + np.bincount(
+        extra_states, minlength=n_states
+    )
     numer = np.bincount(
-        arrays.op_pair[kept_ops] * n_states + arrays.op_state[kept_ops],
-        minlength=len(arrays.pairs) * n_states,
-    ).reshape(len(arrays.pairs), n_states)
+        np.unique((pos * n_pairs + pair) * n_states + state) % (n_pairs * n_states),
+        minlength=n_pairs * n_states,
+    ).reshape(n_pairs, n_states)
     rows = {arrays.pairs[p]: numer[p] for p in np.flatnonzero(numer.sum(axis=1))}
 
     table = OperationTable(n_states=n_states)
@@ -858,7 +757,7 @@ def params_from_payload(cls, data, where: str, error: type[HomeguardError] = Mod
 
 
 def kept_day_streams(
-    labeled: Sequence[LabeledSlot], arrays: LabelArrays
+    slots: Sequence[TimeslotRecord], arrays: LabelArrays
 ) -> tuple[list[int | None], list[list[TimeslotRecord]]]:
     """The kept slots of each day, day by day, ready for ``filter_streams``.
 
@@ -875,7 +774,7 @@ def kept_day_streams(
         int(day) if len(chunk) == slots_of_day[day] else None
         for chunk, day in zip(chunks, arrays.day[positions[[0, *cuts]]])
     ]
-    return days, [[labeled[pos].slot for pos in chunk.tolist()] for chunk in chunks]
+    return days, [[slots[pos] for pos in chunk.tolist()] for chunk in chunks]
 
 
 def train_model(
@@ -894,18 +793,14 @@ def train_model(
     model_params = model_params or ModelParams()
     seq_params = seq_params or SeqParams()
 
-    labeled = label_states(slots, events, labeling_params, vocabulary)
-    arrays = encode_labels(labeled)
-    kept = arrays.select(~arrays.excluded)
+    labels = label_states(slots, events, labeling_params, vocabulary)
+    kept = labels.select(~labels.excluded)
     if not kept.keep.any():
         raise ModelError("no usable training days after exclusions")
     transitions = fit_transitions(kept, model_params.t_z_max)
     operations = fit_operations(kept, vocabulary)
 
-    _, streams = kept_day_streams(labeled, kept)
-    # The labels hold a state object per slot and event; free them before the
-    # filter allocates its beliefs, which keeps them out of the peak memory.
-    del labeled
+    _, streams = kept_day_streams(slots, kept)
     traces = filter_streams(streams, transitions, operations)
     store = store_sequences(traces, vocabulary.detection_target, seq_params, len(ALPHABET))
     baseline_store = build_timed_store(

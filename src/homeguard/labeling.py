@@ -9,6 +9,10 @@ by cooking-appliance operations with configurable lead/lag/duration windows.
 Labels are slot-granular except at operation instants: the slot that starts a
 cooking run is split at the first cooking operation, so events carry the state
 in force at their own instant (an operation flips the state at its timestamp).
+
+``label_states`` returns the labels as ``LabelArrays``: integer codes into
+``ALPHABET`` per slot and per event, which the model fits count over and the
+label exports format.  This module alone knows how labels are encoded.
 """
 
 from __future__ import annotations
@@ -16,15 +20,17 @@ from __future__ import annotations
 import csv
 import logging
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date, datetime, time, timedelta
 from enum import Enum
 from itertools import groupby
 from pathlib import Path
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import BookkeepingError, ValidationError
-from .ingest import EventRecord, TimeslotRecord, format_timestamp
+from .ingest import SLOTS_PER_DAY, EventRecord, TimeslotRecord, format_timestamp
 from .vocab import Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -116,23 +122,6 @@ class LabelingParams:
         if start <= end:
             return start <= tod <= end
         return tod >= start or tod <= end
-
-
-@dataclass
-class LabeledSlot:
-    """A timeslot with its state assignments.
-
-    ``state`` is the state in force at the end of the slot (used for the
-    transition chain), ``entry_state`` the one at the slot start, and
-    ``event_states`` carries, per event, the state in force at that event's
-    instant (the event's own effect included).
-    """
-
-    slot: TimeslotRecord
-    state: HomeState
-    entry_state: HomeState
-    event_states: tuple[HomeState, ...]
-    excluded_day: bool
 
 
 @dataclass
@@ -281,7 +270,6 @@ def label_user_activity(
 
 def label_device_usage(
     slots: Sequence[TimeslotRecord],
-    events: Sequence[EventRecord],
     params: LabelingParams,
     vocabulary: Vocabulary | None = None,
     day_bounds: DayBounds | None = None,
@@ -355,11 +343,64 @@ def _combine(u: UserActivity, d: DeviceUsage) -> HomeState:
     return HomeState(u, d)
 
 
-# Every (u, d) channel pair mapped to its state once, so labeling a slot
-# looks states up instead of building them.
-_STATE_OF: dict[tuple[UserActivity, DeviceUsage], HomeState] = {
-    (u, d): _combine(u, d) for u in UserActivity for d in DeviceUsage
-}
+_U_CODE = {u: i for i, u in enumerate(UserActivity)}
+_D_CODE = {d: i for i, d in enumerate(DeviceUsage)}
+_OUT, _ACTIVE = _U_CODE[UserActivity.OUT], _U_CODE[UserActivity.ACTIVE]
+# The state code of every (u, d) channel pair, indexed by the channel codes.
+_STATE_CODE = np.array(
+    [[STATE_INDEX[_combine(u, d)] for d in DeviceUsage] for u in UserActivity], dtype=np.int8
+)
+_MICROSECOND = timedelta(microseconds=1)
+
+
+@dataclass(frozen=True)
+class LabelArrays:
+    """A labeled slot stream as integer arrays, plus the slots to count.
+
+    Per slot, by position ``p`` in the stream: ``day`` (``(t - 1) // 1440``),
+    ``k0`` (slot-of-day minus one), ``state`` (the state in force at the end
+    of the slot, as an index into ``ALPHABET``), ``entry`` (the state at its
+    start), ``succ`` (position of the slot numbered ``t + 1``, or -1) and
+    ``excluded`` (the slot's day is excluded from training).
+
+    Per event, in stream order (slot by slot, each slot's events in order):
+    ``event_pos`` (its slot's position), ``event_pair`` (its operation, as an
+    index into ``pairs``) and ``event_state`` (the state in force at its
+    instant, its own effect included).
+
+    ``keep`` selects the slots a fit counts.  A transition pair counts only
+    when both of its slots are kept, so a dropped day also drops the pairs
+    that cross its midnights.
+    """
+
+    day: np.ndarray
+    k0: np.ndarray
+    state: np.ndarray
+    entry: np.ndarray
+    succ: np.ndarray
+    excluded: np.ndarray
+    event_pos: np.ndarray
+    event_pair: np.ndarray
+    event_state: np.ndarray
+    pairs: tuple[tuple[str, str], ...]
+    keep: np.ndarray
+
+    def select(self, keep: np.ndarray) -> "LabelArrays":
+        """The same labels counting only the slots where ``keep`` is true."""
+        return replace(self, keep=np.asarray(keep, dtype=bool))
+
+
+def _successors(t: np.ndarray) -> np.ndarray:
+    """Per slot, the position of the last slot numbered ``t + 1`` (as a dict
+    keyed by ``t`` would find it), or -1."""
+    order = np.argsort(t, kind="stable")
+    ordered_t = t[order]
+    at = np.searchsorted(ordered_t, t + 1, side="right") - 1
+    found = at >= 0
+    found[found] = ordered_t[at[found]] == t[found] + 1
+    succ = np.full(len(t), -1, dtype=np.int32)
+    succ[found] = order[at[found]]
+    return succ
 
 
 def label_states(
@@ -367,80 +408,107 @@ def label_states(
     events: Sequence[EventRecord],
     params: LabelingParams,
     vocabulary: Vocabulary | None = None,
-) -> list[LabeledSlot]:
-    """Joint per-slot labeling with intra-slot refinement at run starts."""
+) -> LabelArrays:
+    """Joint per-slot labeling with intra-slot refinement at run starts.
+
+    The slot's end state combines its two channel labels.  At an instant of
+    the slot (its start, or one of its events) the activity is out while
+    nobody is counted home, else the slot's activity with out read as
+    active; the usage is the pre-run label before the first cooking
+    operation of a slot that starts a run, else the slot's usage.
+    """
     vocabulary = vocabulary or Vocabulary()
     # Both channels clip their windows at the same calendar days.
     bounds = _calendar_day_bounds(slots)
     ua = label_user_activity(slots, events, params, vocabulary, bounds)
-    du = label_device_usage(slots, events, params, vocabulary, bounds)
-    pre_run_label = DeviceUsage.BEFORE if params.t_x >= 1 else DeviceUsage.NONE
-    state_of, count_at, excluded = _STATE_OF, ua.count_at, ua.excluded_dates
-    run_start_ops, usages = du.run_start_ops, du.usages
-    out, active = UserActivity.OUT, UserActivity.ACTIVE
+    du = label_device_usage(slots, params, vocabulary, bounds)
+    n = len(slots)
+    ordered = [event for slot in slots for event in slot.events]
+    start = slots[0].start if slots else None
 
-    labeled: list[LabeledSlot] = []
-    for pos, (slot, u_final) in enumerate(zip(slots, ua.activities)):
-        d_final = usages[pos]
-        run_op = run_start_ops.get(pos)
-        # The activity at an instant: out while nobody is counted home, else
-        # the slot's activity with out read as active.
-        u_home = active if u_final is out else u_final
+    def offsets(times: Iterable[datetime]) -> np.ndarray:
+        return np.fromiter(((ts - start) // _MICROSECOND for ts in times), dtype=np.int64)
 
-        d_entry = pre_run_label if run_op is not None and run_op > slot.start else d_final
-        entry_state = state_of[out if count_at(slot.start) == 0 else u_home, d_entry]
-        event_states = tuple(
-            state_of[
-                out if count_at(event.timestamp) == 0 else u_home,
-                pre_run_label if run_op is not None and event.timestamp < run_op else d_final,
-            ]
-            for event in slot.events
-        ) if slot.events else ()
-        labeled.append(
-            LabeledSlot(
-                slot,
-                state_of[u_final, d_final],
-                entry_state,
-                event_states,
-                slot.start.date() in excluded if excluded else False,
-            )
-        )
-    return labeled
+    change_at = offsets(ua.change_times)
+    nobody_home = np.asarray(ua.change_counts) == 0
+
+    def u_at(times: np.ndarray, home: np.ndarray) -> np.ndarray:
+        # The occupant count in force at each instant, changes there included.
+        empty = nobody_home[np.searchsorted(change_at, times, side="right") - 1]
+        return np.where(empty, _OUT, home)
+
+    u = np.fromiter(map(_U_CODE.__getitem__, ua.activities), dtype=np.intp, count=n)
+    d = np.fromiter(map(_D_CODE.__getitem__, du.usages), dtype=np.intp, count=n)
+    u_home = np.where(u == _OUT, _ACTIVE, u)
+    slot_at = offsets(slot.start for slot in slots)
+    event_pos = np.repeat(
+        np.arange(n), np.fromiter((len(slot.events) for slot in slots), dtype=np.intp, count=n)
+    )
+    event_at = offsets(event.timestamp for event in ordered)
+
+    # The first cooking operation of each slot that starts a run; elsewhere
+    # the lowest int64, which no instant precedes.
+    run_op = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)
+    run_op[list(du.run_start_ops)] = offsets(du.run_start_ops.values())
+    pre_run = _D_CODE[DeviceUsage.BEFORE if params.t_x >= 1 else DeviceUsage.NONE]
+    d_entry = np.where(run_op > slot_at, pre_run, d)
+    d_event = np.where(event_at < run_op[event_pos], pre_run, d[event_pos])
+
+    excluded = np.zeros(n, dtype=bool)
+    if ua.excluded_dates:
+        day_lo, day_hi = bounds
+        for lo in set(day_lo):
+            excluded[lo : day_hi[lo] + 1] = slots[lo].start.date() in ua.excluded_dates
+    pair_index: dict[tuple[str, str], int] = {}
+    t = np.fromiter((slot.t for slot in slots), dtype=np.int64, count=n)
+    return LabelArrays(
+        day=((t - 1) // SLOTS_PER_DAY).astype(np.int32),
+        k0=np.fromiter((slot.k - 1 for slot in slots), dtype=np.int16, count=n),
+        state=_STATE_CODE[u, d],
+        entry=_STATE_CODE[u_at(slot_at, u_home), d_entry],
+        succ=_successors(t),
+        excluded=excluded,
+        event_pos=event_pos,
+        event_pair=np.fromiter(
+            (pair_index.setdefault(event.pair, len(pair_index)) for event in ordered),
+            dtype=np.intp, count=len(ordered),
+        ),
+        event_state=_STATE_CODE[u_at(event_at, u_home[event_pos]), d_event],
+        pairs=tuple(pair_index),
+        keep=np.ones(n, dtype=bool),
+    )
 
 
-def export_labels(labeled: Iterable[LabeledSlot], path: str | Path) -> None:
+_COLUMNS = [(state.u.value, state.d.value) for state in ALPHABET]
+
+
+def export_labels(slots: Sequence[TimeslotRecord], labels: LabelArrays, path: str | Path) -> None:
     """Write the slot-level label stream as ``t,k,date,u,d,excluded``."""
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t", "k", "date", "u", "d", "excluded"])
-        for item in labeled:
+        for slot, state, excluded in zip(slots, labels.state.tolist(), labels.excluded.tolist()):
             writer.writerow(
-                [
-                    item.slot.t,
-                    item.slot.k,
-                    format_timestamp(item.slot.start),
-                    item.state.u.value,
-                    item.state.d.value,
-                    int(item.excluded_day),
-                ]
+                [slot.t, slot.k, format_timestamp(slot.start), *_COLUMNS[state], int(excluded)]
             )
 
 
-def export_event_labels(labeled: Iterable[LabeledSlot], path: str | Path) -> None:
+def export_event_labels(
+    slots: Sequence[TimeslotRecord], labels: LabelArrays, path: str | Path
+) -> None:
     """Write the per-event label view as ``t,k,timestamp,device,action,u,d``."""
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t", "k", "timestamp", "device", "action", "u", "d"])
-        for item in labeled:
-            for event, state in zip(item.slot.events, item.event_states):
-                writer.writerow(
-                    [
-                        item.slot.t,
-                        item.slot.k,
-                        format_timestamp(event.timestamp),
-                        event.device,
-                        event.action,
-                        state.u.value,
-                        state.d.value,
-                    ]
-                )
+        located = ((slot, event) for slot in slots for event in slot.events)
+        for (slot, event), state in zip(located, labels.event_state.tolist()):
+            writer.writerow(
+                [
+                    slot.t,
+                    slot.k,
+                    format_timestamp(event.timestamp),
+                    event.device,
+                    event.action,
+                    *_COLUMNS[state],
+                ]
+            )

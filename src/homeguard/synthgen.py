@@ -112,6 +112,8 @@ class Scenario:
     sensor_interval_minutes: int = 5
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValidationError("must be non-negative", field="seed")
         if self.n_days < 1:
             raise ValidationError("must be at least 1", field="n_days")
         if self.n_users < 1:

@@ -28,8 +28,11 @@ from homeguard.ingest import (
     floor_to_day_origin,
 )
 from homeguard.labeling import (
+    ALPHABET,
+    STATE_INDEX,
     DeviceUsage,
-    LabeledSlot,
+    HomeState,
+    LabelArrays,
     LabelingParams,
     UserActivity,
     _combine,
@@ -124,6 +127,23 @@ def calendar_day_bounds_scan(slots: Sequence[TimeslotRecord]) -> tuple[list[int]
     return day_lo, day_hi
 
 
+@dataclass
+class LabeledSlot:
+    """A timeslot with its state assignments.
+
+    ``state`` is the state in force at the end of the slot (used for the
+    transition chain), ``entry_state`` the one at the slot start, and
+    ``event_states`` carries, per event, the state in force at that event's
+    instant (the event's own effect included).
+    """
+
+    slot: TimeslotRecord
+    state: HomeState
+    entry_state: HomeState
+    event_states: tuple[HomeState, ...]
+    excluded_day: bool
+
+
 def label_states_per_slot(
     slots: Sequence[TimeslotRecord],
     events: Sequence[EventRecord],
@@ -133,7 +153,7 @@ def label_states_per_slot(
     """Joint labeling that builds every state with ``_combine`` as it goes."""
     vocabulary = vocabulary or Vocabulary()
     ua = label_user_activity(slots, events, params, vocabulary)
-    du = label_device_usage(slots, events, params, vocabulary)
+    du = label_device_usage(slots, params, vocabulary)
     pre_run_label = DeviceUsage.BEFORE if params.t_x >= 1 else DeviceUsage.NONE
 
     labeled: list[LabeledSlot] = []
@@ -168,6 +188,59 @@ def label_states_per_slot(
             )
         )
     return labeled
+
+
+def encode_labels(labeled: Sequence[LabeledSlot]) -> LabelArrays:
+    """A labeled slot stream walked slot by slot into integer arrays."""
+    n = len(labeled)
+    t = np.fromiter((item.slot.t for item in labeled), dtype=np.int64, count=n)
+    succ = np.full(n, -1, dtype=np.int32)
+    last_at = {int(value): pos for pos, value in enumerate(t)}
+    for pos, value in enumerate(t):
+        succ[pos] = last_at.get(int(value) + 1, -1)
+    event_pos: list[int] = []
+    event_pair: list[int] = []
+    event_state: list[int] = []
+    pair_index: dict[tuple[str, str], int] = {}
+    for pos, item in enumerate(labeled):
+        for event, state in zip(item.slot.events, item.event_states, strict=True):
+            event_pos.append(pos)
+            event_pair.append(pair_index.setdefault(event.pair, len(pair_index)))
+            event_state.append(STATE_INDEX[state])
+    return LabelArrays(
+        day=((t - 1) // SLOTS_PER_DAY).astype(np.int32),
+        k0=np.array([item.slot.k - 1 for item in labeled], dtype=np.int16),
+        state=np.array([STATE_INDEX[item.state] for item in labeled], dtype=np.int8),
+        entry=np.array([STATE_INDEX[item.entry_state] for item in labeled], dtype=np.int8),
+        succ=succ,
+        excluded=np.array([item.excluded_day for item in labeled], dtype=bool),
+        event_pos=np.array(event_pos, dtype=np.intp),
+        event_pair=np.array(event_pair, dtype=np.intp),
+        event_state=np.array(event_state, dtype=np.int8),
+        pairs=tuple(pair_index),
+        keep=np.ones(n, dtype=bool),
+    )
+
+
+def decode_labels(slots: Sequence[TimeslotRecord], labels: LabelArrays) -> list[LabeledSlot]:
+    """The labels of ``slots`` as one ``LabeledSlot`` per slot, for tests
+    that read them slot by slot."""
+    event_states: list[list[HomeState]] = [[] for _ in slots]
+    for pos, state in zip(labels.event_pos.tolist(), labels.event_state.tolist(), strict=True):
+        event_states[pos].append(ALPHABET[state])
+    return [
+        LabeledSlot(
+            slot=slot,
+            state=ALPHABET[state],
+            entry_state=ALPHABET[entry],
+            event_states=tuple(states),
+            excluded_day=excluded,
+        )
+        for slot, state, entry, states, excluded in zip(
+            slots, labels.state.tolist(), labels.entry.tolist(), event_states,
+            labels.excluded.tolist(), strict=True,
+        )
+    ]
 
 
 def generate_subsequences(
@@ -363,7 +436,7 @@ def filter_folds_one_by_one(folds) -> list[tuple[list[FilterTrace], list[int | N
     result = []
     for fold in folds:
         transitions, operations = fold.state_model()
-        days, streams = kept_day_streams(fold.labeled, fold.training_arrays())
+        days, streams = kept_day_streams(fold.dataset.slots, fold.training_arrays())
         streams.append(fold.dataset.day_slots(fold.heldout_day))
         traces = filter_streams(streams, transitions, operations)
         result.append((traces[:-1], days, traces[-1]))

@@ -38,7 +38,7 @@ from homeguard.synthgen import generate, scenario_s1
 from homeguard.vocab import Vocabulary
 
 from conftest import ev
-from oracles import generate_subsequences, snapshots
+from oracles import decode_labels, encode_labels, generate_subsequences, snapshots
 from test_detector import make_model, store_with
 from test_evaluation import scripted_point, toy_dataset
 from test_hsmodel import (
@@ -87,9 +87,9 @@ def test_criterion_1_forward_filter_oracle_equivalence():
 def test_criterion_2_labeling_golden_sample(golden_sample):
     with criterion("C2 labeling golden sample"):
         slots = golden_sample.slots()
-        labeled = label_states(
+        labeled = decode_labels(slots, label_states(
             slots, golden_sample.events, golden_sample.params, golden_sample.vocabulary
-        )
+        ))
         by_t = {item.slot.t: item for item in labeled}
         rows = []
         for t in (4318, 4319, 4320):
@@ -135,14 +135,14 @@ def test_criterion_4_normalization_suite():
         # A trained model over a real synthetic stream, same check.
         result = generate(scenario_s1(seed=5, n_days=3))
         slots = build_timeslots(result.events, result.frames)
-        labeled = label_states(
+        labels = label_states(
             slots,
             result.events,
             LabelingParams(t_x=5, t_y=5, t_c=5, initial_occupants=2),
             Vocabulary(),
         )
-        tensor = fit_transitions(labeled, t_z_max=120)
-        table = fit_operations(labeled, Vocabulary())
+        tensor = fit_transitions(labels, t_z_max=120)
+        table = fit_operations(labels, Vocabulary())
         for snap in snapshots(run_filter(slots[:1440], tensor, table)):
             assert abs(float(snap.probs.sum()) - 1.0) <= 1e-9
 
@@ -288,12 +288,12 @@ def test_criterion_9_degenerate_branches():
         # Transition fitting: a state with no support anywhere keeps an
         # all-zero row instead of inventing probabilities.
         labeled = labeled_stream(["active:none"] * 1440)
-        tensor = fit_transitions(labeled, t_z_max=720)
+        tensor = fit_transitions(encode_labels(labeled), t_z_max=720)
         missing = STATE_INDEX[parse_state_key("sleep:none")]
         assert not tensor.probs[:, missing, :].any()
 
         # Operation fitting: an operation never observed maps to all ones.
-        table = fit_operations(labeled, Vocabulary())
+        table = fit_operations(encode_labels(labeled), Vocabulary())
         assert (table.vector(("rice_cooker", "on")) == 1.0).all()
 
         # Sequence store: unknown sequences and unsupported states score zero.

@@ -22,7 +22,7 @@ from homeguard.ingest import (
     write_sensor_log,
 )
 from homeguard.seqstore import window_start
-from homeguard.synthgen import generate, scenario_calibration
+from homeguard.synthgen import generate, save_scenario, scenario_calibration, scenario_s1
 from homeguard.vocab import Vocabulary
 
 from conftest import GoldenSample
@@ -733,6 +733,22 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert option in err and repr(text) in err
 
+    @pytest.mark.parametrize("option", ["--seed", "--injections"])
+    def test_negative_count_exits_2_before_any_work(self, tmp_path, small_home, monkeypatch,
+                                                    option, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"evaluate read its input before checking {option}")
+
+        monkeypatch.setattr(cli, "parse_operation_log", no_work)
+        ops, sensors = small_home
+        out_dir = tmp_path / "eval"
+        code = main(["evaluate", "--operations", str(ops), "--sensors", str(sensors),
+                     "--output-dir", str(out_dir), option, "-1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert option in err and "-1" in err
+        assert not out_dir.exists()
+
     def test_all_methods_equal_one_method_runs(self, tmp_path, small_home, capsys):
         ops, sensors = small_home
         common = ["--operations", str(ops), "--sensors", str(sensors),
@@ -800,6 +816,44 @@ class TestSynthCommand:
         assert (out_dir / "truth.csv").exists()
         truth_lines = (out_dir / "truth.csv").read_text().splitlines()
         assert len(truth_lines) == 1 + 2 * 1440
+
+    def synth(self, out, *flags):
+        assert main(["synth", "--output-dir", str(out), "--days", "1", *flags]) == 0
+        return (out / "operations.csv").read_bytes()
+
+    def test_scenario_file_keeps_its_seed(self, tmp_path):
+        files = {}
+        for seed in (1, 5):
+            files[seed] = tmp_path / f"seed{seed}.json"
+            save_scenario(scenario_s1(seed=seed, n_days=1), files[seed])
+        one = self.synth(tmp_path / "one", "--scenario", str(files[1]))
+        five = self.synth(tmp_path / "five", "--scenario", str(files[5]))
+        assert one != five
+        assert five == self.synth(tmp_path / "s1-five", "--scenario", "s1", "--seed", "5")
+        # The flag overrides the file; without it a built-in scenario uses 0.
+        assert one == self.synth(tmp_path / "flag", "--scenario", str(files[5]), "--seed", "1")
+        assert self.synth(tmp_path / "s1", "--scenario", "s1") == self.synth(
+            tmp_path / "s1-zero", "--scenario", "s1", "--seed", "0"
+        )
+
+    @pytest.mark.parametrize("scenario, flags, named", [
+        ("s1", ["--seed", "-1"], "--seed"),
+        ("calibration", ["--seed", "-1"], "--seed"),
+        ("file", ["--seed", "-2"], "--seed"),
+        ("negative-file", [], "seed"),
+    ])
+    def test_negative_seed_exits_2(self, tmp_path, scenario, flags, named, capsys):
+        if scenario.endswith("file"):
+            path = tmp_path / "scenario.json"
+            save_scenario(scenario_s1(n_days=1), path)
+            if scenario == "negative-file":
+                path.write_text(json.dumps({**json.loads(path.read_text()), "seed": -3}))
+            scenario = str(path)
+        argv = ["synth", "--scenario", scenario, "--output-dir", str(tmp_path / "out"), *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert named in err and "non-negative" in err
+        assert not (tmp_path / "out").exists()
 
     def test_synth_deterministic(self, tmp_path):
         a = tmp_path / "a"

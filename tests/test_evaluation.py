@@ -40,7 +40,14 @@ from homeguard.seqstore import SeqParams, seconds_of_day
 from homeguard.vocab import DEFAULT_PAIRS, Vocabulary
 
 from conftest import frame, make_folds
-from oracles import best_per_level_loop, filter_folds_one_by_one, frontier_indices_loop, ratio
+from oracles import (
+    best_per_level_loop,
+    encode_labels,
+    filter_folds_one_by_one,
+    frontier_indices_loop,
+    label_states_per_slot,
+    ratio,
+)
 from test_detector import make_model
 from test_hsmodel import assert_traces_equal
 from test_seqstore import dense_dataset
@@ -357,19 +364,21 @@ class TestFoldFits:
     @pytest.mark.parametrize("t_z_max", [720, 5])
     def test_fold_fits_equal_a_refit(self, heldout, t_z_max):
         dataset = mixed_dataset()
-        folds = make_folds(
-            dataset, LabelingParams(t_x=3, t_y=3, t_c=2), ModelParams(t_z_max=t_z_max), SeqParams()
-        )
+        labeling_params = LabelingParams(t_x=3, t_y=3, t_c=2)
+        folds = make_folds(dataset, labeling_params, ModelParams(t_z_max=t_z_max), SeqParams())
         fold = folds[heldout]
         assert all(other.arrays is fold.arrays for other in folds)
         excluded_days = set(fold.arrays.day[fold.arrays.excluded].tolist())
         assert excluded_days == {2}
 
         transitions, operations = fold.state_model()
-        kept = [item for item, keep in zip(fold.labeled, fold.training_arrays().keep) if keep]
+        labeled = label_states_per_slot(
+            dataset.slots, dataset.events, labeling_params, dataset.vocabulary
+        )
+        kept = [item for item, keep in zip(labeled, fold.training_arrays().keep) if keep]
         assert {(item.slot.t - 1) // 1440 for item in kept} == {0, 1, 3, 4} - {heldout}
-        reference_t = fit_transitions(kept, t_z_max)
-        reference_o = fit_operations(kept, dataset.vocabulary)
+        reference_t = fit_transitions(encode_labels(kept), t_z_max)
+        reference_o = fit_operations(encode_labels(kept), dataset.vocabulary)
         assert np.array_equal(transitions.probs, reference_t.probs)
         assert np.array_equal(transitions.t_z, reference_t.t_z)
         assert list(operations.probs) == list(reference_o.probs)

@@ -13,7 +13,6 @@ from homeguard.hsmodel import (
     TrainedModel,
     TransitionTensor,
     _normalize_or_uniform,
-    encode_labels,
     filter_models,
     filter_streams,
     fit_operations,
@@ -23,12 +22,18 @@ from homeguard.hsmodel import (
     uniform_belief,
     window_halfwidths,
 )
-from homeguard.labeling import ALPHABET, STATE_INDEX, LabeledSlot, LabelingParams, parse_state_key
+from homeguard.labeling import ALPHABET, STATE_INDEX, LabelingParams, parse_state_key
 from homeguard.seqstore import SeqParams
 from homeguard.vocab import Vocabulary
 
 from conftest import BASE, ev, make_slots
-from oracles import belief_before_walk, filter_streams_per_event, snapshots
+from oracles import (
+    LabeledSlot,
+    belief_before_walk,
+    encode_labels,
+    filter_streams_per_event,
+    snapshots,
+)
 
 S = len(ALPHABET)
 
@@ -63,7 +68,7 @@ def day_of_states(key: str) -> list[str]:
 class TestFitTransitions:
     def test_single_state_chain_is_identity(self):
         labeled = labeled_stream(day_of_states("active:none") * 2)
-        tensor = fit_transitions(labeled, t_z_max=0)
+        tensor = fit_transitions(encode_labels(labeled), t_z_max=0)
         i = STATE_INDEX[parse_state_key("active:none")]
         for k in (1, 700, 1440):
             assert tensor.matrix(k)[i, i] == pytest.approx(1.0)
@@ -73,7 +78,7 @@ class TestFitTransitions:
         keys = [state.key for state in ALPHABET]
         state_keys = [keys[rng.integers(0, S)] for _ in range(3 * 1440)]
         labeled = labeled_stream(state_keys)
-        tensor = fit_transitions(labeled, t_z_max=0)
+        tensor = fit_transitions(encode_labels(labeled), t_z_max=0)
 
         # Independent tally of adjacent (previous state, next state) pairs,
         # bucketed by the slot-of-day the pair arrives at.
@@ -86,13 +91,13 @@ class TestFitTransitions:
 
     def test_absent_state_yields_zero_row(self):
         labeled = labeled_stream(day_of_states("active:none"))
-        tensor = fit_transitions(labeled, t_z_max=720)
+        tensor = fit_transitions(encode_labels(labeled), t_z_max=720)
         missing = STATE_INDEX[parse_state_key("sleep:none")]
         assert not tensor.probs[:, missing, :].any()
 
     def test_midnight_transition_captured(self):
         labeled = labeled_stream(day_of_states("active:none") + day_of_states("sleep:none"))
-        tensor = fit_transitions(labeled, t_z_max=0)
+        tensor = fit_transitions(encode_labels(labeled), t_z_max=0)
         a_idx = STATE_INDEX[parse_state_key("active:none")]
         s_idx = STATE_INDEX[parse_state_key("sleep:none")]
         assert tensor.matrix(1)[a_idx, s_idx] == pytest.approx(1.0)
@@ -107,7 +112,7 @@ class TestFitTransitions:
         day = [keys[1 + (pos % (S - 1))] for pos in range(1440)]
         day[499] = rare  # k = 500
         labeled = labeled_stream(day * 2)
-        tensor = fit_transitions(labeled, t_z_max=720)
+        tensor = fit_transitions(encode_labels(labeled), t_z_max=720)
         assert tensor.t_z[510] == 11  # k = 511
         # The rare state sits at k=500, but planting it there displaced one
         # cycling state whose nearest occurrences are 9 slots away.
@@ -129,28 +134,28 @@ class TestFitTransitions:
         # windows far away can never reach it within the cap.
         day = day_of_states("active:none")
         day[499] = "sleep:none"
-        tensor = fit_transitions(labeled_stream(day), t_z_max=30)
+        tensor = fit_transitions(encode_labels(labeled_stream(day)), t_z_max=30)
         assert tensor.t_z[100] == 30  # k=101 cannot see slot 500
         assert tensor.t_z[499] == 1  # slot 500 itself lacks the common state
 
     def test_absent_states_do_not_force_the_cap(self):
         # Only one state present at every slot: support holds with no window.
         labeled = labeled_stream(day_of_states("active:none"))
-        tensor = fit_transitions(labeled, t_z_max=30)
+        tensor = fit_transitions(encode_labels(labeled), t_z_max=30)
         assert (tensor.t_z == 0).all()
 
     def test_rows_are_stochastic_or_zero(self):
         rng = np.random.default_rng(3)
         keys = [state.key for state in ALPHABET[:4]]
         state_keys = [keys[rng.integers(0, 4)] for _ in range(2 * 1440)]
-        tensor = fit_transitions(labeled_stream(state_keys), t_z_max=5)
+        tensor = fit_transitions(encode_labels(labeled_stream(state_keys)), t_z_max=5)
         sums = tensor.probs.sum(axis=2)
         nonzero = sums > 0
         assert np.allclose(sums[nonzero], 1.0, atol=1e-9)
 
     def test_empty_training_data_errors(self):
         with pytest.raises(ModelError):
-            fit_transitions([], t_z_max=0)
+            fit_transitions(encode_labels([]), t_z_max=0)
 
 
 class TestFitOperations:
@@ -159,19 +164,19 @@ class TestFitOperations:
             ["active:none"] * 4,
             events={0: [ev(0.5, "tv", "on")]},
         )
-        table = fit_operations(labeled, vocab)
+        table = fit_operations(encode_labels(labeled), vocab)
         i = STATE_INDEX[parse_state_key("active:none")]
         assert table.vector(("tv", "on"))[i] == pytest.approx(0.25)
 
     def test_unseen_operation_is_all_ones(self, vocab):
         labeled = labeled_stream(["active:none"] * 3)
-        table = fit_operations(labeled, vocab)
+        table = fit_operations(encode_labels(labeled), vocab)
         assert (table.vector(("rice_cooker", "on")) == 1.0).all()
         assert table.vector(("rice_cooker", "on")).shape == (S,)
 
     def test_state_with_no_slots_gets_zero(self, vocab):
         labeled = labeled_stream(["active:none"] * 2, events={0: [ev(0.5, "tv", "on")]})
-        table = fit_operations(labeled, vocab)
+        table = fit_operations(encode_labels(labeled), vocab)
         j = STATE_INDEX[parse_state_key("sleep:none")]
         assert table.vector(("tv", "on"))[j] == 0.0
 
@@ -180,7 +185,7 @@ class TestFitOperations:
             ["active:none"] * 2,
             events={0: [ev(0.2, "tv", "on"), ev(0.7, "tv", "on")]},
         )
-        table = fit_operations(labeled, vocab)
+        table = fit_operations(encode_labels(labeled), vocab)
         i = STATE_INDEX[parse_state_key("active:none")]
         assert table.vector(("tv", "on"))[i] == pytest.approx(0.5)
 
@@ -192,12 +197,12 @@ class TestFitOperations:
                 events[pos] = [ev(pos + 0.5, "refrigerator", "opening"), ev(pos + 0.6, "tv", "on")]
         keys = [state.key for state in ALPHABET]
         labeled = labeled_stream([keys[rng.integers(0, S)] for _ in range(50)], events=events)
-        table = fit_operations(labeled, vocab)
+        table = fit_operations(encode_labels(labeled), vocab)
         for vec in table.probs.values():
             assert (vec >= 0.0).all() and (vec <= 1.0).all()
 
     def test_unregistered_lookup_raises(self, vocab):
-        table = fit_operations(labeled_stream(["active:none"]), vocab)
+        table = fit_operations(encode_labels(labeled_stream(["active:none"])), vocab)
         with pytest.raises(VocabularyError):
             table.vector(("mystery", "zap"))
 
@@ -288,7 +293,7 @@ class TestEncodedFits:
         for t_z_max in (720, 30, 0):
             labeled = random_labeled_days(rng, 3)
             presence, pairs, denom, numer = loop_counts(labeled)
-            tensor = fit_transitions(labeled, t_z_max)
+            tensor = fit_transitions(encode_labels(labeled), t_z_max)
             assert np.array_equal(tensor.t_z, binary_search_t_z(presence, t_z_max))
             windows = np.zeros((1440, S, S))
             for k0 in range(1440):
@@ -298,7 +303,7 @@ class TestEncodedFits:
             expected = np.divide(windows, sums, out=np.zeros_like(windows), where=sums > 0)
             assert np.array_equal(tensor.probs, expected)
 
-            table = fit_operations(labeled, vocab)
+            table = fit_operations(encode_labels(labeled), vocab)
             assert set(table.probs) == set(vocab.all_pairs()) | set(numer)
             for pair, counts in numer.items():
                 assert np.array_equal(
@@ -316,11 +321,11 @@ class TestEncodedFits:
             keep = (arrays.day != heldout) & ~arrays.excluded
             kept = [item for item, flag in zip(labeled, keep) if flag]
             got_t = fit_transitions(arrays.select(keep), 720)
-            ref_t = fit_transitions(kept, 720)
+            ref_t = fit_transitions(encode_labels(kept), 720)
             assert np.array_equal(got_t.probs, ref_t.probs)
             assert np.array_equal(got_t.t_z, ref_t.t_z)
             got_o = fit_operations(arrays.select(keep), vocab)
-            ref_o = fit_operations(kept, vocab)
+            ref_o = fit_operations(encode_labels(kept), vocab)
             assert list(got_o.probs) == list(ref_o.probs)
             for pair, vec in ref_o.probs.items():
                 assert np.array_equal(got_o.probs[pair], vec)

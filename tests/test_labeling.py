@@ -1,8 +1,9 @@
 """User-activity and device-usage labeling rules."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from datetime import datetime, time, timedelta
 
+import numpy as np
 import pytest
 
 from homeguard import labeling
@@ -21,7 +22,7 @@ from homeguard.labeling import (
 from homeguard.synthgen import generate, scenario_s1
 
 from conftest import BASE, ev, frame, make_slots
-from oracles import calendar_day_bounds_scan, label_states_per_slot
+from oracles import calendar_day_bounds_scan, decode_labels, encode_labels, label_states_per_slot
 
 ACTIVE, OUT, SLEEP = UserActivity.ACTIVE, UserActivity.OUT, UserActivity.SLEEP
 USE, BEFORE, AFTER, NONE = (
@@ -143,22 +144,22 @@ class TestDeviceUsage:
 
     def test_single_operation_windows(self, vocab):
         slots = make_slots(7, events={3: [ev(3.2, "cooking_stove", "on")]})
-        labels = label_device_usage(slots, [], self.params(), vocab)
+        labels = label_device_usage(slots, self.params(), vocab)
         assert labels.usages == [NONE, NONE, BEFORE, USE, AFTER, NONE, NONE]
 
     def test_no_operations_all_none(self, vocab):
         slots = make_slots(5)
-        labels = label_device_usage(slots, [], self.params(), vocab)
+        labels = label_device_usage(slots, self.params(), vocab)
         assert labels.usages == [NONE] * 5
 
     def test_cooking_duration_extends_use(self, vocab):
         slots = make_slots(8, events={2: [ev(2.5, "microwave", "on")]})
-        labels = label_device_usage(slots, [], self.params(t_c=2), vocab)
+        labels = label_device_usage(slots, self.params(t_c=2), vocab)
         assert labels.usages == [NONE, BEFORE, USE, USE, USE, AFTER, NONE, NONE]
 
     def test_refrigerator_is_not_cooking(self, vocab):
         slots = make_slots(4, events={1: [ev(1.5, "refrigerator", "opening")]})
-        labels = label_device_usage(slots, [], self.params(), vocab)
+        labels = label_device_usage(slots, self.params(), vocab)
         assert labels.usages == [NONE] * 4
 
     def test_two_runs_within_fifteen_minutes_merge(self, vocab):
@@ -166,7 +167,7 @@ class TestDeviceUsage:
             16,
             events={2: [ev(2.5, "cooking_stove", "on")], 12: [ev(12.5, "cooking_stove", "off")]},
         )
-        labels = label_device_usage(slots, [], self.params(), vocab)
+        labels = label_device_usage(slots, self.params(), vocab)
         assert all(labels.usages[pos] == USE for pos in range(2, 13))
 
     def test_runs_beyond_merge_window_stay_separate(self, vocab):
@@ -174,7 +175,7 @@ class TestDeviceUsage:
             25,
             events={2: [ev(2.5, "cooking_stove", "on")], 20: [ev(20.5, "cooking_stove", "on")]},
         )
-        labels = label_device_usage(slots, [], self.params(), vocab)
+        labels = label_device_usage(slots, self.params(), vocab)
         assert labels.usages[10] == NONE
         assert labels.usages[2] == USE and labels.usages[20] == USE
 
@@ -184,7 +185,7 @@ class TestDeviceUsage:
         slots = make_slots(
             12, events={4: [ev(4.1, "cooking_stove", "on")], 6: [ev(6.9, "cooking_stove", "off")]}
         )
-        labels = label_device_usage(slots, [], self.params(t_x=3, t_y=2), vocab)
+        labels = label_device_usage(slots, self.params(t_x=3, t_y=2), vocab)
         expected = [NONE, BEFORE, BEFORE, BEFORE, USE, USE, USE, AFTER, AFTER, NONE, NONE, NONE]
         assert labels.usages == expected
 
@@ -195,7 +196,7 @@ class TestDeviceUsage:
             8,
             events={2: [ev(2.5, "cooking_stove", "on")], 5: [ev(5.5, "cooking_stove", "on")]},
         )
-        labels = label_device_usage(slots, [], self.params(t_x=3, t_y=3, use_gap_merge=0), vocab)
+        labels = label_device_usage(slots, self.params(t_x=3, t_y=3, use_gap_merge=0), vocab)
         assert labels.usages[2] == USE and labels.usages[5] == USE
         assert labels.usages[3] == BEFORE  # before beats after on overlap
         assert labels.usages[4] == BEFORE
@@ -203,7 +204,7 @@ class TestDeviceUsage:
     def test_windows_clip_at_calendar_day(self, vocab):
         start = datetime(2021, 3, 1, 23, 58, 0)
         slots = make_slots(6, start=start, events={1: [ev(1.5, "cooking_stove", "on", start)]})
-        labels = label_device_usage(slots, [], self.params(t_x=3, t_y=3), vocab)
+        labels = label_device_usage(slots, self.params(t_x=3, t_y=3), vocab)
         # Slot 1 is 23:59; before reaches back within the day, after is cut
         # at midnight.
         assert labels.usages == [BEFORE, USE, NONE, NONE, NONE, NONE]
@@ -215,7 +216,7 @@ class TestDeviceUsage:
         )
         counts = []
         for gap in (0, 10, 20, 30):
-            labels = label_device_usage(slots, [], self.params(use_gap_merge=gap), vocab)
+            labels = label_device_usage(slots, self.params(use_gap_merge=gap), vocab)
             counts.append(sum(1 for u in labels.usages if u == USE))
         assert counts == sorted(counts)
 
@@ -231,7 +232,9 @@ class TestLabelStates:
             },
         )
         events = [event for slot in slots for event in slot.events]
-        labeled = label_states(slots, events, LabelingParams(t_x=2, t_y=2, t_c=1), vocab)
+        labeled = decode_labels(
+            slots, label_states(slots, events, LabelingParams(t_x=2, t_y=2, t_c=1), vocab)
+        )
         assert len(labeled) == 30
         for item in labeled:
             assert item.state in ALPHABET
@@ -245,7 +248,9 @@ class TestLabelStates:
             events={2: [ev(2.5, "user_position", "exit")], 6: [ev(6.5, "cooking_stove", "on")]},
         )
         events = [event for slot in slots for event in slot.events]
-        labeled = label_states(slots, events, LabelingParams(t_x=1, t_y=1, t_c=0), vocab)
+        labeled = decode_labels(
+            slots, label_states(slots, events, LabelingParams(t_x=1, t_y=1, t_c=0), vocab)
+        )
         assert labeled[6].state == HomeState(ACTIVE, USE)
         assert labeled[6].excluded_day
 
@@ -256,15 +261,17 @@ class TestLabelStates:
         slots = make_slots(10, start=start, sensors=sensors,
                            events={5: [ev(5.5, "cooking_stove", "on", start)]})
         events = [event for slot in slots for event in slot.events]
-        labeled = label_states(slots, events, LabelingParams(t_x=1, t_y=1, t_c=0), vocab)
+        labeled = decode_labels(
+            slots, label_states(slots, events, LabelingParams(t_x=1, t_y=1, t_c=0), vocab)
+        )
         assert labeled[5].state == HomeState(ACTIVE, USE)
 
     def test_idempotent_relabeling(self, vocab):
         slots = make_slots(20, events={7: [ev(7.5, "cooking_stove", "on")]})
         events = [event for slot in slots for event in slot.events]
         params = LabelingParams(t_x=2, t_y=2, t_c=1)
-        first = label_states(slots, events, params, vocab)
-        second = label_states(slots, events, params, vocab)
+        first = decode_labels(slots, label_states(slots, events, params, vocab))
+        second = decode_labels(slots, label_states(slots, events, params, vocab))
         assert [(i.state, i.entry_state, i.event_states, i.excluded_day) for i in first] == [
             (i.state, i.entry_state, i.event_states, i.excluded_day) for i in second
         ]
@@ -273,9 +280,9 @@ class TestLabelStates:
 class TestGoldenSample:
     def test_golden_rows_reproduced(self, golden_sample):
         slots = golden_sample.slots()
-        labeled = label_states(
+        labeled = decode_labels(slots, label_states(
             slots, golden_sample.events, golden_sample.params, golden_sample.vocabulary
-        )
+        ))
         by_t = {item.slot.t: item for item in labeled}
 
         rows = []
@@ -293,9 +300,9 @@ class TestGoldenSample:
 
     def test_slot_level_states(self, golden_sample):
         slots = golden_sample.slots()
-        labeled = label_states(
+        labeled = decode_labels(slots, label_states(
             slots, golden_sample.events, golden_sample.params, golden_sample.vocabulary
-        )
+        ))
         by_t = {item.slot.t: item for item in labeled}
         assert by_t[4320].state == HomeState(ACTIVE, USE)
         assert by_t[4321].state == HomeState(ACTIVE, AFTER)
@@ -310,8 +317,14 @@ def s1_week():
     return slots, [event for slot in slots for event in slot.events]
 
 
+def assert_labels_equal(got, expected):
+    for f in fields(expected):
+        a, b = getattr(got, f.name), getattr(expected, f.name)
+        assert a == b if f.name == "pairs" else np.array_equal(a, b), f.name
+
+
 class TestLabelStatesMatchesPerSlot:
-    """States looked up in the interned table equal states built per slot."""
+    """Label arrays equal the encoding of states built slot by slot."""
 
     @pytest.mark.parametrize("t_x", [0, 1])
     def test_golden_sample(self, golden_sample, t_x):
@@ -319,7 +332,8 @@ class TestLabelStatesMatchesPerSlot:
         events = [event for slot in slots for event in slot.events]
         params = replace(golden_sample.params, t_x=t_x)
         expected = label_states_per_slot(slots, events, params, golden_sample.vocabulary)
-        assert label_states(slots, events, params, golden_sample.vocabulary) == expected
+        labels = label_states(slots, events, params, golden_sample.vocabulary)
+        assert_labels_equal(labels, encode_labels(expected))
 
     @pytest.mark.parametrize("t_x", [0, 1, 15])
     @pytest.mark.parametrize("occupants", [0, 2])
@@ -327,11 +341,43 @@ class TestLabelStatesMatchesPerSlot:
         slots, events = s1_week
         params = LabelingParams(t_x=t_x, initial_occupants=occupants)
         expected = label_states_per_slot(slots, events, params, vocab)
-        labeled = label_states(slots, events, params, vocab)
-        assert labeled == expected
+        labels = label_states(slots, events, params, vocab)
+        assert_labels_equal(labels, encode_labels(expected))
         # Starting from an empty home, early operations exclude their day.
-        assert any(item.excluded_day for item in labeled) == (occupants == 0)
-        assert any(len(item.event_states) > 1 for item in labeled)
+        assert labels.excluded.any() == (occupants == 0)
+        assert (np.bincount(labels.event_pos) > 1).any()
+
+    @pytest.mark.parametrize("occupants", [0, 2])
+    def test_day_origin_spanning_two_dates(self, s1_week, vocab, occupants):
+        slots, events = s1_week
+        frames = [slot.sensors for slot in slots[::720]]
+        shifted = build_timeslots(events, frames, time(6, 30), default_frame=frames[0])
+        params = LabelingParams(initial_occupants=occupants)
+        expected = label_states_per_slot(shifted, events, params, vocab)
+        labels = label_states(shifted, events, params, vocab)
+        assert_labels_equal(labels, encode_labels(expected))
+        assert labels.excluded.any() == (occupants == 0)
+
+    def test_empty_stream(self, vocab):
+        labels = label_states([], [], LabelingParams(), vocab)
+        assert_labels_equal(labels, encode_labels([]))
+        assert len(labels.state) == 0 and len(labels.event_state) == 0
+
+    def test_repeated_pair_and_state_in_one_slot(self, vocab):
+        slots = make_slots(
+            6,
+            events={
+                2: [ev(2.1, "tv", "on"), ev(2.4, "tv", "on"), ev(2.6, "cooking_stove", "on"),
+                    ev(2.8, "tv", "on")],
+                3: [ev(3.5, "tv", "on")],
+            },
+        )
+        events = [event for slot in slots for event in slot.events]
+        params = LabelingParams(t_x=1, t_y=1, t_c=0)
+        labels = label_states(slots, events, params, vocab)
+        assert_labels_equal(labels, encode_labels(label_states_per_slot(slots, events, params, vocab)))
+        # The stove flips the state inside slot 2, between the repeats.
+        assert labels.event_state[0] == labels.event_state[1] != labels.event_state[3]
 
 
 class TestCalendarDayBounds:
