@@ -7,9 +7,11 @@ once in BASE_TREE and once in the current directory, and compares the
 sha256 digests of the output files (every CSV, JSONL and ``model.json``)
 that each run record lists.  Then runs ``homeguard evaluate`` and
 ``homeguard label`` in both trees on paths the benchmark never takes
-(``EVALUATE_RUNS``, ``LABEL_RUNS``), on one synthetic home generated by the
-current tree, and compares the digests of the CSVs they write.  Exits 1 when
-a run fails, lists no outputs, or any digest differs.  Standard library only.
+(``EVALUATE_RUNS``, ``LABEL_RUNS``), and ``homeguard train`` followed by
+``detect`` with each method (``OPERATOR_RUNS``), on one synthetic home
+generated by the current tree, and compares the digests of every file they
+write.  Exits 1 when a run fails, lists no outputs, or any digest differs.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -46,6 +48,11 @@ LABEL_RUNS = (
     ("excluded-days", "00:00", ("--initial-occupants", "0")),
     ("day-origin-excluded-date", "04:00", ("--initial-occupants", "0")),
 )
+
+# train, then detect with each method, on the same home: (name, day origin,
+# arguments).  The benchmark's operator path runs at 00:00 only.
+OPERATOR_RUNS = (("day-origin", "04:00", ()),)
+DETECT_METHODS = ("proposed", "estimation", "sequence")
 
 
 def digests(tree: Path, workload: str, seed: int) -> dict[str, str]:
@@ -91,27 +98,43 @@ def synth_homes(work: Path) -> dict[str, Path]:
     return {"00:00": whole, "04:00": cut}
 
 
-def csv_digests(
-    tree: Path, command: str, home: Path, origin: str, args, out: Path
-) -> dict[str, str]:
-    """The digests of the CSVs one ``homeguard COMMAND`` run on ``home``
-    writes into ``out`` in ``tree``; empty on failure."""
+def run_digests(tree: Path, steps, out: Path) -> dict[str, str]:
+    """The digests of every file that the ``homeguard`` commands of
+    ``steps``, run one after another in ``tree``, write into ``out``; empty
+    when one of them fails."""
     out.mkdir(parents=True)
-    proc = homeguard(tree, command, "--operations", str(home / "operations.csv"),
-                     "--sensors", str(home / "sensors.csv"), "--day-origin", origin, *args)
-    if proc.returncode != 0:
-        print(f"{tree}: {command} exited {proc.returncode}\n{proc.stderr[-2000:]}")
-        return {}
+    for step in steps:
+        proc = homeguard(tree, *step)
+        if proc.returncode != 0:
+            print(f"{tree}: {step[0]} exited {proc.returncode}\n{proc.stderr[-2000:]}")
+            return {}
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(out.glob("*.csv"))}
+            for path in sorted(out.iterdir())}
 
 
-def evaluate_args(out: Path, args) -> tuple[str, ...]:
-    return ("--injections", "20", "--seed", "1", "--output-dir", str(out), *args)
+def io_args(home: Path, origin: str) -> tuple[str, ...]:
+    return ("--operations", str(home / "operations.csv"), "--sensors",
+            str(home / "sensors.csv"), "--day-origin", origin)
 
 
-def label_args(out: Path, args) -> tuple[str, ...]:
-    return ("--export", str(out / "labels.csv"), "--events-csv", str(out / "events.csv"), *args)
+def evaluate_steps(home: Path, origin: str, out: Path, args) -> list[tuple]:
+    return [("evaluate", *io_args(home, origin), "--injections", "20", "--seed", "1",
+             "--output-dir", str(out), *args)]
+
+
+def label_steps(home: Path, origin: str, out: Path, args) -> list[tuple]:
+    return [("label", *io_args(home, origin), "--export", str(out / "labels.csv"),
+             "--events-csv", str(out / "events.csv"), *args)]
+
+
+def operator_steps(home: Path, origin: str, out: Path, args) -> list[tuple]:
+    """``train`` on ``home``, then ``detect`` with each method on it."""
+    model = str(out / "model.json")
+    return [("train", *io_args(home, origin), "--output", model, *args)] + [
+        ("detect", "--model", model, *io_args(home, origin), "--method", method,
+         "--output", str(out / f"verdicts-{method}.jsonl"))
+        for method in DETECT_METHODS
+    ]
 
 
 def compare(label: str, base: dict[str, str], new: dict[str, str]) -> bool:
@@ -138,18 +161,24 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         homes = synth_homes(work)
-        runs = [("evaluate", evaluate_args, run) for run in EVALUATE_RUNS]
-        runs += [("label", label_args, run) for run in LABEL_RUNS]
-        for command, command_args, (name, origin, run_args) in runs:
+        runs = [
+            (f"{command} {name}", steps, origin, run_args)
+            for command, steps, command_runs in (
+                ("evaluate", evaluate_steps, EVALUATE_RUNS),
+                ("label", label_steps, LABEL_RUNS),
+                ("train-detect", operator_steps, OPERATOR_RUNS),
+            )
+            for name, origin, run_args in command_runs
+        ]
+        for label, steps, origin, run_args in runs:
             base, new = (
-                csv_digests(tree, command, homes[origin], origin,
-                            command_args(out, run_args), out)
+                run_digests(tree, steps(homes[origin], origin, out, run_args), out)
                 for tree, out in (
-                    (args.base, work / f"base-{command}-{name}"),
-                    (head, work / f"head-{command}-{name}"),
+                    (args.base, work / f"base-{label.replace(' ', '-')}"),
+                    (head, work / f"head-{label.replace(' ', '-')}"),
                 )
             )
-            failed += not compare(f"{command} {name}", base, new)
+            failed += not compare(label, base, new)
     return 1 if failed else 0
 
 

@@ -13,7 +13,6 @@ from .detector import (
     judge_sequence_baseline,
 )
 from .errors import (
-    BookkeepingError,
     HomeguardError,
     InitializationError,
     ModelError,
@@ -53,7 +52,7 @@ from .ingest import (
     SLOTS_PER_DAY,
     EventRecord,
     SensorFrame,
-    TimeslotRecord,
+    SlotGrid,
     build_timeslots,
     parse_operation_log,
     parse_sensor_log,

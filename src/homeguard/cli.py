@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from datetime import time
 from pathlib import Path
 
@@ -37,7 +37,7 @@ from .hsmodel import (
     run_filter,
     train_model,
 )
-from .ingest import build_timeslots, parse_operation_log, parse_sensor_log
+from .ingest import MAX_SPAN_DAYS, build_timeslots, parse_operation_log, parse_sensor_log
 from .labeling import ALPHABET, LabelingParams, export_event_labels, export_labels, label_states
 from .seqstore import SeqParams, window_start
 from .synthgen import generate, load_scenario, scenario_calibration, scenario_s1
@@ -157,17 +157,16 @@ def cmd_label(args) -> int:
     config = _load_config(args)
     vocabulary = _vocabulary(args)
     params = _labeling_params(args, config)
-    slots = _load_stream(args, vocabulary)
-    events = [event for slot in slots for event in slot.events]
-    labels = label_states(slots, events, params, vocabulary)
+    grid = _load_stream(args, vocabulary)
+    labels = label_states(grid, params, vocabulary)
     if args.export:
-        export_labels(slots, labels, args.export)
+        export_labels(grid, labels, args.export)
     if args.events_csv:
-        export_event_labels(slots, labels, args.events_csv)
+        export_event_labels(grid, labels, args.events_csv)
     if not args.export and not args.events_csv:
         counts = np.bincount(labels.state, minlength=len(ALPHABET))
         excluded = np.count_nonzero(np.bincount(labels.day[labels.excluded]))
-        print(f"slots={len(slots)} days={len(slots) // 1440} excluded_days={excluded}")
+        print(f"slots={len(grid)} days={len(grid) // 1440} excluded_days={excluded}")
         for key, count in sorted((state.key, n) for state, n in zip(ALPHABET, counts) if n):
             print(f"{key} {count}")
     return 0
@@ -179,11 +178,10 @@ def cmd_train(args) -> int:
     labeling = _labeling_params(args, config)
     model_params = _model_params(args, config)
     seq_params = _seq_params(args, config)
-    slots = _load_stream(args, vocabulary)
-    events = [event for slot in slots for event in slot.events]
-    if not events:
+    grid = _load_stream(args, vocabulary)
+    if not grid.events:
         raise UsageError("training requires a non-empty operation log")
-    model = train_model(slots, events, vocabulary, labeling, model_params, seq_params)
+    model = train_model(grid, vocabulary, labeling, model_params, seq_params)
     model.save(args.output)
     print(f"model written to {args.output}")
     return 0
@@ -212,15 +210,13 @@ def cmd_detect(args) -> int:
     thresholds, baseline = _detector_params(args)
     model = TrainedModel.load(args.model)
     vocabulary = model.vocabulary
-    events = parse_operation_log(args.operations, vocabulary, on_unknown="skip")
-    frames = parse_sensor_log(args.sensors, ranges=vocabulary.sensor_ranges or None)
-    slots = build_timeslots(events, frames, day_origin=_parse_time(args.day_origin))
+    grid = _load_stream(args, vocabulary, on_unknown="skip")
     # Only the proposed and estimation methods read a belief, so only they
     # pay for the filter; its events come in stream order.
     if args.method == "sequence":
-        stream = [event for slot in slots for event in slot.events]
+        stream = grid.events
     else:
-        trace = run_filter(slots, model.transitions, model.operations)
+        trace = run_filter(grid, model.transitions, model.operations)
         stream = trace.events
     target = vocabulary.detection_target
     times = [event.timestamp for event in stream]
@@ -295,11 +291,7 @@ def cmd_evaluate(args) -> int:
     labeling = _labeling_params(args, config)
     model_params = _model_params(args, config)
     seq_params = _seq_params(args, config)
-    events = parse_operation_log(args.operations, vocabulary)
-    frames = parse_sensor_log(args.sensors, ranges=vocabulary.sensor_ranges or None)
-    dataset = EvalDataset.from_logs(
-        events, frames, vocabulary, day_origin=_parse_time(args.day_origin)
-    )
+    dataset = EvalDataset(_load_stream(args, vocabulary), vocabulary)
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     points = grid_search(
@@ -340,16 +332,18 @@ def cmd_synth(args) -> int:
     else:
         scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        scenario.seed = args.seed
+        scenario = replace(scenario, seed=args.seed)
     if args.days is not None or "days" in config:
         days, where = (
             (args.days, "--days")
             if args.days is not None
             else (config["days"], f"config {args.config} key 'days'")
         )
-        if isinstance(days, bool) or not isinstance(days, int) or days < 1:
-            raise UsageError(f"{where}: expected a whole number of days, at least 1, got {days!r}")
-        scenario.n_days = days
+        if isinstance(days, bool) or not isinstance(days, int) or not 1 <= days <= MAX_SPAN_DAYS:
+            raise UsageError(
+                f"{where}: expected a whole number of days in 1..{MAX_SPAN_DAYS}, got {days!r}"
+            )
+        scenario = replace(scenario, n_days=days)
     result = generate(scenario)
     paths = result.write(args.output_dir)
     for name, path in sorted(paths.items()):

@@ -34,10 +34,6 @@ class InitializationError(HomeguardError):
     """Timeslot construction could not establish an initial sensor frame."""
 
 
-class BookkeepingError(HomeguardError):
-    """Presence bookkeeping received events outside the dataset range."""
-
-
 class VocabularyError(HomeguardError):
     """An operation was observed that the model has no entry for."""
 

@@ -21,7 +21,7 @@ import csv
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
-from datetime import datetime, time, timedelta
+from datetime import datetime, timedelta
 from itertools import product
 from pathlib import Path
 from typing import Callable, ClassVar, Iterable, Mapping, Sequence
@@ -44,7 +44,9 @@ from .hsmodel import (
     fit_transitions,
     run_filter,  # noqa: F401 - not called here; perfbench/child.py traces this name
 )
-from .ingest import SLOTS_PER_DAY, EventRecord, SensorFrame, TimeslotRecord, build_timeslots
+from .ingest import SLOTS_PER_DAY, EventRecord, SlotGrid
+# Not called here; perfbench/child.py traces this name.
+from .ingest import build_timeslots  # noqa: F401
 from .labeling import ALPHABET, LabelArrays, LabelingParams, label_states
 from .seqstore import (
     DayWindows,
@@ -130,42 +132,24 @@ def make_params(mapping: Mapping[str, object]) -> tuple[tuple[str, object], ...]
 
 @dataclass
 class EvalDataset:
-    """A whole-day-aligned slot stream plus its event list."""
+    """A slot grid of whole days, and its vocabulary."""
 
-    slots: list[TimeslotRecord]
+    grid: SlotGrid
     vocabulary: Vocabulary = field(default_factory=Vocabulary)
 
     def __post_init__(self) -> None:
-        if len(self.slots) % SLOTS_PER_DAY != 0:
+        if len(self.grid) % SLOTS_PER_DAY != 0:
             raise ValidationError(
-                f"slot count {len(self.slots)} is not a whole number of days"
+                f"slot count {len(self.grid)} is not a whole number of days"
             )
-
-    @classmethod
-    def from_logs(
-        cls,
-        events: Sequence[EventRecord],
-        frames: Sequence[SensorFrame],
-        vocabulary: Vocabulary | None = None,
-        day_origin: time = time(0, 0),
-        default_frame: SensorFrame | None = None,
-    ) -> "EvalDataset":
-        slots = build_timeslots(events, frames, day_origin, default_frame)
-        return cls(slots=slots, vocabulary=vocabulary or Vocabulary())
 
     @property
     def n_days(self) -> int:
-        return len(self.slots) // SLOTS_PER_DAY
-
-    def day_slots(self, day: int) -> list[TimeslotRecord]:
-        return self.slots[day * SLOTS_PER_DAY : (day + 1) * SLOTS_PER_DAY]
+        return len(self.grid) // SLOTS_PER_DAY
 
     def day_events(self, day: int) -> list[EventRecord]:
-        return [event for slot in self.day_slots(day) for event in slot.events]
-
-    @property
-    def events(self) -> list[EventRecord]:
-        return [event for slot in self.slots for event in slot.events]
+        first = self.grid.first
+        return self.grid.events[first[day * SLOTS_PER_DAY] : first[(day + 1) * SLOTS_PER_DAY]]
 
 
 class OperationContext:
@@ -249,21 +233,21 @@ class FoldContext:
         dataset, arrays = first.dataset, first.arrays
         kept = ~arrays.excluded
         kept_slots = np.bincount(arrays.day[kept], minlength=dataset.n_days)
-        streams = [dataset.day_slots(day) for day in range(dataset.n_days)]
+        streams = list(np.arange(len(dataset.grid)).reshape(dataset.n_days, SLOTS_PER_DAY))
         # (day, stream, the day whose windows the trace shares or None).
         training: list[tuple[int, int, int | None]] = []
         for day in np.flatnonzero(kept_slots).tolist():
             if kept_slots[day] == SLOTS_PER_DAY:
                 training.append((day, day, day))
             else:
-                positions = np.flatnonzero(kept & (arrays.day == day)).tolist()
                 training.append((day, len(streams), None))
-                streams.append([dataset.slots[pos] for pos in positions])
+                streams.append(np.flatnonzero(kept & (arrays.day == day)))
         kept_by_fold = [
             [(stream, shared) for day, stream, shared in training if day != fold.heldout_day]
             for fold in folds
         ]
         traces = filter_models(
+            dataset.grid,
             streams,
             [fold.state_model() for fold in folds],
             [
@@ -324,7 +308,6 @@ class FoldContext:
     ) -> list[OperationContext]:
         """Real target operations of the held-out day, then injected ones."""
         target = self.dataset.vocabulary.detection_target
-        day_slots = self.dataset.day_slots(self.heldout_day)
         day_events = self.dataset.day_events(self.heldout_day)
         event_times = [event.timestamp for event in day_events]
         t_seq = self.seq_params.t_seq
@@ -343,7 +326,7 @@ class FoldContext:
                 )
 
         plan = inject_anomalies(
-            day_slots[0].start,
+            self.dataset.grid.start + timedelta(days=self.heldout_day),
             injections_per_day,
             seed,
             day_index=self.heldout_day,
@@ -387,7 +370,7 @@ def _make_folds(
     """One fold per day, all sharing the run's ``windows``."""
     if dataset.n_days < 2:
         raise ModelError("cross-validation needs at least two days of data")
-    arrays = label_states(dataset.slots, dataset.events, labeling_params, dataset.vocabulary)
+    arrays = label_states(dataset.grid, labeling_params, dataset.vocabulary)
     return [
         FoldContext(dataset, arrays, day, model_params, seq_params, windows)
         for day in range(dataset.n_days)

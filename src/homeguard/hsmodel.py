@@ -24,9 +24,11 @@ rows.  Several models can filter the same days in one pass, as an (M, D, S)
 tensor advanced by one batched matrix product per slot; an event then updates
 its day's row under every model at once.
 
-A ``FilterTrace`` holds arrays only: the belief entering each slot, the
-beliefs just before and just after each event of the stream, in order, and
-where each slot's events begin.
+A stream is an int array of positions in one ``ingest.SlotGrid``: a whole
+grid, a day of it, or the kept slots of a day.  The filter reads each slot's
+slot-of-day and events from its position.  A ``FilterTrace`` holds arrays
+only: the belief entering each slot, the beliefs just before and just after
+each event of the stream, in order, and where each slot's events begin.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import HomeguardError, ModelError, VocabularyError
-from .ingest import SLOTS_PER_DAY, EventRecord, TimeslotRecord
+from .ingest import SLOT, SLOTS_PER_DAY, EventRecord, SlotGrid
 from .labeling import ALPHABET, HomeState, LabelArrays, LabelingParams, parse_state_key
 from .seqstore import SeqParams, SequenceStore, TimedSequenceStore, build_timed_store, store_sequences
 from .vocab import Vocabulary
@@ -233,15 +235,16 @@ def _normalize_or_uniform(values: np.ndarray) -> np.ndarray:
 class FilterTrace:
     """Belief trajectory over a slot stream.
 
-    ``entry[p]`` is the belief right after entering slot ``p`` (for the first
-    slot this is the initial belief itself: the stream starts there, no
-    transition is applied).  ``events`` lists the stream's events in order;
-    ``pre[i]`` and ``post[i]`` are the beliefs just before and just after
-    the update by ``events[i]``.  The events of slot ``p`` are
-    ``first[p]:first[p + 1]``.
+    ``start`` is the start of the stream's first slot (None for an empty
+    stream).  ``entry[p]`` is the belief right after entering the stream's
+    slot ``p`` (for the first slot this is the initial belief itself: the
+    stream starts there, no transition is applied).  ``events`` lists the
+    stream's events in order; ``pre[i]`` and ``post[i]`` are the beliefs
+    just before and just after the update by ``events[i]``.  The events of
+    slot ``p`` are ``first[p]:first[p + 1]``.
     """
 
-    slots: Sequence[TimeslotRecord]
+    start: datetime | None
     initial: np.ndarray
     entry: np.ndarray  # (n_slots, S)
     events: list[EventRecord]
@@ -253,11 +256,12 @@ class FilterTrace:
         """Belief after all updates strictly earlier than ``ts``.
 
         The transition into the slot containing ``ts`` counts as applied.
+        Reads contiguous streams only.
         """
-        if not len(self.slots):
+        if not len(self.entry):
             return self.initial
-        offset = int((ts - self.slots[0].start).total_seconds() // 60)
-        if not 0 <= offset < len(self.slots):
+        offset = (ts - self.start) // SLOT
+        if not 0 <= offset < len(self.entry):
             raise ValueError(f"timestamp {ts} outside the filtered stream")
         probs = self.entry[offset]
         for i in range(self.first[offset], self.first[offset + 1]):
@@ -293,7 +297,8 @@ class _StackedMatrices:
 
 
 def _lockstep(
-    streams: Sequence[Sequence[TimeslotRecord]],
+    grid: SlotGrid,
+    streams: Sequence[np.ndarray],
     models: Sequence[tuple[TransitionTensor, OperationTable]],
     initial: np.ndarray,
 ) -> list[list[FilterTrace]]:
@@ -313,11 +318,17 @@ def _lockstep(
     """
     n_models, n_rows = len(models), len(streams)
     n_slots, n_states = len(streams[0]), models[0][0].n_states
+    # Row d's events, and where each of its slots' events begins among them.
     first = np.zeros((n_rows, n_slots + 1), dtype=np.intp)
+    events: list[list[EventRecord]] = []
     rows_at: dict[int, list[int]] = {}
     for row, stream in enumerate(streams):
-        np.cumsum([len(slot.events) for slot in stream], dtype=np.intp, out=first[row, 1:])
-        for pos in [pos for pos, slot in enumerate(stream) if slot.events]:
+        lo = grid.first[stream]
+        counts = grid.first[stream + 1] - lo
+        np.cumsum(counts, out=first[row, 1:])
+        taken = np.arange(first[row, -1]) + np.repeat(lo - first[row, :-1], counts)
+        events.append([grid.events[i] for i in taken.tolist()])
+        for pos in np.flatnonzero(counts).tolist():
             rows_at.setdefault(pos, []).append(row)
 
     # Indexed by slot-of-day k; list indexing is cheaper than array indexing.
@@ -345,9 +356,9 @@ def _lockstep(
     # Bound once: each update is a handful of calls on tiny arrays, so call
     # overhead is most of its cost.
     add_reduce = np.add.reduce
-    for pos, slot in enumerate(streams[0]):
+    for pos, k in enumerate((streams[0] % SLOTS_PER_DAY + 1).tolist()):
         if pos:
-            belief = product(belief, matrices[slot.k])
+            belief = product(belief, matrices[k])
             totals = add_reduce(belief, -1, None, None, True)
             if min(totals.ravel().tolist()) > 0.0:
                 belief /= totals
@@ -362,11 +373,12 @@ def _lockstep(
             at = row_at[row]
             row_pre, row_post = pre[row], post[row]
             now = belief[at]  # (M, S)
-            for i, event in enumerate(streams[row][pos].events, starts[row][pos]):
+            for i in range(starts[row][pos], starts[row][pos + 1]):
                 row_pre[:, i] = now
-                found = vectors.get(event.pair)
+                pair = events[row][i].pair
+                found = vectors.get(pair)
                 if found is None:
-                    found = vectors[event.pair] = _event_vectors(tables, event.pair)
+                    found = vectors[pair] = _event_vectors(tables, pair)
                 vec, neutral, all_neutral = found
                 if not all_neutral:
                     updated = vec * now
@@ -382,11 +394,11 @@ def _lockstep(
                     now = updated
                 row_post[:, i] = now
             belief[at] = now
-    events = [[event for slot in stream for event in slot.events] for stream in streams]
     return [
         [
             FilterTrace(
-                slots=stream, initial=initial, entry=entry[m, row], events=events[row],
+                start=grid.start + int(stream[0]) * SLOT if n_slots else None,
+                initial=initial, entry=entry[m, row], events=events[row],
                 pre=pre[row][m], post=post[row][m], first=first[row],
             )
             for row, stream in enumerate(streams)
@@ -396,14 +408,16 @@ def _lockstep(
 
 
 def filter_models(
-    streams: Sequence[Sequence[TimeslotRecord]],
+    grid: SlotGrid,
+    streams: Sequence[np.ndarray],
     models: Sequence[tuple[TransitionTensor, OperationTable]],
     wanted: Sequence[Iterable[int]],
     initial: np.ndarray | None = None,
 ) -> list[dict[int, FilterTrace]]:
-    """Filter ``streams`` under several (transitions, operations) models, all
-    from the same initial belief: model ``m`` filters the streams indexed by
-    ``wanted[m]``, and gets its traces back keyed by stream index.
+    """Filter ``streams`` (arrays of ``grid`` positions) under several
+    (transitions, operations) models, all from the same initial belief:
+    model ``m`` filters the streams indexed by ``wanted[m]``, and gets its
+    traces back keyed by stream index.
 
     Contiguous streams of equal length that start at the same slot-of-day
     (the days of a dataset, say) share every transition matrix, so they run
@@ -422,8 +436,8 @@ def filter_models(
     )
     groups: dict[object, list[int]] = {}
     for index, stream in enumerate(streams):
-        if stream and stream[-1].t - stream[0].t == len(stream) - 1:
-            key: object = (len(stream), stream[0].k)
+        if len(stream) and stream[-1] - stream[0] == len(stream) - 1:
+            key: object = (len(stream), int(stream[0]) % SLOTS_PER_DAY)
         else:
             key = index  # empty, or with gaps: runs alone
         groups.setdefault(key, []).append(index)
@@ -440,40 +454,44 @@ def filter_models(
                 alone.append((m, mine[0]))
         if shared:
             batch = _lockstep(
-                [streams[index] for index in members], [models[m] for m in shared], init
+                grid, [streams[index] for index in members], [models[m] for m in shared], init
             )
             for m, model_traces in zip(shared, batch):
                 for index, trace in zip(members, model_traces):
                     if index in wanted_sets[m]:
                         traces[m][index] = trace
         for m, index in alone:
-            [[traces[m][index]]] = _lockstep([streams[index]], [models[m]], init)
+            [[traces[m][index]]] = _lockstep(grid, [streams[index]], [models[m]], init)
     return traces
 
 
 def filter_streams(
-    streams: Sequence[Sequence[TimeslotRecord]],
+    grid: SlotGrid,
+    streams: Sequence[np.ndarray],
     transitions: TransitionTensor,
     operations: OperationTable,
     initial: np.ndarray | None = None,
 ) -> list[FilterTrace]:
-    """Run the forward filter over each stream, all from the same initial belief.
+    """Run the forward filter over each stream of ``grid`` positions, all
+    from the same initial belief.
 
     Streams aligned on their slots-of-day run in lockstep (see
     ``filter_models``).  Traces come back in the order of ``streams``.
     """
-    [traces] = filter_models(streams, [(transitions, operations)], [range(len(streams))], initial)
+    [traces] = filter_models(
+        grid, streams, [(transitions, operations)], [range(len(streams))], initial
+    )
     return [traces[index] for index in range(len(streams))]
 
 
 def run_filter(
-    slots: Sequence[TimeslotRecord],
+    grid: SlotGrid,
     transitions: TransitionTensor,
     operations: OperationTable,
     initial: np.ndarray | None = None,
 ) -> FilterTrace:
-    """Run the forward filter over a contiguous slot stream."""
-    return filter_streams([slots], transitions, operations, initial)[0]
+    """Run the forward filter over a whole grid."""
+    return filter_streams(grid, [np.arange(len(grid))], transitions, operations, initial)[0]
 
 
 @dataclass
@@ -756,10 +774,9 @@ def params_from_payload(cls, data, where: str, error: type[HomeguardError] = Mod
         raise error(f"{where}: {exc}") from None
 
 
-def kept_day_streams(
-    slots: Sequence[TimeslotRecord], arrays: LabelArrays
-) -> tuple[list[int | None], list[list[TimeslotRecord]]]:
-    """The kept slots of each day, day by day, ready for ``filter_streams``.
+def kept_day_streams(arrays: LabelArrays) -> tuple[list[int | None], list[np.ndarray]]:
+    """The positions of the kept slots of each day, day by day, ready for
+    ``filter_streams``.
 
     Next to each stream comes its day, or None where the stream lacks some
     of the day's slots (a day that spans an excluded date in part).
@@ -774,12 +791,11 @@ def kept_day_streams(
         int(day) if len(chunk) == slots_of_day[day] else None
         for chunk, day in zip(chunks, arrays.day[positions[[0, *cuts]]])
     ]
-    return days, [[slots[pos] for pos in chunk.tolist()] for chunk in chunks]
+    return days, chunks
 
 
 def train_model(
-    slots: Sequence[TimeslotRecord],
-    events: Sequence[EventRecord],
+    grid: SlotGrid,
     vocabulary: Vocabulary | None = None,
     labeling_params: LabelingParams | None = None,
     model_params: ModelParams | None = None,
@@ -793,21 +809,17 @@ def train_model(
     model_params = model_params or ModelParams()
     seq_params = seq_params or SeqParams()
 
-    labels = label_states(slots, events, labeling_params, vocabulary)
+    labels = label_states(grid, labeling_params, vocabulary)
     kept = labels.select(~labels.excluded)
     if not kept.keep.any():
         raise ModelError("no usable training days after exclusions")
     transitions = fit_transitions(kept, model_params.t_z_max)
     operations = fit_operations(kept, vocabulary)
 
-    _, streams = kept_day_streams(slots, kept)
-    traces = filter_streams(streams, transitions, operations)
+    _, streams = kept_day_streams(kept)
+    traces = filter_streams(grid, streams, transitions, operations)
     store = store_sequences(traces, vocabulary.detection_target, seq_params, len(ALPHABET))
-    baseline_store = build_timed_store(
-        [event for slot in slots for event in slot.events],
-        vocabulary.detection_target,
-        seq_params,
-    )
+    baseline_store = build_timed_store(grid.events, vocabulary.detection_target, seq_params)
     return TrainedModel(
         vocabulary=vocabulary,
         states=ALPHABET,

@@ -1,6 +1,6 @@
 """Parsing and time alignment of operation logs and sensor logs.
 
-Two CSV formats come in, one unified per-timeslot record stream comes out:
+Two CSV formats come in, one slot grid comes out:
 
 * operation log: ``timestamp,device,action,actor`` rows, one per device
   operation or user entry/exit event;
@@ -8,10 +8,11 @@ Two CSV formats come in, one unified per-timeslot record stream comes out:
   sampled roughly every five minutes.
 
 ``build_timeslots`` aligns both onto a fixed one-minute grid covering whole
-days, forward-filling the most recent sensor frame into each slot.  It builds
-the grid in one forward sweep (a cursor over the sorted frames, events
-bucketed by slot index) and refuses inputs spanning more than
-``MAX_SPAN_DAYS`` days before it allocates a slot.
+days and returns it as a ``SlotGrid`` of arrays: the events in order with the
+offset where each slot's events begin, and per slot the index of the sensor
+frame forward-filled into it.  Both come from one ``np.searchsorted`` over
+the microsecond offsets of the inputs.  Inputs spanning more than
+``MAX_SPAN_DAYS`` days are refused before anything is allocated.
 
 Timestamps are ``YYYY-MM-DDTHH:MM:SS`` text.  ``parse_timestamp`` first
 tries ``datetime.fromisoformat`` and keeps its result only when the value
@@ -25,10 +26,12 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, time, timedelta
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import InitializationError, ParseError, SchemaError, ValidationError
 from .vocab import DEFAULT_SENSOR_RANGES, SENSOR_FIELDS, Vocabulary
@@ -36,11 +39,14 @@ from .vocab import DEFAULT_SENSOR_RANGES, SENSOR_FIELDS, Vocabulary
 logger = logging.getLogger(__name__)
 
 SLOT_SECONDS = 60
+SLOT_MICROS = SLOT_SECONDS * 1_000_000
+SLOT = timedelta(seconds=SLOT_SECONDS)
 SLOTS_PER_DAY = 1440
 # Longest span of input ``build_timeslots`` accepts: two years, leap day
 # included.  A grid of that span holds about a million slots.
 MAX_SPAN_DAYS = 731
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%S"
+_MICROSECOND = timedelta(microseconds=1)
 
 OPERATION_HEADER = ("timestamp", "device", "action", "actor")
 SENSOR_HEADER = ("timestamp",) + SENSOR_FIELDS
@@ -75,22 +81,32 @@ class SensorFrame:
         return getattr(self, name)
 
 
-@dataclass(frozen=True)
-class TimeslotRecord:
-    """One minute of the unified stream.
+@dataclass(frozen=True, eq=False)
+class SlotGrid:
+    """The one-minute grid of a stream, as arrays.
 
-    ``t`` counts slots from the start of the data (1-based, gapless);
-    ``k`` is the slot-of-day index in [1, 1440] relative to the configured
-    day origin.  ``sensors`` is the last frame observed at or before the
-    slot start; ``events`` are the records falling inside the slot, in
-    stream order.
+    Slot ``p`` (its position, from 0) starts ``p`` minutes after ``start``,
+    the day boundary it begins at; it is numbered ``t = p + 1`` and its
+    slot-of-day is ``k = p % 1440 + 1``.  ``events`` are the stream's events
+    in order, and slot ``p`` holds ``events[first[p]:first[p + 1]]``.  Its
+    sensor frame is ``frames[frame[p]]``: ``frames[0]`` is the default frame
+    (in force before the first sensor frame; None when none was supplied)
+    and ``frames[1:]`` are the sensor frames by time.
     """
 
-    t: int
-    k: int
-    start: datetime
-    sensors: SensorFrame
-    events: tuple[EventRecord, ...]
+    start: datetime | None
+    events: list[EventRecord]
+    first: np.ndarray  # (n_slots + 1,) int
+    frames: tuple[SensorFrame | None, ...]
+    frame: np.ndarray  # (n_slots,) int
+
+    def __len__(self) -> int:
+        return len(self.frame)
+
+    def column(self, name: str) -> np.ndarray:
+        """Per slot, the reading ``name`` of its sensor frame."""
+        values = [np.nan if f is None else f.value(name) for f in self.frames]
+        return np.asarray(values)[self.frame]
 
 
 def format_timestamp(ts: datetime) -> str:
@@ -238,12 +254,6 @@ def floor_to_day_origin(ts: datetime, day_origin: time) -> datetime:
     return boundary
 
 
-def slot_of_day(ts: datetime, day_origin: time) -> int:
-    """1-based slot-of-day index of the slot containing ``ts``."""
-    boundary = floor_to_day_origin(ts, day_origin)
-    return int((ts - boundary).total_seconds() // SLOT_SECONDS) + 1
-
-
 def _grid_bound(ts: datetime, day_origin: time, days: int) -> datetime:
     """The day boundary at or before ``ts``, ``days`` days on."""
     try:
@@ -260,7 +270,7 @@ def build_timeslots(
     frames: Sequence[SensorFrame],
     day_origin: time = time(0, 0),
     default_frame: SensorFrame | None = None,
-) -> list[TimeslotRecord]:
+) -> SlotGrid:
     """Align events and frames onto the one-minute grid, whole days at a time.
 
     The grid runs from the day boundary at or before the earliest input to the
@@ -269,10 +279,11 @@ def build_timeslots(
     the latest frame with timestamp <= slot start.  Every event lands in
     exactly one slot.  A grid longer than ``MAX_SPAN_DAYS`` days, or with a
     day bound outside the dates ``datetime`` holds, raises ``ValidationError``
-    before any slot is built.
+    before anything is allocated.
     """
     if not events and not frames:
-        return []
+        return SlotGrid(None, [], np.zeros(1, dtype=np.intp), (default_frame,),
+                        np.zeros(0, dtype=np.intp))
     timestamps = [e.timestamp for e in events] + [f.timestamp for f in frames]
     first, last = min(timestamps), max(timestamps)
     start = _grid_bound(first, day_origin, 0)
@@ -289,29 +300,21 @@ def build_timeslots(
             f"no sensor frame at or before first slot {start}"
             " and no default frame supplied"
         )
-    one_slot = timedelta(seconds=SLOT_SECONDS)
-    buckets: dict[int, list[EventRecord]] = {}
-    for event in sorted(events, key=lambda e: e.timestamp):  # stable: ties keep order
-        buckets.setdefault((event.timestamp - start) // one_slot, []).append(event)
+    events = sorted(events, key=lambda e: e.timestamp)  # stable: ties keep order
+    # Slot starts, events and frames as whole microseconds after ``start``.
+    slot_at = np.arange(n_days * SLOTS_PER_DAY, dtype=np.int64) * SLOT_MICROS
+    event_slot = offsets_from(start, (e.timestamp for e in events)) // SLOT_MICROS
+    frame_at = offsets_from(start, (f.timestamp for f in frames))
+    return SlotGrid(
+        start=start,
+        events=events,
+        first=np.searchsorted(event_slot, np.arange(len(slot_at) + 1)),
+        frames=(default_frame, *frames),
+        # The number of frames at or before each slot start: 0 for the default.
+        frame=np.searchsorted(frame_at, slot_at, side="right"),
+    )
 
-    # One forward sweep: ``ahead`` counts the frames at or before the slot
-    # start, so frames[ahead - 1] is the one to forward-fill.
-    frame_times = [f.timestamp for f in frames]
-    n_frames = len(frames)
-    ahead = 0
-    no_events: tuple[EventRecord, ...] = ()
-    slots: list[TimeslotRecord] = []
-    append = slots.append
-    slot_start = start
-    for idx in range(n_days * SLOTS_PER_DAY):
-        while ahead < n_frames and frame_times[ahead] <= slot_start:
-            ahead += 1
-        if ahead:
-            sensors = frames[ahead - 1]
-        else:
-            sensors = replace(default_frame, timestamp=slot_start)
-        bucket = buckets.get(idx)
-        append(TimeslotRecord(idx + 1, idx % SLOTS_PER_DAY + 1, slot_start, sensors,
-                              tuple(bucket) if bucket else no_events))
-        slot_start += one_slot
-    return slots
+
+def offsets_from(start: datetime, times: Iterable[datetime]) -> np.ndarray:
+    """Whole microseconds from ``start`` to each of ``times``."""
+    return np.fromiter(((ts - start) // _MICROSECOND for ts in times), dtype=np.int64)

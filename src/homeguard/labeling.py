@@ -1,4 +1,4 @@
-"""Home-state labeling of timeslot streams.
+"""Home-state labeling of a slot grid.
 
 Each slot receives a joint state pairing user activity (active / out / sleep)
 with cooking-device usage (use / before / after / none).  The user-activity
@@ -10,6 +10,12 @@ Labels are slot-granular except at operation instants: the slot that starts a
 cooking run is split at the first cooking operation, so events carry the state
 in force at their own instant (an operation flips the state at its timestamp).
 
+Every rule runs on the grid's arrays (``ingest.SlotGrid``): the sensor
+columns, the events with their slot offsets, and minute arithmetic from the
+grid's start for the time of day and the calendar date of each slot.  The
+occupant count in force at any instant is one ``np.searchsorted`` into the
+timeline of count changes.
+
 ``label_states`` returns the labels as ``LabelArrays``: integer codes into
 ``ALPHABET`` per slot and per event, which the model fits count over and the
 label exports format.  This module alone knows how labels are encoded.
@@ -19,18 +25,16 @@ from __future__ import annotations
 
 import csv
 import logging
-from bisect import bisect_right
 from dataclasses import dataclass, field, replace
-from datetime import date, datetime, time, timedelta
+from datetime import time
 from enum import Enum
-from itertools import groupby
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BookkeepingError, ValidationError
-from .ingest import SLOTS_PER_DAY, EventRecord, TimeslotRecord, format_timestamp
+from .errors import ValidationError
+from .ingest import SLOT, SLOT_MICROS, SLOTS_PER_DAY, SlotGrid, format_timestamp, offsets_from
 from .vocab import Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -87,6 +91,10 @@ ALPHABET: tuple[HomeState, ...] = tuple(
 STATE_INDEX: dict[HomeState, int] = {state: i for i, state in enumerate(ALPHABET)}
 
 
+def _micros_of_day(tod: time) -> int:
+    return ((tod.hour * 60 + tod.minute) * 60 + tod.second) * 1_000_000 + tod.microsecond
+
+
 @dataclass
 class LabelingParams:
     """Tunable labeling rules.
@@ -117,57 +125,95 @@ class LabelingParams:
             if getattr(self, name) < 0:
                 raise ValidationError("must be non-negative", field=name)
 
-    def in_night(self, tod: time) -> bool:
-        start, end = self.night_window
+    def in_night(self, tod):
+        """Whether ``tod``, a time of day in microseconds (an int or an
+        array of them), falls in the night window."""
+        start, end = map(_micros_of_day, self.night_window)
         if start <= end:
-            return start <= tod <= end
-        return tod >= start or tod <= end
+            return (start <= tod) & (tod <= end)
+        return (tod >= start) | (tod <= end)
+
+
+# Channel labels are integer codes: positions in the enum's order.
+_ACTIVE, _OUT, _SLEEP = range(len(UserActivity))
+_USE, _BEFORE, _AFTER, _NONE = range(len(DeviceUsage))
+
+
+def _combine(u: UserActivity, d: DeviceUsage) -> HomeState:
+    # Forbidden-pair repair: usage evidence wins, the user must be active.
+    if d == DeviceUsage.USE and u in (UserActivity.OUT, UserActivity.SLEEP):
+        u = UserActivity.ACTIVE
+    return HomeState(u, d)
+
+
+# The state code of every (u, d) channel pair, indexed by the channel codes.
+_STATE_CODE = np.array(
+    [[STATE_INDEX[_combine(u, d)] for d in DeviceUsage] for u in UserActivity], dtype=np.int8
+)
+
+
+class CalendarDays(NamedTuple):
+    """Per slot of a grid: ``day``, the calendar date of its start in days
+    after that of ``grid.start``; ``tod``, its start's time of day in
+    microseconds; ``lo`` and ``hi``, the first and last position of its date.
+    Labeling windows never cross these bounds, so labels stay decomposable by
+    day and cannot leak across cross-validation folds."""
+
+    day: np.ndarray
+    tod: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+
+
+def _calendar_days(grid: SlotGrid) -> CalendarDays:
+    origin = _micros_of_day(grid.start.time()) if len(grid) else 0
+    since = origin + np.arange(len(grid), dtype=np.int64) * SLOT_MICROS
+    day, tod = np.divmod(since, SLOTS_PER_DAY * SLOT_MICROS)
+    lo, after = np.searchsorted(day, day, side="left"), np.searchsorted(day, day, side="right")
+    return CalendarDays(day, tod, lo, after - 1)
+
+
+def _bridge(marked: np.ndarray, gap: int, same: np.ndarray | None = None) -> np.ndarray:
+    """The unmarked positions between two consecutive marked ones at most
+    ``gap`` apart (and with the same value in ``same``, when given)."""
+    n = len(marked)
+    index = np.arange(n)
+    before = np.maximum.accumulate(np.where(marked, index, -1))
+    after = np.minimum.accumulate(np.where(marked, index, n)[::-1])[::-1]
+    inside = ~marked & (before >= 0) & (after < n)
+    lo, hi = before[inside], after[inside]
+    inside[inside] = (hi - lo <= gap) & (True if same is None else same[lo] == same[hi])
+    return inside
 
 
 @dataclass
 class UserActivityLabels:
-    activities: list[UserActivity]
-    excluded_dates: set[date]
-    change_times: list[datetime] = field(repr=False)
-    change_counts: list[int] = field(repr=False)
+    """``activity`` holds per slot a ``UserActivity`` code; ``excluded``
+    marks the slots of calendar dates excluded from model fitting.  The
+    occupant count is ``counts[i]`` from ``change_at[i]`` (microseconds
+    after ``grid.start``) on."""
 
-    def count_at(self, ts: datetime) -> int:
-        """Occupant count in force at ``ts`` (changes at ``ts`` included)."""
-        idx = bisect_right(self.change_times, ts) - 1
-        return self.change_counts[idx] if idx >= 0 else self.change_counts[0]
+    activity: np.ndarray
+    excluded: np.ndarray
+    change_at: np.ndarray = field(repr=False)
+    counts: np.ndarray = field(repr=False)
 
 
 @dataclass
 class DeviceUsageLabels:
-    usages: list[DeviceUsage]
-    run_start_ops: dict[int, datetime]  # slot position -> first cooking op of the run
+    """``usage`` holds per slot a ``DeviceUsage`` code; ``run_op`` the index
+    of the first cooking operation of each slot that starts a use run, and
+    -1 elsewhere."""
 
-
-DayBounds = tuple[list[int], list[int]]
-
-
-def _calendar_day_bounds(slots: Sequence[TimeslotRecord]) -> DayBounds:
-    """First and last position sharing each slot's calendar date.
-
-    Labeling windows never cross these bounds, so labels stay decomposable by
-    day and cannot leak across cross-validation folds.
-    """
-    day_lo: list[int] = []
-    day_hi: list[int] = []
-    for _, block in groupby(slot.start.date() for slot in slots):
-        lo = len(day_lo)
-        size = sum(1 for _ in block)
-        day_lo += [lo] * size
-        day_hi += [lo + size - 1] * size
-    return day_lo, day_hi
+    usage: np.ndarray
+    run_op: np.ndarray
 
 
 def label_user_activity(
-    slots: Sequence[TimeslotRecord],
-    events: Sequence[EventRecord],
+    grid: SlotGrid,
     params: LabelingParams,
     vocabulary: Vocabulary | None = None,
-    day_bounds: DayBounds | None = None,
+    days: CalendarDays | None = None,
 ) -> UserActivityLabels:
     """Assign one user activity per slot.
 
@@ -178,28 +224,20 @@ def label_user_activity(
     count to one from that slot on and excludes the day from model fitting;
     an operation late at night clears sleep for the preceding hours; an
     operation in the morning clears sleep for the following hours.
-    ``day_bounds`` are the slots' ``_calendar_day_bounds``, when known.
+    ``days`` are the grid's ``_calendar_days``, when known.
     """
     vocabulary = vocabulary or Vocabulary()
-    if not slots:
-        return UserActivityLabels([], set(), [], [])
-    start = slots[0].start
-    for event in events:
-        if event.timestamp < start:
-            raise BookkeepingError(
-                f"event at {event.timestamp} precedes dataset start {start}"
-            )
-
-    n = len(slots)
-    excluded_dates: set[date] = set()
+    days = days or _calendar_days(grid)
+    event_at = offsets_from(grid.start, (event.timestamp for event in grid.events))
 
     # Occupant-count timeline: presence events move the count, a device
     # operation in an empty home repairs it to one from that instant on.
-    change_times: list[datetime] = [start]
-    change_counts: list[int] = [params.initial_occupants]
+    change_at = [0]
+    counts = [params.initial_occupants]
     count = params.initial_occupants
-    device_ops: list[EventRecord] = []
-    for event in sorted(events, key=lambda e: e.timestamp):
+    excluded_days: set[int] = set()
+    device_ops: list[int] = []
+    for i, event in enumerate(grid.events):
         if vocabulary.is_presence(event.device):
             if event.action == "entry":
                 count += 1
@@ -208,71 +246,57 @@ def label_user_activity(
                     logger.warning("exit event at %s with zero occupants", event.timestamp)
                 else:
                     count -= 1
-            change_times.append(event.timestamp)
-            change_counts.append(count)
+            change_at.append(event_at[i])
+            counts.append(count)
         elif vocabulary.is_device_operation(event.device, event.action):
-            device_ops.append(event)
+            device_ops.append(i)
             if count == 0:
                 count = 1
-                change_times.append(event.timestamp)
-                change_counts.append(count)
-                excluded_dates.add(event.timestamp.date())
+                change_at.append(event_at[i])
+                counts.append(count)
+                excluded_days.add((event.timestamp.date() - grid.start.date()).days)
+    change_at = np.asarray(change_at, dtype=np.int64)
+    counts = np.asarray(counts)
 
-    labels = UserActivityLabels([], excluded_dates, change_times, change_counts)
+    # The count in force at the last second of each slot.
+    slot_end = np.arange(len(grid), dtype=np.int64) * SLOT_MICROS + (SLOT_MICROS - 1_000_000)
+    out = counts[np.searchsorted(change_at, slot_end, side="right") - 1] == 0
 
-    slot_end_offset = timedelta(seconds=59)
-    out = [labels.count_at(slot.start + slot_end_offset) == 0 for slot in slots]
-
-    sleep = [
-        not out[pos]
-        and params.in_night(slot.start.time())
-        and slot.sensors.noise < params.noise_threshold
-        and slot.sensors.co2 > params.co2_threshold
-        for pos, slot in enumerate(slots)
-    ]
-
+    night = params.in_night(days.tod)
+    sleep = (
+        ~out & night
+        & (grid.column("noise") < params.noise_threshold)
+        & (grid.column("co2") > params.co2_threshold)
+    )
     # Merge: two sleep slots within the gap window bridge the slots between
     # them, provided those are night slots with someone home.
-    sleep_positions = [pos for pos, flag in enumerate(sleep) if flag]
-    for a, b in zip(sleep_positions, sleep_positions[1:]):
-        if b - a <= params.sleep_gap_merge:
-            for pos in range(a + 1, b):
-                if not out[pos] and params.in_night(slots[pos].start.time()):
-                    sleep[pos] = True
+    sleep |= _bridge(sleep, params.sleep_gap_merge) & ~out & night
 
     # Operation corrections, slot-granular and clipped to the operation's
     # calendar day.
-    day_lo, day_hi = day_bounds or _calendar_day_bounds(slots)
-    _, night_end = params.night_window
-    for op in device_ops:
-        tod = op.timestamp.time()
-        if not params.in_night(tod):
+    for i in device_ops:
+        tod = grid.events[i].timestamp.time()
+        if not params.in_night(_micros_of_day(tod)):
             continue
-        pos = int((op.timestamp - start).total_seconds() // 60)
-        if params.night_split <= tod <= night_end:
-            hi = min(day_hi[pos], pos + params.postsleep_hours * 60)
-            window = range(pos, hi + 1)
+        pos = int(event_at[i] // SLOT_MICROS)
+        if params.night_split <= tod <= params.night_window[1]:
+            sleep[pos : min(days.hi[pos], pos + params.postsleep_hours * 60) + 1] = False
         else:
-            lo = max(day_lo[pos], pos - params.presleep_hours * 60)
-            window = range(lo, pos + 1)
-        for w in window:
-            sleep[w] = False
+            sleep[max(days.lo[pos], pos - params.presleep_hours * 60) : pos + 1] = False
 
-    for pos in range(n):
-        if out[pos]:
-            labels.activities.append(UserActivity.OUT)
-        elif sleep[pos]:
-            labels.activities.append(UserActivity.SLEEP)
-        else:
-            labels.activities.append(UserActivity.ACTIVE)
-    return labels
+    return UserActivityLabels(
+        activity=np.where(out, _OUT, np.where(sleep, _SLEEP, _ACTIVE)),
+        excluded=np.isin(days.day, list(excluded_days)),
+        change_at=change_at,
+        counts=counts,
+    )
 
 
 def label_device_usage(
-    slots: Sequence[TimeslotRecord],
+    grid: SlotGrid,
     params: LabelingParams,
     vocabulary: Vocabulary | None = None,
-    day_bounds: DayBounds | None = None,
+    days: CalendarDays | None = None,
 ) -> DeviceUsageLabels:
     """Assign one device-usage label per slot.
 
@@ -280,77 +304,41 @@ def label_device_usage(
     slots as use; use runs within ``use_gap_merge`` minutes of each other are
     merged; each maximal run then gets ``t_x`` slots of before and ``t_y``
     slots of after, with precedence use > before > after and all windows
-    clipped at day boundaries.  ``day_bounds`` are the slots'
-    ``_calendar_day_bounds``, when known.
+    clipped at day boundaries.  ``days`` are the grid's ``_calendar_days``,
+    when known.
     """
     vocabulary = vocabulary or Vocabulary()
-    n = len(slots)
-    usages = [DeviceUsage.NONE] * n
-    use = [False] * n
-    day_lo, day_hi = day_bounds or _calendar_day_bounds(slots)
+    days = days or _calendar_days(grid)
+    n = len(grid)
+    cooking = np.flatnonzero(
+        np.fromiter((vocabulary.is_cooking(event.device) for event in grid.events),
+                    dtype=bool, count=len(grid.events))
+    )
+    # The first cooking operation of each slot that has one.
+    event_pos = np.repeat(np.arange(n), np.diff(grid.first))
+    op_slots, first = np.unique(event_pos[cooking], return_index=True)
 
-    # First cooking operation per slot, if any.
-    first_op: dict[int, datetime] = {}
-    for pos, slot in enumerate(slots):
-        for event in slot.events:
-            if vocabulary.is_cooking(event.device):
-                first_op[pos] = event.timestamp
-                break
+    use = np.zeros(n, dtype=bool)
+    for pos in op_slots.tolist():
+        use[pos : min(pos + params.t_c, days.hi[pos]) + 1] = True
+    use |= _bridge(use, params.use_gap_merge, days.day)
 
-    for pos in first_op:
-        for w in range(pos, min(pos + params.t_c, day_hi[pos]) + 1):
-            use[w] = True
+    # Maximal runs: [starts[i], ends[i]].
+    edges = np.diff(np.concatenate([[0], use.view(np.int8), [0]]))
+    starts, ends = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
 
-    marked = [pos for pos, flag in enumerate(use) if flag]
-    for a, b in zip(marked, marked[1:]):
-        if b - a <= params.use_gap_merge and day_lo[a] == day_lo[b]:
-            for pos in range(a + 1, b):
-                use[pos] = True
+    usage = np.where(use, _USE, _NONE)
+    for run_start in starts.tolist():
+        window = usage[max(days.lo[run_start], run_start - params.t_x) : run_start]
+        window[window == _NONE] = _BEFORE
+    for run_end in ends.tolist():
+        window = usage[run_end + 1 : min(run_end + params.t_y, days.hi[run_end]) + 1]
+        window[window == _NONE] = _AFTER
 
-    # Maximal runs.
-    runs: list[tuple[int, int]] = []
-    pos = 0
-    while pos < n:
-        if use[pos]:
-            end = pos
-            while end + 1 < n and use[end + 1]:
-                end += 1
-            runs.append((pos, end))
-            pos = end + 1
-        else:
-            pos += 1
-
-    for pos in range(n):
-        if use[pos]:
-            usages[pos] = DeviceUsage.USE
-    for run_start, _ in runs:
-        for w in range(max(day_lo[run_start], run_start - params.t_x), run_start):
-            if usages[w] == DeviceUsage.NONE:
-                usages[w] = DeviceUsage.BEFORE
-    for _, run_end in runs:
-        for w in range(run_end + 1, min(run_end + params.t_y, day_hi[run_end]) + 1):
-            if usages[w] == DeviceUsage.NONE:
-                usages[w] = DeviceUsage.AFTER
-
-    run_start_ops = {rs: first_op[rs] for rs, _ in runs if rs in first_op}
-    return DeviceUsageLabels(usages, run_start_ops)
-
-
-def _combine(u: UserActivity, d: DeviceUsage) -> HomeState:
-    # Forbidden-pair repair: usage evidence wins, the user must be active.
-    if d == DeviceUsage.USE and u in (UserActivity.OUT, UserActivity.SLEEP):
-        u = UserActivity.ACTIVE
-    return HomeState(u, d)
-
-
-_U_CODE = {u: i for i, u in enumerate(UserActivity)}
-_D_CODE = {d: i for i, d in enumerate(DeviceUsage)}
-_OUT, _ACTIVE = _U_CODE[UserActivity.OUT], _U_CODE[UserActivity.ACTIVE]
-# The state code of every (u, d) channel pair, indexed by the channel codes.
-_STATE_CODE = np.array(
-    [[STATE_INDEX[_combine(u, d)] for d in DeviceUsage] for u in UserActivity], dtype=np.int8
-)
-_MICROSECOND = timedelta(microseconds=1)
+    run_op = np.full(n, -1)
+    opens = np.isin(op_slots, starts)
+    run_op[op_slots[opens]] = cooking[first[opens]]
+    return DeviceUsageLabels(usage, run_op)
 
 
 @dataclass(frozen=True)
@@ -390,22 +378,8 @@ class LabelArrays:
         return replace(self, keep=np.asarray(keep, dtype=bool))
 
 
-def _successors(t: np.ndarray) -> np.ndarray:
-    """Per slot, the position of the last slot numbered ``t + 1`` (as a dict
-    keyed by ``t`` would find it), or -1."""
-    order = np.argsort(t, kind="stable")
-    ordered_t = t[order]
-    at = np.searchsorted(ordered_t, t + 1, side="right") - 1
-    found = at >= 0
-    found[found] = ordered_t[at[found]] == t[found] + 1
-    succ = np.full(len(t), -1, dtype=np.int32)
-    succ[found] = order[at[found]]
-    return succ
-
-
 def label_states(
-    slots: Sequence[TimeslotRecord],
-    events: Sequence[EventRecord],
+    grid: SlotGrid,
     params: LabelingParams,
     vocabulary: Vocabulary | None = None,
 ) -> LabelArrays:
@@ -419,59 +393,47 @@ def label_states(
     """
     vocabulary = vocabulary or Vocabulary()
     # Both channels clip their windows at the same calendar days.
-    bounds = _calendar_day_bounds(slots)
-    ua = label_user_activity(slots, events, params, vocabulary, bounds)
-    du = label_device_usage(slots, params, vocabulary, bounds)
-    n = len(slots)
-    ordered = [event for slot in slots for event in slot.events]
-    start = slots[0].start if slots else None
-
-    def offsets(times: Iterable[datetime]) -> np.ndarray:
-        return np.fromiter(((ts - start) // _MICROSECOND for ts in times), dtype=np.int64)
-
-    change_at = offsets(ua.change_times)
-    nobody_home = np.asarray(ua.change_counts) == 0
+    days = _calendar_days(grid)
+    ua = label_user_activity(grid, params, vocabulary, days)
+    du = label_device_usage(grid, params, vocabulary, days)
+    n = len(grid)
+    nobody_home = ua.counts == 0
 
     def u_at(times: np.ndarray, home: np.ndarray) -> np.ndarray:
         # The occupant count in force at each instant, changes there included.
-        empty = nobody_home[np.searchsorted(change_at, times, side="right") - 1]
+        empty = nobody_home[np.searchsorted(ua.change_at, times, side="right") - 1]
         return np.where(empty, _OUT, home)
 
-    u = np.fromiter(map(_U_CODE.__getitem__, ua.activities), dtype=np.intp, count=n)
-    d = np.fromiter(map(_D_CODE.__getitem__, du.usages), dtype=np.intp, count=n)
+    u, d = ua.activity, du.usage
     u_home = np.where(u == _OUT, _ACTIVE, u)
-    slot_at = offsets(slot.start for slot in slots)
-    event_pos = np.repeat(
-        np.arange(n), np.fromiter((len(slot.events) for slot in slots), dtype=np.intp, count=n)
-    )
-    event_at = offsets(event.timestamp for event in ordered)
+    position = np.arange(n)
+    slot_at = position.astype(np.int64) * SLOT_MICROS
+    event_pos = np.repeat(position, np.diff(grid.first))
+    event_at = offsets_from(grid.start, (event.timestamp for event in grid.events))
 
     # The first cooking operation of each slot that starts a run; elsewhere
     # the lowest int64, which no instant precedes.
     run_op = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)
-    run_op[list(du.run_start_ops)] = offsets(du.run_start_ops.values())
-    pre_run = _D_CODE[DeviceUsage.BEFORE if params.t_x >= 1 else DeviceUsage.NONE]
+    opens = du.run_op >= 0
+    run_op[opens] = event_at[du.run_op[opens]]
+    pre_run = _BEFORE if params.t_x >= 1 else _NONE
     d_entry = np.where(run_op > slot_at, pre_run, d)
     d_event = np.where(event_at < run_op[event_pos], pre_run, d[event_pos])
 
-    excluded = np.zeros(n, dtype=bool)
-    if ua.excluded_dates:
-        day_lo, day_hi = bounds
-        for lo in set(day_lo):
-            excluded[lo : day_hi[lo] + 1] = slots[lo].start.date() in ua.excluded_dates
+    succ = (position + 1).astype(np.int32)
+    succ[n - 1 :] = -1  # the last slot has no successor
     pair_index: dict[tuple[str, str], int] = {}
-    t = np.fromiter((slot.t for slot in slots), dtype=np.int64, count=n)
     return LabelArrays(
-        day=((t - 1) // SLOTS_PER_DAY).astype(np.int32),
-        k0=np.fromiter((slot.k - 1 for slot in slots), dtype=np.int16, count=n),
+        day=(position // SLOTS_PER_DAY).astype(np.int32),
+        k0=(position % SLOTS_PER_DAY).astype(np.int16),
         state=_STATE_CODE[u, d],
         entry=_STATE_CODE[u_at(slot_at, u_home), d_entry],
-        succ=_successors(t),
-        excluded=excluded,
+        succ=succ,
+        excluded=ua.excluded,
         event_pos=event_pos,
         event_pair=np.fromiter(
-            (pair_index.setdefault(event.pair, len(pair_index)) for event in ordered),
-            dtype=np.intp, count=len(ordered),
+            (pair_index.setdefault(event.pair, len(pair_index)) for event in grid.events),
+            dtype=np.intp, count=len(grid.events),
         ),
         event_state=_STATE_CODE[u_at(event_at, u_home[event_pos]), d_event],
         pairs=tuple(pair_index),
@@ -482,33 +444,28 @@ def label_states(
 _COLUMNS = [(state.u.value, state.d.value) for state in ALPHABET]
 
 
-def export_labels(slots: Sequence[TimeslotRecord], labels: LabelArrays, path: str | Path) -> None:
+def export_labels(grid: SlotGrid, labels: LabelArrays, path: str | Path) -> None:
     """Write the slot-level label stream as ``t,k,date,u,d,excluded``."""
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t", "k", "date", "u", "d", "excluded"])
-        for slot, state, excluded in zip(slots, labels.state.tolist(), labels.excluded.tolist()):
-            writer.writerow(
-                [slot.t, slot.k, format_timestamp(slot.start), *_COLUMNS[state], int(excluded)]
-            )
+        rows = zip(labels.state.tolist(), labels.excluded.tolist())
+        writer.writerows(
+            [p + 1, p % SLOTS_PER_DAY + 1, format_timestamp(grid.start + p * SLOT),
+             *_COLUMNS[state], int(excluded)]
+            for p, (state, excluded) in enumerate(rows)
+        )
 
 
-def export_event_labels(
-    slots: Sequence[TimeslotRecord], labels: LabelArrays, path: str | Path
-) -> None:
+def export_event_labels(grid: SlotGrid, labels: LabelArrays, path: str | Path) -> None:
     """Write the per-event label view as ``t,k,timestamp,device,action,u,d``."""
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(["t", "k", "timestamp", "device", "action", "u", "d"])
-        located = ((slot, event) for slot in slots for event in slot.events)
-        for (slot, event), state in zip(located, labels.event_state.tolist()):
-            writer.writerow(
-                [
-                    slot.t,
-                    slot.k,
-                    format_timestamp(event.timestamp),
-                    event.device,
-                    event.action,
-                    *_COLUMNS[state],
-                ]
+        writer.writerows(
+            [p + 1, p % SLOTS_PER_DAY + 1, format_timestamp(event.timestamp), event.device,
+             event.action, *_COLUMNS[state]]
+            for event, p, state in zip(
+                grid.events, labels.event_pos.tolist(), labels.event_state.tolist()
             )
+        )

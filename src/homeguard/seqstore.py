@@ -647,7 +647,7 @@ class TrainingBeliefs:
             at_rank = np.zeros(n_states * n_states, dtype=np.int64)
             states = np.arange(n_states)
             for trace in self.traces:
-                if len(trace.slots):
+                if len(trace.entry):
                     cells = (_ranks(trace.entry).astype(np.intp) - 1) * n_states + states
                     at_rank += np.bincount(cells.ravel(), minlength=n_states * n_states)
             pre = np.concatenate([np.empty((0, n_states)), *(trace.pre for trace in self.traces)])
@@ -684,7 +684,7 @@ class TrainingBeliefs:
             chosen = (pre_ranks <= params.l_rank)[finals]
         else:
             for trace in self.traces:
-                if len(trace.slots):
+                if len(trace.entry):
                     store.slot_counts += _alpha_selected(trace.entry, params).sum(axis=0)
             chosen = _alpha_selected(pre, params)[finals]
         credited = chosen.any(axis=1)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from datetime import date, datetime, timedelta
 from pathlib import Path
 
@@ -21,6 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .ingest import (
+    MAX_SPAN_DAYS,
     SLOTS_PER_DAY,
     EventRecord,
     SensorFrame,
@@ -79,6 +81,10 @@ class SensorChannel:
     cook_offset: float = 0.0
     noise_std: float = 0.0
 
+    def __post_init__(self) -> None:
+        if not self.noise_std >= 0:
+            raise ValidationError("must be non-negative", field="noise_std")
+
 
 @dataclass
 class DayTemplate:
@@ -114,10 +120,18 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ValidationError("must be non-negative", field="seed")
-        if self.n_days < 1:
-            raise ValidationError("must be at least 1", field="n_days")
+        # Nothing downstream reads a longer stream.
+        if not 1 <= self.n_days <= MAX_SPAN_DAYS:
+            raise ValidationError(f"must be in 1..{MAX_SPAN_DAYS}", field="n_days")
         if self.n_users < 1:
             raise ValidationError("must be at least 1", field="n_users")
+        if not 1 <= self.sensor_interval_minutes <= SLOTS_PER_DAY:
+            raise ValidationError(f"must be in 1..{SLOTS_PER_DAY}", field="sensor_interval_minutes")
+        if not self.jitter_std_minutes >= 0:
+            raise ValidationError("must be non-negative", field="jitter_std_minutes")
+        if date.max - self.start_date < timedelta(days=self.n_days - 1):
+            raise ValidationError(f"{self.n_days} days do not fit before {date.max}",
+                                  field="start_date")
         for template in (self.weekday, self.weekend or self.weekday):
             for interval in template.out:
                 if interval.start_minute > interval.end_minute:
@@ -381,88 +395,129 @@ def scenario_calibration(seed: int = 0, n_days: int = 4) -> Scenario:
 # --- scenario JSON round trip ----------------------------------------------
 
 
-def scenario_to_payload(scenario: Scenario) -> dict:
-    def interval(iv: Interval) -> list[int]:
-        return [iv.start_minute, iv.end_minute]
-
-    def template(tpl: DayTemplate) -> dict:
-        return {
-            "sleep": [interval(iv) for iv in tpl.sleep],
-            "out": [interval(iv) for iv in tpl.out],
-            "cook": [
-                {
-                    "start_minute": cs.start_minute,
-                    "duration": cs.duration,
-                    "appliance": cs.appliance,
-                    "lead_ops": [list(op) for op in cs.lead_ops],
-                }
-                for cs in tpl.cook
-            ],
-        }
-
-    return {
-        "name": scenario.name,
-        "n_users": scenario.n_users,
-        "n_days": scenario.n_days,
-        "seed": scenario.seed,
-        "start_date": scenario.start_date.isoformat(),
-        "weekday": template(scenario.weekday),
-        "weekend": template(scenario.weekend) if scenario.weekend else None,
-        "jitter_std_minutes": scenario.jitter_std_minutes,
-        "habits": [
-            [h.device, h.action, h.activity, h.rate_per_hour] for h in scenario.habits
-        ],
-        "sensors": {
-            name: {
-                "base": ch.base,
-                "sleep_offset": ch.sleep_offset,
-                "out_offset": ch.out_offset,
-                "cook_offset": ch.cook_offset,
-                "noise_std": ch.noise_std,
-            }
-            for name, ch in sorted(scenario.sensors.items())
-        },
-        "sensor_interval_minutes": scenario.sensor_interval_minutes,
-    }
+def scenario_to_payload(value):
+    """A scenario (or a part of one) in its JSON form: an interval, a habit
+    or a lead operation as a list of its values, any other part as an object
+    keyed by its field names."""
+    if isinstance(value, date):
+        return value.isoformat()
+    if isinstance(value, (Interval, DeviceHabit)):
+        return [getattr(value, f.name) for f in fields(value)]
+    if is_dataclass(value):
+        return {f.name: scenario_to_payload(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, tuple):
+        return [scenario_to_payload(item) for item in value]
+    if isinstance(value, dict):
+        return {key: scenario_to_payload(item) for key, item in value.items()}
+    return value
 
 
-def scenario_from_payload(payload: dict) -> Scenario:
-    def template(data: dict) -> DayTemplate:
-        return DayTemplate(
-            sleep=tuple(Interval(*iv) for iv in data.get("sleep", [])),
-            out=tuple(Interval(*iv) for iv in data.get("out", [])),
-            cook=tuple(
-                CookSession(
-                    start_minute=cs["start_minute"],
-                    duration=cs["duration"],
-                    appliance=cs.get("appliance", "cooking_stove"),
-                    lead_ops=tuple(tuple(op) for op in cs.get("lead_ops", [])),
-                )
-                for cs in data.get("cook", [])
-            ),
-        )
+_TYPE_NAMES = {str: "text", int: "an integer", float: "a finite number", list: "a JSON list"}
 
-    weekend = payload.get("weekend")
-    return Scenario(
-        name=payload.get("name", "scenario"),
-        n_users=payload.get("n_users", 2),
-        n_days=payload.get("n_days", 28),
-        seed=payload.get("seed", 0),
-        start_date=date.fromisoformat(payload.get("start_date", "2021-03-01")),
-        weekday=template(payload["weekday"]),
-        weekend=template(weekend) if weekend else None,
-        jitter_std_minutes=payload.get("jitter_std_minutes", 0.0),
-        habits=tuple(DeviceHabit(*h) for h in payload.get("habits", [])),
-        sensors={
-            name: SensorChannel(**ch) for name, ch in payload.get("sensors", {}).items()
-        }
-        or _default_sensors(),
-        sensor_interval_minutes=payload.get("sensor_interval_minutes", 5),
-    )
+
+def _typed(value, kind: type, where: str):
+    """``value`` checked to have the JSON type ``kind`` (no bool counts as a
+    number, and no float as an integer); a fault names ``where``."""
+    ok = not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
+    if not ok or kind is float and not math.isfinite(value):
+        raise ValidationError(f"expected {_TYPE_NAMES[kind]}, got {value!r}", field=where)
+    return value
+
+
+def _object(value, keys, where: str) -> dict:
+    """``value`` checked to be a JSON object whose keys are all in ``keys``."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"expected a JSON object, got {value!r}", field=where or "scenario")
+    for key in value:
+        if key not in keys:
+            raise ValidationError(f"unknown key {key!r}", field=where or "scenario")
+    return value
+
+
+def _built(cls, where: str, *args, **kwargs):
+    """``cls(*args, **kwargs)``; a ``ValidationError`` or ``ValueError`` it
+    raises names ``where``."""
+    try:
+        return cls(*args, **kwargs)
+    except (ValidationError, ValueError) as exc:
+        raise ValidationError(str(exc), field=where or None) from None
+
+
+# A converter from a JSON value to a part of a scenario is either a JSON type
+# or a function ``convert(value, where)``; a fault raises ``ValidationError``
+# naming ``where``.
+def _converted(convert, value, where: str):
+    return _typed(value, convert, where) if isinstance(convert, type) else convert(value, where)
+
+
+def _rows(cls, kinds: tuple[type, ...]):
+    """A JSON list of rows, each a list of ``len(kinds)`` values of those
+    types, as one ``cls(*row)`` per row."""
+
+    def convert(value, where):
+        parts = []
+        for i, row in enumerate(_typed(value, list, where)):
+            name = f"{where}[{i}]"
+            if not isinstance(row, list) or len(row) != len(kinds):
+                raise ValidationError(f"expected a list of {len(kinds)} values, got {row!r}",
+                                      field=name)
+            parts.append(_built(cls, name, *map(_typed, row, kinds, [name] * len(row))))
+        return tuple(parts)
+
+    return convert
+
+
+def _record(cls, **converts):
+    """A JSON object as ``cls``, each key converted by ``converts[key]``; a
+    field of ``cls`` without a default is required."""
+
+    def convert(value, where):
+        data = _object(value, converts, where)
+        prefix = f"{where}." if where else ""
+        for f in fields(cls):
+            if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
+                raise ValidationError("missing", field=prefix + f.name)
+        values = {key: _converted(converts[key], item, prefix + key) for key, item in data.items()}
+        return _built(cls, where, **values)
+
+    return convert
+
+
+_CHANNEL = _record(SensorChannel, **dict.fromkeys([f.name for f in fields(SensorChannel)], float))
+_INTERVALS = _rows(Interval, (int, int))
+_SESSION = _record(CookSession, start_minute=int, duration=int, appliance=str,
+                   lead_ops=_rows(lambda *op: op, (str, str, int)))
+_TEMPLATE = _record(DayTemplate, sleep=_INTERVALS, out=_INTERVALS, cook=lambda value, where: tuple(
+    _SESSION(cs, f"{where}[{i}]") for i, cs in enumerate(_typed(value, list, where))
+))
+_SCENARIO = _record(
+    Scenario, name=str, n_users=int, n_days=int, seed=int, jitter_std_minutes=float,
+    sensor_interval_minutes=int, weekday=_TEMPLATE,
+    start_date=lambda value, where: _built(date.fromisoformat, where, _typed(value, str, where)),
+    # An empty weekend, like none, means every day follows the weekday.
+    weekend=lambda value, where: None if value in (None, {}) else _TEMPLATE(value, where),
+    habits=_rows(DeviceHabit, (str, str, str, float)),
+    sensors=lambda value, where: {
+        name: _CHANNEL(channel, f"{where}.{name}")
+        for name, channel in _object(value, SENSOR_FIELDS, where).items()
+    } or _default_sensors(),
+)
+
+
+def scenario_from_payload(payload) -> Scenario:
+    """A scenario from its JSON form.  Every key and value is checked: a
+    fault raises ``ValidationError`` naming the key."""
+    return _SCENARIO(payload, "")
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    return scenario_from_payload(json.loads(Path(path).read_text()))
+    try:
+        payload = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValidationError(f"scenario file {path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise ValidationError(f"scenario file {path} is not valid JSON: {exc}") from None
+    return scenario_from_payload(payload)
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:

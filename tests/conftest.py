@@ -1,4 +1,4 @@
-"""Shared fixtures: tiny slot streams and a golden labeled-log fixture."""
+"""Shared fixtures: tiny slot grids and a golden labeled-log fixture."""
 
 from __future__ import annotations
 
@@ -7,7 +7,9 @@ from datetime import datetime, time, timedelta
 
 import pytest
 
-from homeguard.ingest import EventRecord, SensorFrame, TimeslotRecord, build_timeslots
+import numpy as np
+
+from homeguard.ingest import SLOTS_PER_DAY, EventRecord, SensorFrame, SlotGrid, build_timeslots
 from homeguard.labeling import LabelingParams
 from homeguard.vocab import Vocabulary
 
@@ -23,6 +25,29 @@ def frame(ts: datetime, **overrides) -> SensorFrame:
     return SensorFrame(timestamp=ts, **values)
 
 
+def make_grid(
+    n: int,
+    start: datetime = BASE,
+    events: dict[int, list[EventRecord]] | None = None,
+    sensors: dict[int, SensorFrame] | None = None,
+) -> SlotGrid:
+    """Hand-built grid of ``n`` slots from ``start``.  ``events`` and
+    ``sensors`` map a position to its events and to its frame; every other
+    slot carries the calm frame."""
+    events = events or {}
+    sensors = sensors or {}
+    counts = [len(events.get(pos, ())) for pos in range(n)]
+    frame_of = np.zeros(n, dtype=np.intp)
+    frame_of[sorted(sensors)] = np.arange(1, len(sensors) + 1)
+    return SlotGrid(
+        start=start,
+        events=[event for pos in sorted(events) for event in events[pos]],
+        first=np.cumsum([0, *counts], dtype=np.intp),
+        frames=(frame(start), *(sensors[pos] for pos in sorted(sensors))),
+        frame=frame_of,
+    )
+
+
 def make_slots(
     n: int,
     start: datetime = BASE,
@@ -30,23 +55,20 @@ def make_slots(
     sensors: dict[int, SensorFrame] | None = None,
     t0: int = 1,
     k0: int = 1,
-) -> list[TimeslotRecord]:
-    """Hand-built contiguous slot stream for unit tests."""
-    events = events or {}
-    sensors = sensors or {}
-    slots = []
-    for pos in range(n):
-        slot_start = start + timedelta(minutes=pos)
-        slots.append(
-            TimeslotRecord(
-                t=t0 + pos,
-                k=(k0 + pos - 1) % 1440 + 1,
-                start=slot_start,
-                sensors=sensors.get(pos, frame(slot_start)),
-                events=tuple(events.get(pos, ())),
-            )
-        )
-    return slots
+) -> tuple[SlotGrid, np.ndarray]:
+    """A contiguous stream of ``n`` slots, the first starting at ``start``
+    with slot-of-day ``k0`` on the grid day of slot ``t0``, as a grid and
+    the stream's positions in it.  ``events`` and ``sensors`` are keyed by
+    the slot's place in the stream; the grid's slots before the stream are
+    empty."""
+    p0 = (t0 - 1) // SLOTS_PER_DAY * SLOTS_PER_DAY + (k0 - 1) % SLOTS_PER_DAY
+    grid = make_grid(
+        p0 + n,
+        start - timedelta(minutes=p0),
+        {p0 + pos: bucket for pos, bucket in (events or {}).items()},
+        {p0 + pos: sensor for pos, sensor in (sensors or {}).items()},
+    )
+    return grid, np.arange(p0, p0 + n)
 
 
 def ev(minute_offset: float, device: str, action: str, start: datetime = BASE) -> EventRecord:
@@ -83,7 +105,7 @@ class GoldenSample:
     # (t, k, entry u, entry d) for boundary rows, event rows carried separately
     expected_rows: list
 
-    def slots(self):
+    def grid(self):
         return build_timeslots(self.events, self.frames, day_origin=self.day_origin)
 
 

@@ -8,8 +8,8 @@ result.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
-from datetime import datetime, time, timedelta
+from dataclasses import dataclass, field, replace
+from datetime import date, datetime, time, timedelta
 from itertools import combinations
 from typing import Callable, Sequence
 
@@ -24,7 +24,7 @@ from homeguard.ingest import (
     TIMESTAMP_FORMAT,
     EventRecord,
     SensorFrame,
-    TimeslotRecord,
+    SlotGrid,
     floor_to_day_origin,
 )
 from homeguard.labeling import (
@@ -36,8 +36,6 @@ from homeguard.labeling import (
     LabelingParams,
     UserActivity,
     _combine,
-    label_device_usage,
-    label_user_activity,
 )
 from homeguard.seqstore import (
     SECONDS_PER_DAY,
@@ -62,12 +60,51 @@ def parse_timestamp_strptime(text: str, line: int | None = None) -> datetime:
         raise ParseError(f"bad timestamp {text!r}: {exc}", line=line) from None
 
 
+@dataclass(frozen=True)
+class SlotRecord:
+    """One minute of a stream as a record.
+
+    ``t`` counts slots from the start of the data (1-based, gapless);
+    ``k`` is the slot-of-day index in [1, 1440] relative to the day origin.
+    ``sensors`` is the last frame observed at or before the slot start;
+    ``events`` are the records falling inside the slot, in stream order.
+    """
+
+    t: int
+    k: int
+    start: datetime
+    sensors: SensorFrame
+    events: tuple[EventRecord, ...]
+
+
+def slot_records(grid: SlotGrid, positions: Sequence[int] | None = None) -> list[SlotRecord]:
+    """The slots of ``grid`` at ``positions`` (all of them by default), one
+    record each; a slot before the first sensor frame carries the default
+    frame stamped with the slot's start."""
+    if positions is None:
+        positions = range(len(grid))
+    records = []
+    for p in [int(p) for p in positions]:
+        start = grid.start + timedelta(minutes=p)
+        frame = int(grid.frame[p])
+        records.append(
+            SlotRecord(
+                t=p + 1,
+                k=p % SLOTS_PER_DAY + 1,
+                start=start,
+                sensors=grid.frames[frame] if frame else replace(grid.frames[0], timestamp=start),
+                events=tuple(grid.events[grid.first[p] : grid.first[p + 1]]),
+            )
+        )
+    return records
+
+
 def build_timeslots_bisect(
     events: Sequence[EventRecord],
     frames: Sequence[SensorFrame],
     day_origin: time = time(0, 0),
     default_frame: SensorFrame | None = None,
-) -> list[TimeslotRecord]:
+) -> list[SlotRecord]:
     """The grid built slot by slot, one binary search per slot for the
     sensor frame and two for the slot's events."""
     if not events and not frames:
@@ -83,7 +120,7 @@ def build_timeslots_bisect(
     event_times = [e.timestamp for e in events]
 
     n_slots = int((end - start).total_seconds()) // SLOT_SECONDS
-    slots: list[TimeslotRecord] = []
+    slots: list[SlotRecord] = []
     for idx in range(n_slots):
         slot_start = start + timedelta(seconds=idx * SLOT_SECONDS)
         slot_end = slot_start + timedelta(seconds=SLOT_SECONDS)
@@ -100,7 +137,7 @@ def build_timeslots_bisect(
         lo = bisect_left(event_times, slot_start)
         hi = bisect_left(event_times, slot_end)
         slots.append(
-            TimeslotRecord(
+            SlotRecord(
                 t=idx + 1,
                 k=idx % SLOTS_PER_DAY + 1,
                 start=slot_start,
@@ -111,7 +148,7 @@ def build_timeslots_bisect(
     return slots
 
 
-def calendar_day_bounds_scan(slots: Sequence[TimeslotRecord]) -> tuple[list[int], list[int]]:
+def calendar_day_bounds_scan(slots: Sequence[SlotRecord]) -> tuple[list[int], list[int]]:
     """First and last position sharing each slot's calendar date, by a scan
     that compares each slot's date with the first of its block."""
     n = len(slots)
@@ -128,6 +165,170 @@ def calendar_day_bounds_scan(slots: Sequence[TimeslotRecord]) -> tuple[list[int]
 
 
 @dataclass
+class UserActivityLabels:
+    activities: list[UserActivity]
+    excluded_dates: set[date]
+    change_times: list[datetime] = field(repr=False)
+    change_counts: list[int] = field(repr=False)
+
+    def count_at(self, ts: datetime) -> int:
+        """Occupant count in force at ``ts`` (changes at ``ts`` included)."""
+        idx = bisect_right(self.change_times, ts) - 1
+        return self.change_counts[idx] if idx >= 0 else self.change_counts[0]
+
+
+@dataclass
+class DeviceUsageLabels:
+    usages: list[DeviceUsage]
+    run_start_ops: dict[int, datetime]  # slot position -> first cooking op of the run
+
+
+def in_night(params: LabelingParams, tod: time) -> bool:
+    start, end = params.night_window
+    if start <= end:
+        return start <= tod <= end
+    return tod >= start or tod <= end
+
+
+def label_user_activity_per_slot(
+    slots: Sequence[SlotRecord],
+    events: Sequence[EventRecord],
+    params: LabelingParams,
+    vocabulary: Vocabulary | None = None,
+) -> UserActivityLabels:
+    """The user-activity channel slot by slot: a ``count_at`` bisect and an
+    ``in_night`` call per slot, and the merges and repairs as loops."""
+    vocabulary = vocabulary or Vocabulary()
+    if not slots:
+        return UserActivityLabels([], set(), [], [])
+    start = slots[0].start
+    n = len(slots)
+    excluded_dates: set[date] = set()
+
+    change_times: list[datetime] = [start]
+    change_counts: list[int] = [params.initial_occupants]
+    count = params.initial_occupants
+    device_ops: list[EventRecord] = []
+    for event in sorted(events, key=lambda e: e.timestamp):
+        if vocabulary.is_presence(event.device):
+            if event.action == "entry":
+                count += 1
+            elif event.action == "exit" and count > 0:
+                count -= 1
+            change_times.append(event.timestamp)
+            change_counts.append(count)
+        elif vocabulary.is_device_operation(event.device, event.action):
+            device_ops.append(event)
+            if count == 0:
+                count = 1
+                change_times.append(event.timestamp)
+                change_counts.append(count)
+                excluded_dates.add(event.timestamp.date())
+
+    labels = UserActivityLabels([], excluded_dates, change_times, change_counts)
+
+    slot_end_offset = timedelta(seconds=59)
+    out = [labels.count_at(slot.start + slot_end_offset) == 0 for slot in slots]
+
+    sleep = [
+        not out[pos]
+        and in_night(params, slot.start.time())
+        and slot.sensors.noise < params.noise_threshold
+        and slot.sensors.co2 > params.co2_threshold
+        for pos, slot in enumerate(slots)
+    ]
+
+    sleep_positions = [pos for pos, flag in enumerate(sleep) if flag]
+    for a, b in zip(sleep_positions, sleep_positions[1:]):
+        if b - a <= params.sleep_gap_merge:
+            for pos in range(a + 1, b):
+                if not out[pos] and in_night(params, slots[pos].start.time()):
+                    sleep[pos] = True
+
+    day_lo, day_hi = calendar_day_bounds_scan(slots)
+    _, night_end = params.night_window
+    for op in device_ops:
+        tod = op.timestamp.time()
+        if not in_night(params, tod):
+            continue
+        pos = int((op.timestamp - start).total_seconds() // 60)
+        if params.night_split <= tod <= night_end:
+            hi = min(day_hi[pos], pos + params.postsleep_hours * 60)
+            window = range(pos, hi + 1)
+        else:
+            lo = max(day_lo[pos], pos - params.presleep_hours * 60)
+            window = range(lo, pos + 1)
+        for w in window:
+            sleep[w] = False
+
+    for pos in range(n):
+        if out[pos]:
+            labels.activities.append(UserActivity.OUT)
+        elif sleep[pos]:
+            labels.activities.append(UserActivity.SLEEP)
+        else:
+            labels.activities.append(UserActivity.ACTIVE)
+    return labels
+
+
+def label_device_usage_per_slot(
+    slots: Sequence[SlotRecord],
+    params: LabelingParams,
+    vocabulary: Vocabulary | None = None,
+) -> DeviceUsageLabels:
+    """The device-usage channel slot by slot, its merges and windows as loops."""
+    vocabulary = vocabulary or Vocabulary()
+    n = len(slots)
+    usages = [DeviceUsage.NONE] * n
+    use = [False] * n
+    day_lo, day_hi = calendar_day_bounds_scan(slots)
+
+    first_op: dict[int, datetime] = {}
+    for pos, slot in enumerate(slots):
+        for event in slot.events:
+            if vocabulary.is_cooking(event.device):
+                first_op[pos] = event.timestamp
+                break
+
+    for pos in first_op:
+        for w in range(pos, min(pos + params.t_c, day_hi[pos]) + 1):
+            use[w] = True
+
+    marked = [pos for pos, flag in enumerate(use) if flag]
+    for a, b in zip(marked, marked[1:]):
+        if b - a <= params.use_gap_merge and day_lo[a] == day_lo[b]:
+            for pos in range(a + 1, b):
+                use[pos] = True
+
+    runs: list[tuple[int, int]] = []
+    pos = 0
+    while pos < n:
+        if use[pos]:
+            end = pos
+            while end + 1 < n and use[end + 1]:
+                end += 1
+            runs.append((pos, end))
+            pos = end + 1
+        else:
+            pos += 1
+
+    for pos in range(n):
+        if use[pos]:
+            usages[pos] = DeviceUsage.USE
+    for run_start, _ in runs:
+        for w in range(max(day_lo[run_start], run_start - params.t_x), run_start):
+            if usages[w] == DeviceUsage.NONE:
+                usages[w] = DeviceUsage.BEFORE
+    for _, run_end in runs:
+        for w in range(run_end + 1, min(run_end + params.t_y, day_hi[run_end]) + 1):
+            if usages[w] == DeviceUsage.NONE:
+                usages[w] = DeviceUsage.AFTER
+
+    run_start_ops = {rs: first_op[rs] for rs, _ in runs if rs in first_op}
+    return DeviceUsageLabels(usages, run_start_ops)
+
+
+@dataclass
 class LabeledSlot:
     """A timeslot with its state assignments.
 
@@ -137,7 +338,7 @@ class LabeledSlot:
     instant (the event's own effect included).
     """
 
-    slot: TimeslotRecord
+    slot: SlotRecord
     state: HomeState
     entry_state: HomeState
     event_states: tuple[HomeState, ...]
@@ -145,15 +346,15 @@ class LabeledSlot:
 
 
 def label_states_per_slot(
-    slots: Sequence[TimeslotRecord],
+    slots: Sequence[SlotRecord],
     events: Sequence[EventRecord],
     params: LabelingParams,
     vocabulary: Vocabulary | None = None,
 ) -> list[LabeledSlot]:
     """Joint labeling that builds every state with ``_combine`` as it goes."""
     vocabulary = vocabulary or Vocabulary()
-    ua = label_user_activity(slots, events, params, vocabulary)
-    du = label_device_usage(slots, params, vocabulary)
+    ua = label_user_activity_per_slot(slots, events, params, vocabulary)
+    du = label_device_usage_per_slot(slots, params, vocabulary)
     pre_run_label = DeviceUsage.BEFORE if params.t_x >= 1 else DeviceUsage.NONE
 
     labeled: list[LabeledSlot] = []
@@ -222,7 +423,7 @@ def encode_labels(labeled: Sequence[LabeledSlot]) -> LabelArrays:
     )
 
 
-def decode_labels(slots: Sequence[TimeslotRecord], labels: LabelArrays) -> list[LabeledSlot]:
+def decode_labels(slots: Sequence[SlotRecord], labels: LabelArrays) -> list[LabeledSlot]:
     """The labels of ``slots`` as one ``LabeledSlot`` per slot, for tests
     that read them slot by slot."""
     event_states: list[list[HomeState]] = [[] for _ in slots]
@@ -398,30 +599,32 @@ class StateBelief:
 
 def snapshots(trace: FilterTrace) -> list[StateBelief]:
     """Every instant of a trace in order: each slot entry, then the beliefs
-    just before and just after each of the slot's events."""
-    if not len(trace.slots):
+    just before and just after each of the slot's events.  ``t`` numbers the
+    trace's slots from 1."""
+    if not len(trace.entry):
         return [StateBelief(trace.initial, t=0, event_index=0)]
     result: list[StateBelief] = []
-    for pos, slot in enumerate(trace.slots):
-        result.append(StateBelief(trace.entry[pos], t=slot.t, event_index=0))
+    for pos, entry in enumerate(trace.entry):
+        result.append(StateBelief(entry, t=pos + 1, event_index=0))
         for event_index, i in enumerate(range(trace.first[pos], trace.first[pos + 1])):
-            result.append(StateBelief(trace.pre[i], t=slot.t, event_index=event_index))
-            result.append(StateBelief(trace.post[i], t=slot.t, event_index=event_index + 1))
+            result.append(StateBelief(trace.pre[i], t=pos + 1, event_index=event_index))
+            result.append(StateBelief(trace.post[i], t=pos + 1, event_index=event_index + 1))
     return result
 
 
-def belief_before_walk(trace: FilterTrace, ts: datetime) -> np.ndarray:
+def belief_before_walk(trace: FilterTrace, slots: Sequence[SlotRecord], ts: datetime) -> np.ndarray:
     """``FilterTrace.belief_before`` by walking the events of the slot that
-    holds ``ts``, as its slot record lists them, counting the events of the
-    earlier slots to find their place in the trace."""
-    if not len(trace.slots):
+    holds ``ts``, as the records of the trace's ``slots`` list them,
+    counting the events of the earlier slots to find their place in the
+    trace."""
+    if not slots:
         return trace.initial
-    offset = int((ts - trace.slots[0].start).total_seconds() // 60)
-    if not 0 <= offset < len(trace.slots):
+    offset = int((ts - slots[0].start).total_seconds() // 60)
+    if not 0 <= offset < len(slots):
         raise ValueError(f"timestamp {ts} outside the filtered stream")
-    i = sum(len(slot.events) for slot in trace.slots[:offset])
+    i = sum(len(slot.events) for slot in slots[:offset])
     probs = trace.entry[offset]
-    for event in trace.slots[offset].events:
+    for event in slots[offset].events:
         if not event.timestamp < ts:
             break
         probs = trace.post[i]
@@ -436,17 +639,19 @@ def filter_folds_one_by_one(folds) -> list[tuple[list[FilterTrace], list[int | N
     result = []
     for fold in folds:
         transitions, operations = fold.state_model()
-        days, streams = kept_day_streams(fold.dataset.slots, fold.training_arrays())
-        streams.append(fold.dataset.day_slots(fold.heldout_day))
-        traces = filter_streams(streams, transitions, operations)
+        days, streams = kept_day_streams(fold.training_arrays())
+        heldout = fold.heldout_day * SLOTS_PER_DAY
+        streams.append(np.arange(heldout, heldout + SLOTS_PER_DAY))
+        traces = filter_streams(fold.dataset.grid, streams, transitions, operations)
         result.append((traces[:-1], days, traces[-1]))
     return result
 
 
-def filter_streams_per_event(streams, transitions, operations) -> list[FilterTrace]:
-    """One model's forward filter from uniform, each aligned group of streams
-    in lockstep as a (D, S) matrix, each event applied to its row alone with
-    an all-ones check of the operation vector per event."""
+def filter_streams_per_event(grid, streams, transitions, operations) -> list[FilterTrace]:
+    """One model's forward filter from uniform over streams of ``grid``
+    positions, read as slot records: each aligned group of streams in
+    lockstep as a (D, S) matrix, each event applied to its row alone with an
+    all-ones check of the operation vector per event."""
     n_states = transitions.n_states
     uniform = np.full(n_states, 1.0 / n_states)
 
@@ -456,6 +661,7 @@ def filter_streams_per_event(streams, transitions, operations) -> list[FilterTra
         total = (vec * probs).sum()
         return uniform.copy() if total <= 0.0 else vec * probs / total
 
+    streams = [slot_records(grid, stream) for stream in streams]
     groups: dict[object, list[int]] = {}
     for index, stream in enumerate(streams):
         aligned = stream and stream[-1].t - stream[0].t == len(stream) - 1
@@ -486,7 +692,7 @@ def filter_streams_per_event(streams, transitions, operations) -> list[FilterTra
             slots = group[row]
             counts = [len(slot.events) for slot in slots]
             traces[index] = FilterTrace(
-                slots=slots,
+                start=slots[0].start if slots else None,
                 initial=uniform,
                 entry=entry[row],
                 events=[event for slot in slots for event in slot.events],

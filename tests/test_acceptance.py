@@ -27,9 +27,9 @@ from homeguard.hsmodel import (
     OperationTable,
     TrainedModel,
     TransitionTensor,
+    filter_streams,
     fit_operations,
     fit_transitions,
-    run_filter,
 )
 from homeguard.ingest import build_timeslots
 from homeguard.labeling import STATE_INDEX, LabelingParams, label_states, parse_state_key
@@ -38,7 +38,7 @@ from homeguard.synthgen import generate, scenario_s1
 from homeguard.vocab import Vocabulary
 
 from conftest import ev
-from oracles import decode_labels, encode_labels, generate_subsequences, snapshots
+from oracles import decode_labels, encode_labels, generate_subsequences, slot_records, snapshots
 from test_detector import make_model, store_with
 from test_evaluation import scripted_point, toy_dataset
 from test_hsmodel import (
@@ -66,8 +66,9 @@ def test_criterion_1_forward_filter_oracle_equivalence():
         rng = np.random.default_rng(2024)
         worst = 0.0
         for _ in range(100):
-            slots, tensor, table, initial = random_filter_instance(rng)
-            trace = run_filter(slots, tensor, table, initial)
+            grid, stream, tensor, table, initial = random_filter_instance(rng)
+            trace = filter_streams(grid, [stream], tensor, table, initial)[0]
+            slots = slot_records(grid, stream)
             expected = brute_force_trace(
                 [slot.k for slot in slots],
                 [[event.pair for event in slot.events] for slot in slots],
@@ -86,9 +87,9 @@ def test_criterion_1_forward_filter_oracle_equivalence():
 
 def test_criterion_2_labeling_golden_sample(golden_sample):
     with criterion("C2 labeling golden sample"):
-        slots = golden_sample.slots()
-        labeled = decode_labels(slots, label_states(
-            slots, golden_sample.events, golden_sample.params, golden_sample.vocabulary
+        grid = golden_sample.grid()
+        labeled = decode_labels(slot_records(grid), label_states(
+            grid, golden_sample.params, golden_sample.vocabulary
         ))
         by_t = {item.slot.t: item for item in labeled}
         rows = []
@@ -128,22 +129,21 @@ def test_criterion_4_normalization_suite():
     with criterion("C4 normalization suite"):
         rng = np.random.default_rng(77)
         for _ in range(40):
-            slots, tensor, table, initial = random_filter_instance(rng)
-            for snap in snapshots(run_filter(slots, tensor, table, initial)):
+            grid, stream, tensor, table, initial = random_filter_instance(rng)
+            for snap in snapshots(filter_streams(grid, [stream], tensor, table, initial)[0]):
                 assert abs(float(snap.probs.sum()) - 1.0) <= 1e-9
 
         # A trained model over a real synthetic stream, same check.
         result = generate(scenario_s1(seed=5, n_days=3))
-        slots = build_timeslots(result.events, result.frames)
+        grid = build_timeslots(result.events, result.frames)
         labels = label_states(
-            slots,
-            result.events,
+            grid,
             LabelingParams(t_x=5, t_y=5, t_c=5, initial_occupants=2),
             Vocabulary(),
         )
         tensor = fit_transitions(labels, t_z_max=120)
         table = fit_operations(labels, Vocabulary())
-        for snap in snapshots(run_filter(slots[:1440], tensor, table)):
+        for snap in snapshots(filter_streams(grid, [np.arange(1440)], tensor, table)[0]):
             assert abs(float(snap.probs.sum()) - 1.0) <= 1e-9
 
         # Observing an operation absent from training is an exact no-op.
@@ -208,7 +208,7 @@ def test_criterion_6_frontier_correctness():
 def _s1_operating_points(seed: int):
     result = generate(scenario_s1(seed=seed, n_days=28))
     dataset = EvalDataset(
-        slots=build_timeslots(result.events, result.frames), vocabulary=Vocabulary()
+        grid=build_timeslots(result.events, result.frames), vocabulary=Vocabulary()
     )
     labeling = LabelingParams(t_x=15, t_y=15, t_c=10, initial_occupants=2)
     # Both methods are judged on the same folds in one pass.

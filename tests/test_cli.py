@@ -268,11 +268,11 @@ class TestDetectCommand:
 
         model = TrainedModel.load(trained)
         target = model.vocabulary.detection_target
-        slots = build_timeslots(
+        grid = build_timeslots(
             parse_operation_log(ops, model.vocabulary, on_unknown="skip"),
             parse_sensor_log(sensors, ranges=model.vocabulary.sensor_ranges),
         )
-        trace = run_filter(slots, model.transitions, model.operations)
+        trace = run_filter(grid, model.transitions, model.operations)
         expected_windows, expected = [], []
         for idx, op in enumerate(trace.events):
             if op.device != target:
@@ -298,12 +298,12 @@ class TestDetectCommand:
         ops, sensors = small_home
         model = TrainedModel.load(trained)
         target = model.vocabulary.detection_target
-        slots = build_timeslots(
+        grid = build_timeslots(
             parse_operation_log(ops, model.vocabulary, on_unknown="skip"),
             parse_sensor_log(sensors, ranges=model.vocabulary.sensor_ranges),
         )
         # The stream as the filter's trace gives it, as detect read it before.
-        stream = run_filter(slots, model.transitions, model.operations).events
+        stream = run_filter(grid, model.transitions, model.operations).events
         times = [event.timestamp for event in stream]
         expected = [
             judge_sequence_baseline(
@@ -776,12 +776,15 @@ class TestSynthCommand:
         (["--days", "-2"], None, "--days"),
         (["--days", "0"], None, "--days"),
         (["--days", "0"], {"days": 2}, "--days"),
+        (["--days", "732"], None, "--days"),
+        (["--days", "100000"], {"days": 2}, "--days"),
         ([], {"days": "x"}, "key 'days'"),
         ([], {"days": 0.5}, "key 'days'"),
         ([], {"days": 0}, "key 'days'"),
         ([], {"days": -3}, "key 'days'"),
         ([], {"days": True}, "key 'days'"),
         ([], {"days": None}, "key 'days'"),
+        ([], {"days": 732}, "key 'days'"),
     ])
     def test_bad_days_exit_2(self, tmp_path, flags, config, named, capsys):
         argv = ["synth", "--scenario", "calibration", "--output-dir", str(tmp_path / "out"),
@@ -854,6 +857,49 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert named in err and "non-negative" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("edit, named", [
+        ({"seed": 1.5}, "seed"),
+        ({"seed": True}, "seed"),
+        ({"n_days": "2"}, "n_days"),
+        ({"n_days": 100000}, "n_days"),
+        ({"weekday": None}, "weekday"),
+        ({"weekday": {"sleep": [[0, 1440]]}}, "weekday.sleep[0]"),
+        ({"weekday": {"out": [[60]]}}, "weekday.out[0]"),
+        ({"weekday": {"cook": [{"duration": 5}]}}, "weekday.cook[0].start_minute"),
+        ({"weekday": {"cook": [{"start_minute": 5, "duration": 5, "lead_ops": [["tv", "on", "x"]]}]}},
+         "weekday.cook[0].lead_ops[0]"),
+        ({"weekend": {"nap": []}}, "weekend"),
+        ({"sensor_interval_minutes": 0}, "sensor_interval_minutes"),
+        ({"jitter_std_minutes": -1.0}, "jitter_std_minutes"),
+        ({"jitter_std_minutes": float("inf")}, "jitter_std_minutes"),
+        ({"start_date": "03/01/2021"}, "start_date"),
+        ({"start_date": "9999-12-31", "n_days": 2}, "start_date"),
+        ({"habits": [["tv", "on", "active"]]}, "habits[0]"),
+        ({"habits": [["tv", "on", "active", "often"]]}, "habits[0]"),
+        ({"sensors": {"co2": {"base": 600.0, "noise_std": -1.0}}}, "sensors.co2: noise_std"),
+        ({"sensors": {"radon": {"base": 1.0}}}, "sensors"),
+        ({"bogus": 1}, "bogus"),
+        ([], "scenario"),
+    ])
+    def test_malformed_scenario_file_exits_2(self, tmp_path, edit, named, capsys):
+        path = tmp_path / "scenario.json"
+        save_scenario(scenario_s1(n_days=1), path)
+        payload = edit if isinstance(edit, list) else {**json.loads(path.read_text()), **edit}
+        path.write_text(json.dumps(payload))
+        argv = ["synth", "--scenario", str(path), "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("text", [None, "{not json"], ids=["missing", "not-json"])
+    def test_unreadable_scenario_file_exits_2(self, tmp_path, text, capsys):
+        path = tmp_path / "scenario.json"
+        if text is not None:
+            path.write_text(text)
+        argv = ["synth", "--scenario", str(path), "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert str(path) in capsys.readouterr().err
 
     def test_synth_deterministic(self, tmp_path):
         a = tmp_path / "a"

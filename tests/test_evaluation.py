@@ -47,6 +47,7 @@ from oracles import (
     frontier_indices_loop,
     label_states_per_slot,
     ratio,
+    slot_records,
 )
 from test_detector import make_model
 from test_hsmodel import assert_traces_equal
@@ -70,7 +71,7 @@ def toy_dataset(n_days=2) -> EvalDataset:
                 EventRecord(start + timedelta(hours=20, minutes=0, seconds=0), "tv", "on"),
             ]
         )
-    return EvalDataset(slots=build_timeslots(events, frames), vocabulary=Vocabulary())
+    return EvalDataset(grid=build_timeslots(events, frames), vocabulary=Vocabulary())
 
 
 def scripted_point(dataset, predicate, injections_per_day, seed) -> EvalPoint:
@@ -348,13 +349,13 @@ def mixed_dataset() -> EvalDataset:
     """Five toy days; day 2 is excluded (a device runs in an empty home) and
     a washing machine, outside the vocabulary, runs on day 4 only."""
     dataset = toy_dataset(n_days=5)
-    events = dataset.events + [
+    events = dataset.grid.events + [
         EventRecord(BASE + timedelta(days=2, hours=6), "user_position", "exit"),
         EventRecord(BASE + timedelta(days=4, hours=12), "washing_machine", "on"),
     ]
-    frames = [slot.sensors for slot in dataset.slots[:: 12 * 60]]
+    frames = [dataset.grid.frames[i] for i in dataset.grid.frame[:: 12 * 60]]
     pairs = {device: actions for device, actions in DEFAULT_PAIRS.items() if device != "washing_machine"}
-    return EvalDataset(slots=build_timeslots(events, frames), vocabulary=Vocabulary(pairs=pairs))
+    return EvalDataset(grid=build_timeslots(events, frames), vocabulary=Vocabulary(pairs=pairs))
 
 
 class TestFoldFits:
@@ -373,7 +374,7 @@ class TestFoldFits:
 
         transitions, operations = fold.state_model()
         labeled = label_states_per_slot(
-            dataset.slots, dataset.events, labeling_params, dataset.vocabulary
+            slot_records(dataset.grid), dataset.grid.events, labeling_params, dataset.vocabulary
         )
         kept = [item for item, keep in zip(labeled, fold.training_arrays().keep) if keep]
         assert {(item.slot.t - 1) // 1440 for item in kept} == {0, 1, 3, 4} - {heldout}
@@ -390,8 +391,12 @@ class TestFoldFits:
         dataset = mixed_dataset()
         fold = make_folds(dataset, LabelingParams(t_x=3, t_y=3, t_c=2), ModelParams(), SeqParams())[3]
         training = fold.training_traces()
-        assert [trace.slots[0].t // 1440 for trace in training] == [0, 1, 4]
-        assert fold.detection_trace().slots == dataset.day_slots(3)
+        days = [(trace.start - dataset.grid.start) // timedelta(days=1) for trace in training]
+        assert days == [0, 1, 4]
+        assert [len(trace.entry) for trace in training] == [1440] * 3
+        detection = fold.detection_trace()
+        assert detection.start == dataset.grid.start + timedelta(days=3)
+        assert detection.events == dataset.day_events(3)
 
     def test_serial_collection_releases_each_fold(self):
         dataset = toy_dataset(n_days=3)
@@ -461,7 +466,7 @@ class TestWindowEnumeration:
             return enumerate_window(pairs, l_max)
 
         def counting_labels(*args, **kwargs):
-            labelings.append(args[2])
+            labelings.append(args[1])
             return label(*args, **kwargs)
 
         monkeypatch.setattr(detector, "candidates_ending_at", counting)
@@ -514,7 +519,7 @@ class TestOneFoldPass:
         labelings = []
 
         def counting_labels(*args, **kwargs):
-            labelings.append((args[2].t_x, args[2].t_y, args[2].t_c))
+            labelings.append((args[1].t_x, args[1].t_y, args[1].t_c))
             return label(*args, **kwargs)
 
         monkeypatch.setattr(evaluation, "label_states", counting_labels)
@@ -683,7 +688,7 @@ def early_origin_dataset(n_days=6) -> EvalDataset:
                 EventRecord(at(21, 10), "user_position", "exit"),
                 EventRecord(at(21, 30), "tv", "on"),
             ]
-    return EvalDataset.from_logs(events, frames, Vocabulary(), day_origin=time(4, 0))
+    return EvalDataset(build_timeslots(events, frames, time(4, 0)), Vocabulary())
 
 
 class TestGroupedFoldFilter:
@@ -700,9 +705,9 @@ class TestGroupedFoldFilter:
         shapes = []
         lockstep = hsmodel._lockstep
 
-        def recording(streams, models, initial):
+        def recording(grid, streams, models, initial):
             shapes.append((len(models), len(streams), len(streams[0])))
-            return lockstep(streams, models, initial)
+            return lockstep(grid, streams, models, initial)
 
         monkeypatch.setattr(hsmodel, "_lockstep", recording)
         for start in range(0, len(folds), group):
@@ -735,5 +740,5 @@ class TestGroupedFoldFilter:
         size = evaluation.FOLD_GROUP
         assert groups == [folds[start : start + size] for start in range(0, len(folds), size)]
         assert all(not fold._cache for fold in folds)
-        stove = [e for e in dataset.events if e.device == "cooking_stove"]
+        stove = [e for e in dataset.grid.events if e.device == "cooking_stove"]
         assert len(records) == len(stove) + 5 * len(folds)

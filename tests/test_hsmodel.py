@@ -1,6 +1,7 @@
 """Transition/operation fitting and the forward filter, checked against
 independent brute-force recursions."""
 
+from dataclasses import replace
 from datetime import timedelta
 
 import numpy as np
@@ -26,12 +27,13 @@ from homeguard.labeling import ALPHABET, STATE_INDEX, LabelingParams, parse_stat
 from homeguard.seqstore import SeqParams
 from homeguard.vocab import Vocabulary
 
-from conftest import BASE, ev, make_slots
+from conftest import BASE, ev, make_grid, make_slots
 from oracles import (
     LabeledSlot,
     belief_before_walk,
     encode_labels,
     filter_streams_per_event,
+    slot_records,
     snapshots,
 )
 
@@ -42,7 +44,7 @@ def labeled_stream(state_keys, start=BASE, t0=1, k0=1, events=None, event_states
     """LabeledSlot stream with the given per-slot (final) states."""
     events = events or {}
     event_states = event_states or {}
-    slots = make_slots(len(state_keys), start=start, t0=t0, k0=k0, events=events)
+    slots = slot_records(*make_slots(len(state_keys), start=start, t0=t0, k0=k0, events=events))
     out = []
     for pos, key in enumerate(state_keys):
         state = parse_state_key(key)
@@ -267,7 +269,7 @@ def random_labeled_days(rng, n_days, excluded_days=(), pairs=(("tv", "on"), ("re
     for pos in rng.choice(n, size=40, replace=False):
         bucket = [ev(pos + 0.1 * (j + 1), *pairs[int(rng.integers(0, len(pairs)))]) for j in range(int(rng.integers(1, 4)))]
         events[int(pos)] = bucket
-    slots = make_slots(n, events=events)
+    slots = slot_records(make_grid(n, events=events))
     out = []
     for pos, slot in enumerate(slots):
         state = parse_state_key(learnable[int(rng.integers(0, len(learnable)))])
@@ -364,19 +366,25 @@ def toy_tensor(matrix_by_k: dict[int, np.ndarray], n_states: int) -> TransitionT
     return TransitionTensor(probs=probs, t_z=np.zeros(1440, dtype=np.int64))
 
 
+def filter_stream(grid, stream, tensor, table, initial=None):
+    """The trace of one stream of ``grid`` positions."""
+    return filter_streams(grid, [stream], tensor, table, initial)[0]
+
+
 def step_into(k, tensor, initial):
     """The snapshot after the filter crosses one slot boundary into
     slot-of-day ``k``."""
-    slots = make_slots(2, k0=k - 1)
-    return snapshots(run_filter(slots, tensor, OperationTable(n_states=tensor.n_states), initial))[1]
+    grid, stream = make_slots(2, k0=k - 1)
+    table = OperationTable(n_states=tensor.n_states)
+    return snapshots(filter_stream(grid, stream, tensor, table, initial))[1]
 
 
 def observe(pair, table, initial):
     """The beliefs just before and just after the one event of a one-slot
     stream carrying ``pair``."""
-    slots = make_slots(1, events={0: [ev(0.5, *pair)]})
+    grid = make_grid(1, events={0: [ev(0.5, *pair)]})
     tensor = toy_tensor({}, table.n_states)
-    trace = run_filter(slots, tensor, table, initial)
+    trace = run_filter(grid, tensor, table, initial)
     [pre], [post] = trace.pre, trace.post
     return pre, post
 
@@ -401,8 +409,8 @@ class TestBeliefUpdates:
 
     def test_hand_observation(self):
         table = OperationTable(n_states=2, probs={("tv", "on"): np.array([0.8, 0.2])})
-        slots = make_slots(1, events={0: [ev(0.5, "tv", "on")]})
-        out = snapshots(run_filter(slots, toy_tensor({}, 2), table, np.array([0.5, 0.5])))[-1]
+        grid = make_grid(1, events={0: [ev(0.5, "tv", "on")]})
+        out = snapshots(run_filter(grid, toy_tensor({}, 2), table, np.array([0.5, 0.5])))[-1]
         assert np.allclose(out.probs, [0.8, 0.2])
         assert out.event_index == 1
 
@@ -479,14 +487,14 @@ def random_filter_instance(rng):
         bucket.sort(key=lambda e: e.timestamp)
 
     initial = rng.random(n_states) + 0.01
-    slots = make_slots(n_slots, events=events, k0=k0)
-    return slots, tensor, table, initial
+    grid, stream = make_slots(n_slots, events=events, k0=k0)
+    return grid, stream, tensor, table, initial
 
 
 class TestRunFilter:
     def test_empty_stream(self):
         tensor = toy_tensor({}, 2)
-        trace = run_filter([], tensor, OperationTable(n_states=2), np.array([0.3, 0.7]))
+        trace = run_filter(make_grid(0), tensor, OperationTable(n_states=2), np.array([0.3, 0.7]))
         snaps = snapshots(trace)
         assert len(snaps) == 1
         assert np.allclose(snaps[0].probs, [0.3, 0.7])
@@ -494,8 +502,8 @@ class TestRunFilter:
     def test_one_slot_one_event_three_snapshots(self, vocab):
         table = OperationTable(n_states=2, probs={("tv", "on"): np.array([0.8, 0.2])})
         tensor = toy_tensor({1: np.eye(2)}, 2)
-        slots = make_slots(1, events={0: [ev(0.5, "tv", "on")]})
-        trace = run_filter(slots, tensor, table, np.array([0.5, 0.5]))
+        grid = make_grid(1, events={0: [ev(0.5, "tv", "on")]})
+        trace = run_filter(grid, tensor, table, np.array([0.5, 0.5]))
         snaps = snapshots(trace)
         assert len(snaps) == 3
         assert np.allclose(snaps[0].probs, [0.5, 0.5])  # slot entry
@@ -504,15 +512,16 @@ class TestRunFilter:
 
     def test_first_slot_keeps_initial_belief(self):
         tensor = toy_tensor({7: np.array([[0.0, 1.0], [1.0, 0.0]])}, 2)
-        slots = make_slots(1, k0=7)
-        trace = run_filter(slots, tensor, OperationTable(n_states=2), np.array([0.9, 0.1]))
+        grid, stream = make_slots(1, k0=7)
+        trace = filter_stream(grid, stream, tensor, OperationTable(n_states=2), np.array([0.9, 0.1]))
         assert np.allclose(trace.entry[0], [0.9, 0.1])
 
     def test_oracle_equivalence_randomized(self):
         rng = np.random.default_rng(42)
         for _ in range(30):
-            slots, tensor, table, initial = random_filter_instance(rng)
-            trace = run_filter(slots, tensor, table, initial)
+            grid, stream, tensor, table, initial = random_filter_instance(rng)
+            trace = filter_stream(grid, stream, tensor, table, initial)
+            slots = slot_records(grid, stream)
             expected = brute_force_trace(
                 [slot.k for slot in slots],
                 [[event.pair for event in slot.events] for slot in slots],
@@ -528,8 +537,8 @@ class TestRunFilter:
     def test_belief_before_ordering(self):
         table = OperationTable(n_states=2, probs={("tv", "on"): np.array([0.8, 0.2])})
         tensor = toy_tensor({k: np.eye(2) for k in range(1, 10)}, 2)
-        slots = make_slots(3, events={1: [ev(1.5, "tv", "on")]})
-        trace = run_filter(slots, tensor, table, np.array([0.5, 0.5]))
+        grid = make_grid(3, events={1: [ev(1.5, "tv", "on")]})
+        trace = run_filter(grid, tensor, table, np.array([0.5, 0.5]))
         before_event = trace.belief_before(BASE + timedelta(minutes=1, seconds=20))
         after_event = trace.belief_before(BASE + timedelta(minutes=1, seconds=40))
         assert np.allclose(before_event, [0.5, 0.5])
@@ -539,7 +548,8 @@ class TestRunFilter:
         assert np.allclose(at_event, [0.5, 0.5])
 
 
-def assert_matches_brute_force(trace, slots, tensor, table, initial):
+def assert_matches_brute_force(trace, grid, stream, tensor, table, initial):
+    slots = slot_records(grid, stream)
     expected = brute_force_trace(
         [slot.k for slot in slots],
         [[event.pair for event in slot.events] for slot in slots],
@@ -553,15 +563,29 @@ def assert_matches_brute_force(trace, slots, tensor, table, initial):
         assert np.max(np.abs(snap.probs - np.array(ref))) <= 1e-12
 
 
+def make_streams(streams) -> tuple:
+    """One grid holding streams given as (first position, slot count,
+    events keyed by the slot's place in the stream and timed as if the
+    stream started at ``BASE``), and each stream's positions.  The streams
+    must not overlap."""
+    events = {}
+    for p0, _, stream_events in streams:
+        for pos, bucket in stream_events.items():
+            shift = timedelta(minutes=p0)
+            events[p0 + pos] = [replace(e, timestamp=e.timestamp + shift) for e in bucket]
+    n_slots = max(p0 + n for p0, n, _ in streams)
+    return make_grid(n_slots, events=events), [np.arange(p0, p0 + n) for p0, n, _ in streams]
+
+
 class TestLockstepFilter:
     def test_randomized_streams_match_brute_force(self):
         rng = np.random.default_rng(99)
         for _ in range(20):
             n_streams = int(rng.integers(2, 6))
-            first, tensor, table, _ = random_filter_instance(rng)
-            n_slots, k0 = len(first), first[0].k
-            streams = [first]
-            for row in range(1, n_streams):
+            _, first, tensor, table, _ = random_filter_instance(rng)
+            n_slots, p0 = len(first), int(first[0]) % 1440
+            specs = []
+            for row in range(n_streams):
                 events = {}
                 for _ in range(int(rng.integers(0, 11))):
                     pos = int(rng.integers(0, n_slots))
@@ -569,12 +593,15 @@ class TestLockstepFilter:
                     events.setdefault(pos, []).append(ev(pos + float(rng.random()) * 0.9, *pair))
                 for bucket in events.values():
                     bucket.sort(key=lambda e: e.timestamp)
-                streams.append(make_slots(n_slots, events=events, k0=k0, t0=1 + row * 1440))
-            traces = filter_streams(streams, tensor, table)
+                specs.append((p0 + row * 1440, n_slots, events))
+            grid, streams = make_streams(specs)
+            traces = filter_streams(grid, streams, tensor, table)
             assert all(trace.entry.base is traces[0].entry.base for trace in traces)
             for stream, trace in zip(streams, traces):
-                assert trace.slots is stream
-                assert_matches_brute_force(trace, stream, tensor, table, uniform_belief(tensor.n_states))
+                assert trace.start == grid.start + timedelta(minutes=int(stream[0]))
+                assert_matches_brute_force(
+                    trace, grid, stream, tensor, table, uniform_belief(tensor.n_states)
+                )
 
     def test_resets_stay_in_their_row(self):
         # Row 0 pins its belief on state 0 by an observation, and state 0 has
@@ -593,29 +620,32 @@ class TestLockstepFilter:
                 ("dev", "tilt"): np.array([0.2, 0.3, 0.5]),
             },
         )
-        streams = [
-            make_slots(5, events={1: [ev(1.5, "dev", "pin")]}),
-            make_slots(5, t0=1441, events={0: [ev(0.5, "dev", "tilt")], 3: [ev(3.5, "dev", "kill")]}),
-            make_slots(5, t0=2881, events={1: [ev(1.5, "dev", "tilt")]}),
-        ]
-        traces = filter_streams(streams, tensor, table)
+        grid, streams = make_streams([
+            (0, 5, {1: [ev(1.5, "dev", "pin")]}),
+            (1440, 5, {0: [ev(0.5, "dev", "tilt")], 3: [ev(3.5, "dev", "kill")]}),
+            (2880, 5, {1: [ev(1.5, "dev", "tilt")]}),
+        ])
+        traces = filter_streams(grid, streams, tensor, table)
         uniform = uniform_belief(n_states)
         assert np.array_equal(traces[0].entry[2], uniform)
         assert not np.allclose(traces[2].entry[2], uniform)
         assert np.array_equal(traces[1].post[1], uniform)
         assert not np.allclose(traces[1].entry[3], uniform)
         for stream, trace in zip(streams, traces):
-            assert_matches_brute_force(trace, stream, tensor, table, uniform)
+            assert_matches_brute_force(trace, grid, stream, tensor, table, uniform)
 
     def test_unaligned_streams_run_alone(self):
         rng = np.random.default_rng(4)
-        _, tensor, table, _ = random_filter_instance(rng)
-        streams = [make_slots(7, k0=10), make_slots(4, k0=10), make_slots(7, k0=11), []]
-        traces = filter_streams(streams, tensor, table)
+        _, _, tensor, table, _ = random_filter_instance(rng)
+        grid = make_grid(17)
+        streams = [np.arange(9, 16), np.arange(9, 13), np.arange(10, 17), np.arange(0)]
+        traces = filter_streams(grid, streams, tensor, table)
         assert traces[0].entry.base is not traces[2].entry.base
-        assert len(traces[3].entry) == 0
+        assert len(traces[3].entry) == 0 and traces[3].start is None
         for stream, trace in zip(streams[:3], traces):
-            assert_matches_brute_force(trace, stream, tensor, table, uniform_belief(tensor.n_states))
+            assert_matches_brute_force(
+                trace, grid, stream, tensor, table, uniform_belief(tensor.n_states)
+            )
 
 
 class TestTrainedModelRoundTrip:
@@ -624,11 +654,9 @@ class TestTrainedModelRoundTrip:
             100: [ev(100.2, "refrigerator", "opening"), ev(100.5, "cooking_stove", "on")],
             700: [ev(700.5, "tv", "on")],
         }
-        slots = make_slots(1440 * 2, events={**events, 1540: [ev(1540.5, "cooking_stove", "on")]})
-        flat_events = [event for slot in slots for event in slot.events]
+        grid = make_grid(1440 * 2, events={**events, 1540: [ev(1540.5, "cooking_stove", "on")]})
         return train_model(
-            slots,
-            flat_events,
+            grid,
             Vocabulary(),
             LabelingParams(t_x=2, t_y=2, t_c=1),
             ModelParams(t_z_max=60),
@@ -695,7 +723,7 @@ class TestTrainedModelRoundTrip:
 
 def assert_traces_equal(got, expected):
     """Bitwise equal beliefs at every instant, the same events in order."""
-    assert got.slots == expected.slots
+    assert got.start == expected.start
     assert np.array_equal(got.entry, expected.entry)
     assert got.events == expected.events
     assert np.array_equal(got.first, expected.first)
@@ -730,15 +758,16 @@ def random_model(rng, n_states):
     return TransitionTensor(probs=probs, t_z=np.zeros(1440, dtype=np.int64)), table
 
 
-def random_stream(rng, n_slots, k0, t0):
+def random_events(rng, n_slots):
+    """Events keyed by their slot's place in a stream of ``n_slots``."""
     events = {}
     for _ in range(int(rng.integers(0, 3 * n_slots))):
         pos = int(rng.integers(0, n_slots))
         pair = PAIRS[int(rng.integers(0, len(PAIRS)))]
-        events.setdefault(pos, []).append(ev(t0 - 1 + pos + float(rng.random()) * 0.9, *pair))
+        events.setdefault(pos, []).append(ev(pos + float(rng.random()) * 0.9, *pair))
     for bucket in events.values():
         bucket.sort(key=lambda e: e.timestamp)
-    return make_slots(n_slots, start=BASE + timedelta(minutes=t0 - 1), events=events, k0=k0, t0=t0)
+    return events
 
 
 class TestFilterModels:
@@ -751,28 +780,32 @@ class TestFilterModels:
         models = [random_model(rng, n_states) for _ in range(int(rng.integers(1, 6)))]
         n_slots, k0 = int(rng.integers(1, 40)), int(rng.integers(1, 1441))
         n_aligned = int(rng.integers(1, 7))
-        streams = [random_stream(rng, n_slots, k0, 1 + row * 1440) for row in range(n_aligned)]
+        # Two grid days apart, so that no two streams overlap.
+        specs = [(2 * row * 1440 + k0 - 1, n_slots, random_events(rng, n_slots))
+                 for row in range(n_aligned)]
         # Unaligned: another length, another first slot-of-day, a gap, empty.
-        streams.append(random_stream(rng, n_slots + 1, k0, 1 + n_aligned * 1440))
-        streams.append(random_stream(rng, n_slots, k0 % 1440 + 1, 1 + (n_aligned + 1) * 1440))
-        gapped = random_stream(rng, n_slots + 2, k0, 1 + (n_aligned + 2) * 1440)
-        streams.append(gapped[:1] + gapped[2:])
-        streams.append([])
-        return models, streams
+        row = 2 * n_aligned * 1440
+        specs.append((row + k0 - 1, n_slots + 1, random_events(rng, n_slots + 1)))
+        specs.append((row + 2 * 1440 + k0 % 1440, n_slots, random_events(rng, n_slots)))
+        specs.append((row + 4 * 1440 + k0 - 1, n_slots + 2, random_events(rng, n_slots + 2)))
+        grid, streams = make_streams(specs)
+        streams[-1] = np.delete(streams[-1], 1)
+        streams.append(np.arange(0))
+        return models, grid, streams
 
     def test_every_model_equals_filtering_alone(self):
         rng = np.random.default_rng(2026)
         resets = mixed = 0
         for _ in range(60):
-            models, streams = self.instance(rng)
+            models, grid, streams = self.instance(rng)
             wanted = [
                 [index for index in range(len(streams)) if rng.random() < 0.7]
                 for _ in models
             ]
-            got = filter_models(streams, models, wanted)
+            got = filter_models(grid, streams, models, wanted)
             for (transitions, operations), indices, traces in zip(models, wanted, got):
                 assert sorted(traces) == sorted(indices)
-                alone = filter_streams([streams[i] for i in indices], transitions, operations)
+                alone = filter_streams(grid, [streams[i] for i in indices], transitions, operations)
                 for index, expected in zip(indices, alone):
                     assert_traces_equal(traces[index], expected)
                     uniform = uniform_belief(transitions.n_states)
@@ -784,50 +817,56 @@ class TestFilterModels:
     def test_trace_arrays_line_up_with_the_events(self):
         rng = np.random.default_rng(13)
         for _ in range(30):
-            models, streams = self.instance(rng)
-            got = filter_models(streams, models, [range(len(streams))] * len(models))
+            models, grid, streams = self.instance(rng)
+            got = filter_models(grid, streams, models, [range(len(streams))] * len(models))
             for traces in got:
                 for index, trace in traces.items():
-                    events = [event for slot in streams[index] for event in slot.events]
-                    assert trace.events == events
+                    slots = slot_records(grid, streams[index])
+                    assert trace.events == [event for slot in slots for event in slot.events]
                     assert len(trace.events) == len(trace.pre) == len(trace.post) == trace.first[-1]
-                    assert len(trace.first) == len(trace.slots) + 1
+                    assert len(trace.first) == len(slots) + 1
                     assert all(
                         trace.events[trace.first[pos] : trace.first[pos + 1]] == list(slot.events)
-                        for pos, slot in enumerate(trace.slots)
+                        for pos, slot in enumerate(slots)
                     )
 
     def test_belief_before_equals_the_event_walk(self):
         rng = np.random.default_rng(17)
         seen = dict.fromkeys(["at an event", "before a first event", "no events", "reset"], 0)
         for _ in range(30):
-            models, streams = self.instance(rng)
-            got = filter_models(streams, models, [range(len(streams))] * len(models))
+            models, grid, streams = self.instance(rng)
+            got = filter_models(grid, streams, models, [range(len(streams))] * len(models))
             for (transitions, _), traces in zip(models, got):
                 uniform = uniform_belief(transitions.n_states)
-                for trace in traces.values():
-                    if trace.slots and trace.slots[-1].t - trace.slots[0].t != len(trace.slots) - 1:
+                for index, trace in traces.items():
+                    stream = streams[index]
+                    if len(stream) and stream[-1] - stream[0] != len(stream) - 1:
                         continue  # belief_before reads contiguous streams only
+                    slots = slot_records(grid, stream)
                     instants = [event.timestamp for event in trace.events]
                     seen["at an event"] += len(instants)
-                    for slot in trace.slots:
+                    for slot in slots:
                         instants.append(slot.start)
                         instants.append(slot.start + timedelta(seconds=float(rng.random()) * 60))
                         seen["before a first event"] += bool(slot.events)
                         seen["no events"] += not slot.events
                     seen["reset"] += sum(np.array_equal(row, uniform) for row in trace.post)
                     for ts in instants:
-                        assert np.array_equal(trace.belief_before(ts), belief_before_walk(trace, ts))
+                        assert np.array_equal(
+                            trace.belief_before(ts), belief_before_walk(trace, slots, ts)
+                        )
         assert all(seen.values()), seen
 
     def test_whole_lockstep_group_under_every_model(self):
         rng = np.random.default_rng(7)
         for _ in range(40):
-            models, streams = self.instance(rng)
+            models, grid, streams = self.instance(rng)
             aligned = streams[:-4]  # the four unaligned streams come last
-            got = filter_models(aligned, models, [range(len(aligned))] * len(models))
+            got = filter_models(grid, aligned, models, [range(len(aligned))] * len(models))
             for (transitions, operations), traces in zip(models, got):
-                for index, expected in enumerate(filter_streams(aligned, transitions, operations)):
+                for index, expected in enumerate(
+                    filter_streams(grid, aligned, transitions, operations)
+                ):
                     assert_traces_equal(traces[index], expected)
                     if len(aligned) > 1:
                         assert traces[index].entry.base is traces[0].entry.base
@@ -835,10 +874,10 @@ class TestFilterModels:
     def test_filter_streams_equals_the_per_event_filter(self):
         rng = np.random.default_rng(11)
         for _ in range(40):
-            models, streams = self.instance(rng)
+            models, grid, streams = self.instance(rng)
             for transitions, operations in models:
-                got = filter_streams(streams, transitions, operations)
-                expected = filter_streams_per_event(streams, transitions, operations)
+                got = filter_streams(grid, streams, transitions, operations)
+                expected = filter_streams_per_event(grid, streams, transitions, operations)
                 for trace, ref in zip(got, expected):
                     assert_traces_equal(trace, ref)
 

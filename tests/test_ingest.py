@@ -1,9 +1,10 @@
-"""Parsing, validation, and timeslot alignment."""
+"""Parsing, validation, and slot grid alignment."""
 
 from dataclasses import replace
 from datetime import datetime, time, timedelta
 from time import perf_counter
 
+import numpy as np
 import pytest
 
 from homeguard import ingest
@@ -21,7 +22,7 @@ from homeguard.ingest import (
     write_sensor_log,
 )
 from conftest import frame
-from oracles import build_timeslots_bisect, parse_timestamp_strptime
+from oracles import build_timeslots_bisect, parse_timestamp_strptime, slot_records
 
 
 def write(path, text):
@@ -170,31 +171,30 @@ class TestBuildTimeslots:
     def test_forward_fill(self):
         base = datetime(2020, 1, 1)
         frames = [frame(base), frame(base + timedelta(minutes=5), temperature=25.0)]
-        slots = build_timeslots([], frames)
-        assert len(slots) == 1440
-        for pos in range(5):
-            assert slots[pos].sensors is frames[0]
-        assert slots[5].sensors is frames[1]
+        grid = build_timeslots([], frames)
+        assert len(grid) == 1440
+        assert grid.frames == (None, *frames)
+        assert grid.frame[:6].tolist() == [1, 1, 1, 1, 1, 2]
         # Forward-fill invariant: latest frame at or before each slot start.
-        for slot in slots:
+        for slot in slot_records(grid):
             assert slot.sensors.timestamp <= slot.start
+        assert grid.column("temperature")[4:6].tolist() == [frames[0].temperature, 25.0]
 
     def test_full_day_yields_1440_slots(self):
         base = datetime(2020, 1, 1)
         frames = [frame(base + timedelta(minutes=5 * i)) for i in range(288)]
         events = [EventRecord(base + timedelta(hours=10), "tv", "on")]
-        slots = build_timeslots(events, frames)
-        assert len(slots) == 1440
-        assert slots[0].t == 1 and slots[0].k == 1
-        assert slots[-1].k == 1440
+        grid = build_timeslots(events, frames)
+        assert len(grid) == 1440 and len(grid.first) == 1441
+        assert grid.start == base
 
     def test_events_share_slot_in_order(self):
         base = datetime(2020, 1, 1)
         e1 = EventRecord(base + timedelta(hours=23, minutes=58, seconds=20), "refrigerator", "opening")
         e2 = EventRecord(base + timedelta(hours=23, minutes=58, seconds=35), "cooking_stove", "on")
-        slots = build_timeslots([e1, e2], [frame(base)])
-        slot = slots[23 * 60 + 58]
-        assert slot.events == (e1, e2)
+        grid = build_timeslots([e1, e2], [frame(base)])
+        p = 23 * 60 + 58
+        assert grid.events[grid.first[p] : grid.first[p + 1]] == [e1, e2]
 
     def test_every_event_in_exactly_one_slot(self):
         base = datetime(2020, 1, 1)
@@ -202,10 +202,11 @@ class TestBuildTimeslots:
             EventRecord(base + timedelta(minutes=7 * i, seconds=13), "tv", "on")
             for i in range(200)
         ]
-        slots = build_timeslots(events, [frame(base)])
-        recovered = [event for slot in slots for event in slot.events]
-        assert recovered == sorted(events, key=lambda e: e.timestamp)
-        assert len(slots) % 1440 == 0
+        grid = build_timeslots(events, [frame(base)])
+        assert grid.events == sorted(events, key=lambda e: e.timestamp)
+        assert grid.first[0] == 0 and grid.first[-1] == len(events)
+        assert (np.diff(grid.first) >= 0).all()
+        assert len(grid) % 1440 == 0
 
     def test_missing_initial_frame_errors(self):
         base = datetime(2020, 1, 1)
@@ -215,32 +216,33 @@ class TestBuildTimeslots:
     def test_default_frame_fills_start(self):
         base = datetime(2020, 1, 1)
         default = frame(base)
-        slots = build_timeslots([], [frame(base + timedelta(minutes=3), temperature=30.0)],
-                                default_frame=default)
-        assert slots[0].sensors.temperature == default.temperature
-        assert slots[3].sensors.temperature == 30.0
+        grid = build_timeslots([], [frame(base + timedelta(minutes=3), temperature=30.0)],
+                               default_frame=default)
+        assert grid.frames[grid.frame[0]] is default
+        assert grid.column("temperature")[[0, 3]].tolist() == [default.temperature, 30.0]
 
     def test_day_origin_offsets_k(self):
         origin = time(23, 59)
         first = datetime(2019, 12, 31, 23, 59, 0)
-        slots = build_timeslots([], [frame(first)], day_origin=origin)
+        slots = slot_records(build_timeslots([], [frame(first)], day_origin=origin))
         assert slots[0].start == first
         assert slots[0].k == 1
         assert slots[1].start == datetime(2020, 1, 1, 0, 0, 0)
         assert slots[1].k == 2
 
     def test_empty_inputs(self):
-        assert build_timeslots([], []) == []
+        grid = build_timeslots([], [])
+        assert len(grid) == 0 and grid.events == [] and grid.first.tolist() == [0]
 
 
 class TestBuildTimeslotsMatchesBisect:
-    """The one-sweep grid equals the per-slot binary-search build."""
+    """The grid, read slot by slot, equals the per-slot binary-search build."""
 
     BASE = datetime(2020, 1, 1)
 
     def assert_same(self, events, frames, **kwargs):
         expected = build_timeslots_bisect(events, frames, **kwargs)
-        assert build_timeslots(events, frames, **kwargs) == expected
+        assert slot_records(build_timeslots(events, frames, **kwargs)) == expected
         return expected
 
     @pytest.mark.parametrize("origin", [time(0, 0), time(23, 59)], ids=["00:00", "23:59"])
@@ -292,10 +294,8 @@ class TestBuildTimeslotsMatchesBisect:
 
 class TestSpanLimit:
     def test_century_apart_refused_before_any_slot(self, monkeypatch):
-        def no_slots(*args, **kwargs):
-            raise AssertionError("a slot was built")
-
-        monkeypatch.setattr(ingest, "TimeslotRecord", no_slots)
+        # The grid's arrays are numpy arrays: refused before numpy is used.
+        monkeypatch.setattr(ingest, "np", None)
         early = datetime(1925, 6, 1, 8, 0, 0)
         late = datetime(2025, 6, 1, 8, 0, 0)
         events = [EventRecord(early, "tv", "on"), EventRecord(late, "tv", "off")]
@@ -319,8 +319,9 @@ class TestSpanLimit:
     def test_first_and_last_whole_days_accepted(self):
         for day in (datetime(1, 1, 1), datetime(9999, 12, 30)):
             last = day + timedelta(minutes=1439)
-            slots = build_timeslots([EventRecord(last, "tv", "on")], [frame(day)])
-            assert len(slots) == 1440 and slots[-1].events[0].timestamp == last
+            grid = build_timeslots([EventRecord(last, "tv", "on")], [frame(day)])
+            assert len(grid) == 1440 and grid.first[-2] == 0
+            assert slot_records(grid)[-1].events[0].timestamp == last
 
     def test_longest_span_accepted(self, monkeypatch):
         monkeypatch.setattr(ingest, "MAX_SPAN_DAYS", 3)

@@ -1,8 +1,8 @@
 """Property tests: the fast ingest paths against the slow code they replace.
 
-``build_timeslots`` (one forward sweep) must equal the per-slot binary-search
-build over random events, frames, day origins and default frames, errors
-included; ``parse_timestamp`` must accept, reject and read every text as
+The grid ``build_timeslots`` returns, read slot by slot, must equal the
+per-slot binary-search build over random events, frames, day origins and
+default frames, errors included; ``parse_timestamp`` must accept, reject and read every text as
 ``strptime`` with ``TIMESTAMP_FORMAT`` does.
 """
 
@@ -18,7 +18,7 @@ from homeguard.errors import HomeguardError  # noqa: E402
 from homeguard.ingest import EventRecord, build_timeslots  # noqa: E402
 
 from conftest import frame  # noqa: E402
-from oracles import build_timeslots_bisect  # noqa: E402
+from oracles import build_timeslots_bisect, slot_records  # noqa: E402
 from test_ingest import assert_parse_matches_strptime  # noqa: E402
 
 BASE = datetime(2021, 3, 1)
@@ -45,7 +45,7 @@ def outcome(build, *args, **kwargs):
     origin=st.tuples(st.integers(0, 23), st.integers(0, 59)),
     default_offset=st.one_of(st.none(), offsets),
 )
-def test_sweep_grid_equals_bisect_grid(events, frame_offsets, origin, default_offset):
+def test_grid_equals_bisect_slots(events, frame_offsets, origin, default_offset):
     events = [EventRecord(BASE + timedelta(seconds=s), *pair) for s, pair in events]
     frames = [frame(BASE + timedelta(seconds=s), co2=float(i)) for i, s in
               enumerate(frame_offsets)]
@@ -54,7 +54,10 @@ def test_sweep_grid_equals_bisect_grid(events, frame_offsets, origin, default_of
         default_frame=None if default_offset is None
         else frame(BASE + timedelta(seconds=default_offset), noise=99.0),
     )
-    assert outcome(build_timeslots, events, frames, **kwargs) == outcome(
+    def grid_slots(*args, **kwargs):
+        return slot_records(build_timeslots(*args, **kwargs))
+
+    assert outcome(grid_slots, events, frames, **kwargs) == outcome(
         build_timeslots_bisect, events, frames, **kwargs
     )
 

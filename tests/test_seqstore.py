@@ -27,7 +27,7 @@ from homeguard.seqstore import (
 from homeguard.synthgen import generate, scenario_calibration
 from homeguard.vocab import Vocabulary
 
-from conftest import BASE, ev, frame, make_folds, make_slots
+from conftest import BASE, ev, frame, make_folds
 from oracles import (
     build_timed_store_per_window,
     candidates_ending_at_combinations,
@@ -182,7 +182,7 @@ def fabricate_trace(entry_rows, event_specs, n_slots=None):
     )
     counts = np.bincount([slot_pos for slot_pos, _, _ in specs], minlength=n_slots)
     return FilterTrace(
-        slots=make_slots(n_slots),
+        start=BASE,
         initial=entry[0],
         entry=entry,
         events=[event for _, event, _ in specs],
@@ -371,7 +371,7 @@ def dense_dataset(n_days=3):
     )
     result = generate(scenario)
     return EvalDataset(
-        slots=build_timeslots(result.events, result.frames), vocabulary=Vocabulary()
+        grid=build_timeslots(result.events, result.frames), vocabulary=Vocabulary()
     )
 
 
@@ -393,7 +393,7 @@ def midnight_dataset(n_days=4):
             ]
         events += [EventRecord(at(12, 0), "tv", "on"), EventRecord(at(12, 2), "cooking_stove", "on")]
         events += [EventRecord(at(23, 50 + i), *devices[i % 4]) for i in range(6)]
-    return EvalDataset(slots=build_timeslots(events, frames), vocabulary=Vocabulary())
+    return EvalDataset(grid=build_timeslots(events, frames), vocabulary=Vocabulary())
 
 
 def partial_day_dataset(n_days=4):
@@ -422,7 +422,7 @@ def partial_day_dataset(n_days=4):
             EventRecord(at(23, 0), "refrigerator", "opening"),
             EventRecord(at(23, 3), "cooking_stove", "on"),
         ]
-    return EvalDataset.from_logs(events, frames, Vocabulary(), day_origin=time(6, 30))
+    return EvalDataset(build_timeslots(events, frames, time(6, 30)), Vocabulary())
 
 
 def assert_timed_equal(store, oracle):
@@ -489,7 +489,7 @@ class TestFoldStoresFromSharedWindows:
         partial = 0
         for fold in folds:
             traces = fold.training_traces()
-            partial += sum(len(trace.slots) < 1440 for trace in traces)
+            partial += sum(len(trace.entry) < 1440 for trace in traces)
             for selection in self.SELECTIONS.values():
                 selected = replace(params, **selection)
                 oracle = store_sequences_per_window(
@@ -540,8 +540,8 @@ class TestFoldStoresFromSharedWindows:
     def test_whole_stream_equals_the_per_window_store(self):
         dataset = midnight_dataset()
         for params in (SeqParams(t_seq=600, w_max=4), SeqParams(t_seq=90000, w_max=6)):
-            store = build_timed_store(dataset.events, "cooking_stove", params)
-            oracle = build_timed_store_per_window(dataset.events, "cooking_stove", params)
+            store = build_timed_store(dataset.grid.events, "cooking_stove", params)
+            oracle = build_timed_store_per_window(dataset.grid.events, "cooking_stove", params)
             assert_timed_equal(store, oracle)
 
     def test_windows_for_other_cuts_are_refused(self):

@@ -1,7 +1,7 @@
 """Synthetic dataset generation: determinism, schema, label recoverability."""
 
 from homeguard.ingest import build_timeslots, parse_operation_log, parse_sensor_log
-from homeguard.labeling import LabelingParams, label_user_activity
+from homeguard.labeling import LabelingParams, UserActivity, label_user_activity
 from homeguard.synthgen import (
     generate,
     load_scenario,
@@ -14,12 +14,12 @@ from homeguard.vocab import DEFAULT_SENSOR_RANGES, Vocabulary
 
 def recovery_rate(scenario) -> float:
     result = generate(scenario)
-    slots = build_timeslots(result.events, result.frames)
-    assert len(slots) == len(result.truth)
-    labels = label_user_activity(slots, result.events, LabelingParams(), Vocabulary())
+    grid = build_timeslots(result.events, result.frames)
+    assert len(grid) == len(result.truth)
+    labels = label_user_activity(grid, LabelingParams(), Vocabulary())
     hits = sum(
-        1 for activity, row in zip(labels.activities, result.truth)
-        if activity.value == row.u
+        1 for code, row in zip(labels.activity.tolist(), result.truth)
+        if tuple(UserActivity)[code].value == row.u
     )
     return hits / len(result.truth)
 
@@ -69,8 +69,7 @@ class TestGenerate:
         events = parse_operation_log(paths["operations"])
         frames = parse_sensor_log(paths["sensors"])  # default physical ranges
         assert events and frames
-        slots = build_timeslots(events, frames)
-        assert len(slots) == 2 * 1440
+        assert len(build_timeslots(events, frames)) == 2 * 1440
 
     def test_sensor_values_within_ranges(self):
         result = generate(scenario_s1(seed=7, n_days=2))
