@@ -9,9 +9,13 @@ that each run record lists.  Then runs ``homeguard evaluate`` and
 ``homeguard label`` in both trees on paths the benchmark never takes
 (``EVALUATE_RUNS``, ``LABEL_RUNS``), and ``homeguard train`` followed by
 ``detect`` with each method (``OPERATOR_RUNS``), on one synthetic home
-generated by the current tree, and compares the digests of every file they
-write.  Exits 1 when a run fails, lists no outputs, or any digest differs.
-Standard library only.
+generated by the current tree.  The file runs read the inputs the benchmark
+never reads: ``train`` and ``detect`` under a config file that sets every
+parameter section (``CONFIG``), ``train`` with a vocabulary file that each
+tree saves itself, and ``synth`` from a scenario file that each tree saves
+itself.  Compares the digests of every file these runs write.  Exits 1 when
+a run fails, lists no outputs, or any digest differs.  Standard library
+only.
 """
 
 from __future__ import annotations
@@ -54,6 +58,21 @@ LABEL_RUNS = (
 OPERATOR_RUNS = (("day-origin", "04:00", ()),)
 DETECT_METHODS = ("proposed", "estimation", "sequence")
 
+# A config that sets every parameter section away from its defaults.
+# noise_threshold, t_seq and alpha_seq are float fields given as JSON
+# integers, which the model file keeps as integers.
+CONFIG = {
+    "labeling": {"t_x": 10, "t_y": 20, "t_c": 25, "night_window": ["21:30", "9:00"],
+                 "night_split": "4:30", "noise_threshold": 36, "co2_threshold": 1400.5,
+                 "sleep_gap_merge": 60, "use_gap_merge": 10, "presleep_hours": 4,
+                 "postsleep_hours": 3, "initial_occupants": 2},
+    "seq": {"t_seq": 900, "criterion": "alpha", "l_rank": 2, "l_alpha": 0.2,
+            "alpha_select_below": False, "l_max": 4, "w_max": 12},
+    "model": {"t_z_max": 360},
+    "detector": {"n_single": 0.05, "n_multi": 0.01, "theta": 0.4, "alpha_seq": 1800,
+                 "n_seq_single": 0.2, "n_seq_multi": 0.05},
+}
+
 
 def digests(tree: Path, workload: str, seed: int) -> dict[str, str]:
     """The output digests of one benchmark run in ``tree``; empty on failure."""
@@ -74,10 +93,11 @@ def digests(tree: Path, workload: str, seed: int) -> dict[str, str]:
 
 
 def homeguard(tree: Path, *args: str) -> subprocess.CompletedProcess:
-    """``homeguard ARGS`` run from ``tree``'s source, BLAS on one thread."""
+    """``homeguard ARGS`` run from ``tree``'s source, BLAS on one thread;
+    ``-c CODE`` runs the Python CODE with that source instead."""
     env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src"), "OPENBLAS_NUM_THREADS": "1"}
-    return subprocess.run([sys.executable, "-m", "homeguard.cli", *args],
-                          env=env, capture_output=True, text=True)
+    command = list(args) if args[0] == "-c" else ["-m", "homeguard.cli", *args]
+    return subprocess.run([sys.executable, *command], env=env, capture_output=True, text=True)
 
 
 def synth_homes(work: Path) -> dict[str, Path]:
@@ -137,6 +157,36 @@ def operator_steps(home: Path, origin: str, out: Path, args) -> list[tuple]:
     ]
 
 
+def config_steps(home: Path, origin: str, out: Path, args) -> list[tuple]:
+    """Write ``CONFIG``, then ``train`` under it and ``detect`` with each
+    method under it."""
+    config = str(out / "config.json")
+    write = f"import pathlib; pathlib.Path({config!r}).write_text({json.dumps(CONFIG)!r})"
+    model = str(out / "model.json")
+    train = ("train", *io_args(home, origin), "--config", config, "--output", model)
+    return [("-c", write), train] + [
+        ("detect", "--model", model, *io_args(home, origin), "--config", config,
+         "--method", method, "--output", str(out / f"verdicts-{method}.jsonl"))
+        for method in DETECT_METHODS
+    ]
+
+
+def vocabulary_steps(home: Path, origin: str, out: Path, args) -> list[tuple]:
+    """Save the default vocabulary, then ``train`` with it."""
+    vocabulary = str(out / "vocabulary.json")
+    save = f"from homeguard.vocab import Vocabulary; Vocabulary().save({vocabulary!r})"
+    return [("-c", save), ("train", *io_args(home, origin), "--vocabulary", vocabulary,
+                           "--output", str(out / "model.json"))]
+
+
+def scenario_steps(home: Path, origin: str, out: Path, args) -> list[tuple]:
+    """Save the 3-day s1 scenario, then ``synth`` from the file."""
+    scenario = str(out / "scenario.json")
+    save = ("from homeguard.synthgen import save_scenario, scenario_s1; "
+            f"save_scenario(scenario_s1(n_days=3), {scenario!r})")
+    return [("-c", save), ("synth", "--scenario", scenario, "--output-dir", str(out))]
+
+
 def compare(label: str, base: dict[str, str], new: dict[str, str]) -> bool:
     same = bool(base) and base == new
     print(f"{label}: {len(new)} outputs, {'same' if same else 'DIFFER'}")
@@ -167,6 +217,9 @@ def main(argv=None) -> int:
                 ("evaluate", evaluate_steps, EVALUATE_RUNS),
                 ("label", label_steps, LABEL_RUNS),
                 ("train-detect", operator_steps, OPERATOR_RUNS),
+                ("file", config_steps, (("config", "00:00", ()),)),
+                ("file", vocabulary_steps, (("vocabulary", "00:00", ()),)),
+                ("file", scenario_steps, (("scenario", "00:00", ()),)),
             )
             for name, origin, run_args in command_runs
         ]

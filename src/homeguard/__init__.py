@@ -72,7 +72,6 @@ from .labeling import (
     label_user_activity,
 )
 from .seqstore import (
-    EventSequence,
     SeqParams,
     SequenceStore,
     TimedSequenceStore,

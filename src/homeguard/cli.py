@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields, replace
 from datetime import time
@@ -29,22 +28,23 @@ from .evaluation import (
     pareto_frontier,
     write_results_csv,
 )
-from .hsmodel import (
-    ModelParams,
-    TrainedModel,
-    params_from_payload,
-    parse_hhmm,
-    run_filter,
-    train_model,
-)
+from .hsmodel import ModelParams, TrainedModel, run_filter, train_model
 from .ingest import MAX_SPAN_DAYS, build_timeslots, parse_operation_log, parse_sensor_log
 from .labeling import ALPHABET, LabelingParams, export_event_labels, export_labels, label_states
+from .payload import faults_as, json_object, load_json, parse_hhmm, record
 from .seqstore import SeqParams, window_start
 from .synthgen import generate, load_scenario, scenario_calibration, scenario_s1
 from .vocab import Vocabulary
 
 # The top-level keys a config file may hold; a command reads the ones it uses.
 CONFIG_SECTIONS = ("labeling", "seq", "model", "detector", "days")
+# The parameter classes each parameter section of a config file holds.
+SECTION_PARAMS = {
+    "labeling": (LabelingParams,),
+    "seq": (SeqParams,),
+    "model": (ModelParams,),
+    "detector": (Thresholds, BaselineParams),
+}
 # The methods `evaluate --methods all` scores, in the order it reports them.
 METHODS = ("proposed", "estimation", "sequence")
 
@@ -86,30 +86,29 @@ def _load_config(args) -> dict:
     path = getattr(args, "config", None)
     if not path:
         return {}
-    try:
-        config = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise UsageError(f"config {path}: {exc.strerror or exc}") from None
-    except ValueError as exc:
-        raise UsageError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(config, dict):
-        raise UsageError(f"config {path}: expected a JSON object")
-    for key in config:
-        if key not in CONFIG_SECTIONS:
-            raise UsageError(
-                f"config {path}: unknown section {key!r}, expected one of"
-                f" {', '.join(CONFIG_SECTIONS)}"
-            )
-    return config
+    config = load_json(path, UsageError, "config")
+    with faults_as(UsageError, f"config {path}: "):
+        return json_object(config, CONFIG_SECTIONS, "")
 
 
-def _merge_params(cls, args, config: dict, section: str, overrides: dict):
-    """The section's parameters with the command-line values laid over them."""
+def section_params(config: dict, section: str, overrides: dict | None = None,
+                   source: str | None = None) -> tuple:
+    """One object of each class of ``SECTION_PARAMS[section]``, from the
+    config's section with the command-line values (those not None) laid
+    over it.  A fault raises ``UsageError`` naming ``source`` (the config
+    file) and the key."""
     data = config.get(section, {})
     if isinstance(data, dict):
-        data = {**data, **{key: value for key, value in overrides.items() if value is not None}}
-    where = f"config {args.config} section {section!r}" if config else f"{section} options"
-    return params_from_payload(cls, data, where, UsageError)
+        data = {**data, **{key: value for key, value in (overrides or {}).items()
+                           if value is not None}}
+    classes = SECTION_PARAMS[section]
+    names = [{f.name for f in fields(cls)} for cls in classes]
+    with faults_as(UsageError, f"config {source}: " if source else ""):
+        json_object(data, set().union(*names), section)
+        return tuple(
+            record(cls)({key: value for key, value in data.items() if key in mine}, section)
+            for cls, mine in zip(classes, names)
+        )
 
 
 def _labeling_params(args, config: dict) -> LabelingParams:
@@ -123,7 +122,7 @@ def _labeling_params(args, config: dict) -> LabelingParams:
     }
     if getattr(args, "night_window", None):
         overrides["night_window"] = args.night_window.split("-")
-    return _merge_params(LabelingParams, args, config, "labeling", overrides)
+    return section_params(config, "labeling", overrides, args.config)[0]
 
 
 def _seq_params(args, config: dict) -> SeqParams:
@@ -133,12 +132,12 @@ def _seq_params(args, config: dict) -> SeqParams:
         "l_rank": getattr(args, "l_rank", None),
         "l_alpha": getattr(args, "l_alpha", None),
     }
-    return _merge_params(SeqParams, args, config, "seq", overrides)
+    return section_params(config, "seq", overrides, args.config)[0]
 
 
 def _model_params(args, config: dict) -> ModelParams:
     overrides = {"t_z_max": getattr(args, "t_z_max", None)}
-    return _merge_params(ModelParams, args, config, "model", overrides)
+    return section_params(config, "model", overrides, args.config)[0]
 
 
 def _vocabulary(args) -> Vocabulary:
@@ -189,21 +188,9 @@ def cmd_train(args) -> int:
 
 def _detector_params(args) -> tuple[Thresholds, BaselineParams]:
     """The config's detector section with the command-line values laid over it."""
-    config = _load_config(args)
-    where = f"config {args.config} section 'detector'" if config else "detector options"
-    section = config.get("detector", {})
-    if not isinstance(section, dict):
-        raise UsageError(f"{where}: expected a JSON object, got {section!r}")
-    owners = {f.name: cls for cls in (Thresholds, BaselineParams) for f in fields(cls)}
-    data: dict = {Thresholds: {}, BaselineParams: {}}
-    for key, value in section.items():
-        if key not in owners:
-            raise UsageError(f"{where}: unknown key {key!r}")
-        data[owners[key]][key] = value
-    for key, cls in owners.items():
-        if getattr(args, key) is not None:
-            data[cls][key] = getattr(args, key)
-    return tuple(params_from_payload(cls, data[cls], where, UsageError) for cls in data)
+    overrides = {f.name: getattr(args, f.name)
+                 for cls in SECTION_PARAMS["detector"] for f in fields(cls)}
+    return section_params(_load_config(args), "detector", overrides, args.config)
 
 
 def cmd_detect(args) -> int:
@@ -400,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_detect.add_argument("--sensors", required=True)
     p_detect.add_argument("--day-origin", default="00:00")
     p_detect.add_argument("--config", help="JSON file with a 'detector' section")
-    p_detect.add_argument("--seed", type=int, help="accepted for interface parity")
     p_detect.add_argument("--method", choices=("proposed", "estimation", "sequence"),
                           default="proposed")
     p_detect.add_argument("--output", help="verdicts JSONL path (default: stdout)")

@@ -48,6 +48,7 @@ from .ingest import SLOTS_PER_DAY, EventRecord, SlotGrid
 # Not called here; perfbench/child.py traces this name.
 from .ingest import build_timeslots  # noqa: F401
 from .labeling import ALPHABET, LabelArrays, LabelingParams, label_states
+from .payload import to_payload
 from .seqstore import (
     DayWindows,
     SeqParams,
@@ -277,7 +278,7 @@ class FoldContext:
 
     def sequence_store(self, seq_params: SeqParams | None = None):
         seq_params = seq_params or self.seq_params
-        key = ("store", json.dumps(seq_params.to_payload(), sort_keys=True))
+        key = ("store", json.dumps(to_payload(seq_params), sort_keys=True))
         if key not in self._cache:
             self._cache[key] = store_sequences(
                 self.training_beliefs(),

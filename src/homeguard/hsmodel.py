@@ -29,26 +29,32 @@ grid, a day of it, or the kept slots of a day.  The filter reads each slot's
 slot-of-day and events from its position.  A ``FilterTrace`` holds arrays
 only: the belief entering each slot, the beliefs just before and just after
 each event of the stream, in order, and where each slot's events begin.
+
+A ``TrainedModel`` is one JSON document.  Its parameter sections, its
+vocabulary and its stores are read by the rules of ``payload``; the
+transition rows and operation vectors are checked in one numpy pass each.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
-import re
-from dataclasses import dataclass, field, fields
-from datetime import datetime, time
+from dataclasses import dataclass, field
+from datetime import datetime
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import HomeguardError, ModelError, VocabularyError
+from .errors import ModelError, ValidationError, VocabularyError
 from .ingest import SLOT, SLOTS_PER_DAY, EventRecord, SlotGrid
 from .labeling import ALPHABET, HomeState, LabelArrays, LabelingParams, parse_state_key
+from .payload import (
+    counts, faults_as, json_object, list_of, load_json, record, to_payload, typed,
+)
 from .seqstore import SeqParams, SequenceStore, TimedSequenceStore, build_timed_store, store_sequences
-from .vocab import Vocabulary
+from .vocab import VOCABULARY, Vocabulary
 
 FORMAT_VERSION = 2
 
@@ -520,14 +526,11 @@ class TrainedModel:
                 sparse_a[str(k0 + 1)] = rows
         return {
             "format_version": FORMAT_VERSION,
-            "vocabulary": self.vocabulary.to_payload(),
+            "vocabulary": to_payload(self.vocabulary),
             "states": [s.key for s in self.states],
-            "labeling_params": _labeling_params_payload(self.labeling_params),
-            "model_params": {
-                "t_z_max": self.model_params.t_z_max,
-                "slot_seconds": self.model_params.slot_seconds,
-            },
-            "seq_params": self.seq_params.to_payload(),
+            "labeling_params": to_payload(self.labeling_params),
+            "model_params": to_payload(self.model_params),
+            "seq_params": to_payload(self.seq_params),
             "t_z": [int(x) for x in self.transitions.t_z],
             "a": sparse_a,
             "b": {
@@ -547,26 +550,24 @@ class TrainedModel:
         Path(path).write_text(self.to_json())
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "TrainedModel":
-        if not isinstance(payload, dict):
-            raise ModelError("model must be a JSON object")
-        if payload.get("format_version") != FORMAT_VERSION:
-            raise ModelError(
-                f"unsupported model format_version {payload.get('format_version')!r}"
-            )
-        for key in _PAYLOAD_KEYS:
-            if key not in payload:
-                raise ModelError(f"model has no {key!r} key")
-        if not isinstance(payload["states"], list):
-            raise ModelError("states: expected a JSON list")
-        states = tuple(_state_from_payload(key) for key in payload["states"])
+    def from_payload(cls, payload) -> "TrainedModel":
+        """A model from its JSON form; a fault raises ``ModelError`` naming
+        the key."""
+        with faults_as(ModelError):
+            return cls._from_payload(payload)
+
+    @classmethod
+    def _from_payload(cls, payload) -> "TrainedModel":
+        version = json_object(payload, None, "").get("format_version")
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise ModelError(f"unsupported model format_version {version!r}")
+        data = json_object(payload, _PAYLOAD_KEYS, "", _PAYLOAD_KEYS)
+        states = list_of(_state)(data["states"], "states")
         n_states = len(states)
-        model_params = params_from_payload(ModelParams, payload["model_params"], "model_params")
-        t_z = _payload_counts(payload["t_z"], SLOTS_PER_DAY, model_params.t_z_max, "t_z")
-        if not isinstance(payload["a"], dict):
-            raise ModelError("a: expected a JSON object")
+        model_params = record(ModelParams)(data["model_params"], "model_params")
+        t_z = counts(data["t_z"], SLOTS_PER_DAY, "t_z", model_params.t_z_max)
         cells, rows = [], []
-        for k_text, slot_rows in payload["a"].items():
+        for k_text, slot_rows in json_object(data["a"], None, "a").items():
             k = _payload_index(k_text, 1, SLOTS_PER_DAY, "transition slot")
             if not isinstance(slot_rows, dict):
                 raise ModelError(f"a: transition slot {k}: expected a JSON object")
@@ -583,80 +584,47 @@ class TrainedModel:
         probs = np.zeros((SLOTS_PER_DAY, n_states, n_states))
         ks, states_i = np.array(cells, dtype=np.intp).reshape(-1, 2).T
         probs[ks - 1, states_i] = values
-        if not isinstance(payload["b"], dict):
-            raise ModelError("b: expected a JSON object")
-        pairs = list(payload["b"])
+        pairs = list(json_object(data["b"], None, "b"))
         vectors = _payload_probabilities(
-            list(payload["b"].values()), n_states, lambda j: f"b: operation {pairs[j]!r}"
+            list(data["b"].values()), n_states, lambda j: f"b: operation {pairs[j]!r}"
         )
         operations = OperationTable(n_states=n_states)
         for pair_text, vec in zip(pairs, vectors):
             device, _, action = pair_text.partition(":")
             operations.probs[(device, action)] = vec
-        try:
-            vocabulary = Vocabulary.from_payload(payload["vocabulary"])
-        except HomeguardError as exc:
-            raise ModelError(f"vocabulary: {exc}") from None
-        store = _store_from_payload(SequenceStore, payload, "store")
+        store = SequenceStore.from_payload(data["store"], "store")
         if store.n_states != n_states:
-            raise ModelError(f"store: n_states must be {n_states}, got {store.n_states!r}")
+            raise ModelError(f"store.n_states: must be {n_states}, got {store.n_states!r}")
         return cls(
-            vocabulary=vocabulary,
+            vocabulary=VOCABULARY(data["vocabulary"], "vocabulary"),
             states=states,
-            labeling_params=params_from_payload(
-                LabelingParams, payload["labeling_params"], "labeling_params"
-            ),
+            labeling_params=record(LabelingParams)(data["labeling_params"], "labeling_params"),
             model_params=model_params,
-            seq_params=params_from_payload(SeqParams, payload["seq_params"], "seq_params"),
+            seq_params=record(SeqParams)(data["seq_params"], "seq_params"),
             transitions=TransitionTensor(probs=probs, t_z=t_z),
             operations=operations,
             store=store,
-            baseline_store=_store_from_payload(TimedSequenceStore, payload, "baseline_store"),
+            baseline_store=TimedSequenceStore.from_payload(
+                data["baseline_store"], "baseline_store"
+            ),
         )
 
     @classmethod
     def load(cls, path: str | Path) -> "TrainedModel":
-        try:
-            payload = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise ModelError(f"model file {path}: {exc.strerror or exc}") from None
-        except ValueError as exc:
-            raise ModelError(f"model file {path} is not valid JSON: {exc}") from None
-        return cls.from_payload(payload)
+        return cls.from_payload(load_json(path, ModelError, "model file"))
 
 
 _PAYLOAD_KEYS = (
-    "vocabulary", "states", "labeling_params", "model_params", "seq_params",
+    "format_version", "vocabulary", "states", "labeling_params", "model_params", "seq_params",
     "t_z", "a", "b", "store", "baseline_store",
 )
 
 
-def _state_from_payload(key) -> HomeState:
+def _state(key, where: str) -> HomeState:
     try:
-        return parse_state_key(key)
-    except (AttributeError, ValueError):
-        raise ModelError(f"states: {key!r} is not a state") from None
-
-
-def _store_from_payload(store_cls, payload: dict, key: str):
-    """A model's store; ``train`` always writes both, so null is an error."""
-    if not isinstance(payload[key], dict):
-        raise ModelError(f"{key} must be a JSON object, got {payload[key]!r}")
-    try:
-        return store_cls.from_payload(payload[key])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ModelError(f"{key} is malformed: {exc!r}") from None
-
-
-def _payload_counts(values, length: int, high: int, what: str) -> np.ndarray:
-    """A list of ``length`` integers in 0..``high`` from the model payload."""
-    if not (
-        isinstance(values, list)
-        and len(values) == length
-        and all(type(x) is int and 0 <= x <= high for x in values)
-    ):
-        raise ModelError(f"{what}: need {length} integers in 0..{high}")
-    return np.asarray(values, dtype=np.int64)
+        return parse_state_key(typed(key, str, where))
+    except ValueError:
+        raise ValidationError(f"{key!r} is not a state", field=where) from None
 
 
 def _payload_probabilities(
@@ -698,80 +666,6 @@ def _payload_index(text: str, low: int, high: int, what: str) -> int:
     if not (text.isdecimal() and low <= int(text) <= high):
         raise ModelError(f"{what} {text!r} must be an integer in {low}..{high}")
     return int(text)
-
-
-def _labeling_params_payload(params: LabelingParams) -> dict:
-    return {
-        "t_x": params.t_x,
-        "t_y": params.t_y,
-        "t_c": params.t_c,
-        "night_window": [params.night_window[0].strftime("%H:%M"),
-                         params.night_window[1].strftime("%H:%M")],
-        "night_split": params.night_split.strftime("%H:%M"),
-        "noise_threshold": params.noise_threshold,
-        "co2_threshold": params.co2_threshold,
-        "sleep_gap_merge": params.sleep_gap_merge,
-        "use_gap_merge": params.use_gap_merge,
-        "presleep_hours": params.presleep_hours,
-        "postsleep_hours": params.postsleep_hours,
-        "initial_occupants": params.initial_occupants,
-    }
-
-
-_HHMM = re.compile(r"([0-9]{1,2}):([0-9]{2})")
-
-
-def parse_hhmm(text: str) -> time:
-    """``H:MM`` or ``HH:MM`` text as a time of day.  Raises TypeError for a
-    value that is not text and ValueError for any other text, hours above 23
-    and minutes above 59 included."""
-    if not isinstance(text, str):
-        raise TypeError(text)
-    match = _HHMM.fullmatch(text)
-    if match is None:
-        raise ValueError(text)
-    return time(int(match[1]), int(match[2]))
-
-
-def _typed_like(default, value):
-    """``value`` checked to be of the type of ``default``; "HH:MM" text stands
-    for a time of day, and an int for a float.  Raises TypeError or
-    ValueError when it is not."""
-    if isinstance(default, time):
-        return value if isinstance(value, time) else parse_hhmm(value)
-    if isinstance(default, tuple):
-        if not isinstance(value, (list, tuple)) or len(value) != len(default):
-            raise TypeError(value)
-        return tuple(_typed_like(d, v) for d, v in zip(default, value))
-    if isinstance(value, bool) != isinstance(default, bool):
-        raise TypeError(value)
-    if not isinstance(value, (int, float) if isinstance(default, float) else type(default)):
-        raise TypeError(value)
-    return value
-
-
-def params_from_payload(cls, data, where: str, error: type[HomeguardError] = ModelError):
-    """``cls(**data)`` for a parameter dataclass, checked key by key.
-
-    Every key must name a field of ``cls``, and its value must have the type
-    of the field's default.  A fault raises ``error`` naming ``where`` and
-    the key.
-    """
-    if not isinstance(data, dict):
-        raise error(f"{where}: expected a JSON object, got {data!r}")
-    defaults = {f.name: f.default for f in fields(cls)}
-    values = {}
-    for key, value in data.items():
-        if key not in defaults:
-            raise error(f"{where}: unknown key {key!r}")
-        try:
-            values[key] = _typed_like(defaults[key], value)
-        except (TypeError, ValueError):
-            raise error(f"{where}: bad value for {key!r}: {value!r}") from None
-    try:
-        return cls(**values)
-    except HomeguardError as exc:
-        raise error(f"{where}: {exc}") from None
 
 
 def kept_day_streams(arrays: LabelArrays) -> tuple[list[int | None], list[np.ndarray]]:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from datetime import time
 from enum import Enum
@@ -124,6 +125,11 @@ class LabelingParams:
                      "presleep_hours", "postsleep_hours", "initial_occupants"):
             if getattr(self, name) < 0:
                 raise ValidationError("must be non-negative", field=name)
+        for name in ("noise_threshold", "co2_threshold"):
+            if not abs(getattr(self, name)) < math.inf:  # NaN fails too
+                raise ValidationError(
+                    f"must be a finite number, got {getattr(self, name)!r}", field=name
+                )
 
     def in_night(self, tod):
         """Whether ``tod``, a time of day in microseconds (an int or an

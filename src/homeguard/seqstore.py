@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .ingest import MAX_SPAN_DAYS, EventRecord
+from .payload import at, counts, json_object, typed
 
 if TYPE_CHECKING:  # pragma: no cover
     from .hsmodel import FilterTrace
@@ -55,20 +56,10 @@ Pair = tuple[str, str]
 Items = tuple[Pair, ...]
 
 
-@dataclass(frozen=True)
-class EventSequence:
-    """An ordered list of (device, action) symbols with its completion time."""
-
-    items: Items
-    end_time: datetime | None = None
-
-    @property
-    def length(self) -> int:
-        return len(self.items)
-
-    @property
-    def key(self) -> str:
-        return "|".join(f"{device}:{action}" for device, action in self.items)
+def sequence_key(items: Items) -> str:
+    """The text key of a sequence in a model file: ``device:action`` items
+    joined by ``|``."""
+    return "|".join(f"{device}:{action}" for device, action in items)
 
 
 def _items_from_key(key: str) -> Items:
@@ -112,17 +103,6 @@ class SeqParams:
             raise ValidationError("must be in [0, 1]", field="l_alpha")
         if self.l_max < 1 or self.w_max < 1:
             raise ValidationError("l_max and w_max must be at least 1")
-
-    def to_payload(self) -> dict:
-        return {
-            "t_seq": self.t_seq,
-            "criterion": self.criterion,
-            "l_rank": self.l_rank,
-            "l_alpha": self.l_alpha,
-            "alpha_select_below": self.alpha_select_below,
-            "l_max": self.l_max,
-            "w_max": self.w_max,
-        }
 
 
 def _enumerate_distinct(pairs: Sequence[Pair], l_max: int) -> dict[Items, int]:
@@ -251,41 +231,27 @@ class SequenceStore:
             "criterion": self.criterion,
             "slot_counts": [int(x) for x in self.slot_counts],
             "counts": {
-                EventSequence(items).key: [int(x) for x in counts]
+                sequence_key(items): [int(x) for x in counts]
                 for items, counts in sorted(self.counts.items())
             },
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "SequenceStore":
-        n_states = payload["n_states"]
+    def from_payload(cls, payload, where: str = "") -> "SequenceStore":
+        """A store from its JSON form; a fault raises ``ValidationError``
+        naming the key below ``where``."""
+        keys = ("n_states", "criterion", "slot_counts", "counts")
+        data = json_object(payload, keys, where, keys)
+        n_states = typed(data["n_states"], int, at(where, "n_states"))
         store = cls(
             n_states=n_states,
-            criterion=payload.get("criterion", "rank"),
-            slot_counts=_count_vector(payload["slot_counts"], n_states, "slot_counts"),
+            criterion=typed(data["criterion"], str, at(where, "criterion")),
+            slot_counts=counts(data["slot_counts"], n_states, at(where, "slot_counts")),
         )
-        for key, counts in _payload_object(payload, "counts").items():
-            store.counts[_items_from_key(key)] = _count_vector(counts, n_states, f"counts {key!r}")
+        where_counts = at(where, "counts")
+        for key, values in json_object(data["counts"], None, where_counts).items():
+            store.counts[_items_from_key(key)] = counts(values, n_states, at(where_counts, key))
         return store
-
-
-def _payload_object(payload: dict, key: str) -> dict:
-    """A store payload's JSON object under ``key``; raises ValueError."""
-    value = payload[key]
-    if not isinstance(value, dict):
-        raise ValueError(f"{key}: expected a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _count_vector(values, n_states: int, what: str) -> np.ndarray:
-    """One count per state, read from a payload; raises ValueError."""
-    if not (
-        isinstance(values, list)
-        and len(values) == n_states
-        and all(type(x) is int and 0 <= x < 2**63 for x in values)
-    ):
-        raise ValueError(f"{what}: need {n_states} non-negative integers")
-    return np.asarray(values, dtype=np.int64)
 
 
 def seconds_of_day(ts: datetime) -> float:
@@ -374,26 +340,29 @@ class TimedSequenceStore:
         return {
             "target_total": self.target_total,
             "times": {
-                EventSequence(items).key: list(times)
-                for items, times in sorted(self.times.items())
+                sequence_key(items): list(times) for items, times in sorted(self.times.items())
             },
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "TimedSequenceStore":
-        """Raises ValueError for a count or a time list the index could
-        not read."""
-        total = payload["target_total"]
-        if type(total) is not int or total < 0:
-            raise ValueError(f"target_total: need a non-negative integer, got {total!r}")
+    def from_payload(cls, payload, where: str = "") -> "TimedSequenceStore":
+        """A store from its JSON form; a count or a time list the index
+        could not read raises ``ValidationError`` naming the key below
+        ``where``."""
+        keys = ("target_total", "times")
+        data = json_object(payload, keys, where, keys)
+        total = typed(data["target_total"], int, at(where, "target_total"))
+        if total < 0:
+            raise ValidationError("must be non-negative", field=at(where, "target_total"))
         times = {}
-        for key, stored in _payload_object(payload, "times").items():
+        where_times = at(where, "times")
+        for key, stored in json_object(data["times"], None, where_times).items():
             if not (
                 isinstance(stored, list)
                 and all(type(x) in (int, float) and 0 <= x < SECONDS_PER_DAY for x in stored)
                 and all(a <= b for a, b in zip(stored, stored[1:]))
             ):
-                raise ValueError(f"times {key!r}: need ascending seconds of day")
+                raise ValidationError("need ascending seconds of day", field=at(where_times, key))
             times[_items_from_key(key)] = [float(x) for x in stored]
         return cls(times=times, target_total=total)
 

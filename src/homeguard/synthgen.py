@@ -7,16 +7,19 @@ ranges).  Generation is deterministic: every day draws from its own
 ``(seed, day)`` random stream, and outputs are byte-identical across runs.
 
 Anomalies are never simulated here; the evaluation harness injects them.
+
+A scenario file is the scenario in the JSON form of ``payload.to_payload``,
+read back through ``payload.record`` by the rules listed there.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-import math
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -30,6 +33,7 @@ from .ingest import (
     write_operation_log,
     write_sensor_log,
 )
+from .payload import dict_of, faults_as, list_of, load_json, record, rows, to_payload, tuple_of
 from .vocab import DEFAULT_SENSOR_RANGES, SENSOR_FIELDS
 
 
@@ -37,6 +41,7 @@ from .vocab import DEFAULT_SENSOR_RANGES, SENSOR_FIELDS
 class Interval:
     """Minutes of day [start, end); end before start wraps past midnight."""
 
+    JSON_ROW: ClassVar[bool] = True  # written as [start_minute, end_minute]
     start_minute: int
     end_minute: int
 
@@ -67,6 +72,7 @@ class CookSession:
 
 @dataclass(frozen=True)
 class DeviceHabit:
+    JSON_ROW: ClassVar[bool] = True  # written as [device, action, activity, rate_per_hour]
     device: str
     action: str
     activity: str = "active"
@@ -393,114 +399,25 @@ def scenario_calibration(seed: int = 0, n_days: int = 4) -> Scenario:
 
 
 # --- scenario JSON round trip ----------------------------------------------
+# The JSON form is ``payload.to_payload``'s; this table reads it back.
 
-
-def scenario_to_payload(value):
-    """A scenario (or a part of one) in its JSON form: an interval, a habit
-    or a lead operation as a list of its values, any other part as an object
-    keyed by its field names."""
-    if isinstance(value, date):
-        return value.isoformat()
-    if isinstance(value, (Interval, DeviceHabit)):
-        return [getattr(value, f.name) for f in fields(value)]
-    if is_dataclass(value):
-        return {f.name: scenario_to_payload(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, tuple):
-        return [scenario_to_payload(item) for item in value]
-    if isinstance(value, dict):
-        return {key: scenario_to_payload(item) for key, item in value.items()}
-    return value
-
-
-_TYPE_NAMES = {str: "text", int: "an integer", float: "a finite number", list: "a JSON list"}
-
-
-def _typed(value, kind: type, where: str):
-    """``value`` checked to have the JSON type ``kind`` (no bool counts as a
-    number, and no float as an integer); a fault names ``where``."""
-    ok = not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
-    if not ok or kind is float and not math.isfinite(value):
-        raise ValidationError(f"expected {_TYPE_NAMES[kind]}, got {value!r}", field=where)
-    return value
-
-
-def _object(value, keys, where: str) -> dict:
-    """``value`` checked to be a JSON object whose keys are all in ``keys``."""
-    if not isinstance(value, dict):
-        raise ValidationError(f"expected a JSON object, got {value!r}", field=where or "scenario")
-    for key in value:
-        if key not in keys:
-            raise ValidationError(f"unknown key {key!r}", field=where or "scenario")
-    return value
-
-
-def _built(cls, where: str, *args, **kwargs):
-    """``cls(*args, **kwargs)``; a ``ValidationError`` or ``ValueError`` it
-    raises names ``where``."""
-    try:
-        return cls(*args, **kwargs)
-    except (ValidationError, ValueError) as exc:
-        raise ValidationError(str(exc), field=where or None) from None
-
-
-# A converter from a JSON value to a part of a scenario is either a JSON type
-# or a function ``convert(value, where)``; a fault raises ``ValidationError``
-# naming ``where``.
-def _converted(convert, value, where: str):
-    return _typed(value, convert, where) if isinstance(convert, type) else convert(value, where)
-
-
-def _rows(cls, kinds: tuple[type, ...]):
-    """A JSON list of rows, each a list of ``len(kinds)`` values of those
-    types, as one ``cls(*row)`` per row."""
-
-    def convert(value, where):
-        parts = []
-        for i, row in enumerate(_typed(value, list, where)):
-            name = f"{where}[{i}]"
-            if not isinstance(row, list) or len(row) != len(kinds):
-                raise ValidationError(f"expected a list of {len(kinds)} values, got {row!r}",
-                                      field=name)
-            parts.append(_built(cls, name, *map(_typed, row, kinds, [name] * len(row))))
-        return tuple(parts)
-
-    return convert
-
-
-def _record(cls, **converts):
-    """A JSON object as ``cls``, each key converted by ``converts[key]``; a
-    field of ``cls`` without a default is required."""
-
-    def convert(value, where):
-        data = _object(value, converts, where)
-        prefix = f"{where}." if where else ""
-        for f in fields(cls):
-            if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
-                raise ValidationError("missing", field=prefix + f.name)
-        values = {key: _converted(converts[key], item, prefix + key) for key, item in data.items()}
-        return _built(cls, where, **values)
-
-    return convert
-
-
-_CHANNEL = _record(SensorChannel, **dict.fromkeys([f.name for f in fields(SensorChannel)], float))
-_INTERVALS = _rows(Interval, (int, int))
-_SESSION = _record(CookSession, start_minute=int, duration=int, appliance=str,
-                   lead_ops=_rows(lambda *op: op, (str, str, int)))
-_TEMPLATE = _record(DayTemplate, sleep=_INTERVALS, out=_INTERVALS, cook=lambda value, where: tuple(
-    _SESSION(cs, f"{where}[{i}]") for i, cs in enumerate(_typed(value, list, where))
-))
-_SCENARIO = _record(
-    Scenario, name=str, n_users=int, n_days=int, seed=int, jitter_std_minutes=float,
-    sensor_interval_minutes=int, weekday=_TEMPLATE,
-    start_date=lambda value, where: _built(date.fromisoformat, where, _typed(value, str, where)),
+_TEMPLATE = record(
+    DayTemplate,
+    sleep=rows(Interval, int, int),
+    out=rows(Interval, int, int),
+    cook=list_of(record(CookSession, start_minute=int, duration=int,
+                        lead_ops=list_of(tuple_of(str, str, int)))),
+)
+_SCENARIO = record(
+    Scenario,
+    weekday=_TEMPLATE,
     # An empty weekend, like none, means every day follows the weekday.
     weekend=lambda value, where: None if value in (None, {}) else _TEMPLATE(value, where),
-    habits=_rows(DeviceHabit, (str, str, str, float)),
-    sensors=lambda value, where: {
-        name: _CHANNEL(channel, f"{where}.{name}")
-        for name, channel in _object(value, SENSOR_FIELDS, where).items()
-    } or _default_sensors(),
+    habits=rows(DeviceHabit, str, str, str, float),
+    sensors=lambda value, where: (
+        dict_of(record(SensorChannel, base=float), SENSOR_FIELDS)(value, where)
+        or _default_sensors()
+    ),
 )
 
 
@@ -511,14 +428,10 @@ def scenario_from_payload(payload) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ValidationError(f"scenario file {path}: {exc.strerror or exc}") from None
-    except ValueError as exc:
-        raise ValidationError(f"scenario file {path} is not valid JSON: {exc}") from None
-    return scenario_from_payload(payload)
+    payload = load_json(path, ValidationError, "scenario file")
+    with faults_as(ValidationError, f"scenario file {path}: "):
+        return scenario_from_payload(payload)
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_payload(scenario), indent=2, sort_keys=True))
+    Path(path).write_text(json.dumps(to_payload(scenario), indent=2, sort_keys=True))

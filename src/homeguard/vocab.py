@@ -4,7 +4,8 @@ The registry pins down which (device, action) pairs may appear in operation
 logs, which devices count as cooking appliances, which single device is the
 detection target, and the accepted physical range of each sensor channel.
 It is loaded from / saved to a small JSON file so deployments can extend the
-default set without code changes.
+default set without code changes; the file is read by the rules of
+``payload``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import SchemaError, ValidationError
+from .payload import dict_of, faults_as, list_of, load_json, record, to_payload, tuple_of
 
 # Default registry: one entry per device with its action set.
 DEFAULT_PAIRS: dict[str, tuple[str, ...]] = {
@@ -110,89 +112,31 @@ class Vocabulary:
             for action in actions
         )
 
-    def to_payload(self) -> dict:
-        return {
-            "pairs": {device: list(actions) for device, actions in sorted(self.pairs.items())},
-            "cooking_appliances": list(self.cooking_appliances),
-            "detection_target": self.detection_target,
-            "presence_device": self.presence_device,
-            "sensor_ranges": {name: list(rng) for name, rng in sorted(self.sensor_ranges.items())},
-        }
-
     @classmethod
-    def from_payload(cls, payload: dict) -> "Vocabulary":
+    def from_payload(cls, payload) -> "Vocabulary":
         """A vocabulary from its JSON form; a missing key takes its default.
-
-        A key outside the five this class writes, or a value of the wrong
-        shape, raises ``SchemaError`` naming the key.
-        """
-        if not isinstance(payload, dict):
-            raise SchemaError(f"expected a JSON object, got {payload!r}")
-        for key in payload:
-            if key not in _PAYLOAD_KEYS:
-                raise SchemaError(f"unknown key {key!r}")
-        pairs = payload.get("pairs", DEFAULT_PAIRS)
-        if not isinstance(pairs, dict) or not all(
-            _is_text_list(actions) for actions in pairs.values()
-        ):
-            raise SchemaError(
-                f"'pairs' must map each device to a list of actions, got {pairs!r}"
-            )
-        cooking = payload.get("cooking_appliances", DEFAULT_COOKING_APPLIANCES)
-        if not _is_text_list(cooking):
-            raise SchemaError(
-                f"'cooking_appliances' must be a list of devices, got {cooking!r}"
-            )
-        roles = {}
-        for key, default in (("detection_target", DEFAULT_DETECTION_TARGET),
-                             ("presence_device", PRESENCE_DEVICE)):
-            roles[key] = payload.get(key, default)
-            if not isinstance(roles[key], str):
-                raise SchemaError(f"{key!r} must be a device name, got {roles[key]!r}")
-        ranges = payload.get("sensor_ranges", DEFAULT_SENSOR_RANGES)
-        if not isinstance(ranges, dict) or not all(
-            name in SENSOR_FIELDS and _is_range(rng) for name, rng in ranges.items()
-        ):
-            raise SchemaError(
-                "'sensor_ranges' must map sensor names"
-                f" ({', '.join(SENSOR_FIELDS)}) to [low, high], got {ranges!r}"
-            )
-        return cls(
-            pairs={device: tuple(actions) for device, actions in pairs.items()},
-            cooking_appliances=tuple(cooking),
-            sensor_ranges={name: (float(rng[0]), float(rng[1])) for name, rng in ranges.items()},
-            **roles,
-        )
+        A fault raises ``SchemaError`` naming the key."""
+        with faults_as(SchemaError):
+            return VOCABULARY(payload, "")
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_payload(), indent=2, sort_keys=True))
+        Path(path).write_text(json.dumps(to_payload(self), indent=2, sort_keys=True))
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
-        try:
-            payload = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise SchemaError(f"vocabulary file {path}: {exc.strerror or exc}") from None
-        except ValueError as exc:
-            raise SchemaError(f"vocabulary file {path} is not valid JSON: {exc}") from None
-        try:
-            return cls.from_payload(payload)
-        except (SchemaError, ValidationError) as exc:
-            raise SchemaError(f"vocabulary file {path}: {exc}") from None
+        payload = load_json(path, SchemaError, "vocabulary file")
+        with faults_as(SchemaError, f"vocabulary file {path}: "):
+            return VOCABULARY(payload, "")
 
 
-_PAYLOAD_KEYS = (
-    "pairs", "cooking_appliances", "detection_target", "presence_device", "sensor_ranges",
+# The converter of the JSON form of a vocabulary (``payload.to_payload``'s),
+# which the model file reads too.
+VOCABULARY = record(
+    Vocabulary,
+    pairs=dict_of(list_of(str)),
+    cooking_appliances=list_of(str),
+    sensor_ranges=dict_of(
+        lambda value, where: tuple(map(float, tuple_of(float, float)(value, where))),
+        SENSOR_FIELDS,
+    ),
 )
-
-
-def _is_text_list(value) -> bool:
-    return isinstance(value, (list, tuple)) and all(isinstance(item, str) for item in value)
-
-
-def _is_range(value) -> bool:
-    return (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in value)
-    )

@@ -39,7 +39,6 @@ from homeguard.labeling import (
 )
 from homeguard.seqstore import (
     SECONDS_PER_DAY,
-    EventSequence,
     Items,
     Pair,
     SeqParams,
@@ -442,6 +441,18 @@ def decode_labels(slots: Sequence[SlotRecord], labels: LabelArrays) -> list[Labe
             labels.excluded.tolist(), strict=True,
         )
     ]
+
+
+@dataclass(frozen=True)
+class EventSequence:
+    """An ordered list of (device, action) symbols with its completion time."""
+
+    items: Items
+    end_time: datetime | None = None
+
+    @property
+    def length(self) -> int:
+        return len(self.items)
 
 
 def generate_subsequences(

@@ -13,6 +13,7 @@ import pytest
 from homeguard import cli
 from homeguard.cli import main
 from homeguard.detector import BaselineParams, Thresholds, judge_sequence_baseline
+from homeguard.errors import ValidationError
 from homeguard.hsmodel import FORMAT_VERSION, TrainedModel, run_filter
 from homeguard.ingest import (
     build_timeslots,
@@ -21,6 +22,7 @@ from homeguard.ingest import (
     write_operation_log,
     write_sensor_log,
 )
+from homeguard.labeling import LabelingParams
 from homeguard.seqstore import window_start
 from homeguard.synthgen import generate, save_scenario, scenario_calibration, scenario_s1
 from homeguard.vocab import Vocabulary
@@ -387,18 +389,19 @@ class TestMalformedModel:
     @pytest.mark.parametrize(
         "edit, named",
         [
-            (drop_key("b"), "'b'"),
+            (drop_key("b"), "b: missing"),
             (set_key("seq_params", "bogus", 1), "'bogus'"),
             (set_key("model_params", "bogus", 1), "'bogus'"),
             (set_key("labeling_params", "bogus", 1), "'bogus'"),
-            (set_key("seq_params", "w_max", "16"), "'w_max'"),
-            (set_key("labeling_params", "night_split", "noon"), "'night_split'"),
+            (set_key("seq_params", "w_max", "16"), "seq_params.w_max"),
+            (set_key("labeling_params", "night_split", "noon"), "labeling_params.night_split"),
             (replace_key("states", ["x:y"]), "'x:y'"),
             (short_b_vector, "'cooking_stove:on'"),
             (replace_key("store", None), "store"),
             (replace_key("baseline_store", None), "baseline_store"),
-            (set_key("vocabulary", "pairs", 5), "'pairs'"),
-            (set_key("vocabulary", "sensor_ranges", {"co2": "high"}), "'sensor_ranges'"),
+            (set_key("vocabulary", "pairs", 5), "vocabulary.pairs"),
+            (set_key("vocabulary", "sensor_ranges", {"co2": "high"}),
+             "vocabulary.sensor_ranges.co2"),
             (set_key("vocabulary", "bogus", 1), "'bogus'"),
             (replace_key("vocabulary", []), "vocabulary"),
             (a_row_value("x"), "a: transition slot"),
@@ -412,13 +415,18 @@ class TestMalformedModel:
             (set_key("baseline_store", "times", 5), "times"),
             (replace_key("states", 5), "states"),
             (set_key("seq_params", "t_seq", 10**30), "t_seq"),
+            (replace_key("bogus", 1), "unknown key 'bogus'"),
+            (set_key("store", "extra", 1), "store: unknown key 'extra'"),
+            (set_key("baseline_store", "extra", 1), "baseline_store: unknown key 'extra'"),
+            (set_key("store", "criterion", 5), "store.criterion"),
         ],
         ids=["no-b", "seq-bogus", "model-bogus", "labeling-bogus", "w_max-text",
              "night_split-text", "state-x:y", "short-b", "store-null", "baseline_store-null",
              "vocabulary-pairs", "vocabulary-ranges", "vocabulary-bogus", "vocabulary-list",
              "a-row-text", "a-row-nan", "t_z-text", "t_z-short", "target_total-text",
              "b-negative", "slot_counts-short", "counts-list", "times-int", "states-int",
-             "t_seq-huge"],
+             "t_seq-huge", "top-bogus", "store-extra", "baseline_store-extra",
+             "store-criterion-int"],
     )
     def test_exits_2_naming_the_fault(self, tmp_path, model_home, edit, named, method, capsys):
         code, err = self.detect(tmp_path, model_home, edit, method, capsys)
@@ -469,27 +477,26 @@ class TestBadConfig:
         assert str(config) in err and "not valid JSON" in err
 
     @pytest.mark.parametrize(
-        "command, content, section, named",
+        "command, content, named",
         [
-            ("train", {"seq": {"bogus": 1}}, "seq", "'bogus'"),
-            ("train", {"labeling": {"bogus": 1}}, "labeling", "'bogus'"),
-            ("train", {"model": {"t_z_max": "wide"}}, "model", "'t_z_max'"),
-            ("detect", {"detector": {"bogus": 1}}, "detector", "'bogus'"),
-            ("detect", {"detector": {"n_single": "high"}}, "detector", "'n_single'"),
-            ("train", {"labeling": {"night_split": "5:0"}}, "labeling", "'night_split'"),
-            ("train", {"labeling": {"night_window": ["22:00", "24:00"]}}, "labeling",
-             "'night_window'"),
+            ("train", {"seq": {"bogus": 1}}, "seq: unknown key 'bogus'"),
+            ("train", {"labeling": {"bogus": 1}}, "labeling: unknown key 'bogus'"),
+            ("train", {"model": {"t_z_max": "wide"}}, "model.t_z_max"),
+            ("detect", {"detector": {"bogus": 1}}, "detector: unknown key 'bogus'"),
+            ("detect", {"detector": {"n_single": "high"}}, "detector.n_single"),
+            ("train", {"labeling": {"night_split": "5:0"}}, "labeling.night_split"),
+            ("train", {"labeling": {"night_window": ["22:00", "24:00"]}},
+             "labeling.night_window[1]"),
         ],
         ids=["seq-bogus", "labeling-bogus", "model-text", "detector-bogus", "detector-text",
              "night_split-short", "night_window-24"],
     )
-    def test_bad_section_exits_2(self, tmp_path, model_home, command, content, section, named,
-                                 capsys):
+    def test_bad_section_exits_2(self, tmp_path, model_home, command, content, named, capsys):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(content))
         assert self.run(model_home, config, command) == 2
         err = capsys.readouterr().err
-        assert str(config) in err and f"section '{section}'" in err and named in err
+        assert str(config) in err and named in err
 
 
     @pytest.mark.parametrize("command", ["train", "detect"])
@@ -498,7 +505,7 @@ class TestBadConfig:
         config.write_text(json.dumps({"sq": {"t_seq": 5}}))
         assert self.run(model_home, config, command) == 2
         err = capsys.readouterr().err
-        assert str(config) in err and "unknown section 'sq'" in err
+        assert str(config) in err and "unknown key 'sq'" in err
 
 
 class TestBadVocabulary:
@@ -533,19 +540,21 @@ class TestBadVocabulary:
     @pytest.mark.parametrize(
         "content, named",
         [
-            ({"pairs": 5}, "'pairs'"),
-            ({"pairs": {"tv": "on"}}, "'pairs'"),
-            ({"cooking_appliances": "cooking_stove"}, "'cooking_appliances'"),
-            ({"detection_target": 3}, "'detection_target'"),
-            ({"presence_device": ["user_position"]}, "'presence_device'"),
-            ({"sensor_ranges": {"co2": [0]}}, "'sensor_ranges'"),
-            ({"sensor_ranges": {"co3": [0, 5000]}}, "'sensor_ranges'"),
+            ({"pairs": 5}, "pairs: expected a JSON object"),
+            ({"pairs": {"tv": "on"}}, "pairs.tv: expected a JSON list"),
+            ({"cooking_appliances": "cooking_stove"}, "cooking_appliances: expected a JSON list"),
+            ({"detection_target": 3}, "detection_target: expected text"),
+            ({"presence_device": ["user_position"]}, "presence_device: expected text"),
+            ({"sensor_ranges": {"co2": [0]}}, "sensor_ranges.co2: expected a list of 2 values"),
+            ({"sensor_ranges": {"co3": [0, 5000]}}, "sensor_ranges: unknown key 'co3'"),
+            ({"sensor_ranges": {"co2": [0, float("nan")]}}, "sensor_ranges.co2[1]"),
             ({"pair": {}}, "'pair'"),
             ([], "JSON object"),
             ({"detection_target": "kettle"}, "'kettle'"),
         ],
         ids=["pairs-int", "pairs-text", "cooking-text", "target-int", "presence-list",
-             "range-short", "range-unknown", "unknown-key", "not-object", "target-unknown"],
+             "range-short", "range-unknown", "range-nan", "unknown-key", "not-object",
+             "target-unknown"],
     )
     def test_bad_shape_exits_2(self, tmp_path, model_home, command, content, named, capsys):
         vocabulary = tmp_path / "vocab.json"
@@ -956,6 +965,48 @@ class TestNonFiniteTolerances:
         assert main(["detect", "--model", str(model), "--operations", str(ops),
                      "--sensors", str(sensors), "--method", method]) == 2
         assert "t_seq" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, text", [("--noise-threshold", "nan"),
+                                            ("--co2-threshold", "inf"),
+                                            ("--co2-threshold", "-inf")])
+    @pytest.mark.parametrize("command", ["label", "train"])
+    def test_labeling_threshold_flag(self, tmp_path, model_home, command, flag, text, capsys):
+        ops, sensors, _ = model_home
+        argv = [command, "--operations", str(ops), "--sensors", str(sensors), f"{flag}={text}"]
+        if command == "train":
+            argv += ["--output", str(tmp_path / "model.json")]
+        assert main(argv) == 2
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("name", ["noise_threshold", "co2_threshold"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 10**400])
+    def test_labeling_threshold_in_config(self, tmp_path, model_home, name, value, capsys):
+        ops, sensors, _ = model_home
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"labeling": {name: value}}))  # writes NaN / Infinity
+        assert main(["train", "--operations", str(ops), "--sensors", str(sensors),
+                     "--config", str(config), "--output", str(tmp_path / "model.json")]) == 2
+        err = capsys.readouterr().err
+        assert str(config) in err and f"labeling.{name}" in err
+        assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("name", ["noise_threshold", "co2_threshold"])
+    def test_labeling_threshold_in_model(self, tmp_path, model_home, name, capsys):
+        ops, sensors, payload = model_home
+        payload = json.loads(json.dumps(payload))
+        payload["labeling_params"][name] = float("nan")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        assert main(["detect", "--model", str(model), "--operations", str(ops),
+                     "--sensors", str(sensors)]) == 2
+        assert f"labeling_params.{name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["noise_threshold", "co2_threshold"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_labeling_threshold_from_python(self, name, value):
+        with pytest.raises(ValidationError, match=name):
+            LabelingParams(**{name: value})
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-1"])
     def test_alpha_seq_flag_of_detect(self, tmp_path, model_home, text, capsys):
