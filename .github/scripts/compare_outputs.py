@@ -54,8 +54,12 @@ LABEL_RUNS = (
 )
 
 # train, then detect with each method, on the same home: (name, day origin,
-# arguments).  The benchmark's operator path runs at 00:00 only.
-OPERATOR_RUNS = (("day-origin", "04:00", ()),)
+# arguments).  The benchmark's operator path runs at 00:00 only.  With nobody
+# home at first, train keeps the first 04:00 day only in part.
+OPERATOR_RUNS = (
+    ("day-origin", "04:00", ()),
+    ("day-origin-excluded-date", "04:00", ("--initial-occupants", "0")),
+)
 DETECT_METHODS = ("proposed", "estimation", "sequence")
 
 # A config that sets every parameter section away from its defaults.

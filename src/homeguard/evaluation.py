@@ -148,10 +148,6 @@ class EvalDataset:
     def n_days(self) -> int:
         return len(self.grid) // SLOTS_PER_DAY
 
-    def day_events(self, day: int) -> list[EventRecord]:
-        first = self.grid.first
-        return self.grid.events[first[day * SLOTS_PER_DAY] : first[(day + 1) * SLOTS_PER_DAY]]
-
 
 class OperationContext:
     """One operation to judge: the real window and belief at its instant."""
@@ -309,7 +305,7 @@ class FoldContext:
     ) -> list[OperationContext]:
         """Real target operations of the held-out day, then injected ones."""
         target = self.dataset.vocabulary.detection_target
-        day_events = self.dataset.day_events(self.heldout_day)
+        day_events = self.windows.days[self.heldout_day]
         event_times = [event.timestamp for event in day_events]
         t_seq = self.seq_params.t_seq
 
@@ -357,8 +353,7 @@ class FoldContext:
 
 
 def _dataset_windows(dataset: EvalDataset, seq_params: SeqParams) -> DayWindows:
-    days = [dataset.day_events(day) for day in range(dataset.n_days)]
-    return DayWindows(days, dataset.vocabulary.detection_target, seq_params)
+    return DayWindows(dataset.grid.days(), dataset.vocabulary.detection_target, seq_params)
 
 
 def _make_folds(
@@ -415,30 +410,16 @@ class SequenceGrid:
             check_alpha_seq(alpha)
 
 
-# Reference grids covering the full documented parameter ranges.  The per-length
-# thresholds are swept over recorded scores ("auto"): every distinct achieved
-# score is a candidate threshold, which reproduces the outcomes of an
-# arbitrarily fine grid at a tiny fraction of the cost.
-TABLE_GRID_PROPOSED = ProposedGrid(
-    t_x=(15, 30, 60, 100),
-    t_y=(15, 30, 60, 100),
-    t_c=(10, 15, 20, 30, 45, 60),
-    criterion="rank",
-    l_values=(1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
-)
-TABLE_GRID_ESTIMATION = EstimationGrid(
-    t_x=(15, 30, 60, 100), t_y=(15, 30, 60, 100), t_c=(10, 15, 20, 30, 45, 60)
-)
-_SEQ_N_VALUES = (0.0, 0.02, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5, 1.0)
-TABLE_GRID_SEQUENCE = SequenceGrid(n_single=_SEQ_N_VALUES, n_multi=_SEQ_N_VALUES)
-
-
 def _candidate_thresholds(scores: np.ndarray, cap: int = 2000) -> np.ndarray:
+    """The thresholds an "auto" sweep tries: every distinct score, and 0
+    and 1.  More than ``cap`` of them are thinned to the ``cap`` at evenly
+    spaced ranks, rounded down; the lowest and the highest stay."""
     values = np.unique(np.concatenate([scores, [0.0, 1.0]]))
     if len(values) > cap:
         idx = np.unique(np.linspace(0, len(values) - 1, cap).astype(int))
         values = values[idx]
     return values
+
 
 def _auto_two_level_points(
     method: str,

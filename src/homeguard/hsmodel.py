@@ -53,7 +53,15 @@ from .labeling import ALPHABET, HomeState, LabelArrays, LabelingParams, parse_st
 from .payload import (
     counts, faults_as, json_object, list_of, load_json, record, to_payload, typed,
 )
-from .seqstore import SeqParams, SequenceStore, TimedSequenceStore, build_timed_store, store_sequences
+from .seqstore import (
+    DayWindows,
+    SeqParams,
+    SequenceStore,
+    TimedSequenceStore,
+    TrainingBeliefs,
+    build_timed_store,
+    store_sequences,
+)
 from .vocab import VOCABULARY, Vocabulary
 
 FORMAT_VERSION = 2
@@ -710,10 +718,15 @@ def train_model(
     transitions = fit_transitions(kept, model_params.t_z_max)
     operations = fit_operations(kept, vocabulary)
 
-    _, streams = kept_day_streams(kept)
+    # The store and the timed store share one enumeration of the grid's
+    # windows, as the folds of an evaluation do.
+    target = vocabulary.detection_target
+    windows = DayWindows(grid.days(), target, seq_params)
+    days, streams = kept_day_streams(kept)
     traces = filter_streams(grid, streams, transitions, operations)
-    store = store_sequences(traces, vocabulary.detection_target, seq_params, len(ALPHABET))
-    baseline_store = build_timed_store(grid.events, vocabulary.detection_target, seq_params)
+    beliefs = TrainingBeliefs(traces, windows, days)
+    store = store_sequences(beliefs, target, seq_params, len(ALPHABET))
+    baseline_store = build_timed_store(windows, target, seq_params)
     return TrainedModel(
         vocabulary=vocabulary,
         states=ALPHABET,

@@ -103,6 +103,11 @@ class SlotGrid:
     def __len__(self) -> int:
         return len(self.frame)
 
+    def days(self) -> list[list[EventRecord]]:
+        """The events of each day of the grid, in order, day by day."""
+        bounds = self.first[[*range(0, len(self), SLOTS_PER_DAY), len(self)]].tolist()
+        return [self.events[a:b] for a, b in zip(bounds, bounds[1:])]
+
     def column(self, name: str) -> np.ndarray:
         """Per slot, the reading ``name`` of its sensor frame."""
         values = [np.nan if f is None else f.value(name) for f in self.frames]

@@ -11,23 +11,30 @@ credited to every state whose filtered probability satisfies the configured
 criterion (top-``l_rank`` states, or probability against ``l_alpha``) at the
 instant just before the sequence's final event.
 
+One enumerator builds every subsequence: ``candidates_ending_at`` makes the
+distinct subsequences that end with a window's final item from a
+next-occurrence table, never as position combinations.  A judged window's
+candidates come from it directly, and a training window's subsequences
+(``_enumerate_distinct``) are its candidates at the last occurrence of each
+distinct item.
+
 A window and its subsequences depend only on the events, ``t_seq``, ``w_max``
 and ``l_max``, never on beliefs.  ``DayWindows`` therefore enumerates each
 window of a stream of days once, interning every stored subsequence to an
-integer id, and keeps (id, final event) arrays.  ``TrainingBeliefs`` joins a
-training set's belief traces to those arrays and ranks every belief once, so
-the store for each selection value is one comparison and one count with
-numpy.  A trace that holds only part of its day (an excluded calendar date
-cuts a day that does not start at midnight) has windows of its own events,
-enumerated for it alone.  The time-of-day store is merged from the same arrays; only windows
-that reach back across midnight into a left-out day are enumerated again.
+integer id, and keeps (id, final event) arrays; ``train`` and every fold of
+``evaluate`` build their stores from the same day windows.
+``TrainingBeliefs`` joins a training set's belief traces to those arrays and
+ranks every belief once, so the store for each selection value is one
+comparison and one count with numpy.  A trace that holds only part of its day
+(an excluded calendar date cuts a day that does not start at midnight) has
+windows of its own events, enumerated for it alone.  The time-of-day store is
+merged from the same arrays; only windows that reach back across midnight
+into a left-out day are enumerated again.
 
-A judged window's candidates (``candidates_ending_at``) are built directly as
-distinct subsequences from a next-occurrence table, never as position
-combinations.  The time-of-day store counts matches through an index built on
-first use: every stored time replaced by its rank among the distinct stored
-times and coded with its sequence's key, in one sorted integer array, so each
-count is a difference of two binary searches.
+The time-of-day store counts matches through an index built on first use:
+every stored time replaced by its rank among the distinct stored times and
+coded with its sequence's key, in one sorted integer array, so each count is
+a difference of two binary searches.
 """
 
 from __future__ import annotations
@@ -35,8 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -105,25 +111,6 @@ class SeqParams:
             raise ValidationError("l_max and w_max must be at least 1")
 
 
-def _enumerate_distinct(pairs: Sequence[Pair], l_max: int) -> dict[Items, int]:
-    """All distinct order-preserving subsequences mapped to their final position.
-
-    When the same symbol sequence arises from several index subsets the latest
-    final position wins, so probabilities are taken as close to the sequence
-    completion as possible.
-    """
-    out: dict[Items, int] = {}
-    n = len(pairs)
-    for length in range(1, min(l_max, n) + 1):
-        for combo in combinations(range(n), length):
-            items = tuple(pairs[p] for p in combo)
-            final = combo[-1]
-            previous = out.get(items)
-            if previous is None or final > previous:
-                out[items] = final
-    return out
-
-
 def window_horizon(ts: datetime, t_seq: float) -> datetime:
     """The instant ``t_seq`` seconds before ``ts``, or the first instant a
     ``datetime`` holds when that lies before it."""
@@ -169,6 +156,23 @@ def candidates_ending_at(window_pairs: Sequence[Pair], l_max: int) -> list[Items
     return out
 
 
+def _enumerate_distinct(pairs: Sequence[Pair], l_max: int) -> dict[Items, int]:
+    """All distinct order-preserving subsequences of up to ``l_max`` items,
+    each mapped to the latest position it can end at.
+
+    A subsequence that ends at one copy of an item also ends at the item's
+    last copy, so the subsequences ending with an item are the candidates
+    ending at its last occurrence.  They come by that position, then shortest
+    first, then in item order.
+    """
+    last = {pair: end for end, pair in enumerate(pairs)}
+    out: dict[Items, int] = {}
+    for end in sorted(last.values()):
+        for items in candidates_ending_at(pairs[: end + 1], l_max):
+            out[items] = end
+    return out
+
+
 @dataclass
 class SequenceStore:
     """Counts of target-related sequences per estimated state.
@@ -190,19 +194,6 @@ class SequenceStore:
     def __post_init__(self) -> None:
         if self.slot_counts is None:
             self.slot_counts = np.zeros(self.n_states, dtype=np.int64)
-
-    def occurrence_count(self, state: int, items: Items) -> int:
-        counts = self.counts.get(items)
-        return int(counts[state]) if counts is not None else 0
-
-    def probability(self, state: int, items: Items) -> float:
-        """Sequence probability; zero for unknown sequences or unseen states."""
-        if self.slot_counts[state] == 0:
-            return 0.0
-        counts = self.counts.get(items)
-        if counts is None:
-            return 0.0
-        return float(counts[state]) / float(self.slot_counts[state])
 
     def vector(self, items: Items) -> np.ndarray:
         """Per-state sequence probabilities as one vector."""
@@ -405,13 +396,15 @@ class _StreamWindows:
 class DayWindows:
     """The target windows of a stream of whole days, each enumerated once.
 
-    ``days`` holds each day's events in time order, as a slot stream holds
-    them.  Every target-related subsequence gets one integer id
+    ``days`` holds each day's events in time order, as ``SlotGrid.days``
+    splits them.  ``train`` builds one over its grid and every fold of an
+    ``evaluate`` run shares one, so both take their stores from the same
+    windows.  Every target-related subsequence gets one integer id
     (``items[id]``), shared by all the windows this object enumerates.  Two
     kinds of windows are kept, each enumerated on first use:
 
     - ``day(d)``: the windows of day ``d`` alone, as a training trace of the
-      whole day sees them.  They never depend on which days a fold keeps.
+      whole day sees them.  They never depend on which days are kept.
       ``windows_of`` enumerates, uncached, those of a trace kept in part.
     - ``timed_store(without_day)``: the timed store's windows run over the
       whole stream, across midnight; one that starts inside its own day is
@@ -591,9 +584,9 @@ class TrainingBeliefs:
     shares that day's windows; where ``days[i]`` is None (a day kept in
     part, say) its windows are enumerated from its own events.  On first
     use every belief is ranked once: the slot entries into a count of rows
-    per (rank, state), the instants just before events row by row.  A store for any ``l_rank``
-    then takes a prefix sum and one comparison per event, and an ``l_alpha``
-    store compares the beliefs themselves.
+    per (rank, state), the instants just before events row by row.  A store
+    for any ``l_rank`` then takes a prefix sum and one comparison per event,
+    and an ``l_alpha`` store compares the beliefs themselves.
     """
 
     def __init__(
@@ -671,38 +664,22 @@ class TrainingBeliefs:
 
 
 def store_sequences(
-    traces: "FilterTrace | Iterable[FilterTrace] | TrainingBeliefs",
-    target_device: str,
-    params: SeqParams,
-    n_states: int,
+    beliefs: TrainingBeliefs, target_device: str, params: SeqParams, n_states: int
 ) -> SequenceStore:
-    """Build a sequence store from one or more training belief traces.
-
-    ``TrainingBeliefs`` share their windows and their ranking with every
-    other store built from them.
-    """
-    if not isinstance(traces, TrainingBeliefs):
-        if hasattr(traces, "entry"):
-            traces = [traces]  # type: ignore[list-item]
-        traces = list(traces)  # type: ignore[arg-type]
-        windows = DayWindows([], target_device, params)
-        traces = TrainingBeliefs(traces, windows, [None] * len(traces))
-    traces.windows.check(target_device, params)
-    return traces.store(params, n_states)
+    """The sequence store of a training set's belief traces; the stores of
+    every selection value share their windows and their ranking."""
+    beliefs.windows.check(target_device, params)
+    return beliefs.store(params, n_states)
 
 
 def build_timed_store(
-    events: Sequence[EventRecord] | DayWindows,
+    windows: DayWindows,
     target_device: str,
     params: SeqParams,
     without_day: int | None = None,
 ) -> TimedSequenceStore:
-    """Store target-related sequences with their completion times of day.
-
-    From the ``DayWindows`` of a stream of days, the store of the stream
-    without ``without_day`` is merged from windows enumerated before.
-    """
-    if not isinstance(events, DayWindows):
-        events = DayWindows([sorted(events, key=lambda e: e.timestamp)], target_device, params)
-    events.check(target_device, params)
-    return events.timed_store(without_day)
+    """Store target-related sequences with their completion times of day:
+    those of the whole stream of ``windows``, or of the stream without
+    ``without_day``, merged from windows enumerated before."""
+    windows.check(target_device, params)
+    return windows.timed_store(without_day)

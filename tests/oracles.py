@@ -44,7 +44,6 @@ from homeguard.seqstore import (
     SeqParams,
     SequenceStore,
     TimedSequenceStore,
-    _enumerate_distinct,
     seconds_of_day,
     window_start,
 )
@@ -466,11 +465,24 @@ def generate_subsequences(
     """
     events = list(window)[-w_max:]
     pairs = [event.pair for event in events]
-    distinct = _enumerate_distinct(pairs, l_max)
+    distinct = enumerate_distinct_combinations(pairs, l_max)
     return [
         EventSequence(items, events[final].timestamp)
         for items, final in sorted(distinct.items(), key=lambda kv: (len(kv[0]), kv[0]))
     ]
+
+
+def enumerate_distinct_combinations(pairs: Sequence[Pair], l_max: int) -> dict[Items, int]:
+    """Every distinct subsequence of up to ``l_max`` items mapped to its
+    latest final position, from every combination of positions; in
+    ``_enumerate_distinct``'s order (final position, length, items)."""
+    out: dict[Items, int] = {}
+    n = len(pairs)
+    for length in range(1, min(l_max, n) + 1):
+        for combo in combinations(range(n), length):
+            items = tuple(pairs[p] for p in combo)
+            out[items] = max(combo[-1], out.get(items, -1))
+    return dict(sorted(out.items(), key=lambda kv: (kv[1], len(kv[0]), kv[0])))
 
 
 def candidates_ending_at_combinations(window_pairs: Sequence[Pair], l_max: int) -> list[Items]:
@@ -548,7 +560,7 @@ def store_sequences_per_window(traces, target_device: str, params: SeqParams, n_
                 continue
             lo = max(window_start(times, event.timestamp, params.t_seq), idx + 1 - params.w_max)
             pairs = [e.pair for e in events[lo : idx + 1]]
-            for items, final in _enumerate_distinct(pairs, params.l_max).items():
+            for items, final in enumerate_distinct_combinations(pairs, params.l_max).items():
                 if not any(device == target_device for device, _ in items):
                     continue
                 selected = select_states(trace.pre[lo + final], params)
@@ -573,7 +585,7 @@ def build_timed_store_per_window(events, target_device: str, params: SeqParams):
         if len(window) > params.w_max:
             window = window[-params.w_max :]
         pairs = [e.pair for e in window]
-        for items, final in _enumerate_distinct(pairs, params.l_max).items():
+        for items, final in enumerate_distinct_combinations(pairs, params.l_max).items():
             if not any(device == target_device for device, _ in items):
                 continue
             store.times.setdefault(items, []).append(seconds_of_day(window[final].timestamp))

@@ -33,7 +33,7 @@ from homeguard.hsmodel import (
 )
 from homeguard.ingest import build_timeslots
 from homeguard.labeling import STATE_INDEX, LabelingParams, label_states, parse_state_key
-from homeguard.seqstore import SequenceStore
+from homeguard.seqstore import SequenceStore, _enumerate_distinct
 from homeguard.synthgen import generate, scenario_s1
 from homeguard.vocab import Vocabulary
 
@@ -118,6 +118,7 @@ def test_criterion_3_subsequence_enumeration():
                     oracle.add(tuple(window[p].pair for p in combo))
             assert len(generated) == 2**n - 1
             assert generated == oracle
+            assert set(_enumerate_distinct([event.pair for event in window], n)) == oracle
 
         a, b, c = ("tv", "on"), ("room_light", "on"), ("heater", "on")
         window = [ev(0.0, *a), ev(1.0, *b), ev(2.0, *c)]
@@ -300,8 +301,8 @@ def test_criterion_9_degenerate_branches():
         store = SequenceStore(n_states=3)
         store.counts[(("cooking_stove", "on"),)] = np.array([2, 1, 0])
         store.slot_counts = np.array([4, 0, 0])
-        assert store.probability(1, (("cooking_stove", "on"),)) == 0.0
-        assert store.probability(0, (("tv", "on"),)) == 0.0
+        assert store.vector((("cooking_stove", "on"),))[1] == 0.0
+        assert store.vector((("tv", "on"),))[0] == 0.0
 
         # All-zero belief updates reset to uniform.
         zero_tensor = TransitionTensor(np.zeros((1440, 3, 3)), np.zeros(1440, dtype=np.int64))

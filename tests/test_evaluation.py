@@ -396,7 +396,7 @@ class TestFoldFits:
         assert [len(trace.entry) for trace in training] == [1440] * 3
         detection = fold.detection_trace()
         assert detection.start == dataset.grid.start + timedelta(days=3)
-        assert detection.events == dataset.day_events(3)
+        assert detection.events == dataset.grid.days()[3]
 
     def test_serial_collection_releases_each_fold(self):
         dataset = toy_dataset(n_days=3)

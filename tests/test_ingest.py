@@ -233,6 +233,14 @@ class TestBuildTimeslots:
     def test_empty_inputs(self):
         grid = build_timeslots([], [])
         assert len(grid) == 0 and grid.events == [] and grid.first.tolist() == [0]
+        assert grid.days() == []
+
+    def test_days_split_the_events_at_the_day_origin(self):
+        base = datetime(2020, 1, 1, 4, 0)
+        offsets = [0, 59, 1439, 1440, 3000, 4319]  # minutes; the third day holds two
+        events = [EventRecord(base + timedelta(minutes=m, seconds=30), "tv", "on") for m in offsets]
+        grid = build_timeslots(events, [frame(base)], day_origin=time(4, 0))
+        assert grid.days() == [events[:3], events[3:4], events[4:]]
 
 
 class TestBuildTimeslotsMatchesBisect:

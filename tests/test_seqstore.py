@@ -11,20 +11,27 @@ from homeguard import seqstore
 from homeguard.detector import sequence_scores
 from homeguard.errors import ValidationError
 from homeguard.evaluation import EvalDataset
-from homeguard.hsmodel import FilterTrace, ModelParams
+from homeguard.hsmodel import (
+    FilterTrace,
+    ModelParams,
+    filter_streams,
+    kept_day_streams,
+    train_model,
+)
 from homeguard.ingest import MAX_SPAN_DAYS, EventRecord, build_timeslots
-from homeguard.labeling import ALPHABET, LabelingParams
+from homeguard.labeling import ALPHABET, LabelingParams, label_states
 from homeguard.seqstore import (
+    DayWindows,
     SeqParams,
     SequenceStore,
     TimedSequenceStore,
+    TrainingBeliefs,
     build_timed_store,
     candidates_ending_at,
     store_sequences,
     window_start,
 )
-
-from homeguard.synthgen import generate, scenario_calibration
+from homeguard.synthgen import generate, scenario_calibration, scenario_s1
 from homeguard.vocab import Vocabulary
 
 from conftest import BASE, ev, frame, make_folds
@@ -168,6 +175,20 @@ class TestSelectStates:
         assert select_states(belief, SeqParams(criterion="alpha", l_alpha=0.9)) == []
 
 
+def store_of(traces, target_device, params, n_states):
+    """The store of hand-made traces, each with the windows of its own
+    events."""
+    traces = [traces] if isinstance(traces, FilterTrace) else list(traces)
+    windows = DayWindows([], target_device, params)
+    beliefs = TrainingBeliefs(traces, windows, [None] * len(traces))
+    return store_sequences(beliefs, target_device, params, n_states)
+
+
+def timed_store_of(events, target_device, params):
+    """The timed store of a stream of events in time order, as one day."""
+    return build_timed_store(DayWindows([events], target_device, params), target_device, params)
+
+
 def fabricate_trace(entry_rows, event_specs, n_slots=None):
     """FilterTrace with prescribed entry beliefs and event beliefs.
 
@@ -198,9 +219,9 @@ class TestSequenceStore:
             [[0.5, 0.5]] * 4,
             [(1, ev(1.5, "tv", "on"), [0.5, 0.5])],
         )
-        store = store_sequences(trace, "cooking_stove", SeqParams(l_rank=1), 2)
+        store = store_of(trace, "cooking_stove", SeqParams(l_rank=1), 2)
         assert store.counts == {}
-        assert store.probability(0, (("cooking_stove", "on"),)) == 0.0
+        assert store.vector((("cooking_stove", "on"),))[0] == 0.0
 
     def test_hand_trace_probability_one_quarter(self):
         # State 0 selected at 4 of 10 slot entries; one target operation with
@@ -210,11 +231,11 @@ class TestSequenceStore:
             entry,
             [(0, ev(0.5, "cooking_stove", "on"), [0.9, 0.05, 0.05])],
         )
-        store = store_sequences(trace, "cooking_stove", SeqParams(criterion="rank", l_rank=1), 3)
+        store = store_of(trace, "cooking_stove", SeqParams(criterion="rank", l_rank=1), 3)
         assert (store.slot_counts == np.array([4, 6, 0])).all()
         key = (("cooking_stove", "on"),)
-        assert store.occurrence_count(0, key) == 1
-        assert store.probability(0, key) == pytest.approx(0.25)
+        assert store.counts[key][0] == 1
+        assert store.vector(key)[0] == pytest.approx(0.25)
 
     def test_same_sequence_twice_counts_twice(self):
         trace = fabricate_trace(
@@ -224,8 +245,8 @@ class TestSequenceStore:
                 (25, ev(25.5, "cooking_stove", "on"), [0.9, 0.1]),
             ],
         )
-        store = store_sequences(trace, "cooking_stove", SeqParams(l_rank=1), 2)
-        assert store.occurrence_count(0, (("cooking_stove", "on"),)) == 2
+        store = store_of(trace, "cooking_stove", SeqParams(l_rank=1), 2)
+        assert store.counts[(("cooking_stove", "on"),)][0] == 2
 
     def test_target_related_filter(self):
         # The refrigerator-only subsequence is not stored; pairs that include
@@ -237,7 +258,7 @@ class TestSequenceStore:
                 (1, ev(1.5, "cooking_stove", "on"), [1.0, 0.0]),
             ],
         )
-        store = store_sequences(trace, "cooking_stove", SeqParams(l_rank=1), 2)
+        store = store_of(trace, "cooking_stove", SeqParams(l_rank=1), 2)
         keys = set(store.counts)
         assert (("refrigerator", "opening"),) not in keys
         assert (("cooking_stove", "on"),) in keys
@@ -249,7 +270,7 @@ class TestSequenceStore:
             [(0, ev(0.5, "cooking_stove", "on"), [0.5, 0.5])],
         )
         params = SeqParams(criterion="alpha", l_alpha=0.9)
-        store = store_sequences(trace, "cooking_stove", params, 2)
+        store = store_of(trace, "cooking_stove", params, 2)
         assert store.counts == {}
 
     def test_double_ingest_doubles_counts_keeps_ratios(self):
@@ -258,13 +279,13 @@ class TestSequenceStore:
             entry, [(0, ev(0.5, "cooking_stove", "on"), [0.8, 0.2])]
         )
         params = SeqParams(l_rank=1)
-        once = store_sequences(make(), "cooking_stove", params, 2)
-        twice = store_sequences([make(), make()], "cooking_stove", params, 2)
+        once = store_of(make(), "cooking_stove", params, 2)
+        twice = store_of([make(), make()], "cooking_stove", params, 2)
         key = (("cooking_stove", "on"),)
-        assert twice.occurrence_count(0, key) == 2 * once.occurrence_count(0, key)
+        assert twice.counts[key][0] == 2 * once.counts[key][0]
         assert (twice.slot_counts == 2 * once.slot_counts).all()
-        assert twice.probability(0, key) == pytest.approx(once.probability(0, key))
-        rebuilt = store_sequences(make(), "cooking_stove", params, 2)
+        assert twice.vector(key)[0] == pytest.approx(once.vector(key)[0])
+        rebuilt = store_of(make(), "cooking_stove", params, 2)
         assert rebuilt.to_payload() == once.to_payload()
 
     def test_window_respects_t_seq(self):
@@ -277,7 +298,7 @@ class TestSequenceStore:
                 (25, ev(25.0, "cooking_stove", "on"), [1.0, 0.0]),
             ],
         )
-        store = store_sequences(trace, "cooking_stove", SeqParams(l_rank=1, t_seq=600), 2)
+        store = store_of(trace, "cooking_stove", SeqParams(l_rank=1, t_seq=600), 2)
         assert set(store.counts) == {(("cooking_stove", "on"),)}
 
     def test_payload_round_trip_and_determinism(self):
@@ -290,7 +311,7 @@ class TestSequenceStore:
             ],
         )
         params = SeqParams(l_rank=1)
-        store = store_sequences(trace, "cooking_stove", params, 2)
+        store = store_of(trace, "cooking_stove", params, 2)
         payload = store.to_payload()
         clone = SequenceStore.from_payload(payload)
         assert clone.to_payload() == payload
@@ -300,9 +321,9 @@ class TestSequenceStore:
         store.counts[(("cooking_stove", "on"),)] = np.array([3, 0, 0])
         store.slot_counts = np.array([12, 0, 5])
         key = (("cooking_stove", "on"),)
-        assert store.probability(0, key) == pytest.approx(0.25)
-        assert store.probability(1, key) == 0.0  # zero slot count
-        assert store.probability(2, (("tv", "on"),)) == 0.0  # unknown sequence
+        assert store.vector(key)[0] == pytest.approx(0.25)
+        assert store.vector(key)[1] == 0.0  # zero slot count
+        assert store.vector((("tv", "on"),))[2] == 0.0  # unknown sequence
 
 
 SELECTIONS = {
@@ -338,7 +359,7 @@ class TestStoreAgainstPerWindowOracle:
     def test_fold_stores(self, dense_traces, selection):
         params = SeqParams(t_seq=1800, **selection)
         for traces in dense_traces:
-            store = store_sequences(traces, "cooking_stove", params, len(ALPHABET))
+            store = store_of(traces, "cooking_stove", params, len(ALPHABET))
             assert store.counts
             oracle = store_sequences_per_window(traces, "cooking_stove", params, len(ALPHABET))
             assert_bitwise_equal(store, oracle)
@@ -358,7 +379,7 @@ class TestStoreAgainstPerWindowOracle:
             ]
             trace = fabricate_trace(entry, specs)
             params = SeqParams(t_seq=600, w_max=6, **selection)
-            store = store_sequences(trace, "cooking_stove", params, 4)
+            store = store_of(trace, "cooking_stove", params, 4)
             oracle = store_sequences_per_window([trace], "cooking_stove", params, 4)
             assert_bitwise_equal(store, oracle)
 
@@ -436,9 +457,9 @@ def fold_oracle(fold, params):
     dataset = fold.dataset
     kept = [
         event
-        for day in range(dataset.n_days)
+        for day, events in enumerate(fold.windows.days)
         if day != fold.heldout_day
-        for event in dataset.day_events(day)
+        for event in events
     ]
     return build_timed_store_per_window(kept, dataset.vocabulary.detection_target, params)
 
@@ -540,7 +561,8 @@ class TestFoldStoresFromSharedWindows:
     def test_whole_stream_equals_the_per_window_store(self):
         dataset = midnight_dataset()
         for params in (SeqParams(t_seq=600, w_max=4), SeqParams(t_seq=90000, w_max=6)):
-            store = build_timed_store(dataset.grid.events, "cooking_stove", params)
+            windows = DayWindows(dataset.grid.days(), "cooking_stove", params)
+            store = build_timed_store(windows, "cooking_stove", params)
             oracle = build_timed_store_per_window(dataset.grid.events, "cooking_stove", params)
             assert_timed_equal(store, oracle)
 
@@ -551,6 +573,56 @@ class TestFoldStoresFromSharedWindows:
             fold.sequence_store(SeqParams(t_seq=900))
         with pytest.raises(ValidationError):
             build_timed_store(fold.windows, "cooking_stove", SeqParams(t_seq=600, l_max=3))
+
+
+def cut_home(origin=time(4, 0)):
+    """The 5-day s1 home of seed 3 cut to start at ``origin`` on its first
+    date, on a grid whose days start there.  Nobody is home at first, so the
+    first operation excludes the first date, and the first grid day keeps
+    only its slots after midnight."""
+    result = generate(scenario_s1(seed=3, n_days=5))
+    start = datetime.combine(result.events[0].timestamp.date(), origin)
+    events = [event for event in result.events if event.timestamp >= start]
+    frames = [frame for frame in result.frames if frame.timestamp >= start]
+    return build_timeslots(events, frames, origin), LabelingParams(initial_occupants=0)
+
+
+class TestTrainStoresFromDayWindows:
+    """``train_model`` builds its stores from one ``DayWindows`` over the
+    grid's days, as a fold does."""
+
+    def test_stores_equal_the_per_window_stores(self):
+        grid, labeling = cut_home()
+        params = SeqParams()
+        model = train_model(grid, Vocabulary(), labeling, ModelParams(), params)
+        labels = label_states(grid, labeling, Vocabulary())
+        days, streams = kept_day_streams(labels.select(~labels.excluded))
+        assert labels.excluded.any()
+        assert [len(stream) for stream, day in zip(streams, days) if day is None] == [240]
+        traces = filter_streams(grid, streams, model.transitions, model.operations)
+        oracle = store_sequences_per_window(traces, "cooking_stove", params, len(ALPHABET))
+        assert model.store.counts
+        assert_bitwise_equal(model.store, oracle)
+        assert_timed_equal(
+            model.baseline_store, build_timed_store_per_window(grid.events, "cooking_stove", params)
+        )
+
+    def test_each_window_is_enumerated_once(self, monkeypatch):
+        # Within five minutes no window reaches back across midnight.
+        dataset = midnight_dataset()
+        enumerate_window = seqstore._enumerate_distinct
+        windows = []
+
+        def counting(pairs, l_max):
+            windows.append(pairs)
+            return enumerate_window(pairs, l_max)
+
+        monkeypatch.setattr(seqstore, "_enumerate_distinct", counting)
+        params = SeqParams(t_seq=300)
+        model = train_model(dataset.grid, Vocabulary(), LabelingParams(), ModelParams(), params)
+        assert model.store.counts
+        stove = [event for event in dataset.grid.events if event.device == "cooking_stove"]
+        assert len(windows) == len(stove)
 
 
 class TestSeqParams:
@@ -577,7 +649,7 @@ class TestTimedSequenceStore:
             ev(60 * 10 + 2.0, "cooking_stove", "on"),
             ev(60 * 34 + 0.0, "cooking_stove", "on"),
         ]
-        store = build_timed_store(events, "cooking_stove", SeqParams())
+        store = timed_store_of(events, "cooking_stove", SeqParams())
         assert store.target_total == 2
         key = (("cooking_stove", "on"),)
         assert len(store.times[key]) == 2
@@ -625,6 +697,6 @@ class TestTimedSequenceStore:
 
     def test_payload_round_trip(self):
         events = [ev(100.0, "cooking_stove", "on"), ev(200.0, "cooking_stove", "off")]
-        store = build_timed_store(events, "cooking_stove", SeqParams())
+        store = timed_store_of(events, "cooking_stove", SeqParams())
         clone = TimedSequenceStore.from_payload(store.to_payload())
         assert clone.to_payload() == store.to_payload()
