@@ -9,13 +9,16 @@ that each run record lists.  Then runs ``homeguard evaluate`` and
 ``homeguard label`` in both trees on paths the benchmark never takes
 (``EVALUATE_RUNS``, ``LABEL_RUNS``), and ``homeguard train`` followed by
 ``detect`` with each method (``OPERATOR_RUNS``), on one synthetic home
-generated by the current tree.  The file runs read the inputs the benchmark
-never reads: ``train`` and ``detect`` under a config file that sets every
-parameter section (``CONFIG``), ``train`` with a vocabulary file that each
-tree saves itself, and ``synth`` from a scenario file that each tree saves
-itself.  Compares the digests of every file these runs write.  Exits 1 when
-a run fails, lists no outputs, or any digest differs.  Standard library
-only.
+generated by the current tree.  ``TRACE_RUNS`` train on that home and write
+the sha256 of the forward filter's every belief over it (``run_filter``'s
+``entry``, ``pre`` and ``post`` bytes under the trained model), where the
+verdict files hold only the beliefs before target operations.  The file
+runs read the inputs the benchmark never reads: ``train`` and ``detect``
+under a config file that sets every parameter section (``CONFIG``),
+``train`` with a vocabulary file that each tree saves itself, and ``synth``
+from a scenario file that each tree saves itself.  Compares the digests
+of every file these runs write.  Exits 1 when a run fails, lists no
+outputs, or any digest differs.  Standard library only.
 """
 
 from __future__ import annotations
@@ -61,6 +64,33 @@ OPERATOR_RUNS = (
     ("day-origin-excluded-date", "04:00", ("--initial-occupants", "0")),
 )
 DETECT_METHODS = ("proposed", "estimation", "sequence")
+
+# train, then the digests of the trace that detect filters, on the home from
+# each day origin: (name, day origin, arguments).
+TRACE_RUNS = (
+    ("midnight", "00:00", ()),
+    ("day-origin", "04:00", ()),
+)
+# Python run with the tree's source: argv is the model, the operation and
+# sensor CSVs, the day origin and the file to write.
+TRACE_DIGESTS = """
+import hashlib, pathlib, sys
+from datetime import time
+from homeguard.hsmodel import TrainedModel, run_filter
+from homeguard.ingest import build_timeslots, parse_operation_log, parse_sensor_log
+model_path, operations, sensors, origin, out = sys.argv[1:]
+model = TrainedModel.load(model_path)
+ranges = model.vocabulary.sensor_ranges or None
+grid = build_timeslots(
+    parse_operation_log(operations, model.vocabulary, on_unknown="skip"),
+    parse_sensor_log(sensors, ranges=ranges), day_origin=time.fromisoformat(origin),
+)
+trace = run_filter(grid, model.transitions, model.operations)
+pathlib.Path(out).write_text("".join(
+    f"{name} {hashlib.sha256(getattr(trace, name).tobytes()).hexdigest()}\\n"
+    for name in ("entry", "pre", "post")
+))
+"""
 
 # A config that sets every parameter section away from its defaults.
 # noise_threshold, t_seq and alpha_seq are float fields given as JSON
@@ -161,6 +191,17 @@ def operator_steps(home: Path, origin: str, out: Path, args) -> list[tuple]:
     ]
 
 
+def trace_steps(home: Path, origin: str, out: Path, args) -> list[tuple]:
+    """``train`` on ``home``, then write the digests of the filter's trace
+    over it under the trained model."""
+    model = str(out / "model.json")
+    return [
+        ("train", *io_args(home, origin), "--output", model, *args),
+        ("-c", TRACE_DIGESTS, model, str(home / "operations.csv"), str(home / "sensors.csv"),
+         origin, str(out / "trace.sha256")),
+    ]
+
+
 def config_steps(home: Path, origin: str, out: Path, args) -> list[tuple]:
     """Write ``CONFIG``, then ``train`` under it and ``detect`` with each
     method under it."""
@@ -221,6 +262,7 @@ def main(argv=None) -> int:
                 ("evaluate", evaluate_steps, EVALUATE_RUNS),
                 ("label", label_steps, LABEL_RUNS),
                 ("train-detect", operator_steps, OPERATOR_RUNS),
+                ("filter-trace", trace_steps, TRACE_RUNS),
                 ("file", config_steps, (("config", "00:00", ()),)),
                 ("file", vocabulary_steps, (("vocabulary", "00:00", ()),)),
                 ("file", scenario_steps, (("scenario", "00:00", ()),)),

@@ -18,11 +18,12 @@ The filter maintains a belief over the state alphabet: a matrix product and
 renormalization at every slot boundary, a componentwise multiply by the
 operation probabilities at every observed event.  Degenerate updates (all
 probability mass annihilated) reset the belief to uniform so detection can
-always proceed.  Days that share their slots-of-day run in lockstep: one
-(D, S) belief matrix advances all of them per slot, and events update single
-rows.  Several models can filter the same days in one pass, as an (M, D, S)
-tensor advanced by one batched matrix product per slot; an event then updates
-its day's row under every model at once.
+always proceed.  Days that share their slots-of-day run in lockstep: under
+M models, an (M, D, S) belief tensor advanced by one batched matrix product
+per slot; an event updates its day's row under every model at once.  A
+stream that runs alone (the whole stream ``detect`` reads, say) is filtered
+row by row in place: a single row takes another BLAS path than several, so
+it never joins a batch.
 
 A stream is an int array of positions in one ``ingest.SlotGrid``: a whole
 grid, a day of it, or the kept slots of a day.  The filter reads each slot's
@@ -298,6 +299,43 @@ def _event_vectors(
     return vectors, (neutral if neutral.any() else None), bool(neutral.all())
 
 
+def _observe(
+    now: np.ndarray,
+    vectors: np.ndarray,
+    neutral: np.ndarray | None,
+    uniform: np.ndarray,
+    out: np.ndarray,
+) -> np.ndarray:
+    """Write into ``out`` and return the beliefs ``now`` (one per row of the
+    last axis) after observing an operation whose vectors are ``vectors``:
+    multiply, sum, divide.  A row whose mass vanished resets to uniform, and
+    the rows that ``neutral`` marks (an all-ones vector) keep their belief
+    bitwise.  The caller skips an operation that is all ones for every row.
+    """
+    np.multiply(vectors, now, out=out)
+    totals = np.add.reduce(out, -1, None, None, True)
+    if min(totals.ravel().tolist()) > 0.0:
+        out /= totals
+    else:
+        dead = totals[..., 0] <= 0.0
+        out[~dead] /= totals[~dead]
+        out[dead] = uniform
+    if neutral is not None:
+        out[neutral] = now[neutral]
+    return out
+
+
+def _stream_events(grid: SlotGrid, stream: np.ndarray) -> tuple[np.ndarray, list[EventRecord]]:
+    """Where each slot's events begin among the stream's events (the
+    ``first`` of its trace), and those events in order."""
+    lo = grid.first[stream]
+    counts = grid.first[stream + 1] - lo
+    first = np.zeros(len(stream) + 1, dtype=np.intp)
+    np.cumsum(counts, out=first[1:])
+    taken = np.arange(first[-1]) + np.repeat(lo - first[:-1], counts)
+    return first, [grid.events[i] for i in taken.tolist()]
+
+
 class _StackedMatrices:
     """The (M, S, S) transition matrices of M models into slot-of-day ``k``,
     stacked when asked for; a stack of every slot-of-day would hold
@@ -310,25 +348,89 @@ class _StackedMatrices:
         return np.array([probs[k - 1] for probs in self.tensors])
 
 
+def _filter_alone(
+    grid: SlotGrid,
+    stream: np.ndarray,
+    model: tuple[TransitionTensor, OperationTable],
+    initial: np.ndarray,
+) -> FilterTrace:
+    """Filter one stream under one model, row by row in place.
+
+    The belief is a 1-D row of ``entry`` (or of ``post`` after an event),
+    and each slot boundary writes the next row with three numpy calls: the
+    vector-matrix product into the row, its sum and the divide in place (or
+    a reset to uniform).  A single row takes another BLAS path than several,
+    so ``_lockstep`` does not serve a stream that runs alone.  The stream
+    may have gaps: each slot is entered by the matrix of its own slot-of-day.
+    """
+    transitions, operations = model
+    n_states = transitions.n_states
+    first, events = _stream_events(grid, stream)
+    entry = np.empty((len(stream), n_states))
+    pre = np.empty((len(events), n_states))
+    post = np.empty((len(events), n_states))
+    trace = FilterTrace(
+        start=grid.start + int(stream[0]) * SLOT if len(stream) else None,
+        initial=initial, entry=entry, events=events, pre=pre, post=post, first=first,
+    )
+    if not len(stream):
+        return trace
+    uniform = uniform_belief(n_states)
+    # Indexed by slot-of-day k; list indexing is cheaper than array indexing.
+    matrices = [None, *transitions.probs]
+    vectors: dict[tuple[str, str], tuple] = {}
+    # The slots with events, in order; -1 once they are all past.
+    event_slots = iter(np.flatnonzero(np.diff(first)).tolist())
+    next_event = next(event_slots, -1)
+    # Bound once, and called with positional arguments only: call overhead
+    # is most of the cost of a product, a sum or a divide of one short row.
+    dot, add_reduce, divide = np.dot, np.add.reduce, np.divide
+    entry[0] = belief = initial
+    for pos, k in enumerate((stream % SLOTS_PER_DAY + 1).tolist()):
+        if pos:
+            row = entry[pos]
+            dot(belief, matrices[k], row)
+            total = add_reduce(row, 0)
+            if total > 0.0:
+                divide(row, total, row)
+            else:
+                row[:] = uniform
+            belief = row
+        if pos == next_event:
+            for i in range(first[pos], first[pos + 1]):
+                pre[i] = belief
+                pair = events[i].pair
+                found = vectors.get(pair)
+                if found is None:
+                    found = vectors[pair] = _event_vectors([operations], pair)
+                vec, _, neutral = found
+                if neutral:
+                    post[i] = belief
+                else:
+                    belief = _observe(belief, vec[0], None, uniform, post[i])
+            next_event = next(event_slots, -1)
+    return trace
+
+
 def _lockstep(
     grid: SlotGrid,
     streams: Sequence[np.ndarray],
     models: Sequence[tuple[TransitionTensor, OperationTable]],
     initial: np.ndarray,
 ) -> list[list[FilterTrace]]:
-    """Filter streams of equal length whose slots share their slot-of-day,
-    under every one of ``models``; ``traces[m][d]`` follows stream ``d``
-    under model ``m``.
+    """Filter two or more streams of equal length whose slots share their
+    slot-of-day, under every one of ``models``; ``traces[m][d]`` follows
+    stream ``d`` under model ``m``.
 
     Row ``(m, d)`` of the (M, D, S) belief tensor follows stream ``d`` under
-    model ``m``.  One batched matrix product advances every row across a slot
-    boundary.  An event of stream ``d`` updates row ``d`` under every model
-    at once: a multiply, the row sums and a divide on an (M, S) matrix.  With
-    one model the beliefs are a (D, S) matrix and the product is ``np.dot``,
-    which costs less than ``np.matmul`` for a single row; each model's rows
-    come out bitwise equal either way.  Each trace's ``entry`` is a view of
-    one array, and its ``pre`` and ``post`` are views of one (M, n_events, S)
-    array per stream.
+    model ``m``.  One batched ``np.matmul`` advances every row across a slot
+    boundary; with two or more rows its products do not depend on the number
+    of rows, so each model's rows come out bitwise as in any other group.  A
+    single row takes another BLAS path: a stream that runs alone goes to
+    ``_filter_alone``.  An event of stream ``d`` updates row ``d`` under
+    every model at once: a multiply, the row sums and a divide on an (M, S)
+    matrix.  Each trace's ``entry`` is a view of one array, and its ``pre``
+    and ``post`` are views of one (M, n_events, S) array per stream.
     """
     n_models, n_rows = len(models), len(streams)
     n_slots, n_states = len(streams[0]), models[0][0].n_states
@@ -337,32 +439,19 @@ def _lockstep(
     events: list[list[EventRecord]] = []
     rows_at: dict[int, list[int]] = {}
     for row, stream in enumerate(streams):
-        lo = grid.first[stream]
-        counts = grid.first[stream + 1] - lo
-        np.cumsum(counts, out=first[row, 1:])
-        taken = np.arange(first[row, -1]) + np.repeat(lo - first[row, :-1], counts)
-        events.append([grid.events[i] for i in taken.tolist()])
-        for pos in np.flatnonzero(counts).tolist():
+        first[row], row_events = _stream_events(grid, stream)
+        events.append(row_events)
+        for pos in np.flatnonzero(np.diff(first[row])).tolist():
             rows_at.setdefault(pos, []).append(row)
 
-    # Indexed by slot-of-day k; list indexing is cheaper than array indexing.
-    if n_models == 1:
-        matrices = [None, *models[0][0].probs]
-        product = np.dot
-        belief = np.tile(initial, (n_rows, 1))
-        row_at = [slice(row, row + 1) for row in range(n_rows)]
-    else:
-        matrices = _StackedMatrices([transitions.probs for transitions, _ in models])
-        product = np.matmul
-        belief = np.tile(initial, (n_models, n_rows, 1))
-        row_at = [(slice(None), row) for row in range(n_rows)]
+    matrices = _StackedMatrices([transitions.probs for transitions, _ in models])
+    belief = np.tile(initial, (n_models, n_rows, 1))
     tables = [operations for _, operations in models]
     vectors: dict[tuple[str, str], tuple] = {}
     uniform = uniform_belief(n_states)
     # Stream-major, so each trace's beliefs are contiguous for the per-slot
     # state selection of the sequence store; an update stores all rows at once.
     entry = np.empty((n_models, n_rows, n_slots, n_states))
-    entry_at = entry[0] if n_models == 1 else entry
     n_events = first[:, -1].tolist()
     pre = [np.empty((n_models, n, n_states)) for n in n_events]
     post = [np.empty((n_models, n, n_states)) for n in n_events]
@@ -372,7 +461,7 @@ def _lockstep(
     add_reduce = np.add.reduce
     for pos, k in enumerate((streams[0] % SLOTS_PER_DAY + 1).tolist()):
         if pos:
-            belief = product(belief, matrices[k])
+            belief = np.matmul(belief, matrices[k])
             totals = add_reduce(belief, -1, None, None, True)
             if min(totals.ravel().tolist()) > 0.0:
                 belief /= totals
@@ -382,11 +471,10 @@ def _lockstep(
                 dead = totals[..., 0] <= 0.0
                 belief[~dead] /= totals[~dead]
                 belief[dead] = uniform
-        entry_at[..., pos, :] = belief
+        entry[..., pos, :] = belief
         for row in rows_at.get(pos, ()):
-            at = row_at[row]
             row_pre, row_post = pre[row], post[row]
-            now = belief[at]  # (M, S)
+            now = belief[:, row]  # (M, S)
             for i in range(starts[row][pos], starts[row][pos + 1]):
                 row_pre[:, i] = now
                 pair = events[row][i].pair
@@ -394,24 +482,15 @@ def _lockstep(
                 if found is None:
                     found = vectors[pair] = _event_vectors(tables, pair)
                 vec, neutral, all_neutral = found
-                if not all_neutral:
-                    updated = vec * now
-                    totals = add_reduce(updated, 1, None, None, True)
-                    if min(totals.ravel().tolist()) > 0.0:
-                        updated /= totals
-                    else:
-                        dead = totals[:, 0] <= 0.0
-                        updated[~dead] /= totals[~dead]
-                        updated[dead] = uniform
-                    if neutral is not None:
-                        updated[neutral] = now[neutral]
-                    now = updated
-                row_post[:, i] = now
-            belief[at] = now
+                if all_neutral:
+                    row_post[:, i] = now
+                else:
+                    now = _observe(now, vec, neutral, uniform, row_post[:, i])
+            belief[:, row] = now
     return [
         [
             FilterTrace(
-                start=grid.start + int(stream[0]) * SLOT if n_slots else None,
+                start=grid.start + int(stream[0]) * SLOT,
                 initial=initial, entry=entry[m, row], events=events[row],
                 pre=pre[row][m], post=post[row][m], first=first[row],
             )
@@ -436,11 +515,12 @@ def filter_models(
     Contiguous streams of equal length that start at the same slot-of-day
     (the days of a dataset, say) share every transition matrix, so they run
     in lockstep, under every model that wants two or more of them at once.
-    A model that wants a single stream of such a group filters it alone, as
-    would any stream that is empty or has gaps: numpy multiplies a single row
-    by another BLAS path than several rows, whose products do not depend on
-    the number of rows.  So each model's traces are bitwise those of
-    ``filter_streams`` over the streams it wants.
+    A model that wants a single stream of such a group filters it alone, row
+    by row in place (``_filter_alone``), as does any stream that is empty or
+    has gaps: numpy multiplies a single row by another BLAS path than several
+    rows, whose products do not depend on the number of rows.  So each
+    model's traces are bitwise those of ``filter_streams`` over the streams
+    it wants.
     """
     n_states = models[0][0].n_states
     init = (
@@ -475,7 +555,7 @@ def filter_models(
                     if index in wanted_sets[m]:
                         traces[m][index] = trace
         for m, index in alone:
-            [[traces[m][index]]] = _lockstep(grid, [streams[index]], [models[m]], init)
+            traces[m][index] = _filter_alone(grid, streams[index], models[m], init)
     return traces
 
 
@@ -504,7 +584,8 @@ def run_filter(
     operations: OperationTable,
     initial: np.ndarray | None = None,
 ) -> FilterTrace:
-    """Run the forward filter over a whole grid."""
+    """Run the forward filter over a whole grid: one stream, which runs
+    alone, row by row in place (see ``filter_models``)."""
     return filter_streams(grid, [np.arange(len(grid))], transitions, operations, initial)[0]
 
 

@@ -405,7 +405,8 @@ class DayWindows:
 
     - ``day(d)``: the windows of day ``d`` alone, as a training trace of the
       whole day sees them.  They never depend on which days are kept.
-      ``windows_of`` enumerates, uncached, those of a trace kept in part.
+      ``windows_of`` gives those of a trace kept in part, the same in every
+      fold that keeps that part, keyed by its events.
     - ``timed_store(without_day)``: the timed store's windows run over the
       whole stream, across midnight; one that starts inside its own day is
       that day's window.  A window that reaches into the left-out day holds
@@ -422,6 +423,7 @@ class DayWindows:
         self.items: list[Items] = []
         self._ids: dict[Items, int] = {}
         self._day_entries: dict[int, WindowEntries] = {}
+        self._part_entries: dict[tuple[EventRecord, ...], WindowEntries] = {}
         self._stream: _StreamWindows | None = None
 
     def check(self, target_device: str, params: SeqParams) -> None:
@@ -462,18 +464,26 @@ class DayWindows:
         ends = [i for i, event in enumerate(events) if event.device == self.target_device]
         return ends, [window_start(times, times[i], self.cuts[0]) for i in ends]
 
-    def windows_of(self, events: Sequence[EventRecord]) -> WindowEntries:
-        """The windows of ``events`` alone; positions count ``events``."""
+    def _windows_of(self, events: Sequence[EventRecord]) -> WindowEntries:
         pairs = [event.pair for event in events]
         return _entries(
             [self._window(pairs, self._span(*op)) for op in zip(*self._targets(events))]
         )
 
+    def windows_of(self, events: Sequence[EventRecord]) -> WindowEntries:
+        """The windows of ``events`` alone (positions count ``events``),
+        enumerated on first use of these events."""
+        key = tuple(events)
+        entries = self._part_entries.get(key)
+        if entries is None:
+            entries = self._part_entries[key] = self._windows_of(events)
+        return entries
+
     def day(self, d: int) -> WindowEntries:
         """Day ``d``'s own windows, enumerated on first use."""
         entries = self._day_entries.get(d)
         if entries is None:
-            entries = self._day_entries[d] = self.windows_of(self.days[d])
+            entries = self._day_entries[d] = self._windows_of(self.days[d])
         return entries
 
     def _stream_windows(self) -> _StreamWindows:
@@ -582,7 +592,8 @@ class TrainingBeliefs:
 
     Trace ``i`` holds every event of day ``days[i]`` of ``windows`` and
     shares that day's windows; where ``days[i]`` is None (a day kept in
-    part, say) its windows are enumerated from its own events.  On first
+    part, say) its windows are those of its own events, which ``windows``
+    enumerates once for every fold that keeps that part.  On first
     use every belief is ranked once: the slot entries into a count of rows
     per (rank, state), the instants just before events row by row.  A store
     for any ``l_rank`` then takes a prefix sum and one comparison per event,

@@ -702,14 +702,19 @@ class TestGroupedFoldFilter:
         folds = make_folds(dataset, LabelingParams(t_x=3, t_y=3, t_c=2), ModelParams(), SeqParams())
         expected = filter_folds_one_by_one(folds)
         assert expected[5][1] == [None, None, None, None, 4]
-        shapes = []
-        lockstep = hsmodel._lockstep
+        shapes, alone = [], []
+        lockstep, filter_alone = hsmodel._lockstep, hsmodel._filter_alone
 
         def recording(grid, streams, models, initial):
             shapes.append((len(models), len(streams), len(streams[0])))
             return lockstep(grid, streams, models, initial)
 
+        def recording_alone(grid, stream, model, initial):
+            alone.append(len(stream))
+            return filter_alone(grid, stream, model, initial)
+
         monkeypatch.setattr(hsmodel, "_lockstep", recording)
+        monkeypatch.setattr(hsmodel, "_filter_alone", recording_alone)
         for start in range(0, len(folds), group):
             FoldContext.filter_group(folds[start : start + group])
         for fold, (training, days, detection) in zip(folds, expected):
@@ -720,9 +725,10 @@ class TestGroupedFoldFilter:
             assert_traces_equal(fold.detection_trace(), detection)
         # Every model of a group filters the six days whole.  A kept part runs
         # in lockstep with the other part of its length under the folds that
-        # keep both, and alone under the folds that keep one.
+        # keep both, and alone, row by row, under the folds that keep one.
         assert (min(group, 6), 6, 1440) in shapes
-        assert (1, 1, 1200) in shapes and (1, 1, 240) in shapes
+        assert all(rows > 1 for _, rows, _ in shapes)
+        assert 1200 in alone and 240 in alone
         assert max(m for m, rows, n in shapes if rows == 2 and n < 1440) == sharing
 
     def test_collect_records_filters_each_group_once(self, monkeypatch):

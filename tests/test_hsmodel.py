@@ -7,6 +7,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
+from homeguard import hsmodel
 from homeguard.errors import ModelError, VocabularyError
 from homeguard.hsmodel import (
     ModelParams,
@@ -640,7 +641,7 @@ class TestLockstepFilter:
         grid = make_grid(17)
         streams = [np.arange(9, 16), np.arange(9, 13), np.arange(10, 17), np.arange(0)]
         traces = filter_streams(grid, streams, tensor, table)
-        assert traces[0].entry.base is not traces[2].entry.base
+        assert not np.shares_memory(traces[0].entry, traces[2].entry)
         assert len(traces[3].entry) == 0 and traces[3].start is None
         for stream, trace in zip(streams[:3], traces):
             assert_matches_brute_force(
@@ -768,6 +769,65 @@ def random_events(rng, n_slots):
     for bucket in events.values():
         bucket.sort(key=lambda e: e.timestamp)
     return events
+
+
+class TestLoneStream:
+    """A stream that runs alone is filtered row by row in place, bit for bit
+    as the per-event filter reads it."""
+
+    def lone_instance(self, rng, n_states=4):
+        """A model whose operations reset the belief (``kill``) or leave it
+        untouched (``unseen``), and one stream from 16:40 over three
+        midnights, with a gap across the second, and 1-2 events in 400
+        slots."""
+        transitions, operations = random_model(rng, n_states)
+        operations.probs[("dev", "kill")] = np.zeros(n_states)
+        operations.probs[("dev", "unseen")] = np.ones(n_states)
+        p0, n_slots = 1000, 3 * 1440 + 300
+        events = {}
+        for pos in rng.choice(n_slots, 400, replace=False).tolist():
+            offsets = sorted(float(x) * 0.9 for x in rng.random(int(rng.integers(1, 3))))
+            events[p0 + pos] = [
+                ev(p0 + pos + offset, *PAIRS[int(rng.integers(0, len(PAIRS)))])
+                for offset in offsets
+            ]
+        grid = make_grid(p0 + n_slots, events=events)
+        stream = np.delete(np.arange(p0, p0 + n_slots), np.s_[1700:2100])
+        return transitions, operations, grid, stream
+
+    def test_equals_the_per_event_filter(self, monkeypatch):
+        alone = []
+        filter_alone = hsmodel._filter_alone
+
+        def recording(grid, stream, model, initial):
+            alone.append(len(stream))
+            return filter_alone(grid, stream, model, initial)
+
+        monkeypatch.setattr(hsmodel, "_filter_alone", recording)
+        rng = np.random.default_rng(31)
+        transitions, operations, grid, stream = self.lone_instance(rng)
+        assert stream[0] % 1440 != 0 and stream[-1] // 1440 == 3  # mid-day, three midnights
+        assert np.diff(stream).max() > 1  # a gap
+        [got] = filter_streams(grid, [stream], transitions, operations)
+        assert alone == [len(stream)]
+        [expected] = filter_streams_per_event(grid, [stream], transitions, operations)
+        assert_traces_equal(got, expected)
+        uniform = uniform_belief(transitions.n_states)
+        assert any(np.array_equal(row, uniform) for row in got.entry[1:])  # slot reset
+        actions = [event.action for event in got.events]
+        kill = [i for i, action in enumerate(actions) if action == "kill"]
+        unseen = [i for i, action in enumerate(actions) if action == "unseen"]
+        assert kill and all(np.array_equal(got.post[i], uniform) for i in kill)
+        assert unseen and all(np.array_equal(got.post[i], got.pre[i]) for i in unseen)
+
+    def test_empty_stream(self):
+        transitions, operations, grid, _ = self.lone_instance(np.random.default_rng(3))
+        [got] = filter_streams(grid, [np.arange(0)], transitions, operations)
+        assert got.start is None and got.entry.shape == (0, transitions.n_states)
+        assert got.events == [] and list(got.first) == [0]
+        assert_traces_equal(
+            got, filter_streams_per_event(grid, [np.arange(0)], transitions, operations)[0]
+        )
 
 
 class TestFilterModels:

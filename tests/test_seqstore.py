@@ -521,6 +521,37 @@ class TestFoldStoresFromSharedWindows:
         assert partial == 3 * 3  # days 0, 1 and 2, each in the folds that keep it
         assert all(fold.sequence_store().counts for fold in folds)
 
+    def test_each_kept_part_is_enumerated_once(self, monkeypatch):
+        # Three folds keep each part of days 0, 1 and 2; a kept part's
+        # windows are enumerated for the first of them only.
+        dataset = partial_day_dataset()
+        params = SeqParams(t_seq=600)
+        folds = make_folds(dataset, LabelingParams(initial_occupants=0), ModelParams(), params)
+        enumerate_window = seqstore._enumerate_distinct
+        windows = []
+
+        def counting(pairs, l_max):
+            windows.append(pairs)
+            return enumerate_window(pairs, l_max)
+
+        monkeypatch.setattr(seqstore, "_enumerate_distinct", counting)
+        parts, days = {}, set()
+        for fold in folds:
+            beliefs = fold.training_beliefs()
+            for trace, day in zip(beliefs.traces, beliefs.days):
+                if day is None:
+                    parts[tuple(trace.events)] = trace.events
+                else:
+                    days.add(day)
+            oracle = store_sequences_per_window(
+                beliefs.traces, "cooking_stove", params, len(ALPHABET)
+            )
+            assert_bitwise_equal(fold.sequence_store(params), oracle)
+        assert len(parts) == 3
+        targets = [event for events in parts.values() for event in events]
+        targets += [event for day in days for event in fold.windows.days[day]]
+        assert len(windows) == sum(event.device == "cooking_stove" for event in targets)
+
     def test_only_whole_days_share_the_day_windows(self):
         dataset = partial_day_dataset()
         params = SeqParams(t_seq=600)
