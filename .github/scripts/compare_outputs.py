@@ -16,9 +16,11 @@ verdict files hold only the beliefs before target operations.  The file
 runs read the inputs the benchmark never reads: ``train`` and ``detect``
 under a config file that sets every parameter section (``CONFIG``),
 ``train`` with a vocabulary file that each tree saves itself, and ``synth``
-from a scenario file that each tree saves itself.  Compares the digests
-of every file these runs write.  Exits 1 when a run fails, lists no
-outputs, or any digest differs.  Standard library only.
+from scenario files that each tree saves itself (``SCENARIO_FILES``).
+``SYNTH_RUNS`` compare the generated data itself, which the benchmark
+generates but never digests.  Compares the digests of every file these
+runs write.  Exits 1 when a run fails, lists no outputs, or any digest
+differs.  Standard library only.
 """
 
 from __future__ import annotations
@@ -91,6 +93,24 @@ pathlib.Path(out).write_text("".join(
     for name in ("entry", "pre", "post")
 ))
 """
+
+# synth in both trees: (name, day origin, arguments).  Nine days from a
+# Monday take in a weekend.
+SYNTH_RUNS = tuple(
+    (f"{scenario}-seed-{seed}", "00:00",
+     ("--scenario", scenario, "--days", "9", "--seed", str(seed)))
+    for scenario in ("s1", "calibration") for seed in (23, 37)
+)
+
+# synth from a scenario file that each tree saves itself: (name, day origin,
+# the scenario as a Python expression).  The dense one is the home of the
+# benchmark's dense workload: s1 with every habit rate times 20.
+SCENARIO_FILES = (
+    ("scenario", "00:00", ("scenario_s1(n_days=3)",)),
+    ("dense-scenario", "00:00",
+     ("replace(scenario_s1(seed=23, n_days=7), habits=tuple(replace(h, rate_per_hour="
+      "h.rate_per_hour * 20) for h in scenario_s1().habits))",)),
+)
 
 # A config that sets every parameter section away from its defaults.
 # noise_threshold, t_seq and alpha_seq are float fields given as JSON
@@ -225,11 +245,18 @@ def vocabulary_steps(home: Path, origin: str, out: Path, args) -> list[tuple]:
 
 
 def scenario_steps(home: Path, origin: str, out: Path, args) -> list[tuple]:
-    """Save the 3-day s1 scenario, then ``synth`` from the file."""
+    """Save the scenario that ``args`` holds, then ``synth`` from the file."""
+    [expression] = args
     scenario = str(out / "scenario.json")
-    save = ("from homeguard.synthgen import save_scenario, scenario_s1; "
-            f"save_scenario(scenario_s1(n_days=3), {scenario!r})")
+    save = ("from dataclasses import replace; "
+            "from homeguard.synthgen import save_scenario, scenario_s1; "
+            f"save_scenario({expression}, {scenario!r})")
     return [("-c", save), ("synth", "--scenario", scenario, "--output-dir", str(out))]
+
+
+def synth_steps(home: Path, origin: str, out: Path, args) -> list[tuple]:
+    """``synth`` with ``args``."""
+    return [("synth", *args, "--output-dir", str(out))]
 
 
 def compare(label: str, base: dict[str, str], new: dict[str, str]) -> bool:
@@ -265,7 +292,8 @@ def main(argv=None) -> int:
                 ("filter-trace", trace_steps, TRACE_RUNS),
                 ("file", config_steps, (("config", "00:00", ()),)),
                 ("file", vocabulary_steps, (("vocabulary", "00:00", ()),)),
-                ("file", scenario_steps, (("scenario", "00:00", ()),)),
+                ("file", scenario_steps, SCENARIO_FILES),
+                ("synth", synth_steps, SYNTH_RUNS),
             )
             for name, origin, run_args in command_runs
         ]

@@ -51,7 +51,7 @@ from .hsmodel import (
 from .ingest import (
     SLOTS_PER_DAY,
     EventRecord,
-    SensorFrame,
+    SensorFrames,
     SlotGrid,
     build_timeslots,
     parse_operation_log,

@@ -19,6 +19,7 @@ from .detector import (
 )
 from .errors import HomeguardError, UsageError, ValidationError
 from .evaluation import (
+    SECONDS_PER_DAY,
     EstimationGrid,
     EvalDataset,
     ProposedGrid,
@@ -111,33 +112,16 @@ def section_params(config: dict, section: str, overrides: dict | None = None,
         )
 
 
-def _labeling_params(args, config: dict) -> LabelingParams:
-    overrides = {
-        "t_x": getattr(args, "t_x", None),
-        "t_y": getattr(args, "t_y", None),
-        "t_c": getattr(args, "t_c", None),
-        "noise_threshold": getattr(args, "noise_threshold", None),
-        "co2_threshold": getattr(args, "co2_threshold", None),
-        "initial_occupants": getattr(args, "initial_occupants", None),
-    }
-    if getattr(args, "night_window", None):
-        overrides["night_window"] = args.night_window.split("-")
-    return section_params(config, "labeling", overrides, args.config)[0]
-
-
-def _seq_params(args, config: dict) -> SeqParams:
-    overrides = {
-        "t_seq": getattr(args, "t_seq", None),
-        "criterion": getattr(args, "criterion", None),
-        "l_rank": getattr(args, "l_rank", None),
-        "l_alpha": getattr(args, "l_alpha", None),
-    }
-    return section_params(config, "seq", overrides, args.config)[0]
-
-
-def _model_params(args, config: dict) -> ModelParams:
-    overrides = {"t_z_max": getattr(args, "t_z_max", None)}
-    return section_params(config, "model", overrides, args.config)[0]
+def _params(args, config: dict, section: str) -> tuple:
+    """``section_params`` with the command's flags laid over the config: a
+    flag sets the field it is named after.  ``--night-window`` H:MM-H:MM
+    gives the window's two ends, and an empty one is not given."""
+    overrides = {f.name: getattr(args, f.name, None)
+                 for cls in SECTION_PARAMS[section] for f in fields(cls)}
+    window = overrides.get("night_window")
+    if window is not None:
+        overrides["night_window"] = window.split("-") if window else None
+    return section_params(config, section, overrides, args.config)
 
 
 def _vocabulary(args) -> Vocabulary:
@@ -155,7 +139,7 @@ def _load_stream(args, vocabulary: Vocabulary, on_unknown: str = "error"):
 def cmd_label(args) -> int:
     config = _load_config(args)
     vocabulary = _vocabulary(args)
-    params = _labeling_params(args, config)
+    [params] = _params(args, config, "labeling")
     grid = _load_stream(args, vocabulary)
     labels = label_states(grid, params, vocabulary)
     if args.export:
@@ -174,9 +158,9 @@ def cmd_label(args) -> int:
 def cmd_train(args) -> int:
     config = _load_config(args)
     vocabulary = _vocabulary(args)
-    labeling = _labeling_params(args, config)
-    model_params = _model_params(args, config)
-    seq_params = _seq_params(args, config)
+    [labeling] = _params(args, config, "labeling")
+    [model_params] = _params(args, config, "model")
+    [seq_params] = _params(args, config, "seq")
     grid = _load_stream(args, vocabulary)
     if not grid.events:
         raise UsageError("training requires a non-empty operation log")
@@ -186,15 +170,8 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _detector_params(args) -> tuple[Thresholds, BaselineParams]:
-    """The config's detector section with the command-line values laid over it."""
-    overrides = {f.name: getattr(args, f.name)
-                 for cls in SECTION_PARAMS["detector"] for f in fields(cls)}
-    return section_params(_load_config(args), "detector", overrides, args.config)
-
-
 def cmd_detect(args) -> int:
-    thresholds, baseline = _detector_params(args)
+    thresholds, baseline = _params(args, _load_config(args), "detector")
     model = TrainedModel.load(args.model)
     vocabulary = model.vocabulary
     grid = _load_stream(args, vocabulary, on_unknown="skip")
@@ -247,6 +224,12 @@ def cmd_evaluate(args) -> int:
     for option, value in (("--injections", args.injections), ("--seed", args.seed)):
         if value < 0:
             raise UsageError(f"{option}: expected a non-negative integer, got {value}")
+    # Injected operations fall on whole seconds of their day.
+    if args.injections > SECONDS_PER_DAY:
+        raise UsageError(
+            f"--injections: expected at most {SECONDS_PER_DAY} per day, one per second,"
+            f" got {args.injections}"
+        )
     labelings = {
         name: _parse_values(args, f"{name}_values", int) for name in ("t_x", "t_y", "t_c")
     }
@@ -275,9 +258,9 @@ def cmd_evaluate(args) -> int:
 
     config = _load_config(args)
     vocabulary = _vocabulary(args)
-    labeling = _labeling_params(args, config)
-    model_params = _model_params(args, config)
-    seq_params = _seq_params(args, config)
+    [labeling] = _params(args, config, "labeling")
+    [model_params] = _params(args, config, "model")
+    [seq_params] = _params(args, config, "seq")
     dataset = EvalDataset(_load_stream(args, vocabulary), vocabulary)
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)

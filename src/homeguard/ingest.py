@@ -5,14 +5,18 @@ Two CSV formats come in, one slot grid comes out:
 * operation log: ``timestamp,device,action,actor`` rows, one per device
   operation or user entry/exit event;
 * sensor log: ``timestamp,temperature,humidity,atmosphere,co2,noise`` rows
-  sampled roughly every five minutes.
+  sampled roughly every five minutes, read as columns (``SensorFrames``).
 
 ``build_timeslots`` aligns both onto a fixed one-minute grid covering whole
 days and returns it as a ``SlotGrid`` of arrays: the events in order with the
 offset where each slot's events begin, and per slot the index of the sensor
 frame forward-filled into it.  Both come from one ``np.searchsorted`` over
 the microsecond offsets of the inputs.  Inputs spanning more than
-``MAX_SPAN_DAYS`` days are refused before anything is allocated.
+``MAX_SPAN_DAYS`` days are refused before anything is allocated, and a
+sensor frame is needed at or before the first slot.
+
+A file that is not UTF-8 text, or a cell over the ``csv`` field limit,
+raises ``ParseError`` naming the file and the line.
 
 Timestamps are ``YYYY-MM-DDTHH:MM:SS`` text.  ``parse_timestamp`` first
 tries ``datetime.fromisoformat`` and keeps its result only when the value
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from array import array
 from dataclasses import dataclass
 from datetime import datetime, time, timedelta
 from pathlib import Path
@@ -66,19 +71,14 @@ class EventRecord:
         return (self.device, self.action)
 
 
-@dataclass(frozen=True)
-class SensorFrame:
-    """One timestamped vector of environmental readings."""
+@dataclass(frozen=True, eq=False)
+class SensorFrames:
+    """Sensor frames by column: ``values[i]`` holds the readings taken at
+    ``timestamps[i]``, in ``SENSOR_FIELDS`` order, and the timestamps are in
+    order."""
 
-    timestamp: datetime
-    temperature: float
-    humidity: float
-    atmosphere: float
-    co2: float
-    noise: float
-
-    def value(self, name: str) -> float:
-        return getattr(self, name)
+    timestamps: list[datetime]
+    values: np.ndarray  # (n, len(SENSOR_FIELDS)) float
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,15 +89,14 @@ class SlotGrid:
     the day boundary it begins at; it is numbered ``t = p + 1`` and its
     slot-of-day is ``k = p % 1440 + 1``.  ``events`` are the stream's events
     in order, and slot ``p`` holds ``events[first[p]:first[p + 1]]``.  Its
-    sensor frame is ``frames[frame[p]]``: ``frames[0]`` is the default frame
-    (in force before the first sensor frame; None when none was supplied)
-    and ``frames[1:]`` are the sensor frames by time.
+    sensor frame is row ``frame[p]`` of ``frames``, the latest at or before
+    the slot's start.
     """
 
     start: datetime | None
     events: list[EventRecord]
     first: np.ndarray  # (n_slots + 1,) int
-    frames: tuple[SensorFrame | None, ...]
+    frames: SensorFrames
     frame: np.ndarray  # (n_slots,) int
 
     def __len__(self) -> int:
@@ -110,8 +109,7 @@ class SlotGrid:
 
     def column(self, name: str) -> np.ndarray:
         """Per slot, the reading ``name`` of its sensor frame."""
-        values = [np.nan if f is None else f.value(name) for f in self.frames]
-        return np.asarray(values)[self.frame]
+        return self.frames.values[self.frame, SENSOR_FIELDS.index(name)]
 
 
 def format_timestamp(ts: datetime) -> str:
@@ -137,23 +135,40 @@ def parse_timestamp(text: str, line: int | None = None) -> datetime:
 
 
 def _read_rows(path: str | Path, header: Sequence[str]) -> Iterable[tuple[int, list[str]]]:
+    """The rows after the header of a CSV log, with their line numbers;
+    blank rows are skipped."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"file not found: {path}")
     with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
-            first = next(reader)
-        except StopIteration:
-            raise ParseError("empty file, expected header row", line=1) from None
-        if [cell.strip() for cell in first] != list(header):
-            raise ParseError(
-                f"bad header {first!r}, expected {','.join(header)}", line=1
-            )
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            yield line_no, row
+            first = next(reader, None)
+            if first is None:
+                raise ParseError("empty file, expected header row", line=1)
+            if [cell.strip() for cell in first] != list(header):
+                raise ParseError(
+                    f"bad header {first!r}, expected {','.join(header)}", line=1
+                )
+            for line_no, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                yield line_no, row
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text ({exc.reason})",
+                             line=_bad_utf8_line(path)) from None
+        except csv.Error as exc:
+            raise ParseError(f"{path}: {exc}", line=reader.line_num) from None
+
+
+def _bad_utf8_line(path: Path) -> int | None:
+    """The line of the first byte of ``path`` that is not UTF-8 (a reader
+    decodes in blocks, so its error does not tell)."""
+    raw = path.read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return raw.count(b"\n", 0, exc.start) + 1
 
 
 def parse_operation_log(
@@ -199,36 +214,60 @@ def parse_operation_log(
 def parse_sensor_log(
     path: str | Path,
     ranges: dict[str, tuple[float, float]] | None = DEFAULT_SENSOR_RANGES,
-) -> list[SensorFrame]:
-    """Parse a sensor log, range-validated and sorted by timestamp.
+) -> SensorFrames:
+    """Parse a sensor log, range-validated and sorted by timestamp (stable
+    for ties).
 
     ``ranges`` maps field name to an inclusive interval; pass ``None`` to
     disable range checking entirely (deployments with uncalibrated sensors).
+    The first fault in file order is raised, whether a cell that does not
+    parse or a reading out of its range.
     """
-    frames: list[SensorFrame] = []
-    for line_no, row in _read_rows(path, SENSOR_HEADER):
-        if len(row) != len(SENSOR_HEADER):
-            raise ParseError(
-                f"expected {len(SENSOR_HEADER)} fields, got {len(row)}", line=line_no
-            )
-        ts = parse_timestamp(row[0].strip(), line=line_no)
-        values: list[float] = []
-        for name, cell in zip(SENSOR_FIELDS, row[1:]):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(f"bad {name} value {cell!r}", line=line_no) from None
-            if ranges is not None and name in ranges:
-                low, high = ranges[name]
-                if not (low <= value <= high):
-                    raise ValidationError(
-                        f"line {line_no}: value {value} outside [{low}, {high}]",
-                        field=name,
-                    )
-            values.append(value)
-        frames.append(SensorFrame(ts, *values))
-    frames.sort(key=lambda f: f.timestamp)
-    return frames
+    timestamps: list[datetime] = []
+    lines = array("q")
+    cells = array("d")  # the readings, row after row
+    try:
+        for line_no, row in _read_rows(path, SENSOR_HEADER):
+            if len(row) != len(SENSOR_HEADER):
+                raise ParseError(
+                    f"expected {len(SENSOR_HEADER)} fields, got {len(row)}", line=line_no
+                )
+            timestamps.append(parse_timestamp(row[0].strip(), line=line_no))
+            lines.append(line_no)
+            for name, cell in zip(SENSOR_FIELDS, row[1:]):
+                try:
+                    cells.append(float(cell))
+                except ValueError:
+                    raise ParseError(f"bad {name} value {cell!r}", line=line_no) from None
+    finally:
+        # Also on a parse fault: a reading out of range before it comes first.
+        _check_ranges(cells, lines, ranges)
+    values = np.frombuffer(cells).reshape(-1, len(SENSOR_FIELDS))
+    order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
+    return SensorFrames([timestamps[i] for i in order], values[order])
+
+
+def _check_ranges(cells: array, lines: array, ranges: dict | None) -> None:
+    """Raise ``ValidationError`` for the first of ``cells`` (readings in
+    ``SENSOR_FIELDS`` order, row after row; row ``i`` read from line
+    ``lines[i]``) outside its channel's range in ``ranges``."""
+    if not ranges:
+        return
+    checked = np.array([name in ranges for name in SENSOR_FIELDS])
+    bounds = np.array([ranges.get(name, (0.0, 0.0)) for name in SENSOR_FIELDS], dtype=float)
+    values = np.frombuffer(cells)
+    column = np.arange(len(values)) % len(SENSOR_FIELDS)
+    low, high = bounds[column].T
+    # NaN is outside every range.
+    bad = np.flatnonzero(checked[column] & ~((low <= values) & (values <= high)))
+    if len(bad):
+        row, column = divmod(int(bad[0]), len(SENSOR_FIELDS))
+        name = SENSOR_FIELDS[column]
+        low, high = ranges[name]
+        raise ValidationError(
+            f"line {lines[row]}: value {float(values[bad[0]])} outside [{low}, {high}]",
+            field=name,
+        )
 
 
 def write_operation_log(records: Iterable[EventRecord], path: str | Path) -> None:
@@ -241,14 +280,14 @@ def write_operation_log(records: Iterable[EventRecord], path: str | Path) -> Non
             )
 
 
-def write_sensor_log(frames: Iterable[SensorFrame], path: str | Path) -> None:
+def write_sensor_log(frames: SensorFrames, path: str | Path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(SENSOR_HEADER)
-        for frame in frames:
-            row = [format_timestamp(frame.timestamp)]
-            row.extend(repr(frame.value(name)) for name in SENSOR_FIELDS)
-            writer.writerow(row)
+        writer.writerows(
+            [format_timestamp(ts), *map(repr, readings)]
+            for ts, readings in zip(frames.timestamps, frames.values.tolist())
+        )
 
 
 def floor_to_day_origin(ts: datetime, day_origin: time) -> datetime:
@@ -272,24 +311,25 @@ def _grid_bound(ts: datetime, day_origin: time, days: int) -> datetime:
 
 def build_timeslots(
     events: Sequence[EventRecord],
-    frames: Sequence[SensorFrame],
+    frames: SensorFrames,
     day_origin: time = time(0, 0),
-    default_frame: SensorFrame | None = None,
 ) -> SlotGrid:
     """Align events and frames onto the one-minute grid, whole days at a time.
 
     The grid runs from the day boundary at or before the earliest input to the
     day boundary strictly after the latest input, so the slot count is always
     a multiple of 1440.  Sensor values are forward-filled: each slot carries
-    the latest frame with timestamp <= slot start.  Every event lands in
-    exactly one slot.  A grid longer than ``MAX_SPAN_DAYS`` days, or with a
-    day bound outside the dates ``datetime`` holds, raises ``ValidationError``
-    before anything is allocated.
+    the latest frame with timestamp <= slot start, and a slot before every
+    frame raises ``InitializationError``.  Every event lands in exactly one
+    slot.  A grid longer than ``MAX_SPAN_DAYS`` days, or with a day bound
+    outside the dates ``datetime`` holds, raises ``ValidationError`` before
+    anything is allocated.
     """
-    if not events and not frames:
-        return SlotGrid(None, [], np.zeros(1, dtype=np.intp), (default_frame,),
+    if not events and not frames.timestamps:
+        return SlotGrid(None, [], np.zeros(1, dtype=np.intp), frames,
                         np.zeros(0, dtype=np.intp))
-    timestamps = [e.timestamp for e in events] + [f.timestamp for f in frames]
+    # The frames are in order, so their first and last are their bounds.
+    timestamps = [e.timestamp for e in events] + frames.timestamps[:1] + frames.timestamps[-1:]
     first, last = min(timestamps), max(timestamps)
     start = _grid_bound(first, day_origin, 0)
     n_days = (_grid_bound(last, day_origin, 1) - start).days
@@ -298,25 +338,19 @@ def build_timeslots(
             f"timestamps from {first} to {last} need a grid of {n_days} days,"
             f" more than the limit of {MAX_SPAN_DAYS}"
         )
-
-    frames = sorted(frames, key=lambda f: f.timestamp)
-    if default_frame is None and (not frames or frames[0].timestamp > start):
-        raise InitializationError(
-            f"no sensor frame at or before first slot {start}"
-            " and no default frame supplied"
-        )
+    if not frames.timestamps or frames.timestamps[0] > start:
+        raise InitializationError(f"no sensor frame at or before first slot {start}")
     events = sorted(events, key=lambda e: e.timestamp)  # stable: ties keep order
     # Slot starts, events and frames as whole microseconds after ``start``.
     slot_at = np.arange(n_days * SLOTS_PER_DAY, dtype=np.int64) * SLOT_MICROS
     event_slot = offsets_from(start, (e.timestamp for e in events)) // SLOT_MICROS
-    frame_at = offsets_from(start, (f.timestamp for f in frames))
+    frame_at = offsets_from(start, frames.timestamps)
     return SlotGrid(
         start=start,
         events=events,
         first=np.searchsorted(event_slot, np.arange(len(slot_at) + 1)),
-        frames=(default_frame, *frames),
-        # The number of frames at or before each slot start: 0 for the default.
-        frame=np.searchsorted(frame_at, slot_at, side="right"),
+        frames=frames,
+        frame=np.searchsorted(frame_at, slot_at, side="right") - 1,
     )
 
 

@@ -5,6 +5,8 @@ with jitter), per-activity device habits, and a simple sensor model (baseline
 plus activity-dependent offsets plus Gaussian noise, clipped to the physical
 ranges).  Generation is deterministic: every day draws from its own
 ``(seed, day)`` random stream, and outputs are byte-identical across runs.
+A day is computed on arrays over its minutes, and the result holds the
+sensor readings and the per-slot truth as columns.
 
 Anomalies are never simulated here; the evaluation harness injects them.
 
@@ -28,7 +30,7 @@ from .ingest import (
     MAX_SPAN_DAYS,
     SLOTS_PER_DAY,
     EventRecord,
-    SensorFrame,
+    SensorFrames,
     format_timestamp,
     write_operation_log,
     write_sensor_log,
@@ -50,10 +52,11 @@ class Interval:
             if not 0 <= value < SLOTS_PER_DAY:
                 raise ValidationError(f"minute {value} outside [0, 1440)")
 
-    def contains(self, minute: int) -> bool:
+    def contains(self, minute):
+        """Whether ``minute`` (a number or an array of them) is inside."""
         if self.start_minute <= self.end_minute:
-            return self.start_minute <= minute < self.end_minute
-        return minute >= self.start_minute or minute < self.end_minute
+            return (self.start_minute <= minute) & (minute < self.end_minute)
+        return (minute >= self.start_minute) | (minute < self.end_minute)
 
 
 @dataclass(frozen=True)
@@ -158,20 +161,18 @@ class Scenario:
         return self.weekday
 
 
-@dataclass(frozen=True)
-class TruthRow:
-    t: int
-    k: int
-    start: datetime
-    u: str
-    d: str
-
-
 @dataclass
 class SynthResult:
+    """A generated home: its two logs, and the truth per one-minute slot
+    from ``start`` (slot ``p`` is numbered ``t = p + 1``): the user activity
+    (``"active"``, ``"sleep"`` or ``"out"``) and whether a cooking session
+    runs."""
+
     events: list[EventRecord]
-    frames: list[SensorFrame]
-    truth: list[TruthRow]
+    frames: SensorFrames
+    start: datetime
+    activity: np.ndarray  # (n_slots,) str
+    cooking: np.ndarray  # (n_slots,) bool
 
     def write(self, output_dir: str | Path) -> dict[str, Path]:
         output_dir = Path(output_dir)
@@ -186,9 +187,16 @@ class SynthResult:
         with paths["truth"].open("w", newline="", encoding="utf-8") as handle:
             writer = csv.writer(handle)
             writer.writerow(["t", "k", "timestamp", "u", "d"])
-            for row in self.truth:
-                writer.writerow([row.t, row.k, format_timestamp(row.start), row.u, row.d])
+            writer.writerows(
+                [p + 1, p % SLOTS_PER_DAY + 1, format_timestamp(self.start + timedelta(minutes=p)),
+                 activity, "use" if cooking else "none"]
+                for p, (activity, cooking) in enumerate(zip(self.activity.tolist(),
+                                                            self.cooking.tolist()))
+            )
         return paths
+
+
+_MINUTES = np.arange(SLOTS_PER_DAY)
 
 
 def _jitter(rng: np.random.Generator, std: float) -> int:
@@ -199,11 +207,24 @@ def _jitter(rng: np.random.Generator, std: float) -> int:
 
 
 def generate(scenario: Scenario) -> SynthResult:
-    """Generate one dataset: operation log, sensor log, per-slot ground truth."""
+    """Generate one dataset: operation log, sensor log, per-slot ground truth.
+
+    Each day is computed on arrays over its minutes.  Its random stream is
+    drawn in a fixed order: the interval jitters, the session seconds, two
+    draws per habit, then one normal draw per noisy channel of each sensor
+    sample, sample after sample.
+    """
     events: list[EventRecord] = []
-    frames: list[SensorFrame] = []
-    truth: list[TruthRow] = []
+    timestamps: list[datetime] = []
+    readings: list[np.ndarray] = []
+    activities: list[np.ndarray] = []
+    cookings: list[np.ndarray] = []
     day0 = datetime.combine(scenario.start_date, datetime.min.time())
+    channels = [scenario.sensors[name] for name in SENSOR_FIELDS]
+    noisy = [c for c, channel in enumerate(channels) if channel.noise_std > 0]
+    noise_std = np.array([channels[c].noise_std for c in noisy])
+    low, high = np.array([DEFAULT_SENSOR_RANGES[name] for name in SENSOR_FIELDS]).T
+    sampled = _MINUTES[:: scenario.sensor_interval_minutes]
 
     for day in range(scenario.n_days):
         rng = np.random.default_rng([scenario.seed, day])
@@ -234,111 +255,69 @@ def generate(scenario: Scenario) -> SynthResult:
             for cs in template.cook
         ]
 
-        activity = ["active"] * SLOTS_PER_DAY
-        for minute in range(SLOTS_PER_DAY):
-            if any(iv.contains(minute) for iv in sleep_ivals):
-                activity[minute] = "sleep"
-        for minute in range(SLOTS_PER_DAY):
-            if any(iv.contains(minute) for iv in out_ivals):
-                activity[minute] = "out"
-        cooking = [False] * SLOTS_PER_DAY
+        activity = np.full(SLOTS_PER_DAY, "active")
+        for name, intervals in (("sleep", sleep_ivals), ("out", out_ivals)):
+            for interval in intervals:
+                activity[interval.contains(_MINUTES)] = name
+        cooking = np.zeros(SLOTS_PER_DAY, dtype=bool)
         for start, duration, _ in sessions:
-            for minute in range(start, min(start + duration, SLOTS_PER_DAY)):
-                cooking[minute] = True
-                activity[minute] = "active"
+            cooking[start : start + duration] = True
+        activity[cooking] = "active"
+
+        def at(seconds: int) -> datetime:
+            return day_start + timedelta(seconds=seconds)
 
         day_events: list[EventRecord] = []
         for iv in out_ivals:
             if iv.start_minute >= iv.end_minute:
                 continue
             for user in range(scenario.n_users):
-                day_events.append(
-                    EventRecord(
-                        day_start + timedelta(minutes=iv.start_minute, seconds=user),
-                        "user_position",
-                        "exit",
-                        actor=f"user{user}",
-                    )
-                )
-                day_events.append(
-                    EventRecord(
-                        day_start + timedelta(minutes=iv.end_minute, seconds=user),
-                        "user_position",
-                        "entry",
-                        actor=f"user{user}",
-                    )
-                )
+                for minute, action in ((iv.start_minute, "exit"), (iv.end_minute, "entry")):
+                    day_events.append(EventRecord(at(minute * 60 + user), "user_position",
+                                                  action, actor=f"user{user}"))
         for start, duration, session in sessions:
             start_second = start * 60 + int(rng.integers(0, 30))
-            for device, action, lead in session.lead_ops:
-                lead_second = max(0, start_second - lead)
-                day_events.append(
-                    EventRecord(
-                        day_start + timedelta(seconds=lead_second), device, action
-                    )
-                )
-            day_events.append(
-                EventRecord(
-                    day_start + timedelta(seconds=start_second), session.appliance, "on"
-                )
-            )
+            day_events.extend(EventRecord(at(max(0, start_second - lead)), device, action)
+                              for device, action, lead in session.lead_ops)
+            day_events.append(EventRecord(at(start_second), session.appliance, "on"))
             if session.appliance == "cooking_stove":
                 # Lands strictly after the "on" and inside the session.
                 end_second = (start + duration) * 60 - 1 - int(rng.integers(0, 30))
-                day_events.append(
-                    EventRecord(
-                        day_start + timedelta(seconds=end_second),
-                        session.appliance,
-                        "off",
-                    )
-                )
+                day_events.append(EventRecord(at(end_second), session.appliance, "off"))
         for habit in scenario.habits:
             draws = rng.random(SLOTS_PER_DAY)
             offsets = rng.integers(0, 60, size=SLOTS_PER_DAY)
-            probability = habit.rate_per_hour / 60.0
-            for minute in range(SLOTS_PER_DAY):
-                if activity[minute] == habit.activity and not cooking[minute] and draws[minute] < probability:
-                    day_events.append(
-                        EventRecord(
-                            day_start + timedelta(minutes=minute, seconds=int(offsets[minute])),
-                            habit.device,
-                            habit.action,
-                        )
-                    )
+            fires = (activity == habit.activity) & ~cooking & (draws < habit.rate_per_hour / 60.0)
+            day_events.extend(
+                EventRecord(at(minute * 60 + second), habit.device, habit.action)
+                for minute, second in zip(np.flatnonzero(fires).tolist(), offsets[fires].tolist())
+            )
         day_events.sort(key=lambda e: e.timestamp)
         events.extend(day_events)
 
-        for minute in range(0, SLOTS_PER_DAY, scenario.sensor_interval_minutes):
-            values: dict[str, float] = {}
-            for name in SENSOR_FIELDS:
-                channel = scenario.sensors[name]
-                value = channel.base
-                if activity[minute] == "sleep":
-                    value += channel.sleep_offset
-                elif activity[minute] == "out":
-                    value += channel.out_offset
-                if cooking[minute]:
-                    value += channel.cook_offset
-                if channel.noise_std > 0:
-                    value += float(rng.normal(0.0, channel.noise_std))
-                low, high = DEFAULT_SENSOR_RANGES[name]
-                values[name] = round(float(np.clip(value, low, high)), 2)
-            frames.append(
-                SensorFrame(day_start + timedelta(minutes=minute), **values)
-            )
+        # Each sample adds the offsets in force and its noise to the bases,
+        # in the order a reading's value is built, then clips.
+        state = activity[sampled]
+        values = np.tile([channel.base for channel in channels], (len(sampled), 1))
+        values[state == "sleep"] += [channel.sleep_offset for channel in channels]
+        values[state == "out"] += [channel.out_offset for channel in channels]
+        values[cooking[sampled]] += [channel.cook_offset for channel in channels]
+        if noisy:
+            values[:, noisy] += rng.normal(0.0, noise_std, size=(len(sampled), len(noisy)))
+        np.clip(values, low, high, out=values)
+        # Python's round, value by value: np.round may round a half the other way.
+        readings.append(np.array([round(v, 2) for v in values.ravel().tolist()]))
+        timestamps.extend(at(minute * 60) for minute in sampled.tolist())
+        activities.append(activity)
+        cookings.append(cooking)
 
-        for minute in range(SLOTS_PER_DAY):
-            truth.append(
-                TruthRow(
-                    t=day * SLOTS_PER_DAY + minute + 1,
-                    k=minute + 1,
-                    start=day_start + timedelta(minutes=minute),
-                    u=activity[minute],
-                    d="use" if cooking[minute] else "none",
-                )
-            )
-
-    return SynthResult(events=events, frames=frames, truth=truth)
+    return SynthResult(
+        events=events,
+        frames=SensorFrames(timestamps, np.concatenate(readings).reshape(-1, len(SENSOR_FIELDS))),
+        start=day0,
+        activity=np.concatenate(activities),
+        cooking=np.concatenate(cookings),
+    )
 
 
 def scenario_s1(seed: int = 0, n_days: int = 28) -> Scenario:

@@ -9,9 +9,10 @@ import pytest
 
 import numpy as np
 
-from homeguard.ingest import SLOTS_PER_DAY, EventRecord, SensorFrame, SlotGrid, build_timeslots
+from homeguard.ingest import SLOTS_PER_DAY, EventRecord, SensorFrames, SlotGrid, build_timeslots
 from homeguard.labeling import LabelingParams
-from homeguard.vocab import Vocabulary
+from homeguard.vocab import SENSOR_FIELDS, Vocabulary
+from oracles import SensorFrame, columns
 
 BASE = datetime(2021, 3, 1, 0, 0, 0)
 
@@ -39,11 +40,13 @@ def make_grid(
     counts = [len(events.get(pos, ())) for pos in range(n)]
     frame_of = np.zeros(n, dtype=np.intp)
     frame_of[sorted(sensors)] = np.arange(1, len(sensors) + 1)
+    rows = [frame(start), *(sensors[pos] for pos in sorted(sensors))]
+    values = [[row.value(name) for name in SENSOR_FIELDS] for row in rows]
     return SlotGrid(
         start=start,
         events=[event for pos in sorted(events) for event in events[pos]],
         first=np.cumsum([0, *counts], dtype=np.intp),
-        frames=(frame(start), *(sensors[pos] for pos in sorted(sensors))),
+        frames=SensorFrames([row.timestamp for row in rows], np.array(values)),
         frame=frame_of,
     )
 
@@ -106,7 +109,7 @@ class GoldenSample:
     expected_rows: list
 
     def grid(self):
-        return build_timeslots(self.events, self.frames, day_origin=self.day_origin)
+        return build_timeslots(self.events, columns(self.frames), day_origin=self.day_origin)
 
 
 @pytest.fixture

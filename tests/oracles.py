@@ -7,25 +7,31 @@ result.
 
 from __future__ import annotations
 
+import csv
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
+from pathlib import Path
 from itertools import combinations
 from typing import Callable, Sequence
 
 import numpy as np
 
 from homeguard.detector import LevelScores
-from homeguard.errors import InitializationError, ParseError
+from homeguard.errors import InitializationError, ParseError, ValidationError
 from homeguard.hsmodel import FilterTrace, filter_streams, kept_day_streams
 from homeguard.ingest import (
+    SENSOR_HEADER,
     SLOT_SECONDS,
     SLOTS_PER_DAY,
     TIMESTAMP_FORMAT,
     EventRecord,
-    SensorFrame,
+    SensorFrames,
     SlotGrid,
+    _read_rows,
     floor_to_day_origin,
+    format_timestamp,
+    parse_timestamp,
 )
 from homeguard.labeling import (
     ALPHABET,
@@ -47,7 +53,8 @@ from homeguard.seqstore import (
     seconds_of_day,
     window_start,
 )
-from homeguard.vocab import Vocabulary
+from homeguard.synthgen import Interval, Scenario, _jitter
+from homeguard.vocab import DEFAULT_SENSOR_RANGES, SENSOR_FIELDS, Vocabulary
 
 
 def parse_timestamp_strptime(text: str, line: int | None = None) -> datetime:
@@ -56,6 +63,218 @@ def parse_timestamp_strptime(text: str, line: int | None = None) -> datetime:
         return datetime.strptime(text, TIMESTAMP_FORMAT)
     except ValueError as exc:
         raise ParseError(f"bad timestamp {text!r}: {exc}", line=line) from None
+
+
+@dataclass(frozen=True)
+class SensorFrame:
+    """One timestamped vector of environmental readings."""
+
+    timestamp: datetime
+    temperature: float
+    humidity: float
+    atmosphere: float
+    co2: float
+    noise: float
+
+    def value(self, name: str) -> float:
+        return getattr(self, name)
+
+
+def columns(frames: Sequence[SensorFrame]) -> SensorFrames:
+    """Frame records as ``SensorFrames``, sorted by timestamp (stable for
+    ties), as ``parse_sensor_log`` returns them."""
+    frames = sorted(frames, key=lambda f: f.timestamp)
+    values = [[f.value(name) for name in SENSOR_FIELDS] for f in frames]
+    return SensorFrames([f.timestamp for f in frames],
+                        np.array(values, dtype=float).reshape(-1, len(SENSOR_FIELDS)))
+
+
+def frame_rows(frames: SensorFrames) -> list[SensorFrame]:
+    """``SensorFrames`` as one record per frame."""
+    return [SensorFrame(ts, *values)
+            for ts, values in zip(frames.timestamps, frames.values.tolist())]
+
+
+def parse_sensor_log_rows(
+    path, ranges: dict[str, tuple[float, float]] | None = DEFAULT_SENSOR_RANGES
+) -> list[SensorFrame]:
+    """A sensor log parsed row by row into range-checked frame records,
+    sorted by timestamp."""
+    frames: list[SensorFrame] = []
+    for line_no, row in _read_rows(path, SENSOR_HEADER):
+        if len(row) != len(SENSOR_HEADER):
+            raise ParseError(
+                f"expected {len(SENSOR_HEADER)} fields, got {len(row)}", line=line_no
+            )
+        ts = parse_timestamp(row[0].strip(), line=line_no)
+        values: list[float] = []
+        for name, cell in zip(SENSOR_FIELDS, row[1:]):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(f"bad {name} value {cell!r}", line=line_no) from None
+            if ranges is not None and name in ranges:
+                low, high = ranges[name]
+                if not (low <= value <= high):
+                    raise ValidationError(
+                        f"line {line_no}: value {value} outside [{low}, {high}]",
+                        field=name,
+                    )
+            values.append(value)
+        frames.append(SensorFrame(ts, *values))
+    frames.sort(key=lambda f: f.timestamp)
+    return frames
+
+
+def write_sensor_log_rows(frames: Sequence[SensorFrame], path) -> None:
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(SENSOR_HEADER)
+        for frame in frames:
+            row = [format_timestamp(frame.timestamp)]
+            row.extend(repr(frame.value(name)) for name in SENSOR_FIELDS)
+            writer.writerow(row)
+
+
+@dataclass(frozen=True)
+class TruthRow:
+    t: int
+    k: int
+    start: datetime
+    u: str
+    d: str
+
+
+def write_truth_rows(truth: Sequence[TruthRow], path) -> None:
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t", "k", "timestamp", "u", "d"])
+        for row in truth:
+            writer.writerow([row.t, row.k, format_timestamp(row.start), row.u, row.d])
+
+
+def generate_rows(
+    scenario: Scenario,
+) -> tuple[list[EventRecord], list[SensorFrame], list[TruthRow]]:
+    """A synthetic home generated minute by minute: its events, one frame
+    record per sensor sample (a scalar noise draw and a scalar clip per
+    reading) and one truth record per slot."""
+    events: list[EventRecord] = []
+    frames: list[SensorFrame] = []
+    truth: list[TruthRow] = []
+    day0 = datetime.combine(scenario.start_date, datetime.min.time())
+
+    for day in range(scenario.n_days):
+        rng = np.random.default_rng([scenario.seed, day])
+        day_start = day0 + timedelta(days=day)
+        template = scenario.template_for(day)
+        std = scenario.jitter_std_minutes
+
+        sleep_ivals = [
+            Interval(
+                (iv.start_minute + _jitter(rng, std)) % SLOTS_PER_DAY,
+                (iv.end_minute + _jitter(rng, std)) % SLOTS_PER_DAY,
+            )
+            for iv in template.sleep
+        ]
+        out_ivals = [
+            Interval(
+                max(0, min(SLOTS_PER_DAY - 1, iv.start_minute + _jitter(rng, std))),
+                max(0, min(SLOTS_PER_DAY - 1, iv.end_minute + _jitter(rng, std))),
+            )
+            for iv in template.out
+        ]
+        sessions = [
+            (
+                max(0, min(SLOTS_PER_DAY - 2, cs.start_minute + _jitter(rng, std))),
+                max(1, cs.duration),
+                cs,
+            )
+            for cs in template.cook
+        ]
+
+        activity = ["active"] * SLOTS_PER_DAY
+        for minute in range(SLOTS_PER_DAY):
+            if any(iv.contains(minute) for iv in sleep_ivals):
+                activity[minute] = "sleep"
+        for minute in range(SLOTS_PER_DAY):
+            if any(iv.contains(minute) for iv in out_ivals):
+                activity[minute] = "out"
+        cooking = [False] * SLOTS_PER_DAY
+        for start, duration, _ in sessions:
+            for minute in range(start, min(start + duration, SLOTS_PER_DAY)):
+                cooking[minute] = True
+                activity[minute] = "active"
+
+        day_events: list[EventRecord] = []
+        for iv in out_ivals:
+            if iv.start_minute >= iv.end_minute:
+                continue
+            for user in range(scenario.n_users):
+                day_events.append(EventRecord(
+                    day_start + timedelta(minutes=iv.start_minute, seconds=user),
+                    "user_position", "exit", actor=f"user{user}",
+                ))
+                day_events.append(EventRecord(
+                    day_start + timedelta(minutes=iv.end_minute, seconds=user),
+                    "user_position", "entry", actor=f"user{user}",
+                ))
+        for start, duration, session in sessions:
+            start_second = start * 60 + int(rng.integers(0, 30))
+            for device, action, lead in session.lead_ops:
+                lead_second = max(0, start_second - lead)
+                day_events.append(
+                    EventRecord(day_start + timedelta(seconds=lead_second), device, action)
+                )
+            day_events.append(
+                EventRecord(day_start + timedelta(seconds=start_second), session.appliance, "on")
+            )
+            if session.appliance == "cooking_stove":
+                end_second = (start + duration) * 60 - 1 - int(rng.integers(0, 30))
+                day_events.append(EventRecord(
+                    day_start + timedelta(seconds=end_second), session.appliance, "off"
+                ))
+        for habit in scenario.habits:
+            draws = rng.random(SLOTS_PER_DAY)
+            offsets = rng.integers(0, 60, size=SLOTS_PER_DAY)
+            probability = habit.rate_per_hour / 60.0
+            for minute in range(SLOTS_PER_DAY):
+                if (activity[minute] == habit.activity and not cooking[minute]
+                        and draws[minute] < probability):
+                    day_events.append(EventRecord(
+                        day_start + timedelta(minutes=minute, seconds=int(offsets[minute])),
+                        habit.device, habit.action,
+                    ))
+        day_events.sort(key=lambda e: e.timestamp)
+        events.extend(day_events)
+
+        for minute in range(0, SLOTS_PER_DAY, scenario.sensor_interval_minutes):
+            values: dict[str, float] = {}
+            for name in SENSOR_FIELDS:
+                channel = scenario.sensors[name]
+                value = channel.base
+                if activity[minute] == "sleep":
+                    value += channel.sleep_offset
+                elif activity[minute] == "out":
+                    value += channel.out_offset
+                if cooking[minute]:
+                    value += channel.cook_offset
+                if channel.noise_std > 0:
+                    value += float(rng.normal(0.0, channel.noise_std))
+                low, high = DEFAULT_SENSOR_RANGES[name]
+                values[name] = round(float(np.clip(value, low, high)), 2)
+            frames.append(SensorFrame(day_start + timedelta(minutes=minute), **values))
+
+        for minute in range(SLOTS_PER_DAY):
+            truth.append(TruthRow(
+                t=day * SLOTS_PER_DAY + minute + 1,
+                k=minute + 1,
+                start=day_start + timedelta(minutes=minute),
+                u=activity[minute],
+                d="use" if cooking[minute] else "none",
+            ))
+
+    return events, frames, truth
 
 
 @dataclass(frozen=True)
@@ -77,31 +296,26 @@ class SlotRecord:
 
 def slot_records(grid: SlotGrid, positions: Sequence[int] | None = None) -> list[SlotRecord]:
     """The slots of ``grid`` at ``positions`` (all of them by default), one
-    record each; a slot before the first sensor frame carries the default
-    frame stamped with the slot's start."""
+    record each."""
     if positions is None:
         positions = range(len(grid))
-    records = []
-    for p in [int(p) for p in positions]:
-        start = grid.start + timedelta(minutes=p)
-        frame = int(grid.frame[p])
-        records.append(
-            SlotRecord(
-                t=p + 1,
-                k=p % SLOTS_PER_DAY + 1,
-                start=start,
-                sensors=grid.frames[frame] if frame else replace(grid.frames[0], timestamp=start),
-                events=tuple(grid.events[grid.first[p] : grid.first[p + 1]]),
-            )
+    frames = frame_rows(grid.frames)
+    return [
+        SlotRecord(
+            t=p + 1,
+            k=p % SLOTS_PER_DAY + 1,
+            start=grid.start + timedelta(minutes=p),
+            sensors=frames[grid.frame[p]],
+            events=tuple(grid.events[grid.first[p] : grid.first[p + 1]]),
         )
-    return records
+        for p in [int(p) for p in positions]
+    ]
 
 
 def build_timeslots_bisect(
     events: Sequence[EventRecord],
     frames: Sequence[SensorFrame],
     day_origin: time = time(0, 0),
-    default_frame: SensorFrame | None = None,
 ) -> list[SlotRecord]:
     """The grid built slot by slot, one binary search per slot for the
     sensor frame and two for the slot's events."""
@@ -124,14 +338,7 @@ def build_timeslots_bisect(
         slot_end = slot_start + timedelta(seconds=SLOT_SECONDS)
         frame_idx = bisect_right(frame_times, slot_start) - 1
         if frame_idx < 0:
-            if default_frame is None:
-                raise InitializationError(
-                    f"no sensor frame at or before first slot {slot_start}"
-                    " and no default frame supplied"
-                )
-            sensors = replace(default_frame, timestamp=slot_start)
-        else:
-            sensors = frames[frame_idx]
+            raise InitializationError(f"no sensor frame at or before first slot {slot_start}")
         lo = bisect_left(event_times, slot_start)
         hi = bisect_left(event_times, slot_end)
         slots.append(
@@ -139,7 +346,7 @@ def build_timeslots_bisect(
                 t=idx + 1,
                 k=idx % SLOTS_PER_DAY + 1,
                 start=slot_start,
-                sensors=sensors,
+                sensors=frames[frame_idx],
                 events=tuple(events[lo:hi]),
             )
         )

@@ -28,6 +28,7 @@ from homeguard.synthgen import generate, save_scenario, scenario_calibration, sc
 from homeguard.vocab import Vocabulary
 
 from conftest import GoldenSample
+from oracles import columns
 
 
 @pytest.fixture
@@ -36,7 +37,7 @@ def golden_files(tmp_path, golden_sample: GoldenSample):
     sensors = tmp_path / "sensors.csv"
     vocab = tmp_path / "vocab.json"
     write_operation_log(golden_sample.events, ops)
-    write_sensor_log(golden_sample.frames, sensors)
+    write_sensor_log(columns(golden_sample.frames), sensors)
     golden_sample.vocabulary.save(vocab)
     return ops, sensors, vocab
 
@@ -93,6 +94,23 @@ class TestLabelCommand:
              "--vocabulary", str(vocab)]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("log", ["operations", "sensors"])
+    @pytest.mark.parametrize("fault, named", [
+        (b"\xff", "not UTF-8 text"),
+        (b"4" * 200_000, "field larger than field limit (131072)"),
+    ], ids=["not-utf8", "over-field-limit"])
+    def test_csv_fault_exits_2_naming_file_and_line(self, tmp_path, golden_files, log, fault,
+                                                    named, capsys):
+        ops, sensors, vocab = golden_files
+        path = ops if log == "operations" else sensors
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:2]) + lines[1].rstrip(b"\r\n") + fault + b"\r\n")
+        code = main(["label", "--operations", str(ops), "--sensors", str(sensors),
+                     "--vocabulary", str(vocab)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"line 3: {path}" in err and named in err
 
     def test_summary_to_stdout_without_export(self, golden_files, capsys):
         ops, sensors, vocab = golden_files
@@ -756,6 +774,21 @@ class TestEvaluateCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert option in err and "-1" in err
+        assert not out_dir.exists()
+
+    def test_more_injections_than_seconds_in_a_day_exit_2_before_any_work(
+            self, tmp_path, small_home, monkeypatch, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError("evaluate read its input before checking --injections")
+
+        monkeypatch.setattr(cli, "parse_operation_log", no_work)
+        ops, sensors = small_home
+        out_dir = tmp_path / "eval"
+        code = main(["evaluate", "--operations", str(ops), "--sensors", str(sensors),
+                     "--output-dir", str(out_dir), "--injections", "86401"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--injections" in err and "86401" in err and "86400" in err
         assert not out_dir.exists()
 
     def test_all_methods_equal_one_method_runs(self, tmp_path, small_home, capsys):

@@ -42,8 +42,10 @@ from homeguard.vocab import DEFAULT_PAIRS, Vocabulary
 from conftest import frame, make_folds
 from oracles import (
     best_per_level_loop,
+    columns,
     encode_labels,
     filter_folds_one_by_one,
+    frame_rows,
     frontier_indices_loop,
     label_states_per_slot,
     ratio,
@@ -71,7 +73,7 @@ def toy_dataset(n_days=2) -> EvalDataset:
                 EventRecord(start + timedelta(hours=20, minutes=0, seconds=0), "tv", "on"),
             ]
         )
-    return EvalDataset(grid=build_timeslots(events, frames), vocabulary=Vocabulary())
+    return EvalDataset(grid=build_timeslots(events, columns(frames)), vocabulary=Vocabulary())
 
 
 def scripted_point(dataset, predicate, injections_per_day, seed) -> EvalPoint:
@@ -353,7 +355,8 @@ def mixed_dataset() -> EvalDataset:
         EventRecord(BASE + timedelta(days=2, hours=6), "user_position", "exit"),
         EventRecord(BASE + timedelta(days=4, hours=12), "washing_machine", "on"),
     ]
-    frames = [dataset.grid.frames[i] for i in dataset.grid.frame[:: 12 * 60]]
+    rows = frame_rows(dataset.grid.frames)
+    frames = columns([rows[i] for i in dataset.grid.frame[:: 12 * 60]])
     pairs = {device: actions for device, actions in DEFAULT_PAIRS.items() if device != "washing_machine"}
     return EvalDataset(grid=build_timeslots(events, frames), vocabulary=Vocabulary(pairs=pairs))
 
@@ -688,7 +691,7 @@ def early_origin_dataset(n_days=6) -> EvalDataset:
                 EventRecord(at(21, 10), "user_position", "exit"),
                 EventRecord(at(21, 30), "tv", "on"),
             ]
-    return EvalDataset(build_timeslots(events, frames, time(4, 0)), Vocabulary())
+    return EvalDataset(build_timeslots(events, columns(frames), time(4, 0)), Vocabulary())
 
 
 class TestGroupedFoldFilter:

@@ -1,6 +1,5 @@
 """Parsing, validation, and slot grid alignment."""
 
-from dataclasses import replace
 from datetime import datetime, time, timedelta
 from time import perf_counter
 
@@ -12,7 +11,6 @@ from homeguard.errors import InitializationError, ParseError, SchemaError, Valid
 from homeguard.ingest import (
     MAX_SPAN_DAYS,
     EventRecord,
-    SensorFrame,
     build_timeslots,
     format_timestamp,
     parse_operation_log,
@@ -22,7 +20,14 @@ from homeguard.ingest import (
     write_sensor_log,
 )
 from conftest import frame
-from oracles import build_timeslots_bisect, parse_timestamp_strptime, slot_records
+from oracles import (
+    SensorFrame,
+    build_timeslots_bisect,
+    columns,
+    frame_rows,
+    parse_timestamp_strptime,
+    slot_records,
+)
 
 
 def write(path, text):
@@ -122,7 +127,7 @@ class TestParseSensorLog:
             self.HEADER + "2020-01-04T00:00:00,20,50,1000,41,1480\n",
         )
         ranges = {"co2": (0.0, 5000.0)}  # noise channel unchecked
-        frames = parse_sensor_log(path, ranges=ranges)
+        frames = frame_rows(parse_sensor_log(path, ranges=ranges))
         assert frames[0].co2 == 41.0
         assert frames[0].noise == 1480.0
 
@@ -137,14 +142,14 @@ class TestParseSensorLog:
         path = write(
             tmp_path / "sensors.csv", self.HEADER + "2020-01-01T00:00:00,20,100,1000,500,40\n"
         )
-        frames = parse_sensor_log(path)
+        frames = frame_rows(parse_sensor_log(path))
         assert frames[0].humidity == 100.0
 
     def test_disable_all_ranges(self, tmp_path):
         path = write(
             tmp_path / "sensors.csv", self.HEADER + "2020-01-01T00:00:00,99,200,9,9999,999\n"
         )
-        frames = parse_sensor_log(path, ranges=None)
+        frames = frame_rows(parse_sensor_log(path, ranges=None))
         assert frames[0].temperature == 99.0
 
     def test_sorted_by_timestamp(self, tmp_path):
@@ -154,7 +159,7 @@ class TestParseSensorLog:
             + "2020-01-01T00:10:00,20,50,1000,500,40\n"
             + "2020-01-01T00:05:00,21,50,1000,500,40\n",
         )
-        frames = parse_sensor_log(path)
+        frames = frame_rows(parse_sensor_log(path))
         assert [f.temperature for f in frames] == [21.0, 20.0]
 
     def test_round_trip(self, tmp_path):
@@ -163,18 +168,57 @@ class TestParseSensorLog:
             SensorFrame(datetime(2020, 1, 1, 0, 5, 0), 20.0, 50.0, 1009.5, 610.0, 42.5),
         ]
         path = tmp_path / "sensors.csv"
-        write_sensor_log(frames, path)
-        assert parse_sensor_log(path) == frames
+        write_sensor_log(columns(frames), path)
+        assert frame_rows(parse_sensor_log(path)) == frames
+
+
+class TestCsvFaults:
+    """Bytes that are not UTF-8 and cells over the ``csv`` field limit are
+    parse faults naming the file and the line, in either log."""
+
+    LOGS = {
+        "operations": (parse_operation_log, "timestamp,device,action,actor\n",
+                       "2020-01-01T10:00:00,tv,on,{}\n"),
+        "sensors": (parse_sensor_log, TestParseSensorLog.HEADER,
+                    "2020-01-01T00:00:00,20,50,1000,500,{}\n"),
+    }
+
+    @pytest.mark.parametrize("log", LOGS)
+    def test_bytes_that_are_not_utf8(self, tmp_path, log):
+        parse, header, row = self.LOGS[log]
+        path = tmp_path / f"{log}.csv"
+        text = header + row.format("40") * 2 + row.format("4\xff")
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ParseError) as info:
+            parse(path)
+        assert info.value.line == 4
+        assert str(path) in str(info.value) and "UTF-8" in str(info.value)
+
+    @pytest.mark.parametrize("log", LOGS)
+    def test_cell_over_the_field_limit(self, tmp_path, log):
+        parse, header, row = self.LOGS[log]
+        path = write(tmp_path / f"{log}.csv", header + row.format("40") + row.format("4" * 200_000))
+        with pytest.raises(ParseError) as info:
+            parse(path)
+        assert info.value.line == 3
+        assert str(path) in str(info.value) and "field limit" in str(info.value)
+
+    def test_reading_out_of_range_before_the_fault_comes_first(self, tmp_path):
+        header, row = TestParseSensorLog.HEADER, self.LOGS["sensors"][2]
+        path = write(tmp_path / "sensors.csv",
+                     header + row.format("400") + row.format("4" * 200_000))
+        with pytest.raises(ValidationError, match="line 2: value 400.0"):
+            parse_sensor_log(path)
 
 
 class TestBuildTimeslots:
     def test_forward_fill(self):
         base = datetime(2020, 1, 1)
         frames = [frame(base), frame(base + timedelta(minutes=5), temperature=25.0)]
-        grid = build_timeslots([], frames)
+        grid = build_timeslots([], columns(frames))
         assert len(grid) == 1440
-        assert grid.frames == (None, *frames)
-        assert grid.frame[:6].tolist() == [1, 1, 1, 1, 1, 2]
+        assert frame_rows(grid.frames) == frames
+        assert grid.frame[:6].tolist() == [0, 0, 0, 0, 0, 1]
         # Forward-fill invariant: latest frame at or before each slot start.
         for slot in slot_records(grid):
             assert slot.sensors.timestamp <= slot.start
@@ -184,7 +228,7 @@ class TestBuildTimeslots:
         base = datetime(2020, 1, 1)
         frames = [frame(base + timedelta(minutes=5 * i)) for i in range(288)]
         events = [EventRecord(base + timedelta(hours=10), "tv", "on")]
-        grid = build_timeslots(events, frames)
+        grid = build_timeslots(events, columns(frames))
         assert len(grid) == 1440 and len(grid.first) == 1441
         assert grid.start == base
 
@@ -192,7 +236,7 @@ class TestBuildTimeslots:
         base = datetime(2020, 1, 1)
         e1 = EventRecord(base + timedelta(hours=23, minutes=58, seconds=20), "refrigerator", "opening")
         e2 = EventRecord(base + timedelta(hours=23, minutes=58, seconds=35), "cooking_stove", "on")
-        grid = build_timeslots([e1, e2], [frame(base)])
+        grid = build_timeslots([e1, e2], columns([frame(base)]))
         p = 23 * 60 + 58
         assert grid.events[grid.first[p] : grid.first[p + 1]] == [e1, e2]
 
@@ -202,7 +246,7 @@ class TestBuildTimeslots:
             EventRecord(base + timedelta(minutes=7 * i, seconds=13), "tv", "on")
             for i in range(200)
         ]
-        grid = build_timeslots(events, [frame(base)])
+        grid = build_timeslots(events, columns([frame(base)]))
         assert grid.events == sorted(events, key=lambda e: e.timestamp)
         assert grid.first[0] == 0 and grid.first[-1] == len(events)
         assert (np.diff(grid.first) >= 0).all()
@@ -211,27 +255,19 @@ class TestBuildTimeslots:
     def test_missing_initial_frame_errors(self):
         base = datetime(2020, 1, 1)
         with pytest.raises(InitializationError):
-            build_timeslots([], [frame(base + timedelta(minutes=3))])
-
-    def test_default_frame_fills_start(self):
-        base = datetime(2020, 1, 1)
-        default = frame(base)
-        grid = build_timeslots([], [frame(base + timedelta(minutes=3), temperature=30.0)],
-                               default_frame=default)
-        assert grid.frames[grid.frame[0]] is default
-        assert grid.column("temperature")[[0, 3]].tolist() == [default.temperature, 30.0]
+            build_timeslots([], columns([frame(base + timedelta(minutes=3))]))
 
     def test_day_origin_offsets_k(self):
         origin = time(23, 59)
         first = datetime(2019, 12, 31, 23, 59, 0)
-        slots = slot_records(build_timeslots([], [frame(first)], day_origin=origin))
+        slots = slot_records(build_timeslots([], columns([frame(first)]), day_origin=origin))
         assert slots[0].start == first
         assert slots[0].k == 1
         assert slots[1].start == datetime(2020, 1, 1, 0, 0, 0)
         assert slots[1].k == 2
 
     def test_empty_inputs(self):
-        grid = build_timeslots([], [])
+        grid = build_timeslots([], columns([]))
         assert len(grid) == 0 and grid.events == [] and grid.first.tolist() == [0]
         assert grid.days() == []
 
@@ -239,7 +275,7 @@ class TestBuildTimeslots:
         base = datetime(2020, 1, 1, 4, 0)
         offsets = [0, 59, 1439, 1440, 3000, 4319]  # minutes; the third day holds two
         events = [EventRecord(base + timedelta(minutes=m, seconds=30), "tv", "on") for m in offsets]
-        grid = build_timeslots(events, [frame(base)], day_origin=time(4, 0))
+        grid = build_timeslots(events, columns([frame(base)]), day_origin=time(4, 0))
         assert grid.days() == [events[:3], events[3:4], events[4:]]
 
 
@@ -250,7 +286,7 @@ class TestBuildTimeslotsMatchesBisect:
 
     def assert_same(self, events, frames, **kwargs):
         expected = build_timeslots_bisect(events, frames, **kwargs)
-        assert slot_records(build_timeslots(events, frames, **kwargs)) == expected
+        assert slot_records(build_timeslots(events, columns(frames), **kwargs)) == expected
         return expected
 
     @pytest.mark.parametrize("origin", [time(0, 0), time(23, 59)], ids=["00:00", "23:59"])
@@ -279,22 +315,10 @@ class TestBuildTimeslotsMatchesBisect:
                                                          "microwave"]
         assert slots[604].sensors.co2 == 800.0
 
-    def test_default_frame_before_first_frame(self):
-        default = frame(self.BASE - timedelta(days=3), temperature=11.0)
-        frames = [frame(self.BASE + timedelta(hours=5, seconds=1), temperature=30.0)]
-        events = [EventRecord(self.BASE + timedelta(hours=2), "tv", "on")]
-        slots = self.assert_same(events, frames, default_frame=default)
-        assert slots[300].sensors == replace(default, timestamp=slots[300].start)
-        assert slots[301].sensors is frames[0]
-
-    def test_events_only_with_default_frame(self):
-        events = [EventRecord(self.BASE + timedelta(days=2, minutes=5), "tv", "on")]
-        self.assert_same(events, [], default_frame=frame(self.BASE))
-
     def test_missing_frame_error_is_the_same(self):
         frames = [frame(self.BASE + timedelta(minutes=3))]
         with pytest.raises(InitializationError) as fast:
-            build_timeslots([], frames)
+            build_timeslots([], columns(frames))
         with pytest.raises(InitializationError) as slow:
             build_timeslots_bisect([], frames)
         assert str(fast.value) == str(slow.value)
@@ -309,7 +333,7 @@ class TestSpanLimit:
         events = [EventRecord(early, "tv", "on"), EventRecord(late, "tv", "off")]
         begun = perf_counter()
         with pytest.raises(ValidationError) as info:
-            build_timeslots(events, [frame(early)])
+            build_timeslots(events, columns([frame(early)]))
         assert perf_counter() - begun < 1.0
         assert str(early) in str(info.value) and str(late) in str(info.value)
         assert str(MAX_SPAN_DAYS) in str(info.value)
@@ -321,13 +345,13 @@ class TestSpanLimit:
     ])
     def test_day_bounds_outside_the_dates_refused(self, ts, origin):
         with pytest.raises(ValidationError) as info:
-            build_timeslots([EventRecord(ts, "tv", "on")], [], origin, frame(ts))
+            build_timeslots([EventRecord(ts, "tv", "on")], columns([frame(ts)]), origin)
         assert str(ts) in str(info.value)
 
     def test_first_and_last_whole_days_accepted(self):
         for day in (datetime(1, 1, 1), datetime(9999, 12, 30)):
             last = day + timedelta(minutes=1439)
-            grid = build_timeslots([EventRecord(last, "tv", "on")], [frame(day)])
+            grid = build_timeslots([EventRecord(last, "tv", "on")], columns([frame(day)]))
             assert len(grid) == 1440 and grid.first[-2] == 0
             assert slot_records(grid)[-1].events[0].timestamp == last
 
@@ -335,10 +359,11 @@ class TestSpanLimit:
         monkeypatch.setattr(ingest, "MAX_SPAN_DAYS", 3)
         start = datetime(2020, 1, 1)
         last = start + timedelta(days=3) - timedelta(seconds=1)
-        assert len(build_timeslots([EventRecord(last, "tv", "on")], [frame(start)])) == 3 * 1440
+        grid = build_timeslots([EventRecord(last, "tv", "on")], columns([frame(start)]))
+        assert len(grid) == 3 * 1440
         with pytest.raises(ValidationError, match="4 days"):
             build_timeslots([EventRecord(last + timedelta(seconds=1), "tv", "on")],
-                            [frame(start)])
+                            columns([frame(start)]))
 
 
 # Every kind of text a log may carry: the canonical form and forms that

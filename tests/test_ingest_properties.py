@@ -1,9 +1,11 @@
 """Property tests: the fast ingest paths against the slow code they replace.
 
 The grid ``build_timeslots`` returns, read slot by slot, must equal the
-per-slot binary-search build over random events, frames, day origins and
-default frames, errors included; ``parse_timestamp`` must accept, reject and read every text as
-``strptime`` with ``TIMESTAMP_FORMAT`` does.
+per-slot binary-search build over random events, frames and day origins,
+errors included; ``parse_timestamp`` must accept, reject and read every text
+as ``strptime`` with ``TIMESTAMP_FORMAT`` does; and ``parse_sensor_log`` must
+read fuzzed sensor logs as the per-row parser does: the same frames, or the
+same first error, which ``label`` reports with exit code 2.
 """
 
 from datetime import datetime, time, timedelta
@@ -14,11 +16,24 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from homeguard.cli import main  # noqa: E402
 from homeguard.errors import HomeguardError  # noqa: E402
-from homeguard.ingest import EventRecord, build_timeslots  # noqa: E402
+from homeguard.ingest import (  # noqa: E402
+    SENSOR_HEADER,
+    EventRecord,
+    build_timeslots,
+    parse_sensor_log,
+)
+from homeguard.vocab import DEFAULT_SENSOR_RANGES, SENSOR_FIELDS  # noqa: E402
 
 from conftest import frame  # noqa: E402
-from oracles import build_timeslots_bisect, slot_records  # noqa: E402
+from oracles import (  # noqa: E402
+    build_timeslots_bisect,
+    columns,
+    frame_rows,
+    parse_sensor_log_rows,
+    slot_records,
+)
 from test_ingest import assert_parse_matches_strptime  # noqa: E402
 
 BASE = datetime(2021, 3, 1)
@@ -43,22 +58,17 @@ def outcome(build, *args, **kwargs):
     events=st.lists(st.tuples(offsets, st.sampled_from(PAIRS)), max_size=30),
     frame_offsets=st.lists(offsets, max_size=12),
     origin=st.tuples(st.integers(0, 23), st.integers(0, 59)),
-    default_offset=st.one_of(st.none(), offsets),
 )
-def test_grid_equals_bisect_slots(events, frame_offsets, origin, default_offset):
+def test_grid_equals_bisect_slots(events, frame_offsets, origin):
     events = [EventRecord(BASE + timedelta(seconds=s), *pair) for s, pair in events]
     frames = [frame(BASE + timedelta(seconds=s), co2=float(i)) for i, s in
               enumerate(frame_offsets)]
-    kwargs = dict(
-        day_origin=time(*origin),
-        default_frame=None if default_offset is None
-        else frame(BASE + timedelta(seconds=default_offset), noise=99.0),
-    )
-    def grid_slots(*args, **kwargs):
-        return slot_records(build_timeslots(*args, **kwargs))
 
-    assert outcome(grid_slots, events, frames, **kwargs) == outcome(
-        build_timeslots_bisect, events, frames, **kwargs
+    def grid_slots(events, frames, day_origin):
+        return slot_records(build_timeslots(events, columns(frames), day_origin))
+
+    assert outcome(grid_slots, events, frames, time(*origin)) == outcome(
+        build_timeslots_bisect, events, frames, time(*origin)
     )
 
 
@@ -91,3 +101,62 @@ def test_parse_timestamp_matches_strptime_on_written_forms(value, pick):
 @given(text=st.text(alphabet="0123456789-T:+Z. tW", max_size=27))
 def test_parse_timestamp_matches_strptime_on_any_text(text):
     assert_parse_matches_strptime(text)
+
+
+# Sensor-log rows: readings inside each default range, its bounds included;
+# then at most one odd cell: a reading out of range, a form ``float`` reads
+# besides a plain decimal, a cell ``float`` or the timestamp parser rejects,
+# bytes that are not UTF-8, or a wrong field count (a blank row among them).
+READINGS = [
+    st.floats(low, high).map(lambda v: repr(round(v, 2)))
+    for low, high in (DEFAULT_SENSOR_RANGES[name] for name in SENSOR_FIELDS)
+]
+STAMPS = st.one_of(
+    st.integers(0, 3 * 1440).map(lambda m: (BASE + timedelta(minutes=m)).isoformat()),
+    st.just(BASE.isoformat()),
+)
+ODD_CELLS = st.one_of(
+    st.sampled_from(["-0.01", "5000.01", "-0", " 40 ", "4e1", "1_0", "nan", "inf", "-1e309",
+                     "", "x", "2 0", "1.2.3", "40\xff"]),
+    st.sampled_from(["2021-03-01 00:05:00", "2021-02-30T00:00:00"]),
+    st.text(alphabet="0123456789.-+e", max_size=6),
+)
+RANGES = [None, {"co2": (0.0, 5000.0)}, "default"]
+
+
+@st.composite
+def sensor_rows(draw) -> list[list[str]]:
+    rows = draw(st.lists(st.tuples(STAMPS, *READINGS).map(list), max_size=8))
+    if rows and draw(st.booleans()):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        cell = draw(st.integers(0, len(row)))
+        if cell < len(row):
+            row[cell] = draw(ODD_CELLS)
+        else:
+            row[:] = (row + ["40"])[:draw(st.sampled_from([0, 1, 3, len(row) + 1]))] or [""]
+    return rows
+
+
+def read_frames(parse, path, ranges):
+    """The frames ``parse`` reads, each reading by its ``repr``, or the error."""
+    try:
+        frames = parse(path) if ranges == "default" else parse(path, ranges=ranges)
+    except HomeguardError as exc:
+        return type(exc), str(exc)
+    return [(f.timestamp, [repr(f.value(name)) for name in SENSOR_FIELDS]) for f in frames]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=sensor_rows(), ranges=st.sampled_from(RANGES))
+def test_sensor_log_reads_as_the_per_row_parser(tmp_path_factory, rows, ranges):
+    path = tmp_path_factory.mktemp("fuzz") / "sensors.csv"
+    text = ",".join(SENSOR_HEADER) + "\n" + "".join(",".join(row) + "\n" for row in rows)
+    path.write_bytes(text.encode("latin-1"))
+    expected = read_frames(parse_sensor_log_rows, path, ranges)
+    assert read_frames(lambda *a, **k: frame_rows(parse_sensor_log(*a, **k)), path,
+                       ranges) == expected
+    if ranges == "default":
+        operations = path.with_name("operations.csv")
+        operations.write_text("timestamp,device,action,actor\n")
+        code = main(["label", "--operations", str(operations), "--sensors", str(path)])
+        assert code == 2 if isinstance(expected, tuple) else code in (0, 2)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from homeguard import labeling
-from homeguard.ingest import build_timeslots
+from homeguard.ingest import build_timeslots, floor_to_day_origin
 from homeguard.labeling import (
     ALPHABET,
     DeviceUsage,
@@ -23,8 +23,10 @@ from homeguard.synthgen import generate, scenario_s1
 from conftest import ev, frame, make_grid
 from oracles import (
     calendar_day_bounds_scan,
+    columns,
     decode_labels,
     encode_labels,
+    frame_rows,
     label_states_per_slot,
     slot_records,
 )
@@ -330,6 +332,17 @@ def s1_week():
     return build_timeslots(result.events, result.frames)
 
 
+def shifted(grid, origin):
+    """``grid``'s events and a frame every 12 hours of it on a grid whose
+    days start at ``origin``; a copy of the first frame stamped at the grid
+    start fills the slots before it."""
+    rows = frame_rows(grid.frames)
+    frames = [rows[i] for i in grid.frame[::720]]
+    start = floor_to_day_origin(min(grid.events[0].timestamp, frames[0].timestamp), origin)
+    return build_timeslots(grid.events, columns([replace(frames[0], timestamp=start), *frames]),
+                           origin)
+
+
 def assert_labels_equal(got, expected):
     for f in fields(expected):
         a, b = getattr(got, f.name), getattr(expected, f.name)
@@ -364,14 +377,12 @@ class TestLabelStatesMatchesPerSlot:
 
     @pytest.mark.parametrize("occupants", [0, 2])
     def test_day_origin_spanning_two_dates(self, s1_week, vocab, occupants):
-        frames = [s1_week.frames[i] for i in s1_week.frame[::720]]
-        shifted = build_timeslots(s1_week.events, frames, time(6, 30), default_frame=frames[0])
         params = LabelingParams(initial_occupants=occupants)
-        labels = assert_labels_match_per_slot(shifted, params, vocab)
+        labels = assert_labels_match_per_slot(shifted(s1_week, time(6, 30)), params, vocab)
         assert labels.excluded.any() == (occupants == 0)
 
     def test_empty_stream(self, vocab):
-        labels = label_states(build_timeslots([], []), LabelingParams(), vocab)
+        labels = label_states(build_timeslots([], columns([])), LabelingParams(), vocab)
         assert_labels_equal(labels, encode_labels([]))
         assert len(labels.state) == 0 and len(labels.event_state) == 0
 
@@ -394,9 +405,7 @@ class TestCalendarDays:
                              ids=["midnight", "06:30", "06:30:45"])
     def test_bounds_equal_the_scan(self, s1_week, origin):
         # A grid day starting at 06:30 spans two calendar dates.
-        frames = [s1_week.frames[i] for i in s1_week.frame[::720]]
-        shifted = build_timeslots(s1_week.events, frames, origin, default_frame=frames[0])
-        for grid in (s1_week, shifted, build_timeslots([], [])):
+        for grid in (s1_week, shifted(s1_week, origin), build_timeslots([], columns([]))):
             records = slot_records(grid)
             days = labeling._calendar_days(grid)
             assert (days.lo.tolist(), days.hi.tolist()) == calendar_day_bounds_scan(records)

@@ -11,12 +11,12 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from homeguard.ingest import EventRecord, build_timeslots  # noqa: E402
+from homeguard.ingest import EventRecord, build_timeslots, floor_to_day_origin  # noqa: E402
 from homeguard.labeling import LabelingParams, label_states  # noqa: E402
 from homeguard.vocab import Vocabulary  # noqa: E402
 
 from conftest import frame  # noqa: E402
-from oracles import encode_labels, label_states_per_slot, slot_records  # noqa: E402
+from oracles import columns, encode_labels, label_states_per_slot, slot_records  # noqa: E402
 
 BASE = datetime(2021, 3, 1)
 EVENTS = [
@@ -54,7 +54,9 @@ def test_label_states_equals_the_per_slot_labeler(
     events = [EventRecord(BASE + timedelta(seconds=s), *pair) for s, pair in events]
     frames = [frame(BASE + timedelta(seconds=s), noise=noise, co2=co2)
               for s, (noise, co2) in frames]
-    grid = build_timeslots(events, frames, time(*origin), default_frame=frame(BASE, noise=31.0))
+    # A quiet frame at the grid start fills the slots before the first frame.
+    start = floor_to_day_origin(min(f.timestamp for f in [*events, *frames]), time(*origin))
+    grid = build_timeslots(events, columns([frame(start, noise=31.0), *frames]), time(*origin))
     t_x, t_y, t_c = windows
     params = LabelingParams(
         t_x=t_x, t_y=t_y, t_c=t_c, sleep_gap_merge=merges[0], use_gap_merge=merges[1],

@@ -5,7 +5,8 @@ Over random stores, beliefs, windows and thresholds, ``judge_proposed`` and
 ``proposed_scores`` / ``sequence_scores``, and as the ``evaluate`` grid counts
 those scores; ``judge_estimation_baseline`` must decide ``score <= theta``.
 The scorers themselves are checked against a per-candidate oracle, and
-``window_candidates`` against a direct cut of the window.
+``window_candidates`` against a direct cut of the window.  The grid's
+detection and misdetection counts never fall as a threshold rises.
 """
 
 import numpy as np
@@ -27,6 +28,7 @@ from homeguard.detector import (  # noqa: E402
     two_level_anomalous,
     window_candidates,
 )
+from homeguard.evaluation import _ScoreRecord, _sweep_estimation, _sweep_two_level  # noqa: E402
 from homeguard.hsmodel import OperationTable  # noqa: E402
 from homeguard.seqstore import (  # noqa: E402
     SeqParams,
@@ -171,3 +173,48 @@ def test_estimation_judge_is_strict_threshold_on_its_score(vector, weights, data
     verdict = judge_estimation_baseline(table, belief, op, theta, TARGET)
     assert verdict.is_anomalous == (score <= theta)
     assert (verdict.delta, verdict.threshold) == (score, theta)
+
+
+# Scores and thresholds in [0, 1], with ties between them often.
+levels = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), unit)
+
+
+def assert_counts_rise(points, name):
+    """Ordered by the threshold ``name`` among points that share every other
+    parameter, ``tp`` and ``fp`` never fall."""
+    by_rest: dict = {}
+    for point in points:
+        params = dict(point.params)
+        value = params.pop(name)
+        by_rest.setdefault(tuple(sorted(params.items())), []).append((value, point.tp, point.fp))
+    for rows in by_rest.values():
+        rows.sort()
+        for (_, tp, fp), (_, next_tp, next_fp) in zip(rows, rows[1:]):
+            assert tp <= next_tp and fp <= next_fp
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scores=st.lists(st.tuples(levels, levels, st.booleans()), max_size=30),
+    n_single=st.lists(levels, min_size=1, max_size=5),
+    n_multi=st.lists(levels, min_size=1, max_size=5),
+)
+def test_two_level_counts_never_fall_as_a_threshold_rises(scores, n_single, n_multi):
+    points = _sweep_two_level("m", {}, [(a, b) for a, b, _ in scores],
+                              [injected for *_, injected in scores],
+                              tuple(n_single), tuple(n_multi))
+    assert len(points) == len(n_single) * len(n_multi)
+    assert_counts_rise(points, "n_single")
+    assert_counts_rise(points, "n_multi")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    scores=st.lists(st.tuples(levels, st.booleans()), max_size=30),
+    theta=st.lists(levels, min_size=1, max_size=8),
+)
+def test_estimation_counts_never_fall_as_theta_rises(scores, theta):
+    records = [_ScoreRecord(injected, score, {}, {}) for score, injected in scores]
+    points = _sweep_estimation(records, {}, tuple(theta))
+    assert len(points) == len(theta)
+    assert_counts_rise(points, "theta")

@@ -38,7 +38,9 @@ from conftest import BASE, ev, frame, make_folds
 from oracles import (
     build_timed_store_per_window,
     candidates_ending_at_combinations,
+    columns,
     count_near,
+    frame_rows,
     generate_subsequences,
     ratio,
     select_states,
@@ -414,7 +416,7 @@ def midnight_dataset(n_days=4):
             ]
         events += [EventRecord(at(12, 0), "tv", "on"), EventRecord(at(12, 2), "cooking_stove", "on")]
         events += [EventRecord(at(23, 50 + i), *devices[i % 4]) for i in range(6)]
-    return EvalDataset(grid=build_timeslots(events, frames), vocabulary=Vocabulary())
+    return EvalDataset(grid=build_timeslots(events, columns(frames)), vocabulary=Vocabulary())
 
 
 def partial_day_dataset(n_days=4):
@@ -443,7 +445,7 @@ def partial_day_dataset(n_days=4):
             EventRecord(at(23, 0), "refrigerator", "opening"),
             EventRecord(at(23, 3), "cooking_stove", "on"),
         ]
-    return EvalDataset(build_timeslots(events, frames, time(6, 30)), Vocabulary())
+    return EvalDataset(build_timeslots(events, columns(frames), time(6, 30)), Vocabulary())
 
 
 def assert_timed_equal(store, oracle):
@@ -614,8 +616,8 @@ def cut_home(origin=time(4, 0)):
     result = generate(scenario_s1(seed=3, n_days=5))
     start = datetime.combine(result.events[0].timestamp.date(), origin)
     events = [event for event in result.events if event.timestamp >= start]
-    frames = [frame for frame in result.frames if frame.timestamp >= start]
-    return build_timeslots(events, frames, origin), LabelingParams(initial_occupants=0)
+    frames = [frame for frame in frame_rows(result.frames) if frame.timestamp >= start]
+    return build_timeslots(events, columns(frames), origin), LabelingParams(initial_occupants=0)
 
 
 class TestTrainStoresFromDayWindows:
