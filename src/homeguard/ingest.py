@@ -220,54 +220,31 @@ def parse_sensor_log(
 
     ``ranges`` maps field name to an inclusive interval; pass ``None`` to
     disable range checking entirely (deployments with uncalibrated sensors).
-    The first fault in file order is raised, whether a cell that does not
-    parse or a reading out of its range.
     """
     timestamps: list[datetime] = []
-    lines = array("q")
     cells = array("d")  # the readings, row after row
-    try:
-        for line_no, row in _read_rows(path, SENSOR_HEADER):
-            if len(row) != len(SENSOR_HEADER):
-                raise ParseError(
-                    f"expected {len(SENSOR_HEADER)} fields, got {len(row)}", line=line_no
-                )
-            timestamps.append(parse_timestamp(row[0].strip(), line=line_no))
-            lines.append(line_no)
-            for name, cell in zip(SENSOR_FIELDS, row[1:]):
-                try:
-                    cells.append(float(cell))
-                except ValueError:
-                    raise ParseError(f"bad {name} value {cell!r}", line=line_no) from None
-    finally:
-        # Also on a parse fault: a reading out of range before it comes first.
-        _check_ranges(cells, lines, ranges)
+    for line_no, row in _read_rows(path, SENSOR_HEADER):
+        if len(row) != len(SENSOR_HEADER):
+            raise ParseError(
+                f"expected {len(SENSOR_HEADER)} fields, got {len(row)}", line=line_no
+            )
+        timestamps.append(parse_timestamp(row[0].strip(), line=line_no))
+        for name, cell in zip(SENSOR_FIELDS, row[1:]):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise ParseError(f"bad {name} value {cell!r}", line=line_no) from None
+            if ranges is not None and name in ranges:
+                low, high = ranges[name]
+                if not (low <= value <= high):
+                    raise ValidationError(
+                        f"line {line_no}: value {value} outside [{low}, {high}]",
+                        field=name,
+                    )
+            cells.append(value)
     values = np.frombuffer(cells).reshape(-1, len(SENSOR_FIELDS))
     order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
     return SensorFrames([timestamps[i] for i in order], values[order])
-
-
-def _check_ranges(cells: array, lines: array, ranges: dict | None) -> None:
-    """Raise ``ValidationError`` for the first of ``cells`` (readings in
-    ``SENSOR_FIELDS`` order, row after row; row ``i`` read from line
-    ``lines[i]``) outside its channel's range in ``ranges``."""
-    if not ranges:
-        return
-    checked = np.array([name in ranges for name in SENSOR_FIELDS])
-    bounds = np.array([ranges.get(name, (0.0, 0.0)) for name in SENSOR_FIELDS], dtype=float)
-    values = np.frombuffer(cells)
-    column = np.arange(len(values)) % len(SENSOR_FIELDS)
-    low, high = bounds[column].T
-    # NaN is outside every range.
-    bad = np.flatnonzero(checked[column] & ~((low <= values) & (values <= high)))
-    if len(bad):
-        row, column = divmod(int(bad[0]), len(SENSOR_FIELDS))
-        name = SENSOR_FIELDS[column]
-        low, high = ranges[name]
-        raise ValidationError(
-            f"line {lines[row]}: value {float(values[bad[0]])} outside [{low}, {high}]",
-            field=name,
-        )
 
 
 def write_operation_log(records: Iterable[EventRecord], path: str | Path) -> None:
@@ -328,8 +305,7 @@ def build_timeslots(
     if not events and not frames.timestamps:
         return SlotGrid(None, [], np.zeros(1, dtype=np.intp), frames,
                         np.zeros(0, dtype=np.intp))
-    # The frames are in order, so their first and last are their bounds.
-    timestamps = [e.timestamp for e in events] + frames.timestamps[:1] + frames.timestamps[-1:]
+    timestamps = [e.timestamp for e in events] + frames.timestamps
     first, last = min(timestamps), max(timestamps)
     start = _grid_bound(first, day_origin, 0)
     n_days = (_grid_bound(last, day_origin, 1) - start).days

@@ -196,9 +196,6 @@ class SynthResult:
         return paths
 
 
-_MINUTES = np.arange(SLOTS_PER_DAY)
-
-
 def _jitter(rng: np.random.Generator, std: float) -> int:
     if std <= 0:
         return 0
@@ -224,7 +221,8 @@ def generate(scenario: Scenario) -> SynthResult:
     noisy = [c for c, channel in enumerate(channels) if channel.noise_std > 0]
     noise_std = np.array([channels[c].noise_std for c in noisy])
     low, high = np.array([DEFAULT_SENSOR_RANGES[name] for name in SENSOR_FIELDS]).T
-    sampled = _MINUTES[:: scenario.sensor_interval_minutes]
+    minutes = np.arange(SLOTS_PER_DAY)
+    sampled = minutes[:: scenario.sensor_interval_minutes]
 
     for day in range(scenario.n_days):
         rng = np.random.default_rng([scenario.seed, day])
@@ -258,38 +256,65 @@ def generate(scenario: Scenario) -> SynthResult:
         activity = np.full(SLOTS_PER_DAY, "active")
         for name, intervals in (("sleep", sleep_ivals), ("out", out_ivals)):
             for interval in intervals:
-                activity[interval.contains(_MINUTES)] = name
+                activity[interval.contains(minutes)] = name
         cooking = np.zeros(SLOTS_PER_DAY, dtype=bool)
         for start, duration, _ in sessions:
             cooking[start : start + duration] = True
         activity[cooking] = "active"
-
-        def at(seconds: int) -> datetime:
-            return day_start + timedelta(seconds=seconds)
 
         day_events: list[EventRecord] = []
         for iv in out_ivals:
             if iv.start_minute >= iv.end_minute:
                 continue
             for user in range(scenario.n_users):
-                for minute, action in ((iv.start_minute, "exit"), (iv.end_minute, "entry")):
-                    day_events.append(EventRecord(at(minute * 60 + user), "user_position",
-                                                  action, actor=f"user{user}"))
+                day_events.append(
+                    EventRecord(
+                        day_start + timedelta(minutes=iv.start_minute, seconds=user),
+                        "user_position",
+                        "exit",
+                        actor=f"user{user}",
+                    )
+                )
+                day_events.append(
+                    EventRecord(
+                        day_start + timedelta(minutes=iv.end_minute, seconds=user),
+                        "user_position",
+                        "entry",
+                        actor=f"user{user}",
+                    )
+                )
         for start, duration, session in sessions:
             start_second = start * 60 + int(rng.integers(0, 30))
-            day_events.extend(EventRecord(at(max(0, start_second - lead)), device, action)
-                              for device, action, lead in session.lead_ops)
-            day_events.append(EventRecord(at(start_second), session.appliance, "on"))
+            for device, action, lead in session.lead_ops:
+                lead_second = max(0, start_second - lead)
+                day_events.append(
+                    EventRecord(
+                        day_start + timedelta(seconds=lead_second), device, action
+                    )
+                )
+            day_events.append(
+                EventRecord(
+                    day_start + timedelta(seconds=start_second), session.appliance, "on"
+                )
+            )
             if session.appliance == "cooking_stove":
                 # Lands strictly after the "on" and inside the session.
                 end_second = (start + duration) * 60 - 1 - int(rng.integers(0, 30))
-                day_events.append(EventRecord(at(end_second), session.appliance, "off"))
+                day_events.append(
+                    EventRecord(
+                        day_start + timedelta(seconds=end_second),
+                        session.appliance,
+                        "off",
+                    )
+                )
         for habit in scenario.habits:
             draws = rng.random(SLOTS_PER_DAY)
             offsets = rng.integers(0, 60, size=SLOTS_PER_DAY)
-            fires = (activity == habit.activity) & ~cooking & (draws < habit.rate_per_hour / 60.0)
+            probability = habit.rate_per_hour / 60.0
+            fires = (activity == habit.activity) & ~cooking & (draws < probability)
             day_events.extend(
-                EventRecord(at(minute * 60 + second), habit.device, habit.action)
+                EventRecord(day_start + timedelta(minutes=minute, seconds=second),
+                            habit.device, habit.action)
                 for minute, second in zip(np.flatnonzero(fires).tolist(), offsets[fires].tolist())
             )
         day_events.sort(key=lambda e: e.timestamp)
@@ -298,16 +323,17 @@ def generate(scenario: Scenario) -> SynthResult:
         # Each sample adds the offsets in force and its noise to the bases,
         # in the order a reading's value is built, then clips.
         state = activity[sampled]
-        values = np.tile([channel.base for channel in channels], (len(sampled), 1))
+        # Float whatever the bases' type: a scenario file may give them as integers.
+        values = np.tile(np.array([channel.base for channel in channels], dtype=float),
+                         (len(sampled), 1))
         values[state == "sleep"] += [channel.sleep_offset for channel in channels]
         values[state == "out"] += [channel.out_offset for channel in channels]
         values[cooking[sampled]] += [channel.cook_offset for channel in channels]
-        if noisy:
-            values[:, noisy] += rng.normal(0.0, noise_std, size=(len(sampled), len(noisy)))
+        values[:, noisy] += rng.normal(0.0, noise_std, size=(len(sampled), len(noisy)))
         np.clip(values, low, high, out=values)
         # Python's round, value by value: np.round may round a half the other way.
         readings.append(np.array([round(v, 2) for v in values.ravel().tolist()]))
-        timestamps.extend(at(minute * 60) for minute in sampled.tolist())
+        timestamps.extend(day_start + timedelta(minutes=minute) for minute in sampled.tolist())
         activities.append(activity)
         cookings.append(cooking)
 

@@ -134,6 +134,21 @@ class TestSameBytesAsPerMinute:
             scenario.sensors[name] = replace(scenario.sensors[name], base=base)
         assert_same_files_as_the_per_minute_generator(scenario, tmp_path)
 
+    def test_integer_sensor_values_from_a_scenario_file(self, tmp_path):
+        # JSON keeps whole numbers as ints; the readings are floats all the same.
+        scenario = scenario_s1(seed=5, n_days=2)
+        for name in SENSOR_FIELDS:
+            channel = scenario.sensors[name]
+            scenario.sensors[name] = replace(
+                channel, base=round(channel.base), sleep_offset=round(channel.sleep_offset),
+                out_offset=round(channel.out_offset), cook_offset=round(channel.cook_offset),
+                noise_std=round(channel.noise_std),
+            )
+        save_scenario(scenario, tmp_path / "scenario.json")
+        loaded = load_scenario(tmp_path / "scenario.json")
+        assert all(type(loaded.sensors[name].base) is int for name in SENSOR_FIELDS)
+        assert_same_files_as_the_per_minute_generator(loaded, tmp_path)
+
     def test_dense_habits(self, tmp_path):
         scenario = scenario_s1(seed=23, n_days=3)
         scenario.habits = tuple(replace(h, rate_per_hour=h.rate_per_hour * 20)

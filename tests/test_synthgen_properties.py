@@ -1,8 +1,8 @@
 """Property test: ``generate``, computed on arrays, writes the bytes of the
 minute-by-minute generator over random scenarios: sleep that wraps midnight,
-sensor bases and offsets outside the physical ranges or halfway between two
-hundredths, noise on and off, sensor intervals from one minute to a day,
-with and without a weekend."""
+sensor bases and offsets outside the physical ranges, halfway between two
+hundredths or whole integers, noise on and off, sensor intervals from one
+minute to a day, with and without a weekend."""
 
 from datetime import date
 
@@ -27,8 +27,10 @@ from test_synthgen import assert_same_files_as_the_per_minute_generator  # noqa:
 minutes = st.integers(0, 1439)
 # Halfway values such as 0.015 often: there ``np.round`` and Python's
 # ``round`` part ways.
+# Integers too, as a scenario file may give them.
 reals = st.one_of(st.floats(-2000, 6000, allow_nan=False),
-                  st.integers(-200_000, 600_000).map(lambda k: (k + 0.5) / 100))
+                  st.integers(-200_000, 600_000).map(lambda k: (k + 0.5) / 100),
+                  st.integers(-2000, 6000))
 templates = st.builds(
     DayTemplate,
     sleep=st.lists(st.builds(Interval, minutes, minutes), max_size=2).map(tuple),
@@ -45,7 +47,7 @@ templates = st.builds(
 )
 channels = st.builds(
     SensorChannel, base=reals, sleep_offset=reals, out_offset=reals, cook_offset=reals,
-    noise_std=st.one_of(st.just(0.0), st.floats(0, 100)),
+    noise_std=st.one_of(st.just(0.0), st.floats(0, 100), st.integers(0, 100)),
 )
 scenarios = st.builds(
     Scenario,
