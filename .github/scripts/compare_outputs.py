@@ -38,13 +38,18 @@ from pathlib import Path
 WORKLOADS = ("loocv-s1-28d", "loocv-dense-7d", "train-detect-s1-90d")
 # evaluate runs on a 5-day s1 home: (name, day origin, arguments).  The home
 # cut to start at 04:00, with nobody home at first, has its first date
-# excluded, so its first day is kept only from midnight to 04:00.
+# excluded, so its first day is kept only from midnight to 04:00.  At a
+# t_seq of half a day, windows reach back across the day bounds, so each
+# fold's timed store enumerates again the windows that reach into its
+# held-out day.
 EVALUATE_RUNS = (
     ("criterion-alpha", "00:00",
      ("--methods", "proposed", "--criterion", "alpha", "--l-values", "0.05,0.2",
       "--initial-occupants", "2")),
     ("day-origin-excluded-date", "04:00",
      ("--methods", "all", "--l-values", "1,2", "--initial-occupants", "0")),
+    ("long-window-excluded-date", "04:00",
+     ("--methods", "all", "--t-seq", "43200", "--l-values", "1", "--initial-occupants", "0")),
     ("two-labelings", "00:00",
      ("--methods", "proposed,estimation", "--t-x-values", "15,30", "--l-values", "1,2",
       "--initial-occupants", "2")),
@@ -60,10 +65,12 @@ LABEL_RUNS = (
 
 # train, then detect with each method, on the same home: (name, day origin,
 # arguments).  The benchmark's operator path runs at 00:00 only.  With nobody
-# home at first, train keeps the first 04:00 day only in part.
+# home at first, train keeps the first 04:00 day only in part.  At a t_seq of
+# half a day, detect judges windows that reach back across midnight.
 OPERATOR_RUNS = (
     ("day-origin", "04:00", ()),
     ("day-origin-excluded-date", "04:00", ("--initial-occupants", "0")),
+    ("long-window-excluded-date", "04:00", ("--t-seq", "43200", "--initial-occupants", "0")),
 )
 DETECT_METHODS = ("proposed", "estimation", "sequence")
 

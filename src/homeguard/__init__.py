@@ -26,7 +26,6 @@ from .evaluation import (
     EstimationGrid,
     EvalDataset,
     EvalPoint,
-    InjectionPlan,
     ProposedGrid,
     SequenceGrid,
     best_at,

@@ -19,7 +19,6 @@ from .detector import (
 )
 from .errors import HomeguardError, UsageError, ValidationError
 from .evaluation import (
-    SECONDS_PER_DAY,
     EstimationGrid,
     EvalDataset,
     ProposedGrid,
@@ -33,7 +32,7 @@ from .hsmodel import ModelParams, TrainedModel, run_filter, train_model
 from .ingest import MAX_SPAN_DAYS, build_timeslots, parse_operation_log, parse_sensor_log
 from .labeling import ALPHABET, LabelingParams, export_event_labels, export_labels, label_states
 from .payload import faults_as, json_object, load_json, parse_hhmm, record
-from .seqstore import SeqParams, window_start
+from .seqstore import SECONDS_PER_DAY, SeqParams, target_windows
 from .synthgen import generate, load_scenario, scenario_calibration, scenario_s1
 from .vocab import Vocabulary
 
@@ -176,19 +175,15 @@ def cmd_detect(args) -> int:
     vocabulary = model.vocabulary
     grid = _load_stream(args, vocabulary, on_unknown="skip")
     # Only the proposed and estimation methods read a belief, so only they
-    # pay for the filter; its events come in stream order.
-    if args.method == "sequence":
-        stream = grid.events
-    else:
+    # pay for the filter; its trace holds the grid's events in order.
+    if args.method != "sequence":
         trace = run_filter(grid, model.transitions, model.operations)
-        stream = trace.events
     target = vocabulary.detection_target
-    times = [event.timestamp for event in stream]
+    stream = grid.events
+    ends, starts = target_windows(stream, grid.event_at, target, model.seq_params.t_seq)
     lines: list[str] = []
-    for idx, event in enumerate(stream):
-        if event.device != target:
-            continue
-        preceding = stream[window_start(times, event.timestamp, model.seq_params.t_seq) : idx]
+    for idx, lo in zip(ends.tolist(), starts.tolist()):
+        event, preceding = stream[idx], stream[lo:idx]
         if args.method == "proposed":
             verdict = judge_proposed(model, trace.pre[idx], preceding, event, thresholds)
         elif args.method == "estimation":

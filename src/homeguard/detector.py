@@ -1,10 +1,13 @@
 """Verdicts on target-device operations.
 
 Candidates are the distinct subsequences of the judged operation's window
-that end with the operation.  The combined method scores a candidate by its
-belief-weighted sequence probability; the time-of-day sequence method scores
-it by the share of stored target operations whose equivalent sequence
-completed near the same time of day.  Both reduce a window to two scores:
+that end with the operation.  The window's earlier events come cut by
+``seqstore.target_windows`` (or ``window_starts``), so the detector compares
+no timestamps and cuts only ``w_max``.  The combined method scores a
+candidate by its belief-weighted sequence probability; the time-of-day
+sequence method scores it by the share of stored target operations whose
+equivalent sequence completed near the same time of day.  Both reduce a
+window to two scores:
 ``s_single`` for the candidate of length one and ``s_multi``, the best score
 among longer candidates (0.0 when the window holds only the operation).  One
 decision rule judges both, and ``evaluate`` sweeps its thresholds over the
@@ -42,7 +45,6 @@ from .seqstore import (
     TimedSequenceStore,
     candidates_ending_at,
     seconds_of_day,
-    window_horizon,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -102,7 +104,6 @@ class Verdict:
     threshold: float
     sequence: Items | None = None
     sequence_length: int | None = None
-    belief: np.ndarray | None = None
 
     @property
     def is_anomalous(self) -> bool:
@@ -141,17 +142,12 @@ def window_candidates(
 ) -> list[Items]:
     """Candidates of the judged window, the length-1 candidate first.
 
-    The window holds the events within ``t_seq`` seconds leading up to the
-    operation and the operation itself as final item, cut to its last
-    ``w_max`` items.
+    ``preceding`` holds the events within ``t_seq`` seconds before the
+    operation, as ``seqstore.target_windows`` and ``window_starts`` cut them;
+    the window is those events and the operation itself as final item, cut
+    to its last ``w_max`` items.
     """
-    horizon = window_horizon(op.timestamp, seq_params.t_seq)
-    pairs = [
-        event.pair
-        for event in preceding
-        if horizon <= event.timestamp <= op.timestamp
-    ]
-    pairs.append(op.pair)
+    pairs = [*(event.pair for event in preceding), op.pair]
     return candidates_ending_at(pairs[-seq_params.w_max :], seq_params.l_max)
 
 
@@ -236,7 +232,6 @@ def _two_level_verdict(
     scores: LevelScores,
     n_single: float,
     n_multi: float,
-    belief: np.ndarray | None = None,
 ) -> Verdict:
     """Decide by the rule; the evidence is the level with the larger margin
     over its threshold, the single level winning ties."""
@@ -253,7 +248,6 @@ def _two_level_verdict(
         threshold=threshold,
         sequence=items,
         sequence_length=len(items),
-        belief=belief,
     )
 
 
@@ -273,12 +267,9 @@ def judge_proposed(
 ) -> Verdict:
     """Judge one target operation with the combined state/sequence method."""
     _require_target(op, model.vocabulary.detection_target)
-    store = model.store if model.store is not None else SequenceStore(n_states=len(belief))
     candidates = window_candidates(preceding, op, model.seq_params)
-    scores = proposed_scores(store, belief, candidates)
-    return _two_level_verdict(
-        op, "proposed", scores, thresholds.n_single, thresholds.n_multi, belief
-    )
+    scores = proposed_scores(model.store, belief, candidates)
+    return _two_level_verdict(op, "proposed", scores, thresholds.n_single, thresholds.n_multi)
 
 
 def judge_estimation_baseline(
@@ -297,7 +288,6 @@ def judge_estimation_baseline(
         decision=LEGITIMATE if score > theta else ANOMALOUS,
         delta=score,
         threshold=theta,
-        belief=belief,
     )
 
 

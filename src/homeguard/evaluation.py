@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from itertools import product
@@ -44,38 +43,30 @@ from .hsmodel import (
     fit_transitions,
     run_filter,  # noqa: F401 - not called here; perfbench/child.py traces this name
 )
-from .ingest import SLOTS_PER_DAY, EventRecord, SlotGrid
+from .ingest import SLOTS_PER_DAY, EventRecord, SlotGrid, offsets_from
 # Not called here; perfbench/child.py traces this name.
 from .ingest import build_timeslots  # noqa: F401
 from .labeling import ALPHABET, LabelArrays, LabelingParams, label_states
 from .payload import to_payload
 from .seqstore import (
+    SECONDS_PER_DAY,
     DayWindows,
     SeqParams,
     TrainingBeliefs,
     build_timed_store,
     seconds_of_day,
     store_sequences,
-    window_start,
+    target_windows,
+    window_starts,
 )
 from .vocab import Vocabulary
 
-SECONDS_PER_DAY = 86400
 # Folds filtered together in one lockstep pass.  A group's models and traces
 # stay alive until its last fold is scored: per fold one (1440, S, S) model and
 # N x 1440 x S floats of slot entries (3.2 MB on 28 days), plus 2 x S floats
 # per event for the beliefs just before and just after it.
 # Four keeps the 28-day protocol's fold loop under the peak of its sweep.
 FOLD_GROUP = 4
-
-
-@dataclass(frozen=True)
-class InjectionPlan:
-    """Synthetic anomalous target operations for one detection day."""
-
-    day_index: int
-    seed: int
-    operations: tuple[EventRecord, ...]
 
 
 def inject_anomalies(
@@ -85,16 +76,14 @@ def inject_anomalies(
     day_index: int = 0,
     device: str = "cooking_stove",
     action: str = "on",
-) -> InjectionPlan:
-    """Uniform random operation times over the day, deterministic per seed."""
+) -> tuple[EventRecord, ...]:
+    """Synthetic anomalous target operations for one detection day: uniform
+    random times over the day, deterministic per seed and day."""
     if count < 0:
         raise ValidationError("must be non-negative", field="count")
     rng = np.random.default_rng([seed, day_index])
     seconds = sorted(int(s) for s in rng.integers(0, SECONDS_PER_DAY, size=count))
-    operations = tuple(
-        EventRecord(day_start + timedelta(seconds=s), device, action) for s in seconds
-    )
-    return InjectionPlan(day_index=day_index, seed=seed, operations=operations)
+    return tuple(EventRecord(day_start + timedelta(seconds=s), device, action) for s in seconds)
 
 
 @dataclass(frozen=True)
@@ -300,45 +289,39 @@ class FoldContext:
             FoldContext.filter_group([self])
         return self._cache["detection_trace"]
 
-    def judged_operations(
-        self, injections_per_day: int, seed: int, injection_action: str = "on"
-    ) -> list[OperationContext]:
+    def judged_operations(self, injections_per_day: int, seed: int) -> list[OperationContext]:
         """Real target operations of the held-out day, then injected ones."""
         target = self.dataset.vocabulary.detection_target
-        day_events = self.windows.days[self.heldout_day]
-        event_times = [event.timestamp for event in day_events]
+        day = self.heldout_day
+        day_events, at = self.windows.days[day], self.windows.day_at(day)
         t_seq = self.seq_params.t_seq
 
-        contexts: list[OperationContext] = []
-        for index, event in enumerate(day_events):
-            if event.device == target:
-                lo = window_start(event_times, event.timestamp, t_seq)
-                contexts.append(
-                    OperationContext(
-                        event,
-                        injected=False,
-                        preceding=day_events[lo:index],
-                        belief_provider=self._event_belief(index),
-                    )
-                )
+        ends, starts = target_windows(day_events, at, target, t_seq)
+        contexts = [
+            OperationContext(
+                day_events[index],
+                injected=False,
+                preceding=day_events[lo:index],
+                belief_provider=self._event_belief(index),
+            )
+            for index, lo in zip(ends.tolist(), starts.tolist())
+        ]
 
-        plan = inject_anomalies(
-            self.dataset.grid.start + timedelta(days=self.heldout_day),
-            injections_per_day,
-            seed,
-            day_index=self.heldout_day,
+        grid = self.dataset.grid
+        injected = inject_anomalies(
+            grid.start + timedelta(days=day), injections_per_day, seed, day_index=day,
             device=target,
-            action=injection_action,
         )
-        for op in plan.operations:
-            lo = window_start(event_times, op.timestamp, t_seq)
-            hi = bisect_left(event_times, op.timestamp)
-            preceding = day_events[lo:hi]
+        instants = offsets_from(grid.start, (op.timestamp for op in injected))
+        spans = zip(
+            window_starts(at, instants, t_seq).tolist(), np.searchsorted(at, instants).tolist()
+        )
+        for op, (lo, hi) in zip(injected, spans):
             contexts.append(
                 OperationContext(
                     op,
                     injected=True,
-                    preceding=preceding,
+                    preceding=day_events[lo:hi],
                     belief_provider=self._injected_belief(op.timestamp),
                 )
             )
@@ -353,7 +336,7 @@ class FoldContext:
 
 
 def _dataset_windows(dataset: EvalDataset, seq_params: SeqParams) -> DayWindows:
-    return DayWindows(dataset.grid.days(), dataset.vocabulary.detection_target, seq_params)
+    return DayWindows(dataset.grid, dataset.vocabulary.detection_target, seq_params)
 
 
 def _make_folds(

@@ -254,7 +254,8 @@ class FilterTrace:
     stream).  ``entry[p]`` is the belief right after entering the stream's
     slot ``p`` (for the first slot this is the initial belief itself: the
     stream starts there, no transition is applied).  ``events`` lists the
-    stream's events in order; ``pre[i]`` and ``post[i]`` are the beliefs
+    stream's events in order, and ``event_at`` their instants on the grid's
+    clock (``SlotGrid.event_at``); ``pre[i]`` and ``post[i]`` are the beliefs
     just before and just after the update by ``events[i]``.  The events of
     slot ``p`` are ``first[p]:first[p + 1]``.
     """
@@ -263,6 +264,7 @@ class FilterTrace:
     initial: np.ndarray
     entry: np.ndarray  # (n_slots, S)
     events: list[EventRecord]
+    event_at: np.ndarray  # (n_events,) int64
     pre: np.ndarray  # (n_events, S)
     post: np.ndarray  # (n_events, S)
     first: np.ndarray  # (n_slots + 1,) int
@@ -325,15 +327,17 @@ def _observe(
     return out
 
 
-def _stream_events(grid: SlotGrid, stream: np.ndarray) -> tuple[np.ndarray, list[EventRecord]]:
+def _stream_events(
+    grid: SlotGrid, stream: np.ndarray
+) -> tuple[np.ndarray, list[EventRecord], np.ndarray]:
     """Where each slot's events begin among the stream's events (the
-    ``first`` of its trace), and those events in order."""
+    ``first`` of its trace), and those events in order with their instants."""
     lo = grid.first[stream]
     counts = grid.first[stream + 1] - lo
     first = np.zeros(len(stream) + 1, dtype=np.intp)
     np.cumsum(counts, out=first[1:])
     taken = np.arange(first[-1]) + np.repeat(lo - first[:-1], counts)
-    return first, [grid.events[i] for i in taken.tolist()]
+    return first, [grid.events[i] for i in taken.tolist()], grid.event_at[taken]
 
 
 class _StackedMatrices:
@@ -365,13 +369,14 @@ def _filter_alone(
     """
     transitions, operations = model
     n_states = transitions.n_states
-    first, events = _stream_events(grid, stream)
+    first, events, event_at = _stream_events(grid, stream)
     entry = np.empty((len(stream), n_states))
     pre = np.empty((len(events), n_states))
     post = np.empty((len(events), n_states))
     trace = FilterTrace(
         start=grid.start + int(stream[0]) * SLOT if len(stream) else None,
-        initial=initial, entry=entry, events=events, pre=pre, post=post, first=first,
+        initial=initial, entry=entry, events=events, event_at=event_at, pre=pre, post=post,
+        first=first,
     )
     if not len(stream):
         return trace
@@ -437,10 +442,12 @@ def _lockstep(
     # Row d's events, and where each of its slots' events begins among them.
     first = np.zeros((n_rows, n_slots + 1), dtype=np.intp)
     events: list[list[EventRecord]] = []
+    event_at: list[np.ndarray] = []
     rows_at: dict[int, list[int]] = {}
     for row, stream in enumerate(streams):
-        first[row], row_events = _stream_events(grid, stream)
+        first[row], row_events, row_at = _stream_events(grid, stream)
         events.append(row_events)
+        event_at.append(row_at)
         for pos in np.flatnonzero(np.diff(first[row])).tolist():
             rows_at.setdefault(pos, []).append(row)
 
@@ -492,7 +499,7 @@ def _lockstep(
             FilterTrace(
                 start=grid.start + int(stream[0]) * SLOT,
                 initial=initial, entry=entry[m, row], events=events[row],
-                pre=pre[row][m], post=post[row][m], first=first[row],
+                event_at=event_at[row], pre=pre[row][m], post=post[row][m], first=first[row],
             )
             for row, stream in enumerate(streams)
         ]
@@ -600,8 +607,8 @@ class TrainedModel:
     seq_params: SeqParams
     transitions: TransitionTensor
     operations: OperationTable
-    store: SequenceStore | None = None
-    baseline_store: TimedSequenceStore | None = None
+    store: SequenceStore
+    baseline_store: TimedSequenceStore
 
     def to_payload(self) -> dict:
         sparse_a: dict[str, dict[str, list[float]]] = {}
@@ -626,10 +633,8 @@ class TrainedModel:
                 f"{device}:{action}": [float(x) for x in vec]
                 for (device, action), vec in sorted(self.operations.probs.items())
             },
-            "store": self.store.to_payload() if self.store is not None else None,
-            "baseline_store": (
-                self.baseline_store.to_payload() if self.baseline_store is not None else None
-            ),
+            "store": self.store.to_payload(),
+            "baseline_store": self.baseline_store.to_payload(),
         }
 
     def to_json(self) -> str:
@@ -802,7 +807,7 @@ def train_model(
     # The store and the timed store share one enumeration of the grid's
     # windows, as the folds of an evaluation do.
     target = vocabulary.detection_target
-    windows = DayWindows(grid.days(), target, seq_params)
+    windows = DayWindows(grid, target, seq_params)
     days, streams = kept_day_streams(kept)
     traces = filter_streams(grid, streams, transitions, operations)
     beliefs = TrainingBeliefs(traces, windows, days)

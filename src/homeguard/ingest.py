@@ -8,15 +8,18 @@ Two CSV formats come in, one slot grid comes out:
   sampled roughly every five minutes, read as columns (``SensorFrames``).
 
 ``build_timeslots`` aligns both onto a fixed one-minute grid covering whole
-days and returns it as a ``SlotGrid`` of arrays: the events in order with the
-offset where each slot's events begin, and per slot the index of the sensor
-frame forward-filled into it.  Both come from one ``np.searchsorted`` over
-the microsecond offsets of the inputs.  Inputs spanning more than
+days and returns it as a ``SlotGrid`` of arrays: the events in order with
+their instants as whole microseconds from the grid's start (``event_at``,
+the one clock every later stage reads) and the offset where each slot's
+events begin, and per slot the index of the sensor frame forward-filled into
+it.  Both come from one ``np.searchsorted`` over those microsecond offsets.  Inputs spanning more than
 ``MAX_SPAN_DAYS`` days are refused before anything is allocated, and a
 sensor frame is needed at or before the first slot.
 
 A file that is not UTF-8 text, or a cell over the ``csv`` field limit,
-raises ``ParseError`` naming the file and the line.
+raises ``ParseError`` naming the file and the line.  Every message names the
+physical line a row starts on, so a quoted cell that holds a line break does
+not shift the numbers of the rows after it.
 
 Timestamps are ``YYYY-MM-DDTHH:MM:SS`` text.  ``parse_timestamp`` first
 tries ``datetime.fromisoformat`` and keeps its result only when the value
@@ -88,13 +91,15 @@ class SlotGrid:
     Slot ``p`` (its position, from 0) starts ``p`` minutes after ``start``,
     the day boundary it begins at; it is numbered ``t = p + 1`` and its
     slot-of-day is ``k = p % 1440 + 1``.  ``events`` are the stream's events
-    in order, and slot ``p`` holds ``events[first[p]:first[p + 1]]``.  Its
-    sensor frame is row ``frame[p]`` of ``frames``, the latest at or before
+    in order, ``event_at[i]`` is the instant of ``events[i]`` in whole
+    microseconds after ``start``, and slot ``p`` holds
+    ``events[first[p]:first[p + 1]]``.  Its sensor frame is row ``frame[p]`` of ``frames``, the latest at or before
     the slot's start.
     """
 
     start: datetime | None
     events: list[EventRecord]
+    event_at: np.ndarray  # (n_events,) int64
     first: np.ndarray  # (n_slots + 1,) int
     frames: SensorFrames
     frame: np.ndarray  # (n_slots,) int
@@ -135,8 +140,8 @@ def parse_timestamp(text: str, line: int | None = None) -> datetime:
 
 
 def _read_rows(path: str | Path, header: Sequence[str]) -> Iterable[tuple[int, list[str]]]:
-    """The rows after the header of a CSV log, with their line numbers;
-    blank rows are skipped."""
+    """The rows after the header of a CSV log, each with the number of the
+    physical line it starts on; blank rows are skipped."""
     path = Path(path)
     if not path.exists():
         raise ParseError(f"file not found: {path}")
@@ -150,10 +155,11 @@ def _read_rows(path: str | Path, header: Sequence[str]) -> Iterable[tuple[int, l
                 raise ParseError(
                     f"bad header {first!r}, expected {','.join(header)}", line=1
                 )
-            for line_no, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                yield line_no, row
+            line_no = reader.line_num + 1  # the line the next row starts on
+            for row in reader:
+                if row and (len(row) > 1 or row[0].strip()):
+                    yield line_no, row
+                line_no = reader.line_num + 1
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path}: not UTF-8 text ({exc.reason})",
                              line=_bad_utf8_line(path)) from None
@@ -303,8 +309,8 @@ def build_timeslots(
     anything is allocated.
     """
     if not events and not frames.timestamps:
-        return SlotGrid(None, [], np.zeros(1, dtype=np.intp), frames,
-                        np.zeros(0, dtype=np.intp))
+        return SlotGrid(None, [], np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.intp),
+                        frames, np.zeros(0, dtype=np.intp))
     timestamps = [e.timestamp for e in events] + frames.timestamps
     first, last = min(timestamps), max(timestamps)
     start = _grid_bound(first, day_origin, 0)
@@ -319,12 +325,13 @@ def build_timeslots(
     events = sorted(events, key=lambda e: e.timestamp)  # stable: ties keep order
     # Slot starts, events and frames as whole microseconds after ``start``.
     slot_at = np.arange(n_days * SLOTS_PER_DAY, dtype=np.int64) * SLOT_MICROS
-    event_slot = offsets_from(start, (e.timestamp for e in events)) // SLOT_MICROS
+    event_at = offsets_from(start, (e.timestamp for e in events))
     frame_at = offsets_from(start, frames.timestamps)
     return SlotGrid(
         start=start,
         events=events,
-        first=np.searchsorted(event_slot, np.arange(len(slot_at) + 1)),
+        event_at=event_at,
+        first=np.searchsorted(event_at // SLOT_MICROS, np.arange(len(slot_at) + 1)),
         frames=frames,
         frame=np.searchsorted(frame_at, slot_at, side="right") - 1,
     )

@@ -11,10 +11,10 @@ cooking run is split at the first cooking operation, so events carry the state
 in force at their own instant (an operation flips the state at its timestamp).
 
 Every rule runs on the grid's arrays (``ingest.SlotGrid``): the sensor
-columns, the events with their slot offsets, and minute arithmetic from the
-grid's start for the time of day and the calendar date of each slot.  The
-occupant count in force at any instant is one ``np.searchsorted`` into the
-timeline of count changes.
+columns, the events with their instants (``event_at``) and slot offsets, and
+minute arithmetic from the grid's start for the time of day and the calendar
+date of each slot.  The occupant count in force at any instant is one
+``np.searchsorted`` into the timeline of count changes.
 
 ``label_states`` returns the labels as ``LabelArrays``: integer codes into
 ``ALPHABET`` per slot and per event, which the model fits count over and the
@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import SLOT, SLOT_MICROS, SLOTS_PER_DAY, SlotGrid, format_timestamp, offsets_from
+from .ingest import SLOT, SLOT_MICROS, SLOTS_PER_DAY, SlotGrid, format_timestamp
 from .vocab import Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -234,7 +234,7 @@ def label_user_activity(
     """
     vocabulary = vocabulary or Vocabulary()
     days = days or _calendar_days(grid)
-    event_at = offsets_from(grid.start, (event.timestamp for event in grid.events))
+    event_at = grid.event_at
 
     # Occupant-count timeline: presence events move the count, a device
     # operation in an empty home repairs it to one from that instant on.
@@ -415,7 +415,7 @@ def label_states(
     position = np.arange(n)
     slot_at = position.astype(np.int64) * SLOT_MICROS
     event_pos = np.repeat(position, np.diff(grid.first))
-    event_at = offsets_from(grid.start, (event.timestamp for event in grid.events))
+    event_at = grid.event_at
 
     # The first cooking operation of each slot that starts a run; elsewhere
     # the lowest int64, which no instant precedes.

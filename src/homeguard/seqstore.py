@@ -6,6 +6,13 @@ order-preserving non-empty subsets of the window are generated as candidate
 sequences; frequent real behaviors accumulate counts, interleaving artifacts
 stay rare.
 
+This module cuts every window, on one clock: the events' instants as whole
+microseconds from the grid's start (``SlotGrid.event_at``).
+``window_starts`` finds where the windows of a batch of instants begin with
+one ``np.searchsorted``, and ``target_windows`` gives the target operations
+of a list of events with the start of each one's window; ``train``,
+``detect`` and every fold of ``evaluate`` take their windows from it.
+
 Target-related sequences are stored per estimated home state: a sequence is
 credited to every state whose filtered probability satisfies the configured
 criterion (top-``l_rank`` states, or probability against ``l_alpha``) at the
@@ -39,7 +46,6 @@ a difference of two binary searches.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
 from typing import TYPE_CHECKING, Sequence
@@ -47,7 +53,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import MAX_SPAN_DAYS, EventRecord
+from .ingest import MAX_SPAN_DAYS, EventRecord, SlotGrid
 from .payload import at, counts, json_object, typed
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,6 +63,7 @@ SECONDS_PER_DAY = 86400
 # The longest window ``t_seq`` may span: the longest grid that
 # ``build_timeslots`` accepts.
 MAX_T_SEQ = MAX_SPAN_DAYS * SECONDS_PER_DAY
+_MICROSECOND = timedelta(microseconds=1)
 
 Pair = tuple[str, str]
 Items = tuple[Pair, ...]
@@ -111,17 +118,22 @@ class SeqParams:
             raise ValidationError("l_max and w_max must be at least 1")
 
 
-def window_horizon(ts: datetime, t_seq: float) -> datetime:
-    """The instant ``t_seq`` seconds before ``ts``, or the first instant a
-    ``datetime`` holds when that lies before it."""
-    span = timedelta(seconds=t_seq)
-    return ts - span if ts - datetime.min > span else datetime.min
+def window_starts(at: np.ndarray, instants: np.ndarray, t_seq: float) -> np.ndarray:
+    """For each of ``instants``, the index of the first of the ascending
+    ``at`` at most ``t_seq`` seconds before it: where the window of an event
+    at that instant begins.  Both count whole microseconds from one origin
+    (``SlotGrid.event_at``); ``t_seq`` is rounded to the microsecond as
+    ``timedelta`` rounds it."""
+    return np.searchsorted(at, instants - timedelta(seconds=t_seq) // _MICROSECOND)
 
 
-def window_start(times: Sequence[datetime], ts: datetime, t_seq: float) -> int:
-    """Index of the first of the sorted ``times`` at most ``t_seq`` seconds
-    before ``ts``: where the window of an event at ``ts`` begins."""
-    return bisect_left(times, window_horizon(ts, t_seq))
+def target_windows(
+    events: Sequence[EventRecord], at: np.ndarray, target_device: str, t_seq: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the target operations among ``events``, whose instants
+    ``at`` holds, and where their windows start."""
+    ends = np.flatnonzero([event.device == target_device for event in events])
+    return ends, window_starts(at, at[ends], t_seq)
 
 
 def candidates_ending_at(window_pairs: Sequence[Pair], l_max: int) -> list[Items]:
@@ -386,7 +398,6 @@ class _StreamWindows:
     """The windows of the timed store over a whole stream of days."""
 
     pairs: list[Pair]
-    offsets: np.ndarray  # day d's events are offsets[d]:offsets[d + 1]
     ends: np.ndarray  # stream position of each target operation
     reach: np.ndarray  # first position within t_seq before each of them
     entries: WindowEntries  # one window per target operation
@@ -394,14 +405,16 @@ class _StreamWindows:
 
 
 class DayWindows:
-    """The target windows of a stream of whole days, each enumerated once.
+    """The target windows of a grid's stream of whole days, each enumerated
+    once.
 
     ``days`` holds each day's events in time order, as ``SlotGrid.days``
-    splits them.  ``train`` builds one over its grid and every fold of an
-    ``evaluate`` run shares one, so both take their stores from the same
-    windows.  Every target-related subsequence gets one integer id
-    (``items[id]``), shared by all the windows this object enumerates.  Two
-    kinds of windows are kept, each enumerated on first use:
+    splits them, and ``event_at`` the grid's clock of those events.
+    ``train`` builds one over its grid and every fold of an ``evaluate`` run
+    shares one, so both take their stores from the same windows.  Every
+    target-related subsequence gets one integer id (``items[id]``), shared by
+    all the windows this object enumerates.  Two kinds of windows are kept,
+    each enumerated on first use:
 
     - ``day(d)``: the windows of day ``d`` alone, as a training trace of the
       whole day sees them.  They never depend on which days are kept.
@@ -414,10 +427,12 @@ class DayWindows:
       those are enumerated again.
     """
 
-    def __init__(
-        self, days: Sequence[Sequence[EventRecord]], target_device: str, params: SeqParams
-    ) -> None:
-        self.days = days
+    def __init__(self, grid: SlotGrid, target_device: str, params: SeqParams) -> None:
+        self.events = grid.events
+        self.event_at = grid.event_at
+        self.days = grid.days()
+        # Day d's events are events[offsets[d]:offsets[d + 1]].
+        self.offsets = np.cumsum([0] + [len(day) for day in self.days])
         self.target_device = target_device
         self.cuts = _cuts(params)
         self.items: list[Items] = []
@@ -431,6 +446,10 @@ class DayWindows:
             raise ValidationError(
                 "windows were enumerated for another target device, t_seq, w_max or l_max"
             )
+
+    def day_at(self, d: int) -> np.ndarray:
+        """The instants of day ``d``'s events."""
+        return self.event_at[self.offsets[d] : self.offsets[d + 1]]
 
     def _window(
         self, pairs: Sequence[Pair], positions: Sequence[int]
@@ -458,43 +477,39 @@ class DayWindows:
         last ``w_max`` events."""
         return range(max(start, end + 1 - self.cuts[1]), end + 1)
 
-    def _targets(self, events: Sequence[EventRecord]) -> tuple[list[int], list[int]]:
-        """Positions of the target operations, and where their windows start."""
-        times = [event.timestamp for event in events]
-        ends = [i for i, event in enumerate(events) if event.device == self.target_device]
-        return ends, [window_start(times, times[i], self.cuts[0]) for i in ends]
-
-    def _windows_of(self, events: Sequence[EventRecord]) -> WindowEntries:
+    def _windows_of(self, events: Sequence[EventRecord], at: np.ndarray) -> WindowEntries:
         pairs = [event.pair for event in events]
+        ends, starts = target_windows(events, at, self.target_device, self.cuts[0])
         return _entries(
-            [self._window(pairs, self._span(*op)) for op in zip(*self._targets(events))]
+            [self._window(pairs, self._span(*op)) for op in zip(ends.tolist(), starts.tolist())]
         )
 
-    def windows_of(self, events: Sequence[EventRecord]) -> WindowEntries:
-        """The windows of ``events`` alone (positions count ``events``),
-        enumerated on first use of these events."""
+    def windows_of(self, events: Sequence[EventRecord], at: np.ndarray) -> WindowEntries:
+        """The windows of ``events`` alone, whose instants ``at`` holds
+        (positions count ``events``), enumerated on first use of these
+        events."""
         key = tuple(events)
         entries = self._part_entries.get(key)
         if entries is None:
-            entries = self._part_entries[key] = self._windows_of(events)
+            entries = self._part_entries[key] = self._windows_of(events, at)
         return entries
 
     def day(self, d: int) -> WindowEntries:
         """Day ``d``'s own windows, enumerated on first use."""
         entries = self._day_entries.get(d)
         if entries is None:
-            entries = self._day_entries[d] = self._windows_of(self.days[d])
+            entries = self._day_entries[d] = self._windows_of(self.days[d], self.day_at(d))
         return entries
 
     def _stream_windows(self) -> _StreamWindows:
         if self._stream is None:
-            events = [event for day in self.days for event in day]
-            offsets = np.cumsum([0] + [len(day) for day in self.days])
+            events = self.events
             pairs = [event.pair for event in events]
-            ends, reach = self._targets(events)
+            ends, reach = target_windows(events, self.event_at, self.target_device, self.cuts[0])
+            day_first = np.searchsorted(ends, self.offsets[:-1]).tolist()
             windows = []
-            for d, lo in enumerate(offsets[:-1].tolist()):
-                own, first = self.day(d), bisect_left(ends, lo)
+            for d, (lo, first) in enumerate(zip(self.offsets[:-1].tolist(), day_first)):
+                own = self.day(d)
                 for w in range(len(own.bounds) - 1):
                     op = first + w
                     if reach[op] >= lo:  # starts inside its day
@@ -504,9 +519,8 @@ class DayWindows:
                         windows.append(self._window(pairs, self._span(ends[op], reach[op])))
             self._stream = _StreamWindows(
                 pairs=pairs,
-                offsets=offsets,
-                ends=np.array(ends, dtype=np.intp),
-                reach=np.array(reach, dtype=np.intp),
+                ends=ends,
+                reach=reach,
                 entries=_entries(windows),
                 tod=np.array([seconds_of_day(e.timestamp) for e in events], dtype=np.float64),
             )
@@ -519,7 +533,7 @@ class DayWindows:
         ids, finals = entries.ids, entries.finals
         n_targets = len(stream.ends)
         if without_day is not None:
-            lo, hi = stream.offsets[without_day : without_day + 2].tolist()
+            lo, hi = self.offsets[without_day : without_day + 2].tolist()
             # The day's own operations go, then the later ones whose reach
             # starts inside it or before it (reach grows with position).
             first, after = np.searchsorted(stream.ends, [lo, hi]).tolist()
@@ -627,7 +641,7 @@ class TrainingBeliefs:
             ids, finals, offset = [], [], 0
             for trace, day in zip(self.traces, self.days):
                 if day is None:
-                    entries = self.windows.windows_of(trace.events)
+                    entries = self.windows.windows_of(trace.events, trace.event_at)
                 elif len(trace.events) == len(self.windows.days[day]):
                     entries = self.windows.day(day)
                 else:

@@ -101,9 +101,6 @@ class Vocabulary:
     def is_cooking(self, device: str) -> bool:
         return device in self.cooking_appliances
 
-    def is_target(self, device: str) -> bool:
-        return device == self.detection_target
-
     def all_pairs(self) -> list[tuple[str, str]]:
         """Every registered (device, action) pair in a stable order."""
         return sorted(

@@ -9,7 +9,14 @@ import pytest
 
 import numpy as np
 
-from homeguard.ingest import SLOTS_PER_DAY, EventRecord, SensorFrames, SlotGrid, build_timeslots
+from homeguard.ingest import (
+    SLOTS_PER_DAY,
+    EventRecord,
+    SensorFrames,
+    SlotGrid,
+    build_timeslots,
+    offsets_from,
+)
 from homeguard.labeling import LabelingParams
 from homeguard.vocab import SENSOR_FIELDS, Vocabulary
 from oracles import SensorFrame, columns
@@ -42,9 +49,11 @@ def make_grid(
     frame_of[sorted(sensors)] = np.arange(1, len(sensors) + 1)
     rows = [frame(start), *(sensors[pos] for pos in sorted(sensors))]
     values = [[row.value(name) for name in SENSOR_FIELDS] for row in rows]
+    ordered = [event for pos in sorted(events) for event in events[pos]]
     return SlotGrid(
         start=start,
-        events=[event for pos in sorted(events) for event in events[pos]],
+        events=ordered,
+        event_at=offsets_from(start, (event.timestamp for event in ordered)),
         first=np.cumsum([0, *counts], dtype=np.intp),
         frames=SensorFrames([row.timestamp for row in rows], np.array(values)),
         frame=frame_of,

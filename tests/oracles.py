@@ -31,6 +31,7 @@ from homeguard.ingest import (
     _read_rows,
     floor_to_day_origin,
     format_timestamp,
+    offsets_from,
     parse_timestamp,
 )
 from homeguard.labeling import (
@@ -51,7 +52,6 @@ from homeguard.seqstore import (
     SequenceStore,
     TimedSequenceStore,
     seconds_of_day,
-    window_start,
 )
 from homeguard.synthgen import Interval, Scenario, _jitter
 from homeguard.vocab import DEFAULT_SENSOR_RANGES, SENSOR_FIELDS, Vocabulary
@@ -739,6 +739,20 @@ def ratio(store: TimedSequenceStore, items: Items, tod: float, alpha_seq: float)
     return count_near(store, items, tod, alpha_seq) / store.target_total
 
 
+def window_horizon(ts: datetime, t_seq: float) -> datetime:
+    """The instant ``t_seq`` seconds before ``ts``, or the first instant a
+    ``datetime`` holds when that lies before it."""
+    span = timedelta(seconds=t_seq)
+    return ts - span if ts - datetime.min > span else datetime.min
+
+
+def window_start(times: Sequence[datetime], ts: datetime, t_seq: float) -> int:
+    """Index of the first of the sorted ``times`` at most ``t_seq`` seconds
+    before ``ts``: where the window of an event at ``ts`` begins, by a
+    ``bisect`` over the datetimes themselves."""
+    return bisect_left(times, window_horizon(ts, t_seq))
+
+
 def select_states(belief: np.ndarray, params: SeqParams) -> list[int]:
     """State indices satisfying the active storing criterion; may be empty."""
     belief = np.asarray(belief)
@@ -921,11 +935,13 @@ def filter_streams_per_event(grid, streams, transitions, operations) -> list[Fil
         for index, row in zip(members, range(len(group))):
             slots = group[row]
             counts = [len(slot.events) for slot in slots]
+            events = [event for slot in slots for event in slot.events]
             traces[index] = FilterTrace(
                 start=slots[0].start if slots else None,
                 initial=uniform,
                 entry=entry[row],
-                events=[event for slot in slots for event in slot.events],
+                events=events,
+                event_at=offsets_from(grid.start, (event.timestamp for event in events)),
                 pre=np.array(pre[row]).reshape(-1, n_states),
                 post=np.array(post[row]).reshape(-1, n_states),
                 first=np.cumsum([0, *counts]),

@@ -163,8 +163,8 @@ def test_criterion_5_metrics_arithmetic():
         base = datetime(2021, 3, 1)
         expected_tp = 0
         for day in range(2):
-            plan = inject_anomalies(base + timedelta(days=day), 100, seed=5, day_index=day)
-            expected_tp += sum(1 for op in plan.operations if op.timestamp.minute % 2 == 0)
+            operations = inject_anomalies(base + timedelta(days=day), 100, seed=5, day_index=day)
+            expected_tp += sum(1 for op in operations if op.timestamp.minute % 2 == 0)
         real_minutes = [30, 45, 30, 45]  # stove on/off, both days
         expected_fp = sum(1 for m in real_minutes if m % 2 == 0)
         assert point.tp == expected_tp and point.fp == expected_fp

@@ -23,12 +23,11 @@ from homeguard.ingest import (
     write_sensor_log,
 )
 from homeguard.labeling import LabelingParams
-from homeguard.seqstore import window_start
 from homeguard.synthgen import generate, save_scenario, scenario_calibration, scenario_s1
 from homeguard.vocab import Vocabulary
 
 from conftest import GoldenSample
-from oracles import columns
+from oracles import columns, window_start
 
 
 @pytest.fixture

@@ -45,6 +45,7 @@ def make_model(store: SequenceStore, seq_params: SeqParams | None = None) -> Tra
         transitions=TransitionTensor(np.zeros((1440, n, n)), np.zeros(1440, dtype=np.int64)),
         operations=OperationTable(n_states=n),
         store=store,
+        baseline_store=TimedSequenceStore(),
     )
 
 
@@ -187,14 +188,6 @@ class TestJudgeProposed:
         assert (verdict.delta, verdict.threshold, verdict.sequence) == (0.0, 0.1, STOVE_ON)
         candidates = window_candidates([], op, model.seq_params)
         assert grid_flags(proposed_scores(model.store, belief, candidates), 0.1, 0.0) == 0
-
-    def test_missing_store_scores_zero(self):
-        model = make_model(store_with({}, [10, 10]))
-        model.store = None
-        verdict = judge_proposed(
-            model, np.array([0.5, 0.5]), [], ev(0.5, "cooking_stove", "on"), Thresholds(0.1, 0.1)
-        )
-        assert verdict.decision == ANOMALOUS and verdict.delta == 0.0
 
     def test_evidence_is_the_level_with_the_larger_margin(self):
         # s_single = 0.25, s_multi = 0.5 (fridge then stove); exact in binary.

@@ -727,6 +727,7 @@ def assert_traces_equal(got, expected):
     assert got.start == expected.start
     assert np.array_equal(got.entry, expected.entry)
     assert got.events == expected.events
+    assert np.array_equal(got.event_at, expected.event_at)
     assert np.array_equal(got.first, expected.first)
     assert np.array_equal(got.pre, expected.pre)
     assert np.array_equal(got.post, expected.post)

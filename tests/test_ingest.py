@@ -203,6 +203,26 @@ class TestCsvFaults:
         assert info.value.line == 3
         assert str(path) in str(info.value) and "field limit" in str(info.value)
 
+    def test_operation_rows_named_by_the_line_they_start_on(self, tmp_path):
+        # Row 2's actor holds a line break, so the next row starts on line 4.
+        path = write(
+            tmp_path / "operations.csv",
+            'timestamp,device,action,actor\n2020-01-01T10:00:00,tv,on,"a\nb"\n'
+            "not-a-time,tv,on,\n",
+        )
+        with pytest.raises(ParseError, match="bad timestamp") as info:
+            parse_operation_log(path)
+        assert info.value.line == 4
+
+    def test_sensor_rows_named_by_the_line_they_start_on(self, tmp_path):
+        path = write(
+            tmp_path / "sensors.csv",
+            TestParseSensorLog.HEADER + '2020-01-01T00:00:00,20,50,1000,500,"40\n"\n'
+            "2020-01-01T00:05:00,20,50,1000,6000,40\n",
+        )
+        with pytest.raises(ValidationError, match="line 4: value 6000.0"):
+            parse_sensor_log(path)
+
     def test_reading_out_of_range_before_the_fault_comes_first(self, tmp_path):
         header, row = TestParseSensorLog.HEADER, self.LOGS["sensors"][2]
         path = write(tmp_path / "sensors.csv",
@@ -269,6 +289,7 @@ class TestBuildTimeslots:
     def test_empty_inputs(self):
         grid = build_timeslots([], columns([]))
         assert len(grid) == 0 and grid.events == [] and grid.first.tolist() == [0]
+        assert grid.event_at.dtype == np.int64 and grid.event_at.shape == (0,)
         assert grid.days() == []
 
     def test_days_split_the_events_at_the_day_origin(self):

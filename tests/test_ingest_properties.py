@@ -2,7 +2,8 @@
 
 The grid ``build_timeslots`` returns, read slot by slot, must equal the
 per-slot binary-search build over random events, frames and day origins,
-errors included; ``parse_timestamp`` must accept, reject and read every text
+errors included, and its ``event_at`` must hold each event's microseconds
+from the grid's start; ``parse_timestamp`` must accept, reject and read every text
 as ``strptime`` with ``TIMESTAMP_FORMAT`` does; and ``parse_sensor_log`` must
 read fuzzed sensor logs as the per-row parser does: the same frames, or the
 same first error, which ``label`` reports with exit code 2.
@@ -10,6 +11,7 @@ same first error, which ``label`` reports with exit code 2.
 
 from datetime import datetime, time, timedelta
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -22,6 +24,7 @@ from homeguard.ingest import (  # noqa: E402
     SENSOR_HEADER,
     EventRecord,
     build_timeslots,
+    offsets_from,
     parse_sensor_log,
 )
 from homeguard.vocab import DEFAULT_SENSOR_RANGES, SENSOR_FIELDS  # noqa: E402
@@ -70,6 +73,25 @@ def test_grid_equals_bisect_slots(events, frame_offsets, origin):
     assert outcome(grid_slots, events, frames, time(*origin)) == outcome(
         build_timeslots_bisect, events, frames, time(*origin)
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    events=st.lists(
+        st.tuples(offsets, st.integers(0, 999_999), st.sampled_from(PAIRS)), max_size=30
+    ),
+    origin=st.tuples(st.integers(0, 23), st.integers(0, 59)),
+)
+def test_event_clock_equals_the_offsets_of_the_events(events, origin):
+    events = [
+        EventRecord(BASE + timedelta(seconds=s, microseconds=us), *pair) for s, us, pair in events
+    ]
+    # One frame on a day bound before every event starts the grid.
+    first = datetime.combine(BASE.date() - timedelta(days=2), time(*origin))
+    grid = build_timeslots(events, columns([frame(first)]), time(*origin))
+    assert grid.event_at.dtype == np.int64
+    expected = offsets_from(grid.start, (event.timestamp for event in grid.events))
+    assert grid.event_at.tolist() == expected.tolist()
 
 
 def _variants(value: datetime) -> list[str]:

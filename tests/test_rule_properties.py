@@ -5,8 +5,9 @@ Over random stores, beliefs, windows and thresholds, ``judge_proposed`` and
 ``proposed_scores`` / ``sequence_scores``, and as the ``evaluate`` grid counts
 those scores; ``judge_estimation_baseline`` must decide ``score <= theta``.
 The scorers themselves are checked against a per-candidate oracle, and
-``window_candidates`` against a direct cut of the window.  The grid's
-detection and misdetection counts never fall as a threshold rises.
+``window_candidates``, given the events that ``window_starts`` cuts, against
+a direct cut of the window.  The grid's detection and misdetection counts
+never fall as a threshold rises.
 """
 
 import numpy as np
@@ -30,15 +31,17 @@ from homeguard.detector import (  # noqa: E402
 )
 from homeguard.evaluation import _ScoreRecord, _sweep_estimation, _sweep_two_level  # noqa: E402
 from homeguard.hsmodel import OperationTable  # noqa: E402
+from homeguard.ingest import offsets_from  # noqa: E402
 from homeguard.seqstore import (  # noqa: E402
     SeqParams,
     SequenceStore,
     TimedSequenceStore,
     candidates_ending_at,
     seconds_of_day,
+    window_starts,
 )
 
-from conftest import ev  # noqa: E402
+from conftest import BASE, ev  # noqa: E402
 from oracles import ratio  # noqa: E402
 from test_detector import grid_flags, make_model  # noqa: E402
 
@@ -64,11 +67,19 @@ def candidates_of(preceding, op):
     return candidates_ending_at(pairs[-(SEQ.w_max - 1):] + [op.pair], SEQ.l_max)
 
 
+def judged_window(preceding, op):
+    """The events of ``preceding`` that the op's window holds, cut as the
+    judges' callers cut it: from the ``window_starts`` index on."""
+    at = offsets_from(BASE, (event.timestamp for event in preceding))
+    [lo] = window_starts(at, offsets_from(BASE, [op.timestamp]), SEQ.t_seq).tolist()
+    return preceding[lo:]
+
+
 @settings(max_examples=150, deadline=None)
 @given(preceding=windows, action=st.sampled_from(["on", "off"]))
 def test_window_candidates_cut_the_window_as_the_oracle_does(preceding, action):
     op = ev(OP_MINUTE, TARGET, action)
-    assert window_candidates(preceding, op, SEQ) == candidates_of(preceding, op)
+    assert window_candidates(judged_window(preceding, op), op, SEQ) == candidates_of(preceding, op)
 
 
 def thresholds(data, scores):
@@ -119,14 +130,15 @@ def test_proposed_judge_is_the_rule_on_its_scores(preceding, n_states, data):
     weights = np.asarray(data.draw(st.lists(unit, min_size=n_states, max_size=n_states)))
     belief = weights / weights.sum() if weights.sum() > 0 else np.full(n_states, 1 / n_states)
     model = make_model(store, SEQ)
+    window = judged_window(preceding, op)
 
-    scores = proposed_scores(store, belief, window_candidates(preceding, op, SEQ))
+    scores = proposed_scores(store, belief, window_candidates(window, op, SEQ))
     check_levels(
         scores, candidates,
         lambda items: min(1.0, max(0.0, float(np.dot(store.vector(items), belief)))),
     )
     n_single, n_multi = thresholds(data, scores)
-    verdict = judge_proposed(model, belief, preceding, op, Thresholds(n_single, n_multi))
+    verdict = judge_proposed(model, belief, window, op, Thresholds(n_single, n_multi))
     check_verdict(verdict, scores, n_single, n_multi)
 
 
@@ -147,13 +159,12 @@ def test_sequence_judge_is_the_rule_on_its_scores(preceding, alpha_seq, data):
     store.target_total = data.draw(st.integers(stored, stored + 3))
 
     tod = seconds_of_day(op.timestamp)
-    [[scores]] = sequence_scores(
-        store, [(window_candidates(preceding, op, SEQ), tod)], (alpha_seq,)
-    )
+    window = judged_window(preceding, op)
+    [[scores]] = sequence_scores(store, [(window_candidates(window, op, SEQ), tod)], (alpha_seq,))
     check_levels(scores, candidates, lambda items: ratio(store, items, tod, alpha_seq))
     n_single, n_multi = thresholds(data, scores)
     params = BaselineParams(alpha_seq=alpha_seq, n_seq_single=n_single, n_seq_multi=n_multi)
-    verdict = judge_sequence_baseline(store, preceding, op, params, SEQ, TARGET)
+    verdict = judge_sequence_baseline(store, window, op, params, SEQ, TARGET)
     check_verdict(verdict, scores, n_single, n_multi)
 
 

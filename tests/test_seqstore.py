@@ -18,7 +18,14 @@ from homeguard.hsmodel import (
     kept_day_streams,
     train_model,
 )
-from homeguard.ingest import MAX_SPAN_DAYS, EventRecord, build_timeslots
+from homeguard.ingest import (
+    MAX_SPAN_DAYS,
+    SLOT,
+    SLOTS_PER_DAY,
+    EventRecord,
+    build_timeslots,
+    offsets_from,
+)
 from homeguard.labeling import ALPHABET, LabelingParams, label_states
 from homeguard.seqstore import (
     DayWindows,
@@ -29,12 +36,12 @@ from homeguard.seqstore import (
     build_timed_store,
     candidates_ending_at,
     store_sequences,
-    window_start,
+    window_starts,
 )
 from homeguard.synthgen import generate, scenario_calibration, scenario_s1
 from homeguard.vocab import Vocabulary
 
-from conftest import BASE, ev, frame, make_folds
+from conftest import BASE, ev, frame, make_folds, make_grid
 from oracles import (
     build_timed_store_per_window,
     candidates_ending_at_combinations,
@@ -181,14 +188,20 @@ def store_of(traces, target_device, params, n_states):
     """The store of hand-made traces, each with the windows of its own
     events."""
     traces = [traces] if isinstance(traces, FilterTrace) else list(traces)
-    windows = DayWindows([], target_device, params)
+    windows = DayWindows(make_grid(0), target_device, params)
     beliefs = TrainingBeliefs(traces, windows, [None] * len(traces))
     return store_sequences(beliefs, target_device, params, n_states)
 
 
 def timed_store_of(events, target_device, params):
-    """The timed store of a stream of events in time order, as one day."""
-    return build_timed_store(DayWindows([events], target_device, params), target_device, params)
+    """The timed store of a stream of events in time order, on a grid of
+    whole days from ``BASE``."""
+    slots: dict[int, list[EventRecord]] = {}
+    for event in events:
+        slots.setdefault((event.timestamp - BASE) // SLOT, []).append(event)
+    n_days = max(slots, default=0) // SLOTS_PER_DAY + 1
+    grid = make_grid(n_days * SLOTS_PER_DAY, events=slots)
+    return build_timed_store(DayWindows(grid, target_device, params), target_device, params)
 
 
 def fabricate_trace(entry_rows, event_specs, n_slots=None):
@@ -204,11 +217,13 @@ def fabricate_trace(entry_rows, event_specs, n_slots=None):
         len(specs), entry.shape[1]
     )
     counts = np.bincount([slot_pos for slot_pos, _, _ in specs], minlength=n_slots)
+    events = [event for _, event, _ in specs]
     return FilterTrace(
         start=BASE,
         initial=entry[0],
         entry=entry,
-        events=[event for _, event, _ in specs],
+        events=events,
+        event_at=offsets_from(BASE, (event.timestamp for event in events)),
         pre=pre,
         post=pre.copy(),
         first=np.cumsum([0, *counts]),
@@ -594,7 +609,7 @@ class TestFoldStoresFromSharedWindows:
     def test_whole_stream_equals_the_per_window_store(self):
         dataset = midnight_dataset()
         for params in (SeqParams(t_seq=600, w_max=4), SeqParams(t_seq=90000, w_max=6)):
-            windows = DayWindows(dataset.grid.days(), "cooking_stove", params)
+            windows = DayWindows(dataset.grid, "cooking_stove", params)
             store = build_timed_store(windows, "cooking_stove", params)
             oracle = build_timed_store_per_window(dataset.grid.events, "cooking_stove", params)
             assert_timed_equal(store, oracle)
@@ -670,9 +685,11 @@ class TestSeqParams:
         SeqParams(t_seq=seqstore.MAX_T_SEQ)
 
     def test_window_reaching_past_the_first_date_starts_at_zero(self):
-        times = [datetime(1, 1, 1, 0, 2), datetime(1, 1, 1, 0, 4)]
-        assert window_start(times, datetime(1, 1, 1, 0, 4), seqstore.MAX_T_SEQ) == 0
-        assert window_start(times, datetime(1, 1, 1, 0, 13), 600) == 1
+        start = datetime(1, 1, 1)
+        at = offsets_from(start, [datetime(1, 1, 1, 0, 2), datetime(1, 1, 1, 0, 4)])
+        instants = offsets_from(start, [datetime(1, 1, 1, 0, 4), datetime(1, 1, 1, 0, 13)])
+        assert window_starts(at, instants[:1], seqstore.MAX_T_SEQ).tolist() == [0]
+        assert window_starts(at, instants[1:], 600).tolist() == [1]
 
 
 class TestTimedSequenceStore:
