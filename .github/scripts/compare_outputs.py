@@ -127,8 +127,8 @@ CONFIG = {
                  "night_split": "4:30", "noise_threshold": 36, "co2_threshold": 1400.5,
                  "sleep_gap_merge": 60, "use_gap_merge": 10, "presleep_hours": 4,
                  "postsleep_hours": 3, "initial_occupants": 2},
-    "seq": {"t_seq": 900, "criterion": "alpha", "l_rank": 2, "l_alpha": 0.2,
-            "alpha_select_below": False, "l_max": 4, "w_max": 12},
+    "seq": {"t_seq": 900, "criterion": "alpha", "l_rank": 2, "l_alpha": 0.2, "l_max": 4,
+            "w_max": 12},
     "model": {"t_z_max": 360},
     "detector": {"n_single": 0.05, "n_multi": 0.01, "theta": 0.4, "alpha_seq": 1800,
                  "n_seq_single": 0.2, "n_seq_multi": 0.05},

@@ -59,11 +59,13 @@ def _parse_time(text: str) -> time:
         ) from None
 
 
-def _parse_values(args, name: str, cast, threshold: bool = False):
+def _parse_values(args, name: str, cast, threshold: bool = False, check=None):
     """The comma list given to the option that sets ``name``.  A threshold
     list may be "auto" (swept over the recorded scores); otherwise each of
-    its values must lie in [0, 1], as the detector's thresholds do."""
-    text = getattr(args, name)
+    its values must lie in [0, 1], as the detector's thresholds do.  Each
+    value must pass ``check``, a parameter class's rule that raises
+    ``ValidationError``, when one is given."""
+    text, option = getattr(args, name), f"--{name.replace('_', '-')}"
     if threshold and text == "auto":
         return "auto"
     try:
@@ -72,13 +74,16 @@ def _parse_values(args, name: str, cast, threshold: bool = False):
         values = ()
     if not values:
         raise UsageError(
-            f"--{name.replace('_', '-')}: expected {'auto or ' if threshold else ''}a comma"
-            f" list of numbers, got {text!r}"
+            f"{option}: expected {'auto or ' if threshold else ''}a comma list of numbers,"
+            f" got {text!r}"
         )
     if threshold and not all(0.0 <= value <= 1.0 for value in values):
-        raise UsageError(
-            f"--{name.replace('_', '-')}: every value must be a number in [0, 1], got {text!r}"
-        )
+        raise UsageError(f"{option}: every value must be a number in [0, 1], got {text!r}")
+    for value in values if check else ():
+        try:
+            check(value)
+        except ValidationError as exc:
+            raise UsageError(f"{option}: {exc}, got {value!r}") from None
     return values
 
 
@@ -181,21 +186,22 @@ def cmd_detect(args) -> int:
     target = vocabulary.detection_target
     stream = grid.events
     ends, starts = target_windows(stream, grid.event_at, target, model.seq_params.t_seq)
-    lines: list[str] = []
-    for idx, lo in zip(ends.tolist(), starts.tolist()):
-        event, preceding = stream[idx], stream[lo:idx]
-        if args.method == "proposed":
-            verdict = judge_proposed(model, trace.pre[idx], preceding, event, thresholds)
-        elif args.method == "estimation":
-            verdict = judge_estimation_baseline(
-                model.operations, trace.pre[idx], event, baseline.theta, target
-            )
-        else:
-            verdict = judge_sequence_baseline(
-                model.baseline_store, preceding, event, baseline, model.seq_params, target
-            )
-        lines.append(verdict.to_jsonl())
-
+    windows = [(stream[lo:idx], stream[idx]) for idx, lo in zip(ends.tolist(), starts.tolist())]
+    if args.method == "proposed":
+        verdicts = [
+            judge_proposed(model, trace.pre[idx], preceding, op, thresholds)
+            for idx, (preceding, op) in zip(ends.tolist(), windows)
+        ]
+    elif args.method == "estimation":
+        verdicts = [
+            judge_estimation_baseline(model.operations, trace.pre[idx], op, baseline.theta, target)
+            for idx, (_, op) in zip(ends.tolist(), windows)
+        ]
+    else:
+        verdicts = judge_sequence_baseline(
+            model.baseline_store, windows, baseline, model.seq_params, target
+        )
+    lines = [verdict.to_jsonl() for verdict in verdicts]
     output = "\n".join(lines) + ("\n" if lines else "")
     if args.output:
         Path(args.output).write_text(output)
@@ -225,17 +231,25 @@ def cmd_evaluate(args) -> int:
             f"--injections: expected at most {SECONDS_PER_DAY} per day, one per second,"
             f" got {args.injections}"
         )
+    # Each structural value is checked by the rule of the parameter it sets.
     labelings = {
-        name: _parse_values(args, f"{name}_values", int) for name in ("t_x", "t_y", "t_c")
+        name: _parse_values(
+            args, f"{name}_values", int, check=lambda value: LabelingParams(**{name: value})
+        )
+        for name in ("t_x", "t_y", "t_c")
     }
     grids = []
     for method in methods:
         if method == "proposed":
-            l_cast = float if args.criterion == "alpha" else int
+            alpha = args.criterion == "alpha"
+            l_values = _parse_values(
+                args, "l_values", float if alpha else int,
+                check=lambda value: SeqParams(**{"l_alpha" if alpha else "l_rank": value}),
+            )
             grids.append(ProposedGrid(
                 **labelings,
                 criterion=args.criterion,
-                l_values=_parse_values(args, "l_values", l_cast),
+                l_values=l_values,
                 n_single=_parse_values(args, "n_single_values", float, threshold=True),
                 n_multi=_parse_values(args, "n_multi_values", float, threshold=True),
             ))

@@ -21,8 +21,8 @@ anomalous iff score <= theta.
 The proposed scorer reads each stored sequence's probability vector from its
 store, computed there once per sequence; a candidate the store lacks scores
 0.0.  The time-of-day scorer takes a batch of windows and ``alpha_seq``
-values at once: ``evaluate`` passes a fold's judged windows, ``detect`` one
-window per operation.  Its counts are exact integers, found by binary search
+values at once: ``evaluate`` passes a fold's judged windows, ``detect`` every
+window of its stream.  Its counts are exact integers, found by binary search
 in the store's rank-coded times, so a batch scores exactly as one candidate
 at a time would.
 """
@@ -293,18 +293,18 @@ def judge_estimation_baseline(
 
 def judge_sequence_baseline(
     store: TimedSequenceStore,
-    preceding: Sequence[EventRecord],
-    op: EventRecord,
+    windows: Sequence[tuple[Sequence[EventRecord], EventRecord]],
     params: BaselineParams,
     seq_params: SeqParams,
     target_device: str,
-) -> Verdict:
-    """Judge by counting stored equivalent sequences near the time of day."""
-    _require_target(op, target_device)
-    candidates = window_candidates(preceding, op, seq_params)
-    [[scores]] = sequence_scores(
-        store, [(candidates, seconds_of_day(op.timestamp))], (params.alpha_seq,)
-    )
-    return _two_level_verdict(
-        op, "sequence", scores, params.n_seq_single, params.n_seq_multi
-    )
+) -> list[Verdict]:
+    """Judge each (preceding events, operation) window by counting stored
+    equivalent sequences near the operation's time of day, all in one batch."""
+    batch = []
+    for preceding, op in windows:
+        _require_target(op, target_device)
+        batch.append((window_candidates(preceding, op, seq_params), seconds_of_day(op.timestamp)))
+    return [
+        _two_level_verdict(op, "sequence", scores, params.n_seq_single, params.n_seq_multi)
+        for (_, op), [scores] in zip(windows, sequence_scores(store, batch, (params.alpha_seq,)))
+    ]

@@ -46,7 +46,7 @@ from .hsmodel import (
 from .ingest import SLOTS_PER_DAY, EventRecord, SlotGrid, offsets_from
 # Not called here; perfbench/child.py traces this name.
 from .ingest import build_timeslots  # noqa: F401
-from .labeling import ALPHABET, LabelArrays, LabelingParams, label_states
+from .labeling import LabelArrays, LabelingParams, label_states
 from .payload import to_payload
 from .seqstore import (
     SECONDS_PER_DAY,
@@ -75,15 +75,15 @@ def inject_anomalies(
     seed: int = 0,
     day_index: int = 0,
     device: str = "cooking_stove",
-    action: str = "on",
 ) -> tuple[EventRecord, ...]:
-    """Synthetic anomalous target operations for one detection day: uniform
-    random times over the day, deterministic per seed and day."""
+    """Synthetic anomalous target operations for one detection day, each
+    turning ``device`` on: uniform random times over the day, deterministic
+    per seed and day."""
     if count < 0:
         raise ValidationError("must be non-negative", field="count")
     rng = np.random.default_rng([seed, day_index])
     seconds = sorted(int(s) for s in rng.integers(0, SECONDS_PER_DAY, size=count))
-    return tuple(EventRecord(day_start + timedelta(seconds=s), device, action) for s in seconds)
+    return tuple(EventRecord(day_start + timedelta(seconds=s), device, "on") for s in seconds)
 
 
 @dataclass(frozen=True)
@@ -266,10 +266,7 @@ class FoldContext:
         key = ("store", json.dumps(to_payload(seq_params), sort_keys=True))
         if key not in self._cache:
             self._cache[key] = store_sequences(
-                self.training_beliefs(),
-                self.dataset.vocabulary.detection_target,
-                seq_params,
-                len(ALPHABET),
+                self.training_beliefs(), self.dataset.vocabulary.detection_target, seq_params
             )
         return self._cache[key]
 
@@ -393,13 +390,13 @@ class SequenceGrid:
             check_alpha_seq(alpha)
 
 
-def _candidate_thresholds(scores: np.ndarray, cap: int = 2000) -> np.ndarray:
+def _candidate_thresholds(scores: np.ndarray) -> np.ndarray:
     """The thresholds an "auto" sweep tries: every distinct score, and 0
-    and 1.  More than ``cap`` of them are thinned to the ``cap`` at evenly
-    spaced ranks, rounded down; the lowest and the highest stay."""
+    and 1.  More than 2000 of them are thinned to 2000 at evenly spaced
+    ranks, rounded down; the lowest and the highest stay."""
     values = np.unique(np.concatenate([scores, [0.0, 1.0]]))
-    if len(values) > cap:
-        idx = np.unique(np.linspace(0, len(values) - 1, cap).astype(int))
+    if len(values) > 2000:
+        idx = np.unique(np.linspace(0, len(values) - 1, 2000).astype(int))
         values = values[idx]
     return values
 

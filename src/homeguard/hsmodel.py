@@ -34,6 +34,8 @@ each event of the stream, in order, and where each slot's events begin.
 A ``TrainedModel`` is one JSON document.  Its parameter sections, its
 vocabulary and its stores are read by the rules of ``payload``; the
 transition rows and operation vectors are checked in one numpy pass each.
+Every per-state row is indexed by ``labeling.ALPHABET``, which the document
+does not list.
 """
 
 from __future__ import annotations
@@ -48,12 +50,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import ModelError, ValidationError, VocabularyError
+from .errors import ModelError, VocabularyError
 from .ingest import SLOT, SLOTS_PER_DAY, EventRecord, SlotGrid
-from .labeling import ALPHABET, HomeState, LabelArrays, LabelingParams, parse_state_key
-from .payload import (
-    counts, faults_as, json_object, list_of, load_json, record, to_payload, typed,
-)
+from .labeling import ALPHABET, LabelArrays, LabelingParams
+from .payload import counts, faults_as, json_object, load_json, record, to_payload
 from .seqstore import (
     DayWindows,
     SeqParams,
@@ -65,17 +65,16 @@ from .seqstore import (
 )
 from .vocab import VOCABULARY, Vocabulary
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
-def uniform_belief(n_states: int = len(ALPHABET)) -> np.ndarray:
+def uniform_belief(n_states: int) -> np.ndarray:
     return np.full(n_states, 1.0 / n_states)
 
 
 @dataclass
 class ModelParams:
     t_z_max: int = 720
-    slot_seconds: int = 60
 
     def __post_init__(self) -> None:
         if not 0 <= self.t_z_max <= 720:
@@ -113,7 +112,6 @@ class OperationTable:
     the belief untouched.
     """
 
-    n_states: int
     probs: dict[tuple[str, str], np.ndarray] = field(default_factory=dict)
 
     def vector(self, pair: tuple[str, str]) -> np.ndarray:
@@ -147,11 +145,7 @@ def window_halfwidths(presence: np.ndarray, t_z_max: int) -> np.ndarray:
     return np.minimum(nearest.max(axis=1), t_z_max).astype(np.int64)
 
 
-def fit_transitions(
-    arrays: LabelArrays,
-    t_z_max: int = 720,
-    n_states: int = len(ALPHABET),
-) -> TransitionTensor:
+def fit_transitions(arrays: LabelArrays, t_z_max: int = 720) -> TransitionTensor:
     """Estimate the transition tensor from the kept slots of a labeled stream.
 
     Callers must have dropped the slots of excluded days already, from the
@@ -162,6 +156,7 @@ def fit_transitions(
     if not keep.any():
         raise ModelError("no labeled slots to fit transitions on")
 
+    n_states = len(ALPHABET)
     k0 = arrays.k0.astype(np.intp)
     state = arrays.state.astype(np.intp)
     presence = np.bincount(
@@ -192,11 +187,7 @@ def fit_transitions(
     return TransitionTensor(probs=probs, t_z=t_z)
 
 
-def fit_operations(
-    arrays: LabelArrays,
-    vocabulary: Vocabulary | None = None,
-    n_states: int = len(ALPHABET),
-) -> OperationTable:
+def fit_operations(arrays: LabelArrays, vocabulary: Vocabulary | None = None) -> OperationTable:
     """Estimate per-state operation probabilities.
 
     The denominator for state ``i`` counts the slots during which ``i`` was in
@@ -205,6 +196,7 @@ def fit_operations(
     count once, keeping every entry inside [0, 1]).
     """
     vocabulary = vocabulary or Vocabulary()
+    n_states = len(ALPHABET)
     keep = arrays.keep
     n_pairs = len(arrays.pairs)
     kept = keep[arrays.event_pos]
@@ -223,7 +215,7 @@ def fit_operations(
     ).reshape(n_pairs, n_states)
     rows = {arrays.pairs[p]: numer[p] for p in np.flatnonzero(numer.sum(axis=1))}
 
-    table = OperationTable(n_states=n_states)
+    table = OperationTable()
     for pair in sorted(set(vocabulary.all_pairs()) | set(rows)):
         counts = rows.get(pair)
         if counts is None:
@@ -601,7 +593,6 @@ class TrainedModel:
     """Everything detection needs, serializable as one JSON document."""
 
     vocabulary: Vocabulary
-    states: tuple[HomeState, ...]
     labeling_params: LabelingParams
     model_params: ModelParams
     seq_params: SeqParams
@@ -623,7 +614,6 @@ class TrainedModel:
         return {
             "format_version": FORMAT_VERSION,
             "vocabulary": to_payload(self.vocabulary),
-            "states": [s.key for s in self.states],
             "labeling_params": to_payload(self.labeling_params),
             "model_params": to_payload(self.model_params),
             "seq_params": to_payload(self.seq_params),
@@ -656,8 +646,7 @@ class TrainedModel:
         if type(version) is not int or version != FORMAT_VERSION:
             raise ModelError(f"unsupported model format_version {version!r}")
         data = json_object(payload, _PAYLOAD_KEYS, "", _PAYLOAD_KEYS)
-        states = list_of(_state)(data["states"], "states")
-        n_states = len(states)
+        n_states = len(ALPHABET)
         model_params = record(ModelParams)(data["model_params"], "model_params")
         t_z = counts(data["t_z"], SLOTS_PER_DAY, "t_z", model_params.t_z_max)
         cells, rows = [], []
@@ -682,22 +671,18 @@ class TrainedModel:
         vectors = _payload_probabilities(
             list(data["b"].values()), n_states, lambda j: f"b: operation {pairs[j]!r}"
         )
-        operations = OperationTable(n_states=n_states)
+        operations = OperationTable()
         for pair_text, vec in zip(pairs, vectors):
             device, _, action = pair_text.partition(":")
             operations.probs[(device, action)] = vec
-        store = SequenceStore.from_payload(data["store"], "store")
-        if store.n_states != n_states:
-            raise ModelError(f"store.n_states: must be {n_states}, got {store.n_states!r}")
         return cls(
             vocabulary=VOCABULARY(data["vocabulary"], "vocabulary"),
-            states=states,
             labeling_params=record(LabelingParams)(data["labeling_params"], "labeling_params"),
             model_params=model_params,
             seq_params=record(SeqParams)(data["seq_params"], "seq_params"),
             transitions=TransitionTensor(probs=probs, t_z=t_z),
             operations=operations,
-            store=store,
+            store=SequenceStore.from_payload(data["store"], "store", n_states),
             baseline_store=TimedSequenceStore.from_payload(
                 data["baseline_store"], "baseline_store"
             ),
@@ -709,16 +694,9 @@ class TrainedModel:
 
 
 _PAYLOAD_KEYS = (
-    "format_version", "vocabulary", "states", "labeling_params", "model_params", "seq_params",
-    "t_z", "a", "b", "store", "baseline_store",
+    "format_version", "vocabulary", "labeling_params", "model_params", "seq_params", "t_z", "a",
+    "b", "store", "baseline_store",
 )
-
-
-def _state(key, where: str) -> HomeState:
-    try:
-        return parse_state_key(typed(key, str, where))
-    except ValueError:
-        raise ValidationError(f"{key!r} is not a state", field=where) from None
 
 
 def _payload_probabilities(
@@ -811,11 +789,10 @@ def train_model(
     days, streams = kept_day_streams(kept)
     traces = filter_streams(grid, streams, transitions, operations)
     beliefs = TrainingBeliefs(traces, windows, days)
-    store = store_sequences(beliefs, target, seq_params, len(ALPHABET))
+    store = store_sequences(beliefs, target, seq_params)
     baseline_store = build_timed_store(windows, target, seq_params)
     return TrainedModel(
         vocabulary=vocabulary,
-        states=ALPHABET,
         labeling_params=labeling_params,
         model_params=model_params,
         seq_params=seq_params,

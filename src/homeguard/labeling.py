@@ -77,11 +77,6 @@ class HomeState:
         return self.key
 
 
-def parse_state_key(key: str) -> HomeState:
-    u_text, _, d_text = key.partition(":")
-    return HomeState(UserActivity(u_text), DeviceUsage(d_text))
-
-
 # Canonical 10-state alphabet for the cooking scenario.
 ALPHABET: tuple[HomeState, ...] = tuple(
     HomeState(u, d)

@@ -89,16 +89,14 @@ class SeqParams:
     """Sequence-generation and state-selection parameters.
 
     Exactly one selection criterion is active: ``rank`` keeps the top
-    ``l_rank`` states of the belief, ``alpha`` compares each state probability
-    against ``l_alpha`` (selecting high-probability states by default;
-    ``alpha_select_below`` flips the comparison).
+    ``l_rank`` states of the belief, ``alpha`` keeps each state whose
+    probability is at least ``l_alpha``.
     """
 
     t_seq: float = 600.0
     criterion: str = "rank"
     l_rank: int = 1
     l_alpha: float = 0.1
-    alpha_select_below: bool = False
     l_max: int = 5
     w_max: int = 16
 
@@ -191,32 +189,25 @@ class SequenceStore:
 
     ``counts[y][i]`` is the number of stored occurrences of sequence ``y``
     credited to state ``i``; ``slot_counts[i]`` is the number of training
-    slots whose entry belief selected state ``i`` under the same criterion.
+    slots whose entry belief selected state ``i`` under the same criterion;
+    its length is the number of states.
     """
 
-    n_states: int
-    criterion: str = "rank"
+    slot_counts: np.ndarray
     counts: dict[Items, np.ndarray] = field(default_factory=dict)
-    slot_counts: np.ndarray | None = None
     # ``vector`` of each stored sequence, computed on first use.
     _vectors: dict[Items, np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
-    def __post_init__(self) -> None:
-        if self.slot_counts is None:
-            self.slot_counts = np.zeros(self.n_states, dtype=np.int64)
-
     def vector(self, items: Items) -> np.ndarray:
         """Per-state sequence probabilities as one vector."""
         counts = self.counts.get(items)
+        zeros = np.zeros(len(self.slot_counts))
         if counts is None:
-            return np.zeros(self.n_states)
+            return zeros
         return np.divide(
-            counts.astype(np.float64),
-            self.slot_counts,
-            out=np.zeros(self.n_states),
-            where=self.slot_counts > 0,
+            counts.astype(np.float64), self.slot_counts, out=zeros, where=self.slot_counts > 0
         )
 
     def stored_vector(self, items: Items) -> np.ndarray | None:
@@ -230,8 +221,6 @@ class SequenceStore:
 
     def to_payload(self) -> dict:
         return {
-            "n_states": self.n_states,
-            "criterion": self.criterion,
             "slot_counts": [int(x) for x in self.slot_counts],
             "counts": {
                 sequence_key(items): [int(x) for x in counts]
@@ -240,17 +229,12 @@ class SequenceStore:
         }
 
     @classmethod
-    def from_payload(cls, payload, where: str = "") -> "SequenceStore":
-        """A store from its JSON form; a fault raises ``ValidationError``
-        naming the key below ``where``."""
-        keys = ("n_states", "criterion", "slot_counts", "counts")
+    def from_payload(cls, payload, where: str, n_states: int) -> "SequenceStore":
+        """A store over ``n_states`` states from its JSON form; a fault
+        raises ``ValidationError`` naming the key below ``where``."""
+        keys = ("slot_counts", "counts")
         data = json_object(payload, keys, where, keys)
-        n_states = typed(data["n_states"], int, at(where, "n_states"))
-        store = cls(
-            n_states=n_states,
-            criterion=typed(data["criterion"], str, at(where, "criterion")),
-            slot_counts=counts(data["slot_counts"], n_states, at(where, "slot_counts")),
-        )
+        store = cls(counts(data["slot_counts"], n_states, at(where, "slot_counts")))
         where_counts = at(where, "counts")
         for key, values in json_object(data["counts"], None, where_counts).items():
             store.counts[_items_from_key(key)] = counts(values, n_states, at(where_counts, key))
@@ -595,12 +579,6 @@ def _ranks(beliefs: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _alpha_selected(beliefs: np.ndarray, params: SeqParams) -> np.ndarray:
-    if params.alpha_select_below:
-        return beliefs <= params.l_alpha
-    return beliefs >= params.l_alpha
-
-
 class TrainingBeliefs:
     """The belief traces of a training set, joined to their windows.
 
@@ -627,8 +605,9 @@ class TrainingBeliefs:
         self.days = days
         self._ranked: tuple[np.ndarray, ...] | None = None
 
-    def _rank(self, n_states: int) -> tuple[np.ndarray, ...]:
+    def _rank(self) -> tuple[np.ndarray, ...]:
         if self._ranked is None:
+            n_states = self.traces[0].entry.shape[1]
             # at_rank[r - 1, i]: slot entries at which state i ranks r.  Day
             # by day, so no copy of the entry beliefs is made.
             at_rank = np.zeros(n_states * n_states, dtype=np.int64)
@@ -661,19 +640,20 @@ class TrainingBeliefs:
             )
         return self._ranked
 
-    def store(self, params: SeqParams, n_states: int) -> SequenceStore:
-        at_rank, pre, pre_ranks, ids, finals = self._rank(n_states)
-        store = SequenceStore(n_states=n_states, criterion=params.criterion)
+    def store(self, params: SeqParams) -> SequenceStore:
+        at_rank, pre, pre_ranks, ids, finals = self._rank()
+        n_states = len(at_rank)
         # Each stored subsequence is credited to the states its final event's
         # "just before" belief selects.
         if params.criterion == "rank":
-            store.slot_counts = at_rank[: params.l_rank].sum(axis=0)
+            store = SequenceStore(at_rank[: params.l_rank].sum(axis=0))
             chosen = (pre_ranks <= params.l_rank)[finals]
         else:
+            store = SequenceStore(np.zeros(n_states, dtype=np.int64))
             for trace in self.traces:
                 if len(trace.entry):
-                    store.slot_counts += _alpha_selected(trace.entry, params).sum(axis=0)
-            chosen = _alpha_selected(pre, params)[finals]
+                    store.slot_counts += (trace.entry >= params.l_alpha).sum(axis=0)
+            chosen = (pre >= params.l_alpha)[finals]
         credited = chosen.any(axis=1)
         if credited.any():
             keys, rows = _first_seen(ids[credited])
@@ -689,12 +669,13 @@ class TrainingBeliefs:
 
 
 def store_sequences(
-    beliefs: TrainingBeliefs, target_device: str, params: SeqParams, n_states: int
+    beliefs: TrainingBeliefs, target_device: str, params: SeqParams
 ) -> SequenceStore:
-    """The sequence store of a training set's belief traces; the stores of
-    every selection value share their windows and their ranking."""
+    """The sequence store of a training set's belief traces, over as many
+    states as their beliefs hold; the stores of every selection value share
+    their windows and their ranking."""
     beliefs.windows.check(target_device, params)
-    return beliefs.store(params, n_states)
+    return beliefs.store(params)
 
 
 def build_timed_store(

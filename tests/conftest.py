@@ -17,11 +17,16 @@ from homeguard.ingest import (
     build_timeslots,
     offsets_from,
 )
-from homeguard.labeling import LabelingParams
+from homeguard.labeling import ALPHABET, HomeState, LabelingParams
 from homeguard.vocab import SENSOR_FIELDS, Vocabulary
 from oracles import SensorFrame, columns
 
 BASE = datetime(2021, 3, 1, 0, 0, 0)
+
+
+def parse_state_key(key: str) -> HomeState:
+    """The state of the alphabet whose key is ``key``, as in "sleep:none"."""
+    return next(state for state in ALPHABET if state.key == key)
 
 CALM = dict(temperature=21.0, humidity=50.0, atmosphere=1010.0, co2=600.0, noise=45.0)
 SLEEPY = dict(temperature=21.0, humidity=50.0, atmosphere=1010.0, co2=1800.0, noise=32.0)

@@ -759,8 +759,6 @@ def select_states(belief: np.ndarray, params: SeqParams) -> list[int]:
     if params.criterion == "rank":
         ranks = 1 + (belief[None, :] > belief[:, None]).sum(axis=1)
         mask = ranks <= params.l_rank
-    elif params.alpha_select_below:
-        mask = belief <= params.l_alpha
     else:
         mask = belief >= params.l_alpha
     return [int(i) for i in np.flatnonzero(mask)]
@@ -770,7 +768,7 @@ def store_sequences_per_window(traces, target_device: str, params: SeqParams, n_
     """The sequence store built window by window: each training trace's
     windows enumerated anew, and the states of each stored sequence selected
     with one ``select_states`` call on its final belief."""
-    store = SequenceStore(n_states=n_states, criterion=params.criterion)
+    store = SequenceStore(np.zeros(n_states, dtype=np.int64))
     for trace in traces:
         for row in trace.entry:
             store.slot_counts[select_states(row, params)] += 1

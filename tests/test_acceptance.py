@@ -32,12 +32,12 @@ from homeguard.hsmodel import (
     fit_transitions,
 )
 from homeguard.ingest import build_timeslots
-from homeguard.labeling import STATE_INDEX, LabelingParams, label_states, parse_state_key
+from homeguard.labeling import STATE_INDEX, LabelingParams, label_states
 from homeguard.seqstore import SequenceStore, _enumerate_distinct
 from homeguard.synthgen import generate, scenario_s1
 from homeguard.vocab import Vocabulary
 
-from conftest import ev
+from conftest import ev, parse_state_key
 from oracles import decode_labels, encode_labels, generate_subsequences, slot_records, snapshots
 from test_detector import make_model, store_with
 from test_evaluation import scripted_point, toy_dataset
@@ -148,7 +148,7 @@ def test_criterion_4_normalization_suite():
             assert abs(float(snap.probs.sum()) - 1.0) <= 1e-9
 
         # Observing an operation absent from training is an exact no-op.
-        unseen = OperationTable(n_states=4, probs={("tv", "on"): np.ones(4)})
+        unseen = OperationTable(probs={("tv", "on"): np.ones(4)})
         pre, post = observe(("tv", "on"), unseen, np.array([0.4, 0.3, 0.2, 0.1]))
         assert np.array_equal(post, pre)
 
@@ -298,9 +298,8 @@ def test_criterion_9_degenerate_branches():
         assert (table.vector(("rice_cooker", "on")) == 1.0).all()
 
         # Sequence store: unknown sequences and unsupported states score zero.
-        store = SequenceStore(n_states=3)
+        store = SequenceStore(np.array([4, 0, 0]))
         store.counts[(("cooking_stove", "on"),)] = np.array([2, 1, 0])
-        store.slot_counts = np.array([4, 0, 0])
         assert store.vector((("cooking_stove", "on"),))[1] == 0.0
         assert store.vector((("tv", "on"),))[0] == 0.0
 
@@ -308,7 +307,7 @@ def test_criterion_9_degenerate_branches():
         zero_tensor = TransitionTensor(np.zeros((1440, 3, 3)), np.zeros(1440, dtype=np.int64))
         reset = step_into(5, zero_tensor, np.array([1.0, 0.0, 0.0]))
         assert np.allclose(reset.probs, [1 / 3] * 3)
-        zero_table = OperationTable(n_states=3, probs={("tv", "on"): np.zeros(3)})
+        zero_table = OperationTable(probs={("tv", "on"): np.zeros(3)})
         _, reset = observe(("tv", "on"), zero_table, np.array([0.5, 0.5, 0.0]))
         assert np.allclose(reset, [1 / 3] * 3)
 

@@ -22,7 +22,7 @@ from homeguard.ingest import (
     write_operation_log,
     write_sensor_log,
 )
-from homeguard.labeling import LabelingParams
+from homeguard.labeling import ALPHABET, LabelingParams
 from homeguard.synthgen import generate, save_scenario, scenario_calibration, scenario_s1
 from homeguard.vocab import Vocabulary
 
@@ -132,8 +132,10 @@ class TestTrainCommand:
         )
         assert code == 0
         payload = json.loads(model_path.read_text())
-        assert len(payload["states"]) == 10
-        assert payload["format_version"] == FORMAT_VERSION
+        assert "states" not in payload
+        assert len(payload["store"]["slot_counts"]) == 10
+        assert len(payload["b"]["cooking_stove:on"]) == 10
+        assert payload["format_version"] == FORMAT_VERSION == 3
 
     def test_retrain_byte_identical(self, tmp_path, small_home):
         ops, sensors = small_home
@@ -256,16 +258,19 @@ class TestDetectCommand:
         assert code == 0
 
 
-    def test_format_version_1_model_exits_2(self, tmp_path, trained, small_home, capsys):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_format_version_1_model_exits_2(self, tmp_path, trained, small_home, version,
+                                            capsys):
         ops, sensors = small_home
         payload = json.loads(trained.read_text())
-        payload["format_version"] = 1
+        payload["format_version"] = version
         payload["seq_params"]["argmax_slot_counting"] = False
-        trained.write_text(json.dumps(payload))
-        code = main(["detect", "--model", str(trained), "--operations", str(ops),
+        model = tmp_path / "old.json"
+        model.write_text(json.dumps(payload))
+        code = main(["detect", "--model", str(model), "--operations", str(ops),
                      "--sensors", str(sensors)])
         assert code == 2
-        assert "format_version 1" in capsys.readouterr().err
+        assert f"unsupported model format_version {version}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["proposed", "sequence"])
     def test_windows_match_a_scan_of_every_earlier_event(self, tmp_path, trained, small_home,
@@ -273,10 +278,14 @@ class TestDetectCommand:
         ops, sensors = small_home
         judge_name = {"proposed": "judge_proposed", "sequence": "judge_sequence_baseline"}[method]
         judge = getattr(cli, judge_name)
-        windows = []
+        windows, calls = [], []
 
         def recording_judge(*args):
-            windows.append(list(args[1 if method == "sequence" else 2]))
+            calls.append(judge_name)
+            if method == "sequence":
+                windows.extend(list(preceding) for preceding, _ in args[1])
+            else:
+                windows.append(list(args[2]))
             return judge(*args)
 
         monkeypatch.setattr(cli, judge_name, recording_judge)
@@ -304,12 +313,15 @@ class TestDetectCommand:
             if method == "proposed":
                 verdict = judge(model, trace.pre[idx], preceding, op, Thresholds(0.01, 0.01))
             else:
-                verdict = judge(
-                    model.baseline_store, preceding, op, BaselineParams(), model.seq_params, target
+                [verdict] = judge(
+                    model.baseline_store, [(preceding, op)], BaselineParams(), model.seq_params,
+                    target,
                 )
             expected.append(verdict.to_jsonl())
         assert any(expected_windows)
         assert windows == expected_windows
+        # The sequence method judges the whole stream in one batch.
+        assert len(calls) == (1 if method == "sequence" else len(expected))
         assert out_path.read_text().splitlines() == expected
 
 
@@ -327,9 +339,9 @@ class TestDetectCommand:
         expected = [
             judge_sequence_baseline(
                 model.baseline_store,
-                stream[window_start(times, op.timestamp, model.seq_params.t_seq) : idx],
-                op, BaselineParams(), model.seq_params, target,
-            ).to_jsonl()
+                [(stream[window_start(times, op.timestamp, model.seq_params.t_seq) : idx], op)],
+                BaselineParams(), model.seq_params, target,
+            )[0].to_jsonl()
             for idx, op in enumerate(stream) if op.device == target
         ]
         assert expected
@@ -377,7 +389,7 @@ def short_b_vector(payload):
 
 
 def negative_b_vector(payload):
-    payload["b"]["cooking_stove:on"] = [-0.5] * len(payload["states"])
+    payload["b"]["cooking_stove:on"] = [-0.5] * len(ALPHABET)
 
 
 def a_row_value(value):
@@ -412,7 +424,7 @@ class TestMalformedModel:
             (set_key("labeling_params", "bogus", 1), "'bogus'"),
             (set_key("seq_params", "w_max", "16"), "seq_params.w_max"),
             (set_key("labeling_params", "night_split", "noon"), "labeling_params.night_split"),
-            (replace_key("states", ["x:y"]), "'x:y'"),
+            (replace_key("states", [state.key for state in ALPHABET]), "unknown key 'states'"),
             (short_b_vector, "'cooking_stove:on'"),
             (replace_key("store", None), "store"),
             (replace_key("baseline_store", None), "baseline_store"),
@@ -430,20 +442,24 @@ class TestMalformedModel:
             (set_key("store", "slot_counts", [5]), "slot_counts"),
             (set_key("store", "counts", []), "counts"),
             (set_key("baseline_store", "times", 5), "times"),
-            (replace_key("states", 5), "states"),
+            (set_key("store", "n_states", 10), "store: unknown key 'n_states'"),
             (set_key("seq_params", "t_seq", 10**30), "t_seq"),
             (replace_key("bogus", 1), "unknown key 'bogus'"),
             (set_key("store", "extra", 1), "store: unknown key 'extra'"),
             (set_key("baseline_store", "extra", 1), "baseline_store: unknown key 'extra'"),
-            (set_key("store", "criterion", 5), "store.criterion"),
+            (set_key("store", "criterion", "rank"), "store: unknown key 'criterion'"),
+            (set_key("model_params", "slot_seconds", 60),
+             "model_params: unknown key 'slot_seconds'"),
+            (set_key("seq_params", "alpha_select_below", False),
+             "seq_params: unknown key 'alpha_select_below'"),
         ],
         ids=["no-b", "seq-bogus", "model-bogus", "labeling-bogus", "w_max-text",
-             "night_split-text", "state-x:y", "short-b", "store-null", "baseline_store-null",
+             "night_split-text", "states", "short-b", "store-null", "baseline_store-null",
              "vocabulary-pairs", "vocabulary-ranges", "vocabulary-bogus", "vocabulary-list",
              "a-row-text", "a-row-nan", "t_z-text", "t_z-short", "target_total-text",
-             "b-negative", "slot_counts-short", "counts-list", "times-int", "states-int",
-             "t_seq-huge", "top-bogus", "store-extra", "baseline_store-extra",
-             "store-criterion-int"],
+             "b-negative", "slot_counts-short", "counts-list", "times-int", "store-n_states",
+             "t_seq-huge", "top-bogus", "store-extra", "baseline_store-extra", "store-criterion",
+             "slot_seconds", "alpha_select_below"],
     )
     def test_exits_2_naming_the_fault(self, tmp_path, model_home, edit, named, method, capsys):
         code, err = self.detect(tmp_path, model_home, edit, method, capsys)
@@ -461,7 +477,7 @@ class TestMalformedModel:
     def test_invalid_json_exits_2(self, tmp_path, model_home, capsys):
         ops, sensors, _ = model_home
         model = tmp_path / "model.json"
-        model.write_text('{"format_version": 2,')
+        model.write_text('{"format_version": 3,')
         code = main(["detect", "--model", str(model), "--operations", str(ops),
                      "--sensors", str(sensors)])
         assert code == 2
@@ -504,9 +520,12 @@ class TestBadConfig:
             ("train", {"labeling": {"night_split": "5:0"}}, "labeling.night_split"),
             ("train", {"labeling": {"night_window": ["22:00", "24:00"]}},
              "labeling.night_window[1]"),
+            ("train", {"model": {"slot_seconds": 60}}, "model: unknown key 'slot_seconds'"),
+            ("train", {"seq": {"alpha_select_below": False}},
+             "seq: unknown key 'alpha_select_below'"),
         ],
         ids=["seq-bogus", "labeling-bogus", "model-text", "detector-bogus", "detector-text",
-             "night_split-short", "night_window-24"],
+             "night_split-short", "night_window-24", "slot_seconds", "alpha_select_below"],
     )
     def test_bad_section_exits_2(self, tmp_path, model_home, command, content, named, capsys):
         config = tmp_path / "config.json"
@@ -1069,8 +1088,9 @@ class TestNonFiniteTolerances:
 
 class TestThresholdValues:
     """evaluate's fixed threshold lists and --best-at hold numbers in [0, 1],
-    as Thresholds and BaselineParams require; any other value exits 2 naming
-    its option before any input is read."""
+    as Thresholds and BaselineParams require, and its labeling and l lists
+    keep the rules of LabelingParams and SeqParams; any other value exits 2
+    naming its option before any input is read."""
 
     class Reached(BaseException):
         """Raised where evaluate reads its input; main turns an Exception
@@ -1112,9 +1132,29 @@ class TestThresholdValues:
         assert "--best-at" in err and "[0, 1]" in err
         assert not (tmp_path / "eval").exists()
 
-    def test_bounds_are_allowed(self, tmp_path, model_home, monkeypatch):
+    @pytest.mark.parametrize("options, shown", [
+        (("--criterion", "alpha", "--l-values", "0.5,1.5"), "--l-values: l_alpha: must be in"
+                                                            " [0, 1], got 1.5"),
+        (("--criterion", "alpha", "--l-values", "nan"), "--l-values: l_alpha: must be in"
+                                                        " [0, 1], got nan"),
+        (("--l-values=1,-1",), "--l-values: l_rank: must be non-negative, got -1"),
+        (("--t-x-values=-3",), "--t-x-values: t_x: must be non-negative, got -3"),
+        (("--t-y-values=15,-1",), "--t-y-values: t_y: must be non-negative, got -1"),
+        (("--t-c-values=-2,20",), "--t-c-values: t_c: must be non-negative, got -2"),
+    ], ids=["l_alpha-above-1", "l_alpha-nan", "l_rank-negative", "t_x", "t_y", "t_c"])
+    def test_structural_value_outside_its_rule_exits_2(self, tmp_path, model_home, monkeypatch,
+                                                        options, shown, capsys):
+        assert self.run(tmp_path, model_home, monkeypatch, "--methods", "proposed",
+                        *options) == 2
+        assert shown in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("criterion, l_values", [("rank", "0,1"), ("alpha", "0,1")])
+    def test_bounds_are_allowed(self, tmp_path, model_home, monkeypatch, criterion, l_values):
         with pytest.raises(self.Reached):
             self.run(tmp_path, model_home, monkeypatch, "--methods", "all",
                      "--n-single-values", "0,1", "--n-multi-values", "0.0,1.0",
                      "--theta-values", "0,0.5,1", "--n-seq-single-values", "1",
-                     "--n-seq-multi-values", "0", "--best-at", "1")
+                     "--n-seq-multi-values", "0", "--best-at", "1",
+                     "--t-x-values", "0,15", "--t-y-values", "0", "--t-c-values", "0",
+                     "--criterion", criterion, "--l-values", l_values)

@@ -18,7 +18,7 @@ from homeguard.detector import (
 from homeguard.errors import UsageError
 from homeguard.evaluation import _sweep_two_level
 from homeguard.hsmodel import ModelParams, OperationTable, TrainedModel, TransitionTensor
-from homeguard.labeling import ALPHABET, LabelingParams
+from homeguard.labeling import LabelingParams
 from homeguard.seqstore import (
     SeqParams,
     SequenceStore,
@@ -35,23 +35,21 @@ STOVE_ON = (("cooking_stove", "on"),)
 
 
 def make_model(store: SequenceStore, seq_params: SeqParams | None = None) -> TrainedModel:
-    n = store.n_states
+    n = len(store.slot_counts)
     return TrainedModel(
         vocabulary=Vocabulary(),
-        states=ALPHABET,
         labeling_params=LabelingParams(),
         model_params=ModelParams(),
         seq_params=seq_params or SeqParams(),
         transitions=TransitionTensor(np.zeros((1440, n, n)), np.zeros(1440, dtype=np.int64)),
-        operations=OperationTable(n_states=n),
+        operations=OperationTable(),
         store=store,
         baseline_store=TimedSequenceStore(),
     )
 
 
-def store_with(entries: dict, slot_counts, n_states=2) -> SequenceStore:
-    store = SequenceStore(n_states=n_states)
-    store.slot_counts = np.asarray(slot_counts, dtype=np.int64)
+def store_with(entries: dict, slot_counts) -> SequenceStore:
+    store = SequenceStore(np.asarray(slot_counts, dtype=np.int64))
     for key, counts in entries.items():
         store.counts[key] = np.asarray(counts, dtype=np.int64)
     return store
@@ -211,7 +209,7 @@ def grid_flags(scores, n_single, n_multi) -> int:
 class TestJudgeEstimation:
     def table(self):
         return OperationTable(
-            n_states=2, probs={("cooking_stove", "on"): np.array([0.4, 0.0])}
+            probs={("cooking_stove", "on"): np.array([0.4, 0.0])}
         )
 
     def test_hand_arithmetic(self):
@@ -231,7 +229,7 @@ class TestJudgeEstimation:
 
     def test_theta_one_always_anomalous(self):
         table = OperationTable(
-            n_states=2, probs={("cooking_stove", "on"): np.array([1.0, 1.0])}
+            probs={("cooking_stove", "on"): np.array([1.0, 1.0])}
         )
         verdict = judge_estimation_baseline(
             table, np.array([0.5, 0.5]), ev(0.5, "cooking_stove", "on"),
@@ -257,8 +255,8 @@ class TestJudgeEstimation:
 class TestJudgeSequence:
     def test_nothing_stored_is_anomalous(self):
         store = TimedSequenceStore()
-        verdict = judge_sequence_baseline(
-            store, [], ev(0.5, "cooking_stove", "on"),
+        [verdict] = judge_sequence_baseline(
+            store, [([], ev(0.5, "cooking_stove", "on"))],
             BaselineParams(n_seq_single=0.1, n_seq_multi=0.1), SeqParams(), "cooking_stove",
         )
         assert verdict.decision == ANOMALOUS
@@ -269,8 +267,8 @@ class TestJudgeSequence:
         op = ev(0.5, "cooking_stove", "on")
         preceding = [ev(0.2, "tv", "on")]
         params = BaselineParams(n_seq_single=0.0, n_seq_multi=0.0)
-        verdict = judge_sequence_baseline(
-            TimedSequenceStore(), preceding, op, params, SeqParams(), "cooking_stove"
+        [verdict] = judge_sequence_baseline(
+            TimedSequenceStore(), [(preceding, op)], params, SeqParams(), "cooking_stove"
         )
         assert verdict.decision == LEGITIMATE
         candidates = window_candidates(preceding, op, SeqParams())
@@ -286,8 +284,9 @@ class TestJudgeSequence:
         store = TimedSequenceStore(
             times={STOVE_ON: sorted([tod - 100, tod + 50, tod + 200])}, target_total=10
         )
-        verdict = judge_sequence_baseline(
-            store, [], op, BaselineParams(alpha_seq=900.0, n_seq_single=0.25, n_seq_multi=0.25),
+        [verdict] = judge_sequence_baseline(
+            store, [([], op)],
+            BaselineParams(alpha_seq=900.0, n_seq_single=0.25, n_seq_multi=0.25),
             SeqParams(), "cooking_stove",
         )
         assert verdict.delta == pytest.approx(0.3)
@@ -296,8 +295,9 @@ class TestJudgeSequence:
     def test_ratio_below_threshold_is_anomalous(self):
         op = ev(600.0, "cooking_stove", "on")
         store = TimedSequenceStore(times={STOVE_ON: [600 * 60.0]}, target_total=10)
-        verdict = judge_sequence_baseline(
-            store, [], op, BaselineParams(alpha_seq=900.0, n_seq_single=0.25, n_seq_multi=0.25),
+        [verdict] = judge_sequence_baseline(
+            store, [([], op)],
+            BaselineParams(alpha_seq=900.0, n_seq_single=0.25, n_seq_multi=0.25),
             SeqParams(), "cooking_stove",
         )
         assert verdict.delta == pytest.approx(0.1)
@@ -307,8 +307,9 @@ class TestJudgeSequence:
         op = ev(0.5, "cooking_stove", "on")  # 00:00:30
         noon = 12 * 3600.0
         store = TimedSequenceStore(times={STOVE_ON: [noon]}, target_total=1)
-        verdict = judge_sequence_baseline(
-            store, [], op, BaselineParams(alpha_seq=43200.0, n_seq_single=1.0, n_seq_multi=1.0),
+        [verdict] = judge_sequence_baseline(
+            store, [([], op)],
+            BaselineParams(alpha_seq=43200.0, n_seq_single=1.0, n_seq_multi=1.0),
             SeqParams(), "cooking_stove",
         )
         assert verdict.delta == pytest.approx(1.0)
@@ -317,16 +318,38 @@ class TestJudgeSequence:
     def test_midnight_wrap_counts(self):
         op = ev(1.0, "cooking_stove", "on")  # 00:01
         store = TimedSequenceStore(times={STOVE_ON: [86340.0]}, target_total=1)  # 23:59
-        verdict = judge_sequence_baseline(
-            store, [], op, BaselineParams(alpha_seq=300.0, n_seq_single=0.5, n_seq_multi=0.5),
+        [verdict] = judge_sequence_baseline(
+            store, [([], op)],
+            BaselineParams(alpha_seq=300.0, n_seq_single=0.5, n_seq_multi=0.5),
             SeqParams(), "cooking_stove",
         )
         assert verdict.decision == LEGITIMATE
 
+    def test_a_batch_judges_each_window_as_it_would_alone(self):
+        rng = np.random.default_rng(6)
+        pairs = [("tv", "on"), ("heater", "on"), STOVE_ON[0]]
+        store = TimedSequenceStore(target_total=5)
+        for items in candidates_ending_at([*pairs, STOVE_ON[0]], 3):
+            store.times[items] = sorted(rng.uniform(0, 86400, size=3).tolist())
+        windows = [
+            ([ev(minute - 0.5, *pairs[i]) for i in rng.integers(0, 3, size=rng.integers(0, 5))],
+             ev(minute, "cooking_stove", "on"))
+            for minute in rng.uniform(1, 1439, size=12).round(2).tolist()
+        ]
+        params = BaselineParams(alpha_seq=3600.0, n_seq_single=0.2, n_seq_multi=0.4)
+        batch = judge_sequence_baseline(store, windows, params, SeqParams(), "cooking_stove")
+        alone = [
+            judge_sequence_baseline(store, [window], params, SeqParams(), "cooking_stove")[0]
+            for window in windows
+        ]
+        assert [v.to_jsonl() for v in batch] == [v.to_jsonl() for v in alone]
+        assert batch == alone
+        assert judge_sequence_baseline(store, [], params, SeqParams(), "cooking_stove") == []
+
     def test_non_target_rejected(self):
         with pytest.raises(UsageError):
             judge_sequence_baseline(
-                TimedSequenceStore(), [], ev(0.5, "tv", "on"),
+                TimedSequenceStore(), [([], ev(0.5, "tv", "on"))],
                 BaselineParams(), SeqParams(), "cooking_stove",
             )
 
@@ -395,7 +418,6 @@ class TestBatchedScorersAgainstPerCandidateLoops:
         store = store_with(
             {(pair,): rng.integers(0, 5, size=3) for pair in self.PAIRS[:3]},
             slot_counts=[4, 0, 7],
-            n_states=3,
         )
         for pair in self.PAIRS:
             cached = store.stored_vector((pair,))
@@ -413,7 +435,6 @@ class TestBatchedScorersAgainstPerCandidateLoops:
             store = store_with(
                 {items: rng.integers(0, 6, size=4) for items in known if rng.random() < 0.6},
                 slot_counts=rng.integers(0, 8, size=4),
-                n_states=4,
             )
             belief = rng.dirichlet(np.ones(4))
             for candidates, _ in windows:

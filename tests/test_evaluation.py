@@ -121,8 +121,8 @@ def sequence_verdicts(params):
     def fit(fold):
         store, target = fold.timed_store(), fold.dataset.vocabulary.detection_target
         return lambda ctx: judge_sequence_baseline(
-            store, ctx.preceding, ctx.op, params, fold.seq_params, target
-        )
+            store, [(ctx.preceding, ctx.op)], params, fold.seq_params, target
+        )[0]
     return fit
 
 

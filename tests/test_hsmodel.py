@@ -24,11 +24,11 @@ from homeguard.hsmodel import (
     uniform_belief,
     window_halfwidths,
 )
-from homeguard.labeling import ALPHABET, STATE_INDEX, LabelingParams, parse_state_key
+from homeguard.labeling import ALPHABET, STATE_INDEX, LabelingParams
 from homeguard.seqstore import SeqParams
 from homeguard.vocab import Vocabulary
 
-from conftest import BASE, ev, make_grid, make_slots
+from conftest import BASE, ev, make_grid, make_slots, parse_state_key
 from oracles import (
     LabeledSlot,
     belief_before_walk,
@@ -376,7 +376,7 @@ def step_into(k, tensor, initial):
     """The snapshot after the filter crosses one slot boundary into
     slot-of-day ``k``."""
     grid, stream = make_slots(2, k0=k - 1)
-    table = OperationTable(n_states=tensor.n_states)
+    table = OperationTable()
     return snapshots(filter_stream(grid, stream, tensor, table, initial))[1]
 
 
@@ -384,7 +384,7 @@ def observe(pair, table, initial):
     """The beliefs just before and just after the one event of a one-slot
     stream carrying ``pair``."""
     grid = make_grid(1, events={0: [ev(0.5, *pair)]})
-    tensor = toy_tensor({}, table.n_states)
+    tensor = toy_tensor({}, len(initial))
     trace = run_filter(grid, tensor, table, initial)
     [pre], [post] = trace.pre, trace.post
     return pre, post
@@ -409,19 +409,19 @@ class TestBeliefUpdates:
         assert np.allclose(out.probs, [1 / 3] * 3)
 
     def test_hand_observation(self):
-        table = OperationTable(n_states=2, probs={("tv", "on"): np.array([0.8, 0.2])})
+        table = OperationTable(probs={("tv", "on"): np.array([0.8, 0.2])})
         grid = make_grid(1, events={0: [ev(0.5, "tv", "on")]})
         out = snapshots(run_filter(grid, toy_tensor({}, 2), table, np.array([0.5, 0.5])))[-1]
         assert np.allclose(out.probs, [0.8, 0.2])
         assert out.event_index == 1
 
     def test_unseen_operation_bitwise_unchanged(self):
-        table = OperationTable(n_states=3, probs={("tv", "on"): np.ones(3)})
+        table = OperationTable(probs={("tv", "on"): np.ones(3)})
         pre, post = observe(("tv", "on"), table, np.array([0.2, 0.5, 0.3]))
         assert np.array_equal(post, pre)  # exact no-op, not merely close
 
     def test_zero_product_resets_to_uniform(self):
-        table = OperationTable(n_states=2, probs={("tv", "on"): np.zeros(2)})
+        table = OperationTable(probs={("tv", "on"): np.zeros(2)})
         _, post = observe(("tv", "on"), table, np.array([0.6, 0.4]))
         assert np.allclose(post, [0.5, 0.5])
 
@@ -471,7 +471,7 @@ def random_filter_instance(rng):
         probs[k] = matrix
     tensor = TransitionTensor(probs=probs, t_z=np.zeros(1440, dtype=np.int64))
 
-    table = OperationTable(n_states=n_states)
+    table = OperationTable()
     table.probs[pairs[0]] = np.ones(n_states)  # unseen operation
     table.probs[pairs[1]] = rng.random(n_states)
     table.probs[pairs[2]] = np.zeros(n_states) if rng.random() < 0.3 else rng.random(n_states)
@@ -495,13 +495,13 @@ def random_filter_instance(rng):
 class TestRunFilter:
     def test_empty_stream(self):
         tensor = toy_tensor({}, 2)
-        trace = run_filter(make_grid(0), tensor, OperationTable(n_states=2), np.array([0.3, 0.7]))
+        trace = run_filter(make_grid(0), tensor, OperationTable(), np.array([0.3, 0.7]))
         snaps = snapshots(trace)
         assert len(snaps) == 1
         assert np.allclose(snaps[0].probs, [0.3, 0.7])
 
     def test_one_slot_one_event_three_snapshots(self, vocab):
-        table = OperationTable(n_states=2, probs={("tv", "on"): np.array([0.8, 0.2])})
+        table = OperationTable(probs={("tv", "on"): np.array([0.8, 0.2])})
         tensor = toy_tensor({1: np.eye(2)}, 2)
         grid = make_grid(1, events={0: [ev(0.5, "tv", "on")]})
         trace = run_filter(grid, tensor, table, np.array([0.5, 0.5]))
@@ -514,7 +514,7 @@ class TestRunFilter:
     def test_first_slot_keeps_initial_belief(self):
         tensor = toy_tensor({7: np.array([[0.0, 1.0], [1.0, 0.0]])}, 2)
         grid, stream = make_slots(1, k0=7)
-        trace = filter_stream(grid, stream, tensor, OperationTable(n_states=2), np.array([0.9, 0.1]))
+        trace = filter_stream(grid, stream, tensor, OperationTable(), np.array([0.9, 0.1]))
         assert np.allclose(trace.entry[0], [0.9, 0.1])
 
     def test_oracle_equivalence_randomized(self):
@@ -536,7 +536,7 @@ class TestRunFilter:
                 assert np.max(np.abs(snap.probs - np.array(ref))) <= 1e-9
 
     def test_belief_before_ordering(self):
-        table = OperationTable(n_states=2, probs={("tv", "on"): np.array([0.8, 0.2])})
+        table = OperationTable(probs={("tv", "on"): np.array([0.8, 0.2])})
         tensor = toy_tensor({k: np.eye(2) for k in range(1, 10)}, 2)
         grid = make_grid(3, events={1: [ev(1.5, "tv", "on")]})
         trace = run_filter(grid, tensor, table, np.array([0.5, 0.5]))
@@ -614,7 +614,6 @@ class TestLockstepFilter:
         dead_row[0] = 0.0
         tensor = toy_tensor({1: matrix, 2: matrix, 3: dead_row, 4: matrix, 5: matrix}, n_states)
         table = OperationTable(
-            n_states=n_states,
             probs={
                 ("dev", "pin"): np.array([1.0, 0.0, 0.0]),
                 ("dev", "kill"): np.zeros(n_states),
@@ -714,11 +713,12 @@ class TestTrainedModelRoundTrip:
         with pytest.raises(ModelError, match="a: transition slot .* summing to 1"):
             TrainedModel.from_payload(payload)
 
-    def test_format_version_1_is_rejected(self):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_format_version_1_is_rejected(self, version):
         payload = self.build_model().to_payload()
-        payload["format_version"] = 1
+        payload["format_version"] = version
         payload["seq_params"]["argmax_slot_counting"] = False
-        with pytest.raises(ModelError, match="format_version 1"):
+        with pytest.raises(ModelError, match=f"unsupported model format_version {version}"):
             TrainedModel.from_payload(payload)
 
 
@@ -745,7 +745,7 @@ def random_model(rng, n_states):
     probs[rng.random(1440) < 0.05] = 0.0
     sums = probs.sum(axis=2, keepdims=True)
     probs = np.divide(probs, sums, out=np.zeros_like(probs), where=sums > 0)
-    table = OperationTable(n_states=n_states)
+    table = OperationTable()
     for pair in PAIRS:
         draw = rng.random()
         if pair[1] == "pin":

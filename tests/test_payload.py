@@ -25,10 +25,10 @@ def text(value) -> str:
         "sleep_gap_merge": 90, "use_gap_merge": 15, "presleep_hours": 5,
         "postsleep_hours": 4, "initial_occupants": 1,
     }),
-    (ModelParams(), {"t_z_max": 720, "slot_seconds": 60}),
+    (ModelParams(), {"t_z_max": 720}),
     (SeqParams(), {
-        "t_seq": 600.0, "criterion": "rank", "l_rank": 1, "l_alpha": 0.1,
-        "alpha_select_below": False, "l_max": 5, "w_max": 16,
+        "t_seq": 600.0, "criterion": "rank", "l_rank": 1, "l_alpha": 0.1, "l_max": 5,
+        "w_max": 16,
     }),
     (Thresholds(), {"n_single": 0.0, "n_multi": 0.0}),
     (BaselineParams(), {

@@ -119,9 +119,8 @@ def check_verdict(verdict, scores, n_single, n_multi):
 )
 def test_proposed_judge_is_the_rule_on_its_scores(preceding, n_states, data):
     op = ev(OP_MINUTE, TARGET, "on")
-    store = SequenceStore(n_states=n_states)
-    store.slot_counts = np.asarray(data.draw(st.lists(st.integers(0, 6), min_size=n_states,
-                                                      max_size=n_states)), dtype=np.int64)
+    store = SequenceStore(np.asarray(data.draw(st.lists(st.integers(0, 6), min_size=n_states,
+                                                        max_size=n_states)), dtype=np.int64))
     candidates = candidates_of(preceding, op)
     for items in data.draw(st.lists(st.sampled_from(candidates), unique=True)):
         store.counts[items] = np.asarray(
@@ -164,7 +163,7 @@ def test_sequence_judge_is_the_rule_on_its_scores(preceding, alpha_seq, data):
     check_levels(scores, candidates, lambda items: ratio(store, items, tod, alpha_seq))
     n_single, n_multi = thresholds(data, scores)
     params = BaselineParams(alpha_seq=alpha_seq, n_seq_single=n_single, n_seq_multi=n_multi)
-    verdict = judge_sequence_baseline(store, window, op, params, SEQ, TARGET)
+    [verdict] = judge_sequence_baseline(store, [(window, op)], params, SEQ, TARGET)
     check_verdict(verdict, scores, n_single, n_multi)
 
 
@@ -176,7 +175,7 @@ def test_sequence_judge_is_the_rule_on_its_scores(preceding, alpha_seq, data):
 )
 def test_estimation_judge_is_strict_threshold_on_its_score(vector, weights, data):
     op = ev(OP_MINUTE, TARGET, "on")
-    table = OperationTable(n_states=3, probs={op.pair: np.asarray(vector)})
+    table = OperationTable(probs={op.pair: np.asarray(vector)})
     weights = np.asarray(weights)
     belief = weights / weights.sum() if weights.sum() > 0 else np.full(3, 1 / 3)
     score = estimation_score(table, belief, op)

@@ -169,11 +169,6 @@ class TestSelectStates:
         params = SeqParams(criterion="alpha", l_alpha=0.3)
         assert select_states(belief, params) == [0, 1]
 
-    def test_alpha_inverted_direction_flag(self):
-        belief = np.array([0.5, 0.3, 0.2])
-        params = SeqParams(criterion="alpha", l_alpha=0.3, alpha_select_below=True)
-        assert select_states(belief, params) == [1, 2]
-
     def test_alpha_threshold_one_selects_only_certainty(self):
         params = SeqParams(criterion="alpha", l_alpha=1.0)
         assert select_states(np.array([1.0, 0.0]), params) == [0]
@@ -184,13 +179,13 @@ class TestSelectStates:
         assert select_states(belief, SeqParams(criterion="alpha", l_alpha=0.9)) == []
 
 
-def store_of(traces, target_device, params, n_states):
+def store_of(traces, target_device, params):
     """The store of hand-made traces, each with the windows of its own
     events."""
     traces = [traces] if isinstance(traces, FilterTrace) else list(traces)
     windows = DayWindows(make_grid(0), target_device, params)
     beliefs = TrainingBeliefs(traces, windows, [None] * len(traces))
-    return store_sequences(beliefs, target_device, params, n_states)
+    return store_sequences(beliefs, target_device, params)
 
 
 def timed_store_of(events, target_device, params):
@@ -236,7 +231,7 @@ class TestSequenceStore:
             [[0.5, 0.5]] * 4,
             [(1, ev(1.5, "tv", "on"), [0.5, 0.5])],
         )
-        store = store_of(trace, "cooking_stove", SeqParams(l_rank=1), 2)
+        store = store_of(trace, "cooking_stove", SeqParams(l_rank=1))
         assert store.counts == {}
         assert store.vector((("cooking_stove", "on"),))[0] == 0.0
 
@@ -248,7 +243,7 @@ class TestSequenceStore:
             entry,
             [(0, ev(0.5, "cooking_stove", "on"), [0.9, 0.05, 0.05])],
         )
-        store = store_of(trace, "cooking_stove", SeqParams(criterion="rank", l_rank=1), 3)
+        store = store_of(trace, "cooking_stove", SeqParams(criterion="rank", l_rank=1))
         assert (store.slot_counts == np.array([4, 6, 0])).all()
         key = (("cooking_stove", "on"),)
         assert store.counts[key][0] == 1
@@ -262,7 +257,7 @@ class TestSequenceStore:
                 (25, ev(25.5, "cooking_stove", "on"), [0.9, 0.1]),
             ],
         )
-        store = store_of(trace, "cooking_stove", SeqParams(l_rank=1), 2)
+        store = store_of(trace, "cooking_stove", SeqParams(l_rank=1))
         assert store.counts[(("cooking_stove", "on"),)][0] == 2
 
     def test_target_related_filter(self):
@@ -275,7 +270,7 @@ class TestSequenceStore:
                 (1, ev(1.5, "cooking_stove", "on"), [1.0, 0.0]),
             ],
         )
-        store = store_of(trace, "cooking_stove", SeqParams(l_rank=1), 2)
+        store = store_of(trace, "cooking_stove", SeqParams(l_rank=1))
         keys = set(store.counts)
         assert (("refrigerator", "opening"),) not in keys
         assert (("cooking_stove", "on"),) in keys
@@ -287,7 +282,7 @@ class TestSequenceStore:
             [(0, ev(0.5, "cooking_stove", "on"), [0.5, 0.5])],
         )
         params = SeqParams(criterion="alpha", l_alpha=0.9)
-        store = store_of(trace, "cooking_stove", params, 2)
+        store = store_of(trace, "cooking_stove", params)
         assert store.counts == {}
 
     def test_double_ingest_doubles_counts_keeps_ratios(self):
@@ -296,13 +291,13 @@ class TestSequenceStore:
             entry, [(0, ev(0.5, "cooking_stove", "on"), [0.8, 0.2])]
         )
         params = SeqParams(l_rank=1)
-        once = store_of(make(), "cooking_stove", params, 2)
-        twice = store_of([make(), make()], "cooking_stove", params, 2)
+        once = store_of(make(), "cooking_stove", params)
+        twice = store_of([make(), make()], "cooking_stove", params)
         key = (("cooking_stove", "on"),)
         assert twice.counts[key][0] == 2 * once.counts[key][0]
         assert (twice.slot_counts == 2 * once.slot_counts).all()
         assert twice.vector(key)[0] == pytest.approx(once.vector(key)[0])
-        rebuilt = store_of(make(), "cooking_stove", params, 2)
+        rebuilt = store_of(make(), "cooking_stove", params)
         assert rebuilt.to_payload() == once.to_payload()
 
     def test_window_respects_t_seq(self):
@@ -315,7 +310,7 @@ class TestSequenceStore:
                 (25, ev(25.0, "cooking_stove", "on"), [1.0, 0.0]),
             ],
         )
-        store = store_of(trace, "cooking_stove", SeqParams(l_rank=1, t_seq=600), 2)
+        store = store_of(trace, "cooking_stove", SeqParams(l_rank=1, t_seq=600))
         assert set(store.counts) == {(("cooking_stove", "on"),)}
 
     def test_payload_round_trip_and_determinism(self):
@@ -328,15 +323,14 @@ class TestSequenceStore:
             ],
         )
         params = SeqParams(l_rank=1)
-        store = store_of(trace, "cooking_stove", params, 2)
+        store = store_of(trace, "cooking_stove", params)
         payload = store.to_payload()
-        clone = SequenceStore.from_payload(payload)
+        clone = SequenceStore.from_payload(payload, "", 2)
         assert clone.to_payload() == payload
 
     def test_probability_degenerate_branches(self):
-        store = SequenceStore(n_states=3)
+        store = SequenceStore(np.array([12, 0, 5]))
         store.counts[(("cooking_stove", "on"),)] = np.array([3, 0, 0])
-        store.slot_counts = np.array([12, 0, 5])
         key = (("cooking_stove", "on"),)
         assert store.vector(key)[0] == pytest.approx(0.25)
         assert store.vector(key)[1] == 0.0  # zero slot count
@@ -346,8 +340,8 @@ class TestSequenceStore:
 SELECTIONS = {
     "rank-1": dict(criterion="rank", l_rank=1),
     "rank-3": dict(criterion="rank", l_rank=3),
-    "alpha-above": dict(criterion="alpha", l_alpha=0.1),
-    "alpha-below": dict(criterion="alpha", l_alpha=0.1, alpha_select_below=True),
+    "alpha-0.1": dict(criterion="alpha", l_alpha=0.1),
+    "alpha-0.6": dict(criterion="alpha", l_alpha=0.6),
 }
 
 
@@ -376,7 +370,7 @@ class TestStoreAgainstPerWindowOracle:
     def test_fold_stores(self, dense_traces, selection):
         params = SeqParams(t_seq=1800, **selection)
         for traces in dense_traces:
-            store = store_of(traces, "cooking_stove", params, len(ALPHABET))
+            store = store_of(traces, "cooking_stove", params)
             assert store.counts
             oracle = store_sequences_per_window(traces, "cooking_stove", params, len(ALPHABET))
             assert_bitwise_equal(store, oracle)
@@ -396,7 +390,7 @@ class TestStoreAgainstPerWindowOracle:
             ]
             trace = fabricate_trace(entry, specs)
             params = SeqParams(t_seq=600, w_max=6, **selection)
-            store = store_of(trace, "cooking_stove", params, 4)
+            store = store_of(trace, "cooking_stove", params)
             oracle = store_sequences_per_window([trace], "cooking_stove", params, 4)
             assert_bitwise_equal(store, oracle)
 
@@ -487,8 +481,8 @@ class TestFoldStoresFromSharedWindows:
 
     SELECTIONS = {
         **{f"rank-{l}": dict(criterion="rank", l_rank=l) for l in (0, 1, 2, 3, 12)},
-        "alpha-above": dict(criterion="alpha", l_alpha=0.1),
-        "alpha-below": dict(criterion="alpha", l_alpha=0.1, alpha_select_below=True),
+        "alpha-0.1": dict(criterion="alpha", l_alpha=0.1),
+        "alpha-0.6": dict(criterion="alpha", l_alpha=0.6),
     }
 
     @pytest.mark.parametrize(
@@ -578,7 +572,7 @@ class TestFoldStoresFromSharedWindows:
         # A trace joined to a day whose events it does not hold is refused.
         wrong = seqstore.TrainingBeliefs(beliefs.traces, fold.windows, [3, 3, 3])
         with pytest.raises(ValueError):
-            store_sequences(wrong, "cooking_stove", params, len(ALPHABET))
+            store_sequences(wrong, "cooking_stove", params)
 
     @pytest.mark.parametrize("heldout", [0, 1, 2, 3])
     @pytest.mark.parametrize(
