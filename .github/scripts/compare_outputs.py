@@ -53,6 +53,11 @@ EVALUATE_RUNS = (
     ("two-labelings", "00:00",
      ("--methods", "proposed,estimation", "--t-x-values", "15,30", "--l-values", "1,2",
       "--initial-occupants", "2")),
+    # Fixed threshold lists: the benchmark sweeps "auto" thresholds only.
+    ("fixed-thresholds", "00:00",
+     ("--methods", "all", "--n-single-values", "0,0.01,0.1", "--n-multi-values", "0,0.05",
+      "--theta-values", "0.1,0.5", "--n-seq-single-values", "0,0.1",
+      "--n-seq-multi-values", "0.1")),
 )
 
 # label runs on the same homes, each writing the slot and the per-event label

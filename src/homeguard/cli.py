@@ -179,28 +179,24 @@ def cmd_detect(args) -> int:
     model = TrainedModel.load(args.model)
     vocabulary = model.vocabulary
     grid = _load_stream(args, vocabulary, on_unknown="skip")
-    # Only the proposed and estimation methods read a belief, so only they
-    # pay for the filter; its trace holds the grid's events in order.
-    if args.method != "sequence":
-        trace = run_filter(grid, model.transitions, model.operations)
     target = vocabulary.detection_target
     stream = grid.events
     ends, starts = target_windows(stream, grid.event_at, target, model.seq_params.t_seq)
     windows = [(stream[lo:idx], stream[idx]) for idx, lo in zip(ends.tolist(), starts.tolist())]
-    if args.method == "proposed":
-        verdicts = [
-            judge_proposed(model, trace.pre[idx], preceding, op, thresholds)
-            for idx, (preceding, op) in zip(ends.tolist(), windows)
-        ]
-    elif args.method == "estimation":
-        verdicts = [
-            judge_estimation_baseline(model.operations, trace.pre[idx], op, baseline.theta, target)
-            for idx, (_, op) in zip(ends.tolist(), windows)
-        ]
-    else:
+    if args.method == "sequence":
         verdicts = judge_sequence_baseline(
             model.baseline_store, windows, baseline, model.seq_params, target
         )
+    else:
+        # Only the proposed and estimation methods read a belief, so only they
+        # pay for the filter; its trace holds the grid's events in order.
+        beliefs = run_filter(grid, model.transitions, model.operations).pre[ends]
+        if args.method == "proposed":
+            verdicts = judge_proposed(model, beliefs, windows, thresholds)
+        else:
+            verdicts = judge_estimation_baseline(
+                model.operations, beliefs, windows, baseline.theta, target
+            )
     lines = [verdict.to_jsonl() for verdict in verdicts]
     output = "\n".join(lines) + ("\n" if lines else "")
     if args.output:
@@ -267,6 +263,10 @@ def cmd_evaluate(args) -> int:
 
     config = _load_config(args)
     vocabulary = _vocabulary(args)
+    injected = (vocabulary.detection_target, "on")  # what inject_anomalies injects
+    if args.injections > 0 and not vocabulary.is_registered(*injected):
+        raise UsageError(f"--injections: the injected operation {injected!r} is not registered"
+                         f" in vocabulary file {args.vocabulary}")
     [labeling] = _params(args, config, "labeling")
     [model_params] = _params(args, config, "model")
     [seq_params] = _params(args, config, "seq")

@@ -18,13 +18,18 @@ same recorded scores::
 The estimation method scores the belief-weighted operation probability alone:
 anomalous iff score <= theta.
 
-The proposed scorer reads each stored sequence's probability vector from its
-store, computed there once per sequence; a candidate the store lacks scores
-0.0.  The time-of-day scorer takes a batch of windows and ``alpha_seq``
-values at once: ``evaluate`` passes a fold's judged windows, ``detect`` every
-window of its stream.  Its counts are exact integers, found by binary search
-in the store's rank-coded times, so a batch scores exactly as one candidate
-at a time would.
+Each method has one scorer, and it scores a batch of windows at once:
+``detect`` passes every window of its stream, ``evaluate`` every judged
+window of a fold.  A batch's candidates lie flat (``Candidates``), and one
+reducer takes each window's two levels from their scores.  The proposed
+scorer gathers each candidate's row of its store's matrix of stored vectors
+(a zero row for a sequence the store lacks) and each window's belief; the
+estimation scorer gathers each operation's vector.  Both take the row-wise
+dot products as one stack of (1 x S)(S x 1) products, which numpy computes
+with the BLAS dot of ``np.dot`` on two vectors, so a batch scores to the bit
+as one window at a time would.  The time-of-day scorer takes ``alpha_seq``
+values too; its counts are exact integers, found by binary search in the
+store's rank-coded times.
 """
 
 from __future__ import annotations
@@ -52,6 +57,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 LEGITIMATE = "legitimate"
 ANOMALOUS = "anomalous"
+
+# A judged window: the events before the operation that it holds, and the
+# operation.
+Window = tuple[Sequence[EventRecord], EventRecord]
 
 
 @dataclass
@@ -125,100 +134,118 @@ class Verdict:
         )
 
 
-class LevelScores(NamedTuple):
-    """A window's best score per length level and the candidates that won.
+class Candidates(NamedTuple):
+    """The candidates of a batch of windows, flat: window ``w``'s are
+    ``items[bounds[w]:bounds[w + 1]]``, its length-1 candidate first."""
 
-    ``multi_items`` is None when the window holds only the judged operation.
-    """
-
-    single: float
-    multi: float
-    single_items: Items
-    multi_items: Items | None
+    items: list[Items]
+    bounds: np.ndarray
 
 
-def window_candidates(
-    preceding: Sequence[EventRecord], op: EventRecord, seq_params: SeqParams
-) -> list[Items]:
-    """Candidates of the judged window, the length-1 candidate first.
+class Levels(NamedTuple):
+    """Each window's best score per length level, and the batch position of
+    the longer candidate that won (-1 where the window holds only the judged
+    operation)."""
+
+    single: np.ndarray
+    multi: np.ndarray
+    at: np.ndarray
+
+
+def batch_candidates(windows: Sequence[Window], seq_params: SeqParams) -> Candidates:
+    """The candidates of each (preceding events, operation) window.
 
     ``preceding`` holds the events within ``t_seq`` seconds before the
     operation, as ``seqstore.target_windows`` and ``window_starts`` cut them;
     the window is those events and the operation itself as final item, cut
     to its last ``w_max`` items.
     """
-    pairs = [*(event.pair for event in preceding), op.pair]
-    return candidates_ending_at(pairs[-seq_params.w_max :], seq_params.l_max)
+    items: list[Items] = []
+    bounds = [0]
+    for preceding, op in windows:
+        pairs = [*(event.pair for event in preceding), op.pair]
+        items += candidates_ending_at(pairs[-seq_params.w_max :], seq_params.l_max)
+        bounds.append(len(items))
+    return Candidates(items, np.array(bounds))
 
 
-def _best_per_level(candidates: Sequence[Items], scores: np.ndarray) -> LevelScores:
-    """The score of the length-1 candidate, which comes first, and the first
-    maximum among the longer ones (0.0 and None when there are none)."""
-    if len(candidates) == 1:
-        return LevelScores(float(scores[0]), 0.0, candidates[0], None)
-    at = 1 + int(np.argmax(scores[1:]))  # argmax keeps the first maximum
-    return LevelScores(float(scores[0]), float(scores[at]), candidates[0], candidates[at])
+def _best_per_level(scores: np.ndarray, bounds: np.ndarray) -> Levels:
+    """The score of each window's length-1 candidate, which comes first, and
+    the first maximum among its longer ones (0.0 and -1 when there are none).
+
+    Every window holds at least its length-1 candidate, and every score lies
+    in [0, 1], so a length-1 candidate masked to -inf never wins its window.
+    """
+    starts = bounds[:-1]
+    if not len(starts):  # reduceat takes no empty batch
+        return Levels(np.zeros(0), np.zeros(0), np.zeros(0, dtype=np.intp))
+    sizes = np.diff(bounds)
+    longer = scores.copy()
+    longer[starts] = -np.inf
+    best = np.maximum.reduceat(longer, starts)
+    hits = np.where(longer == np.repeat(best, sizes), np.arange(len(scores)), len(scores))
+    first = np.minimum.reduceat(hits, starts)
+    alone = sizes == 1
+    return Levels(scores[starts], np.where(alone, 0.0, best), np.where(alone, -1, first))
 
 
-def proposed_scores(
-    store: SequenceStore, belief: np.ndarray, candidates: Sequence[Items]
-) -> LevelScores:
-    """Best occurrence probability ``sum_i b'(i, y) * belief_i`` per level;
-    a sequence the store lacks scores 0.0."""
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.dot(a[j], b[j])`` for each row, clamped to [0, 1] (a convex
+    combination of values in [0, 1], up to float residue).
 
-    def score(items: Items) -> float:
-        vector = store.stored_vector(items)
-        if vector is None:
-            return 0.0
-        # Convex combination of values in [0, 1]; clamp the float residue.
-        return min(1.0, max(0.0, float(np.dot(vector, belief))))
+    A stack of (1 x S)(S x 1) products on C-contiguous rows runs through the
+    BLAS dot that ``np.dot`` runs on two vectors, so each value is bitwise
+    one window's ``np.dot``; ``(a * b).sum(1)``, ``np.einsum`` and ``a @ b``
+    sum in other orders.
+    """
+    a, b = np.ascontiguousarray(a)[:, None, :], np.ascontiguousarray(b)[:, :, None]
+    return np.clip(np.matmul(a, b)[:, 0, 0], 0.0, 1.0)
 
-    return _best_per_level(candidates, np.array([score(items) for items in candidates]))
+
+def proposed_scores(store: SequenceStore, beliefs: np.ndarray, batch: Candidates) -> Levels:
+    """Best occurrence probability ``sum_i b'(i, y) * belief_i`` per level of
+    each window, under the window's row of the (n, S) ``beliefs``; a
+    sequence the store lacks scores 0.0."""
+    window = np.repeat(np.arange(len(batch.bounds) - 1), np.diff(batch.bounds))
+    vectors = store.vectors()[store.key_ids(batch.items)]
+    return _best_per_level(_row_dots(vectors, beliefs[window]), batch.bounds)
 
 
 def sequence_scores(
     store: TimedSequenceStore,
-    windows: Sequence[tuple[Sequence[Items] | np.ndarray, float]],
+    batch: Candidates,
+    tods: Sequence[float],
     alpha_seq: Sequence[float],
-) -> list[list[LevelScores]]:
-    """Best time-of-day match ratio per level, for each (candidates, time of
-    day) window and each ``alpha_seq`` value, in that order.
+) -> list[Levels]:
+    """Best time-of-day match ratio per level of each window, whose
+    operation falls at second ``tods[w]`` of its day: one ``Levels`` per
+    ``alpha_seq`` value, in that order.
 
     A candidate's ratio counts its stored occurrences within ``alpha_seq``
     seconds of the operation's time of day (cyclic distance) and divides by
     the number of stored target operations; with nothing stored it is 0.0.
     The counts of every candidate of the batch come from one integer search
-    per ``alpha_seq``.  A window's candidates may come as their
-    ``store.key_ids``, so that a large batch holds integers, not tuples; its
-    scores then carry key ids in place of items.
+    per ``alpha_seq``.
     """
-    keyed = [
-        candidates if isinstance(candidates, np.ndarray) else store.key_ids(candidates)
-        for candidates, _ in windows
-    ]
-    keys = np.concatenate([np.empty(0, dtype=np.int64), *keyed])
-    sizes = [len(candidates) for candidates in keyed]
-    window = np.repeat(np.arange(len(windows)), sizes)
-    tods = [tod for _, tod in windows]
+    keys = store.key_ids(batch.items)
+    window = np.repeat(np.arange(len(tods)), np.diff(batch.bounds))
     total = store.target_total
-    ratios = [
-        store.counts_near(keys, window, tods, alpha) / total if total else np.zeros(len(keys))
+    return [
+        _best_per_level(
+            store.counts_near(keys, window, tods, alpha) / total if total else np.zeros(len(keys)),
+            batch.bounds,
+        )
         for alpha in alpha_seq
     ]
-    out, start = [], 0
-    for (candidates, _), size in zip(windows, sizes):
-        out.append(
-            [_best_per_level(candidates, ratio[start : start + size]) for ratio in ratios]
-        )
-        start += size
-    return out
 
 
 def estimation_score(
-    operations: "OperationTable", belief: np.ndarray, op: EventRecord
-) -> float:
-    """Belief-weighted operation probability of the judged operation."""
-    return min(1.0, max(0.0, float(np.dot(belief, operations.vector(op.pair)))))
+    operations: "OperationTable", beliefs: np.ndarray, ops: Sequence[EventRecord]
+) -> np.ndarray:
+    """Belief-weighted operation probability of each judged operation,
+    under its row of the (n, S) ``beliefs``."""
+    vectors = np.array([operations.vector(op.pair) for op in ops], dtype=np.float64)
+    return _row_dots(beliefs, vectors.reshape(np.shape(beliefs)))
 
 
 def two_level_anomalous(s_single, s_multi, n_single, n_multi):
@@ -226,85 +253,85 @@ def two_level_anomalous(s_single, s_multi, n_single, n_multi):
     return (s_single < n_single) & (s_multi < n_multi)
 
 
-def _two_level_verdict(
-    op: EventRecord,
+def _two_level_verdicts(
+    windows: Sequence[Window],
     method: str,
-    scores: LevelScores,
+    batch: Candidates,
+    levels: Levels,
     n_single: float,
     n_multi: float,
-) -> Verdict:
-    """Decide by the rule; the evidence is the level with the larger margin
-    over its threshold, the single level winning ties."""
-    anomalous = two_level_anomalous(scores.single, scores.multi, n_single, n_multi)
-    if scores.multi_items is not None and scores.multi - n_multi > scores.single - n_single:
-        delta, threshold, items = scores.multi, n_multi, scores.multi_items
-    else:
-        delta, threshold, items = scores.single, n_single, scores.single_items
-    return Verdict(
-        operation=op,
-        method=method,
-        decision=ANOMALOUS if anomalous else LEGITIMATE,
-        delta=delta,
-        threshold=threshold,
-        sequence=items,
-        sequence_length=len(items),
-    )
+) -> list[Verdict]:
+    """Decide each window by the rule; the evidence is the level with the
+    larger margin over its threshold, the single level winning ties."""
+    anomalous = two_level_anomalous(levels.single, levels.multi, n_single, n_multi)
+    by_multi = (levels.at >= 0) & (levels.multi - n_multi > levels.single - n_single)
+    delta = np.where(by_multi, levels.multi, levels.single)
+    evidence = np.where(by_multi, levels.at, batch.bounds[:-1])
+    verdicts = []
+    for (_, op), flagged, multi, value, at in zip(
+        windows, anomalous.tolist(), by_multi.tolist(), delta.tolist(), evidence.tolist()
+    ):
+        decision, items = ANOMALOUS if flagged else LEGITIMATE, batch.items[at]
+        threshold = n_multi if multi else n_single
+        verdicts.append(Verdict(op, method, decision, value, threshold, items, len(items)))
+    return verdicts
 
 
-def _require_target(op: EventRecord, target_device: str) -> None:
-    if op.device != target_device:
-        raise UsageError(
-            f"operation of {op.device!r} judged, but detection target is {target_device!r}"
-        )
+def _require_targets(windows: Sequence[Window], target_device: str) -> None:
+    for _, op in windows:
+        if op.device != target_device:
+            raise UsageError(
+                f"operation of {op.device!r} judged, but detection target is {target_device!r}"
+            )
 
 
 def judge_proposed(
     model: "TrainedModel",
-    belief: np.ndarray,
-    preceding: Sequence[EventRecord],
-    op: EventRecord,
+    beliefs: np.ndarray,
+    windows: Sequence[Window],
     thresholds: Thresholds,
-) -> Verdict:
-    """Judge one target operation with the combined state/sequence method."""
-    _require_target(op, model.vocabulary.detection_target)
-    candidates = window_candidates(preceding, op, model.seq_params)
-    scores = proposed_scores(model.store, belief, candidates)
-    return _two_level_verdict(op, "proposed", scores, thresholds.n_single, thresholds.n_multi)
+) -> list[Verdict]:
+    """Judge each (preceding events, operation) window with the combined
+    state/sequence method, under its row of the (n, S) ``beliefs``, all in
+    one batch."""
+    _require_targets(windows, model.vocabulary.detection_target)
+    batch = batch_candidates(windows, model.seq_params)
+    levels = proposed_scores(model.store, beliefs, batch)
+    return _two_level_verdicts(
+        windows, "proposed", batch, levels, thresholds.n_single, thresholds.n_multi
+    )
 
 
 def judge_estimation_baseline(
     operations: "OperationTable",
-    belief: np.ndarray,
-    op: EventRecord,
+    beliefs: np.ndarray,
+    windows: Sequence[Window],
     theta: float,
     target_device: str,
-) -> Verdict:
-    """Judge by thresholding the belief-weighted operation probability."""
-    _require_target(op, target_device)
-    score = estimation_score(operations, belief, op)
-    return Verdict(
-        operation=op,
-        method="estimation",
-        decision=LEGITIMATE if score > theta else ANOMALOUS,
-        delta=score,
-        threshold=theta,
-    )
+) -> list[Verdict]:
+    """Judge each window's operation by thresholding its belief-weighted
+    operation probability, under its row of the (n, S) ``beliefs``."""
+    _require_targets(windows, target_device)
+    ops = [op for _, op in windows]
+    return [
+        Verdict(op, "estimation", LEGITIMATE if score > theta else ANOMALOUS, score, theta)
+        for op, score in zip(ops, estimation_score(operations, beliefs, ops).tolist())
+    ]
 
 
 def judge_sequence_baseline(
     store: TimedSequenceStore,
-    windows: Sequence[tuple[Sequence[EventRecord], EventRecord]],
+    windows: Sequence[Window],
     params: BaselineParams,
     seq_params: SeqParams,
     target_device: str,
 ) -> list[Verdict]:
     """Judge each (preceding events, operation) window by counting stored
     equivalent sequences near the operation's time of day, all in one batch."""
-    batch = []
-    for preceding, op in windows:
-        _require_target(op, target_device)
-        batch.append((window_candidates(preceding, op, seq_params), seconds_of_day(op.timestamp)))
-    return [
-        _two_level_verdict(op, "sequence", scores, params.n_seq_single, params.n_seq_multi)
-        for (_, op), [scores] in zip(windows, sequence_scores(store, batch, (params.alpha_seq,)))
-    ]
+    _require_targets(windows, target_device)
+    batch = batch_candidates(windows, seq_params)
+    tods = [seconds_of_day(op.timestamp) for _, op in windows]
+    [levels] = sequence_scores(store, batch, tods, (params.alpha_seq,))
+    return _two_level_verdicts(
+        windows, "sequence", batch, levels, params.n_seq_single, params.n_seq_multi
+    )

@@ -7,32 +7,35 @@ stream, so judgments are independent of injection order.  The folds run one
 after another in one process, and one pass over them scores every method;
 their forward filters run a group of folds at a time, every model of the
 group in one lockstep pass over the days.
-Each judged window is enumerated once per labeling combination and its
-candidates are scored for every grid value (each ``l`` value and each
-``alpha_seq``); threshold parameters are then swept over the recorded scores
-with the detector's decision rule instead of refitting, which makes dense
-threshold grids tractable without changing any outcome.  A grid with one value
-per threshold is the evaluation of one fixed detector.
+Each judged window is enumerated once per labeling combination, and a
+fold's judged windows are scored as one batch, one scorer call per method
+and grid value (each ``l`` value; every ``alpha_seq`` in one call), with the
+scorers ``detect`` calls.  The scores are kept as one array per score;
+threshold parameters are then swept over them with the detector's decision
+rule instead of refitting, which makes dense threshold grids tractable
+without changing any outcome.  A grid with one value per threshold is the
+evaluation of one fixed detector.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from itertools import product
 from pathlib import Path
-from typing import Callable, ClassVar, Iterable, Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .detector import (
+    batch_candidates,
     check_alpha_seq,
     estimation_score,
     sequence_scores,
     two_level_anomalous,
-    window_candidates,
 )
 from .detector import proposed_scores as _best_deltas  # perfbench/child.py traces this name
 from .errors import ModelError, ValidationError
@@ -138,27 +141,25 @@ class EvalDataset:
         return len(self.grid) // SLOTS_PER_DAY
 
 
+@dataclass
 class OperationContext:
-    """One operation to judge: the real window and belief at its instant."""
+    """One operation to judge: the real window at its instant, and the
+    belief just before it in ``fold``'s detection trace, read on use: at the
+    held-out day's event ``index``, or at the instant of an injected
+    operation (``index`` None)."""
 
-    def __init__(
-        self,
-        op: EventRecord,
-        injected: bool,
-        preceding: list[EventRecord],
-        belief_provider: Callable[[], np.ndarray],
-    ) -> None:
-        self.op = op
-        self.injected = injected
-        self.preceding = preceding
-        self._belief_provider = belief_provider
-        self._belief: np.ndarray | None = None
+    op: EventRecord
+    injected: bool
+    preceding: list[EventRecord]
+    fold: "FoldContext" = field(repr=False)
+    index: int | None = None
 
     @property
     def belief(self) -> np.ndarray:
-        if self._belief is None:
-            self._belief = self._belief_provider()
-        return self._belief
+        trace = self.fold.detection_trace()
+        if self.index is None:
+            return trace.belief_before(self.op.timestamp)
+        return trace.pre[self.index]
 
 
 class FoldContext:
@@ -295,12 +296,7 @@ class FoldContext:
 
         ends, starts = target_windows(day_events, at, target, t_seq)
         contexts = [
-            OperationContext(
-                day_events[index],
-                injected=False,
-                preceding=day_events[lo:index],
-                belief_provider=self._event_belief(index),
-            )
+            OperationContext(day_events[index], False, day_events[lo:index], self, index)
             for index, lo in zip(ends.tolist(), starts.tolist())
         ]
 
@@ -313,23 +309,11 @@ class FoldContext:
         spans = zip(
             window_starts(at, instants, t_seq).tolist(), np.searchsorted(at, instants).tolist()
         )
-        for op, (lo, hi) in zip(injected, spans):
-            contexts.append(
-                OperationContext(
-                    op,
-                    injected=True,
-                    preceding=day_events[lo:hi],
-                    belief_provider=self._injected_belief(op.timestamp),
-                )
-            )
+        contexts += [
+            OperationContext(op, True, day_events[lo:hi], self)
+            for op, (lo, hi) in zip(injected, spans)
+        ]
         return contexts
-
-    def _event_belief(self, index: int) -> Callable[[], np.ndarray]:
-        """The belief just before the held-out day's event ``index``."""
-        return lambda: self.detection_trace().pre[index]
-
-    def _injected_belief(self, ts: datetime) -> Callable[[], np.ndarray]:
-        return lambda: self.detection_trace().belief_before(ts)
 
 
 def _dataset_windows(dataset: EvalDataset, seq_params: SeqParams) -> DayWindows:
@@ -467,27 +451,19 @@ def _frontier_indices(mis: np.ndarray, det: np.ndarray) -> list[int]:
     return order[ordered > best_before].tolist()
 
 
-@dataclass
-class _ScoreRecord:
-    injected: bool
-    estimation: float
-    proposed: dict  # l value -> (s_single, s_multi)
-    sequence: dict  # alpha_seq -> (s_single, s_multi)
-
-
 def _sweep_two_level(
     method: str,
     base_params: Mapping[str, object],
-    scores: Sequence[tuple[float, float]],
-    injected_flags: Sequence[bool],
+    s1: np.ndarray,
+    s2: np.ndarray,
+    injected: np.ndarray,
     n_single: tuple[float, ...] | str,
     n_multi: tuple[float, ...] | str,
     name1: str = "n_single",
     name2: str = "n_multi",
 ) -> list[EvalPoint]:
-    s1 = np.asarray([s[0] for s in scores])
-    s2 = np.asarray([s[1] for s in scores])
-    injected = np.asarray(injected_flags, dtype=bool)
+    """The points of sweeping both thresholds over the (s_single, s_multi)
+    scores ``s1`` and ``s2`` of the judged operations, ``injected`` or not."""
     if n_single == "auto" or n_multi == "auto":
         return _auto_two_level_points(method, base_params, s1, s2, injected, name1, name2)
     points = []
@@ -563,49 +539,39 @@ def grid_search(
         folds = _make_folds(
             dataset, replace(labeling_base, **structural), model_params, seq_base, windows
         )
-        records = _collect_records(
+        scores = _collect_scores(
             folds, l_values, need_estimation, alphas, seq_base, injections_per_day, seed
         )
-        injected = [r.injected for r in records]
+        injected = scores["injected"]
         for l_value in l_values:
             base = {**structural, "criterion": proposed.criterion}
             base["l_rank" if proposed.criterion == "rank" else "l_alpha"] = l_value
-            points.extend(
-                _sweep_two_level(
-                    "proposed",
-                    base,
-                    [r.proposed[l_value] for r in records],
-                    injected,
-                    proposed.n_single,
-                    proposed.n_multi,
-                )
+            points += _sweep_two_level(
+                "proposed", base, *scores["proposed", l_value], injected,
+                proposed.n_single, proposed.n_multi,
             )
         if need_estimation:
-            points.extend(_sweep_estimation(records, structural, estimation.theta))
+            points += _sweep_estimation(
+                scores["estimation"], injected, structural, estimation.theta
+            )
         for alpha in alphas:
-            points.extend(
-                _sweep_two_level(
-                    "sequence",
-                    {"alpha_seq": float(alpha), "t_seq": seq_base.t_seq},
-                    [r.sequence[alpha] for r in records],
-                    injected,
-                    sequence.n_single,
-                    sequence.n_multi,
-                    name1="n_seq_single",
-                    name2="n_seq_multi",
-                )
+            points += _sweep_two_level(
+                "sequence", {"alpha_seq": float(alpha), "t_seq": seq_base.t_seq},
+                *scores["sequence", alpha], injected, sequence.n_single, sequence.n_multi,
+                name1="n_seq_single", name2="n_seq_multi",
             )
     points.sort(key=lambda p: p.sort_key)
     return points
 
 
 def _sweep_estimation(
-    records: Sequence[_ScoreRecord],
+    scores: np.ndarray,
+    injected: np.ndarray,
     structural: Mapping[str, object],
     theta: tuple[float, ...] | str,
 ) -> list[EvalPoint]:
-    scores = np.asarray([r.estimation for r in records])
-    injected = np.asarray([r.injected for r in records], dtype=bool)
+    """The points of sweeping ``theta`` over the estimation scores of the
+    judged operations, ``injected`` or not."""
     inj_scores = np.sort(scores[injected])
     real_scores = np.sort(scores[~injected])
     n_inj, n_real = len(inj_scores), len(real_scores)
@@ -630,7 +596,7 @@ def _sweep_estimation(
     return points
 
 
-def _collect_records(
+def _collect_scores(
     folds: Sequence[FoldContext],
     need_proposed: Sequence,
     need_estimation: bool,
@@ -638,28 +604,32 @@ def _collect_records(
     seq_params_base: SeqParams,
     injections_per_day: int,
     seed: int,
-) -> list[_ScoreRecord]:
-    """Score every judged operation of every fold, one fold at a time.
+) -> dict[object, np.ndarray]:
+    """The scores of every judged operation of every fold, one column per
+    score, scored one fold at a time with one scorer call per method and
+    value.  "injected" and "estimation" hold one entry per operation,
+    ("proposed", l) and ("sequence", alpha_seq) the (s_single, s_multi) rows
+    of a (2, n) array.
 
     The folds are filtered in groups of ``FOLD_GROUP``, one pass per group,
-    when a method reads beliefs.  Each operation's window is enumerated once
-    and its candidates are scored for every ``l`` value and every
-    ``alpha_seq``.
+    when a method reads beliefs.
     """
-    records: list[_ScoreRecord] = []
+    parts: dict[object, list[np.ndarray]] = defaultdict(list)
     for start in range(0, len(folds), FOLD_GROUP):
         group = folds[start : start + FOLD_GROUP]
         if need_proposed or need_estimation:
             FoldContext.filter_group(group)
         for fold in group:
-            records += _score_fold(
+            scores = _score_fold(
                 fold, need_proposed, need_estimation, need_sequence, seq_params_base,
                 injections_per_day, seed,
             )
+            for key, column in scores.items():
+                parts[key].append(column)
             # The scores are recorded: drop the fold's models, traces and
             # stores before the next fold builds its own.
             fold.release()
-    return records
+    return {key: np.concatenate(columns, axis=-1) for key, columns in parts.items()}
 
 
 def _score_fold(
@@ -670,44 +640,35 @@ def _score_fold(
     seq_params_base: SeqParams,
     injections_per_day: int,
     seed: int,
-) -> list[_ScoreRecord]:
-    """The records of one fold's judged operations.  Nothing of the fold
-    outlives the call but its cache, which the caller releases: a judged
-    operation's belief is a view into its group's slot entries, and a loop
-    variable left over would keep them alive through the next group's pass."""
-    stores = {
-        l_value: fold.sequence_store(
+) -> dict[object, np.ndarray]:
+    """The columns of one fold's judged operations.  Each judged window is
+    enumerated once, and the beliefs are copied out of the fold's traces,
+    which the caller releases once the scores are kept."""
+    contexts = fold.judged_operations(injections_per_day, seed)
+    scores = {"injected": np.array([ctx.injected for ctx in contexts], dtype=bool)}
+    if need_proposed or need_estimation:
+        n_states = len(fold.detection_trace().initial)
+        beliefs = np.array([ctx.belief for ctx in contexts]).reshape(len(contexts), n_states)
+    if need_proposed or need_sequence:
+        batch = batch_candidates([(ctx.preceding, ctx.op) for ctx in contexts], seq_params_base)
+    for l_value in need_proposed:
+        store = fold.sequence_store(
             replace(seq_params_base, l_rank=int(l_value))
             if seq_params_base.criterion == "rank"
             else replace(seq_params_base, l_alpha=float(l_value))
         )
-        for l_value in need_proposed
-    }
-    operations = fold.state_model()[1] if need_estimation else None
-    timed = fold.timed_store() if need_sequence else None
-    records, windows = [], []
-    for ctx in fold.judged_operations(injections_per_day, seed):
-        candidates = (
-            window_candidates(ctx.preceding, ctx.op, seq_params_base)
-            if stores or timed is not None
-            else ()
-        )
         # Keep (s_single, s_multi) only: the sweeps need no evidence.
-        proposed = {
-            l_value: _best_deltas(store, ctx.belief, candidates)[:2]
-            for l_value, store in stores.items()
-        }
-        est = estimation_score(operations, ctx.belief, ctx.op) if need_estimation else 0.0
-        records.append(_ScoreRecord(ctx.injected, est, proposed, {}))
-        if timed is not None:
-            # Key ids, not the candidate tuples: a fold's tuples add up.
-            windows.append((timed.key_ids(candidates), seconds_of_day(ctx.op.timestamp)))
-    if timed is not None:
+        scores["proposed", l_value] = np.stack(_best_deltas(store, beliefs, batch)[:2])
+    if need_estimation:
+        operations = fold.state_model()[1]
+        scores["estimation"] = estimation_score(operations, beliefs, [ctx.op for ctx in contexts])
+    if need_sequence:
+        tods = [seconds_of_day(ctx.op.timestamp) for ctx in contexts]
         # The fold's windows in one batch, for every alpha_seq at once.
-        for record, levels in zip(records, sequence_scores(timed, windows, need_sequence)):
-            for alpha, scores in zip(need_sequence, levels):
-                record.sequence[alpha] = scores[:2]
-    return records
+        levels = sequence_scores(fold.timed_store(), batch, tods, need_sequence)
+        for alpha, level in zip(need_sequence, levels):
+            scores["sequence", alpha] = np.stack(level[:2])
+    return scores
 
 
 def pareto_frontier(points: Sequence[EvalPoint]) -> list[EvalPoint]:

@@ -195,29 +195,31 @@ class SequenceStore:
 
     slot_counts: np.ndarray
     counts: dict[Items, np.ndarray] = field(default_factory=dict)
-    # ``vector`` of each stored sequence, computed on first use.
-    _vectors: dict[Items, np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    # The ids of the stored sequences and their matrix, built on first use.
+    _matrix: tuple[dict[Items, int], np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
     )
 
-    def vector(self, items: Items) -> np.ndarray:
-        """Per-state sequence probabilities as one vector."""
-        counts = self.counts.get(items)
-        zeros = np.zeros(len(self.slot_counts))
-        if counts is None:
-            return zeros
-        return np.divide(
-            counts.astype(np.float64), self.slot_counts, out=zeros, where=self.slot_counts > 0
-        )
+    def _vectors(self) -> tuple[dict[Items, int], np.ndarray]:
+        if self._matrix is None:
+            zeros = np.zeros(len(self.slot_counts))
+            rows = np.array([*self.counts.values(), zeros], dtype=np.float64)
+            matrix = np.divide(
+                rows, self.slot_counts, out=np.zeros_like(rows), where=self.slot_counts > 0
+            )
+            self._matrix = ({items: k for k, items in enumerate(self.counts)}, matrix)
+        return self._matrix
 
-    def stored_vector(self, items: Items) -> np.ndarray | None:
-        """``vector(items)``, computed once per stored sequence; None for a
+    def vectors(self) -> np.ndarray:
+        """The (K + 1, S) per-state sequence probabilities: row ``k`` of the
+        stored sequence with key ``k``, and a last row of zeros for every
         sequence the store lacks.  The store must not change after its first
         use."""
-        vector = self._vectors.get(items)
-        if vector is None and items in self.counts:
-            vector = self._vectors[items] = self.vector(items)
-        return vector
+        return self._vectors()[1]
+
+    def key_ids(self, candidates: Sequence[Items]) -> np.ndarray:
+        """The row of ``vectors()`` of each candidate."""
+        return _key_ids(self._vectors()[0], candidates)
 
     def to_payload(self) -> dict:
         return {
@@ -239,6 +241,14 @@ class SequenceStore:
         for key, values in json_object(data["counts"], None, where_counts).items():
             store.counts[_items_from_key(key)] = counts(values, n_states, at(where_counts, key))
         return store
+
+
+def _key_ids(ids: dict[Items, int], candidates: Sequence[Items]) -> np.ndarray:
+    """The id of each candidate; ``len(ids)`` stands for every absent one."""
+    absent = len(ids)
+    return np.fromiter(
+        (ids.get(items, absent) for items in candidates), dtype=np.int64, count=len(candidates)
+    )
 
 
 def seconds_of_day(ts: datetime) -> float:
@@ -295,11 +305,7 @@ class TimedSequenceStore:
 
     def key_ids(self, candidates: Sequence[Items]) -> np.ndarray:
         """The index key of each candidate; one key stands for all absent ones."""
-        ids = self._time_index().ids
-        absent = len(ids)
-        return np.fromiter(
-            (ids.get(items, absent) for items in candidates), dtype=np.int64, count=len(candidates)
-        )
+        return _key_ids(self._time_index().ids, candidates)
 
     def counts_near(
         self, keys: np.ndarray, window: np.ndarray, tods: Sequence[float], alpha_seq: float

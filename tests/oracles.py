@@ -13,11 +13,11 @@ from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from homeguard.detector import LevelScores
+from homeguard.detector import Candidates, Levels
 from homeguard.errors import InitializationError, ParseError, ValidationError
 from homeguard.hsmodel import FilterTrace, filter_streams, kept_day_streams
 from homeguard.ingest import (
@@ -706,6 +706,18 @@ def candidates_ending_at_combinations(window_pairs: Sequence[Pair], l_max: int) 
     return sorted(out, key=lambda items: (len(items), items))
 
 
+class LevelScores(NamedTuple):
+    """One window's best score per length level and the candidates that won.
+
+    ``multi_items`` is None when the window holds only the judged operation.
+    """
+
+    single: float
+    multi: float
+    single_items: Items
+    multi_items: Items | None
+
+
 def best_per_level_loop(candidates: Sequence[Items], score: Callable[[Items], float]):
     """``LevelScores`` by scoring one candidate at a time: the length-1
     candidate, which comes first, and the first maximum of the longer ones."""
@@ -715,6 +727,54 @@ def best_per_level_loop(candidates: Sequence[Items], score: Callable[[Items], fl
         if multi_items is None or value > multi:
             multi, multi_items = value, items
     return LevelScores(score(candidates[0]), multi, candidates[0], multi_items)
+
+
+def flat_candidates(windows: Sequence[Sequence[Items]]) -> Candidates:
+    """The ``Candidates`` batch of per-window candidate lists."""
+    return Candidates(
+        [items for candidates in windows for items in candidates],
+        np.cumsum([0, *(len(candidates) for candidates in windows)]),
+    )
+
+
+def window_levels(batch: Candidates, levels: Levels) -> list[LevelScores]:
+    """A batch scorer's ``Levels`` as one ``LevelScores`` per window."""
+    return [
+        LevelScores(single, multi, batch.items[start], batch.items[at] if at >= 0 else None)
+        for single, multi, start, at in zip(
+            levels.single.tolist(), levels.multi.tolist(), batch.bounds.tolist(),
+            levels.at.tolist(),
+        )
+    ]
+
+
+def store_vector(store: SequenceStore, items: Items) -> np.ndarray:
+    """Per-state probabilities of one sequence: its counts over the slot
+    counts, 0 where a state has no slot and for a sequence the store lacks."""
+    counts = store.counts.get(items)
+    zeros = np.zeros(len(store.slot_counts))
+    if counts is None:
+        return zeros
+    return np.divide(
+        counts.astype(np.float64), store.slot_counts, out=zeros, where=store.slot_counts > 0
+    )
+
+
+def proposed_score(store: SequenceStore, belief: np.ndarray, items: Items) -> float:
+    """One candidate's belief-weighted sequence probability, by ``np.dot``
+    on two vectors, clamped to [0, 1]."""
+    return min(1.0, max(0.0, float(np.dot(store_vector(store, items), belief))))
+
+
+def proposed_scores(store: SequenceStore, belief: np.ndarray, candidates: Sequence[Items]):
+    """One window's ``LevelScores``, one candidate at a time."""
+    return best_per_level_loop(candidates, lambda items: proposed_score(store, belief, items))
+
+
+def estimation_score(operations, belief: np.ndarray, op) -> float:
+    """One operation's belief-weighted probability, by ``np.dot`` on two
+    vectors, clamped to [0, 1]."""
+    return min(1.0, max(0.0, float(np.dot(belief, operations.vector(op.pair)))))
 
 
 def count_near(store: TimedSequenceStore, items: Items, tod: float, alpha_seq: float) -> int:

@@ -38,8 +38,15 @@ from homeguard.synthgen import generate, scenario_s1
 from homeguard.vocab import Vocabulary
 
 from conftest import ev, parse_state_key
-from oracles import decode_labels, encode_labels, generate_subsequences, slot_records, snapshots
-from test_detector import make_model, store_with
+from oracles import (
+    decode_labels,
+    encode_labels,
+    generate_subsequences,
+    slot_records,
+    snapshots,
+)
+from test_detector import judge_one, make_model, store_with
+from test_seqstore import vector_of
 from test_evaluation import scripted_point, toy_dataset
 from test_hsmodel import (
     brute_force_trace,
@@ -300,8 +307,8 @@ def test_criterion_9_degenerate_branches():
         # Sequence store: unknown sequences and unsupported states score zero.
         store = SequenceStore(np.array([4, 0, 0]))
         store.counts[(("cooking_stove", "on"),)] = np.array([2, 1, 0])
-        assert store.vector((("cooking_stove", "on"),))[1] == 0.0
-        assert store.vector((("tv", "on"),))[0] == 0.0
+        assert vector_of(store, (("cooking_stove", "on"),))[1] == 0.0
+        assert vector_of(store, (("tv", "on"),))[0] == 0.0
 
         # All-zero belief updates reset to uniform.
         zero_tensor = TransitionTensor(np.zeros((1440, 3, 3)), np.zeros(1440, dtype=np.int64))
@@ -313,7 +320,8 @@ def test_criterion_9_degenerate_branches():
 
         # Detection against an empty store: anomalous with zero probability.
         model = make_model(store_with({}, [10, 10]))
-        verdict = judge_proposed(
+        verdict = judge_one(
+            judge_proposed,
             model,
             np.array([0.5, 0.5]),
             [],

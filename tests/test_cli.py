@@ -28,6 +28,7 @@ from homeguard.vocab import Vocabulary
 
 from conftest import GoldenSample
 from oracles import columns, window_start
+from test_detector import judge_one
 
 
 @pytest.fixture
@@ -174,7 +175,8 @@ class TestDetectCommand:
         ) == 0
         return model_path
 
-    def test_stream_without_target_ops(self, tmp_path, trained, capsys):
+    @pytest.mark.parametrize("method", ["proposed", "estimation", "sequence"])
+    def test_stream_without_target_ops(self, tmp_path, trained, method, capsys):
         ops = tmp_path / "stream_ops.csv"
         sensors = tmp_path / "stream_sensors.csv"
         ops.write_text(
@@ -186,10 +188,14 @@ class TestDetectCommand:
         )
         code = main(
             ["detect", "--model", str(trained), "--operations", str(ops),
-             "--sensors", str(sensors)]
+             "--sensors", str(sensors), "--method", method]
         )
         assert code == 0
         assert capsys.readouterr().out == ""
+        out = tmp_path / "verdicts.jsonl"
+        assert main(["detect", "--model", str(trained), "--operations", str(ops),
+                     "--sensors", str(sensors), "--method", method, "--output", str(out)]) == 0
+        assert out.read_text() == ""
 
     def test_verdict_fields(self, tmp_path, trained):
         ops = tmp_path / "stream_ops.csv"
@@ -272,20 +278,19 @@ class TestDetectCommand:
         assert code == 2
         assert f"unsupported model format_version {version}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("method", ["proposed", "sequence"])
+    @pytest.mark.parametrize("method", ["proposed", "estimation", "sequence"])
     def test_windows_match_a_scan_of_every_earlier_event(self, tmp_path, trained, small_home,
                                                          method, monkeypatch):
         ops, sensors = small_home
-        judge_name = {"proposed": "judge_proposed", "sequence": "judge_sequence_baseline"}[method]
+        judge_name = {"proposed": "judge_proposed", "estimation": "judge_estimation_baseline",
+                      "sequence": "judge_sequence_baseline"}[method]
         judge = getattr(cli, judge_name)
         windows, calls = [], []
 
         def recording_judge(*args):
             calls.append(judge_name)
-            if method == "sequence":
-                windows.extend(list(preceding) for preceding, _ in args[1])
-            else:
-                windows.append(list(args[2]))
+            batch = args[1] if method == "sequence" else args[2]
+            windows.extend(list(preceding) for preceding, _ in batch)
             return judge(*args)
 
         monkeypatch.setattr(cli, judge_name, recording_judge)
@@ -311,7 +316,11 @@ class TestDetectCommand:
             ]
             expected_windows.append(preceding)
             if method == "proposed":
-                verdict = judge(model, trace.pre[idx], preceding, op, Thresholds(0.01, 0.01))
+                verdict = judge_one(judge, model, trace.pre[idx], preceding, op,
+                                    Thresholds(0.01, 0.01))
+            elif method == "estimation":
+                verdict = judge_one(judge, model.operations, trace.pre[idx], preceding, op,
+                                    BaselineParams().theta, target)
             else:
                 [verdict] = judge(
                     model.baseline_store, [(preceding, op)], BaselineParams(), model.seq_params,
@@ -320,8 +329,8 @@ class TestDetectCommand:
             expected.append(verdict.to_jsonl())
         assert any(expected_windows)
         assert windows == expected_windows
-        # The sequence method judges the whole stream in one batch.
-        assert len(calls) == (1 if method == "sequence" else len(expected))
+        # Each method judges the whole stream in one batch.
+        assert calls == [judge_name]
         assert out_path.read_text().splitlines() == expected
 
 
@@ -1148,6 +1157,25 @@ class TestThresholdValues:
                         *options) == 2
         assert shown in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize("methods", ["estimation", "proposed,sequence"])
+    def test_injection_the_vocabulary_lacks_exits_2(self, tmp_path, model_home, monkeypatch,
+                                                    methods, capsys):
+        # inject_anomalies turns the detection target "on", an action this
+        # vocabulary does not register.
+        vocabulary = tmp_path / "vocab.json"
+        Vocabulary(pairs={**Vocabulary().pairs, "cooking_stove": ("ignite", "off")}).save(
+            vocabulary
+        )
+        assert self.run(tmp_path, model_home, monkeypatch, "--methods", methods,
+                        "--vocabulary", str(vocabulary)) == 2
+        err = capsys.readouterr().err
+        assert "('cooking_stove', 'on')" in err and str(vocabulary) in err
+        assert not (tmp_path / "eval").exists()
+        # Without injections no such operation is judged.
+        with pytest.raises(self.Reached):
+            self.run(tmp_path, model_home, monkeypatch, "--methods", methods,
+                     "--vocabulary", str(vocabulary), "--injections", "0")
 
     @pytest.mark.parametrize("criterion, l_values", [("rank", "0,1"), ("alpha", "0,1")])
     def test_bounds_are_allowed(self, tmp_path, model_home, monkeypatch, criterion, l_values):

@@ -8,12 +8,13 @@ from homeguard.detector import (
     LEGITIMATE,
     BaselineParams,
     Thresholds,
+    batch_candidates,
+    estimation_score,
     judge_estimation_baseline,
     judge_proposed,
     judge_sequence_baseline,
     proposed_scores,
     sequence_scores,
-    window_candidates,
 )
 from homeguard.errors import UsageError
 from homeguard.evaluation import _sweep_two_level
@@ -29,7 +30,15 @@ from homeguard.seqstore import (
 from homeguard.vocab import Vocabulary
 
 from conftest import ev
-from oracles import best_per_level_loop, ratio
+from oracles import (
+    best_per_level_loop,
+    flat_candidates,
+    ratio,
+    store_vector,
+    window_levels,
+)
+from oracles import estimation_score as estimation_score_one
+from oracles import proposed_scores as proposed_scores_one
 
 STOVE_ON = (("cooking_stove", "on"),)
 
@@ -48,6 +57,14 @@ def make_model(store: SequenceStore, seq_params: SeqParams | None = None) -> Tra
     )
 
 
+def judge_one(judge, source, belief, preceding, op, *rest):
+    """The verdict of ``judge_proposed`` or ``judge_estimation_baseline``
+    (after its model or operation table, ``source``) on a batch of one
+    window."""
+    [verdict] = judge(source, np.asarray(belief)[None], [(preceding, op)], *rest)
+    return verdict
+
+
 def store_with(entries: dict, slot_counts) -> SequenceStore:
     store = SequenceStore(np.asarray(slot_counts, dtype=np.int64))
     for key, counts in entries.items():
@@ -58,8 +75,8 @@ def store_with(entries: dict, slot_counts) -> SequenceStore:
 class TestJudgeProposed:
     def test_empty_store_is_anomalous(self):
         model = make_model(store_with({}, [10, 10]))
-        verdict = judge_proposed(
-            model, np.array([0.5, 0.5]), [], ev(0.5, "cooking_stove", "on"),
+        verdict = judge_one(
+            judge_proposed, model, np.array([0.5, 0.5]), [], ev(0.5, "cooking_stove", "on"),
             Thresholds(n_single=0.1, n_multi=0.1),
         )
         assert verdict.decision == ANOMALOUS
@@ -67,8 +84,8 @@ class TestJudgeProposed:
 
     def test_zero_thresholds_always_legitimate(self):
         model = make_model(store_with({}, [10, 10]))
-        verdict = judge_proposed(
-            model, np.array([0.5, 0.5]), [], ev(0.5, "cooking_stove", "on"),
+        verdict = judge_one(
+            judge_proposed, model, np.array([0.5, 0.5]), [], ev(0.5, "cooking_stove", "on"),
             Thresholds(n_single=0.0, n_multi=0.0),
         )
         assert verdict.decision == LEGITIMATE
@@ -78,8 +95,8 @@ class TestJudgeProposed:
         # delta = 0.14 >= 0.1 -> legitimate.
         store = store_with({STOVE_ON: [2, 0]}, [10, 5])
         model = make_model(store)
-        verdict = judge_proposed(
-            model, np.array([0.7, 0.3]), [], ev(0.5, "cooking_stove", "on"),
+        verdict = judge_one(
+            judge_proposed, model, np.array([0.7, 0.3]), [], ev(0.5, "cooking_stove", "on"),
             Thresholds(n_single=0.1, n_multi=0.1),
         )
         assert verdict.delta == pytest.approx(0.14)
@@ -90,8 +107,8 @@ class TestJudgeProposed:
     def test_boundary_delta_equal_threshold_is_legitimate(self):
         store = store_with({STOVE_ON: [1, 0]}, [10, 10])
         model = make_model(store)
-        verdict = judge_proposed(
-            model, np.array([1.0, 0.0]), [], ev(0.5, "cooking_stove", "on"),
+        verdict = judge_one(
+            judge_proposed, model, np.array([1.0, 0.0]), [], ev(0.5, "cooking_stove", "on"),
             Thresholds(n_single=0.1, n_multi=0.1),
         )
         assert verdict.delta == pytest.approx(0.1)
@@ -111,7 +128,7 @@ class TestJudgeProposed:
         op = ev(0.5, "cooking_stove", "on")
         previous_anomalous = False
         for n in np.linspace(0.0, 1.0, 21):
-            verdict = judge_proposed(model, belief, preceding, op, Thresholds(n, n))
+            verdict = judge_one(judge_proposed, model, belief, preceding, op, Thresholds(n, n))
             if previous_anomalous:
                 assert verdict.decision == ANOMALOUS
             previous_anomalous = verdict.decision == ANOMALOUS
@@ -132,7 +149,7 @@ class TestJudgeProposed:
         preceding = [ev(0.1, "tv", "on"), ev(0.3, "refrigerator", "opening")]
         op = ev(0.5, "cooking_stove", "on")
         thresholds = Thresholds(n_single=0.2, n_multi=0.15)
-        verdict = judge_proposed(model, belief, preceding, op, thresholds)
+        verdict = judge_one(judge_proposed, model, belief, preceding, op, thresholds)
 
         candidates = [
             STOVE_ON,
@@ -141,7 +158,7 @@ class TestJudgeProposed:
             (("tv", "on"), ("refrigerator", "opening"), ("cooking_stove", "on")),
         ]
         passes = [
-            float(np.dot(store.vector(items), belief))
+            float(np.dot(store_vector(store, items), belief))
             >= (thresholds.n_single if len(items) == 1 else thresholds.n_multi)
             for items in candidates
         ]
@@ -149,8 +166,8 @@ class TestJudgeProposed:
 
     def test_single_operation_still_judged(self):
         model = make_model(store_with({STOVE_ON: [5, 0]}, [10, 10]))
-        verdict = judge_proposed(
-            model, np.array([1.0, 0.0]), [], ev(0.5, "cooking_stove", "on"),
+        verdict = judge_one(
+            judge_proposed, model, np.array([1.0, 0.0]), [], ev(0.5, "cooking_stove", "on"),
             Thresholds(n_single=0.4, n_multi=0.4),
         )
         assert verdict.sequence_length == 1
@@ -163,16 +180,15 @@ class TestJudgeProposed:
         for _ in range(50):
             belief = rng.random(2)
             belief /= belief.sum()
-            verdict = judge_proposed(
-                model, belief, [], ev(0.5, "cooking_stove", "on"), Thresholds(0.5, 0.5)
-            )
+            op = ev(0.5, "cooking_stove", "on")
+            verdict = judge_one(judge_proposed, model, belief, [], op, Thresholds(0.5, 0.5))
             assert 0.0 <= verdict.delta <= 1.0
 
     def test_non_target_operation_rejected(self):
         model = make_model(store_with({}, [1, 1]))
         with pytest.raises(UsageError):
-            judge_proposed(
-                model, np.array([0.5, 0.5]), [], ev(0.5, "tv", "on"), Thresholds()
+            judge_one(
+                judge_proposed, model, np.array([0.5, 0.5]), [], ev(0.5, "tv", "on"), Thresholds()
             )
 
     def test_zero_multi_threshold_with_a_lone_operation_is_legitimate(self):
@@ -181,11 +197,12 @@ class TestJudgeProposed:
         model = make_model(store_with({}, [10, 10]))
         belief = np.array([0.5, 0.5])
         op = ev(0.5, "cooking_stove", "on")
-        verdict = judge_proposed(model, belief, [], op, Thresholds(n_single=0.1, n_multi=0.0))
+        verdict = judge_one(judge_proposed, model, belief, [], op, Thresholds(0.1, 0.0))
         assert verdict.decision == LEGITIMATE
         assert (verdict.delta, verdict.threshold, verdict.sequence) == (0.0, 0.1, STOVE_ON)
-        candidates = window_candidates([], op, model.seq_params)
-        assert grid_flags(proposed_scores(model.store, belief, candidates), 0.1, 0.0) == 0
+        batch = batch_candidates([([], op)], model.seq_params)
+        [scores] = window_levels(batch, proposed_scores(model.store, belief[None], batch))
+        assert grid_flags(scores, 0.1, 0.0) == 0
 
     def test_evidence_is_the_level_with_the_larger_margin(self):
         # s_single = 0.25, s_multi = 0.5 (fridge then stove); exact in binary.
@@ -194,15 +211,16 @@ class TestJudgeProposed:
         belief = np.array([0.5, 0.5])
         preceding = [ev(0.2, "refrigerator", "opening")]
         op = ev(0.5, "cooking_stove", "on")
-        multi = judge_proposed(model, belief, preceding, op, Thresholds(0.125, 0.25))
+        multi = judge_one(judge_proposed, model, belief, preceding, op, Thresholds(0.125, 0.25))
         assert (multi.sequence, multi.delta, multi.threshold) == (pair, 0.5, 0.25)
-        tie = judge_proposed(model, belief, preceding, op, Thresholds(0.125, 0.375))
+        tie = judge_one(judge_proposed, model, belief, preceding, op, Thresholds(0.125, 0.375))
         assert (tie.sequence, tie.delta, tie.threshold) == (STOVE_ON, 0.25, 0.125)
 
 
 def grid_flags(scores, n_single, n_multi) -> int:
     """Anomalous verdicts the evaluate grid gives one real operation's scores."""
-    [point] = _sweep_two_level("m", {}, [scores], [False], (n_single,), (n_multi,))
+    s1, s2, injected = np.array([scores.single]), np.array([scores.multi]), np.array([False])
+    [point] = _sweep_two_level("m", {}, s1, s2, injected, (n_single,), (n_multi,))
     return point.fp
 
 
@@ -212,44 +230,33 @@ class TestJudgeEstimation:
             probs={("cooking_stove", "on"): np.array([0.4, 0.0])}
         )
 
-    def test_hand_arithmetic(self):
-        verdict = judge_estimation_baseline(
-            self.table(), np.array([0.5, 0.5]), ev(0.5, "cooking_stove", "on"),
-            theta=0.1, target_device="cooking_stove",
+    def judge(self, table, theta, device="cooking_stove"):
+        return judge_one(
+            judge_estimation_baseline, table, np.array([0.5, 0.5]), [], ev(0.5, device, "on"),
+            theta, "cooking_stove",
         )
+
+    def test_hand_arithmetic(self):
+        verdict = self.judge(self.table(), 0.1)
         assert verdict.delta == pytest.approx(0.2)
         assert verdict.decision == LEGITIMATE
 
     def test_zero_theta_with_positive_score(self):
-        verdict = judge_estimation_baseline(
-            self.table(), np.array([0.5, 0.5]), ev(0.5, "cooking_stove", "on"),
-            theta=0.0, target_device="cooking_stove",
-        )
-        assert verdict.decision == LEGITIMATE
+        assert self.judge(self.table(), 0.0).decision == LEGITIMATE
 
     def test_theta_one_always_anomalous(self):
         table = OperationTable(
             probs={("cooking_stove", "on"): np.array([1.0, 1.0])}
         )
-        verdict = judge_estimation_baseline(
-            table, np.array([0.5, 0.5]), ev(0.5, "cooking_stove", "on"),
-            theta=1.0, target_device="cooking_stove",
-        )
-        assert verdict.decision == ANOMALOUS  # the score can never exceed one
+        # The score can never exceed one.
+        assert self.judge(table, 1.0).decision == ANOMALOUS
 
     def test_strict_inequality_at_threshold(self):
-        verdict = judge_estimation_baseline(
-            self.table(), np.array([0.5, 0.5]), ev(0.5, "cooking_stove", "on"),
-            theta=0.2, target_device="cooking_stove",
-        )
-        assert verdict.decision == ANOMALOUS
+        assert self.judge(self.table(), 0.2).decision == ANOMALOUS
 
     def test_non_target_rejected(self):
         with pytest.raises(UsageError):
-            judge_estimation_baseline(
-                self.table(), np.array([0.5, 0.5]), ev(0.5, "tv", "on"),
-                theta=0.5, target_device="cooking_stove",
-            )
+            self.judge(self.table(), 0.5, device="tv")
 
 
 class TestJudgeSequence:
@@ -271,10 +278,11 @@ class TestJudgeSequence:
             TimedSequenceStore(), [(preceding, op)], params, SeqParams(), "cooking_stove"
         )
         assert verdict.decision == LEGITIMATE
-        candidates = window_candidates(preceding, op, SeqParams())
-        [[scores]] = sequence_scores(
-            TimedSequenceStore(), [(candidates, seconds_of_day(op.timestamp))], (900.0,)
+        batch = batch_candidates([(preceding, op)], SeqParams())
+        [levels] = sequence_scores(
+            TimedSequenceStore(), batch, [seconds_of_day(op.timestamp)], (900.0,)
         )
+        [scores] = window_levels(batch, levels)
         assert grid_flags(scores, 0.0, 0.0) == 0
 
     def test_hand_ratio(self):
@@ -357,8 +365,8 @@ class TestJudgeSequence:
 class TestVerdictSerialization:
     def test_jsonl_fields(self):
         model = make_model(store_with({STOVE_ON: [1, 0]}, [4, 4]))
-        verdict = judge_proposed(
-            model, np.array([1.0, 0.0]), [], ev(0.5, "cooking_stove", "on"),
+        verdict = judge_one(
+            judge_proposed, model, np.array([1.0, 0.0]), [], ev(0.5, "cooking_stove", "on"),
             Thresholds(n_single=0.1, n_multi=0.1),
         )
         import json
@@ -373,8 +381,8 @@ class TestVerdictSerialization:
 
 
 class TestBatchedScorersAgainstPerCandidateLoops:
-    """The batched time-of-day scorer and the cached proposed vectors give,
-    to the bit, what scoring one candidate at a time gives."""
+    """The batch scorers give, to the bit, what scoring one candidate of one
+    window at a time gives."""
 
     PAIRS = [("cooking_stove", "on"), ("tv", "on"), ("heater", "on"), ("refrigerator", "opening")]
     ALPHAS = (0.0, 0.5, 900.0, 43199.5, 43200.0, 60000.0)
@@ -401,45 +409,91 @@ class TestBatchedScorersAgainstPerCandidateLoops:
                     # Shared time lists make equal ratios, so first maxima matter.
                     picked = rng.choice(times, size=rng.integers(1, 4)).tolist()
                     store.times[items] = sorted(picked)
-            batch = sequence_scores(store, windows, self.ALPHAS)
-            for (candidates, tod), levels in zip(windows, batch):
-                assert levels == [
+            batch = flat_candidates([candidates for candidates, _ in windows])
+            tods = [tod for _, tod in windows]
+            for alpha, levels in zip(self.ALPHAS, sequence_scores(store, batch, tods, self.ALPHAS)):
+                assert window_levels(batch, levels) == [
                     best_per_level_loop(candidates, lambda items: ratio(store, items, tod, alpha))
-                    for alpha in self.ALPHAS
+                    for candidates, tod in windows
                 ]
 
     def test_all_zero_window_keeps_the_first_longer_candidate(self):
         candidates = candidates_ending_at([("tv", "on"), ("heater", "on"), STOVE_ON[0]], 3)
-        [[scores]] = sequence_scores(TimedSequenceStore(target_total=4), [(candidates, 10.0)], (900.0,))
-        assert scores == (0.0, 0.0, candidates[0], candidates[1])
+        batch = flat_candidates([candidates])
+        [levels] = sequence_scores(TimedSequenceStore(target_total=4), batch, [10.0], (900.0,))
+        assert window_levels(batch, levels) == [(0.0, 0.0, candidates[0], candidates[1])]
 
-    def test_cached_vectors_equal_store_vector(self):
+    def test_stored_vectors_equal_the_per_sequence_division(self):
         rng = np.random.default_rng(2)
         store = store_with(
             {(pair,): rng.integers(0, 5, size=3) for pair in self.PAIRS[:3]},
             slot_counts=[4, 0, 7],
         )
-        for pair in self.PAIRS:
-            cached = store.stored_vector((pair,))
-            if (pair,) in store.counts:
-                assert cached.tobytes() == store.vector((pair,)).tobytes()
-                assert store.stored_vector((pair,)) is cached
-            else:
-                assert cached is None
+        keys = store.key_ids([(pair,) for pair in self.PAIRS])
+        assert keys.tolist() == [0, 1, 2, 3]
+        for pair, row in zip(self.PAIRS, store.vectors()[keys]):
+            assert row.tobytes() == store_vector(store, (pair,)).tobytes()
+        assert not store.vectors()[3].any()  # the row of every absent sequence
 
     def test_proposed_scores_equal_the_vector_loop(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            windows = self.random_windows(rng, 6)
-            known = sorted({items for candidates, _ in windows for items in candidates})
+            windows = [candidates for candidates, _ in self.random_windows(rng, 6)]
+            known = sorted({items for candidates in windows for items in candidates})
             store = store_with(
                 {items: rng.integers(0, 6, size=4) for items in known if rng.random() < 0.6},
                 slot_counts=rng.integers(0, 8, size=4),
             )
-            belief = rng.dirichlet(np.ones(4))
-            for candidates, _ in windows:
-                expected = best_per_level_loop(
-                    candidates,
-                    lambda items: min(1.0, max(0.0, float(np.dot(store.vector(items), belief)))),
-                )
-                assert proposed_scores(store, belief, candidates) == expected
+            beliefs = rng.dirichlet(np.ones(4), size=len(windows))
+            batch = flat_candidates(windows)
+            assert window_levels(batch, proposed_scores(store, beliefs, batch)) == [
+                proposed_scores_one(store, belief, candidates)
+                for candidates, belief in zip(windows, beliefs)
+            ]
+
+    def test_estimation_scores_equal_the_vector_loop(self):
+        rng = np.random.default_rng(8)
+        table = OperationTable(probs={pair: rng.random(5) for pair in self.PAIRS})
+        ops = [ev(float(i), *self.PAIRS[i % 4]) for i in range(40)]
+        beliefs = rng.dirichlet(np.ones(5), size=len(ops))
+        assert estimation_score(table, beliefs, ops).tolist() == [
+            estimation_score_one(table, belief, op) for op, belief in zip(ops, beliefs)
+        ]
+
+    def test_empty_batches_score_nothing(self):
+        batch = batch_candidates([], SeqParams())
+        store = store_with({STOVE_ON: [1, 2]}, [3, 3])
+        levels = proposed_scores(store, np.zeros((0, 2)), batch)
+        [timed] = sequence_scores(TimedSequenceStore(target_total=1), batch, [], (900.0,))
+        for got in (levels, timed):
+            assert [len(column) for column in got] == [0, 0, 0]
+        assert len(estimation_score(OperationTable(), np.zeros((0, 2)), [])) == 0
+
+    def test_a_batch_judges_each_window_as_it_would_alone(self):
+        rng = np.random.default_rng(9)
+        pairs = [("tv", "on"), ("refrigerator", "opening"), STOVE_ON[0]]
+        windows = [
+            ([ev(minute - 0.5, *pairs[i]) for i in rng.integers(0, 3, size=rng.integers(0, 5))],
+             ev(minute, "cooking_stove", "on"))
+            for minute in rng.uniform(1, 1439, size=12).round(2).tolist()
+        ]
+        known = {items for preceding, op in windows
+                 for items in candidates_ending_at([*(e.pair for e in preceding), op.pair], 5)}
+        model = make_model(
+            store_with({items: rng.integers(0, 4, size=3) for items in sorted(known)}, [3, 5, 4])
+        )
+        table = OperationTable(probs={STOVE_ON[0]: rng.random(3)})
+        beliefs = rng.dirichlet(np.ones(3), size=len(windows))
+        thresholds = Thresholds(0.2, 0.3)
+        for judge, source, rest in (
+            (judge_proposed, model, (thresholds,)),
+            (judge_estimation_baseline, table, (0.4, "cooking_stove")),
+        ):
+            batch = judge(source, beliefs, windows, *rest)
+            alone = [
+                judge_one(judge, source, belief, preceding, op, *rest)
+                for belief, (preceding, op) in zip(beliefs, windows)
+            ]
+            assert [v.to_jsonl() for v in batch] == [v.to_jsonl() for v in alone]
+            assert batch == alone
+            assert judge(source, beliefs[:0], [], *rest) == []

@@ -10,10 +10,10 @@ from homeguard import detector, evaluation, hsmodel, seqstore
 from homeguard.detector import (
     BaselineParams,
     Thresholds,
+    batch_candidates,
     judge_estimation_baseline,
     judge_proposed,
     judge_sequence_baseline,
-    window_candidates,
 )
 from homeguard.errors import ModelError, ValidationError
 from homeguard.evaluation import (
@@ -24,7 +24,7 @@ from homeguard.evaluation import (
     ProposedGrid,
     SequenceGrid,
     _candidate_thresholds,
-    _collect_records,
+    _collect_scores,
     _frontier_indices,
     _sweep_two_level,
     best_at,
@@ -43,15 +43,17 @@ from conftest import frame, make_folds
 from oracles import (
     best_per_level_loop,
     columns,
+    estimation_score,
     encode_labels,
     filter_folds_one_by_one,
     frame_rows,
     frontier_indices_loop,
     label_states_per_slot,
+    proposed_scores,
     ratio,
     slot_records,
 )
-from test_detector import make_model
+from test_detector import judge_one, make_model
 from test_hsmodel import assert_traces_equal
 from test_seqstore import dense_dataset
 
@@ -82,9 +84,9 @@ def scripted_point(dataset, predicate, injections_per_day, seed) -> EvalPoint:
     swept at the fixed thresholds (0.5, 0.5)."""
     folds = make_folds(dataset, LabelingParams(), ModelParams(), SeqParams())
     contexts = [ctx for fold in folds for ctx in fold.judged_operations(injections_per_day, seed)]
-    scores = [(0.0, 0.0) if predicate(ctx) else (1.0, 1.0) for ctx in contexts]
-    injected = [ctx.injected for ctx in contexts]
-    [point] = _sweep_two_level("scripted", {}, scores, injected, (0.5,), (0.5,))
+    scores = np.array([0.0 if predicate(ctx) else 1.0 for ctx in contexts])
+    injected = np.array([ctx.injected for ctx in contexts])
+    [point] = _sweep_two_level("scripted", {}, scores, scores, injected, (0.5,), (0.5,))
     return point
 
 
@@ -105,7 +107,9 @@ def judge_tally(dataset, verdicts_of, labeling, seq, injections_per_day, seed):
 def proposed_verdicts(thresholds):
     def fit(fold):
         model = make_model(fold.sequence_store(), fold.seq_params)
-        return lambda ctx: judge_proposed(model, ctx.belief, ctx.preceding, ctx.op, thresholds)
+        return lambda ctx: judge_one(
+            judge_proposed, model, ctx.belief, ctx.preceding, ctx.op, thresholds
+        )
     return fit
 
 
@@ -113,7 +117,9 @@ def estimation_verdicts(theta):
     def fit(fold):
         operations = fold.state_model()[1]
         target = fold.dataset.vocabulary.detection_target
-        return lambda ctx: judge_estimation_baseline(operations, ctx.belief, ctx.op, theta, target)
+        return lambda ctx: judge_one(
+            judge_estimation_baseline, operations, ctx.belief, ctx.preceding, ctx.op, theta, target
+        )
     return fit
 
 
@@ -327,10 +333,9 @@ class TestGridSearch:
             injected = rng.random(n) < 0.5
             if trial % 10 == 0:
                 injected[:] = trial % 20 == 0  # only injected, or only real operations
-            scores = list(zip(s1, s2))
-            auto = _sweep_two_level("m", {}, scores, injected, "auto", "auto")
+            auto = _sweep_two_level("m", {}, s1, s2, injected, "auto", "auto")
             every = _sweep_two_level(
-                "m", {}, scores, injected,
+                "m", {}, s1, s2, injected,
                 tuple(_candidate_thresholds(s1)), tuple(_candidate_thresholds(s2)),
             )
             counts = lambda points: sorted((p.tp, p.fn, p.fp, p.tn) for p in points)
@@ -338,7 +343,7 @@ class TestGridSearch:
             for point in auto:
                 params = dict(point.params)
                 [fixed] = _sweep_two_level(
-                    "m", {}, scores, injected, (params["n_single"],), (params["n_multi"],)
+                    "m", {}, s1, s2, injected, (params["n_single"],), (params["n_multi"],)
                 )
                 assert fixed == point
 
@@ -400,46 +405,87 @@ class TestFoldFits:
     def test_serial_collection_releases_each_fold(self):
         dataset = toy_dataset(n_days=3)
         folds = make_folds(dataset, LabelingParams(t_x=2, t_y=2, t_c=1), ModelParams(), SeqParams())
-        records = _collect_records(folds, (1,), True, (900.0,), SeqParams(), 10, 1)
-        assert len(records) == 3 * (10 + 2)
+        scores = _collect_scores(folds, (1,), True, (900.0,), SeqParams(), 10, 1)
+        assert [len(column.T) for column in scores.values()] == [3 * (10 + 2)] * 4
         assert all(not fold._cache for fold in folds)
 
 
 class TestBatchedFoldScores:
-    def test_records_equal_scoring_window_by_window(self):
-        """On a habit-x20 home, every fold's recorded (s_single, s_multi)
-        equal scoring each judged window alone, one candidate at a time."""
+    def test_scores_equal_scoring_window_by_window(self):
+        """On a habit-x20 home, every fold's recorded scores equal, to the
+        bit, scoring each judged window alone, one candidate at a time."""
         seq = SeqParams(t_seq=1800)
         folds = make_folds(dense_dataset(), LabelingParams(initial_occupants=2), ModelParams(), seq)
         l_values, alphas = (1, 2), (0.0, 900.0, 1234.5, 43200.0)
-        records = _collect_records(folds, l_values, False, alphas, seq, 10, 1)
-        expected, longest = [], 0
+        scores = _collect_scores(folds, l_values, True, alphas, seq, 10, 1)
+        expected: dict = {}
+        longest = 0
         for fold in folds:
             stores = {l: fold.sequence_store(replace(seq, l_rank=l)) for l in l_values}
+            operations = fold.state_model()[1]
             timed = fold.timed_store()
             for ctx in fold.judged_operations(10, 1):
-                candidates = window_candidates(ctx.preceding, ctx.op, seq)
+                candidates = batch_candidates([(ctx.preceding, ctx.op)], seq).items
                 longest = max(longest, len(candidates))
                 tod = seconds_of_day(ctx.op.timestamp)
-                proposed = {
-                    l: best_per_level_loop(
-                        candidates,
-                        lambda items: min(
-                            1.0, max(0.0, float(np.dot(store.vector(items), ctx.belief)))
-                        ),
-                    )[:2]
-                    for l, store in stores.items()
+                row = {
+                    "injected": ctx.injected,
+                    "estimation": estimation_score(operations, ctx.belief, ctx.op),
                 }
-                sequence = {
-                    alpha: best_per_level_loop(
+                for l, store in stores.items():
+                    row["proposed", l] = proposed_scores(store, ctx.belief, candidates)[:2]
+                for alpha in alphas:
+                    row["sequence", alpha] = best_per_level_loop(
                         candidates, lambda items: ratio(timed, items, tod, alpha)
                     )[:2]
-                    for alpha in alphas
-                }
-                expected.append((ctx.injected, proposed, sequence))
+                for key, value in row.items():
+                    expected.setdefault(key, []).append(value)
             fold.release()
         assert longest > 300  # windows near w_max
-        assert [(r.injected, r.proposed, r.sequence) for r in records] == expected
+        assert scores.keys() == expected.keys()
+        for key, column in scores.items():
+            # Exact equality: tolist() and the oracles give the same floats.
+            got = column.T.tolist() if column.ndim == 2 else column.tolist()
+            assert got == [list(value) if isinstance(value, tuple) else value
+                           for value in expected[key]], key
+
+
+class TestFoldWithoutJudgedOperations:
+    def dataset(self) -> EvalDataset:
+        """Three toy days; the middle one has no stove operation."""
+        dataset = toy_dataset(n_days=3)
+        day = BASE + timedelta(days=1)
+        events = [
+            e for e in dataset.grid.events
+            if e.device != "cooking_stove" or not day <= e.timestamp < day + timedelta(days=1)
+        ]
+        return EvalDataset(build_timeslots(events, dataset.grid.frames), dataset.vocabulary)
+
+    def test_counts_equal_the_judges_without_injections(self):
+        dataset = self.dataset()
+        labeling, seq = LabelingParams(t_x=2, t_y=2, t_c=1), SeqParams()
+        folds = make_folds(dataset, labeling, ModelParams(), seq)
+        assert [len(fold.judged_operations(0, 9)) for fold in folds] == [2, 0, 2]
+        points = grid_search(
+            dataset,
+            ProposedGrid(t_x=(2,), t_y=(2,), t_c=(1,), l_values=(1,),
+                         n_single=(0.05,), n_multi=(0.05,)),
+            EstimationGrid(t_x=(2,), t_y=(2,), t_c=(1,), theta=(0.001,)),
+            SequenceGrid(alpha_seq=(3600.0,), n_single=(0.2,), n_multi=(0.2,)),
+            labeling_params=labeling, seq_params=seq, injections_per_day=0, seed=9,
+        )
+        verdicts = {
+            "proposed": proposed_verdicts(Thresholds(0.05, 0.05)),
+            "estimation": estimation_verdicts(0.001),
+            "sequence": sequence_verdicts(
+                BaselineParams(alpha_seq=3600.0, n_seq_single=0.2, n_seq_multi=0.2)
+            ),
+        }
+        assert [point.method for point in points] == sorted(verdicts)
+        for point in points:
+            tally = judge_tally(dataset, verdicts[point.method], labeling, seq, 0, 9)
+            assert (point.tp, point.fn, point.fp, point.tn) == tally
+            assert (point.tp + point.fn, point.fp + point.tn) == (0, 4)
 
 
 class TestWindowEnumeration:
@@ -730,7 +776,7 @@ class TestGroupedFoldFilter:
         assert 1200 in alone and 240 in alone
         assert max(m for m, rows, n in shapes if rows == 2 and n < 1440) == sharing
 
-    def test_collect_records_filters_each_group_once(self, monkeypatch):
+    def test_collect_scores_filters_each_group_once(self, monkeypatch):
         dataset = early_origin_dataset()
         folds = make_folds(dataset, LabelingParams(t_x=3, t_y=3, t_c=2), ModelParams(), SeqParams())
         groups = []
@@ -741,9 +787,9 @@ class TestGroupedFoldFilter:
             filter_group(group)
 
         monkeypatch.setattr(FoldContext, "filter_group", staticmethod(recording))
-        records = _collect_records(folds, (1,), True, (), SeqParams(), 5, 1)
+        scores = _collect_scores(folds, (1,), True, (), SeqParams(), 5, 1)
         size = evaluation.FOLD_GROUP
         assert groups == [folds[start : start + size] for start in range(0, len(folds), size)]
         assert all(not fold._cache for fold in folds)
         stove = [e for e in dataset.grid.events if e.device == "cooking_stove"]
-        assert len(records) == len(stove) + 5 * len(folds)
+        assert len(scores["injected"]) == len(stove) + 5 * len(folds)

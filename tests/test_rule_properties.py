@@ -1,11 +1,12 @@
 """Property tests: every judge decides by its scorer's output and one rule.
 
-Over random stores, beliefs, windows and thresholds, ``judge_proposed`` and
-``judge_sequence_baseline`` must decide as the two-level rule decides on
-``proposed_scores`` / ``sequence_scores``, and as the ``evaluate`` grid counts
-those scores; ``judge_estimation_baseline`` must decide ``score <= theta``.
-The scorers themselves are checked against a per-candidate oracle, and
-``window_candidates``, given the events that ``window_starts`` cuts, against
+Over random stores, beliefs, batches of windows and thresholds,
+``judge_proposed`` and ``judge_sequence_baseline`` must decide as the
+two-level rule decides on ``proposed_scores`` / ``sequence_scores``, and as
+the ``evaluate`` grid counts those scores; ``judge_estimation_baseline`` must
+decide ``score <= theta``.  The batch scorers themselves are checked, to the
+bit, against per-window oracles that score one candidate at a time, and
+``batch_candidates``, given the events that ``window_starts`` cuts, against
 a direct cut of the window.  The grid's detection and misdetection counts
 never fall as a threshold rises.
 """
@@ -20,6 +21,7 @@ from hypothesis import strategies as st  # noqa: E402
 from homeguard.detector import (  # noqa: E402
     BaselineParams,
     Thresholds,
+    batch_candidates,
     estimation_score,
     judge_estimation_baseline,
     judge_proposed,
@@ -27,9 +29,8 @@ from homeguard.detector import (  # noqa: E402
     proposed_scores,
     sequence_scores,
     two_level_anomalous,
-    window_candidates,
 )
-from homeguard.evaluation import _ScoreRecord, _sweep_estimation, _sweep_two_level  # noqa: E402
+from homeguard.evaluation import _sweep_estimation, _sweep_two_level  # noqa: E402
 from homeguard.hsmodel import OperationTable  # noqa: E402
 from homeguard.ingest import offsets_from  # noqa: E402
 from homeguard.seqstore import (  # noqa: E402
@@ -42,7 +43,8 @@ from homeguard.seqstore import (  # noqa: E402
 )
 
 from conftest import BASE, ev  # noqa: E402
-from oracles import ratio  # noqa: E402
+from oracles import best_per_level_loop, proposed_score, ratio, window_levels  # noqa: E402
+from oracles import estimation_score as estimation_score_one  # noqa: E402
 from test_detector import grid_flags, make_model  # noqa: E402
 
 TARGET = "cooking_stove"
@@ -55,6 +57,8 @@ windows = st.lists(
     st.tuples(st.floats(10.0, OP_MINUTE), st.sampled_from(PAIRS)), max_size=5
 ).map(lambda items: [ev(minute, *pair) for minute, pair in sorted(items)])
 unit = st.floats(0.0, 1.0)
+# Batches of up to four windows, the empty batch included.
+batches = st.lists(windows, max_size=4)
 
 
 def candidates_of(preceding, op):
@@ -76,14 +80,18 @@ def judged_window(preceding, op):
 
 
 @settings(max_examples=150, deadline=None)
-@given(preceding=windows, action=st.sampled_from(["on", "off"]))
-def test_window_candidates_cut_the_window_as_the_oracle_does(preceding, action):
+@given(batch=batches, action=st.sampled_from(["on", "off"]))
+def test_batch_candidates_cut_each_window_as_the_oracle_does(batch, action):
     op = ev(OP_MINUTE, TARGET, action)
-    assert window_candidates(judged_window(preceding, op), op, SEQ) == candidates_of(preceding, op)
+    flat = batch_candidates([(judged_window(preceding, op), op) for preceding in batch], SEQ)
+    assert [flat.items[a:b] for a, b in zip(flat.bounds, flat.bounds[1:])] == [
+        candidates_of(preceding, op) for preceding in batch
+    ]
 
 
-def thresholds(data, scores):
+def thresholds(data, levels):
     """A threshold pair, often exactly at an achieved score or at zero."""
+    scores = data.draw(st.sampled_from(levels))
     level = st.one_of(unit, st.sampled_from([0.0, scores.single, scores.multi]))
     return data.draw(level), data.draw(level)
 
@@ -99,6 +107,7 @@ def check_levels(scores, candidates, score):
         assert scores.multi_items == candidates[1 + longer.index(scores.multi)]
     else:
         assert scores.multi_items is None
+    assert scores == best_per_level_loop(candidates, score)
 
 
 def check_verdict(verdict, scores, n_single, n_multi):
@@ -111,78 +120,98 @@ def check_verdict(verdict, scores, n_single, n_multi):
     assert verdict.delta - verdict.threshold == max(margins)
 
 
+def draw_beliefs(data, count, n_states):
+    """``count`` beliefs over ``n_states`` states, uniform where the drawn
+    weights are all zero."""
+    rows = []
+    for _ in range(count):
+        weights = np.asarray(data.draw(st.lists(unit, min_size=n_states, max_size=n_states)))
+        rows.append(weights / weights.sum() if weights.sum() > 0 else np.full(n_states, 1 / n_states))
+    return np.array(rows).reshape(count, n_states)
+
+
+
+
 @settings(max_examples=150, deadline=None)
-@given(
-    preceding=windows,
-    n_states=st.integers(1, 4),
-    data=st.data(),
-)
-def test_proposed_judge_is_the_rule_on_its_scores(preceding, n_states, data):
+@given(batch=batches, n_states=st.integers(1, 4), data=st.data())
+def test_proposed_judge_is_the_rule_on_its_scores(batch, n_states, data):
     op = ev(OP_MINUTE, TARGET, "on")
     store = SequenceStore(np.asarray(data.draw(st.lists(st.integers(0, 6), min_size=n_states,
                                                         max_size=n_states)), dtype=np.int64))
-    candidates = candidates_of(preceding, op)
-    for items in data.draw(st.lists(st.sampled_from(candidates), unique=True)):
+    candidates = [candidates_of(preceding, op) for preceding in batch]
+    known = sorted({items for window in candidates for items in window})
+    for items in data.draw(st.lists(st.sampled_from(known), unique=True)) if known else ():
         store.counts[items] = np.asarray(
             [data.draw(st.integers(0, int(c))) for c in store.slot_counts], dtype=np.int64
         )
-    weights = np.asarray(data.draw(st.lists(unit, min_size=n_states, max_size=n_states)))
-    belief = weights / weights.sum() if weights.sum() > 0 else np.full(n_states, 1 / n_states)
+    beliefs = draw_beliefs(data, len(batch), n_states)
     model = make_model(store, SEQ)
-    window = judged_window(preceding, op)
+    judged = [(judged_window(preceding, op), op) for preceding in batch]
 
-    scores = proposed_scores(store, belief, window_candidates(window, op, SEQ))
-    check_levels(
-        scores, candidates,
-        lambda items: min(1.0, max(0.0, float(np.dot(store.vector(items), belief)))),
-    )
-    n_single, n_multi = thresholds(data, scores)
-    verdict = judge_proposed(model, belief, window, op, Thresholds(n_single, n_multi))
-    check_verdict(verdict, scores, n_single, n_multi)
+    flat = batch_candidates(judged, SEQ)
+    levels = window_levels(flat, proposed_scores(store, beliefs, flat))
+    for scores, window, belief in zip(levels, candidates, beliefs):
+        check_levels(scores, window, lambda items: proposed_score(store, belief, items))
+    assert len(levels) == len(batch)
+    n_single, n_multi = thresholds(data, levels) if levels else (0.5, 0.5)
+    verdicts = judge_proposed(model, beliefs, judged, Thresholds(n_single, n_multi))
+    assert len(verdicts) == len(batch)
+    for verdict, scores in zip(verdicts, levels):
+        check_verdict(verdict, scores, n_single, n_multi)
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    preceding=windows,
+    batch=batches,
     alpha_seq=st.sampled_from([0.0, 900.0, 3600.0, 43200.0]),
     data=st.data(),
 )
-def test_sequence_judge_is_the_rule_on_its_scores(preceding, alpha_seq, data):
+def test_sequence_judge_is_the_rule_on_its_scores(batch, alpha_seq, data):
     op = ev(OP_MINUTE, TARGET, "on")
-    candidates = candidates_of(preceding, op)
+    candidates = [candidates_of(preceding, op) for preceding in batch]
+    known = sorted({items for window in candidates for items in window})
     store = TimedSequenceStore()
     seconds = st.floats(0.0, 86399.0)
-    for items in data.draw(st.lists(st.sampled_from(candidates), unique=True)):
+    for items in data.draw(st.lists(st.sampled_from(known), unique=True)) if known else ():
         store.times[items] = sorted(data.draw(st.lists(seconds, min_size=1, max_size=4)))
     stored = max((len(times) for times in store.times.values()), default=0)
     store.target_total = data.draw(st.integers(stored, stored + 3))
 
     tod = seconds_of_day(op.timestamp)
-    window = judged_window(preceding, op)
-    [[scores]] = sequence_scores(store, [(window_candidates(window, op, SEQ), tod)], (alpha_seq,))
-    check_levels(scores, candidates, lambda items: ratio(store, items, tod, alpha_seq))
-    n_single, n_multi = thresholds(data, scores)
+    judged = [(judged_window(preceding, op), op) for preceding in batch]
+    flat = batch_candidates(judged, SEQ)
+    [result] = sequence_scores(store, flat, [tod] * len(batch), (alpha_seq,))
+    levels = window_levels(flat, result)
+    for scores, window in zip(levels, candidates):
+        check_levels(scores, window, lambda items: ratio(store, items, tod, alpha_seq))
+    assert len(levels) == len(batch)
+    n_single, n_multi = thresholds(data, levels) if levels else (0.5, 0.5)
     params = BaselineParams(alpha_seq=alpha_seq, n_seq_single=n_single, n_seq_multi=n_multi)
-    [verdict] = judge_sequence_baseline(store, [(window, op)], params, SEQ, TARGET)
-    check_verdict(verdict, scores, n_single, n_multi)
+    verdicts = judge_sequence_baseline(store, judged, params, SEQ, TARGET)
+    assert len(verdicts) == len(batch)
+    for verdict, scores in zip(verdicts, levels):
+        check_verdict(verdict, scores, n_single, n_multi)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     vector=st.lists(unit, min_size=3, max_size=3),
-    weights=st.lists(unit, min_size=3, max_size=3),
+    count=st.integers(0, 4),
     data=st.data(),
 )
-def test_estimation_judge_is_strict_threshold_on_its_score(vector, weights, data):
+def test_estimation_judge_is_strict_threshold_on_its_score(vector, count, data):
     op = ev(OP_MINUTE, TARGET, "on")
     table = OperationTable(probs={op.pair: np.asarray(vector)})
-    weights = np.asarray(weights)
-    belief = weights / weights.sum() if weights.sum() > 0 else np.full(3, 1 / 3)
-    score = estimation_score(table, belief, op)
-    theta = data.draw(st.one_of(unit, st.just(score)))
-    verdict = judge_estimation_baseline(table, belief, op, theta, TARGET)
-    assert verdict.is_anomalous == (score <= theta)
-    assert (verdict.delta, verdict.threshold) == (score, theta)
+    beliefs = draw_beliefs(data, count, 3)
+    ops = [op] * count
+    scores = estimation_score(table, beliefs, ops).tolist()
+    assert scores == [estimation_score_one(table, belief, op) for belief in beliefs]
+    theta = data.draw(st.one_of(unit, st.sampled_from(scores or [0.0])))
+    verdicts = judge_estimation_baseline(table, beliefs, [([], op) for op in ops], theta, TARGET)
+    assert [verdict.is_anomalous for verdict in verdicts] == [score <= theta for score in scores]
+    assert [(verdict.delta, verdict.threshold) for verdict in verdicts] == [
+        (score, theta) for score in scores
+    ]
 
 
 # Scores and thresholds in [0, 1], with ties between them often.
@@ -210,9 +239,9 @@ def assert_counts_rise(points, name):
     n_multi=st.lists(levels, min_size=1, max_size=5),
 )
 def test_two_level_counts_never_fall_as_a_threshold_rises(scores, n_single, n_multi):
-    points = _sweep_two_level("m", {}, [(a, b) for a, b, _ in scores],
-                              [injected for *_, injected in scores],
-                              tuple(n_single), tuple(n_multi))
+    s1, s2 = np.array([a for a, _, _ in scores]), np.array([b for _, b, _ in scores])
+    injected = np.array([injected for *_, injected in scores], dtype=bool)
+    points = _sweep_two_level("m", {}, s1, s2, injected, tuple(n_single), tuple(n_multi))
     assert len(points) == len(n_single) * len(n_multi)
     assert_counts_rise(points, "n_single")
     assert_counts_rise(points, "n_multi")
@@ -224,7 +253,8 @@ def test_two_level_counts_never_fall_as_a_threshold_rises(scores, n_single, n_mu
     theta=st.lists(levels, min_size=1, max_size=8),
 )
 def test_estimation_counts_never_fall_as_theta_rises(scores, theta):
-    records = [_ScoreRecord(injected, score, {}, {}) for score, injected in scores]
-    points = _sweep_estimation(records, {}, tuple(theta))
+    points = _sweep_estimation(np.array([score for score, _ in scores]),
+                               np.array([injected for _, injected in scores], dtype=bool), {},
+                               tuple(theta))
     assert len(points) == len(theta)
     assert_counts_rise(points, "theta")

@@ -47,12 +47,18 @@ from oracles import (
     candidates_ending_at_combinations,
     columns,
     count_near,
+    flat_candidates,
     frame_rows,
     generate_subsequences,
     ratio,
     select_states,
     store_sequences_per_window,
 )
+
+
+def vector_of(store, items):
+    """The row of ``items`` in the store's matrix of stored vectors."""
+    return store.vectors()[store.key_ids([items])[0]]
 
 
 def near(store, items, tod, alpha_seq):
@@ -233,7 +239,7 @@ class TestSequenceStore:
         )
         store = store_of(trace, "cooking_stove", SeqParams(l_rank=1))
         assert store.counts == {}
-        assert store.vector((("cooking_stove", "on"),))[0] == 0.0
+        assert vector_of(store, (("cooking_stove", "on"),))[0] == 0.0
 
     def test_hand_trace_probability_one_quarter(self):
         # State 0 selected at 4 of 10 slot entries; one target operation with
@@ -247,7 +253,7 @@ class TestSequenceStore:
         assert (store.slot_counts == np.array([4, 6, 0])).all()
         key = (("cooking_stove", "on"),)
         assert store.counts[key][0] == 1
-        assert store.vector(key)[0] == pytest.approx(0.25)
+        assert vector_of(store, key)[0] == pytest.approx(0.25)
 
     def test_same_sequence_twice_counts_twice(self):
         trace = fabricate_trace(
@@ -296,7 +302,7 @@ class TestSequenceStore:
         key = (("cooking_stove", "on"),)
         assert twice.counts[key][0] == 2 * once.counts[key][0]
         assert (twice.slot_counts == 2 * once.slot_counts).all()
-        assert twice.vector(key)[0] == pytest.approx(once.vector(key)[0])
+        assert vector_of(twice, key)[0] == pytest.approx(vector_of(once, key)[0])
         rebuilt = store_of(make(), "cooking_stove", params)
         assert rebuilt.to_payload() == once.to_payload()
 
@@ -332,9 +338,9 @@ class TestSequenceStore:
         store = SequenceStore(np.array([12, 0, 5]))
         store.counts[(("cooking_stove", "on"),)] = np.array([3, 0, 0])
         key = (("cooking_stove", "on"),)
-        assert store.vector(key)[0] == pytest.approx(0.25)
-        assert store.vector(key)[1] == 0.0  # zero slot count
-        assert store.vector((("tv", "on"),))[2] == 0.0  # unknown sequence
+        assert vector_of(store, key)[0] == pytest.approx(0.25)
+        assert vector_of(store, key)[1] == 0.0  # zero slot count
+        assert vector_of(store, (("tv", "on"),))[2] == 0.0  # unknown sequence
 
 
 SELECTIONS = {
@@ -715,8 +721,9 @@ class TestTimedSequenceStore:
     def test_ratio_zero_without_stored_targets(self):
         store = TimedSequenceStore()
         assert ratio(store, (("cooking_stove", "on"),), 100.0, 900.0) == 0.0
-        [[scores]] = sequence_scores(store, [([(("cooking_stove", "on"),)], 100.0)], (900.0,))
-        assert scores.single == 0.0
+        batch = flat_candidates([[(("cooking_stove", "on"),)]])
+        [levels] = sequence_scores(store, batch, [100.0], (900.0,))
+        assert levels.single.tolist() == [0.0]
 
     def test_counts_equal_the_binary_search_oracle(self):
         # Wrap-around, fractional and duplicate times, tolerances from 0 to
