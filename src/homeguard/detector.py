@@ -195,8 +195,8 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     A stack of (1 x S)(S x 1) products on C-contiguous rows runs through the
     BLAS dot that ``np.dot`` runs on two vectors, so each value is bitwise
-    one window's ``np.dot``; ``(a * b).sum(1)``, ``np.einsum`` and ``a @ b``
-    sum in other orders.
+    ``np.dot`` of its two rows; ``(a * b).sum(1)``, ``np.einsum`` and
+    ``a @ b`` sum in other orders.
     """
     a, b = np.ascontiguousarray(a)[:, None, :], np.ascontiguousarray(b)[:, :, None]
     return np.clip(np.matmul(a, b)[:, 0, 0], 0.0, 1.0)
