@@ -58,6 +58,8 @@ EVALUATE_RUNS = (
      ("--methods", "all", "--n-single-values", "0,0.01,0.1", "--n-multi-values", "0,0.05",
       "--theta-values", "0.1,0.5", "--n-seq-single-values", "0,0.1",
       "--n-seq-multi-values", "0.1")),
+    # Auto two-level sweeps and a fixed theta list in one grid_search call.
+    ("auto-and-fixed", "00:00", ("--methods", "all", "--theta-values", "0.1,0.5")),
 )
 
 # label runs on the same homes, each writing the slot and the per-event label

@@ -64,7 +64,7 @@ def _parse_values(args, name: str, cast, threshold: bool = False, check=None):
     list may be "auto" (swept over the recorded scores); otherwise each of
     its values must lie in [0, 1], as the detector's thresholds do.  Each
     value must pass ``check``, a parameter class's rule that raises
-    ``ValidationError``, when one is given."""
+    ``ValidationError``, when one is given, and appear once."""
     text, option = getattr(args, name), f"--{name.replace('_', '-')}"
     if threshold and text == "auto":
         return "auto"
@@ -84,6 +84,9 @@ def _parse_values(args, name: str, cast, threshold: bool = False, check=None):
             check(value)
         except ValidationError as exc:
             raise UsageError(f"{option}: {exc}, got {value!r}") from None
+    for value in values:
+        if values.count(value) > 1:
+            raise UsageError(f"{option}: {value!r} is given more than once")
     return values
 
 

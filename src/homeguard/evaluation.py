@@ -13,8 +13,11 @@ and grid value (each ``l`` value; every ``alpha_seq`` in one call), with the
 scorers ``detect`` calls.  The scores are kept as one array per score;
 threshold parameters are then swept over them with the detector's decision
 rule instead of refitting, which makes dense threshold grids tractable
-without changing any outcome.  A grid with one value per threshold is the
-evaluation of one fixed detector.
+without changing any outcome.  Every sweep, of one threshold or two, "auto"
+or listed, is one count table: each score is placed among its threshold's
+candidates, and one histogram of the placements, summed cumulatively along
+each threshold, counts the flagged operations at every combination.  A grid
+with one value per threshold is the evaluation of one fixed detector.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
 from itertools import product
+from math import prod
 from pathlib import Path
 from typing import ClassVar, Iterable, Mapping, Sequence
 
@@ -35,7 +39,6 @@ from .detector import (
     check_alpha_seq,
     estimation_score,
     sequence_scores,
-    two_level_anomalous,
 )
 from .detector import proposed_scores as _best_deltas  # perfbench/child.py traces this name
 from .errors import ModelError, ValidationError
@@ -385,53 +388,6 @@ def _candidate_thresholds(scores: np.ndarray) -> np.ndarray:
     return values
 
 
-def _auto_two_level_points(
-    method: str,
-    base_params: Mapping[str, object],
-    s1: np.ndarray,
-    s2: np.ndarray,
-    injected: np.ndarray,
-    name1: str = "n_single",
-    name2: str = "n_multi",
-) -> list[EvalPoint]:
-    """Pareto-optimal outcomes of sweeping both thresholds over the scores."""
-    c1 = _candidate_thresholds(s1)
-    c2 = _candidate_thresholds(s2)
-    # side="right" makes (score < candidate[a]) equivalent to (pos <= a).
-    pos1 = np.searchsorted(c1, s1, side="right")
-    pos2 = np.searchsorted(c2, s2, side="right")
-
-    def below(mask: np.ndarray) -> np.ndarray:
-        """below[a * len(c2) + b] = operations in ``mask`` with s1 < c1[a] and
-        s2 < c2[b]; a score at or above a level's last candidate is below none."""
-        inside = mask & (pos1 < len(c1)) & (pos2 < len(c2))
-        hist = np.zeros((len(c1), len(c2)), dtype=np.int64)
-        np.add.at(hist, (pos1[inside], pos2[inside]), 1)
-        # In place: on a dense grid each copy of the table is tens of MB.
-        np.cumsum(hist, axis=0, out=hist)
-        np.cumsum(hist, axis=1, out=hist)
-        return hist.ravel()
-
-    tp = below(injected)
-    fp = below(~injected)
-    n_inj = int(np.count_nonzero(injected))
-    n_real = len(injected) - n_inj
-
-    points = []
-    # tp + fn is n_inj at every candidate pair and fp + tn is n_real, so the
-    # counts order the pairs as their ratios would.
-    for flat in _frontier_indices(fp, tp):
-        a, b = divmod(flat, len(c2))
-        params = {**base_params, name1: float(c1[a]), name2: float(c2[b])}
-        hits, false_alarms = int(tp[flat]), int(fp[flat])
-        points.append(
-            EvalPoint(method, make_params(params), hits, n_inj - hits,
-                      false_alarms, n_real - false_alarms)
-        )
-    points.sort(key=lambda p: p.sort_key)
-    return points
-
-
 def _frontier_indices(mis: np.ndarray, det: np.ndarray) -> list[int]:
     """Indices of the frontier in order of rising misdetection: ordered by
     misdetection, then falling detection, then position, keep each point whose
@@ -451,6 +407,69 @@ def _frontier_indices(mis: np.ndarray, det: np.ndarray) -> list[int]:
     return order[ordered > best_before].tolist()
 
 
+def _sweep(
+    method: str,
+    base_params: Mapping[str, object],
+    axes: Sequence[tuple[str, np.ndarray, tuple[float, ...] | str, bool]],
+    injected: np.ndarray,
+) -> list[EvalPoint]:
+    """The points of sweeping thresholds over the scores of the judged
+    operations, ``injected`` or not.  ``axes`` holds one (parameter name,
+    scores, values or "auto", strict) per threshold; an operation is flagged
+    when each of its scores is below its threshold, or at most it when not
+    strict.
+
+    An axis tries the distinct values it is given, or for "auto" the
+    ``_candidate_thresholds`` of its scores.  With any "auto" axis the
+    Pareto-optimal combinations are kept; otherwise every combination of the
+    given values, in ``product`` order, repeats included.
+    """
+    candidates = [
+        _candidate_thresholds(scores) if values == "auto" else np.unique(values)
+        for _, scores, values, _ in axes
+    ]
+    shape = tuple(map(len, candidates))
+    # Either rule, (score < c[a]) or (score <= c[a]), becomes (pos <= a).
+    positions = [
+        np.searchsorted(c, scores, side="right" if strict else "left")
+        for c, (_, scores, _, strict) in zip(candidates, axes)
+    ]
+    # A score past an axis's last candidate is flagged at none of them.
+    inside = np.logical_and.reduce([pos < size for pos, size in zip(positions, shape)])
+    cells = np.ravel_multi_index(tuple(pos[inside] for pos in positions), shape)
+
+    def flagged(mask: np.ndarray) -> np.ndarray:
+        """The operations in ``mask`` flagged at each combination of candidates."""
+        table = np.bincount(cells[mask[inside]], minlength=prod(shape)).reshape(shape)
+        # In place: on a dense grid each copy of the table is tens of MB.
+        for axis in range(len(shape)):
+            np.cumsum(table, axis=axis, out=table)
+        return table.ravel()
+
+    tp = flagged(injected)
+    fp = flagged(~injected)
+    n_inj = int(np.count_nonzero(injected))
+    n_real = len(injected) - n_inj
+    if any(values == "auto" for _, _, values, _ in axes):
+        # tp + fn is n_inj at every combination and fp + tn is n_real, so the
+        # counts order the combinations as their ratios would.
+        keep = _frontier_indices(fp, tp)
+    else:
+        given = [np.searchsorted(c, values) for c, (_, _, values, _) in zip(candidates, axes)]
+        keep = [np.ravel_multi_index(combo, shape) for combo in product(*given)]
+    points = []
+    for cell in keep:
+        at = np.unravel_index(cell, shape)
+        params = {name: float(c[i]) for (name, *_), c, i in zip(axes, candidates, at)}
+        hits, false_alarms = int(tp[cell]), int(fp[cell])
+        points.append(
+            EvalPoint(method, make_params({**base_params, **params}), hits, n_inj - hits,
+                      false_alarms, n_real - false_alarms)
+        )
+    points.sort(key=lambda p: p.sort_key)
+    return points
+
+
 def _sweep_two_level(
     method: str,
     base_params: Mapping[str, object],
@@ -464,19 +483,8 @@ def _sweep_two_level(
 ) -> list[EvalPoint]:
     """The points of sweeping both thresholds over the (s_single, s_multi)
     scores ``s1`` and ``s2`` of the judged operations, ``injected`` or not."""
-    if n_single == "auto" or n_multi == "auto":
-        return _auto_two_level_points(method, base_params, s1, s2, injected, name1, name2)
-    points = []
-    n_inj = int(np.count_nonzero(injected))
-    n_real = len(injected) - n_inj
-    for v1, v2 in product(n_single, n_multi):
-        anomalous = two_level_anomalous(s1, s2, v1, v2)
-        tp = int(np.count_nonzero(anomalous & injected))
-        fp = int(np.count_nonzero(anomalous & ~injected))
-        params = {**base_params, name1: float(v1), name2: float(v2)}
-        points.append(EvalPoint(method, make_params(params), tp, n_inj - tp, fp, n_real - fp))
-    points.sort(key=lambda p: p.sort_key)
-    return points
+    axes = [(name1, s1, n_single, True), (name2, s2, n_multi, True)]
+    return _sweep(method, base_params, axes, injected)
 
 
 def _labelings(grid: ProposedGrid | EstimationGrid | None) -> list[tuple[int, int, int]]:
@@ -572,28 +580,8 @@ def _sweep_estimation(
 ) -> list[EvalPoint]:
     """The points of sweeping ``theta`` over the estimation scores of the
     judged operations, ``injected`` or not."""
-    inj_scores = np.sort(scores[injected])
-    real_scores = np.sort(scores[~injected])
-    n_inj, n_real = len(inj_scores), len(real_scores)
-    auto = theta == "auto"
-    candidates = _candidate_thresholds(scores) if auto else np.asarray(theta, dtype=np.float64)
     # Anomalous iff score <= theta (the legitimacy test is strict >).
-    tp = np.searchsorted(inj_scores, candidates, side="right")
-    fp = np.searchsorted(real_scores, candidates, side="right")
-    keep: Iterable[int] = _frontier_indices(fp, tp) if auto else range(len(candidates))
-    points = [
-        EvalPoint(
-            "estimation",
-            make_params({**structural, "theta": float(candidates[idx])}),
-            int(tp[idx]),
-            n_inj - int(tp[idx]),
-            int(fp[idx]),
-            n_real - int(fp[idx]),
-        )
-        for idx in keep
-    ]
-    points.sort(key=lambda p: p.sort_key)
-    return points
+    return _sweep("estimation", structural, [("theta", scores, theta, False)], injected)
 
 
 def _collect_scores(

@@ -12,12 +12,12 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
 from pathlib import Path
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from homeguard.detector import Candidates, Levels
+from homeguard.detector import Candidates, Levels, two_level_anomalous
 from homeguard.errors import InitializationError, ParseError, ValidationError
 from homeguard.hsmodel import FilterTrace, filter_streams, kept_day_streams
 from homeguard.ingest import (
@@ -884,6 +884,33 @@ def frontier_indices_loop(mis: np.ndarray, det: np.ndarray) -> list[int]:
             keep.append(int(idx))
             best = float(det[idx])
     return keep
+
+
+def two_level_counts_loop(s1, s2, injected, n_single, n_multi) -> list[tuple]:
+    """(n_single, n_multi, tp, fp) of every threshold pair in ``product``
+    order, the two-level rule applied to every score once per pair."""
+    rows = []
+    for v1, v2 in product(n_single, n_multi):
+        anomalous = two_level_anomalous(s1, s2, v1, v2)
+        rows.append((float(v1), float(v2), int(np.count_nonzero(anomalous & injected)),
+                     int(np.count_nonzero(anomalous & ~injected))))
+    return rows
+
+
+def estimation_counts_loop(scores, injected, theta) -> list[tuple]:
+    """(theta, tp, fp) of every ``theta`` in order: flagged iff score <= theta."""
+    return [
+        (float(value), int(np.count_nonzero((scores <= value) & injected)),
+         int(np.count_nonzero((scores <= value) & ~injected)))
+        for value in theta
+    ]
+
+
+def frontier_rows_loop(rows: Sequence[tuple]) -> list[tuple]:
+    """The rows (thresholds..., tp, fp) that ``frontier_indices_loop`` keeps."""
+    tp = np.array([row[-2] for row in rows])
+    fp = np.array([row[-1] for row in rows])
+    return [rows[index] for index in frontier_indices_loop(fp, tp)]
 
 
 @dataclass

@@ -10,10 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from homeguard import cli
+from homeguard import cli, evaluation
 from homeguard.cli import main
 from homeguard.detector import BaselineParams, Thresholds, judge_sequence_baseline
 from homeguard.errors import ValidationError
+from homeguard.evaluation import _candidate_thresholds
 from homeguard.hsmodel import FORMAT_VERSION, TrainedModel, run_filter
 from homeguard.ingest import (
     build_timeslots,
@@ -27,7 +28,7 @@ from homeguard.synthgen import generate, save_scenario, scenario_calibration, sc
 from homeguard.vocab import Vocabulary
 
 from conftest import GoldenSample
-from oracles import columns, window_start
+from oracles import columns, frontier_rows_loop, two_level_counts_loop, window_start
 from test_detector import judge_one
 
 
@@ -739,6 +740,30 @@ class TestEvaluateCommand:
         for method in ("proposed", "estimation", "sequence"):
             assert (out_dir / f"frontier_{method}.csv").exists()
 
+    def test_half_auto_grid_keeps_its_fixed_list(self, tmp_path, small_home, monkeypatch):
+        scores = []
+        sweep = evaluation._sweep_two_level
+
+        def recording(method, base, s1, s2, injected, *args, **kwargs):
+            scores.append((s1, s2, injected))
+            return sweep(method, base, s1, s2, injected, *args, **kwargs)
+
+        monkeypatch.setattr(evaluation, "_sweep_two_level", recording)
+        ops, sensors = small_home
+        out_dir = tmp_path / "eval"
+        assert main(["evaluate", "--operations", str(ops), "--sensors", str(sensors),
+                     "--output-dir", str(out_dir), "--methods", "proposed",
+                     "--n-single-values", "auto", "--n-multi-values", "0.05"]) == 0
+        with (out_dir / "results_proposed.csv").open(newline="") as handle:
+            rows = [(json.loads(row["params_json"]), int(row["tp"]), int(row["fp"]))
+                    for row in csv.DictReader(handle)]
+        assert rows and {params["n_multi"] for params, _, _ in rows} == {0.05}
+        [(s1, s2, injected)] = scores
+        table = two_level_counts_loop(s1, s2, injected, _candidate_thresholds(s1), (0.05,))
+        assert sorted((params["n_single"], tp, fp) for params, tp, fp in rows) == sorted(
+            (n_single, tp, fp) for n_single, _, tp, fp in frontier_rows_loop(table)
+        )
+
 
     @pytest.mark.parametrize("methods, named", [
         ("proposed,bogus", "'bogus'"),
@@ -1133,6 +1158,35 @@ class TestThresholdValues:
         err = capsys.readouterr().err
         assert option in err and repr(text) in err and "[0, 1]" in err
         assert not (tmp_path / "eval").exists()
+
+    # (option, method that reads it, list, the repeated value as the message shows it)
+    REPEATED = [
+        ("--t-x-values", "proposed", "15,30,15", "15"),
+        ("--t-y-values", "estimation", "15,15", "15"),
+        ("--t-c-values", "sequence", "20,20", "20"),
+        ("--l-values", "proposed", "1,2,1", "1"),
+        ("--n-single-values", "proposed", "0.01,0.01", "0.01"),
+        ("--n-multi-values", "proposed", "0,0.05,0.050", "0.05"),
+        ("--theta-values", "estimation", "0.1,0.5,0.1", "0.1"),
+        ("--alpha-seq-values", "sequence", "900,900", "900.0"),
+        ("--n-seq-single-values", "sequence", "0,0.1,0", "0.0"),
+        ("--n-seq-multi-values", "sequence", "1,1.0", "1.0"),
+    ]
+
+    @pytest.mark.parametrize("option, method, text, shown", REPEATED)
+    def test_repeated_value_exits_2(self, tmp_path, model_home, monkeypatch, option, method,
+                                    text, shown, capsys):
+        assert self.run(tmp_path, model_home, monkeypatch, "--methods", method,
+                        f"{option}={text}") == 2
+        assert f"{option}: {shown} is given more than once" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
+    def test_every_value_list_is_checked_for_repeats(self):
+        args = cli.build_parser().parse_args(
+            ["evaluate", "--operations", "o", "--sensors", "s", "--output-dir", "d"]
+        )
+        lists = {f"--{name.replace('_', '-')}" for name in vars(args) if name.endswith("_values")}
+        assert lists == {option for option, *_ in self.REPEATED}
 
     @pytest.mark.parametrize("text", ["nan", "-0.1", "1.5", "inf"])
     def test_best_at_outside_0_1_exits_2(self, tmp_path, model_home, monkeypatch, text, capsys):

@@ -48,10 +48,12 @@ from oracles import (
     filter_folds_one_by_one,
     frame_rows,
     frontier_indices_loop,
+    frontier_rows_loop,
     label_states_per_slot,
     proposed_scores,
     ratio,
     slot_records,
+    two_level_counts_loop,
 )
 from test_detector import judge_one, make_model
 from test_hsmodel import assert_traces_equal
@@ -346,6 +348,18 @@ class TestGridSearch:
                     "m", {}, s1, s2, injected, (params["n_single"],), (params["n_multi"],)
                 )
                 assert fixed == point
+
+    def test_half_auto_sweep_keeps_its_fixed_value(self):
+        rng = np.random.default_rng(7)
+        s1 = rng.integers(0, 11, size=80) / 10.0
+        s2 = rng.integers(0, 11, size=80) / 20.0
+        injected = rng.random(80) < 0.5
+        points = _sweep_two_level("m", {}, s1, s2, injected, "auto", (0.05,))
+        assert points and {dict(p.params)["n_multi"] for p in points} == {0.05}
+        rows = two_level_counts_loop(s1, s2, injected, _candidate_thresholds(s1), (0.05,))
+        assert sorted((dict(p.params)["n_single"], p.tp, p.fp) for p in points) == sorted(
+            (n_single, tp, fp) for n_single, _, tp, fp in frontier_rows_loop(rows)
+        )
 
 
 def mixed_dataset() -> EvalDataset:

@@ -8,7 +8,8 @@ decide ``score <= theta``.  The batch scorers themselves are checked, to the
 bit, against per-window oracles that score one candidate at a time, and
 ``batch_candidates``, given the events that ``window_starts`` cuts, against
 a direct cut of the window.  The grid's detection and misdetection counts
-never fall as a threshold rises.
+never fall as a threshold rises, and equal the rule's counts threshold by
+threshold, on "auto", fixed and half-auto grids.
 """
 
 import numpy as np
@@ -30,7 +31,11 @@ from homeguard.detector import (  # noqa: E402
     sequence_scores,
     two_level_anomalous,
 )
-from homeguard.evaluation import _sweep_estimation, _sweep_two_level  # noqa: E402
+from homeguard.evaluation import (  # noqa: E402
+    _candidate_thresholds,
+    _sweep_estimation,
+    _sweep_two_level,
+)
 from homeguard.hsmodel import OperationTable  # noqa: E402
 from homeguard.ingest import offsets_from  # noqa: E402
 from homeguard.seqstore import (  # noqa: E402
@@ -43,7 +48,15 @@ from homeguard.seqstore import (  # noqa: E402
 )
 
 from conftest import BASE, ev  # noqa: E402
-from oracles import best_per_level_loop, proposed_score, ratio, window_levels  # noqa: E402
+from oracles import (  # noqa: E402
+    best_per_level_loop,
+    estimation_counts_loop,
+    frontier_rows_loop,
+    proposed_score,
+    ratio,
+    two_level_counts_loop,
+    window_levels,
+)
 from oracles import estimation_score as estimation_score_one  # noqa: E402
 from test_detector import grid_flags, make_model  # noqa: E402
 
@@ -258,3 +271,56 @@ def test_estimation_counts_never_fall_as_theta_rises(scores, theta):
                                tuple(theta))
     assert len(points) == len(theta)
     assert_counts_rise(points, "theta")
+
+
+# A threshold's values: "auto", or a list with repeats often.
+threshold_values = st.one_of(st.just("auto"), st.lists(levels, min_size=1, max_size=5).map(tuple))
+
+
+def sweep_values(scores, values, auto):
+    """The values the oracle tries on one threshold: the "auto" candidates,
+    each distinct given value when another threshold is "auto", or the list
+    as given."""
+    if values == "auto":
+        return _candidate_thresholds(scores)
+    return np.unique(values) if auto else values
+
+
+def assert_points_match(points, names, rows, auto, injected):
+    """The sweep's points are the oracle's rows (thresholds..., tp, fp), or
+    on an "auto" grid their frontier, with every count exact."""
+    expected = frontier_rows_loop(rows) if auto else rows
+    n_inj = int(np.count_nonzero(injected))
+    assert points == sorted(points, key=lambda p: p.sort_key)
+    assert sorted((p.params, p.tp, p.fp) for p in points) == sorted(
+        (tuple(sorted(zip(names, row[:-2]))), row[-2], row[-1]) for row in expected
+    )
+    for point in points:
+        assert point.fn == n_inj - point.tp and point.tn == len(injected) - n_inj - point.fp
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    scores=st.lists(st.tuples(levels, levels, st.booleans()), max_size=30),
+    n_single=threshold_values,
+    n_multi=threshold_values,
+)
+def test_two_level_sweep_counts_as_the_rule_pair_by_pair(scores, n_single, n_multi):
+    s1, s2 = np.array([a for a, _, _ in scores]), np.array([b for _, b, _ in scores])
+    injected = np.array([injected for *_, injected in scores], dtype=bool)
+    auto = "auto" in (n_single, n_multi)
+    points = _sweep_two_level("m", {}, s1, s2, injected, n_single, n_multi)
+    rows = two_level_counts_loop(s1, s2, injected, sweep_values(s1, n_single, auto),
+                                 sweep_values(s2, n_multi, auto))
+    assert_points_match(points, ("n_single", "n_multi"), rows, auto, injected)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scores=st.lists(st.tuples(levels, st.booleans()), max_size=30), theta=threshold_values)
+def test_estimation_sweep_counts_as_the_rule_theta_by_theta(scores, theta):
+    values = np.array([score for score, _ in scores])
+    injected = np.array([injected for _, injected in scores], dtype=bool)
+    auto = theta == "auto"
+    points = _sweep_estimation(values, injected, {}, theta)
+    rows = estimation_counts_loop(values, injected, sweep_values(values, theta, auto))
+    assert_points_match(points, ("theta",), rows, auto, injected)
