@@ -9,10 +9,13 @@ that each run record lists.  Then runs ``homeguard evaluate`` and
 ``homeguard label`` in both trees on paths the benchmark never takes
 (``EVALUATE_RUNS``, ``LABEL_RUNS``), and ``homeguard train`` followed by
 ``detect`` with each method (``OPERATOR_RUNS``), on one synthetic home
-generated by the current tree.  ``TRACE_RUNS`` train on that home and write
-the sha256 of the forward filter's every belief over it (``run_filter``'s
-``entry``, ``pre`` and ``post`` bytes under the trained model), where the
-verdict files hold only the beliefs before target operations.  The file
+generated by the current tree.  The ``OPERATOR_RUNS`` run again with the
+model that BASE_TREE's ``train`` writes, read by each tree's ``detect``, so
+the current tree must judge with the base's model file as the base does.
+``TRACE_RUNS`` train on that home and write the sha256 of the forward
+filter's every belief over it (``run_filter``'s ``entry``, ``pre`` and
+``post`` bytes under the trained model), where the verdict files hold only
+the beliefs before target operations.  The file
 runs read the inputs the benchmark never reads: ``train`` and ``detect``
 under a config file that sets every parameter section (``CONFIG``),
 ``train`` with a vocabulary file that each tree saves itself, and ``synth``
@@ -80,6 +83,8 @@ OPERATOR_RUNS = (
     ("long-window-excluded-date", "04:00", ("--t-seq", "43200", "--initial-occupants", "0")),
 )
 DETECT_METHODS = ("proposed", "estimation", "sequence")
+# The first item of a step that runs in the base tree on both sides.
+IN_BASE = "in-base"
 
 # train, then the digests of the trace that detect filters, on the home from
 # each day origin: (name, day origin, arguments).
@@ -186,15 +191,17 @@ def synth_homes(work: Path) -> dict[str, Path]:
     return {"00:00": whole, "04:00": cut}
 
 
-def run_digests(tree: Path, steps, out: Path) -> dict[str, str]:
+def run_digests(tree: Path, steps, out: Path, base: Path) -> dict[str, str]:
     """The digests of every file that the ``homeguard`` commands of
-    ``steps``, run one after another in ``tree``, write into ``out``; empty
-    when one of them fails."""
+    ``steps``, run one after another in ``tree`` (in ``base`` for a step
+    that starts with ``IN_BASE``), write into ``out``; empty when one of
+    them fails."""
     out.mkdir(parents=True)
     for step in steps:
-        proc = homeguard(tree, *step)
+        where, command = (base, step[1:]) if step[0] == IN_BASE else (tree, step)
+        proc = homeguard(where, *command)
         if proc.returncode != 0:
-            print(f"{tree}: {step[0]} exited {proc.returncode}\n{proc.stderr[-2000:]}")
+            print(f"{where}: {command[0]} exited {proc.returncode}\n{proc.stderr[-2000:]}")
             return {}
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in sorted(out.iterdir())}
@@ -223,6 +230,13 @@ def operator_steps(home: Path, origin: str, out: Path, args) -> list[tuple]:
          "--output", str(out / f"verdicts-{method}.jsonl"))
         for method in DETECT_METHODS
     ]
+
+
+def base_model_steps(home: Path, origin: str, out: Path, args) -> list[tuple]:
+    """``train`` in the base tree, then ``detect`` with each method, in the
+    tree under comparison, on the model file the base wrote."""
+    train, *detects = operator_steps(home, origin, out, args)
+    return [(IN_BASE, *train), *detects]
 
 
 def trace_steps(home: Path, origin: str, out: Path, args) -> list[tuple]:
@@ -303,6 +317,7 @@ def main(argv=None) -> int:
                 ("evaluate", evaluate_steps, EVALUATE_RUNS),
                 ("label", label_steps, LABEL_RUNS),
                 ("train-detect", operator_steps, OPERATOR_RUNS),
+                ("base-model-detect", base_model_steps, OPERATOR_RUNS),
                 ("filter-trace", trace_steps, TRACE_RUNS),
                 ("file", config_steps, (("config", "00:00", ()),)),
                 ("file", vocabulary_steps, (("vocabulary", "00:00", ()),)),
@@ -313,7 +328,7 @@ def main(argv=None) -> int:
         ]
         for label, steps, origin, run_args in runs:
             base, new = (
-                run_digests(tree, steps(homes[origin], origin, out, run_args), out)
+                run_digests(tree, steps(homes[origin], origin, out, run_args), out, args.base)
                 for tree, out in (
                     (args.base, work / f"base-{label.replace(' ', '-')}"),
                     (head, work / f"head-{label.replace(' ', '-')}"),

@@ -20,11 +20,12 @@ anomalous iff score <= theta.
 
 Each method has one scorer, and it scores a batch of windows at once:
 ``detect`` passes every window of its stream, ``evaluate`` every judged
-window of a fold.  A batch's candidates lie flat (``Candidates``), and one
-reducer takes each window's two levels from their scores.  The proposed
-scorer gathers each candidate's row of its store's matrix of stored vectors
-(a zero row for a sequence the store lacks) and each window's belief; the
-estimation scorer gathers each operation's vector.  Both take the row-wise
+window of a fold.  A batch's candidates lie flat (``Candidates``), each
+interned once in the id table of its stores, and one reducer takes each
+window's two levels from their scores.  The proposed scorer finds each
+candidate's row of its store's matrix of stored vectors by one integer
+search (a zero row for a sequence the store lacks) and gathers it and each
+window's belief; the estimation scorer gathers each operation's vector.  Both take the row-wise
 dot products as one stack of (1 x S)(S x 1) products, which numpy computes
 with the BLAS dot of ``np.dot`` on two vectors, so a batch scores to the bit
 as one window at a time would.  The time-of-day scorer takes ``alpha_seq``
@@ -46,6 +47,7 @@ from .ingest import EventRecord, format_timestamp
 from .seqstore import (
     Items,
     SeqParams,
+    SequenceIds,
     SequenceStore,
     TimedSequenceStore,
     candidates_ending_at,
@@ -135,10 +137,12 @@ class Verdict:
 
 
 class Candidates(NamedTuple):
-    """The candidates of a batch of windows, flat: window ``w``'s are
-    ``items[bounds[w]:bounds[w + 1]]``, its length-1 candidate first."""
+    """The candidates of a batch of windows, flat, as ids of the table
+    ``keys``: window ``w``'s are ``ids[bounds[w]:bounds[w + 1]]``, its
+    length-1 candidate first."""
 
-    items: list[Items]
+    ids: np.ndarray
+    keys: SequenceIds
     bounds: np.ndarray
 
 
@@ -152,8 +156,11 @@ class Levels(NamedTuple):
     at: np.ndarray
 
 
-def batch_candidates(windows: Sequence[Window], seq_params: SeqParams) -> Candidates:
-    """The candidates of each (preceding events, operation) window.
+def batch_candidates(
+    windows: Sequence[Window], seq_params: SeqParams, keys: SequenceIds
+) -> Candidates:
+    """The candidates of each (preceding events, operation) window, interned
+    in ``keys``.
 
     ``preceding`` holds the events within ``t_seq`` seconds before the
     operation, as ``seqstore.target_windows`` and ``window_starts`` cut them;
@@ -166,7 +173,7 @@ def batch_candidates(windows: Sequence[Window], seq_params: SeqParams) -> Candid
         pairs = [*(event.pair for event in preceding), op.pair]
         items += candidates_ending_at(pairs[-seq_params.w_max :], seq_params.l_max)
         bounds.append(len(items))
-    return Candidates(items, np.array(bounds))
+    return Candidates(keys.intern(items), keys, np.array(bounds))
 
 
 def _best_per_level(scores: np.ndarray, bounds: np.ndarray) -> Levels:
@@ -202,12 +209,21 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(np.matmul(a, b)[:, 0, 0], 0.0, 1.0)
 
 
+def _rows(store: SequenceStore | TimedSequenceStore, batch: Candidates) -> np.ndarray:
+    """Each candidate's row in ``store``, found by one search of the store's
+    ascending ids; ``len(store.ids)`` for each one the store lacks."""
+    if batch.keys is not store.keys:
+        raise ValueError("the candidates and the store take their ids from different tables")
+    rows = np.searchsorted(store.ids, batch.ids)
+    return np.where(np.append(store.ids, -1)[rows] == batch.ids, rows, len(store.ids))
+
+
 def proposed_scores(store: SequenceStore, beliefs: np.ndarray, batch: Candidates) -> Levels:
     """Best occurrence probability ``sum_i b'(i, y) * belief_i`` per level of
     each window, under the window's row of the (n, S) ``beliefs``; a
     sequence the store lacks scores 0.0."""
     window = np.repeat(np.arange(len(batch.bounds) - 1), np.diff(batch.bounds))
-    vectors = store.vectors()[store.key_ids(batch.items)]
+    vectors = store.vectors()[_rows(store, batch)]
     return _best_per_level(_row_dots(vectors, beliefs[window]), batch.bounds)
 
 
@@ -227,12 +243,12 @@ def sequence_scores(
     The counts of every candidate of the batch come from one integer search
     per ``alpha_seq``.
     """
-    keys = store.key_ids(batch.items)
+    rows = _rows(store, batch)
     window = np.repeat(np.arange(len(tods)), np.diff(batch.bounds))
     total = store.target_total
     return [
         _best_per_level(
-            store.counts_near(keys, window, tods, alpha) / total if total else np.zeros(len(keys)),
+            store.counts_near(rows, window, tods, alpha) / total if total else np.zeros(len(rows)),
             batch.bounds,
         )
         for alpha in alpha_seq
@@ -271,7 +287,7 @@ def _two_level_verdicts(
     for (_, op), flagged, multi, value, at in zip(
         windows, anomalous.tolist(), by_multi.tolist(), delta.tolist(), evidence.tolist()
     ):
-        decision, items = ANOMALOUS if flagged else LEGITIMATE, batch.items[at]
+        decision, items = ANOMALOUS if flagged else LEGITIMATE, batch.keys.items[batch.ids[at]]
         threshold = n_multi if multi else n_single
         verdicts.append(Verdict(op, method, decision, value, threshold, items, len(items)))
     return verdicts
@@ -295,7 +311,7 @@ def judge_proposed(
     state/sequence method, under its row of the (n, S) ``beliefs``, all in
     one batch."""
     _require_targets(windows, model.vocabulary.detection_target)
-    batch = batch_candidates(windows, model.seq_params)
+    batch = batch_candidates(windows, model.seq_params, model.store.keys)
     levels = proposed_scores(model.store, beliefs, batch)
     return _two_level_verdicts(
         windows, "proposed", batch, levels, thresholds.n_single, thresholds.n_multi
@@ -329,7 +345,7 @@ def judge_sequence_baseline(
     """Judge each (preceding events, operation) window by counting stored
     equivalent sequences near the operation's time of day, all in one batch."""
     _require_targets(windows, target_device)
-    batch = batch_candidates(windows, seq_params)
+    batch = batch_candidates(windows, seq_params, store.keys)
     tods = [seconds_of_day(op.timestamp) for _, op in windows]
     [levels] = sequence_scores(store, batch, tods, (params.alpha_seq,))
     return _two_level_verdicts(

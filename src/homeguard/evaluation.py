@@ -638,7 +638,8 @@ def _score_fold(
         n_states = len(fold.detection_trace().initial)
         beliefs = np.array([ctx.belief for ctx in contexts]).reshape(len(contexts), n_states)
     if need_proposed or need_sequence:
-        batch = batch_candidates([(ctx.preceding, ctx.op) for ctx in contexts], seq_params_base)
+        judged = [(ctx.preceding, ctx.op) for ctx in contexts]
+        batch = batch_candidates(judged, seq_params_base, fold.windows.keys)
     for l_value in need_proposed:
         store = fold.sequence_store(
             replace(seq_params_base, l_rank=int(l_value))

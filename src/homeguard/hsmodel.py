@@ -57,6 +57,7 @@ from .payload import counts, faults_as, json_object, load_json, record, to_paylo
 from .seqstore import (
     DayWindows,
     SeqParams,
+    SequenceIds,
     SequenceStore,
     TimedSequenceStore,
     TrainingBeliefs,
@@ -675,16 +676,19 @@ class TrainedModel:
         for pair_text, vec in zip(pairs, vectors):
             device, _, action = pair_text.partition(":")
             operations.probs[(device, action)] = vec
+        vocabulary = VOCABULARY(data["vocabulary"], "vocabulary")
+        # Both stores take their ids from one table.
+        keys, registered = SequenceIds(vocabulary.detection_target), set(vocabulary.all_pairs())
         return cls(
-            vocabulary=VOCABULARY(data["vocabulary"], "vocabulary"),
+            vocabulary=vocabulary,
             labeling_params=record(LabelingParams)(data["labeling_params"], "labeling_params"),
             model_params=model_params,
             seq_params=record(SeqParams)(data["seq_params"], "seq_params"),
             transitions=TransitionTensor(probs=probs, t_z=t_z),
             operations=operations,
-            store=SequenceStore.from_payload(data["store"], "store", n_states),
+            store=SequenceStore.from_payload(data["store"], "store", n_states, keys, registered),
             baseline_store=TimedSequenceStore.from_payload(
-                data["baseline_store"], "baseline_store"
+                data["baseline_store"], "baseline_store", keys, registered
             ),
         )
 

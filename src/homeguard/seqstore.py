@@ -27,28 +27,32 @@ distinct item.
 
 A window and its subsequences depend only on the events, ``t_seq``, ``w_max``
 and ``l_max``, never on beliefs.  ``DayWindows`` therefore enumerates each
-window of a stream of days once, interning every stored subsequence to an
-integer id, and keeps (id, final event) arrays; ``train`` and every fold of
-``evaluate`` build their stores from the same day windows.
+window of a stream of days once, interning every stored subsequence in one
+``SequenceIds`` table, and keeps (id, final event) arrays; ``train`` and every
+fold of ``evaluate`` build their stores from the same day windows, and a
+store holds its sequences as ascending ids, so a judged candidate, interned
+once, finds its row in any store by one integer search.
 ``TrainingBeliefs`` joins a training set's belief traces to those arrays and
 ranks every belief once, so the store for each selection value is one
-comparison and one count with numpy.  A trace that holds only part of its day
-(an excluded calendar date cuts a day that does not start at midnight) has
-windows of its own events, enumerated for it alone.  The time-of-day store is
-merged from the same arrays; only windows that reach back across midnight
-into a left-out day are enumerated again.
+comparison, one ``np.unique`` of the ids and one count with numpy.  A trace
+that holds only part of its day (an excluded calendar date cuts a day that
+does not start at midnight) has windows of its own events, enumerated for it
+alone.  The time-of-day store is merged from the same arrays; only windows
+that reach back across midnight into a left-out day are enumerated again.
 
 The time-of-day store counts matches through an index built on first use:
 every stored time replaced by its rank among the distinct stored times and
-coded with its sequence's key, in one sorted integer array, so each count is
+coded with its sequence's row, in one sorted integer array, so each count is
 a difference of two binary searches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
-from typing import TYPE_CHECKING, Sequence
+from functools import cached_property
+from itertools import repeat
+from typing import TYPE_CHECKING, AbstractSet, Sequence
 
 import numpy as np
 
@@ -73,15 +77,6 @@ def sequence_key(items: Items) -> str:
     """The text key of a sequence in a model file: ``device:action`` items
     joined by ``|``."""
     return "|".join(f"{device}:{action}" for device, action in items)
-
-
-def _items_from_key(key: str) -> Items:
-    parts = key.split("|")
-    out = []
-    for part in parts:
-        device, _, action = part.partition(":")
-        out.append((device, action))
-    return tuple(out)
 
 
 @dataclass
@@ -183,181 +178,200 @@ def _enumerate_distinct(pairs: Sequence[Pair], l_max: int) -> dict[Items, int]:
     return out
 
 
-@dataclass
+class SequenceIds:
+    """One integer per distinct target-related sequence, in order of first
+    sight: sequence ``items[id]``; -1 for one with no item on the target.
+
+    One table serves a run (``train``, or every fold of ``evaluate``) or one
+    loaded model, training windows, stores and judged candidates alike.
+    """
+
+    def __init__(self, target_device: str) -> None:
+        self.target_device = target_device
+        self.items: list[Items] = []
+        self._ids: dict[Items, int] = {}
+
+    def intern(self, sequences: Sequence[Items]) -> np.ndarray:
+        """The id of each of ``sequences``, given on first sight."""
+        known = self._ids
+        ids = np.fromiter(
+            map(known.get, sequences, repeat(_UNSEEN)), dtype=np.intp, count=len(sequences)
+        )
+        for j in np.flatnonzero(ids == _UNSEEN).tolist():
+            items = sequences[j]
+            sid = known.get(items)
+            if sid is None:
+                related = any(device == self.target_device for device, _ in items)
+                sid = known[items] = len(self.items) if related else -1
+                if related:
+                    self.items.append(items)
+            ids[j] = sid
+        return ids
+
+    def keyed(self, ids: np.ndarray, values: Sequence) -> dict:
+        """``values`` keyed by the ``sequence_key`` of their ``ids``, as a
+        model file stores them."""
+        return {sequence_key(self.items[sid]): value for sid, value in zip(ids.tolist(), values)}
+
+    def by_id(self, stored: dict, where: str, pairs: AbstractSet[Pair]) -> tuple[np.ndarray, list]:
+        """The ids of a model file's sequence keys (``keyed``), ascending,
+        and their values in that order.  A key whose items are not
+        all among ``pairs``, or none of them on the target device, raises
+        ``ValidationError`` naming it below ``where``."""
+        texts, values = list(stored), list(stored.values())
+        sequences = [
+            tuple(tuple(item.partition(":")[::2]) for item in text.split("|")) for text in texts
+        ]
+        ids = self.intern(sequences)
+        for text, items, sid in zip(texts, sequences, ids.tolist()):
+            if sid < 0 or not pairs.issuperset(items):
+                raise ValidationError(
+                    "needs registered device:action items, one of them on the detection"
+                    f" target {self.target_device!r}",
+                    field=at(where, text),
+                )
+        order = np.argsort(ids)
+        return ids[order], [values[k] for k in order.tolist()]
+
+
+_UNSEEN = -2
+
+
+@dataclass(eq=False)
 class SequenceStore:
     """Counts of target-related sequences per estimated state.
 
-    ``counts[y][i]`` is the number of stored occurrences of sequence ``y``
-    credited to state ``i``; ``slot_counts[i]`` is the number of training
-    slots whose entry belief selected state ``i`` under the same criterion;
-    its length is the number of states.
+    ``ids`` holds the stored sequences, ascending, as ids of the table
+    ``keys``; ``counts[k][i]`` is the number of stored occurrences of
+    sequence ``ids[k]`` credited to state ``i``; ``slot_counts[i]`` is the
+    number of training slots whose entry belief selected state ``i`` under
+    the same criterion; its length is the number of states.
     """
 
     slot_counts: np.ndarray
-    counts: dict[Items, np.ndarray] = field(default_factory=dict)
-    # The ids of the stored sequences and their matrix, built on first use.
-    _matrix: tuple[dict[Items, int], np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def _vectors(self) -> tuple[dict[Items, int], np.ndarray]:
-        if self._matrix is None:
-            zeros = np.zeros(len(self.slot_counts))
-            rows = np.array([*self.counts.values(), zeros], dtype=np.float64)
-            matrix = np.divide(
-                rows, self.slot_counts, out=np.zeros_like(rows), where=self.slot_counts > 0
-            )
-            self._matrix = ({items: k for k, items in enumerate(self.counts)}, matrix)
-        return self._matrix
+    ids: np.ndarray
+    keys: SequenceIds
+    counts: np.ndarray  # (K, S)
 
     def vectors(self) -> np.ndarray:
-        """The (K + 1, S) per-state sequence probabilities: row ``k`` of the
-        stored sequence with key ``k``, and a last row of zeros for every
-        sequence the store lacks.  The store must not change after its first
-        use."""
-        return self._vectors()[1]
-
-    def key_ids(self, candidates: Sequence[Items]) -> np.ndarray:
-        """The row of ``vectors()`` of each candidate."""
-        return _key_ids(self._vectors()[0], candidates)
+        """The (K + 1, S) per-state sequence probabilities: row ``k`` of
+        sequence ``ids[k]``, and a last row of zeros for every sequence the
+        store lacks."""
+        rows = np.vstack([self.counts, np.zeros(len(self.slot_counts))])
+        return np.divide(
+            rows, self.slot_counts, out=np.zeros_like(rows), where=self.slot_counts > 0
+        )
 
     def to_payload(self) -> dict:
         return {
             "slot_counts": [int(x) for x in self.slot_counts],
-            "counts": {
-                sequence_key(items): [int(x) for x in counts]
-                for items, counts in sorted(self.counts.items())
-            },
+            "counts": self.keys.keyed(self.ids, self.counts.tolist()),
         }
 
     @classmethod
-    def from_payload(cls, payload, where: str, n_states: int) -> "SequenceStore":
-        """A store over ``n_states`` states from its JSON form; a fault
-        raises ``ValidationError`` naming the key below ``where``."""
-        keys = ("slot_counts", "counts")
-        data = json_object(payload, keys, where, keys)
-        store = cls(counts(data["slot_counts"], n_states, at(where, "slot_counts")))
+    def from_payload(
+        cls, payload, where: str, n_states: int, keys: SequenceIds, pairs: AbstractSet[Pair]
+    ) -> "SequenceStore":
+        """A store over ``n_states`` states from its JSON form, its keys
+        interned in ``keys``; a fault raises ``ValidationError`` naming the
+        key below ``where``."""
+        names = ("slot_counts", "counts")
+        data = json_object(payload, names, where, names)
+        slot_counts = counts(data["slot_counts"], n_states, at(where, "slot_counts"))
         where_counts = at(where, "counts")
-        for key, values in json_object(data["counts"], None, where_counts).items():
-            store.counts[_items_from_key(key)] = counts(values, n_states, at(where_counts, key))
-        return store
-
-
-def _key_ids(ids: dict[Items, int], candidates: Sequence[Items]) -> np.ndarray:
-    """The id of each candidate; ``len(ids)`` stands for every absent one."""
-    absent = len(ids)
-    return np.fromiter(
-        (ids.get(items, absent) for items in candidates), dtype=np.int64, count=len(candidates)
-    )
+        stored = {
+            key: counts(values, n_states, at(where_counts, key))
+            for key, values in json_object(data["counts"], None, where_counts).items()
+        }
+        ids, rows = keys.by_id(stored, where_counts, pairs)
+        return cls(slot_counts, ids, keys, np.array(rows, dtype=np.int64).reshape(-1, n_states))
 
 
 def seconds_of_day(ts: datetime) -> float:
     return ts.hour * 3600 + ts.minute * 60 + ts.second + ts.microsecond / 1e6
 
 
-@dataclass(frozen=True)
-class _TimeIndex:
-    """The stored times of every sequence as one ascending integer array.
-
-    Each time is replaced by its rank among the ``distinct`` stored times,
-    and the time of key ``k`` is coded ``k * (len(distinct) + 1) + rank``, so
-    the codes ascend by key, then by time.  The stored times of key ``k``
-    below a value of rank ``r`` (the count of distinct times below it) are
-    then the codes below ``k * (len(distinct) + 1) + r``.  Key ``len(ids)``
-    stands for every sequence the store lacks and has no times.
-    """
-
-    ids: dict[Items, int]
-    distinct: np.ndarray
-    codes: np.ndarray
-    starts: np.ndarray  # key k's codes are codes[starts[k]:starts[k + 1]]
-
-
-@dataclass
+@dataclass(eq=False)
 class TimedSequenceStore:
     """Sequence occurrences indexed by time of day, for the time-based method.
 
-    ``times[y]`` holds, ascending, the seconds-of-day at which sequence ``y``
-    completed in training; ``target_total`` counts the stored target-device
-    operations and is the denominator of every match ratio.  Counting goes
-    through an index built on first use, so the store must not change after
-    that.
+    ``ids`` holds the stored sequences, ascending, as ids of the table
+    ``keys``; ``times[k]`` holds, ascending, the seconds-of-day at which
+    sequence ``ids[k]`` completed in training; ``target_total`` counts the
+    stored target-device operations and is the denominator of every match
+    ratio.
     """
 
-    times: dict[Items, list[float]] = field(default_factory=dict)
+    ids: np.ndarray
+    keys: SequenceIds
+    times: list[np.ndarray]
     target_total: int = 0
-    _index: _TimeIndex | None = field(default=None, init=False, repr=False, compare=False)
 
-    def _time_index(self) -> _TimeIndex:
-        if self._index is None:
-            stored = [np.asarray(times, dtype=np.float64) for times in self.times.values()]
-            flat = np.concatenate([np.empty(0), *stored])
-            distinct, ranks = np.unique(flat, return_inverse=True)
-            sizes = [len(times) for times in stored]
-            keys = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-            self._index = _TimeIndex(
-                ids={items: k for k, items in enumerate(self.times)},
-                distinct=distinct,
-                codes=keys * (len(distinct) + 1) + ranks.ravel(),
-                starts=np.cumsum([0, *sizes, 0]),
-            )
-        return self._index
+    @cached_property
+    def _index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The stored times of every sequence as one ascending integer array.
 
-    def key_ids(self, candidates: Sequence[Items]) -> np.ndarray:
-        """The index key of each candidate; one key stands for all absent ones."""
-        return _key_ids(self._time_index().ids, candidates)
+        Each time is replaced by its rank among the ``distinct`` stored
+        times, and the time of row ``k`` is coded ``k * (len(distinct) + 1) +
+        rank``, so the codes ascend by row, then by time.  The stored times of
+        row ``k`` below a value of rank ``r`` (the count of distinct times
+        below it) are then the codes below ``k * (len(distinct) + 1) + r``.
+        Row ``k``'s codes are ``codes[starts[k]:starts[k + 1]]``; row
+        ``len(ids)`` stands for every sequence the store lacks and has none.
+        """
+        flat = np.concatenate([np.empty(0), *self.times])
+        distinct, ranks = np.unique(flat, return_inverse=True)
+        sizes = [len(times) for times in self.times]
+        rows = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        return distinct, rows * (len(distinct) + 1) + ranks.ravel(), np.cumsum([0, *sizes, 0])
 
     def counts_near(
-        self, keys: np.ndarray, window: np.ndarray, tods: Sequence[float], alpha_seq: float
+        self, rows: np.ndarray, window: np.ndarray, tods: Sequence[float], alpha_seq: float
     ) -> np.ndarray:
-        """Stored occurrences of key ``keys[j]`` within cyclic ``alpha_seq``
+        """Stored occurrences of row ``rows[j]`` within cyclic ``alpha_seq``
         seconds of ``tods[window[j]]``: exact integer counts."""
-        index = self._time_index()
-        first, end = index.starts[keys], index.starts[keys + 1]
+        distinct, codes, starts = self._index
+        first, end = starts[rows], starts[rows + 1]
         if 2 * alpha_seq >= SECONDS_PER_DAY:
             return end - first
         lo = [(tod - alpha_seq) % SECONDS_PER_DAY for tod in tods]
         hi = [(tod + alpha_seq) % SECONDS_PER_DAY for tod in tods]
         wraps = np.array([a > b for a, b in zip(lo, hi)], dtype=bool)[window]
-        base = keys * (len(index.distinct) + 1)
+        base = rows * (len(distinct) + 1)
         # Codes of stored times below lo, and of those at or below hi.
-        below_lo = np.searchsorted(
-            index.codes, base + np.searchsorted(index.distinct, lo, side="left")[window]
-        )
-        upto_hi = np.searchsorted(
-            index.codes, base + np.searchsorted(index.distinct, hi, side="right")[window]
-        )
+        below_lo = np.searchsorted(codes, base + np.searchsorted(distinct, lo, side="left")[window])
+        upto_hi = np.searchsorted(codes, base + np.searchsorted(distinct, hi, side="right")[window])
         return np.where(wraps, (end - below_lo) + (upto_hi - first), upto_hi - below_lo)
 
     def to_payload(self) -> dict:
         return {
             "target_total": self.target_total,
-            "times": {
-                sequence_key(items): list(times) for items, times in sorted(self.times.items())
-            },
+            "times": self.keys.keyed(self.ids, [times.tolist() for times in self.times]),
         }
 
     @classmethod
-    def from_payload(cls, payload, where: str = "") -> "TimedSequenceStore":
-        """A store from its JSON form; a count or a time list the index
-        could not read raises ``ValidationError`` naming the key below
-        ``where``."""
-        keys = ("target_total", "times")
-        data = json_object(payload, keys, where, keys)
+    def from_payload(
+        cls, payload, where: str, keys: SequenceIds, pairs: AbstractSet[Pair]
+    ) -> "TimedSequenceStore":
+        """A store from its JSON form, its keys interned in ``keys``; a
+        count, a time list or a key the index could not read raises
+        ``ValidationError`` naming the key below ``where``."""
+        names = ("target_total", "times")
+        data = json_object(payload, names, where, names)
         total = typed(data["target_total"], int, at(where, "target_total"))
         if total < 0:
             raise ValidationError("must be non-negative", field=at(where, "target_total"))
-        times = {}
         where_times = at(where, "times")
-        for key, stored in json_object(data["times"], None, where_times).items():
+        stored = json_object(data["times"], None, where_times)
+        for key, values in stored.items():
             if not (
-                isinstance(stored, list)
-                and all(type(x) in (int, float) and 0 <= x < SECONDS_PER_DAY for x in stored)
-                and all(a <= b for a, b in zip(stored, stored[1:]))
+                isinstance(values, list)
+                and all(type(x) in (int, float) and 0 <= x < SECONDS_PER_DAY for x in values)
+                and all(a <= b for a, b in zip(values, values[1:]))
             ):
                 raise ValidationError("need ascending seconds of day", field=at(where_times, key))
-            times[_items_from_key(key)] = [float(x) for x in stored]
-        return cls(times=times, target_total=total)
+        ids, times = keys.by_id(stored, where_times, pairs)
+        return cls(ids, keys, [np.array(values, dtype=np.float64) for values in times], total)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +387,8 @@ def _cuts(params: SeqParams) -> tuple[float, int, int]:
 class WindowEntries:
     """The stored subsequences of a list of windows, window after window.
 
-    Entry ``j`` is subsequence ``ids[j]`` (an id of the ``DayWindows`` that
-    enumerated it) completed by the event at stream position ``finals[j]``.
+    Entry ``j`` is subsequence ``ids[j]`` (an id of the ``DayWindows``'
+    table) completed by the event at stream position ``finals[j]``.
     The entries of window ``w`` are ``bounds[w]:bounds[w + 1]``.
     """
 
@@ -401,9 +415,8 @@ class DayWindows:
     ``days`` holds each day's events in time order, as ``SlotGrid.days``
     splits them, and ``event_at`` the grid's clock of those events.
     ``train`` builds one over its grid and every fold of an ``evaluate`` run
-    shares one, so both take their stores from the same windows.  Every
-    target-related subsequence gets one integer id (``items[id]``), shared by
-    all the windows this object enumerates.  Two kinds of windows are kept,
+    shares one, so both take their stores from the same windows, and their
+    sequences' ids from one table, ``keys``.  Two kinds of windows are kept,
     each enumerated on first use:
 
     - ``day(d)``: the windows of day ``d`` alone, as a training trace of the
@@ -423,16 +436,13 @@ class DayWindows:
         self.days = grid.days()
         # Day d's events are events[offsets[d]:offsets[d + 1]].
         self.offsets = np.cumsum([0] + [len(day) for day in self.days])
-        self.target_device = target_device
         self.cuts = _cuts(params)
-        self.items: list[Items] = []
-        self._ids: dict[Items, int] = {}
+        self.keys = SequenceIds(target_device)
         self._day_entries: dict[int, WindowEntries] = {}
         self._part_entries: dict[tuple[EventRecord, ...], WindowEntries] = {}
-        self._stream: _StreamWindows | None = None
 
     def check(self, target_device: str, params: SeqParams) -> None:
-        if target_device != self.target_device or _cuts(params) != self.cuts:
+        if target_device != self.keys.target_device or _cuts(params) != self.cuts:
             raise ValidationError(
                 "windows were enumerated for another target device, t_seq, w_max or l_max"
             )
@@ -446,21 +456,11 @@ class DayWindows:
     ) -> tuple[np.ndarray, np.ndarray]:
         """The ids and final positions of the stored subsequences of the
         window over ``positions``."""
-        target, known = self.target_device, self._ids
-        ids: list[int] = []
-        finals: list[int] = []
         distinct = _enumerate_distinct([pairs[p] for p in positions], self.cuts[2])
-        for items, final in distinct.items():
-            sid = known.get(items)
-            if sid is None:
-                related = any(device == target for device, _ in items)
-                sid = known[items] = len(self.items) if related else -1
-                if related:
-                    self.items.append(items)
-            if sid >= 0:
-                ids.append(sid)
-                finals.append(positions[final])
-        return np.array(ids, dtype=np.intp), np.array(finals, dtype=np.intp)
+        ids = self.keys.intern(list(distinct))
+        finals = np.asarray(positions, dtype=np.intp)[list(distinct.values())]
+        related = ids >= 0
+        return ids[related], finals[related]
 
     def _span(self, end: int, start: int) -> range:
         """Positions of the window ending at ``end``: from ``start`` on, the
@@ -469,7 +469,7 @@ class DayWindows:
 
     def _windows_of(self, events: Sequence[EventRecord], at: np.ndarray) -> WindowEntries:
         pairs = [event.pair for event in events]
-        ends, starts = target_windows(events, at, self.target_device, self.cuts[0])
+        ends, starts = target_windows(events, at, self.keys.target_device, self.cuts[0])
         return _entries(
             [self._window(pairs, self._span(*op)) for op in zip(ends.tolist(), starts.tolist())]
         )
@@ -491,34 +491,33 @@ class DayWindows:
             entries = self._day_entries[d] = self._windows_of(self.days[d], self.day_at(d))
         return entries
 
-    def _stream_windows(self) -> _StreamWindows:
-        if self._stream is None:
-            events = self.events
-            pairs = [event.pair for event in events]
-            ends, reach = target_windows(events, self.event_at, self.target_device, self.cuts[0])
-            day_first = np.searchsorted(ends, self.offsets[:-1]).tolist()
-            windows = []
-            for d, (lo, first) in enumerate(zip(self.offsets[:-1].tolist(), day_first)):
-                own = self.day(d)
-                for w in range(len(own.bounds) - 1):
-                    op = first + w
-                    if reach[op] >= lo:  # starts inside its day
-                        a, b = own.bounds[w], own.bounds[w + 1]
-                        windows.append((own.ids[a:b], own.finals[a:b] + lo))
-                    else:
-                        windows.append(self._window(pairs, self._span(ends[op], reach[op])))
-            self._stream = _StreamWindows(
-                pairs=pairs,
-                ends=ends,
-                reach=reach,
-                entries=_entries(windows),
-                tod=np.array([seconds_of_day(e.timestamp) for e in events], dtype=np.float64),
-            )
-        return self._stream
+    @cached_property
+    def _stream(self) -> _StreamWindows:
+        events = self.events
+        pairs = [event.pair for event in events]
+        ends, reach = target_windows(events, self.event_at, self.keys.target_device, self.cuts[0])
+        day_first = np.searchsorted(ends, self.offsets[:-1]).tolist()
+        windows = []
+        for d, (lo, first) in enumerate(zip(self.offsets[:-1].tolist(), day_first)):
+            own = self.day(d)
+            for w in range(len(own.bounds) - 1):
+                op = first + w
+                if reach[op] >= lo:  # starts inside its day
+                    a, b = own.bounds[w], own.bounds[w + 1]
+                    windows.append((own.ids[a:b], own.finals[a:b] + lo))
+                else:
+                    windows.append(self._window(pairs, self._span(ends[op], reach[op])))
+        return _StreamWindows(
+            pairs=pairs,
+            ends=ends,
+            reach=reach,
+            entries=_entries(windows),
+            tod=np.array([seconds_of_day(e.timestamp) for e in events], dtype=np.float64),
+        )
 
     def timed_store(self, without_day: int | None = None) -> "TimedSequenceStore":
         """The timed store of the stream, or of the stream without one day."""
-        stream = self._stream_windows()
+        stream = self._stream
         entries = stream.entries
         ids, finals = entries.ids, entries.finals
         n_targets = len(stream.ends)
@@ -541,17 +540,12 @@ class DayWindows:
                 [finals[:kept_to], *(w[1] for w in windows), finals[kept_from:]]
             )
             n_targets -= after - first
-        store = TimedSequenceStore(target_total=n_targets)
-        if len(ids):
-            keys, rows = _first_seen(ids)
-            tod = stream.tod[finals]
-            order = np.lexsort((tod, rows))
-            flat = tod[order].tolist()
-            cuts = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=len(keys))))).tolist()
-            store.times = {
-                self.items[key]: flat[a:b] for key, a, b in zip(keys, cuts, cuts[1:])
-            }
-        return store
+        stored, rows = np.unique(ids, return_inverse=True)
+        tod = stream.tod[finals]
+        flat = tod[np.lexsort((tod, rows))]
+        cuts = np.cumsum([0, *np.bincount(rows, minlength=len(stored))]).tolist()
+        times = [flat[a:b] for a, b in zip(cuts, cuts[1:])]
+        return TimedSequenceStore(stored, self.keys, times, n_targets)
 
 
 _NONE = np.empty(0, dtype=np.intp)
@@ -564,16 +558,6 @@ def _entries(windows: Sequence[tuple[np.ndarray, np.ndarray]]) -> WindowEntries:
         np.concatenate([_NONE, *(finals for _, finals in windows)]),
         np.cumsum([0, *(len(ids) for ids, _ in windows)]),
     )
-
-
-def _first_seen(ids: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """The distinct ``ids`` in order of first appearance (the key order of a
-    dict filled entry by entry), and each entry's index into that list."""
-    distinct, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    row_of = np.empty_like(order)
-    row_of[order] = np.arange(len(order))
-    return distinct[order].tolist(), row_of[inverse.ravel()]
 
 
 def _ranks(beliefs: np.ndarray) -> np.ndarray:
@@ -609,69 +593,61 @@ class TrainingBeliefs:
         self.traces = traces
         self.windows = windows
         self.days = days
-        self._ranked: tuple[np.ndarray, ...] | None = None
 
-    def _rank(self) -> tuple[np.ndarray, ...]:
-        if self._ranked is None:
-            n_states = self.traces[0].entry.shape[1]
-            # at_rank[r - 1, i]: slot entries at which state i ranks r.  Day
-            # by day, so no copy of the entry beliefs is made.
-            at_rank = np.zeros(n_states * n_states, dtype=np.int64)
-            states = np.arange(n_states)
-            for trace in self.traces:
-                if len(trace.entry):
-                    cells = (_ranks(trace.entry).astype(np.intp) - 1) * n_states + states
-                    at_rank += np.bincount(cells.ravel(), minlength=n_states * n_states)
-            pre = np.concatenate([np.empty((0, n_states)), *(trace.pre for trace in self.traces)])
-            ids, finals, offset = [], [], 0
-            for trace, day in zip(self.traces, self.days):
-                if day is None:
-                    entries = self.windows.windows_of(trace.events, trace.event_at)
-                elif len(trace.events) == len(self.windows.days[day]):
-                    entries = self.windows.day(day)
-                else:
-                    raise ValueError(
-                        f"a trace of {len(trace.events)} events joined to day {day},"
-                        f" which has {len(self.windows.days[day])}"
-                    )
-                ids.append(entries.ids)
-                finals.append(entries.finals + offset)
-                offset += len(trace.events)
-            self._ranked = (
-                at_rank.reshape(n_states, n_states),
-                pre,
-                _ranks(pre),
-                np.concatenate([_NONE, *ids]),
-                np.concatenate([_NONE, *finals]),
-            )
-        return self._ranked
+    @cached_property
+    def _ranked(self) -> tuple[np.ndarray, ...]:
+        n_states = self.traces[0].entry.shape[1]
+        # at_rank[r - 1, i]: slot entries at which state i ranks r.  Day
+        # by day, so no copy of the entry beliefs is made.
+        at_rank = np.zeros(n_states * n_states, dtype=np.int64)
+        states = np.arange(n_states)
+        for trace in self.traces:
+            if len(trace.entry):
+                cells = (_ranks(trace.entry).astype(np.intp) - 1) * n_states + states
+                at_rank += np.bincount(cells.ravel(), minlength=n_states * n_states)
+        pre = np.concatenate([np.empty((0, n_states)), *(trace.pre for trace in self.traces)])
+        ids, finals, offset = [], [], 0
+        for trace, day in zip(self.traces, self.days):
+            if day is None:
+                entries = self.windows.windows_of(trace.events, trace.event_at)
+            elif len(trace.events) == len(self.windows.days[day]):
+                entries = self.windows.day(day)
+            else:
+                raise ValueError(
+                    f"a trace of {len(trace.events)} events joined to day {day},"
+                    f" which has {len(self.windows.days[day])}"
+                )
+            ids.append(entries.ids)
+            finals.append(entries.finals + offset)
+            offset += len(trace.events)
+        return (
+            at_rank.reshape(n_states, n_states),
+            pre,
+            _ranks(pre),
+            np.concatenate([_NONE, *ids]),
+            np.concatenate([_NONE, *finals]),
+        )
 
     def store(self, params: SeqParams) -> SequenceStore:
-        at_rank, pre, pre_ranks, ids, finals = self._rank()
+        at_rank, pre, pre_ranks, ids, finals = self._ranked
         n_states = len(at_rank)
         # Each stored subsequence is credited to the states its final event's
         # "just before" belief selects.
         if params.criterion == "rank":
-            store = SequenceStore(at_rank[: params.l_rank].sum(axis=0))
+            slot_counts = at_rank[: params.l_rank].sum(axis=0)
             chosen = (pre_ranks <= params.l_rank)[finals]
         else:
-            store = SequenceStore(np.zeros(n_states, dtype=np.int64))
+            slot_counts = np.zeros(n_states, dtype=np.int64)
             for trace in self.traces:
                 if len(trace.entry):
-                    store.slot_counts += (trace.entry >= params.l_alpha).sum(axis=0)
+                    slot_counts += (trace.entry >= params.l_alpha).sum(axis=0)
             chosen = (pre >= params.l_alpha)[finals]
         credited = chosen.any(axis=1)
-        if credited.any():
-            keys, rows = _first_seen(ids[credited])
-            entry_at, state = np.nonzero(chosen[credited])
-            counts = np.bincount(
-                rows[entry_at] * n_states + state, minlength=len(keys) * n_states
-            ).astype(np.int64, copy=False)
-            items = self.windows.items
-            store.counts = dict(
-                zip([items[key] for key in keys], counts.reshape(len(keys), n_states))
-            )
-        return store
+        stored, rows = np.unique(ids[credited], return_inverse=True)
+        entry_at, state = np.nonzero(chosen[credited])
+        counts = np.bincount(rows[entry_at] * n_states + state, minlength=len(stored) * n_states)
+        counts = counts.astype(np.int64, copy=False).reshape(len(stored), n_states)
+        return SequenceStore(slot_counts, stored, self.windows.keys, counts)
 
 
 def store_sequences(

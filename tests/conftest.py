@@ -18,6 +18,7 @@ from homeguard.ingest import (
     offsets_from,
 )
 from homeguard.labeling import ALPHABET, HomeState, LabelingParams
+from homeguard.seqstore import SequenceIds, SequenceStore, TimedSequenceStore
 from homeguard.vocab import SENSOR_FIELDS, Vocabulary
 from oracles import SensorFrame, columns
 
@@ -90,6 +91,33 @@ def make_slots(
 
 def ev(minute_offset: float, device: str, action: str, start: datetime = BASE) -> EventRecord:
     return EventRecord(start + timedelta(minutes=minute_offset), device, action)
+
+
+def _ids_of(sequences, keys: SequenceIds | None) -> tuple[SequenceIds, np.ndarray, np.ndarray]:
+    """The table (a new one for the cooking stove by default), the ascending
+    ids of ``sequences`` in it, and the order that sorts them."""
+    keys = SequenceIds("cooking_stove") if keys is None else keys
+    ids = keys.intern(list(sequences))
+    assert (ids >= 0).all(), "a stored sequence needs an item on the target device"
+    order = np.argsort(ids)
+    return keys, ids[order], order
+
+
+def id_store(slot_counts, counts: dict, keys: SequenceIds | None = None) -> SequenceStore:
+    """The id-keyed store of ``{items: counts}`` over ``slot_counts``."""
+    keys, ids, order = _ids_of(counts, keys)
+    rows = np.array(list(counts.values()), dtype=np.int64).reshape(len(counts), len(slot_counts))
+    return SequenceStore(np.asarray(slot_counts, dtype=np.int64), ids, keys, rows[order])
+
+
+def id_timed_store(
+    times: dict | None = None, target_total: int = 0, keys: SequenceIds | None = None
+) -> TimedSequenceStore:
+    """The id-keyed timed store of ``{items: ascending seconds of day}``."""
+    times = times or {}
+    keys, ids, order = _ids_of(times, keys)
+    stored = [np.asarray(values, dtype=np.float64) for values in times.values()]
+    return TimedSequenceStore(ids, keys, [stored[k] for k in order.tolist()], target_total)
 
 
 def make_folds(dataset, labeling_params, model_params, seq_params):

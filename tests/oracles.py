@@ -49,6 +49,7 @@ from homeguard.seqstore import (
     Items,
     Pair,
     SeqParams,
+    SequenceIds,
     SequenceStore,
     TimedSequenceStore,
     seconds_of_day,
@@ -729,18 +730,26 @@ def best_per_level_loop(candidates: Sequence[Items], score: Callable[[Items], fl
     return LevelScores(score(candidates[0]), multi, candidates[0], multi_items)
 
 
-def flat_candidates(windows: Sequence[Sequence[Items]]) -> Candidates:
-    """The ``Candidates`` batch of per-window candidate lists."""
+def flat_candidates(windows: Sequence[Sequence[Items]], keys: SequenceIds) -> Candidates:
+    """The ``Candidates`` batch of per-window candidate lists, interned in
+    ``keys``."""
     return Candidates(
-        [items for candidates in windows for items in candidates],
+        keys.intern([items for candidates in windows for items in candidates]),
+        keys,
         np.cumsum([0, *(len(candidates) for candidates in windows)]),
     )
 
 
+def batch_items(batch: Candidates) -> list[Items]:
+    """The candidates of a batch, flat, as the sequences their ids stand for."""
+    return [batch.keys.items[sid] for sid in batch.ids.tolist()]
+
+
 def window_levels(batch: Candidates, levels: Levels) -> list[LevelScores]:
     """A batch scorer's ``Levels`` as one ``LevelScores`` per window."""
+    items = batch_items(batch)
     return [
-        LevelScores(single, multi, batch.items[start], batch.items[at] if at >= 0 else None)
+        LevelScores(single, multi, items[start], items[at] if at >= 0 else None)
         for single, multi, start, at in zip(
             levels.single.tolist(), levels.multi.tolist(), batch.bounds.tolist(),
             levels.at.tolist(),
@@ -748,9 +757,41 @@ def window_levels(batch: Candidates, levels: Levels) -> list[LevelScores]:
     ]
 
 
-def store_vector(store: SequenceStore, items: Items) -> np.ndarray:
+@dataclass
+class DictStore:
+    """The sequence store keyed by the sequences themselves: ``counts[y][i]``
+    occurrences of sequence ``y`` credited to state ``i``."""
+
+    slot_counts: np.ndarray
+    counts: dict[Items, np.ndarray] = field(default_factory=dict)
+
+
+@dataclass
+class DictTimedStore:
+    """The timed store keyed by the sequences themselves: ``times[y]``, the
+    ascending seconds-of-day at which sequence ``y`` completed."""
+
+    times: dict[Items, list[float]] = field(default_factory=dict)
+    target_total: int = 0
+
+
+def as_dicts(store):
+    """An id-keyed store read back as its sequence-keyed form, in the order
+    of its ids; a ``DictStore`` or ``DictTimedStore`` as it is."""
+    if isinstance(store, (DictStore, DictTimedStore)):
+        return store
+    items = [store.keys.items[sid] for sid in store.ids.tolist()]
+    if isinstance(store, SequenceStore):
+        return DictStore(store.slot_counts, dict(zip(items, store.counts)))
+    return DictTimedStore(
+        {y: times.tolist() for y, times in zip(items, store.times)}, store.target_total
+    )
+
+
+def store_vector(store: SequenceStore | DictStore, items: Items) -> np.ndarray:
     """Per-state probabilities of one sequence: its counts over the slot
     counts, 0 where a state has no slot and for a sequence the store lacks."""
+    store = as_dicts(store)
     counts = store.counts.get(items)
     zeros = np.zeros(len(store.slot_counts))
     if counts is None:
@@ -760,13 +801,15 @@ def store_vector(store: SequenceStore, items: Items) -> np.ndarray:
     )
 
 
-def proposed_score(store: SequenceStore, belief: np.ndarray, items: Items) -> float:
+def proposed_score(store: SequenceStore | DictStore, belief: np.ndarray, items: Items) -> float:
     """One candidate's belief-weighted sequence probability, by ``np.dot``
     on two vectors, clamped to [0, 1]."""
     return min(1.0, max(0.0, float(np.dot(store_vector(store, items), belief))))
 
 
-def proposed_scores(store: SequenceStore, belief: np.ndarray, candidates: Sequence[Items]):
+def proposed_scores(
+    store: SequenceStore | DictStore, belief: np.ndarray, candidates: Sequence[Items]
+):
     """One window's ``LevelScores``, one candidate at a time."""
     return best_per_level_loop(candidates, lambda items: proposed_score(store, belief, items))
 
@@ -777,10 +820,12 @@ def estimation_score(operations, belief: np.ndarray, op) -> float:
     return min(1.0, max(0.0, float(np.dot(belief, operations.vector(op.pair)))))
 
 
-def count_near(store: TimedSequenceStore, items: Items, tod: float, alpha_seq: float) -> int:
+def count_near(
+    store: TimedSequenceStore | DictTimedStore, items: Items, tod: float, alpha_seq: float
+) -> int:
     """Stored occurrences of ``items`` within cyclic ``alpha_seq`` seconds,
     by two binary searches in the sequence's own time list."""
-    stored = store.times.get(items)
+    stored = as_dicts(store).times.get(items)
     if not stored:
         return 0
     if 2 * alpha_seq >= SECONDS_PER_DAY:
@@ -792,7 +837,9 @@ def count_near(store: TimedSequenceStore, items: Items, tod: float, alpha_seq: f
     return (len(stored) - bisect_left(stored, lo)) + bisect_right(stored, hi)
 
 
-def ratio(store: TimedSequenceStore, items: Items, tod: float, alpha_seq: float) -> float:
+def ratio(
+    store: TimedSequenceStore | DictTimedStore, items: Items, tod: float, alpha_seq: float
+) -> float:
     """One candidate's match ratio: ``count_near`` over the stored targets."""
     if store.target_total == 0:
         return 0.0
@@ -828,7 +875,7 @@ def store_sequences_per_window(traces, target_device: str, params: SeqParams, n_
     """The sequence store built window by window: each training trace's
     windows enumerated anew, and the states of each stored sequence selected
     with one ``select_states`` call on its final belief."""
-    store = SequenceStore(np.zeros(n_states, dtype=np.int64))
+    store = DictStore(np.zeros(n_states, dtype=np.int64))
     for trace in traces:
         for row in trace.entry:
             store.slot_counts[select_states(row, params)] += 1
@@ -855,7 +902,7 @@ def build_timed_store_per_window(events, target_device: str, params: SeqParams):
     every window enumerated anew."""
     events = sorted(events, key=lambda e: e.timestamp)
     times = [event.timestamp for event in events]
-    store = TimedSequenceStore()
+    store = DictTimedStore()
     for idx, event in enumerate(events):
         if event.device != target_device:
             continue

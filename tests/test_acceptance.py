@@ -33,11 +33,11 @@ from homeguard.hsmodel import (
 )
 from homeguard.ingest import build_timeslots
 from homeguard.labeling import STATE_INDEX, LabelingParams, label_states
-from homeguard.seqstore import SequenceStore, _enumerate_distinct
+from homeguard.seqstore import _enumerate_distinct
 from homeguard.synthgen import generate, scenario_s1
 from homeguard.vocab import Vocabulary
 
-from conftest import ev, parse_state_key
+from conftest import ev, id_store, parse_state_key
 from oracles import (
     decode_labels,
     encode_labels,
@@ -305,8 +305,7 @@ def test_criterion_9_degenerate_branches():
         assert (table.vector(("rice_cooker", "on")) == 1.0).all()
 
         # Sequence store: unknown sequences and unsupported states score zero.
-        store = SequenceStore(np.array([4, 0, 0]))
-        store.counts[(("cooking_stove", "on"),)] = np.array([2, 1, 0])
+        store = id_store([4, 0, 0], {(("cooking_stove", "on"),): [2, 1, 0]})
         assert vector_of(store, (("cooking_stove", "on"),))[1] == 0.0
         assert vector_of(store, (("tv", "on"),))[0] == 0.0
 

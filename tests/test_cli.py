@@ -476,6 +476,28 @@ class TestMalformedModel:
         assert code == 2, err
         assert named in err
 
+    @pytest.mark.parametrize("method", ["proposed", "estimation", "sequence"])
+    @pytest.mark.parametrize("section, entry", [("store", "counts"), ("baseline_store", "times")])
+    @pytest.mark.parametrize(
+        "key",
+        ["tv:on", "", "bogus", "nosuch:thing|cooking_stove:on", "cooking_stove:ignite",
+         "cooking_stove:on|"],
+        ids=["no-target-item", "empty", "no-colon", "unregistered-item", "unregistered-action",
+             "empty-item"],
+    )
+    def test_store_key_outside_the_vocabulary_exits_2(
+        self, tmp_path, model_home, section, entry, key, method, capsys
+    ):
+        # A stored sequence holds registered pairs, one on the detection
+        # target; any other key would never match a judged candidate.
+        def edit(payload):
+            stored = payload[section][entry]
+            stored[key] = list(next(iter(stored.values())))
+
+        code, err = self.detect(tmp_path, model_home, edit, method, capsys)
+        assert code == 2, err
+        assert f"{section}.{entry}.{key}: " in err
+
     def test_missing_file_exits_2(self, tmp_path, model_home, capsys):
         ops, sensors, _ = model_home
         missing = tmp_path / "absent.json"

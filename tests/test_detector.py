@@ -8,6 +8,7 @@ from homeguard.detector import (
     LEGITIMATE,
     BaselineParams,
     Thresholds,
+    _rows,
     batch_candidates,
     estimation_score,
     judge_estimation_baseline,
@@ -22,14 +23,14 @@ from homeguard.hsmodel import ModelParams, OperationTable, TrainedModel, Transit
 from homeguard.labeling import LabelingParams
 from homeguard.seqstore import (
     SeqParams,
+    SequenceIds,
     SequenceStore,
-    TimedSequenceStore,
     candidates_ending_at,
     seconds_of_day,
 )
 from homeguard.vocab import Vocabulary
 
-from conftest import ev
+from conftest import ev, id_store, id_timed_store
 from oracles import (
     best_per_level_loop,
     flat_candidates,
@@ -53,7 +54,7 @@ def make_model(store: SequenceStore, seq_params: SeqParams | None = None) -> Tra
         transitions=TransitionTensor(np.zeros((1440, n, n)), np.zeros(1440, dtype=np.int64)),
         operations=OperationTable(),
         store=store,
-        baseline_store=TimedSequenceStore(),
+        baseline_store=id_timed_store(keys=store.keys),
     )
 
 
@@ -66,10 +67,7 @@ def judge_one(judge, source, belief, preceding, op, *rest):
 
 
 def store_with(entries: dict, slot_counts) -> SequenceStore:
-    store = SequenceStore(np.asarray(slot_counts, dtype=np.int64))
-    for key, counts in entries.items():
-        store.counts[key] = np.asarray(counts, dtype=np.int64)
-    return store
+    return id_store(slot_counts, entries)
 
 
 class TestJudgeProposed:
@@ -200,7 +198,7 @@ class TestJudgeProposed:
         verdict = judge_one(judge_proposed, model, belief, [], op, Thresholds(0.1, 0.0))
         assert verdict.decision == LEGITIMATE
         assert (verdict.delta, verdict.threshold, verdict.sequence) == (0.0, 0.1, STOVE_ON)
-        batch = batch_candidates([([], op)], model.seq_params)
+        batch = batch_candidates([([], op)], model.seq_params, model.store.keys)
         [scores] = window_levels(batch, proposed_scores(model.store, belief[None], batch))
         assert grid_flags(scores, 0.1, 0.0) == 0
 
@@ -261,7 +259,7 @@ class TestJudgeEstimation:
 
 class TestJudgeSequence:
     def test_nothing_stored_is_anomalous(self):
-        store = TimedSequenceStore()
+        store = id_timed_store()
         [verdict] = judge_sequence_baseline(
             store, [([], ev(0.5, "cooking_stove", "on"))],
             BaselineParams(n_seq_single=0.1, n_seq_multi=0.1), SeqParams(), "cooking_stove",
@@ -274,14 +272,13 @@ class TestJudgeSequence:
         op = ev(0.5, "cooking_stove", "on")
         preceding = [ev(0.2, "tv", "on")]
         params = BaselineParams(n_seq_single=0.0, n_seq_multi=0.0)
+        store = id_timed_store()
         [verdict] = judge_sequence_baseline(
-            TimedSequenceStore(), [(preceding, op)], params, SeqParams(), "cooking_stove"
+            store, [(preceding, op)], params, SeqParams(), "cooking_stove"
         )
         assert verdict.decision == LEGITIMATE
-        batch = batch_candidates([(preceding, op)], SeqParams())
-        [levels] = sequence_scores(
-            TimedSequenceStore(), batch, [seconds_of_day(op.timestamp)], (900.0,)
-        )
+        batch = batch_candidates([(preceding, op)], SeqParams(), store.keys)
+        [levels] = sequence_scores(store, batch, [seconds_of_day(op.timestamp)], (900.0,))
         [scores] = window_levels(batch, levels)
         assert grid_flags(scores, 0.0, 0.0) == 0
 
@@ -289,9 +286,7 @@ class TestJudgeSequence:
         # 3 of 10 stored target operations match within the window: 0.3 >= 0.25.
         op = ev(600.0, "cooking_stove", "on")  # 10:00
         tod = 600 * 60.0
-        store = TimedSequenceStore(
-            times={STOVE_ON: sorted([tod - 100, tod + 50, tod + 200])}, target_total=10
-        )
+        store = id_timed_store({STOVE_ON: sorted([tod - 100, tod + 50, tod + 200])}, 10)
         [verdict] = judge_sequence_baseline(
             store, [([], op)],
             BaselineParams(alpha_seq=900.0, n_seq_single=0.25, n_seq_multi=0.25),
@@ -302,7 +297,7 @@ class TestJudgeSequence:
 
     def test_ratio_below_threshold_is_anomalous(self):
         op = ev(600.0, "cooking_stove", "on")
-        store = TimedSequenceStore(times={STOVE_ON: [600 * 60.0]}, target_total=10)
+        store = id_timed_store({STOVE_ON: [600 * 60.0]}, 10)
         [verdict] = judge_sequence_baseline(
             store, [([], op)],
             BaselineParams(alpha_seq=900.0, n_seq_single=0.25, n_seq_multi=0.25),
@@ -314,7 +309,7 @@ class TestJudgeSequence:
     def test_half_day_window_vacuous(self):
         op = ev(0.5, "cooking_stove", "on")  # 00:00:30
         noon = 12 * 3600.0
-        store = TimedSequenceStore(times={STOVE_ON: [noon]}, target_total=1)
+        store = id_timed_store({STOVE_ON: [noon]}, 1)
         [verdict] = judge_sequence_baseline(
             store, [([], op)],
             BaselineParams(alpha_seq=43200.0, n_seq_single=1.0, n_seq_multi=1.0),
@@ -325,7 +320,7 @@ class TestJudgeSequence:
 
     def test_midnight_wrap_counts(self):
         op = ev(1.0, "cooking_stove", "on")  # 00:01
-        store = TimedSequenceStore(times={STOVE_ON: [86340.0]}, target_total=1)  # 23:59
+        store = id_timed_store({STOVE_ON: [86340.0]}, 1)  # 23:59
         [verdict] = judge_sequence_baseline(
             store, [([], op)],
             BaselineParams(alpha_seq=300.0, n_seq_single=0.5, n_seq_multi=0.5),
@@ -336,9 +331,13 @@ class TestJudgeSequence:
     def test_a_batch_judges_each_window_as_it_would_alone(self):
         rng = np.random.default_rng(6)
         pairs = [("tv", "on"), ("heater", "on"), STOVE_ON[0]]
-        store = TimedSequenceStore(target_total=5)
-        for items in candidates_ending_at([*pairs, STOVE_ON[0]], 3):
-            store.times[items] = sorted(rng.uniform(0, 86400, size=3).tolist())
+        store = id_timed_store(
+            {
+                items: sorted(rng.uniform(0, 86400, size=3).tolist())
+                for items in candidates_ending_at([*pairs, STOVE_ON[0]], 3)
+            },
+            5,
+        )
         windows = [
             ([ev(minute - 0.5, *pairs[i]) for i in rng.integers(0, 3, size=rng.integers(0, 5))],
              ev(minute, "cooking_stove", "on"))
@@ -357,7 +356,7 @@ class TestJudgeSequence:
     def test_non_target_rejected(self):
         with pytest.raises(UsageError):
             judge_sequence_baseline(
-                TimedSequenceStore(), [([], ev(0.5, "tv", "on"))],
+                id_timed_store(), [([], ev(0.5, "tv", "on"))],
                 BaselineParams(), SeqParams(), "cooking_stove",
             )
 
@@ -403,13 +402,14 @@ class TestBatchedScorersAgainstPerCandidateLoops:
         for _ in range(20):
             windows = self.random_windows(rng, 12)
             known = sorted({items for candidates, _ in windows for items in candidates})
-            store = TimedSequenceStore(target_total=target_total)
+            stored = {}
             for items in known:
                 if rng.random() < 0.6:  # the others are absent
                     # Shared time lists make equal ratios, so first maxima matter.
                     picked = rng.choice(times, size=rng.integers(1, 4)).tolist()
-                    store.times[items] = sorted(picked)
-            batch = flat_candidates([candidates for candidates, _ in windows])
+                    stored[items] = sorted(picked)
+            store = id_timed_store(stored, target_total)
+            batch = flat_candidates([candidates for candidates, _ in windows], store.keys)
             tods = [tod for _, tod in windows]
             for alpha, levels in zip(self.ALPHAS, sequence_scores(store, batch, tods, self.ALPHAS)):
                 assert window_levels(batch, levels) == [
@@ -419,20 +419,23 @@ class TestBatchedScorersAgainstPerCandidateLoops:
 
     def test_all_zero_window_keeps_the_first_longer_candidate(self):
         candidates = candidates_ending_at([("tv", "on"), ("heater", "on"), STOVE_ON[0]], 3)
-        batch = flat_candidates([candidates])
-        [levels] = sequence_scores(TimedSequenceStore(target_total=4), batch, [10.0], (900.0,))
+        store = id_timed_store(target_total=4)
+        batch = flat_candidates([candidates], store.keys)
+        [levels] = sequence_scores(store, batch, [10.0], (900.0,))
         assert window_levels(batch, levels) == [(0.0, 0.0, candidates[0], candidates[1])]
 
     def test_stored_vectors_equal_the_per_sequence_division(self):
         rng = np.random.default_rng(2)
+        sequences = [STOVE_ON, *((pair, STOVE_ON[0]) for pair in self.PAIRS[1:])]
         store = store_with(
-            {(pair,): rng.integers(0, 5, size=3) for pair in self.PAIRS[:3]},
+            {items: rng.integers(0, 5, size=3) for items in sequences[:3]},
             slot_counts=[4, 0, 7],
         )
-        keys = store.key_ids([(pair,) for pair in self.PAIRS])
-        assert keys.tolist() == [0, 1, 2, 3]
-        for pair, row in zip(self.PAIRS, store.vectors()[keys]):
-            assert row.tobytes() == store_vector(store, (pair,)).tobytes()
+        batch = flat_candidates([sequences], store.keys)
+        rows = _rows(store, batch)
+        assert rows.tolist() == [0, 1, 2, 3]
+        for items, row in zip(sequences, store.vectors()[rows]):
+            assert row.tobytes() == store_vector(store, items).tobytes()
         assert not store.vectors()[3].any()  # the row of every absent sequence
 
     def test_proposed_scores_equal_the_vector_loop(self):
@@ -445,7 +448,7 @@ class TestBatchedScorersAgainstPerCandidateLoops:
                 slot_counts=rng.integers(0, 8, size=4),
             )
             beliefs = rng.dirichlet(np.ones(4), size=len(windows))
-            batch = flat_candidates(windows)
+            batch = flat_candidates(windows, store.keys)
             assert window_levels(batch, proposed_scores(store, beliefs, batch)) == [
                 proposed_scores_one(store, belief, candidates)
                 for candidates, belief in zip(windows, beliefs)
@@ -461,13 +464,25 @@ class TestBatchedScorersAgainstPerCandidateLoops:
         ]
 
     def test_empty_batches_score_nothing(self):
-        batch = batch_candidates([], SeqParams())
         store = store_with({STOVE_ON: [1, 2]}, [3, 3])
+        batch = batch_candidates([], SeqParams(), store.keys)
         levels = proposed_scores(store, np.zeros((0, 2)), batch)
-        [timed] = sequence_scores(TimedSequenceStore(target_total=1), batch, [], (900.0,))
+        timed_store = id_timed_store(target_total=1, keys=store.keys)
+        [timed] = sequence_scores(timed_store, batch, [], (900.0,))
         for got in (levels, timed):
             assert [len(column) for column in got] == [0, 0, 0]
         assert len(estimation_score(OperationTable(), np.zeros((0, 2)), [])) == 0
+
+    def test_a_batch_of_another_table_raises(self):
+        # Both tables give STOVE_ON id 0, so a plain lookup would find it.
+        store = store_with({STOVE_ON: [1, 2]}, [3, 3])
+        timed = id_timed_store({STOVE_ON: [60.0]}, 1, keys=store.keys)
+        batch = flat_candidates([[STOVE_ON]], SequenceIds("cooking_stove"))
+        assert batch.ids.tolist() == store.ids.tolist() == [0]
+        with pytest.raises(ValueError, match="different tables"):
+            proposed_scores(store, np.full((1, 2), 0.5), batch)
+        with pytest.raises(ValueError, match="different tables"):
+            sequence_scores(timed, batch, [60.0], (900.0,))
 
     def test_a_batch_judges_each_window_as_it_would_alone(self):
         rng = np.random.default_rng(9)

@@ -35,12 +35,14 @@ from homeguard.evaluation import (
 )
 from homeguard.hsmodel import ModelParams, fit_operations, fit_transitions
 from homeguard.ingest import EventRecord, build_timeslots
-from homeguard.labeling import LabelingParams
-from homeguard.seqstore import SeqParams, seconds_of_day
+from homeguard.labeling import ALPHABET, LabelingParams
+from homeguard.seqstore import SeqParams, candidates_ending_at, seconds_of_day
 from homeguard.vocab import DEFAULT_PAIRS, Vocabulary
 
 from conftest import frame, make_folds
 from oracles import (
+    as_dicts,
+    batch_items,
     best_per_level_loop,
     columns,
     estimation_score,
@@ -53,11 +55,13 @@ from oracles import (
     proposed_scores,
     ratio,
     slot_records,
+    store_sequences_per_window,
     two_level_counts_loop,
+    window_levels,
 )
 from test_detector import judge_one, make_model
 from test_hsmodel import assert_traces_equal
-from test_seqstore import dense_dataset
+from test_seqstore import dense_dataset, fold_oracle
 
 BASE = datetime(2021, 3, 1)
 
@@ -435,11 +439,13 @@ class TestBatchedFoldScores:
         expected: dict = {}
         longest = 0
         for fold in folds:
-            stores = {l: fold.sequence_store(replace(seq, l_rank=l)) for l in l_values}
+            # The fold's stores, read back as sequence-keyed dicts.
+            stores = {l: as_dicts(fold.sequence_store(replace(seq, l_rank=l))) for l in l_values}
             operations = fold.state_model()[1]
-            timed = fold.timed_store()
+            timed = as_dicts(fold.timed_store())
             for ctx in fold.judged_operations(10, 1):
-                candidates = batch_candidates([(ctx.preceding, ctx.op)], seq).items
+                window = [(ctx.preceding, ctx.op)]
+                candidates = batch_items(batch_candidates(window, seq, fold.windows.keys))
                 longest = max(longest, len(candidates))
                 tod = seconds_of_day(ctx.op.timestamp)
                 row = {
@@ -462,6 +468,53 @@ class TestBatchedFoldScores:
             got = column.T.tolist() if column.ndim == 2 else column.tolist()
             assert got == [list(value) if isinstance(value, tuple) else value
                            for value in expected[key]], key
+
+
+    def test_a_batch_interned_before_the_stores_scores_as_the_oracles(self):
+        """A fold's batch, interned before any store of the run enumerates a
+        window, keeps its ids while the stores intern their sequences after
+        it, and scores as the sequence-keyed oracle stores score it."""
+        seq = SeqParams(t_seq=1800)
+        folds = make_folds(dense_dataset(), LabelingParams(initial_occupants=2), ModelParams(), seq)
+        fold = folds[1]
+        keys = fold.windows.keys
+        contexts = fold.judged_operations(10, 1)
+        assert not keys.items
+        batch = batch_candidates([(ctx.preceding, ctx.op) for ctx in contexts], seq, keys)
+        interned = list(keys.items)
+        store, timed = fold.sequence_store(), fold.timed_store()
+        assert keys.items[: len(interned)] == interned
+        assert len(keys.items) > len(interned)
+        assert np.isin(batch.ids, store.ids).any() and not np.isin(batch.ids, store.ids).all()
+
+        oracle = store_sequences_per_window(
+            fold.training_traces(), "cooking_stove", seq, len(ALPHABET)
+        )
+        timed_oracle = fold_oracle(fold, seq)
+        items = batch_items(batch)
+        # Each candidate finds a row exactly when the oracle holds its sequence.
+        for found, stored in ((store, oracle.counts), (timed, timed_oracle.times)):
+            rows = detector._rows(found, batch)
+            assert (rows < len(found.ids)).tolist() == [y in stored for y in items]
+            assert [found.keys.items[found.ids[r]] for r in rows[rows < len(found.ids)]] == [
+                y for y in items if y in stored
+            ]
+        beliefs = np.array([ctx.belief for ctx in contexts])
+        windows = [
+            candidates_ending_at([*(e.pair for e in ctx.preceding), ctx.op.pair][-seq.w_max :],
+                                 seq.l_max)
+            for ctx in contexts
+        ]
+        assert window_levels(batch, detector.proposed_scores(store, beliefs, batch)) == [
+            proposed_scores(oracle, belief, candidates)
+            for belief, candidates in zip(beliefs, windows)
+        ]
+        tods = [seconds_of_day(ctx.op.timestamp) for ctx in contexts]
+        [levels] = detector.sequence_scores(timed, batch, tods, (900.0,))
+        assert window_levels(batch, levels) == [
+            best_per_level_loop(candidates, lambda items: ratio(timed_oracle, items, tod, 900.0))
+            for candidates, tod in zip(windows, tods)
+        ]
 
 
 class TestFoldWithoutJudgedOperations:

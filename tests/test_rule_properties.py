@@ -5,7 +5,8 @@ Over random stores, beliefs, batches of windows and thresholds,
 two-level rule decides on ``proposed_scores`` / ``sequence_scores``, and as
 the ``evaluate`` grid counts those scores; ``judge_estimation_baseline`` must
 decide ``score <= theta``.  The batch scorers themselves are checked, to the
-bit, against per-window oracles that score one candidate at a time, and
+bit, against per-window oracles that score one candidate at a time by
+looking its sequence up in a sequence-keyed store, and
 ``batch_candidates``, given the events that ``window_starts`` cuts, against
 a direct cut of the window.  The grid's detection and misdetection counts
 never fall as a threshold rises, and equal the rule's counts threshold by
@@ -40,15 +41,17 @@ from homeguard.hsmodel import OperationTable  # noqa: E402
 from homeguard.ingest import offsets_from  # noqa: E402
 from homeguard.seqstore import (  # noqa: E402
     SeqParams,
-    SequenceStore,
-    TimedSequenceStore,
+    SequenceIds,
     candidates_ending_at,
     seconds_of_day,
     window_starts,
 )
 
-from conftest import BASE, ev  # noqa: E402
+from conftest import BASE, ev, id_store, id_timed_store  # noqa: E402
 from oracles import (  # noqa: E402
+    DictStore,
+    DictTimedStore,
+    batch_items,
     best_per_level_loop,
     estimation_counts_loop,
     frontier_rows_loop,
@@ -96,8 +99,10 @@ def judged_window(preceding, op):
 @given(batch=batches, action=st.sampled_from(["on", "off"]))
 def test_batch_candidates_cut_each_window_as_the_oracle_does(batch, action):
     op = ev(OP_MINUTE, TARGET, action)
-    flat = batch_candidates([(judged_window(preceding, op), op) for preceding in batch], SEQ)
-    assert [flat.items[a:b] for a, b in zip(flat.bounds, flat.bounds[1:])] == [
+    judged = [(judged_window(preceding, op), op) for preceding in batch]
+    flat = batch_candidates(judged, SEQ, SequenceIds(TARGET))
+    items = batch_items(flat)
+    assert [items[a:b] for a, b in zip(flat.bounds, flat.bounds[1:])] == [
         candidates_of(preceding, op) for preceding in batch
     ]
 
@@ -143,28 +148,48 @@ def draw_beliefs(data, count, n_states):
     return np.array(rows).reshape(count, n_states)
 
 
+def draw_store(data, known, n_states) -> DictStore:
+    """A sequence-keyed store over ``n_states`` states holding some of the
+    ``known`` sequences."""
+    slot_counts = np.asarray(
+        data.draw(st.lists(st.integers(0, 6), min_size=n_states, max_size=n_states)),
+        dtype=np.int64,
+    )
+    store = DictStore(slot_counts)
+    for items in data.draw(st.lists(st.sampled_from(known), unique=True)) if known else ():
+        store.counts[items] = np.asarray(
+            [data.draw(st.integers(0, int(c))) for c in slot_counts], dtype=np.int64
+        )
+    return store
+
+
+def draw_timed_store(data, known) -> DictTimedStore:
+    """A sequence-keyed timed store holding some of the ``known`` sequences."""
+    store = DictTimedStore()
+    seconds = st.floats(0.0, 86399.0)
+    for items in data.draw(st.lists(st.sampled_from(known), unique=True)) if known else ():
+        store.times[items] = sorted(data.draw(st.lists(seconds, min_size=1, max_size=4)))
+    stored = max((len(times) for times in store.times.values()), default=0)
+    store.target_total = data.draw(st.integers(stored, stored + 3))
+    return store
 
 
 @settings(max_examples=150, deadline=None)
 @given(batch=batches, n_states=st.integers(1, 4), data=st.data())
 def test_proposed_judge_is_the_rule_on_its_scores(batch, n_states, data):
     op = ev(OP_MINUTE, TARGET, "on")
-    store = SequenceStore(np.asarray(data.draw(st.lists(st.integers(0, 6), min_size=n_states,
-                                                        max_size=n_states)), dtype=np.int64))
     candidates = [candidates_of(preceding, op) for preceding in batch]
     known = sorted({items for window in candidates for items in window})
-    for items in data.draw(st.lists(st.sampled_from(known), unique=True)) if known else ():
-        store.counts[items] = np.asarray(
-            [data.draw(st.integers(0, int(c))) for c in store.slot_counts], dtype=np.int64
-        )
+    reference = draw_store(data, known, n_states)
+    store = id_store(reference.slot_counts, reference.counts)
     beliefs = draw_beliefs(data, len(batch), n_states)
     model = make_model(store, SEQ)
     judged = [(judged_window(preceding, op), op) for preceding in batch]
 
-    flat = batch_candidates(judged, SEQ)
+    flat = batch_candidates(judged, SEQ, store.keys)
     levels = window_levels(flat, proposed_scores(store, beliefs, flat))
     for scores, window, belief in zip(levels, candidates, beliefs):
-        check_levels(scores, window, lambda items: proposed_score(store, belief, items))
+        check_levels(scores, window, lambda items: proposed_score(reference, belief, items))
     assert len(levels) == len(batch)
     n_single, n_multi = thresholds(data, levels) if levels else (0.5, 0.5)
     verdicts = judge_proposed(model, beliefs, judged, Thresholds(n_single, n_multi))
@@ -183,20 +208,16 @@ def test_sequence_judge_is_the_rule_on_its_scores(batch, alpha_seq, data):
     op = ev(OP_MINUTE, TARGET, "on")
     candidates = [candidates_of(preceding, op) for preceding in batch]
     known = sorted({items for window in candidates for items in window})
-    store = TimedSequenceStore()
-    seconds = st.floats(0.0, 86399.0)
-    for items in data.draw(st.lists(st.sampled_from(known), unique=True)) if known else ():
-        store.times[items] = sorted(data.draw(st.lists(seconds, min_size=1, max_size=4)))
-    stored = max((len(times) for times in store.times.values()), default=0)
-    store.target_total = data.draw(st.integers(stored, stored + 3))
+    reference = draw_timed_store(data, known)
+    store = id_timed_store(reference.times, reference.target_total)
 
     tod = seconds_of_day(op.timestamp)
     judged = [(judged_window(preceding, op), op) for preceding in batch]
-    flat = batch_candidates(judged, SEQ)
+    flat = batch_candidates(judged, SEQ, store.keys)
     [result] = sequence_scores(store, flat, [tod] * len(batch), (alpha_seq,))
     levels = window_levels(flat, result)
     for scores, window in zip(levels, candidates):
-        check_levels(scores, window, lambda items: ratio(store, items, tod, alpha_seq))
+        check_levels(scores, window, lambda items: ratio(reference, items, tod, alpha_seq))
     assert len(levels) == len(batch)
     n_single, n_multi = thresholds(data, levels) if levels else (0.5, 0.5)
     params = BaselineParams(alpha_seq=alpha_seq, n_seq_single=n_single, n_seq_multi=n_multi)
@@ -204,6 +225,49 @@ def test_sequence_judge_is_the_rule_on_its_scores(batch, alpha_seq, data):
     assert len(verdicts) == len(batch)
     for verdict, scores in zip(verdicts, levels):
         check_verdict(verdict, scores, n_single, n_multi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    batch=batches,
+    n_states=st.integers(1, 4),
+    alpha_seq=st.sampled_from([0.0, 900.0, 43200.0]),
+    batch_first=st.booleans(),
+    data=st.data(),
+)
+def test_scores_through_ids_equal_the_sequence_keyed_lookups(
+    batch, n_states, alpha_seq, batch_first, data
+):
+    """One table serves a batch and both stores, whatever gave its ids
+    first: sequences interned before (some with no target item), the batch
+    or the stores.  Each candidate then scores, exactly, what looking its
+    sequence up in the sequence-keyed stores gives, 0 where it is absent."""
+    op = ev(OP_MINUTE, TARGET, "on")
+    keys = SequenceIds(TARGET)
+    earlier = data.draw(st.lists(st.lists(st.sampled_from(PAIRS), min_size=1, max_size=3)))
+    keys.intern([tuple(items) for items in earlier])
+    judged = [(judged_window(preceding, op), op) for preceding in batch]
+    if batch_first:
+        flat = batch_candidates(judged, SEQ, keys)
+    candidates = [candidates_of(preceding, op) for preceding in batch]
+    known = sorted({items for window in candidates for items in window} | set(keys.items))
+    reference, timed_reference = draw_store(data, known, n_states), draw_timed_store(data, known)
+    store = id_store(reference.slot_counts, reference.counts, keys)
+    timed = id_timed_store(timed_reference.times, timed_reference.target_total, keys)
+    if not batch_first:
+        flat = batch_candidates(judged, SEQ, keys)
+
+    beliefs = draw_beliefs(data, len(batch), n_states)
+    assert window_levels(flat, proposed_scores(store, beliefs, flat)) == [
+        best_per_level_loop(window, lambda items: proposed_score(reference, belief, items))
+        for window, belief in zip(candidates, beliefs)
+    ]
+    tod = seconds_of_day(op.timestamp)
+    [result] = sequence_scores(timed, flat, [tod] * len(batch), (alpha_seq,))
+    assert window_levels(flat, result) == [
+        best_per_level_loop(window, lambda items: ratio(timed_reference, items, tod, alpha_seq))
+        for window in candidates
+    ]
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 """Subsequence generation, state selection, and the sequence stores."""
 
+import json
 from dataclasses import replace
 from datetime import datetime, time, timedelta
 from itertools import combinations
@@ -8,12 +9,13 @@ import numpy as np
 import pytest
 
 from homeguard import seqstore
-from homeguard.detector import sequence_scores
+from homeguard.detector import _rows, sequence_scores
 from homeguard.errors import ValidationError
 from homeguard.evaluation import EvalDataset
 from homeguard.hsmodel import (
     FilterTrace,
     ModelParams,
+    TrainedModel,
     filter_streams,
     kept_day_streams,
     train_model,
@@ -30,6 +32,7 @@ from homeguard.labeling import ALPHABET, LabelingParams, label_states
 from homeguard.seqstore import (
     DayWindows,
     SeqParams,
+    SequenceIds,
     SequenceStore,
     TimedSequenceStore,
     TrainingBeliefs,
@@ -41,8 +44,9 @@ from homeguard.seqstore import (
 from homeguard.synthgen import generate, scenario_calibration, scenario_s1
 from homeguard.vocab import Vocabulary
 
-from conftest import BASE, ev, frame, make_folds, make_grid
+from conftest import BASE, ev, frame, id_store, id_timed_store, make_folds, make_grid
 from oracles import (
+    as_dicts,
     build_timed_store_per_window,
     candidates_ending_at_combinations,
     columns,
@@ -56,16 +60,29 @@ from oracles import (
 )
 
 
+REGISTERED = set(Vocabulary().all_pairs())
+
+
+def row_of(store, items):
+    """The row of ``items`` in the store, found through the store's table."""
+    return _rows(store, flat_candidates([[items]], store.keys))
+
+
 def vector_of(store, items):
     """The row of ``items`` in the store's matrix of stored vectors."""
-    return store.vectors()[store.key_ids([items])[0]]
+    return store.vectors()[row_of(store, items)[0]]
+
+
+def counts_of(store):
+    """The store's counts keyed by the sequences themselves."""
+    return as_dicts(store).counts
 
 
 def near(store, items, tod, alpha_seq):
     """``count_near``, checked against the store's own batch count."""
     count = count_near(store, items, tod, alpha_seq)
-    keys = np.array(store.key_ids([items]))
-    assert store.counts_near(keys, np.zeros(1, dtype=np.intp), [tod], alpha_seq).tolist() == [
+    rows = row_of(store, items)
+    assert store.counts_near(rows, np.zeros(1, dtype=np.intp), [tod], alpha_seq).tolist() == [
         count
     ]
     return count
@@ -238,7 +255,7 @@ class TestSequenceStore:
             [(1, ev(1.5, "tv", "on"), [0.5, 0.5])],
         )
         store = store_of(trace, "cooking_stove", SeqParams(l_rank=1))
-        assert store.counts == {}
+        assert counts_of(store) == {}
         assert vector_of(store, (("cooking_stove", "on"),))[0] == 0.0
 
     def test_hand_trace_probability_one_quarter(self):
@@ -252,7 +269,7 @@ class TestSequenceStore:
         store = store_of(trace, "cooking_stove", SeqParams(criterion="rank", l_rank=1))
         assert (store.slot_counts == np.array([4, 6, 0])).all()
         key = (("cooking_stove", "on"),)
-        assert store.counts[key][0] == 1
+        assert counts_of(store)[key][0] == 1
         assert vector_of(store, key)[0] == pytest.approx(0.25)
 
     def test_same_sequence_twice_counts_twice(self):
@@ -264,7 +281,7 @@ class TestSequenceStore:
             ],
         )
         store = store_of(trace, "cooking_stove", SeqParams(l_rank=1))
-        assert store.counts[(("cooking_stove", "on"),)][0] == 2
+        assert counts_of(store)[(("cooking_stove", "on"),)][0] == 2
 
     def test_target_related_filter(self):
         # The refrigerator-only subsequence is not stored; pairs that include
@@ -277,7 +294,7 @@ class TestSequenceStore:
             ],
         )
         store = store_of(trace, "cooking_stove", SeqParams(l_rank=1))
-        keys = set(store.counts)
+        keys = set(counts_of(store))
         assert (("refrigerator", "opening"),) not in keys
         assert (("cooking_stove", "on"),) in keys
         assert (("refrigerator", "opening"), ("cooking_stove", "on")) in keys
@@ -289,7 +306,7 @@ class TestSequenceStore:
         )
         params = SeqParams(criterion="alpha", l_alpha=0.9)
         store = store_of(trace, "cooking_stove", params)
-        assert store.counts == {}
+        assert counts_of(store) == {}
 
     def test_double_ingest_doubles_counts_keeps_ratios(self):
         entry = [[0.8, 0.2]] * 5 + [[0.2, 0.8]] * 5
@@ -300,7 +317,7 @@ class TestSequenceStore:
         once = store_of(make(), "cooking_stove", params)
         twice = store_of([make(), make()], "cooking_stove", params)
         key = (("cooking_stove", "on"),)
-        assert twice.counts[key][0] == 2 * once.counts[key][0]
+        assert counts_of(twice)[key][0] == 2 * counts_of(once)[key][0]
         assert (twice.slot_counts == 2 * once.slot_counts).all()
         assert vector_of(twice, key)[0] == pytest.approx(vector_of(once, key)[0])
         rebuilt = store_of(make(), "cooking_stove", params)
@@ -317,7 +334,7 @@ class TestSequenceStore:
             ],
         )
         store = store_of(trace, "cooking_stove", SeqParams(l_rank=1, t_seq=600))
-        assert set(store.counts) == {(("cooking_stove", "on"),)}
+        assert set(counts_of(store)) == {(("cooking_stove", "on"),)}
 
     def test_payload_round_trip_and_determinism(self):
         entry = [[0.8, 0.2]] * 5
@@ -331,12 +348,12 @@ class TestSequenceStore:
         params = SeqParams(l_rank=1)
         store = store_of(trace, "cooking_stove", params)
         payload = store.to_payload()
-        clone = SequenceStore.from_payload(payload, "", 2)
+        clone = SequenceStore.from_payload(payload, "", 2, SequenceIds("cooking_stove"), REGISTERED)
         assert clone.to_payload() == payload
+        assert_bitwise_equal(clone, as_dicts(store))
 
     def test_probability_degenerate_branches(self):
-        store = SequenceStore(np.array([12, 0, 5]))
-        store.counts[(("cooking_stove", "on"),)] = np.array([3, 0, 0])
+        store = id_store([12, 0, 5], {(("cooking_stove", "on"),): [3, 0, 0]})
         key = (("cooking_stove", "on"),)
         assert vector_of(store, key)[0] == pytest.approx(0.25)
         assert vector_of(store, key)[1] == 0.0  # zero slot count
@@ -352,10 +369,16 @@ SELECTIONS = {
 
 
 def assert_bitwise_equal(store, oracle):
-    assert list(store.counts) == list(oracle.counts)  # key order included
-    for items, counts in oracle.counts.items():
-        assert store.counts[items].dtype == counts.dtype
-        assert np.array_equal(store.counts[items], counts)
+    """The id-keyed store, read back as ``{items: row}``, is the sequence-keyed
+    oracle: the same sequences, counts and dtypes, its ids strictly
+    ascending."""
+    assert (np.diff(store.ids) > 0).all()
+    assert store.counts.shape == (len(store.ids), len(store.slot_counts))
+    counts = counts_of(store)
+    assert counts.keys() == oracle.counts.keys()
+    for items, row in oracle.counts.items():
+        assert counts[items].dtype == row.dtype
+        assert np.array_equal(counts[items], row)
     assert store.slot_counts.dtype == oracle.slot_counts.dtype
     assert np.array_equal(store.slot_counts, oracle.slot_counts)
 
@@ -377,7 +400,7 @@ class TestStoreAgainstPerWindowOracle:
         params = SeqParams(t_seq=1800, **selection)
         for traces in dense_traces:
             store = store_of(traces, "cooking_stove", params)
-            assert store.counts
+            assert len(store.counts)
             oracle = store_sequences_per_window(traces, "cooking_stove", params, len(ALPHABET))
             assert_bitwise_equal(store, oracle)
 
@@ -464,9 +487,12 @@ def partial_day_dataset(n_days=4):
 
 
 def assert_timed_equal(store, oracle):
+    """The id-keyed timed store, read back as ``{items: times}``, is the
+    sequence-keyed oracle, its ids strictly ascending."""
     assert store.target_total == oracle.target_total
-    assert list(store.times) == list(oracle.times)  # key order included
-    assert store.times == oracle.times
+    assert (np.diff(store.ids) > 0).all()
+    assert all(times.dtype == np.float64 for times in store.times)
+    assert as_dicts(store).times == oracle.times
 
 
 def fold_oracle(fold, params):
@@ -513,7 +539,7 @@ class TestFoldStoresFromSharedWindows:
                 )
                 assert_bitwise_equal(store, oracle)
             assert_timed_equal(fold.timed_store(), fold_oracle(fold, params))
-        assert any(fold.sequence_store().counts for fold in folds)
+        assert any(len(fold.sequence_store().counts) for fold in folds)
 
     @pytest.mark.parametrize(
         "params", [SeqParams(t_seq=600), SeqParams(t_seq=600, w_max=3)], ids=["t_seq", "w_max"]
@@ -536,7 +562,7 @@ class TestFoldStoresFromSharedWindows:
                 assert_bitwise_equal(fold.sequence_store(selected), oracle)
             assert_timed_equal(fold.timed_store(), fold_oracle(fold, params))
         assert partial == 3 * 3  # days 0, 1 and 2, each in the folds that keep it
-        assert all(fold.sequence_store().counts for fold in folds)
+        assert all(len(fold.sequence_store().counts) for fold in folds)
 
     def test_each_kept_part_is_enumerated_once(self, monkeypatch):
         # Three folds keep each part of days 0, 1 and 2; a kept part's
@@ -649,11 +675,22 @@ class TestTrainStoresFromDayWindows:
         assert [len(stream) for stream, day in zip(streams, days) if day is None] == [240]
         traces = filter_streams(grid, streams, model.transitions, model.operations)
         oracle = store_sequences_per_window(traces, "cooking_stove", params, len(ALPHABET))
-        assert model.store.counts
+        assert len(model.store.counts)
         assert_bitwise_equal(model.store, oracle)
         assert_timed_equal(
             model.baseline_store, build_timed_store_per_window(grid.events, "cooking_stove", params)
         )
+
+    def test_a_loaded_model_reads_its_stores_back(self):
+        # The file sorts the keys of both stores, so the baseline store's
+        # keys that the sequence store lacks come between its own.
+        grid, labeling = cut_home()
+        model = train_model(grid, Vocabulary(), labeling, ModelParams(), SeqParams())
+        clone = TrainedModel.from_payload(json.loads(model.to_json()))
+        assert clone.store.keys is clone.baseline_store.keys
+        assert len(clone.store.ids) < len(clone.baseline_store.ids)
+        assert_bitwise_equal(clone.store, as_dicts(model.store))
+        assert_timed_equal(clone.baseline_store, as_dicts(model.baseline_store))
 
     def test_each_window_is_enumerated_once(self, monkeypatch):
         # Within five minutes no window reaches back across midnight.
@@ -668,9 +705,37 @@ class TestTrainStoresFromDayWindows:
         monkeypatch.setattr(seqstore, "_enumerate_distinct", counting)
         params = SeqParams(t_seq=300)
         model = train_model(dataset.grid, Vocabulary(), LabelingParams(), ModelParams(), params)
-        assert model.store.counts
+        assert len(model.store.counts)
         stove = [event for event in dataset.grid.events if event.device == "cooking_stove"]
         assert len(windows) == len(stove)
+
+
+class TestStoreSizes:
+    """The benchmark's tracer reports ``len(store.counts)`` and
+    ``len(timed.times)`` as ``seqstore.store_size``: each counts the distinct
+    sequences the store holds."""
+
+    def test_a_trained_model(self):
+        grid, labeling = cut_home()
+        params = SeqParams()
+        model = train_model(grid, Vocabulary(), labeling, ModelParams(), params)
+        labels = label_states(grid, labeling, Vocabulary())
+        days, streams = kept_day_streams(labels.select(~labels.excluded))
+        traces = filter_streams(grid, streams, model.transitions, model.operations)
+        oracle = store_sequences_per_window(traces, "cooking_stove", params, len(ALPHABET))
+        timed = build_timed_store_per_window(grid.events, "cooking_stove", params)
+        assert len(model.store.counts) == len(model.store.ids) == len(oracle.counts) > 0
+        assert len(model.baseline_store.times) == len(timed.times) > len(oracle.counts)
+
+    def test_a_folds_stores(self):
+        params = SeqParams(t_seq=600, w_max=4)
+        folds = make_folds(midnight_dataset(), LabelingParams(), ModelParams(), params)
+        for fold in folds:
+            oracle = store_sequences_per_window(
+                fold.training_traces(), "cooking_stove", params, len(ALPHABET)
+            )
+            assert len(fold.sequence_store().counts) == len(oracle.counts)
+            assert len(fold.timed_store().times) == len(fold_oracle(fold, params).times) > 0
 
 
 class TestSeqParams:
@@ -702,12 +767,10 @@ class TestTimedSequenceStore:
         store = timed_store_of(events, "cooking_stove", SeqParams())
         assert store.target_total == 2
         key = (("cooking_stove", "on"),)
-        assert len(store.times[key]) == 2
+        assert len(as_dicts(store).times[key]) == 2
 
     def test_cyclic_counting_wraps_midnight(self):
-        store = TimedSequenceStore(
-            times={(("cooking_stove", "on"),): [30.0, 86390.0]}, target_total=2
-        )
+        store = id_timed_store({(("cooking_stove", "on"),): [30.0, 86390.0]}, 2)
         key = (("cooking_stove", "on"),)
         # 00:00:10 is within 60 s of both 00:00:30 and 23:59:50.
         assert near(store, key, 10.0, 60.0) == 2
@@ -715,13 +778,13 @@ class TestTimedSequenceStore:
 
     def test_half_day_window_is_vacuous(self):
         times = [float(s) for s in (0, 20000, 43200, 70000, 86399)]
-        store = TimedSequenceStore(times={(("cooking_stove", "on"),): times}, target_total=5)
+        store = id_timed_store({(("cooking_stove", "on"),): times}, 5)
         assert near(store, (("cooking_stove", "on"),), 12345.0, 43200.0) == 5
 
     def test_ratio_zero_without_stored_targets(self):
-        store = TimedSequenceStore()
+        store = id_timed_store()
         assert ratio(store, (("cooking_stove", "on"),), 100.0, 900.0) == 0.0
-        batch = flat_candidates([[(("cooking_stove", "on"),)]])
+        batch = flat_candidates([[(("cooking_stove", "on"),)]], store.keys)
         [levels] = sequence_scores(store, batch, [100.0], (900.0,))
         assert levels.single.tolist() == [0.0]
 
@@ -738,10 +801,10 @@ class TestTimedSequenceStore:
                 values = np.concatenate([grid[rng.integers(0, len(grid), 3)],
                                          np.round(rng.uniform(0, 86400, 4), 1) % 86400])
                 times[items] = sorted(values.tolist())
-            store = TimedSequenceStore(times=times, target_total=7)
+            store = id_timed_store(times, 7)
             tods = [0.0, 10.0, 899.75, 43200.0, 86399.75, float(rng.uniform(0, 86400))]
             window = np.repeat(np.arange(len(tods)), len(keys))
-            ids = np.array(store.key_ids(keys * len(tods)))
+            ids = _rows(store, flat_candidates([keys * len(tods)], store.keys))
             for alpha in (0.0, 0.25, 30.0, 900.0, 43199.5, 43200.0, 50000.0):
                 expected = [count_near(store, items, tod, alpha) for tod in tods for items in keys]
                 assert store.counts_near(ids, window, tods, alpha).tolist() == expected
@@ -749,5 +812,8 @@ class TestTimedSequenceStore:
     def test_payload_round_trip(self):
         events = [ev(100.0, "cooking_stove", "on"), ev(200.0, "cooking_stove", "off")]
         store = timed_store_of(events, "cooking_stove", SeqParams())
-        clone = TimedSequenceStore.from_payload(store.to_payload())
+        clone = TimedSequenceStore.from_payload(
+            store.to_payload(), "", SequenceIds("cooking_stove"), REGISTERED
+        )
         assert clone.to_payload() == store.to_payload()
+        assert_timed_equal(clone, as_dicts(store))
