@@ -63,6 +63,9 @@ EVALUATE_RUNS = (
       "--n-seq-multi-values", "0.1")),
     # Auto two-level sweeps and a fixed theta list in one grid_search call.
     ("auto-and-fixed", "00:00", ("--methods", "all", "--theta-values", "0.1,0.5")),
+    # No injections: every judged operation is real.
+    ("no-injections", "04:00",
+     ("--methods", "all", "--injections", "0", "--initial-occupants", "0")),
 )
 
 # label runs on the same homes, each writing the slot and the per-event label

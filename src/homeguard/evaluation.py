@@ -49,7 +49,7 @@ from .hsmodel import (
     fit_transitions,
     run_filter,  # noqa: F401 - not called here; perfbench/child.py traces this name
 )
-from .ingest import SLOTS_PER_DAY, EventRecord, SlotGrid, offsets_from
+from .ingest import SLOT_MICROS, SLOTS_PER_DAY, EventRecord, SlotGrid, offsets_from
 # Not called here; perfbench/child.py traces this name.
 from .ingest import build_timeslots  # noqa: F401
 from .labeling import LabelArrays, LabelingParams, label_states
@@ -147,22 +147,28 @@ class EvalDataset:
 @dataclass
 class OperationContext:
     """One operation to judge: the real window at its instant, and the
-    belief just before it in ``fold``'s detection trace, read on use: at the
-    held-out day's event ``index``, or at the instant of an injected
-    operation (``index`` None)."""
+    belief just before it in ``fold``'s detection trace, read on use by
+    index.  ``index`` counts the held-out day's events before the operation,
+    so a real one is the day's event ``index``.  An injected one also has
+    ``slot``, the place in the day of the slot holding it: its belief is the
+    one after event ``index - 1`` when that event lies in the slot, else the
+    one on entering the slot."""
 
     op: EventRecord
     injected: bool
     preceding: list[EventRecord]
     fold: "FoldContext" = field(repr=False)
-    index: int | None = None
+    index: int
+    slot: int | None = None
 
     @property
     def belief(self) -> np.ndarray:
         trace = self.fold.detection_trace()
-        if self.index is None:
-            return trace.belief_before(self.op.timestamp)
-        return trace.pre[self.index]
+        if self.slot is None:
+            return trace.pre[self.index]
+        if self.index > trace.first[self.slot]:
+            return trace.post[self.index - 1]
+        return trace.entry[self.slot]
 
 
 class FoldContext:
@@ -224,30 +230,26 @@ class FoldContext:
         kept = ~arrays.excluded
         kept_slots = np.bincount(arrays.day[kept], minlength=dataset.n_days)
         streams = list(np.arange(len(dataset.grid)).reshape(dataset.n_days, SLOTS_PER_DAY))
-        # (day, stream, the day whose windows the trace shares or None).
-        training: list[tuple[int, int, int | None]] = []
+        # The stream of each kept day: the whole day, or its kept part.
+        training: dict[int, int] = {}
         for day in np.flatnonzero(kept_slots).tolist():
             if kept_slots[day] == SLOTS_PER_DAY:
-                training.append((day, day, day))
+                training[day] = day
             else:
-                training.append((day, len(streams), None))
+                training[day] = len(streams)
                 streams.append(np.flatnonzero(kept & (arrays.day == day)))
         kept_by_fold = [
-            [(stream, shared) for day, stream, shared in training if day != fold.heldout_day]
+            [stream for day, stream in training.items() if day != fold.heldout_day]
             for fold in folds
         ]
         traces = filter_models(
             dataset.grid,
             streams,
             [fold.state_model() for fold in folds],
-            [
-                [stream for stream, _ in fold_kept] + [fold.heldout_day]
-                for fold, fold_kept in zip(folds, kept_by_fold)
-            ],
+            [fold_kept + [fold.heldout_day] for fold, fold_kept in zip(folds, kept_by_fold)],
         )
         for fold, fold_kept, fold_traces in zip(folds, kept_by_fold, traces):
-            fold._cache["training_traces"] = [fold_traces[stream] for stream, _ in fold_kept]
-            fold._cache["training_days"] = [shared for _, shared in fold_kept]
+            fold._cache["training_traces"] = [fold_traces[stream] for stream in fold_kept]
             fold._cache["detection_trace"] = fold_traces[fold.heldout_day]
 
     def training_traces(self):
@@ -256,12 +258,11 @@ class FoldContext:
         return self._cache["training_traces"]
 
     def training_beliefs(self) -> TrainingBeliefs:
-        """The training traces joined to the run's windows of their days;
+        """The training traces joined to the run's windows of their events;
         the stores of every selection value share their ranking."""
         if "training_beliefs" not in self._cache:
-            traces = self.training_traces()
             self._cache["training_beliefs"] = TrainingBeliefs(
-                traces, self.windows, self._cache["training_days"]
+                self.training_traces(), self.windows
             )
         return self._cache["training_beliefs"]
 
@@ -294,7 +295,9 @@ class FoldContext:
         """Real target operations of the held-out day, then injected ones."""
         target = self.dataset.vocabulary.detection_target
         day = self.heldout_day
-        day_events, at = self.windows.days[day], self.windows.day_at(day)
+        windows = self.windows
+        begin, end = windows.offsets[day : day + 2].tolist()
+        day_events, at = windows.events[begin:end], windows.event_at[begin:end]
         t_seq = self.seq_params.t_seq
 
         ends, starts = target_windows(day_events, at, target, t_seq)
@@ -310,11 +313,13 @@ class FoldContext:
         )
         instants = offsets_from(grid.start, (op.timestamp for op in injected))
         spans = zip(
-            window_starts(at, instants, t_seq).tolist(), np.searchsorted(at, instants).tolist()
+            window_starts(at, instants, t_seq).tolist(),
+            np.searchsorted(at, instants).tolist(),
+            (instants // SLOT_MICROS - day * SLOTS_PER_DAY).tolist(),
         )
         contexts += [
-            OperationContext(op, True, day_events[lo:hi], self)
-            for op, (lo, hi) in zip(injected, spans)
+            OperationContext(op, True, day_events[lo:hi], self, hi, slot)
+            for op, (lo, hi, slot) in zip(injected, spans)
         ]
         return contexts
 
@@ -635,7 +640,7 @@ def _score_fold(
     contexts = fold.judged_operations(injections_per_day, seed)
     scores = {"injected": np.array([ctx.injected for ctx in contexts], dtype=bool)}
     if need_proposed or need_estimation:
-        n_states = len(fold.detection_trace().initial)
+        n_states = fold.detection_trace().entry.shape[1]
         beliefs = np.array([ctx.belief for ctx in contexts]).reshape(len(contexts), n_states)
     if need_proposed or need_sequence:
         judged = [(ctx.preceding, ctx.op) for ctx in contexts]

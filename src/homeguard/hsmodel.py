@@ -28,8 +28,9 @@ it never joins a batch.
 A stream is an int array of positions in one ``ingest.SlotGrid``: a whole
 grid, a day of it, or the kept slots of a day.  The filter reads each slot's
 slot-of-day and events from its position.  A ``FilterTrace`` holds arrays
-only: the belief entering each slot, the beliefs just before and just after
-each event of the stream, in order, and where each slot's events begin.
+only and copies none of the grid: the belief entering each slot, the grid
+positions of the stream's events, the beliefs just before and just after
+each of them, in order, and where each slot's events begin.
 
 A ``TrainedModel`` is one JSON document.  Its parameter sections, its
 vocabulary and its stores are read by the rules of ``payload``; the
@@ -43,7 +44,6 @@ from __future__ import annotations
 import contextlib
 import json
 from dataclasses import dataclass, field
-from datetime import datetime
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ModelError, VocabularyError
-from .ingest import SLOT, SLOTS_PER_DAY, EventRecord, SlotGrid
+from .ingest import SLOTS_PER_DAY, SlotGrid
 from .labeling import ALPHABET, LabelArrays, LabelingParams
 from .payload import counts, faults_as, json_object, load_json, record, to_payload
 from .seqstore import (
@@ -243,43 +243,20 @@ def _normalize_or_uniform(values: np.ndarray) -> np.ndarray:
 class FilterTrace:
     """Belief trajectory over a slot stream.
 
-    ``start`` is the start of the stream's first slot (None for an empty
-    stream).  ``entry[p]`` is the belief right after entering the stream's
-    slot ``p`` (for the first slot this is the initial belief itself: the
-    stream starts there, no transition is applied).  ``events`` lists the
-    stream's events in order, and ``event_at`` their instants on the grid's
-    clock (``SlotGrid.event_at``); ``pre[i]`` and ``post[i]`` are the beliefs
-    just before and just after the update by ``events[i]``.  The events of
-    slot ``p`` are ``first[p]:first[p + 1]``.
+    ``entry[p]`` is the belief right after entering the stream's slot ``p``
+    (for the first slot this is the initial belief itself: the stream starts
+    there, no transition is applied).  ``event_index`` holds the grid
+    positions of the stream's events, in order; ``pre[i]`` and ``post[i]``
+    are the beliefs just before and just after the update by grid event
+    ``event_index[i]``.  The events of slot ``p`` are
+    ``first[p]:first[p + 1]``.
     """
 
-    start: datetime | None
-    initial: np.ndarray
     entry: np.ndarray  # (n_slots, S)
-    events: list[EventRecord]
-    event_at: np.ndarray  # (n_events,) int64
+    event_index: np.ndarray  # (n_events,) int
     pre: np.ndarray  # (n_events, S)
     post: np.ndarray  # (n_events, S)
     first: np.ndarray  # (n_slots + 1,) int
-
-    def belief_before(self, ts: datetime) -> np.ndarray:
-        """Belief after all updates strictly earlier than ``ts``.
-
-        The transition into the slot containing ``ts`` counts as applied.
-        Reads contiguous streams only.
-        """
-        if not len(self.entry):
-            return self.initial
-        offset = (ts - self.start) // SLOT
-        if not 0 <= offset < len(self.entry):
-            raise ValueError(f"timestamp {ts} outside the filtered stream")
-        probs = self.entry[offset]
-        for i in range(self.first[offset], self.first[offset + 1]):
-            if self.events[i].timestamp < ts:
-                probs = self.post[i]
-            else:
-                break
-        return probs
 
 
 def _event_vectors(
@@ -320,17 +297,14 @@ def _observe(
     return out
 
 
-def _stream_events(
-    grid: SlotGrid, stream: np.ndarray
-) -> tuple[np.ndarray, list[EventRecord], np.ndarray]:
+def _stream_events(grid: SlotGrid, stream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each slot's events begin among the stream's events (the
-    ``first`` of its trace), and those events in order with their instants."""
+    ``first`` of its trace), and the grid positions of those events."""
     lo = grid.first[stream]
     counts = grid.first[stream + 1] - lo
     first = np.zeros(len(stream) + 1, dtype=np.intp)
     np.cumsum(counts, out=first[1:])
-    taken = np.arange(first[-1]) + np.repeat(lo - first[:-1], counts)
-    return first, [grid.events[i] for i in taken.tolist()], grid.event_at[taken]
+    return first, np.arange(first[-1]) + np.repeat(lo - first[:-1], counts)
 
 
 class _StackedMatrices:
@@ -362,21 +336,18 @@ def _filter_alone(
     """
     transitions, operations = model
     n_states = transitions.n_states
-    first, events, event_at = _stream_events(grid, stream)
+    first, event_index = _stream_events(grid, stream)
     entry = np.empty((len(stream), n_states))
-    pre = np.empty((len(events), n_states))
-    post = np.empty((len(events), n_states))
-    trace = FilterTrace(
-        start=grid.start + int(stream[0]) * SLOT if len(stream) else None,
-        initial=initial, entry=entry, events=events, event_at=event_at, pre=pre, post=post,
-        first=first,
-    )
+    pre = np.empty((len(event_index), n_states))
+    post = np.empty((len(event_index), n_states))
+    trace = FilterTrace(entry=entry, event_index=event_index, pre=pre, post=post, first=first)
     if not len(stream):
         return trace
     uniform = uniform_belief(n_states)
     # Indexed by slot-of-day k; list indexing is cheaper than array indexing.
     matrices = [None, *transitions.probs]
     vectors: dict[tuple[str, str], tuple] = {}
+    events, index = grid.events, event_index.tolist()
     # The slots with events, in order; -1 once they are all past.
     event_slots = iter(np.flatnonzero(np.diff(first)).tolist())
     next_event = next(event_slots, -1)
@@ -397,7 +368,7 @@ def _filter_alone(
         if pos == next_event:
             for i in range(first[pos], first[pos + 1]):
                 pre[i] = belief
-                pair = events[i].pair
+                pair = events[index[i]].pair
                 found = vectors.get(pair)
                 if found is None:
                     found = vectors[pair] = _event_vectors([operations], pair)
@@ -432,15 +403,14 @@ def _lockstep(
     """
     n_models, n_rows = len(models), len(streams)
     n_slots, n_states = len(streams[0]), models[0][0].n_states
-    # Row d's events, and where each of its slots' events begins among them.
+    # The grid positions of row d's events, and where each of its slots'
+    # events begins among them.
     first = np.zeros((n_rows, n_slots + 1), dtype=np.intp)
-    events: list[list[EventRecord]] = []
-    event_at: list[np.ndarray] = []
+    event_index: list[np.ndarray] = []
     rows_at: dict[int, list[int]] = {}
     for row, stream in enumerate(streams):
-        first[row], row_events, row_at = _stream_events(grid, stream)
-        events.append(row_events)
-        event_at.append(row_at)
+        first[row], row_index = _stream_events(grid, stream)
+        event_index.append(row_index)
         for pos in np.flatnonzero(np.diff(first[row])).tolist():
             rows_at.setdefault(pos, []).append(row)
 
@@ -456,6 +426,7 @@ def _lockstep(
     pre = [np.empty((n_models, n, n_states)) for n in n_events]
     post = [np.empty((n_models, n, n_states)) for n in n_events]
     starts = first.tolist()
+    events, index = grid.events, [row_index.tolist() for row_index in event_index]
     # Bound once: each update is a handful of calls on tiny arrays, so call
     # overhead is most of its cost.
     add_reduce = np.add.reduce
@@ -477,7 +448,7 @@ def _lockstep(
             now = belief[:, row]  # (M, S)
             for i in range(starts[row][pos], starts[row][pos + 1]):
                 row_pre[:, i] = now
-                pair = events[row][i].pair
+                pair = events[index[row][i]].pair
                 found = vectors.get(pair)
                 if found is None:
                     found = vectors[pair] = _event_vectors(tables, pair)
@@ -490,11 +461,10 @@ def _lockstep(
     return [
         [
             FilterTrace(
-                start=grid.start + int(stream[0]) * SLOT,
-                initial=initial, entry=entry[m, row], events=events[row],
-                event_at=event_at[row], pre=pre[row][m], post=post[row][m], first=first[row],
+                entry=entry[m, row], event_index=event_index[row], pre=pre[row][m],
+                post=post[row][m], first=first[row],
             )
-            for row, stream in enumerate(streams)
+            for row in range(n_rows)
         ]
         for m in range(n_models)
     ]
@@ -744,24 +714,13 @@ def _payload_index(text: str, low: int, high: int, what: str) -> int:
     return int(text)
 
 
-def kept_day_streams(arrays: LabelArrays) -> tuple[list[int | None], list[np.ndarray]]:
+def kept_day_streams(arrays: LabelArrays) -> list[np.ndarray]:
     """The positions of the kept slots of each day, day by day, ready for
-    ``filter_streams``.
-
-    Next to each stream comes its day, or None where the stream lacks some
-    of the day's slots (a day that spans an excluded date in part).
-    """
+    ``filter_streams``."""
     positions = np.flatnonzero(arrays.keep)
     if not len(positions):
-        return [], []
-    cuts = np.flatnonzero(np.diff(arrays.day[positions])) + 1
-    chunks = np.split(positions, cuts)
-    slots_of_day = np.bincount(arrays.day)
-    days = [
-        int(day) if len(chunk) == slots_of_day[day] else None
-        for chunk, day in zip(chunks, arrays.day[positions[[0, *cuts]]])
-    ]
-    return days, chunks
+        return []
+    return np.split(positions, np.flatnonzero(np.diff(arrays.day[positions])) + 1)
 
 
 def train_model(
@@ -790,9 +749,8 @@ def train_model(
     # windows, as the folds of an evaluation do.
     target = vocabulary.detection_target
     windows = DayWindows(grid, target, seq_params)
-    days, streams = kept_day_streams(kept)
-    traces = filter_streams(grid, streams, transitions, operations)
-    beliefs = TrainingBeliefs(traces, windows, days)
+    traces = filter_streams(grid, kept_day_streams(kept), transitions, operations)
+    beliefs = TrainingBeliefs(traces, windows)
     store = store_sequences(beliefs, target, seq_params)
     baseline_store = build_timed_store(windows, target, seq_params)
     return TrainedModel(

@@ -107,10 +107,10 @@ class SlotGrid:
     def __len__(self) -> int:
         return len(self.frame)
 
-    def days(self) -> list[list[EventRecord]]:
-        """The events of each day of the grid, in order, day by day."""
-        bounds = self.first[[*range(0, len(self), SLOTS_PER_DAY), len(self)]].tolist()
-        return [self.events[a:b] for a, b in zip(bounds, bounds[1:])]
+    def day_bounds(self) -> np.ndarray:
+        """Where each day's events begin, and where the last day's end: day
+        ``d`` holds ``events[bounds[d]:bounds[d + 1]]``."""
+        return self.first[[*range(0, len(self), SLOTS_PER_DAY), len(self)]]
 
     def column(self, name: str) -> np.ndarray:
         """Per slot, the reading ``name`` of its sensor frame."""

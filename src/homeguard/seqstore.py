@@ -26,19 +26,20 @@ candidates come from it directly, and a training window's subsequences
 distinct item.
 
 A window and its subsequences depend only on the events, ``t_seq``, ``w_max``
-and ``l_max``, never on beliefs.  ``DayWindows`` therefore enumerates each
-window of a stream of days once, interning every stored subsequence in one
-``SequenceIds`` table, and keeps (id, final event) arrays; ``train`` and every
-fold of ``evaluate`` build their stores from the same day windows, and a
-store holds its sequences as ascending ids, so a judged candidate, interned
-once, finds its row in any store by one integer search.
-``TrainingBeliefs`` joins a training set's belief traces to those arrays and
-ranks every belief once, so the store for each selection value is one
-comparison, one ``np.unique`` of the ids and one count with numpy.  A trace
-that holds only part of its day (an excluded calendar date cuts a day that
-does not start at midnight) has windows of its own events, enumerated for it
-alone.  The time-of-day store is merged from the same arrays; only windows
-that reach back across midnight into a left-out day are enumerated again.
+and ``l_max``, never on beliefs.  ``DayWindows`` therefore enumerates the
+windows of each run of a grid's events once, interning every stored
+subsequence in one ``SequenceIds`` table, and keeps (id, final event) arrays
+per run, cached by the run's bounds; ``train`` and every fold of ``evaluate``
+build their stores from the same runs, and a store holds its sequences as
+ascending ids, so a judged candidate, interned once, finds its row in any
+store by one integer search.  A training trace's events are one run: a whole
+day, or the part of a day that an excluded calendar date leaves (a day that
+does not start at midnight), and the trace holds their grid positions.
+``TrainingBeliefs`` joins the traces to the arrays of their runs and ranks
+every belief once, so the store for each selection value is one comparison,
+one ``np.unique`` of the ids and one count with numpy.  The time-of-day store
+is merged from the arrays of the whole days; only windows that reach back
+across midnight into a left-out day are enumerated again.
 
 The time-of-day store counts matches through an index built on first use:
 every stored time replaced by its rank among the distinct stored times and
@@ -409,20 +410,19 @@ class _StreamWindows:
 
 
 class DayWindows:
-    """The target windows of a grid's stream of whole days, each enumerated
-    once.
+    """The target windows of a grid's events, each enumerated once.
 
-    ``days`` holds each day's events in time order, as ``SlotGrid.days``
-    splits them, and ``event_at`` the grid's clock of those events.
+    ``events`` and ``event_at`` are the grid's events and their instants,
+    and day ``d``'s events are ``events[offsets[d]:offsets[d + 1]]``.
     ``train`` builds one over its grid and every fold of an ``evaluate`` run
     shares one, so both take their stores from the same windows, and their
     sequences' ids from one table, ``keys``.  Two kinds of windows are kept,
     each enumerated on first use:
 
-    - ``day(d)``: the windows of day ``d`` alone, as a training trace of the
-      whole day sees them.  They never depend on which days are kept.
-      ``windows_of`` gives those of a trace kept in part, the same in every
-      fold that keeps that part, keyed by its events.
+    - ``run(lo, hi)``: the windows of the events ``lo:hi`` alone, as a
+      training trace over those events sees them.  A whole day and the kept
+      part of a day are each one run, whose windows never depend on which
+      days a fold keeps, so every fold that keeps the run shares them.
     - ``timed_store(without_day)``: the timed store's windows run over the
       whole stream, across midnight; one that starts inside its own day is
       that day's window.  A window that reaches into the left-out day holds
@@ -433,23 +433,16 @@ class DayWindows:
     def __init__(self, grid: SlotGrid, target_device: str, params: SeqParams) -> None:
         self.events = grid.events
         self.event_at = grid.event_at
-        self.days = grid.days()
-        # Day d's events are events[offsets[d]:offsets[d + 1]].
-        self.offsets = np.cumsum([0] + [len(day) for day in self.days])
+        self.offsets = grid.day_bounds()
         self.cuts = _cuts(params)
         self.keys = SequenceIds(target_device)
-        self._day_entries: dict[int, WindowEntries] = {}
-        self._part_entries: dict[tuple[EventRecord, ...], WindowEntries] = {}
+        self._runs: dict[tuple[int, int], WindowEntries] = {}
 
     def check(self, target_device: str, params: SeqParams) -> None:
         if target_device != self.keys.target_device or _cuts(params) != self.cuts:
             raise ValidationError(
                 "windows were enumerated for another target device, t_seq, w_max or l_max"
             )
-
-    def day_at(self, d: int) -> np.ndarray:
-        """The instants of day ``d``'s events."""
-        return self.event_at[self.offsets[d] : self.offsets[d + 1]]
 
     def _window(
         self, pairs: Sequence[Pair], positions: Sequence[int]
@@ -467,28 +460,19 @@ class DayWindows:
         last ``w_max`` events."""
         return range(max(start, end + 1 - self.cuts[1]), end + 1)
 
-    def _windows_of(self, events: Sequence[EventRecord], at: np.ndarray) -> WindowEntries:
-        pairs = [event.pair for event in events]
-        ends, starts = target_windows(events, at, self.keys.target_device, self.cuts[0])
-        return _entries(
-            [self._window(pairs, self._span(*op)) for op in zip(ends.tolist(), starts.tolist())]
-        )
-
-    def windows_of(self, events: Sequence[EventRecord], at: np.ndarray) -> WindowEntries:
-        """The windows of ``events`` alone, whose instants ``at`` holds
-        (positions count ``events``), enumerated on first use of these
-        events."""
-        key = tuple(events)
-        entries = self._part_entries.get(key)
+    def run(self, lo: int, hi: int) -> WindowEntries:
+        """The windows of the events ``lo:hi`` alone (their positions count
+        from ``lo``), enumerated on first use of this run."""
+        entries = self._runs.get((lo, hi))
         if entries is None:
-            entries = self._part_entries[key] = self._windows_of(events, at)
-        return entries
-
-    def day(self, d: int) -> WindowEntries:
-        """Day ``d``'s own windows, enumerated on first use."""
-        entries = self._day_entries.get(d)
-        if entries is None:
-            entries = self._day_entries[d] = self._windows_of(self.days[d], self.day_at(d))
+            events = self.events[lo:hi]
+            pairs = [event.pair for event in events]
+            ends, starts = target_windows(
+                events, self.event_at[lo:hi], self.keys.target_device, self.cuts[0]
+            )
+            entries = self._runs[lo, hi] = _entries(
+                [self._window(pairs, self._span(*op)) for op in zip(ends.tolist(), starts.tolist())]
+            )
         return entries
 
     @cached_property
@@ -496,10 +480,11 @@ class DayWindows:
         events = self.events
         pairs = [event.pair for event in events]
         ends, reach = target_windows(events, self.event_at, self.keys.target_device, self.cuts[0])
-        day_first = np.searchsorted(ends, self.offsets[:-1]).tolist()
+        bounds = self.offsets.tolist()
+        day_first = np.searchsorted(ends, bounds[:-1]).tolist()
         windows = []
-        for d, (lo, first) in enumerate(zip(self.offsets[:-1].tolist(), day_first)):
-            own = self.day(d)
+        for lo, hi, first in zip(bounds, bounds[1:], day_first):
+            own = self.run(lo, hi)
             for w in range(len(own.bounds) - 1):
                 op = first + w
                 if reach[op] >= lo:  # starts inside its day
@@ -572,27 +557,18 @@ def _ranks(beliefs: np.ndarray) -> np.ndarray:
 class TrainingBeliefs:
     """The belief traces of a training set, joined to their windows.
 
-    Trace ``i`` holds every event of day ``days[i]`` of ``windows`` and
-    shares that day's windows; where ``days[i]`` is None (a day kept in
-    part, say) its windows are those of its own events, which ``windows``
-    enumerates once for every fold that keeps that part.  On first
-    use every belief is ranked once: the slot entries into a count of rows
-    per (rank, state), the instants just before events row by row.  A store
-    for any ``l_rank`` then takes a prefix sum and one comparison per event,
-    and an ``l_alpha`` store compares the beliefs themselves.
+    Each trace's events are one run of the grid's events (a whole day, or
+    the kept part of one), and its windows are those of that run, which
+    ``windows`` enumerates once for every fold that keeps it.  On first use
+    every belief is ranked once: the slot entries into a count of rows per
+    (rank, state), the instants just before events row by row.  A store for
+    any ``l_rank`` then takes a prefix sum and one comparison per event, and
+    an ``l_alpha`` store compares the beliefs themselves.
     """
 
-    def __init__(
-        self,
-        traces: Sequence["FilterTrace"],
-        windows: DayWindows,
-        days: Sequence[int | None],
-    ) -> None:
-        if len(days) != len(traces):
-            raise ValueError(f"{len(traces)} training traces but {len(days)} days")
+    def __init__(self, traces: Sequence["FilterTrace"], windows: DayWindows) -> None:
         self.traces = traces
         self.windows = windows
-        self.days = days
 
     @cached_property
     def _ranked(self) -> tuple[np.ndarray, ...]:
@@ -607,19 +583,17 @@ class TrainingBeliefs:
                 at_rank += np.bincount(cells.ravel(), minlength=n_states * n_states)
         pre = np.concatenate([np.empty((0, n_states)), *(trace.pre for trace in self.traces)])
         ids, finals, offset = [], [], 0
-        for trace, day in zip(self.traces, self.days):
-            if day is None:
-                entries = self.windows.windows_of(trace.events, trace.event_at)
-            elif len(trace.events) == len(self.windows.days[day]):
-                entries = self.windows.day(day)
-            else:
+        for trace in self.traces:
+            index = trace.event_index
+            lo = int(index[0]) if len(index) else 0
+            if (np.diff(index) != 1).any():
                 raise ValueError(
-                    f"a trace of {len(trace.events)} events joined to day {day},"
-                    f" which has {len(self.windows.days[day])}"
+                    f"a training trace's {len(index)} events from grid event {lo} are not one run"
                 )
+            entries = self.windows.run(lo, lo + len(index))
             ids.append(entries.ids)
             finals.append(entries.finals + offset)
-            offset += len(trace.events)
+            offset += len(index)
         return (
             at_rank.reshape(n_states, n_states),
             pre,

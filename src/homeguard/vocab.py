@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import SchemaError, ValidationError
-from .payload import dict_of, faults_as, list_of, load_json, record, to_payload, tuple_of
+from .payload import at, dict_of, faults_as, list_of, load_json, record, to_payload, tuple_of
 
 # Default registry: one entry per device with its action set.
 DEFAULT_PAIRS: dict[str, tuple[str, ...]] = {
@@ -76,6 +76,19 @@ class Vocabulary:
     )
 
     def __post_init__(self) -> None:
+        # A model file keys a pair as "device:action", split at the first
+        # ":", and a sequence as its pairs joined by "|".
+        for device, actions in self.pairs.items():
+            if ":" in device or "|" in device:
+                raise ValidationError(
+                    f"device name {device!r} may not contain ':' or '|'", field=at("pairs", device)
+                )
+            for i, action in enumerate(actions):
+                if "|" in action:
+                    raise ValidationError(
+                        f"action name {action!r} may not contain '|'",
+                        field=f"{at('pairs', device)}[{i}]",
+                    )
         for device in self.cooking_appliances:
             if device not in self.pairs:
                 raise ValidationError(f"cooking appliance {device!r} is not registered")

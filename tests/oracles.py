@@ -31,7 +31,6 @@ from homeguard.ingest import (
     _read_rows,
     floor_to_day_origin,
     format_timestamp,
-    offsets_from,
     parse_timestamp,
 )
 from homeguard.labeling import (
@@ -871,15 +870,18 @@ def select_states(belief: np.ndarray, params: SeqParams) -> list[int]:
     return [int(i) for i in np.flatnonzero(mask)]
 
 
-def store_sequences_per_window(traces, target_device: str, params: SeqParams, n_states: int):
-    """The sequence store built window by window: each training trace's
-    windows enumerated anew, and the states of each stored sequence selected
-    with one ``select_states`` call on its final belief."""
+def store_sequences_per_window(
+    grid, traces, target_device: str, params: SeqParams, n_states: int
+):
+    """The sequence store built window by window: the windows of each
+    training trace's events of ``grid`` enumerated anew, and the states of
+    each stored sequence selected with one ``select_states`` call on its
+    final belief."""
     store = DictStore(np.zeros(n_states, dtype=np.int64))
     for trace in traces:
         for row in trace.entry:
             store.slot_counts[select_states(row, params)] += 1
-        events = trace.events
+        events = [grid.events[i] for i in trace.event_index.tolist()]
         times = [event.timestamp for event in events]
         for idx, event in enumerate(events):
             if event.device != target_device:
@@ -976,9 +978,7 @@ class StateBelief:
 def snapshots(trace: FilterTrace) -> list[StateBelief]:
     """Every instant of a trace in order: each slot entry, then the beliefs
     just before and just after each of the slot's events.  ``t`` numbers the
-    trace's slots from 1."""
-    if not len(trace.entry):
-        return [StateBelief(trace.initial, t=0, event_index=0)]
+    trace's slots from 1; none for an empty trace."""
     result: list[StateBelief] = []
     for pos, entry in enumerate(trace.entry):
         result.append(StateBelief(entry, t=pos + 1, event_index=0))
@@ -989,12 +989,11 @@ def snapshots(trace: FilterTrace) -> list[StateBelief]:
 
 
 def belief_before_walk(trace: FilterTrace, slots: Sequence[SlotRecord], ts: datetime) -> np.ndarray:
-    """``FilterTrace.belief_before`` by walking the events of the slot that
-    holds ``ts``, as the records of the trace's ``slots`` list them,
-    counting the events of the earlier slots to find their place in the
-    trace."""
-    if not slots:
-        return trace.initial
+    """The belief after all updates strictly earlier than ``ts`` (the
+    transition into the slot holding ``ts`` counts as applied), by walking
+    the events of that slot, as the records of the trace's ``slots`` list
+    them, counting the events of the earlier slots to find their place in
+    the trace."""
     offset = int((ts - slots[0].start).total_seconds() // 60)
     if not 0 <= offset < len(slots):
         raise ValueError(f"timestamp {ts} outside the filtered stream")
@@ -1008,18 +1007,17 @@ def belief_before_walk(trace: FilterTrace, slots: Sequence[SlotRecord], ts: date
     return probs
 
 
-def filter_folds_one_by_one(folds) -> list[tuple[list[FilterTrace], list[int | None], FilterTrace]]:
-    """Each fold's (training traces, training days, detection trace) from
-    filtering its kept days and its held-out day on their own, one fold at a
-    time."""
+def filter_folds_one_by_one(folds) -> list[tuple[list[FilterTrace], FilterTrace]]:
+    """Each fold's (training traces, detection trace) from filtering its
+    kept days and its held-out day on their own, one fold at a time."""
     result = []
     for fold in folds:
         transitions, operations = fold.state_model()
-        days, streams = kept_day_streams(fold.training_arrays())
+        streams = kept_day_streams(fold.training_arrays())
         heldout = fold.heldout_day * SLOTS_PER_DAY
         streams.append(np.arange(heldout, heldout + SLOTS_PER_DAY))
         traces = filter_streams(fold.dataset.grid, streams, transitions, operations)
-        result.append((traces[:-1], days, traces[-1]))
+        result.append((traces[:-1], traces[-1]))
     return result
 
 
@@ -1067,13 +1065,13 @@ def filter_streams_per_event(grid, streams, transitions, operations) -> list[Fil
         for index, row in zip(members, range(len(group))):
             slots = group[row]
             counts = [len(slot.events) for slot in slots]
-            events = [event for slot in slots for event in slot.events]
+            # Slot t's events are the grid's events first[t - 1]:first[t].
             traces[index] = FilterTrace(
-                start=slots[0].start if slots else None,
-                initial=uniform,
                 entry=entry[row],
-                events=events,
-                event_at=offsets_from(grid.start, (event.timestamp for event in events)),
+                event_index=np.array(
+                    [i for slot in slots for i in range(grid.first[slot.t - 1], grid.first[slot.t])],
+                    dtype=np.intp,
+                ),
                 pre=np.array(pre[row]).reshape(-1, n_states),
                 post=np.array(post[row]).reshape(-1, n_states),
                 first=np.cumsum([0, *counts]),

@@ -307,12 +307,13 @@ class TestDetectCommand:
             parse_sensor_log(sensors, ranges=model.vocabulary.sensor_ranges),
         )
         trace = run_filter(grid, model.transitions, model.operations)
+        stream = [grid.events[i] for i in trace.event_index]
         expected_windows, expected = [], []
-        for idx, op in enumerate(trace.events):
+        for idx, op in enumerate(stream):
             if op.device != target:
                 continue
             preceding = [
-                e for e in trace.events[:idx]
+                e for e in stream[:idx]
                 if (op.timestamp - e.timestamp).total_seconds() <= model.seq_params.t_seq
             ]
             expected_windows.append(preceding)
@@ -344,7 +345,8 @@ class TestDetectCommand:
             parse_sensor_log(sensors, ranges=model.vocabulary.sensor_ranges),
         )
         # The stream as the filter's trace gives it, as detect read it before.
-        stream = run_filter(grid, model.transitions, model.operations).events
+        event_index = run_filter(grid, model.transitions, model.operations).event_index
+        stream = [grid.events[i] for i in event_index]
         times = [event.timestamp for event in stream]
         expected = [
             judge_sequence_baseline(
@@ -400,6 +402,13 @@ def short_b_vector(payload):
 
 def negative_b_vector(payload):
     payload["b"]["cooking_stove:on"] = [-0.5] * len(ALPHABET)
+
+
+def add_action(device, action):
+    """Register ``action`` of ``device`` in the model's vocabulary."""
+    def edit(payload):
+        payload["vocabulary"]["pairs"].setdefault(device, []).append(action)
+    return edit
 
 
 def a_row_value(value):
@@ -462,6 +471,8 @@ class TestMalformedModel:
              "model_params: unknown key 'slot_seconds'"),
             (set_key("seq_params", "alpha_select_below", False),
              "seq_params: unknown key 'alpha_select_below'"),
+            (add_action("tv:big", "on"), "vocabulary: pairs.tv:big"),
+            (add_action("tv", "on|dim"), "vocabulary: pairs.tv[2]"),
         ],
         ids=["no-b", "seq-bogus", "model-bogus", "labeling-bogus", "w_max-text",
              "night_split-text", "states", "short-b", "store-null", "baseline_store-null",
@@ -469,7 +480,7 @@ class TestMalformedModel:
              "a-row-text", "a-row-nan", "t_z-text", "t_z-short", "target_total-text",
              "b-negative", "slot_counts-short", "counts-list", "times-int", "store-n_states",
              "t_seq-huge", "top-bogus", "store-extra", "baseline_store-extra", "store-criterion",
-             "slot_seconds", "alpha_select_below"],
+             "slot_seconds", "alpha_select_below", "device-colon", "action-bar"],
     )
     def test_exits_2_naming_the_fault(self, tmp_path, model_home, edit, named, method, capsys):
         code, err = self.detect(tmp_path, model_home, edit, method, capsys)
@@ -630,6 +641,36 @@ class TestBadVocabulary:
         assert self.run(tmp_path, model_home, command, vocabulary) == 2
         err = capsys.readouterr().err
         assert str(vocabulary) in err and named in err
+
+    # A model file keys a pair as "device:action", split at the first ":",
+    # and a sequence as its pairs joined by "|".
+    @pytest.mark.parametrize("command", ["label", "train", "evaluate"])
+    @pytest.mark.parametrize(
+        "device, action, named",
+        [("tv:big", "on", "pairs.tv:big"), ("tv|big", "on", "pairs.tv|big"),
+         ("tv", "on|dim", "pairs.tv[2]")],
+        ids=["device-colon", "device-bar", "action-bar"],
+    )
+    def test_name_a_model_file_cannot_hold_exits_2(
+        self, tmp_path, model_home, command, device, action, named, capsys
+    ):
+        pairs = {name: list(actions) for name, actions in Vocabulary().pairs.items()}
+        pairs.setdefault(device, []).append(action)
+        vocabulary = tmp_path / "vocab.json"
+        vocabulary.write_text(json.dumps({"pairs": pairs}))
+        assert self.run(tmp_path, model_home, command, vocabulary) == 2
+        err = capsys.readouterr().err
+        assert str(vocabulary) in err and named in err and "may not contain" in err
+
+    def test_action_with_a_colon_survives_the_model_file(self, tmp_path, model_home):
+        vocabulary = Vocabulary(pairs={**Vocabulary().pairs, "tv": ("on", "off", "on:high")})
+        path = tmp_path / "vocab.json"
+        vocabulary.save(path)
+        assert self.run(tmp_path, model_home, "train", path) == 0
+        model = TrainedModel.load(tmp_path / "model.json")
+        assert model.vocabulary == vocabulary
+        # Registered but never seen: the neutral all-ones vector.
+        assert model.operations.vector(("tv", "on:high")).tolist() == [1.0] * len(ALPHABET)
 
     def test_saved_vocabulary_loads_back(self, tmp_path):
         vocabulary = Vocabulary(pairs={**Vocabulary().pairs, "kettle": ("on",)},

@@ -34,7 +34,7 @@ from homeguard.evaluation import (
     pareto_frontier,
 )
 from homeguard.hsmodel import ModelParams, fit_operations, fit_transitions
-from homeguard.ingest import EventRecord, build_timeslots
+from homeguard.ingest import SLOTS_PER_DAY, EventRecord, build_timeslots
 from homeguard.labeling import ALPHABET, LabelingParams
 from homeguard.seqstore import SeqParams, candidates_ending_at, seconds_of_day
 from homeguard.vocab import DEFAULT_PAIRS, Vocabulary
@@ -43,6 +43,7 @@ from conftest import frame, make_folds
 from oracles import (
     as_dicts,
     batch_items,
+    belief_before_walk,
     best_per_level_loop,
     columns,
     estimation_score,
@@ -413,12 +414,14 @@ class TestFoldFits:
         dataset = mixed_dataset()
         fold = make_folds(dataset, LabelingParams(t_x=3, t_y=3, t_c=2), ModelParams(), SeqParams())[3]
         training = fold.training_traces()
-        days = [(trace.start - dataset.grid.start) // timedelta(days=1) for trace in training]
-        assert days == [0, 1, 4]
+        bounds = dataset.grid.day_bounds().tolist()
+        days = [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        assert all(len(events) for events in days)
+        assert [trace.event_index.tolist() for trace in training] == [
+            days[day].tolist() for day in (0, 1, 4)
+        ]
         assert [len(trace.entry) for trace in training] == [1440] * 3
-        detection = fold.detection_trace()
-        assert detection.start == dataset.grid.start + timedelta(days=3)
-        assert detection.events == dataset.grid.days()[3]
+        assert np.array_equal(fold.detection_trace().event_index, days[3])
 
     def test_serial_collection_releases_each_fold(self):
         dataset = toy_dataset(n_days=3)
@@ -488,7 +491,7 @@ class TestBatchedFoldScores:
         assert np.isin(batch.ids, store.ids).any() and not np.isin(batch.ids, store.ids).all()
 
         oracle = store_sequences_per_window(
-            fold.training_traces(), "cooking_stove", seq, len(ALPHABET)
+            fold.dataset.grid, fold.training_traces(), "cooking_stove", seq, len(ALPHABET)
         )
         timed_oracle = fold_oracle(fold, seq)
         items = batch_items(batch)
@@ -777,15 +780,18 @@ class TestBestAt:
         assert best_at([], 0.10) is None
 
 
-def early_origin_dataset(n_days=6) -> EvalDataset:
+def early_origin_dataset(n_days=6, quiet=()) -> EvalDataset:
     """Days from 04:00 to 04:00.  An operation in an empty home excludes its
     date on the second and fourth calendar dates, so days 0 and 2 keep only
-    their 04:00-24:00 part and days 1 and 3 their 00:00-04:00 part."""
+    their 04:00-24:00 part and days 1 and 3 their 00:00-04:00 part.  The
+    days in ``quiet`` have no events."""
     events, frames = [], []
     for day in range(n_days):
         start = BASE + timedelta(days=day, hours=4)
         frames.append(frame(start))
         at = lambda hours, minutes: start + timedelta(hours=hours, minutes=minutes)
+        if day in quiet:
+            continue
         events += [
             EventRecord(at(3, 28), "refrigerator", "opening"),
             EventRecord(at(3, 30), "cooking_stove", "on"),
@@ -813,7 +819,8 @@ class TestGroupedFoldFilter:
         dataset = early_origin_dataset()
         folds = make_folds(dataset, LabelingParams(t_x=3, t_y=3, t_c=2), ModelParams(), SeqParams())
         expected = filter_folds_one_by_one(folds)
-        assert expected[5][1] == [None, None, None, None, 4]
+        # Days 0 and 2 keep 04:00-24:00, days 1 and 3 00:00-04:00.
+        assert [len(trace.entry) for trace in expected[5][0]] == [1200, 240, 1200, 240, 1440]
         shapes, alone = [], []
         lockstep, filter_alone = hsmodel._lockstep, hsmodel._filter_alone
 
@@ -829,8 +836,7 @@ class TestGroupedFoldFilter:
         monkeypatch.setattr(hsmodel, "_filter_alone", recording_alone)
         for start in range(0, len(folds), group):
             FoldContext.filter_group(folds[start : start + group])
-        for fold, (training, days, detection) in zip(folds, expected):
-            assert fold._cache["training_days"] == days
+        for fold, (training, detection) in zip(folds, expected):
             assert len(fold.training_traces()) == len(training)
             for got, ref in zip(fold.training_traces(), training):
                 assert_traces_equal(got, ref)
@@ -860,3 +866,60 @@ class TestGroupedFoldFilter:
         assert all(not fold._cache for fold in folds)
         stove = [e for e in dataset.grid.events if e.device == "cooking_stove"]
         assert len(scores["injected"]) == len(stove) + 5 * len(folds)
+
+
+class TestJudgedBeliefRead:
+    """A judged operation's belief is read by index from its fold's
+    detection trace: the belief after every update strictly before the
+    operation, as walking the events of its slot finds it."""
+
+    @staticmethod
+    def instants(day_start, events):
+        """Instants of one day: the start and the middle of every tenth slot,
+        and around each event its slot's start, its own instant, a
+        microsecond and a second either side of it, and the end of its slot."""
+        minute, tick = timedelta(minutes=1), timedelta(microseconds=1)
+        found = [day_start + pos * minute + offset for pos in range(0, SLOTS_PER_DAY, 10)
+                 for offset in (timedelta(0), minute / 2)]
+        for event in events:
+            ts = event.timestamp
+            slot = day_start + (ts - day_start) // minute * minute
+            found += [slot, ts, ts - tick, ts + tick, ts - timedelta(seconds=1),
+                      ts + timedelta(seconds=1), slot + minute - tick]
+        day_end = day_start + timedelta(days=1)
+        return sorted({ts for ts in found if day_start <= ts < day_end})
+
+    def test_every_belief_equals_the_event_walk(self, monkeypatch):
+        dataset = early_origin_dataset(quiet=(4,))
+        grid = dataset.grid
+        bounds = grid.day_bounds().tolist()
+        days = [grid.events[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        folds = make_folds(dataset, LabelingParams(t_x=3, t_y=3, t_c=2), ModelParams(), SeqParams())
+
+        def chosen(day_start, count, seed, day_index, device):
+            return tuple(EventRecord(ts, device, "on")
+                         for ts in self.instants(day_start, days[day_index]))
+
+        monkeypatch.setattr(evaluation, "inject_anomalies", chosen)
+        seen = dict.fromkeys(["real", "slot start", "at an event", "before a first event",
+                              "after a last event", "no events in the slot", "quiet day"], 0)
+        for fold in folds:
+            day = fold.heldout_day
+            slots = slot_records(grid, range(day * SLOTS_PER_DAY, (day + 1) * SLOTS_PER_DAY))
+            trace = fold.detection_trace()
+            for ctx in fold.judged_operations(0, 0):
+                ts = ctx.op.timestamp
+                assert np.array_equal(ctx.belief, belief_before_walk(trace, slots, ts))
+                if not ctx.injected:
+                    seen["real"] += 1
+                    assert np.array_equal(ctx.belief, trace.pre[ctx.index])
+                    continue
+                slot = slots[(ts - slots[0].start) // timedelta(minutes=1)]
+                before = [event for event in slot.events if event.timestamp < ts]
+                seen["slot start"] += ts == slot.start
+                seen["at an event"] += any(event.timestamp == ts for event in slot.events)
+                seen["before a first event"] += bool(slot.events) and not before
+                seen["after a last event"] += bool(slot.events) and before == list(slot.events)
+                seen["no events in the slot"] += not slot.events
+                seen["quiet day"] += not days[day]
+        assert all(seen.values()), seen

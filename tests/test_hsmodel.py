@@ -31,7 +31,6 @@ from homeguard.vocab import Vocabulary
 from conftest import BASE, ev, make_grid, make_slots, parse_state_key
 from oracles import (
     LabeledSlot,
-    belief_before_walk,
     encode_labels,
     filter_streams_per_event,
     slot_records,
@@ -494,11 +493,11 @@ def random_filter_instance(rng):
 
 class TestRunFilter:
     def test_empty_stream(self):
+        # An empty grid has no slot to hold a belief, so its trace holds none.
         tensor = toy_tensor({}, 2)
         trace = run_filter(make_grid(0), tensor, OperationTable(), np.array([0.3, 0.7]))
-        snaps = snapshots(trace)
-        assert len(snaps) == 1
-        assert np.allclose(snaps[0].probs, [0.3, 0.7])
+        assert trace.entry.shape == (0, 2) and trace.pre.shape == (0, 2)
+        assert snapshots(trace) == []
 
     def test_one_slot_one_event_three_snapshots(self, vocab):
         table = OperationTable(probs={("tv", "on"): np.array([0.8, 0.2])})
@@ -534,19 +533,6 @@ class TestRunFilter:
             assert len(got) == len(expected)
             for snap, ref in zip(got, expected):
                 assert np.max(np.abs(snap.probs - np.array(ref))) <= 1e-9
-
-    def test_belief_before_ordering(self):
-        table = OperationTable(probs={("tv", "on"): np.array([0.8, 0.2])})
-        tensor = toy_tensor({k: np.eye(2) for k in range(1, 10)}, 2)
-        grid = make_grid(3, events={1: [ev(1.5, "tv", "on")]})
-        trace = run_filter(grid, tensor, table, np.array([0.5, 0.5]))
-        before_event = trace.belief_before(BASE + timedelta(minutes=1, seconds=20))
-        after_event = trace.belief_before(BASE + timedelta(minutes=1, seconds=40))
-        assert np.allclose(before_event, [0.5, 0.5])
-        assert np.allclose(after_event, [0.8, 0.2])
-        # An instant equal to the event time sees only strictly earlier updates.
-        at_event = trace.belief_before(BASE + timedelta(minutes=1, seconds=30))
-        assert np.allclose(at_event, [0.5, 0.5])
 
 
 def assert_matches_brute_force(trace, grid, stream, tensor, table, initial):
@@ -599,7 +585,8 @@ class TestLockstepFilter:
             traces = filter_streams(grid, streams, tensor, table)
             assert all(trace.entry.base is traces[0].entry.base for trace in traces)
             for stream, trace in zip(streams, traces):
-                assert trace.start == grid.start + timedelta(minutes=int(stream[0]))
+                run = np.arange(grid.first[stream[0]], grid.first[stream[-1] + 1])
+                assert np.array_equal(trace.event_index, run)
                 assert_matches_brute_force(
                     trace, grid, stream, tensor, table, uniform_belief(tensor.n_states)
                 )
@@ -641,7 +628,7 @@ class TestLockstepFilter:
         streams = [np.arange(9, 16), np.arange(9, 13), np.arange(10, 17), np.arange(0)]
         traces = filter_streams(grid, streams, tensor, table)
         assert not np.shares_memory(traces[0].entry, traces[2].entry)
-        assert len(traces[3].entry) == 0 and traces[3].start is None
+        assert len(traces[3].entry) == 0 and not len(traces[3].event_index)
         for stream, trace in zip(streams[:3], traces):
             assert_matches_brute_force(
                 trace, grid, stream, tensor, table, uniform_belief(tensor.n_states)
@@ -724,10 +711,8 @@ class TestTrainedModelRoundTrip:
 
 def assert_traces_equal(got, expected):
     """Bitwise equal beliefs at every instant, the same events in order."""
-    assert got.start == expected.start
     assert np.array_equal(got.entry, expected.entry)
-    assert got.events == expected.events
-    assert np.array_equal(got.event_at, expected.event_at)
+    assert np.array_equal(got.event_index, expected.event_index)
     assert np.array_equal(got.first, expected.first)
     assert np.array_equal(got.pre, expected.pre)
     assert np.array_equal(got.post, expected.post)
@@ -815,7 +800,7 @@ class TestLoneStream:
         assert_traces_equal(got, expected)
         uniform = uniform_belief(transitions.n_states)
         assert any(np.array_equal(row, uniform) for row in got.entry[1:])  # slot reset
-        actions = [event.action for event in got.events]
+        actions = [grid.events[i].action for i in got.event_index]
         kill = [i for i, action in enumerate(actions) if action == "kill"]
         unseen = [i for i, action in enumerate(actions) if action == "unseen"]
         assert kill and all(np.array_equal(got.post[i], uniform) for i in kill)
@@ -824,8 +809,8 @@ class TestLoneStream:
     def test_empty_stream(self):
         transitions, operations, grid, _ = self.lone_instance(np.random.default_rng(3))
         [got] = filter_streams(grid, [np.arange(0)], transitions, operations)
-        assert got.start is None and got.entry.shape == (0, transitions.n_states)
-        assert got.events == [] and list(got.first) == [0]
+        assert got.entry.shape == (0, transitions.n_states)
+        assert not len(got.event_index) and list(got.first) == [0]
         assert_traces_equal(
             got, filter_streams_per_event(grid, [np.arange(0)], transitions, operations)[0]
         )
@@ -883,40 +868,14 @@ class TestFilterModels:
             for traces in got:
                 for index, trace in traces.items():
                     slots = slot_records(grid, streams[index])
-                    assert trace.events == [event for slot in slots for event in slot.events]
-                    assert len(trace.events) == len(trace.pre) == len(trace.post) == trace.first[-1]
+                    events = [grid.events[i] for i in trace.event_index]
+                    assert events == [event for slot in slots for event in slot.events]
+                    assert len(events) == len(trace.pre) == len(trace.post) == trace.first[-1]
                     assert len(trace.first) == len(slots) + 1
                     assert all(
-                        trace.events[trace.first[pos] : trace.first[pos + 1]] == list(slot.events)
+                        events[trace.first[pos] : trace.first[pos + 1]] == list(slot.events)
                         for pos, slot in enumerate(slots)
                     )
-
-    def test_belief_before_equals_the_event_walk(self):
-        rng = np.random.default_rng(17)
-        seen = dict.fromkeys(["at an event", "before a first event", "no events", "reset"], 0)
-        for _ in range(30):
-            models, grid, streams = self.instance(rng)
-            got = filter_models(grid, streams, models, [range(len(streams))] * len(models))
-            for (transitions, _), traces in zip(models, got):
-                uniform = uniform_belief(transitions.n_states)
-                for index, trace in traces.items():
-                    stream = streams[index]
-                    if len(stream) and stream[-1] - stream[0] != len(stream) - 1:
-                        continue  # belief_before reads contiguous streams only
-                    slots = slot_records(grid, stream)
-                    instants = [event.timestamp for event in trace.events]
-                    seen["at an event"] += len(instants)
-                    for slot in slots:
-                        instants.append(slot.start)
-                        instants.append(slot.start + timedelta(seconds=float(rng.random()) * 60))
-                        seen["before a first event"] += bool(slot.events)
-                        seen["no events"] += not slot.events
-                    seen["reset"] += sum(np.array_equal(row, uniform) for row in trace.post)
-                    for ts in instants:
-                        assert np.array_equal(
-                            trace.belief_before(ts), belief_before_walk(trace, slots, ts)
-                        )
-        assert all(seen.values()), seen
 
     def test_whole_lockstep_group_under_every_model(self):
         rng = np.random.default_rng(7)

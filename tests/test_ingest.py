@@ -290,14 +290,14 @@ class TestBuildTimeslots:
         grid = build_timeslots([], columns([]))
         assert len(grid) == 0 and grid.events == [] and grid.first.tolist() == [0]
         assert grid.event_at.dtype == np.int64 and grid.event_at.shape == (0,)
-        assert grid.days() == []
+        assert grid.day_bounds().tolist() == [0]
 
     def test_days_split_the_events_at_the_day_origin(self):
         base = datetime(2020, 1, 1, 4, 0)
         offsets = [0, 59, 1439, 1440, 3000, 4319]  # minutes; the third day holds two
         events = [EventRecord(base + timedelta(minutes=m, seconds=30), "tv", "on") for m in offsets]
         grid = build_timeslots(events, columns([frame(base)]), day_origin=time(4, 0))
-        assert grid.days() == [events[:3], events[3:4], events[4:]]
+        assert grid.day_bounds().tolist() == [0, 3, 4, 6]
 
 
 class TestBuildTimeslotsMatchesBisect:

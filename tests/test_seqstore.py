@@ -202,13 +202,12 @@ class TestSelectStates:
         assert select_states(belief, SeqParams(criterion="alpha", l_alpha=0.9)) == []
 
 
-def store_of(traces, target_device, params):
-    """The store of hand-made traces, each with the windows of its own
+def store_of(grid, traces, target_device, params):
+    """The store of traces over ``grid``, each with the windows of its own
     events."""
     traces = [traces] if isinstance(traces, FilterTrace) else list(traces)
-    windows = DayWindows(make_grid(0), target_device, params)
-    beliefs = TrainingBeliefs(traces, windows, [None] * len(traces))
-    return store_sequences(beliefs, target_device, params)
+    windows = DayWindows(grid, target_device, params)
+    return store_sequences(TrainingBeliefs(traces, windows), target_device, params)
 
 
 def timed_store_of(events, target_device, params):
@@ -223,7 +222,9 @@ def timed_store_of(events, target_device, params):
 
 
 def fabricate_trace(entry_rows, event_specs, n_slots=None):
-    """FilterTrace with prescribed entry beliefs and event beliefs.
+    """A grid from ``BASE`` holding the events of ``event_specs``, and a
+    FilterTrace over all of it with prescribed entry beliefs and event
+    beliefs.
 
     ``event_specs``: list of (slot_pos, event, pre_belief) tuples; each
     event leaves the belief as it was.
@@ -234,27 +235,27 @@ def fabricate_trace(entry_rows, event_specs, n_slots=None):
     pre = np.array([belief for _, _, belief in specs], dtype=np.float64).reshape(
         len(specs), entry.shape[1]
     )
-    counts = np.bincount([slot_pos for slot_pos, _, _ in specs], minlength=n_slots)
-    events = [event for _, event, _ in specs]
-    return FilterTrace(
-        start=BASE,
-        initial=entry[0],
+    events: dict[int, list[EventRecord]] = {}
+    for slot_pos, event, _ in specs:
+        events.setdefault(slot_pos, []).append(event)
+    grid = make_grid(n_slots, events=events)
+    trace = FilterTrace(
         entry=entry,
-        events=events,
-        event_at=offsets_from(BASE, (event.timestamp for event in events)),
+        event_index=np.arange(len(specs)),
         pre=pre,
         post=pre.copy(),
-        first=np.cumsum([0, *counts]),
+        first=grid.first,
     )
+    return grid, trace
 
 
 class TestSequenceStore:
     def test_no_target_operations_empty_store(self):
-        trace = fabricate_trace(
+        grid, trace = fabricate_trace(
             [[0.5, 0.5]] * 4,
             [(1, ev(1.5, "tv", "on"), [0.5, 0.5])],
         )
-        store = store_of(trace, "cooking_stove", SeqParams(l_rank=1))
+        store = store_of(grid, trace, "cooking_stove", SeqParams(l_rank=1))
         assert counts_of(store) == {}
         assert vector_of(store, (("cooking_stove", "on"),))[0] == 0.0
 
@@ -262,50 +263,50 @@ class TestSequenceStore:
         # State 0 selected at 4 of 10 slot entries; one target operation with
         # state 0 on top at its instant.
         entry = [[0.8, 0.1, 0.1]] * 4 + [[0.1, 0.8, 0.1]] * 6
-        trace = fabricate_trace(
+        grid, trace = fabricate_trace(
             entry,
             [(0, ev(0.5, "cooking_stove", "on"), [0.9, 0.05, 0.05])],
         )
-        store = store_of(trace, "cooking_stove", SeqParams(criterion="rank", l_rank=1))
+        store = store_of(grid, trace, "cooking_stove", SeqParams(criterion="rank", l_rank=1))
         assert (store.slot_counts == np.array([4, 6, 0])).all()
         key = (("cooking_stove", "on"),)
         assert counts_of(store)[key][0] == 1
         assert vector_of(store, key)[0] == pytest.approx(0.25)
 
     def test_same_sequence_twice_counts_twice(self):
-        trace = fabricate_trace(
+        grid, trace = fabricate_trace(
             [[0.9, 0.1]] * 30,
             [
                 (2, ev(2.5, "cooking_stove", "on"), [0.9, 0.1]),
                 (25, ev(25.5, "cooking_stove", "on"), [0.9, 0.1]),
             ],
         )
-        store = store_of(trace, "cooking_stove", SeqParams(l_rank=1))
+        store = store_of(grid, trace, "cooking_stove", SeqParams(l_rank=1))
         assert counts_of(store)[(("cooking_stove", "on"),)][0] == 2
 
     def test_target_related_filter(self):
         # The refrigerator-only subsequence is not stored; pairs that include
         # the target are.
-        trace = fabricate_trace(
+        grid, trace = fabricate_trace(
             [[1.0, 0.0]] * 3,
             [
                 (1, ev(1.2, "refrigerator", "opening"), [1.0, 0.0]),
                 (1, ev(1.5, "cooking_stove", "on"), [1.0, 0.0]),
             ],
         )
-        store = store_of(trace, "cooking_stove", SeqParams(l_rank=1))
+        store = store_of(grid, trace, "cooking_stove", SeqParams(l_rank=1))
         keys = set(counts_of(store))
         assert (("refrigerator", "opening"),) not in keys
         assert (("cooking_stove", "on"),) in keys
         assert (("refrigerator", "opening"), ("cooking_stove", "on")) in keys
 
     def test_empty_selection_stores_nothing(self):
-        trace = fabricate_trace(
+        grid, trace = fabricate_trace(
             [[0.5, 0.5]] * 2,
             [(0, ev(0.5, "cooking_stove", "on"), [0.5, 0.5])],
         )
         params = SeqParams(criterion="alpha", l_alpha=0.9)
-        store = store_of(trace, "cooking_stove", params)
+        store = store_of(grid, trace, "cooking_stove", params)
         assert counts_of(store) == {}
 
     def test_double_ingest_doubles_counts_keeps_ratios(self):
@@ -314,31 +315,33 @@ class TestSequenceStore:
             entry, [(0, ev(0.5, "cooking_stove", "on"), [0.8, 0.2])]
         )
         params = SeqParams(l_rank=1)
-        once = store_of(make(), "cooking_stove", params)
-        twice = store_of([make(), make()], "cooking_stove", params)
+        grid, trace = make()
+        once = store_of(grid, trace, "cooking_stove", params)
+        # Two traces over the same events, read from one grid.
+        twice = store_of(grid, [trace, make()[1]], "cooking_stove", params)
         key = (("cooking_stove", "on"),)
         assert counts_of(twice)[key][0] == 2 * counts_of(once)[key][0]
         assert (twice.slot_counts == 2 * once.slot_counts).all()
         assert vector_of(twice, key)[0] == pytest.approx(vector_of(once, key)[0])
-        rebuilt = store_of(make(), "cooking_stove", params)
+        rebuilt = store_of(*make(), "cooking_stove", params)
         assert rebuilt.to_payload() == once.to_payload()
 
     def test_window_respects_t_seq(self):
         # A lead event 20 minutes before the target operation is outside a
         # 600 s window and never enters any stored sequence.
-        trace = fabricate_trace(
+        grid, trace = fabricate_trace(
             [[1.0, 0.0]] * 30,
             [
                 (2, ev(2.0, "tv", "on"), [1.0, 0.0]),
                 (25, ev(25.0, "cooking_stove", "on"), [1.0, 0.0]),
             ],
         )
-        store = store_of(trace, "cooking_stove", SeqParams(l_rank=1, t_seq=600))
+        store = store_of(grid, trace, "cooking_stove", SeqParams(l_rank=1, t_seq=600))
         assert set(counts_of(store)) == {(("cooking_stove", "on"),)}
 
     def test_payload_round_trip_and_determinism(self):
         entry = [[0.8, 0.2]] * 5
-        trace = fabricate_trace(
+        grid, trace = fabricate_trace(
             entry,
             [
                 (0, ev(0.2, "refrigerator", "opening"), [0.8, 0.2]),
@@ -346,7 +349,7 @@ class TestSequenceStore:
             ],
         )
         params = SeqParams(l_rank=1)
-        store = store_of(trace, "cooking_stove", params)
+        store = store_of(grid, trace, "cooking_stove", params)
         payload = store.to_payload()
         clone = SequenceStore.from_payload(payload, "", 2, SequenceIds("cooking_stove"), REGISTERED)
         assert clone.to_payload() == payload
@@ -393,15 +396,18 @@ class TestStoreAgainstPerWindowOracle:
         folds = make_folds(
             dataset, LabelingParams(initial_occupants=2), ModelParams(), SeqParams(t_seq=1800)
         )
-        return [fold.training_traces() for fold in folds]
+        return dataset.grid, [fold.training_traces() for fold in folds]
 
     @pytest.mark.parametrize("selection", SELECTIONS.values(), ids=SELECTIONS.keys())
     def test_fold_stores(self, dense_traces, selection):
         params = SeqParams(t_seq=1800, **selection)
-        for traces in dense_traces:
-            store = store_of(traces, "cooking_stove", params)
+        grid, fold_traces = dense_traces
+        for traces in fold_traces:
+            store = store_of(grid, traces, "cooking_stove", params)
             assert len(store.counts)
-            oracle = store_sequences_per_window(traces, "cooking_stove", params, len(ALPHABET))
+            oracle = store_sequences_per_window(
+                grid, traces, "cooking_stove", params, len(ALPHABET)
+            )
             assert_bitwise_equal(store, oracle)
 
     @pytest.mark.parametrize("selection", SELECTIONS.values(), ids=SELECTIONS.keys())
@@ -417,10 +423,10 @@ class TestStoreAgainstPerWindowOracle:
                  rng.integers(0, 3, size=4) / 4.0)
                 for pos in sorted(rng.choice(n_slots, size=12, replace=False))
             ]
-            trace = fabricate_trace(entry, specs)
+            grid, trace = fabricate_trace(entry, specs)
             params = SeqParams(t_seq=600, w_max=6, **selection)
-            store = store_of(trace, "cooking_stove", params)
-            oracle = store_sequences_per_window([trace], "cooking_stove", params, 4)
+            store = store_of(grid, trace, "cooking_stove", params)
+            oracle = store_sequences_per_window(grid, [trace], "cooking_stove", params, 4)
             assert_bitwise_equal(store, oracle)
 
 
@@ -498,11 +504,12 @@ def assert_timed_equal(store, oracle):
 def fold_oracle(fold, params):
     """The timed store of the fold's kept days, built window by window."""
     dataset = fold.dataset
+    bounds = dataset.grid.day_bounds().tolist()
     kept = [
         event
-        for day, events in enumerate(fold.windows.days)
+        for day, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
         if day != fold.heldout_day
-        for event in events
+        for event in dataset.grid.events[lo:hi]
     ]
     return build_timed_store_per_window(kept, dataset.vocabulary.detection_target, params)
 
@@ -535,7 +542,7 @@ class TestFoldStoresFromSharedWindows:
                 selected = replace(params, **selection)
                 store = fold.sequence_store(selected)
                 oracle = store_sequences_per_window(
-                    traces, "cooking_stove", selected, len(ALPHABET)
+                    dataset.grid, traces, "cooking_stove", selected, len(ALPHABET)
                 )
                 assert_bitwise_equal(store, oracle)
             assert_timed_equal(fold.timed_store(), fold_oracle(fold, params))
@@ -557,54 +564,68 @@ class TestFoldStoresFromSharedWindows:
             for selection in self.SELECTIONS.values():
                 selected = replace(params, **selection)
                 oracle = store_sequences_per_window(
-                    traces, "cooking_stove", selected, len(ALPHABET)
+                    dataset.grid, traces, "cooking_stove", selected, len(ALPHABET)
                 )
                 assert_bitwise_equal(fold.sequence_store(selected), oracle)
             assert_timed_equal(fold.timed_store(), fold_oracle(fold, params))
         assert partial == 3 * 3  # days 0, 1 and 2, each in the folds that keep it
         assert all(len(fold.sequence_store().counts) for fold in folds)
 
-    def test_each_kept_part_is_enumerated_once(self, monkeypatch):
-        # Three folds keep each part of days 0, 1 and 2; a kept part's
-        # windows are enumerated for the first of them only.
+    def test_each_run_is_enumerated_once(self, monkeypatch):
+        # Whole days and kept parts alike: each run of events has its
+        # windows enumerated once, and every fold that keeps the run, and the
+        # timed store for a whole day, is served the same entries.
         dataset = partial_day_dataset()
-        params = SeqParams(t_seq=600)
+        grid, params = dataset.grid, SeqParams(t_seq=600)
         folds = make_folds(dataset, LabelingParams(initial_occupants=0), ModelParams(), params)
-        enumerate_window = seqstore._enumerate_distinct
-        windows = []
+        enumerate_window, run = seqstore._enumerate_distinct, DayWindows.run
+        windows, served = [], {}
 
         def counting(pairs, l_max):
             windows.append(pairs)
             return enumerate_window(pairs, l_max)
 
+        def recording(self, lo, hi):
+            entries = run(self, lo, hi)
+            served.setdefault((lo, hi), []).append(entries)
+            return entries
+
         monkeypatch.setattr(seqstore, "_enumerate_distinct", counting)
-        parts, days = {}, set()
+        monkeypatch.setattr(DayWindows, "run", recording)
         for fold in folds:
-            beliefs = fold.training_beliefs()
-            for trace, day in zip(beliefs.traces, beliefs.days):
-                if day is None:
-                    parts[tuple(trace.events)] = trace.events
-                else:
-                    days.add(day)
+            traces = fold.training_traces()
             oracle = store_sequences_per_window(
-                beliefs.traces, "cooking_stove", params, len(ALPHABET)
+                grid, traces, "cooking_stove", params, len(ALPHABET)
             )
             assert_bitwise_equal(fold.sequence_store(params), oracle)
-        assert len(parts) == 3
-        targets = [event for events in parts.values() for event in events]
-        targets += [event for day in days for event in fold.windows.days[day]]
-        assert len(windows) == sum(event.device == "cooking_stove" for event in targets)
+            fold.timed_store()
+        days = grid.day_bounds().tolist()
+        whole = list(zip(days, days[1:]))
+        parts = sorted(set(served) - set(whole))
+        # Days 0, 1 and 2 are kept in part, by the three folds that keep each;
+        # day 3 whole.  The timed store reads every whole day once.
+        assert len(parts) == 3 and set(whole) <= set(served)
+        assert [len(served[run]) for run in parts] == [3, 3, 3]
+        assert [len(served[run]) for run in whole] == [1, 1, 1, 4]
+        assert all(entries is found[0] for found in served.values() for entries in found)
+        stove = sum(
+            event.device == "cooking_stove" for lo, hi in served for event in grid.events[lo:hi]
+        )
+        assert len(windows) == stove
 
-    def test_only_whole_days_share_the_day_windows(self):
+    def test_a_trace_whose_events_are_not_one_run_is_refused(self):
         dataset = partial_day_dataset()
-        params = SeqParams(t_seq=600)
+        grid, params = dataset.grid, SeqParams(t_seq=600)
         [fold, *_] = make_folds(dataset, LabelingParams(initial_occupants=0), ModelParams(), params)
-        beliefs = fold.training_beliefs()
-        assert beliefs.days == [None, None, 3]
-        # A trace joined to a day whose events it does not hold is refused.
-        wrong = seqstore.TrainingBeliefs(beliefs.traces, fold.windows, [3, 3, 3])
-        with pytest.raises(ValueError):
-            store_sequences(wrong, "cooking_stove", params)
+        # Day 3 without the slots of its six evening events.
+        day = np.arange(3 * SLOTS_PER_DAY, 4 * SLOTS_PER_DAY)
+        [whole, split] = filter_streams(
+            grid, [day, np.delete(day, np.s_[1000:1100])], *fold.state_model()
+        )
+        assert (np.diff(split.event_index) > 1).any()
+        store_sequences(TrainingBeliefs([whole], fold.windows), "cooking_stove", params)
+        with pytest.raises(ValueError, match="not one run"):
+            store_sequences(TrainingBeliefs([whole, split], fold.windows), "cooking_stove", params)
 
     @pytest.mark.parametrize("heldout", [0, 1, 2, 3])
     @pytest.mark.parametrize(
@@ -670,11 +691,11 @@ class TestTrainStoresFromDayWindows:
         params = SeqParams()
         model = train_model(grid, Vocabulary(), labeling, ModelParams(), params)
         labels = label_states(grid, labeling, Vocabulary())
-        days, streams = kept_day_streams(labels.select(~labels.excluded))
+        streams = kept_day_streams(labels.select(~labels.excluded))
         assert labels.excluded.any()
-        assert [len(stream) for stream, day in zip(streams, days) if day is None] == [240]
+        assert [len(stream) for stream in streams if len(stream) < SLOTS_PER_DAY] == [240]
         traces = filter_streams(grid, streams, model.transitions, model.operations)
-        oracle = store_sequences_per_window(traces, "cooking_stove", params, len(ALPHABET))
+        oracle = store_sequences_per_window(grid, traces, "cooking_stove", params, len(ALPHABET))
         assert len(model.store.counts)
         assert_bitwise_equal(model.store, oracle)
         assert_timed_equal(
@@ -720,9 +741,9 @@ class TestStoreSizes:
         params = SeqParams()
         model = train_model(grid, Vocabulary(), labeling, ModelParams(), params)
         labels = label_states(grid, labeling, Vocabulary())
-        days, streams = kept_day_streams(labels.select(~labels.excluded))
+        streams = kept_day_streams(labels.select(~labels.excluded))
         traces = filter_streams(grid, streams, model.transitions, model.operations)
-        oracle = store_sequences_per_window(traces, "cooking_stove", params, len(ALPHABET))
+        oracle = store_sequences_per_window(grid, traces, "cooking_stove", params, len(ALPHABET))
         timed = build_timed_store_per_window(grid.events, "cooking_stove", params)
         assert len(model.store.counts) == len(model.store.ids) == len(oracle.counts) > 0
         assert len(model.baseline_store.times) == len(timed.times) > len(oracle.counts)
@@ -732,7 +753,7 @@ class TestStoreSizes:
         folds = make_folds(midnight_dataset(), LabelingParams(), ModelParams(), params)
         for fold in folds:
             oracle = store_sequences_per_window(
-                fold.training_traces(), "cooking_stove", params, len(ALPHABET)
+                fold.dataset.grid, fold.training_traces(), "cooking_stove", params, len(ALPHABET)
             )
             assert len(fold.sequence_store().counts) == len(oracle.counts)
             assert len(fold.timed_store().times) == len(fold_oracle(fold, params).times) > 0
