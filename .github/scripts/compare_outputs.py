@@ -9,9 +9,13 @@ that each run record lists.  Then runs ``homeguard evaluate`` and
 ``homeguard label`` in both trees on paths the benchmark never takes
 (``EVALUATE_RUNS``, ``LABEL_RUNS``), and ``homeguard train`` followed by
 ``detect`` with each method (``OPERATOR_RUNS``), on one synthetic home
-generated by the current tree.  The ``OPERATOR_RUNS`` run again with the
-model that BASE_TREE's ``train`` writes, read by each tree's ``detect``, so
-the current tree must judge with the base's model file as the base does.
+generated by the current tree.  ``label``, and ``train`` followed by
+``detect`` with each method, run as well on that home's logs as another
+tool might write them (``rewritten_home``), whose unpadded timestamps only
+the per-text fallback of the parsers reads.  The ``OPERATOR_RUNS`` run
+again with the model that BASE_TREE's ``train`` writes, read by each
+tree's ``detect``, so the current tree must judge with the base's model
+file as the base does.
 ``TRACE_RUNS`` train on that home and write the sha256 of the forward
 filter's every belief over it (``run_filter``'s ``entry``, ``pre`` and
 ``post`` bytes under the trained model), where the verdict files hold only
@@ -36,6 +40,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from datetime import datetime
 from pathlib import Path
 
 WORKLOADS = ("loocv-s1-28d", "loocv-dense-7d", "train-detect-s1-90d")
@@ -194,6 +199,27 @@ def synth_homes(work: Path) -> dict[str, Path]:
     return {"00:00": whole, "04:00": cut}
 
 
+def rewritten_home(home: Path, out: Path) -> Path:
+    """``home``'s two logs as another tool might write them: every third
+    timestamp without zero padding, rows swapped in pairs from the tenth on,
+    a blank line after every fiftieth row, and the first actor cell quoted."""
+    out.mkdir()
+    for name in ("operations.csv", "sensors.csv"):
+        with (home / name).open(newline="") as handle:
+            header, *rows = csv.reader(handle)
+        for row in rows[::3]:
+            ts = datetime.fromisoformat(row[0])
+            row[0] = f"{ts.year}-{ts.month}-{ts.day}T{ts.hour}:{ts.minute}:{ts.second}"
+        for i in range(10, len(rows) - 1, 2):
+            rows[i], rows[i + 1] = rows[i + 1], rows[i]
+        if name == "operations.csv":
+            rows[0][-1] = f'"{rows[0][-1]}"'
+        lines = [",".join(row) + ("\n\n" if i % 50 == 49 else "\n")
+                 for i, row in enumerate(rows)]
+        (out / name).write_text(",".join(header) + "\n" + "".join(lines))
+    return out
+
+
 def run_digests(tree: Path, steps, out: Path, base: Path) -> dict[str, str]:
     """The digests of every file that the ``homeguard`` commands of
     ``steps``, run one after another in ``tree`` (in ``base`` for a step
@@ -314,8 +340,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         homes = synth_homes(work)
+        rewritten = rewritten_home(homes["00:00"], work / "home-rewritten")
         runs = [
-            (f"{command} {name}", steps, origin, run_args)
+            (f"{command} {name}", steps, homes[origin], origin, run_args)
             for command, steps, command_runs in (
                 ("evaluate", evaluate_steps, EVALUATE_RUNS),
                 ("label", label_steps, LABEL_RUNS),
@@ -328,10 +355,13 @@ def main(argv=None) -> int:
                 ("synth", synth_steps, SYNTH_RUNS),
             )
             for name, origin, run_args in command_runs
+        ] + [
+            (f"{command} rewritten", steps, rewritten, "00:00", ())
+            for command, steps in (("label", label_steps), ("train-detect", operator_steps))
         ]
-        for label, steps, origin, run_args in runs:
+        for label, steps, home, origin, run_args in runs:
             base, new = (
-                run_digests(tree, steps(homes[origin], origin, out, run_args), out, args.base)
+                run_digests(tree, steps(home, origin, out, run_args), out, args.base)
                 for tree, out in (
                     (args.base, work / f"base-{label.replace(' ', '-')}"),
                     (head, work / f"head-{label.replace(' ', '-')}"),

@@ -27,15 +27,24 @@ is naive and formats back to exactly the input text, which is the case for
 every canonical timestamp the writers here produce; any other text goes
 through ``datetime.strptime`` with ``TIMESTAMP_FORMAT``, so the accepted
 set, the values and the error messages are those of ``strptime`` alone.
+
+Both logs are checked as columns, ``BLOCK_ROWS`` rows at a time: the field
+counts, the timestamps through ``parse_timestamps`` (one numpy parse for
+the texts in the canonical form, ``parse_timestamp`` for any other), the
+sensor readings through one ``float`` pass and each range as one mask.  The
+first row that fails a check is checked again on its own, which raises the
+error a row-by-row parse raises, and a fault of the reader is raised only
+after the rows before it have been checked, so the error reported is that of
+the first fault in file order.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-from array import array
 from dataclasses import dataclass
 from datetime import datetime, time, timedelta
+from itertools import chain, compress
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -54,6 +63,9 @@ SLOTS_PER_DAY = 1440
 # included.  A grid of that span holds about a million slots.
 MAX_SPAN_DAYS = 731
 TIMESTAMP_FORMAT = "%Y-%m-%dT%H:%M:%S"
+# Rows of a log checked together as columns.  Whole-file columns would raise
+# the peak memory of a 90-day train or detect by a few MB.
+BLOCK_ROWS = 1024
 _MICROSECOND = timedelta(microseconds=1)
 
 OPERATION_HEADER = ("timestamp", "device", "action", "actor")
@@ -139,6 +151,48 @@ def parse_timestamp(text: str, line: int | None = None) -> datetime:
         raise ParseError(f"bad timestamp {text!r}: {exc}", line=line) from None
 
 
+def parse_timestamps(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Each text as ``parse_timestamp`` reads it, as ``datetime64[us]``, and
+    whether ``parse_timestamp`` rejects it (its value is then NaT).
+
+    Texts in the form ``_canonical`` accepts are read by one numpy parse;
+    every other text, and every canonical one when numpy rejects one of
+    them, goes through ``parse_timestamp`` one at a time.
+    """
+    values = np.full(len(texts), np.datetime64("NaT", "us"))
+    bad = np.zeros(len(texts), dtype=bool)
+    canonical = _canonical(texts)
+    try:
+        values[canonical] = np.array(list(compress(texts, canonical.tolist())), "datetime64[us]")
+    except ValueError:  # a date or time of day that does not exist
+        canonical[:] = False
+    for i in np.flatnonzero(~canonical).tolist():
+        try:
+            values[i] = parse_timestamp(texts[i])
+        except ParseError:
+            bad[i] = True
+    return values, bad
+
+
+# The bounds of each character of ``YYYY-MM-DDTHH:MM:SS``, as code points.
+_CANONICAL_LOW, _CANONICAL_HIGH = (
+    np.array(["0000-00-00T00:00:00", "9999-99-99T99:99:99"]).view(np.uint32).reshape(2, -1)
+)
+
+
+def _canonical(texts: Sequence[str]) -> np.ndarray:
+    """Per text, whether it is ``YYYY-MM-DDTHH:MM:SS`` in ASCII digits with a
+    year of at least 1: the texts numpy reads as ``strptime`` does, or
+    rejects where ``strptime`` does too."""
+    width = len(_CANONICAL_LOW)
+    codes = np.array(texts, dtype=f"U{width}").view(np.uint32).reshape(len(texts), width)
+    return (
+        (np.fromiter(map(len, texts), dtype=np.intp, count=len(texts)) == width)
+        & ((codes >= _CANONICAL_LOW) & (codes <= _CANONICAL_HIGH)).all(axis=1)
+        & (codes[:, :4] != ord("0")).any(axis=1)
+    )
+
+
 def _read_rows(path: str | Path, header: Sequence[str]) -> Iterable[tuple[int, list[str]]]:
     """The rows after the header of a CSV log, each with the number of the
     physical line it starts on; blank rows are skipped."""
@@ -167,6 +221,27 @@ def _read_rows(path: str | Path, header: Sequence[str]) -> Iterable[tuple[int, l
             raise ParseError(f"{path}: {exc}", line=reader.line_num) from None
 
 
+def _read_blocks(
+    path: str | Path, header: Sequence[str]
+) -> Iterable[list[tuple[int, list[str]]]]:
+    """The rows of ``_read_rows`` in blocks of ``BLOCK_ROWS``.  A fault of
+    the reader is raised only once the rows before it have been yielded, so
+    that a fault of one of those rows, checked first, is the one reported."""
+    block = []
+    try:
+        for item in _read_rows(path, header):
+            block.append(item)
+            if len(block) == BLOCK_ROWS:
+                yield block
+                block = []
+    except ParseError:
+        if block:
+            yield block
+        raise
+    if block:
+        yield block
+
+
 def _bad_utf8_line(path: Path) -> int | None:
     """The line of the first byte of ``path`` that is not UTF-8 (a reader
     decodes in blocks, so its error does not tell)."""
@@ -186,35 +261,53 @@ def parse_operation_log(
 
     Pairs outside the registered vocabulary raise ``SchemaError`` by default;
     with ``on_unknown="skip"`` they are dropped with a warning instead, which
-    is what the detection CLI wants for live streams.
+    is what the detection CLI wants for live streams.  The log is read a
+    block of rows at a time, the timestamps of a block by one
+    ``parse_timestamps`` call; the first faulty row raises the error of
+    ``_check_operation_row``, and the rows skipped before it are warned of
+    in file order.
     """
     if on_unknown not in ("error", "skip"):
         raise ValueError(f"on_unknown must be 'error' or 'skip', got {on_unknown!r}")
     vocabulary = vocabulary or Vocabulary()
+    width = len(OPERATION_HEADER)
+    skip = on_unknown == "skip"
     records: list[EventRecord] = []
-    for line_no, row in _read_rows(path, OPERATION_HEADER):
-        if len(row) != len(OPERATION_HEADER):
-            raise ParseError(
-                f"expected {len(OPERATION_HEADER)} fields, got {len(row)}", line=line_no
-            )
-        ts = parse_timestamp(row[0].strip(), line=line_no)
-        device = row[1].strip()
-        action = row[2].strip()
-        actor = row[3].strip() or None
-        if not device or not action:
-            raise ParseError("device and action must be non-empty", line=line_no)
-        if not vocabulary.is_registered(device, action):
-            if on_unknown == "skip":
+    for block in _read_blocks(path, OPERATION_HEADER):
+        good = next((i for i, (_, row) in enumerate(block) if len(row) != width), len(block))
+        times, bad = parse_timestamps([row[0].strip() for _, row in block[:good]])
+        for (line_no, row), ts, faulty in zip(block[:good], times.tolist(), bad.tolist()):
+            device, action = row[1].strip(), row[2].strip()
+            registered = vocabulary.is_registered(device, action)
+            if faulty or not device or not action or not (registered or skip):
+                _check_operation_row(line_no, row, vocabulary)
+            if not registered:
                 logger.warning(
                     "line %d: skipping unregistered pair (%s, %s)", line_no, device, action
                 )
                 continue
-            raise SchemaError(
-                f"line {line_no}: unregistered (device, action) pair ({device!r}, {action!r})"
-            )
-        records.append(EventRecord(ts, device, action, actor))
+            records.append(EventRecord(ts, device, action, row[3].strip() or None))
+        if good < len(block):
+            _check_operation_row(*block[good], vocabulary)
     records.sort(key=lambda r: r.timestamp)  # stable: ties keep file order
     return records
+
+
+def _check_operation_row(line_no: int, row: list[str], vocabulary: Vocabulary) -> None:
+    """Raise the error of the first check an operation-log row fails."""
+    if len(row) != len(OPERATION_HEADER):
+        raise ParseError(
+            f"expected {len(OPERATION_HEADER)} fields, got {len(row)}", line=line_no
+        )
+    parse_timestamp(row[0].strip(), line=line_no)
+    device = row[1].strip()
+    action = row[2].strip()
+    if not device or not action:
+        raise ParseError("device and action must be non-empty", line=line_no)
+    if not vocabulary.is_registered(device, action):
+        raise SchemaError(
+            f"line {line_no}: unregistered (device, action) pair ({device!r}, {action!r})"
+        )
 
 
 def parse_sensor_log(
@@ -226,31 +319,75 @@ def parse_sensor_log(
 
     ``ranges`` maps field name to an inclusive interval; pass ``None`` to
     disable range checking entirely (deployments with uncalibrated sensors).
+    The log is checked as columns, a block of rows at a time: a field-count
+    test, one ``parse_timestamps`` call, one ``float`` pass over the
+    readings and one mask per range.  The first faulty row in file order
+    raises the error of ``_check_sensor_row``.
     """
-    timestamps: list[datetime] = []
-    cells = array("d")  # the readings, row after row
-    for line_no, row in _read_rows(path, SENSOR_HEADER):
-        if len(row) != len(SENSOR_HEADER):
-            raise ParseError(
-                f"expected {len(SENSOR_HEADER)} fields, got {len(row)}", line=line_no
-            )
-        timestamps.append(parse_timestamp(row[0].strip(), line=line_no))
-        for name, cell in zip(SENSOR_FIELDS, row[1:]):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ParseError(f"bad {name} value {cell!r}", line=line_no) from None
+    times = [np.zeros(0, dtype="datetime64[us]")]
+    values = [np.zeros((0, len(SENSOR_FIELDS)))]
+    for block in _read_blocks(path, SENSOR_HEADER):
+        stamps, readings = _sensor_columns([row for _, row in block])
+        block_times, bad = parse_timestamps(list(map(str.strip, stamps)))
+        for name, column in zip(SENSOR_FIELDS, readings.T):
             if ranges is not None and name in ranges:
                 low, high = ranges[name]
-                if not (low <= value <= high):
-                    raise ValidationError(
-                        f"line {line_no}: value {value} outside [{low}, {high}]",
-                        field=name,
-                    )
-            cells.append(value)
-    values = np.frombuffer(cells).reshape(-1, len(SENSOR_FIELDS))
-    order = sorted(range(len(timestamps)), key=timestamps.__getitem__)
-    return SensorFrames([timestamps[i] for i in order], values[order])
+                bad |= ~((low <= column) & (column <= high))
+        first = int(bad.argmax()) if bad.any() else len(stamps)
+        if first < len(block):
+            _check_sensor_row(*block[first], ranges)
+        times.append(block_times)
+        values.append(readings)
+    times = np.concatenate(times)
+    order = np.argsort(times, kind="stable")
+    return SensorFrames(times[order].tolist(), np.concatenate(values)[order])
+
+
+def _sensor_columns(rows: list[list[str]]) -> tuple[list[str], np.ndarray]:
+    """The timestamp texts and the readings of ``rows`` up to the first row
+    that does not fit the columns: one with a wrong number of fields, or
+    with a reading ``float`` rejects."""
+    width = len(SENSOR_HEADER)
+    rows = rows[:next((i for i, row in enumerate(rows) if len(row) != width), len(rows))]
+    cells = list(chain.from_iterable(rows))
+    stamps = cells[::width]
+    del cells[::width]
+    try:
+        readings = list(map(float, cells))
+    except ValueError:
+        return _sensor_columns(rows[:next(i for i, row in enumerate(rows) if not _readable(row))])
+    return stamps, np.array(readings, dtype=float).reshape(len(rows), width - 1)
+
+
+def _readable(row: list[str]) -> bool:
+    """Whether ``float`` reads every reading of a sensor-log row."""
+    try:
+        list(map(float, row[1:]))
+    except ValueError:
+        return False
+    return True
+
+
+def _check_sensor_row(
+    line_no: int, row: list[str], ranges: dict[str, tuple[float, float]] | None
+) -> None:
+    """Raise the error of the first check a sensor-log row fails."""
+    if len(row) != len(SENSOR_HEADER):
+        raise ParseError(
+            f"expected {len(SENSOR_HEADER)} fields, got {len(row)}", line=line_no
+        )
+    parse_timestamp(row[0].strip(), line=line_no)
+    for name, cell in zip(SENSOR_FIELDS, row[1:]):
+        try:
+            value = float(cell)
+        except ValueError:
+            raise ParseError(f"bad {name} value {cell!r}", line=line_no) from None
+        if ranges is not None and name in ranges:
+            low, high = ranges[name]
+            if not (low <= value <= high):
+                raise ValidationError(
+                    f"line {line_no}: value {value} outside [{low}, {high}]", field=name
+                )
 
 
 def write_operation_log(records: Iterable[EventRecord], path: str | Path) -> None:

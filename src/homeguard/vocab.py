@@ -96,6 +96,12 @@ class Vocabulary:
             raise ValidationError(
                 f"detection target {self.detection_target!r} is not registered"
             )
+        for name, (low, high) in self.sensor_ranges.items():
+            if low > high:
+                raise ValidationError(
+                    f"range [{low}, {high}] has its low end above its high end",
+                    field=at("sensor_ranges", name),
+                )
 
     def is_registered(self, device: str, action: str) -> bool:
         return action in self.pairs.get(device, ())

@@ -8,6 +8,7 @@ result.
 from __future__ import annotations
 
 import csv
+import logging
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from datetime import date, datetime, time, timedelta
@@ -18,9 +19,10 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from homeguard.detector import Candidates, Levels, two_level_anomalous
-from homeguard.errors import InitializationError, ParseError, ValidationError
+from homeguard.errors import InitializationError, ParseError, SchemaError, ValidationError
 from homeguard.hsmodel import FilterTrace, filter_streams, kept_day_streams
 from homeguard.ingest import (
+    OPERATION_HEADER,
     SENSOR_HEADER,
     SLOT_SECONDS,
     SLOTS_PER_DAY,
@@ -93,6 +95,43 @@ def frame_rows(frames: SensorFrames) -> list[SensorFrame]:
     """``SensorFrames`` as one record per frame."""
     return [SensorFrame(ts, *values)
             for ts, values in zip(frames.timestamps, frames.values.tolist())]
+
+
+# The logger ``homeguard.ingest`` warns on.
+_INGEST_LOGGER = logging.getLogger("homeguard.ingest")
+
+
+def parse_operation_log_rows(
+    path, vocabulary: Vocabulary | None = None, on_unknown: str = "error"
+) -> list[EventRecord]:
+    """An operation log parsed row by row, each row checked before the next
+    is read, sorted by timestamp (stable for ties); with ``on_unknown="skip"``
+    an unregistered pair is warned of and dropped."""
+    vocabulary = vocabulary or Vocabulary()
+    records: list[EventRecord] = []
+    for line_no, row in _read_rows(path, OPERATION_HEADER):
+        if len(row) != len(OPERATION_HEADER):
+            raise ParseError(
+                f"expected {len(OPERATION_HEADER)} fields, got {len(row)}", line=line_no
+            )
+        ts = parse_timestamp(row[0].strip(), line=line_no)
+        device = row[1].strip()
+        action = row[2].strip()
+        actor = row[3].strip() or None
+        if not device or not action:
+            raise ParseError("device and action must be non-empty", line=line_no)
+        if not vocabulary.is_registered(device, action):
+            if on_unknown == "skip":
+                _INGEST_LOGGER.warning(
+                    "line %d: skipping unregistered pair (%s, %s)", line_no, device, action
+                )
+                continue
+            raise SchemaError(
+                f"line {line_no}: unregistered (device, action) pair ({device!r}, {action!r})"
+            )
+        records.append(EventRecord(ts, device, action, actor))
+    records.sort(key=lambda r: r.timestamp)
+    return records
 
 
 def parse_sensor_log_rows(

@@ -450,6 +450,8 @@ class TestMalformedModel:
             (set_key("vocabulary", "pairs", 5), "vocabulary.pairs"),
             (set_key("vocabulary", "sensor_ranges", {"co2": "high"}),
              "vocabulary.sensor_ranges.co2"),
+            (set_key("vocabulary", "sensor_ranges", {"co2": [5000, 0]}),
+             "vocabulary: sensor_ranges.co2: range [5000.0, 0.0] has its low end above"),
             (set_key("vocabulary", "bogus", 1), "'bogus'"),
             (replace_key("vocabulary", []), "vocabulary"),
             (a_row_value("x"), "a: transition slot"),
@@ -476,7 +478,8 @@ class TestMalformedModel:
         ],
         ids=["no-b", "seq-bogus", "model-bogus", "labeling-bogus", "w_max-text",
              "night_split-text", "states", "short-b", "store-null", "baseline_store-null",
-             "vocabulary-pairs", "vocabulary-ranges", "vocabulary-bogus", "vocabulary-list",
+             "vocabulary-pairs", "vocabulary-ranges", "vocabulary-range-inverted",
+             "vocabulary-bogus", "vocabulary-list",
              "a-row-text", "a-row-nan", "t_z-text", "t_z-short", "target_total-text",
              "b-negative", "slot_counts-short", "counts-list", "times-int", "store-n_states",
              "t_seq-huge", "top-bogus", "store-extra", "baseline_store-extra", "store-criterion",
@@ -627,12 +630,15 @@ class TestBadVocabulary:
             ({"sensor_ranges": {"co2": [0]}}, "sensor_ranges.co2: expected a list of 2 values"),
             ({"sensor_ranges": {"co3": [0, 5000]}}, "sensor_ranges: unknown key 'co3'"),
             ({"sensor_ranges": {"co2": [0, float("nan")]}}, "sensor_ranges.co2[1]"),
+            ({"sensor_ranges": {"co2": [5000, 0]}},
+             "sensor_ranges.co2: range [5000.0, 0.0] has its low end above its high end"),
             ({"pair": {}}, "'pair'"),
             ([], "JSON object"),
             ({"detection_target": "kettle"}, "'kettle'"),
         ],
         ids=["pairs-int", "pairs-text", "cooking-text", "target-int", "presence-list",
-             "range-short", "range-unknown", "range-nan", "unknown-key", "not-object",
+             "range-short", "range-unknown", "range-nan", "range-inverted", "unknown-key",
+             "not-object",
              "target-unknown"],
     )
     def test_bad_shape_exits_2(self, tmp_path, model_home, command, content, named, capsys):

@@ -7,8 +7,15 @@ import numpy as np
 import pytest
 
 from homeguard import ingest
-from homeguard.errors import InitializationError, ParseError, SchemaError, ValidationError
+from homeguard.errors import (
+    HomeguardError,
+    InitializationError,
+    ParseError,
+    SchemaError,
+    ValidationError,
+)
 from homeguard.ingest import (
+    BLOCK_ROWS,
     MAX_SPAN_DAYS,
     EventRecord,
     build_timeslots,
@@ -16,6 +23,7 @@ from homeguard.ingest import (
     parse_operation_log,
     parse_sensor_log,
     parse_timestamp,
+    parse_timestamps,
     write_operation_log,
     write_sensor_log,
 )
@@ -25,6 +33,7 @@ from oracles import (
     build_timeslots_bisect,
     columns,
     frame_rows,
+    parse_sensor_log_rows,
     parse_timestamp_strptime,
     slot_records,
 )
@@ -231,6 +240,71 @@ class TestCsvFaults:
             parse_sensor_log(path)
 
 
+def sensor_outcome(parse, path):
+    """The frames ``parse`` reads from ``path``, or its error."""
+    try:
+        return parse(path)
+    except HomeguardError as exc:
+        return type(exc), str(exc)
+
+
+class TestSensorLogBlocks:
+    """Logs longer than one block, and timestamps numpy reads otherwise than
+    ``strptime``, read as the per-row parser reads them."""
+
+    ROW = "2020-01-01T{:02d}:{:02d}:00,20,50,1000,{},40\n"
+
+    def write_log(self, tmp_path, n, cells=None):
+        """``n`` rows a minute apart, with the co2 cell of row ``i`` set to
+        ``cells[i]``."""
+        cells = cells or {}
+        rows = [self.ROW.format(*divmod(i % 1440, 60), cells.get(i, 500)) for i in range(n)]
+        return write(tmp_path / "sensors.csv", TestParseSensorLog.HEADER + "".join(rows))
+
+    def assert_as_per_row(self, path):
+        expected = sensor_outcome(parse_sensor_log_rows, path)
+        got = sensor_outcome(lambda p: frame_rows(parse_sensor_log(p)), path)
+        assert got == expected
+        return got
+
+    def test_clean_log_of_several_blocks(self, tmp_path):
+        frames = self.assert_as_per_row(self.write_log(tmp_path, 2 * BLOCK_ROWS + 3))
+        assert len(frames) == 2 * BLOCK_ROWS + 3
+
+    def test_first_fault_in_a_later_block(self, tmp_path):
+        path = self.write_log(tmp_path, 2 * BLOCK_ROWS + 3,
+                              {BLOCK_ROWS + 3: 6000, BLOCK_ROWS + 4: "x", 2 * BLOCK_ROWS: "y"})
+        assert self.assert_as_per_row(path) == (
+            ValidationError, f"co2: line {BLOCK_ROWS + 5}: value 6000.0 outside [0.0, 5000.0]")
+
+    def test_bad_row_in_the_first_block_before_a_reader_fault_in_the_second(self, tmp_path):
+        path = self.write_log(tmp_path, BLOCK_ROWS + 5, {5: "x", BLOCK_ROWS + 2: "4" * 200_000})
+        assert self.assert_as_per_row(path) == (ParseError, "line 7: bad co2 value 'x'")
+
+    @pytest.mark.parametrize("fault", ["4" * 200_000, "4,4"], ids=["field-limit", "width"])
+    def test_out_of_range_just_before_a_fault_on_the_block_bound(self, tmp_path, fault):
+        path = self.write_log(tmp_path, BLOCK_ROWS + 2, {BLOCK_ROWS - 1: -1, BLOCK_ROWS: fault})
+        assert self.assert_as_per_row(path) == (
+            ValidationError, f"co2: line {BLOCK_ROWS + 1}: value -1.0 outside [0.0, 5000.0]")
+
+    def test_unreadable_reading_after_an_out_of_range_one_in_the_same_block(self, tmp_path):
+        path = self.write_log(tmp_path, 20, {3: "nan", 2: "x"})
+        assert self.assert_as_per_row(path) == (ParseError, "line 4: bad co2 value 'x'")
+
+    @pytest.mark.parametrize("text", [
+        "0000-01-01T00:00:00", "2021-02-29T00:00:00", "2021-03-01T24:00:00",
+        "2021-03-01T23:59:60", "NaT", "\uff12\uff10\uff12\uff11-03-01T00:00:00",
+        "2021-3-1T4:5:6", " 2021-03-01T04:05:06 ",
+    ])
+    @pytest.mark.parametrize("at", [0, 7, BLOCK_ROWS + 7])
+    def test_timestamp_numpy_reads_otherwise(self, tmp_path, text, at):
+        path = self.write_log(tmp_path, BLOCK_ROWS + 9)
+        lines = path.read_text().splitlines(keepends=True)
+        lines[at + 1] = text + lines[at + 1][len("2020-01-01T00:00:00"):]
+        path.write_text("".join(lines))
+        self.assert_as_per_row(path)
+
+
 class TestBuildTimeslots:
     def test_forward_fill(self):
         base = datetime(2020, 1, 1)
@@ -407,10 +481,12 @@ TIMESTAMP_TEXTS = [
     "2026-01-01T24:00:00",
     "2026-01-01T23:59:60",
     "0001-01-01T00:00:00",
+    "0000-01-01T00:00:00",
     "9999-12-31T23:59:59",
     "2026-01-01t00:05:00",
     "２０２６-01-01T00:05:00",
     "",
+    "NaT",
     "not-a-time",
 ]
 
@@ -424,6 +500,21 @@ class TestParseTimestampMatchesStrptime:
         for value in (datetime(2021, 3, 1, 7, 5, 9), datetime(1, 1, 1, 0, 30),
                       datetime(999, 2, 3, 4, 5, 6), datetime(9999, 12, 31, 23, 59, 59)):
             assert parse_timestamp(format_timestamp(value)) == value
+
+
+class TestParseTimestamps:
+    @pytest.mark.parametrize("texts", [TIMESTAMP_TEXTS, [], ["0000-01-01T00:00:00"] * 3,
+                                       ["2021-03-01T00:00:00", "2021-02-29T00:00:00"]])
+    def test_each_text_as_parse_timestamp_reads_it(self, texts):
+        values, bad = parse_timestamps(texts)
+        assert values.dtype == np.dtype("datetime64[us]") and len(values) == len(texts)
+        for text, value, rejected in zip(texts, values.tolist(), bad.tolist()):
+            try:
+                expected = parse_timestamp(text)
+            except ParseError:
+                assert rejected and value is None
+            else:
+                assert not rejected and value == expected
 
 
 def assert_parse_matches_strptime(text: str) -> None:

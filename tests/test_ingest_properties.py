@@ -6,18 +6,24 @@ errors included, and its ``event_at`` must hold each event's microseconds
 from the grid's start; ``parse_timestamp`` must accept, reject and read every text
 as ``strptime`` with ``TIMESTAMP_FORMAT`` does; and ``parse_sensor_log`` must
 read fuzzed sensor logs as the per-row parser does: the same frames, or the
-same first error, which ``label`` reports with exit code 2.
+same first error, which ``label`` reports with exit code 2.  So must
+``parse_operation_log`` read fuzzed operation logs, the warnings for skipped
+pairs included.  Both are fuzzed at small block sizes too, so that faults
+fall on either side of block bounds.
 """
 
+import logging
 from datetime import datetime, time, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from homeguard import ingest  # noqa: E402
 from homeguard.cli import main  # noqa: E402
 from homeguard.errors import HomeguardError  # noqa: E402
 from homeguard.ingest import (  # noqa: E402
@@ -25,6 +31,7 @@ from homeguard.ingest import (  # noqa: E402
     EventRecord,
     build_timeslots,
     offsets_from,
+    parse_operation_log,
     parse_sensor_log,
 )
 from homeguard.vocab import DEFAULT_SENSOR_RANGES, SENSOR_FIELDS  # noqa: E402
@@ -34,6 +41,7 @@ from oracles import (  # noqa: E402
     build_timeslots_bisect,
     columns,
     frame_rows,
+    parse_operation_log_rows,
     parse_sensor_log_rows,
     slot_records,
 )
@@ -168,17 +176,76 @@ def read_frames(parse, path, ranges):
     return [(f.timestamp, [repr(f.value(name)) for name in SENSOR_FIELDS]) for f in frames]
 
 
+# Rows per block: one, a few, and the block size of the program.
+BLOCK_SIZES = st.sampled_from([1, 2, 3, ingest.BLOCK_ROWS])
+
+
 @settings(max_examples=200, deadline=None)
-@given(rows=sensor_rows(), ranges=st.sampled_from(RANGES))
-def test_sensor_log_reads_as_the_per_row_parser(tmp_path_factory, rows, ranges):
+@given(rows=sensor_rows(), ranges=st.sampled_from(RANGES), block_rows=BLOCK_SIZES)
+def test_sensor_log_reads_as_the_per_row_parser(tmp_path_factory, rows, ranges, block_rows):
     path = tmp_path_factory.mktemp("fuzz") / "sensors.csv"
     text = ",".join(SENSOR_HEADER) + "\n" + "".join(",".join(row) + "\n" for row in rows)
     path.write_bytes(text.encode("latin-1"))
     expected = read_frames(parse_sensor_log_rows, path, ranges)
-    assert read_frames(lambda *a, **k: frame_rows(parse_sensor_log(*a, **k)), path,
-                       ranges) == expected
+    with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
+        assert read_frames(lambda *a, **k: frame_rows(parse_sensor_log(*a, **k)), path,
+                           ranges) == expected
     if ranges == "default":
         operations = path.with_name("operations.csv")
         operations.write_text("timestamp,device,action,actor\n")
         code = main(["label", "--operations", str(operations), "--sensors", str(path)])
         assert code == 2 if isinstance(expected, tuple) else code in (0, 2)
+
+
+# Operation-log rows: registered pairs and two that are not, then at most
+# one odd cell: a wrong field count, an empty or blank name, a timestamp the
+# parser rejects or reads only through ``strptime``, or bytes that are not
+# UTF-8.
+UNREGISTERED = [("tv", "dim"), ("kettle", "on")]
+OPERATION_ROWS = st.tuples(
+    STAMPS, st.sampled_from(PAIRS + UNREGISTERED), st.sampled_from(["", "alice", " bob "])
+).map(lambda row: [row[0], *row[1], row[2]])
+OPERATION_ODD_CELLS = st.one_of(
+    st.sampled_from(["", " ", "tv", "dim", "kettle", "on", "x\udcff"]),
+    st.sampled_from(["2021-03-01 00:05:00", "2021-02-30T00:00:00", "2021-3-1T4:5:6",
+                     "0000-01-01T00:00:00", "NaT", "\uff12\uff10\uff12\uff11-03-01T00:00:00"]),
+)
+
+
+@st.composite
+def operation_rows(draw) -> list[list[str]]:
+    rows = draw(st.lists(OPERATION_ROWS, max_size=8))
+    if rows and draw(st.booleans()):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        cell = draw(st.integers(0, len(row)))
+        if cell < len(row):
+            row[cell] = draw(OPERATION_ODD_CELLS)
+        else:
+            row[:] = (row + ["x"])[:draw(st.sampled_from([0, 1, 3, len(row) + 1]))] or [""]
+    return rows
+
+
+def read_events(parse, path, on_unknown, caplog):
+    """The events ``parse`` reads, or its error, and the warnings it logs."""
+    caplog.clear()
+    try:
+        result = parse(path, on_unknown=on_unknown)
+    except HomeguardError as exc:
+        result = type(exc), str(exc)
+    return result, [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=operation_rows(), on_unknown=st.sampled_from(["error", "skip"]),
+       block_rows=BLOCK_SIZES)
+def test_operation_log_reads_as_the_per_row_parser(
+    tmp_path_factory, caplog, rows, on_unknown, block_rows
+):
+    caplog.set_level(logging.WARNING, logger="homeguard.ingest")
+    path = tmp_path_factory.mktemp("fuzz") / "operations.csv"
+    text = "timestamp,device,action,actor\n" + "".join(",".join(row) + "\n" for row in rows)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))  # "\udcff" is the byte 0xff
+    expected = read_events(parse_operation_log_rows, path, on_unknown, caplog)
+    with mock.patch.object(ingest, "BLOCK_ROWS", block_rows):
+        assert read_events(parse_operation_log, path, on_unknown, caplog) == expected
