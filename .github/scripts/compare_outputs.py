@@ -71,6 +71,11 @@ EVALUATE_RUNS = (
     # No injections: every judged operation is real.
     ("no-injections", "04:00",
      ("--methods", "all", "--injections", "0", "--initial-occupants", "0")),
+    # More than 2,000 distinct scores: 2,118-2,124 s_single (one per l) and
+    # 2,091 estimation scores, so those auto sweeps thin their candidates to
+    # 2000, as the benchmark's 28-day sweeps do.  A later --injections wins.
+    ("thinned-candidates", "00:00",
+     ("--methods", "all", "--injections", "500", "--l-values", "1,2,3")),
 )
 
 # label runs on the same homes, each writing the slot and the per-event label

@@ -27,6 +27,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta
+from functools import cached_property
 from itertools import product
 from math import prod
 from pathlib import Path
@@ -71,7 +72,8 @@ from .vocab import Vocabulary
 # stay alive until its last fold is scored: per fold one (1440, S, S) model and
 # N x 1440 x S floats of slot entries (3.2 MB on 28 days), plus 2 x S floats
 # per event for the beliefs just before and just after it.
-# Four keeps the 28-day protocol's fold loop under the peak of its sweep.
+# The fold loop sets the 28-day protocol's peak memory, above its sweeps; a
+# larger group runs faster but raises that peak (seven: 67.5 -> 80.0 MB).
 FOLD_GROUP = 4
 
 
@@ -113,7 +115,7 @@ class EvalPoint:
         total = self.fp + self.tn
         return self.fp / total if total else 0.0
 
-    @property
+    @cached_property
     def params_json(self) -> str:
         return json.dumps(dict(self.params), sort_keys=True)
 
@@ -398,18 +400,27 @@ def _frontier_indices(mis: np.ndarray, det: np.ndarray) -> list[int]:
     misdetection, then falling detection, then position, keep each point whose
     detection exceeds that of every point before it.
 
-    The ratios may be given as the counts they divide (fp and tp over
-    constant totals): a division by a positive constant keeps the order and
-    the ties of integers, and a zero total makes every ratio 0, as every
-    count is then.
+    ``mis`` holds non-negative integer levels: misdetection counts (fp over a
+    constant total) or the codes of ratios in rising order.  ``det`` may be
+    counts too (tp over a constant total).  A division by a positive constant
+    keeps the order and the ties of integers, and a zero total makes every
+    ratio 0, as every count is then.  One pass over the points finds each
+    level's best detection and the first point holding it; then one pass over
+    the levels, one per count up to the largest, keeps the frontier.
     """
-    order = np.lexsort((-det, mis))
-    ordered = det[order]
-    best_before = np.empty_like(ordered)
-    best_before[:1] = -1
-    best_before[1:] = ordered[:-1]
-    np.maximum.accumulate(best_before, out=best_before)
-    return order[ordered > best_before].tolist()
+    if not mis.size:
+        return []
+    best = np.full(int(mis.max()) + 1, -1, dtype=det.dtype)
+    np.maximum.at(best, mis, det)
+    holds = np.flatnonzero(det == best[mis])
+    first = np.full(len(best), len(mis))
+    np.minimum.at(first, mis[holds], holds)
+    # A level is kept when its best beats every lower level's; an empty
+    # level's -1 beats nothing and raises nothing.
+    before = np.empty_like(best)
+    before[0] = -1
+    np.maximum.accumulate(best[:-1], out=before[1:])
+    return first[best > before].tolist()
 
 
 def _sweep(
@@ -445,10 +456,12 @@ def _sweep(
 
     def flagged(mask: np.ndarray) -> np.ndarray:
         """The operations in ``mask`` flagged at each combination of candidates."""
-        table = np.bincount(cells[mask[inside]], minlength=prod(shape)).reshape(shape)
-        # In place: on a dense grid each copy of the table is tens of MB.
+        # No cell counts more than the judged operations, so int32 holds it.
+        table = np.bincount(cells[mask[inside]], minlength=prod(shape))
+        table = table.astype(np.int32).reshape(shape)
+        # In place: a table of 2000 x 2000 candidates is 16 MB.
         for axis in range(len(shape)):
-            np.cumsum(table, axis=axis, out=table)
+            np.cumsum(table, axis=axis, dtype=table.dtype, out=table)
         return table.ravel()
 
     tp = flagged(injected)
@@ -675,7 +688,8 @@ def pareto_frontier(points: Sequence[EvalPoint]) -> list[EvalPoint]:
     ordered = sorted(points, key=lambda p: p.sort_key)
     mis = np.array([p.misdetection_ratio for p in ordered])
     det = np.array([p.detection_ratio for p in ordered])
-    return [ordered[idx] for idx in _frontier_indices(mis, det)]
+    levels = np.unique(mis, return_inverse=True)[1]
+    return [ordered[idx] for idx in _frontier_indices(levels, det)]
 
 
 def best_at(points: Sequence[EvalPoint], misdetection_cap: float = 0.10) -> EvalPoint | None:

@@ -1,5 +1,6 @@
 """Injection, cross-validation counts, grid search, and frontier extraction."""
 
+import tracemalloc
 from dataclasses import replace
 from datetime import datetime, time, timedelta
 
@@ -366,6 +367,25 @@ class TestGridSearch:
             (n_single, tp, fp) for n_single, _, tp, fp in frontier_rows_loop(rows)
         )
 
+    def test_auto_sweep_memory_per_cell(self):
+        # Shaped like one sweep of the 28-day protocol: 2,800 injected and
+        # about 100 real operations, s_single thinned to 2000 candidates and
+        # s_multi on about 400.  The two count tables and the frontier's
+        # working arrays stay under 20 bytes a cell at their peak.
+        rng = np.random.default_rng(3)
+        injected = np.arange(2900) < 2800
+        s1 = rng.random(2900)
+        s2 = np.round(rng.random(2900) * 400) / 400
+        cells = len(_candidate_thresholds(s1)) * len(_candidate_thresholds(s2))
+        assert cells > 2000 * 390
+        tracemalloc.start()
+        try:
+            _sweep_two_level("m", {}, s1, s2, injected, "auto", "auto")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * cells
+
 
 def mixed_dataset() -> EvalDataset:
     """Five toy days; day 2 is excluded (a device runs in an empty home) and
@@ -711,32 +731,42 @@ class TestParetoFrontier:
 
     def test_running_maximum_equals_the_loop(self):
         # Few distinct values, so ties in misdetection, in detection and in
-        # both are common.
+        # both are common.  Misdetection is given by level, as
+        # pareto_frontier codes its ratios.
         rng = np.random.default_rng(23)
         for _ in range(500):
             n = int(rng.integers(1, 60))
-            mis = rng.integers(0, 6, size=n) / 5.0
+            mis = rng.integers(0, 6, size=n)
             det = rng.integers(0, 6, size=n) / 5.0
             assert _frontier_indices(mis, det) == frontier_indices_loop(mis, det)
-        assert _frontier_indices(np.array([]), np.array([])) == []
+        assert _frontier_indices(np.array([], dtype=int), np.array([])) == []
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
     @pytest.mark.parametrize("inj, real", [(6, 9), (0, 9), (6, 0), (0, 0)])
-    def test_counts_give_the_frontier_of_their_ratios(self, inj, real):
+    def test_counts_give_the_frontier_of_their_ratios(self, inj, real, dtype):
         # Count tables shaped like the auto sweep's: a histogram of the
-        # operations over the candidate pairs, summed along both axes.
+        # operations over the candidate pairs, summed along both axes in
+        # place.
         rng = np.random.default_rng(41 + inj + real)
 
         def table(n_ops, shape):
-            hist = np.zeros(shape, dtype=np.int64)
+            hist = np.zeros(shape, dtype=dtype)
             np.add.at(hist, tuple(rng.integers(0, n, size=n_ops) for n in shape), 1)
-            return hist.cumsum(axis=0).cumsum(axis=1).ravel()
+            for axis in (0, 1):
+                np.cumsum(hist, axis=axis, dtype=dtype, out=hist)
+            return hist.ravel()
+
+        def check(shape, n_inj, n_real):
+            tp, fp = table(n_inj, shape), table(n_real, shape)
+            det = tp / n_inj if n_inj else np.zeros(tp.size)
+            mis = fp / n_real if n_real else np.zeros(fp.size)
+            assert _frontier_indices(fp, tp) == frontier_indices_loop(mis, det)
 
         for _ in range(200):
-            shape = tuple(int(n) for n in rng.integers(1, 12, size=2))
-            tp, fp = table(inj, shape), table(real, shape)
-            det = tp / inj if inj else np.zeros(tp.size)
-            mis = fp / real if real else np.zeros(fp.size)
-            assert _frontier_indices(fp, tp) == frontier_indices_loop(mis, det)
+            check(tuple(int(n) for n in rng.integers(1, 12, size=2)), inj, real)
+        # An auto sweep thinned to 2000 candidates on one axis, with many
+        # more operations.
+        check((2000, int(rng.integers(20, 40))), 300 * inj, 300 * real)
 
     def test_points_equal_a_sort_and_scan(self):
         # The rule pareto_frontier followed before it went through

@@ -10,14 +10,15 @@ looking its sequence up in a sequence-keyed store, and
 ``batch_candidates``, given the events that ``window_starts`` cuts, against
 a direct cut of the window.  The grid's detection and misdetection counts
 never fall as a threshold rises, and equal the rule's counts threshold by
-threshold, on "auto", fixed and half-auto grids.
+threshold, on "auto", fixed and half-auto grids.  The frontier of such count
+tables is the frontier of their ratios, as a sort and scan finds it.
 """
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from homeguard.detector import (  # noqa: E402
@@ -34,6 +35,7 @@ from homeguard.detector import (  # noqa: E402
 )
 from homeguard.evaluation import (  # noqa: E402
     _candidate_thresholds,
+    _frontier_indices,
     _sweep_estimation,
     _sweep_two_level,
 )
@@ -54,6 +56,7 @@ from oracles import (  # noqa: E402
     batch_items,
     best_per_level_loop,
     estimation_counts_loop,
+    frontier_indices_loop,
     frontier_rows_loop,
     proposed_score,
     ratio,
@@ -388,3 +391,32 @@ def test_estimation_sweep_counts_as_the_rule_theta_by_theta(scores, theta):
     points = _sweep_estimation(values, injected, {}, theta)
     rows = estimation_counts_loop(values, injected, sweep_values(values, theta, auto))
     assert_points_match(points, ("theta",), rows, auto, injected)
+
+
+def count_table(cells, shape):
+    """A count table as a two-threshold sweep builds it: an int32 histogram
+    of ``cells`` (wrapped into ``shape``), summed along each axis in place."""
+    table = np.zeros(shape, dtype=np.int32)
+    for i, j in cells:
+        table[i % shape[0], j % shape[1]] += 1
+    for axis in (0, 1):
+        np.cumsum(table, axis=axis, dtype=table.dtype, out=table)
+    return table.ravel()
+
+
+operation_cells = st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(shape=st.tuples(st.integers(1, 8), st.integers(1, 8)), inj=operation_cells,
+       real=operation_cells)
+@example(shape=(1, 1), inj=[], real=[])
+@example(shape=(1, 1), inj=[(0, 0)], real=[(0, 0), (0, 0)])
+@example(shape=(3, 4), inj=[(1, 2)] * 3, real=[(1, 2)] * 2)  # every cell ties a neighbour
+@example(shape=(3, 4), inj=[], real=[(0, 1), (2, 3)])
+@example(shape=(3, 4), inj=[(0, 1), (2, 3)], real=[])
+def test_frontier_of_count_tables_is_the_frontier_of_their_ratios(shape, inj, real):
+    tp, fp = count_table(inj, shape), count_table(real, shape)
+    det = tp / len(inj) if inj else np.zeros(tp.size)
+    mis = fp / len(real) if real else np.zeros(fp.size)
+    assert _frontier_indices(fp, tp) == frontier_indices_loop(mis, det)
