@@ -76,6 +76,12 @@ EVALUATE_RUNS = (
     # 2000, as the benchmark's 28-day sweeps do.  A later --injections wins.
     ("thinned-candidates", "00:00",
      ("--methods", "all", "--injections", "500", "--l-values", "1,2,3")),
+    # Estimation alone: the folds are filtered a group at a time with no
+    # proposed scores, and the first day's kept part is filtered on its own.
+    ("estimation-excluded-date", "04:00",
+     ("--methods", "estimation", "--initial-occupants", "0")),
+    # Sequence alone: no model is fitted and no day is filtered.
+    ("sequence-only", "00:00", ("--methods", "sequence")),
 )
 
 # label runs on the same homes, each writing the slot and the per-event label

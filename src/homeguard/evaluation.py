@@ -4,9 +4,11 @@ detection/misdetection ratios, parameter grids, and Pareto frontiers.
 Injected operations are judged counterfactually: each one sees the belief and
 event window of the real stream at its instant and never contaminates the
 stream, so judgments are independent of injection order.  The folds run one
-after another in one process, and one pass over them scores every method;
-their forward filters run a group of folds at a time, every model of the
-group in one lockstep pass over the days.
+after another in one process, and one pass over them scores every method.
+A fold is a plain record of its inputs: a group of folds at a time has its
+models fitted and its forward filters run, every model of the group in one
+lockstep pass over the days, and each fold holds its model and traces only
+until its scores are recorded; its sequence stores live in the scoring alone.
 Each judged window is enumerated once per labeling combination, and a
 fold's judged windows are scored as one batch, one scorer call per method
 and grid value (each ``l`` value; every ``alpha_seq`` in one call), with the
@@ -22,7 +24,6 @@ with one value per threshold is the evaluation of one fixed detector.
 
 from __future__ import annotations
 
-import csv
 import json
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
@@ -44,17 +45,19 @@ from .detector import (
 from .detector import proposed_scores as _best_deltas  # perfbench/child.py traces this name
 from .errors import ModelError, ValidationError
 from .hsmodel import (
+    FilterTrace,
     ModelParams,
+    OperationTable,
+    TransitionTensor,
     filter_models,
     fit_operations,
     fit_transitions,
     run_filter,  # noqa: F401 - not called here; perfbench/child.py traces this name
 )
-from .ingest import SLOT_MICROS, SLOTS_PER_DAY, EventRecord, SlotGrid, offsets_from
+from .ingest import SLOT_MICROS, SLOTS_PER_DAY, EventRecord, SlotGrid, offsets_from, write_csv
 # Not called here; perfbench/child.py traces this name.
 from .ingest import build_timeslots  # noqa: F401
 from .labeling import LabelArrays, LabelingParams, label_states
-from .payload import to_payload
 from .seqstore import (
     SECONDS_PER_DAY,
     DayWindows,
@@ -68,8 +71,9 @@ from .seqstore import (
 )
 from .vocab import Vocabulary
 
-# Folds filtered together in one lockstep pass.  A group's models and traces
-# stay alive until its last fold is scored: per fold one (1440, S, S) model and
+# Folds filtered together in one lockstep pass.  The pass fills every fold of
+# the group with its model and traces at once, and each fold drops them once
+# its scores are recorded: per fold one (1440, S, S) model and
 # N x 1440 x S floats of slot entries (3.2 MB on 28 days), plus 2 x S floats
 # per event for the beliefs just before and just after it.
 # The fold loop sets the 28-day protocol's peak memory, above its sweeps; a
@@ -165,7 +169,7 @@ class OperationContext:
 
     @property
     def belief(self) -> np.ndarray:
-        trace = self.fold.detection_trace()
+        trace = self.fold.detection_trace
         if self.slot is None:
             return trace.pre[self.index]
         if self.index > trace.first[self.slot]:
@@ -173,54 +177,35 @@ class OperationContext:
         return trace.entry[self.slot]
 
 
+@dataclass(eq=False)
 class FoldContext:
-    """Per-fold training artifacts, built lazily and shared across methods.
+    """One leave-one-day-out fold: its inputs, and the model and traces that
+    ``filter_group`` fills for the folds of one group.
 
     ``arrays`` holds the dataset's labels; the folds of one labeling share
     them, and each fold fits by masking its held-out and excluded days.
     ``windows`` holds the dataset's target windows; every fold and labeling
     of a run shares it, so each window is enumerated once per run.
+    ``model`` is the fold's (transitions, operations), ``training_traces``
+    the traces of its kept days and ``detection_trace`` the trace of its
+    held-out day: each None until the group pass.
     """
 
-    def __init__(
-        self,
-        dataset: EvalDataset,
-        arrays: LabelArrays,
-        heldout_day: int,
-        model_params: ModelParams,
-        seq_params: SeqParams,
-        windows: DayWindows,
-    ) -> None:
-        self.dataset = dataset
-        self.arrays = arrays
-        self.heldout_day = heldout_day
-        self.model_params = model_params
-        self.seq_params = seq_params
-        self.windows = windows
-        self._cache: dict[str, object] = {}
-
-    def release(self) -> None:
-        """Drop the fold's models, traces and stores; they rebuild on demand."""
-        self._cache.clear()
-
-    def training_arrays(self) -> LabelArrays:
-        arrays = self.arrays
-        return arrays.select((arrays.day != self.heldout_day) & ~arrays.excluded)
-
-    def state_model(self):
-        if "state_model" not in self._cache:
-            kept = self.training_arrays()
-            if not kept.keep.any():
-                raise ModelError("no usable training days in fold")
-            transitions = fit_transitions(kept, self.model_params.t_z_max)
-            operations = fit_operations(kept, self.dataset.vocabulary)
-            self._cache["state_model"] = (transitions, operations)
-        return self._cache["state_model"]
+    dataset: EvalDataset
+    arrays: LabelArrays
+    heldout_day: int
+    model_params: ModelParams
+    seq_params: SeqParams
+    windows: DayWindows
+    model: tuple[TransitionTensor, OperationTable] | None = None
+    training_traces: list[FilterTrace] | None = None
+    detection_trace: FilterTrace | None = None
 
     @staticmethod
     def filter_group(folds: Sequence["FoldContext"]) -> None:
-        """Filter the training days and the held-out days of folds of one
-        labeling in one lockstep pass, one model per fold.
+        """Fit the model of each fold of one labeling, then filter the
+        folds' training days and held-out days in one lockstep pass, one
+        model per fold.
 
         Every model filters every day of the dataset whole (row = day, the
         held-out day included) and the kept part of each day kept only in
@@ -244,54 +229,23 @@ class FoldContext:
             [stream for day, stream in training.items() if day != fold.heldout_day]
             for fold in folds
         ]
+        for fold in folds:
+            labels = arrays.select((arrays.day != fold.heldout_day) & kept)
+            if not labels.keep.any():
+                raise ModelError("no usable training days in fold")
+            fold.model = (
+                fit_transitions(labels, fold.model_params.t_z_max),
+                fit_operations(labels, dataset.vocabulary),
+            )
         traces = filter_models(
             dataset.grid,
             streams,
-            [fold.state_model() for fold in folds],
+            [fold.model for fold in folds],
             [fold_kept + [fold.heldout_day] for fold, fold_kept in zip(folds, kept_by_fold)],
         )
         for fold, fold_kept, fold_traces in zip(folds, kept_by_fold, traces):
-            fold._cache["training_traces"] = [fold_traces[stream] for stream in fold_kept]
-            fold._cache["detection_trace"] = fold_traces[fold.heldout_day]
-
-    def training_traces(self):
-        if "training_traces" not in self._cache:
-            FoldContext.filter_group([self])
-        return self._cache["training_traces"]
-
-    def training_beliefs(self) -> TrainingBeliefs:
-        """The training traces joined to the run's windows of their events;
-        the stores of every selection value share their ranking."""
-        if "training_beliefs" not in self._cache:
-            self._cache["training_beliefs"] = TrainingBeliefs(
-                self.training_traces(), self.windows
-            )
-        return self._cache["training_beliefs"]
-
-    def sequence_store(self, seq_params: SeqParams | None = None):
-        seq_params = seq_params or self.seq_params
-        key = ("store", json.dumps(to_payload(seq_params), sort_keys=True))
-        if key not in self._cache:
-            self._cache[key] = store_sequences(
-                self.training_beliefs(), self.dataset.vocabulary.detection_target, seq_params
-            )
-        return self._cache[key]
-
-    def timed_store(self):
-        """The timed store of every day but the held-out one."""
-        if "timed_store" not in self._cache:
-            self._cache["timed_store"] = build_timed_store(
-                self.windows,
-                self.dataset.vocabulary.detection_target,
-                self.seq_params,
-                without_day=self.heldout_day,
-            )
-        return self._cache["timed_store"]
-
-    def detection_trace(self):
-        if "detection_trace" not in self._cache:
-            FoldContext.filter_group([self])
-        return self._cache["detection_trace"]
+            fold.training_traces = [fold_traces[stream] for stream in fold_kept]
+            fold.detection_trace = fold_traces[fold.heldout_day]
 
     def judged_operations(self, injections_per_day: int, seed: int) -> list[OperationContext]:
         """Real target operations of the held-out day, then injected ones."""
@@ -438,7 +392,7 @@ def _sweep(
     An axis tries the distinct values it is given, or for "auto" the
     ``_candidate_thresholds`` of its scores.  With any "auto" axis the
     Pareto-optimal combinations are kept; otherwise every combination of the
-    given values, in ``product`` order, repeats included.
+    given values, repeats included.  The points come sorted by ``sort_key``.
     """
     candidates = [
         _candidate_thresholds(scores) if values == "auto" else np.unique(values)
@@ -632,9 +586,9 @@ def _collect_scores(
             )
             for key, column in scores.items():
                 parts[key].append(column)
-            # The scores are recorded: drop the fold's models, traces and
-            # stores before the next fold builds its own.
-            fold.release()
+            # The scores are recorded: drop the fold's model and traces, so
+            # that none outlives its group.
+            fold.model = fold.training_traces = fold.detection_trace = None
     return {key: np.concatenate(columns, axis=-1) for key, columns in parts.items()}
 
 
@@ -647,32 +601,42 @@ def _score_fold(
     injections_per_day: int,
     seed: int,
 ) -> dict[object, np.ndarray]:
-    """The columns of one fold's judged operations.  Each judged window is
-    enumerated once, and the beliefs are copied out of the fold's traces,
-    which the caller releases once the scores are kept."""
+    """The columns of one fold's judged operations, read off the model and
+    traces that ``filter_group`` filled when a method reads beliefs.  Each
+    judged window is enumerated once, and the fold's stores are built here
+    and dropped on return."""
     contexts = fold.judged_operations(injections_per_day, seed)
     scores = {"injected": np.array([ctx.injected for ctx in contexts], dtype=bool)}
+    target = fold.dataset.vocabulary.detection_target
     if need_proposed or need_estimation:
-        n_states = fold.detection_trace().entry.shape[1]
+        n_states = fold.detection_trace.entry.shape[1]
         beliefs = np.array([ctx.belief for ctx in contexts]).reshape(len(contexts), n_states)
     if need_proposed or need_sequence:
         judged = [(ctx.preceding, ctx.op) for ctx in contexts]
         batch = batch_candidates(judged, seq_params_base, fold.windows.keys)
+    if need_proposed:
+        # The stores of every l value share the ranking of the beliefs.
+        training = TrainingBeliefs(fold.training_traces, fold.windows)
     for l_value in need_proposed:
-        store = fold.sequence_store(
+        store = store_sequences(
+            training,
+            target,
             replace(seq_params_base, l_rank=int(l_value))
             if seq_params_base.criterion == "rank"
-            else replace(seq_params_base, l_alpha=float(l_value))
+            else replace(seq_params_base, l_alpha=float(l_value)),
         )
         # Keep (s_single, s_multi) only: the sweeps need no evidence.
         scores["proposed", l_value] = np.stack(_best_deltas(store, beliefs, batch)[:2])
     if need_estimation:
-        operations = fold.state_model()[1]
+        operations = fold.model[1]
         scores["estimation"] = estimation_score(operations, beliefs, [ctx.op for ctx in contexts])
     if need_sequence:
         tods = [seconds_of_day(ctx.op.timestamp) for ctx in contexts]
-        # The fold's windows in one batch, for every alpha_seq at once.
-        levels = sequence_scores(fold.timed_store(), batch, tods, need_sequence)
+        # Every day but the held-out one, in one batch for every alpha_seq.
+        timed = build_timed_store(
+            fold.windows, target, seq_params_base, without_day=fold.heldout_day
+        )
+        levels = sequence_scores(timed, batch, tods, need_sequence)
         for alpha, level in zip(need_sequence, levels):
             scores["sequence", alpha] = np.stack(level[:2])
     return scores
@@ -707,20 +671,10 @@ RESULTS_HEADER = ("method", "params_json", "misdetection", "detection", "tp", "f
 
 
 def write_results_csv(points: Iterable[EvalPoint], path: str | Path) -> None:
-    rows = sorted(points, key=lambda p: p.sort_key)
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(RESULTS_HEADER)
-        for point in rows:
-            writer.writerow(
-                [
-                    point.method,
-                    point.params_json,
-                    repr(point.misdetection_ratio),
-                    repr(point.detection_ratio),
-                    point.tp,
-                    point.fn,
-                    point.fp,
-                    point.tn,
-                ]
-            )
+    write_csv(
+        path,
+        RESULTS_HEADER,
+        ([p.method, p.params_json, repr(p.misdetection_ratio), repr(p.detection_ratio),
+          p.tp, p.fn, p.fp, p.tn]
+         for p in sorted(points, key=lambda p: p.sort_key)),
+    )

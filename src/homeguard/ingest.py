@@ -390,24 +390,31 @@ def _check_sensor_row(
                 )
 
 
-def write_operation_log(records: Iterable[EventRecord], path: str | Path) -> None:
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and then ``rows`` to ``path`` as UTF-8 CSV, each row
+    as it comes."""
     with Path(path).open("w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
-        writer.writerow(OPERATION_HEADER)
-        for rec in records:
-            writer.writerow(
-                [format_timestamp(rec.timestamp), rec.device, rec.action, rec.actor or ""]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def write_operation_log(records: Iterable[EventRecord], path: str | Path) -> None:
+    write_csv(
+        path,
+        OPERATION_HEADER,
+        ([format_timestamp(rec.timestamp), rec.device, rec.action, rec.actor or ""]
+         for rec in records),
+    )
 
 
 def write_sensor_log(frames: SensorFrames, path: str | Path) -> None:
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SENSOR_HEADER)
-        writer.writerows(
-            [format_timestamp(ts), *map(repr, readings)]
-            for ts, readings in zip(frames.timestamps, frames.values.tolist())
-        )
+    write_csv(
+        path,
+        SENSOR_HEADER,
+        ([format_timestamp(ts), *map(repr, readings)]
+         for ts, readings in zip(frames.timestamps, frames.values.tolist())),
+    )
 
 
 def floor_to_day_origin(ts: datetime, day_origin: time) -> datetime:

@@ -23,7 +23,6 @@ label exports format.  This module alone knows how labels are encoded.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -35,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import SLOT, SLOT_MICROS, SLOTS_PER_DAY, SlotGrid, format_timestamp
+from .ingest import SLOT, SLOT_MICROS, SLOTS_PER_DAY, SlotGrid, format_timestamp, write_csv
 from .vocab import Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -447,26 +446,24 @@ _COLUMNS = [(state.u.value, state.d.value) for state in ALPHABET]
 
 def export_labels(grid: SlotGrid, labels: LabelArrays, path: str | Path) -> None:
     """Write the slot-level label stream as ``t,k,date,u,d,excluded``."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "k", "date", "u", "d", "excluded"])
-        rows = zip(labels.state.tolist(), labels.excluded.tolist())
-        writer.writerows(
-            [p + 1, p % SLOTS_PER_DAY + 1, format_timestamp(grid.start + p * SLOT),
-             *_COLUMNS[state], int(excluded)]
-            for p, (state, excluded) in enumerate(rows)
-        )
+    rows = zip(labels.state.tolist(), labels.excluded.tolist())
+    write_csv(
+        path,
+        ["t", "k", "date", "u", "d", "excluded"],
+        ([p + 1, p % SLOTS_PER_DAY + 1, format_timestamp(grid.start + p * SLOT),
+          *_COLUMNS[state], int(excluded)]
+         for p, (state, excluded) in enumerate(rows)),
+    )
 
 
 def export_event_labels(grid: SlotGrid, labels: LabelArrays, path: str | Path) -> None:
     """Write the per-event label view as ``t,k,timestamp,device,action,u,d``."""
-    with Path(path).open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["t", "k", "timestamp", "device", "action", "u", "d"])
-        writer.writerows(
-            [p + 1, p % SLOTS_PER_DAY + 1, format_timestamp(event.timestamp), event.device,
-             event.action, *_COLUMNS[state]]
-            for event, p, state in zip(
-                grid.events, labels.event_pos.tolist(), labels.event_state.tolist()
-            )
-        )
+    write_csv(
+        path,
+        ["t", "k", "timestamp", "device", "action", "u", "d"],
+        ([p + 1, p % SLOTS_PER_DAY + 1, format_timestamp(event.timestamp), event.device,
+          event.action, *_COLUMNS[state]]
+         for event, p, state in zip(
+             grid.events, labels.event_pos.tolist(), labels.event_state.tolist()
+         )),
+    )

@@ -16,7 +16,6 @@ read back through ``payload.record`` by the rules listed there.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from datetime import date, datetime, timedelta
@@ -32,6 +31,7 @@ from .ingest import (
     EventRecord,
     SensorFrames,
     format_timestamp,
+    write_csv,
     write_operation_log,
     write_sensor_log,
 )
@@ -184,15 +184,14 @@ class SynthResult:
         }
         write_operation_log(self.events, paths["operations"])
         write_sensor_log(self.frames, paths["sensors"])
-        with paths["truth"].open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["t", "k", "timestamp", "u", "d"])
-            writer.writerows(
-                [p + 1, p % SLOTS_PER_DAY + 1, format_timestamp(self.start + timedelta(minutes=p)),
-                 activity, "use" if cooking else "none"]
-                for p, (activity, cooking) in enumerate(zip(self.activity.tolist(),
-                                                            self.cooking.tolist()))
-            )
+        write_csv(
+            paths["truth"],
+            ["t", "k", "timestamp", "u", "d"],
+            ([p + 1, p % SLOTS_PER_DAY + 1, format_timestamp(self.start + timedelta(minutes=p)),
+              activity, "use" if cooking else "none"]
+             for p, (activity, cooking) in enumerate(zip(self.activity.tolist(),
+                                                         self.cooking.tolist()))),
+        )
         return paths
 
 
@@ -330,7 +329,10 @@ def generate(scenario: Scenario) -> SynthResult:
         values[state == "out"] += [channel.out_offset for channel in channels]
         values[cooking[sampled]] += [channel.cook_offset for channel in channels]
         values[:, noisy] += rng.normal(0.0, noise_std, size=(len(sampled), len(noisy)))
-        np.clip(values, low, high, out=values)
+        # Clip as a scalar np.clip does, replacing only values strictly out of
+        # range: the array np.clip turns a -0.0 at a bound of 0.0 into 0.0.
+        np.copyto(values, low, where=values < low)
+        np.copyto(values, high, where=values > high)
         # Python's round, value by value: np.round may round a half the other way.
         readings.append(np.array([round(v, 2) for v in values.ravel().tolist()]))
         timestamps.extend(day_start + timedelta(minutes=minute) for minute in sampled.tolist())

@@ -18,7 +18,14 @@ from homeguard.ingest import (
     offsets_from,
 )
 from homeguard.labeling import ALPHABET, HomeState, LabelingParams
-from homeguard.seqstore import SequenceIds, SequenceStore, TimedSequenceStore
+from homeguard.seqstore import (
+    SequenceIds,
+    SequenceStore,
+    TimedSequenceStore,
+    TrainingBeliefs,
+    build_timed_store,
+    store_sequences,
+)
 from homeguard.vocab import SENSOR_FIELDS, Vocabulary
 from oracles import SensorFrame, columns
 
@@ -120,12 +127,30 @@ def id_timed_store(
     return TimedSequenceStore(ids, keys, [stored[k] for k in order.tolist()], target_total)
 
 
-def make_folds(dataset, labeling_params, model_params, seq_params):
-    """One evaluation fold per day, sharing the windows of one enumeration."""
-    from homeguard.evaluation import _dataset_windows, _make_folds
+def make_folds(dataset, labeling_params, model_params, seq_params, filled=True):
+    """One evaluation fold per day, sharing the windows of one enumeration;
+    ``filled`` by one group pass over them all with their models and traces."""
+    from homeguard.evaluation import FoldContext, _dataset_windows, _make_folds
 
     windows = _dataset_windows(dataset, seq_params)
-    return _make_folds(dataset, labeling_params, model_params, seq_params, windows)
+    folds = _make_folds(dataset, labeling_params, model_params, seq_params, windows)
+    if filled:
+        FoldContext.filter_group(folds)
+    return folds
+
+
+def fold_store(fold, seq_params=None) -> SequenceStore:
+    """A filled fold's sequence store under ``seq_params``, its own by
+    default, as the scoring of the fold builds it."""
+    beliefs = TrainingBeliefs(fold.training_traces, fold.windows)
+    target = fold.dataset.vocabulary.detection_target
+    return store_sequences(beliefs, target, seq_params or fold.seq_params)
+
+
+def fold_timed_store(fold) -> TimedSequenceStore:
+    """The timed store of every day but the fold's held-out one."""
+    target = fold.dataset.vocabulary.detection_target
+    return build_timed_store(fold.windows, target, fold.seq_params, without_day=fold.heldout_day)
 
 
 @pytest.fixture

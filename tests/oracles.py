@@ -20,7 +20,13 @@ import numpy as np
 
 from homeguard.detector import Candidates, Levels, two_level_anomalous
 from homeguard.errors import InitializationError, ParseError, SchemaError, ValidationError
-from homeguard.hsmodel import FilterTrace, filter_streams, kept_day_streams
+from homeguard.hsmodel import (
+    FilterTrace,
+    filter_streams,
+    fit_operations,
+    fit_transitions,
+    kept_day_streams,
+)
 from homeguard.ingest import (
     OPERATION_HEADER,
     SENSOR_HEADER,
@@ -1047,12 +1053,16 @@ def belief_before_walk(trace: FilterTrace, slots: Sequence[SlotRecord], ts: date
 
 
 def filter_folds_one_by_one(folds) -> list[tuple[list[FilterTrace], FilterTrace]]:
-    """Each fold's (training traces, detection trace) from filtering its
-    kept days and its held-out day on their own, one fold at a time."""
+    """Each fold's (training traces, detection trace) from fitting its model
+    on the labels of its kept days and filtering those days and its held-out
+    day on their own, one fold at a time."""
     result = []
     for fold in folds:
-        transitions, operations = fold.state_model()
-        streams = kept_day_streams(fold.training_arrays())
+        arrays = fold.arrays
+        training = arrays.select((arrays.day != fold.heldout_day) & ~arrays.excluded)
+        transitions = fit_transitions(training, fold.model_params.t_z_max)
+        operations = fit_operations(training, fold.dataset.vocabulary)
+        streams = kept_day_streams(training)
         heldout = fold.heldout_day * SLOTS_PER_DAY
         streams.append(np.arange(heldout, heldout + SLOTS_PER_DAY))
         traces = filter_streams(fold.dataset.grid, streams, transitions, operations)

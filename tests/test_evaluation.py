@@ -1,6 +1,7 @@
 """Injection, cross-validation counts, grid search, and frontier extraction."""
 
 import tracemalloc
+from contextlib import nullcontext
 from dataclasses import replace
 from datetime import datetime, time, timedelta
 
@@ -16,7 +17,7 @@ from homeguard.detector import (
     judge_proposed,
     judge_sequence_baseline,
 )
-from homeguard.errors import ModelError, ValidationError
+from homeguard.errors import ModelError, ValidationError, VocabularyError
 from homeguard.evaluation import (
     EstimationGrid,
     EvalDataset,
@@ -40,7 +41,7 @@ from homeguard.labeling import ALPHABET, LabelingParams
 from homeguard.seqstore import SeqParams, candidates_ending_at, seconds_of_day
 from homeguard.vocab import DEFAULT_PAIRS, Vocabulary
 
-from conftest import frame, make_folds
+from conftest import fold_store, fold_timed_store, frame, make_folds
 from oracles import (
     as_dicts,
     batch_items,
@@ -114,7 +115,7 @@ def judge_tally(dataset, verdicts_of, labeling, seq, injections_per_day, seed):
 
 def proposed_verdicts(thresholds):
     def fit(fold):
-        model = make_model(fold.sequence_store(), fold.seq_params)
+        model = make_model(fold_store(fold), fold.seq_params)
         return lambda ctx: judge_one(
             judge_proposed, model, ctx.belief, ctx.preceding, ctx.op, thresholds
         )
@@ -123,7 +124,7 @@ def proposed_verdicts(thresholds):
 
 def estimation_verdicts(theta):
     def fit(fold):
-        operations = fold.state_model()[1]
+        operations = fold.model[1]
         target = fold.dataset.vocabulary.detection_target
         return lambda ctx: judge_one(
             judge_estimation_baseline, operations, ctx.belief, ctx.preceding, ctx.op, theta, target
@@ -133,7 +134,7 @@ def estimation_verdicts(theta):
 
 def sequence_verdicts(params):
     def fit(fold):
-        store, target = fold.timed_store(), fold.dataset.vocabulary.detection_target
+        store, target = fold_timed_store(fold), fold.dataset.vocabulary.detection_target
         return lambda ctx: judge_sequence_baseline(
             store, [(ctx.preceding, ctx.op)], params, fold.seq_params, target
         )[0]
@@ -409,17 +410,25 @@ class TestFoldFits:
     def test_fold_fits_equal_a_refit(self, heldout, t_z_max):
         dataset = mixed_dataset()
         labeling_params = LabelingParams(t_x=3, t_y=3, t_c=2)
-        folds = make_folds(dataset, labeling_params, ModelParams(t_z_max=t_z_max), SeqParams())
+        folds = make_folds(
+            dataset, labeling_params, ModelParams(t_z_max=t_z_max), SeqParams(), filled=False
+        )
         fold = folds[heldout]
         assert all(other.arrays is fold.arrays for other in folds)
         excluded_days = set(fold.arrays.day[fold.arrays.excluded].tolist())
         assert excluded_days == {2}
 
-        transitions, operations = fold.state_model()
+        # The group pass fits the model before it filters; a model fitted
+        # without day 4 cannot filter that day's washing machine.
+        with pytest.raises(VocabularyError) if heldout == 4 else nullcontext():
+            FoldContext.filter_group([fold])
+        transitions, operations = fold.model
         labeled = label_states_per_slot(
             slot_records(dataset.grid), dataset.grid.events, labeling_params, dataset.vocabulary
         )
-        kept = [item for item, keep in zip(labeled, fold.training_arrays().keep) if keep]
+        arrays = fold.arrays
+        training = arrays.select((arrays.day != heldout) & ~arrays.excluded)
+        kept = [item for item, keep in zip(labeled, training.keep) if keep]
         assert {(item.slot.t - 1) // 1440 for item in kept} == {0, 1, 3, 4} - {heldout}
         reference_t = fit_transitions(encode_labels(kept), t_z_max)
         reference_o = fit_operations(encode_labels(kept), dataset.vocabulary)
@@ -432,8 +441,11 @@ class TestFoldFits:
 
     def test_fold_traces_cover_kept_days_and_heldout_day(self):
         dataset = mixed_dataset()
-        fold = make_folds(dataset, LabelingParams(t_x=3, t_y=3, t_c=2), ModelParams(), SeqParams())[3]
-        training = fold.training_traces()
+        fold = make_folds(
+            dataset, LabelingParams(t_x=3, t_y=3, t_c=2), ModelParams(), SeqParams(), filled=False
+        )[3]
+        FoldContext.filter_group([fold])
+        training = fold.training_traces
         bounds = dataset.grid.day_bounds().tolist()
         days = [np.arange(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
         assert all(len(events) for events in days)
@@ -441,14 +453,17 @@ class TestFoldFits:
             days[day].tolist() for day in (0, 1, 4)
         ]
         assert [len(trace.entry) for trace in training] == [1440] * 3
-        assert np.array_equal(fold.detection_trace().event_index, days[3])
+        assert np.array_equal(fold.detection_trace.event_index, days[3])
 
     def test_serial_collection_releases_each_fold(self):
         dataset = toy_dataset(n_days=3)
-        folds = make_folds(dataset, LabelingParams(t_x=2, t_y=2, t_c=1), ModelParams(), SeqParams())
+        folds = make_folds(
+            dataset, LabelingParams(t_x=2, t_y=2, t_c=1), ModelParams(), SeqParams(), filled=False
+        )
         scores = _collect_scores(folds, (1,), True, (900.0,), SeqParams(), 10, 1)
         assert [len(column.T) for column in scores.values()] == [3 * (10 + 2)] * 4
-        assert all(not fold._cache for fold in folds)
+        assert all(fold.model is fold.training_traces is fold.detection_trace is None
+                   for fold in folds)
 
 
 class TestBatchedFoldScores:
@@ -456,16 +471,19 @@ class TestBatchedFoldScores:
         """On a habit-x20 home, every fold's recorded scores equal, to the
         bit, scoring each judged window alone, one candidate at a time."""
         seq = SeqParams(t_seq=1800)
-        folds = make_folds(dense_dataset(), LabelingParams(initial_occupants=2), ModelParams(), seq)
+        folds = make_folds(
+            dense_dataset(), LabelingParams(initial_occupants=2), ModelParams(), seq, filled=False
+        )
         l_values, alphas = (1, 2), (0.0, 900.0, 1234.5, 43200.0)
         scores = _collect_scores(folds, l_values, True, alphas, seq, 10, 1)
+        FoldContext.filter_group(folds)
         expected: dict = {}
         longest = 0
         for fold in folds:
             # The fold's stores, read back as sequence-keyed dicts.
-            stores = {l: as_dicts(fold.sequence_store(replace(seq, l_rank=l))) for l in l_values}
-            operations = fold.state_model()[1]
-            timed = as_dicts(fold.timed_store())
+            stores = {l: as_dicts(fold_store(fold, replace(seq, l_rank=l))) for l in l_values}
+            operations = fold.model[1]
+            timed = as_dicts(fold_timed_store(fold))
             for ctx in fold.judged_operations(10, 1):
                 window = [(ctx.preceding, ctx.op)]
                 candidates = batch_items(batch_candidates(window, seq, fold.windows.keys))
@@ -483,7 +501,6 @@ class TestBatchedFoldScores:
                     )[:2]
                 for key, value in row.items():
                     expected.setdefault(key, []).append(value)
-            fold.release()
         assert longest > 300  # windows near w_max
         assert scores.keys() == expected.keys()
         for key, column in scores.items():
@@ -505,13 +522,13 @@ class TestBatchedFoldScores:
         assert not keys.items
         batch = batch_candidates([(ctx.preceding, ctx.op) for ctx in contexts], seq, keys)
         interned = list(keys.items)
-        store, timed = fold.sequence_store(), fold.timed_store()
+        store, timed = fold_store(fold), fold_timed_store(fold)
         assert keys.items[: len(interned)] == interned
         assert len(keys.items) > len(interned)
         assert np.isin(batch.ids, store.ids).any() and not np.isin(batch.ids, store.ids).all()
 
         oracle = store_sequences_per_window(
-            fold.dataset.grid, fold.training_traces(), "cooking_stove", seq, len(ALPHABET)
+            fold.dataset.grid, fold.training_traces, "cooking_stove", seq, len(ALPHABET)
         )
         timed_oracle = fold_oracle(fold, seq)
         items = batch_items(batch)
@@ -847,7 +864,9 @@ class TestGroupedFoldFilter:
     @pytest.mark.parametrize("group, sharing", [(1, 1), (2, 2), (4, 2), (6, 4)])
     def test_groups_equal_one_fold_at_a_time(self, group, sharing, monkeypatch):
         dataset = early_origin_dataset()
-        folds = make_folds(dataset, LabelingParams(t_x=3, t_y=3, t_c=2), ModelParams(), SeqParams())
+        folds = make_folds(
+            dataset, LabelingParams(t_x=3, t_y=3, t_c=2), ModelParams(), SeqParams(), filled=False
+        )
         expected = filter_folds_one_by_one(folds)
         # Days 0 and 2 keep 04:00-24:00, days 1 and 3 00:00-04:00.
         assert [len(trace.entry) for trace in expected[5][0]] == [1200, 240, 1200, 240, 1440]
@@ -867,10 +886,10 @@ class TestGroupedFoldFilter:
         for start in range(0, len(folds), group):
             FoldContext.filter_group(folds[start : start + group])
         for fold, (training, detection) in zip(folds, expected):
-            assert len(fold.training_traces()) == len(training)
-            for got, ref in zip(fold.training_traces(), training):
+            assert len(fold.training_traces) == len(training)
+            for got, ref in zip(fold.training_traces, training):
                 assert_traces_equal(got, ref)
-            assert_traces_equal(fold.detection_trace(), detection)
+            assert_traces_equal(fold.detection_trace, detection)
         # Every model of a group filters the six days whole.  A kept part runs
         # in lockstep with the other part of its length under the folds that
         # keep both, and alone, row by row, under the folds that keep one.
@@ -881,7 +900,9 @@ class TestGroupedFoldFilter:
 
     def test_collect_scores_filters_each_group_once(self, monkeypatch):
         dataset = early_origin_dataset()
-        folds = make_folds(dataset, LabelingParams(t_x=3, t_y=3, t_c=2), ModelParams(), SeqParams())
+        folds = make_folds(
+            dataset, LabelingParams(t_x=3, t_y=3, t_c=2), ModelParams(), SeqParams(), filled=False
+        )
         groups = []
         filter_group = FoldContext.filter_group
 
@@ -893,9 +914,27 @@ class TestGroupedFoldFilter:
         scores = _collect_scores(folds, (1,), True, (), SeqParams(), 5, 1)
         size = evaluation.FOLD_GROUP
         assert groups == [folds[start : start + size] for start in range(0, len(folds), size)]
-        assert all(not fold._cache for fold in folds)
+        assert all(fold.model is fold.training_traces is fold.detection_trace is None
+                   for fold in folds)
         stove = [e for e in dataset.grid.events if e.device == "cooking_stove"]
         assert len(scores["injected"]) == len(stove) + 5 * len(folds)
+
+    def test_sequence_scores_fit_and_filter_nothing(self, monkeypatch):
+        dataset = early_origin_dataset()
+        folds = make_folds(
+            dataset, LabelingParams(t_x=3, t_y=3, t_c=2), ModelParams(), SeqParams(), filled=False
+        )
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the sequence method reads no model and no belief")
+
+        for module, name in [(evaluation, "fit_transitions"), (evaluation, "fit_operations"),
+                             (evaluation, "filter_models"), (hsmodel, "filter_models")]:
+            monkeypatch.setattr(module, name, refused)
+        scores = _collect_scores(folds, (), False, (900.0,), SeqParams(), 5, 1)
+        assert scores.keys() == {"injected", ("sequence", 900.0)}
+        assert all(fold.model is fold.training_traces is fold.detection_trace is None
+                   for fold in folds)
 
 
 class TestJudgedBeliefRead:
@@ -936,7 +975,7 @@ class TestJudgedBeliefRead:
         for fold in folds:
             day = fold.heldout_day
             slots = slot_records(grid, range(day * SLOTS_PER_DAY, (day + 1) * SLOTS_PER_DAY))
-            trace = fold.detection_trace()
+            trace = fold.detection_trace
             for ctx in fold.judged_operations(0, 0):
                 ts = ctx.op.timestamp
                 assert np.array_equal(ctx.belief, belief_before_walk(trace, slots, ts))

@@ -44,7 +44,17 @@ from homeguard.seqstore import (
 from homeguard.synthgen import generate, scenario_calibration, scenario_s1
 from homeguard.vocab import Vocabulary
 
-from conftest import BASE, ev, frame, id_store, id_timed_store, make_folds, make_grid
+from conftest import (
+    BASE,
+    ev,
+    fold_store,
+    fold_timed_store,
+    frame,
+    id_store,
+    id_timed_store,
+    make_folds,
+    make_grid,
+)
 from oracles import (
     as_dicts,
     build_timed_store_per_window,
@@ -396,7 +406,7 @@ class TestStoreAgainstPerWindowOracle:
         folds = make_folds(
             dataset, LabelingParams(initial_occupants=2), ModelParams(), SeqParams(t_seq=1800)
         )
-        return dataset.grid, [fold.training_traces() for fold in folds]
+        return dataset.grid, [fold.training_traces for fold in folds]
 
     @pytest.mark.parametrize("selection", SELECTIONS.values(), ids=SELECTIONS.keys())
     def test_fold_stores(self, dense_traces, selection):
@@ -537,16 +547,16 @@ class TestFoldStoresFromSharedWindows:
         dataset = make()
         folds = make_folds(dataset, LabelingParams(initial_occupants=2), ModelParams(), params)
         for fold in folds:
-            traces = fold.training_traces()
+            traces = fold.training_traces
             for selection in self.SELECTIONS.values():
                 selected = replace(params, **selection)
-                store = fold.sequence_store(selected)
+                store = fold_store(fold, selected)
                 oracle = store_sequences_per_window(
                     dataset.grid, traces, "cooking_stove", selected, len(ALPHABET)
                 )
                 assert_bitwise_equal(store, oracle)
-            assert_timed_equal(fold.timed_store(), fold_oracle(fold, params))
-        assert any(len(fold.sequence_store().counts) for fold in folds)
+            assert_timed_equal(fold_timed_store(fold), fold_oracle(fold, params))
+        assert any(len(fold_store(fold).counts) for fold in folds)
 
     @pytest.mark.parametrize(
         "params", [SeqParams(t_seq=600), SeqParams(t_seq=600, w_max=3)], ids=["t_seq", "w_max"]
@@ -559,17 +569,17 @@ class TestFoldStoresFromSharedWindows:
         folds = make_folds(dataset, labeling, ModelParams(), params)
         partial = 0
         for fold in folds:
-            traces = fold.training_traces()
+            traces = fold.training_traces
             partial += sum(len(trace.entry) < 1440 for trace in traces)
             for selection in self.SELECTIONS.values():
                 selected = replace(params, **selection)
                 oracle = store_sequences_per_window(
                     dataset.grid, traces, "cooking_stove", selected, len(ALPHABET)
                 )
-                assert_bitwise_equal(fold.sequence_store(selected), oracle)
-            assert_timed_equal(fold.timed_store(), fold_oracle(fold, params))
+                assert_bitwise_equal(fold_store(fold, selected), oracle)
+            assert_timed_equal(fold_timed_store(fold), fold_oracle(fold, params))
         assert partial == 3 * 3  # days 0, 1 and 2, each in the folds that keep it
-        assert all(len(fold.sequence_store().counts) for fold in folds)
+        assert all(len(fold_store(fold).counts) for fold in folds)
 
     def test_each_run_is_enumerated_once(self, monkeypatch):
         # Whole days and kept parts alike: each run of events has its
@@ -593,12 +603,12 @@ class TestFoldStoresFromSharedWindows:
         monkeypatch.setattr(seqstore, "_enumerate_distinct", counting)
         monkeypatch.setattr(DayWindows, "run", recording)
         for fold in folds:
-            traces = fold.training_traces()
+            traces = fold.training_traces
             oracle = store_sequences_per_window(
                 grid, traces, "cooking_stove", params, len(ALPHABET)
             )
-            assert_bitwise_equal(fold.sequence_store(params), oracle)
-            fold.timed_store()
+            assert_bitwise_equal(fold_store(fold, params), oracle)
+            fold_timed_store(fold)
         days = grid.day_bounds().tolist()
         whole = list(zip(days, days[1:]))
         parts = sorted(set(served) - set(whole))
@@ -620,7 +630,7 @@ class TestFoldStoresFromSharedWindows:
         # Day 3 without the slots of its six evening events.
         day = np.arange(3 * SLOTS_PER_DAY, 4 * SLOTS_PER_DAY)
         [whole, split] = filter_streams(
-            grid, [day, np.delete(day, np.s_[1000:1100])], *fold.state_model()
+            grid, [day, np.delete(day, np.s_[1000:1100])], *fold.model
         )
         assert (np.diff(split.event_index) > 1).any()
         store_sequences(TrainingBeliefs([whole], fold.windows), "cooking_stove", params)
@@ -646,7 +656,7 @@ class TestFoldStoresFromSharedWindows:
             return enumerate_window(pairs, l_max)
 
         monkeypatch.setattr(seqstore, "_enumerate_distinct", counting)
-        assert_timed_equal(fold.timed_store(), fold_oracle(fold, params))
+        assert_timed_equal(fold_timed_store(fold), fold_oracle(fold, params))
         # Only windows reaching into the held-out day are enumerated again:
         # none after the last day, and within ten minutes only those of the
         # early stove operations, which the quiet day 2 lacks.
@@ -665,7 +675,7 @@ class TestFoldStoresFromSharedWindows:
         dataset = midnight_dataset()
         [fold, *_] = make_folds(dataset, LabelingParams(), ModelParams(), SeqParams(t_seq=600))
         with pytest.raises(ValidationError):
-            fold.sequence_store(SeqParams(t_seq=900))
+            fold_store(fold, SeqParams(t_seq=900))
         with pytest.raises(ValidationError):
             build_timed_store(fold.windows, "cooking_stove", SeqParams(t_seq=600, l_max=3))
 
@@ -753,10 +763,10 @@ class TestStoreSizes:
         folds = make_folds(midnight_dataset(), LabelingParams(), ModelParams(), params)
         for fold in folds:
             oracle = store_sequences_per_window(
-                fold.dataset.grid, fold.training_traces(), "cooking_stove", params, len(ALPHABET)
+                fold.dataset.grid, fold.training_traces, "cooking_stove", params, len(ALPHABET)
             )
-            assert len(fold.sequence_store().counts) == len(oracle.counts)
-            assert len(fold.timed_store().times) == len(fold_oracle(fold, params).times) > 0
+            assert len(fold_store(fold).counts) == len(oracle.counts)
+            assert len(fold_timed_store(fold).times) == len(fold_oracle(fold, params).times) > 0
 
 
 class TestSeqParams:

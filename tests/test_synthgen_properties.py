@@ -9,7 +9,7 @@ from datetime import date
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from homeguard.synthgen import (  # noqa: E402
@@ -72,5 +72,13 @@ scenarios = st.builds(
 
 @settings(max_examples=40, deadline=None)
 @given(scenario=scenarios)
+# A -0.0 reading at the 0.0 bound of its range: the loop keeps it as -0.0.
+@example(scenario=Scenario(
+    name="scenario", n_users=1, n_days=1, seed=0, start_date=date(2021, 3, 1),
+    weekday=DayTemplate(sleep=(), out=(), cook=()), weekend=None, jitter_std_minutes=0.0,
+    habits=(), sensor_interval_minutes=1,
+    sensors={name: SensorChannel(base=-0.0 if name == "co2" else 0.0, noise_std=0.0)
+             for name in SENSOR_FIELDS},
+))
 def test_generate_writes_the_per_minute_bytes(tmp_path_factory, scenario):
     assert_same_files_as_the_per_minute_generator(scenario, tmp_path_factory.mktemp("synth"))
