@@ -16,10 +16,11 @@ the per-text fallback of the parsers reads.  The ``OPERATOR_RUNS`` run
 again with the model that BASE_TREE's ``train`` writes, read by each
 tree's ``detect``, so the current tree must judge with the base's model
 file as the base does.
-``TRACE_RUNS`` train on that home and write the sha256 of the forward
-filter's every belief over it (``run_filter``'s ``entry``, ``pre`` and
-``post`` bytes under the trained model), where the verdict files hold only
-the beliefs before target operations.  The file
+``TRACE_RUNS`` train on that home, and on a longer one (``LONG_HOME_DAYS``),
+and write the sha256 of the forward filter's every belief over it
+(``run_filter``'s ``entry``, ``pre`` and ``post`` bytes under the trained
+model), where the verdict files hold only the beliefs before target
+operations.  The file
 runs read the inputs the benchmark never reads: ``train`` and ``detect``
 under a config file that sets every parameter section (``CONFIG``),
 ``train`` with a vocabulary file that each tree saves itself, and ``synth``
@@ -111,6 +112,12 @@ TRACE_RUNS = (
     ("midnight", "00:00", ()),
     ("day-origin", "04:00", ()),
 )
+# The days of the home that the filter-trace run "three-weeks" also reads.  The
+# filter runs a lone stream's days in lockstep and re-runs them until the
+# beliefs carried from day to day settle, so this run compares that fixed
+# point over 21 days with the base's, every belief of it; it takes a few
+# seconds per tree.
+LONG_HOME_DAYS = 21
 # Python run with the tree's source: argv is the model, the operation and
 # sensor CSVs, the day origin and the file to write.
 TRACE_DIGESTS = """
@@ -192,13 +199,18 @@ def homeguard(tree: Path, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *command], env=env, capture_output=True, text=True)
 
 
-def synth_homes(work: Path) -> dict[str, Path]:
-    """A 5-day s1 home by day origin: whole, and cut to start at 04:00."""
-    whole = work / "home-00:00"
-    proc = homeguard(Path.cwd(), "synth", "--scenario", "s1", "--days", "5", "--seed", "3",
-                     "--output-dir", str(whole))
+def synth_home(out: Path, days: int) -> Path:
+    """An s1 home of ``days`` days in ``out``, generated by the current tree."""
+    proc = homeguard(Path.cwd(), "synth", "--scenario", "s1", "--days", str(days), "--seed", "3",
+                     "--output-dir", str(out))
     if proc.returncode != 0:
         raise SystemExit(f"synth exited {proc.returncode}\n{proc.stderr[-2000:]}")
+    return out
+
+
+def synth_homes(work: Path) -> dict[str, Path]:
+    """A 5-day s1 home by day origin: whole, and cut to start at 04:00."""
+    whole = synth_home(work / "home-00:00", 5)
     cut = work / "home-04:00"
     cut.mkdir()
     for name in ("operations.csv", "sensors.csv"):
@@ -352,6 +364,7 @@ def main(argv=None) -> int:
         work = Path(tmp)
         homes = synth_homes(work)
         rewritten = rewritten_home(homes["00:00"], work / "home-rewritten")
+        long_home = synth_home(work / "home-long", LONG_HOME_DAYS)
         runs = [
             (f"{command} {name}", steps, homes[origin], origin, run_args)
             for command, steps, command_runs in (
@@ -369,7 +382,7 @@ def main(argv=None) -> int:
         ] + [
             (f"{command} rewritten", steps, rewritten, "00:00", ())
             for command, steps in (("label", label_steps), ("train-detect", operator_steps))
-        ]
+        ] + [("filter-trace three-weeks", trace_steps, long_home, "00:00", ())]
         for label, steps, home, origin, run_args in runs:
             base, new = (
                 run_digests(tree, steps(home, origin, out, run_args), out, args.base)

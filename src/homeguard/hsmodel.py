@@ -21,9 +21,10 @@ probability mass annihilated) reset the belief to uniform so detection can
 always proceed.  Days that share their slots-of-day run in lockstep: under
 M models, an (M, D, S) belief tensor advanced by one batched matrix product
 per slot; an event updates its day's row under every model at once.  A
-stream that runs alone (the whole stream ``detect`` reads, say) is filtered
-row by row in place: a single row takes another BLAS path than several, so
-it never joins a batch.
+stream that runs alone (the whole stream ``detect`` reads, say) runs its own
+days in lockstep as stacked (1, S) rows, each multiplied bitwise as a lone
+row; as a day starts where the day before ends, its days re-run from a
+guess until the beliefs carried between them stop changing.
 
 A stream is an int array of positions in one ``ingest.SlotGrid``: a whole
 grid, a day of it, or the kept slots of a day.  The filter reads each slot's
@@ -319,65 +320,141 @@ class _StackedMatrices:
         return np.array([probs[k - 1] for probs in self.tensors])
 
 
+def _advance(belief: np.ndarray, matrix: np.ndarray, uniform: np.ndarray) -> np.ndarray:
+    """The (R, S) beliefs ``belief`` carried across a slot boundary by
+    ``matrix``, each row bitwise as a lone 1-D row would be: the
+    vector-matrix product, its sum and the divide, or a reset to uniform for
+    a row whose mass vanished.
+
+    The product is stacked, R (1, S) rows times one (S, S) matrix, and numpy
+    runs that as one vector-matrix product per row, bitwise ``np.dot`` of the
+    row alone; the batched row sums are the 1-D sums.  An (R, S) @ (S, S)
+    product (or ``np.dot`` or ``einsum`` of the matrix) is a matrix-matrix
+    product, whose sums round differently: its rows differ from a lone row's
+    by an ulp.  ``tests/test_hsmodel.py`` pins both facts for this numpy.
+    """
+    new = np.matmul(belief[:, None, :], matrix)[:, 0]
+    totals = np.add.reduce(new, -1, None, None, True)
+    if min(totals.ravel().tolist()) > 0.0:
+        new /= totals
+    else:
+        dead = totals[:, 0] <= 0.0
+        new[~dead] /= totals[~dead]
+        new[dead] = uniform
+    return new
+
+
 def _filter_alone(
     grid: SlotGrid,
     stream: np.ndarray,
     model: tuple[TransitionTensor, OperationTable],
     initial: np.ndarray,
 ) -> FilterTrace:
-    """Filter one stream under one model, row by row in place.
+    """Filter one stream under one model, bitwise as a pass over it one slot
+    at a time, with its days in lockstep.
 
-    The belief is a 1-D row of ``entry`` (or of ``post`` after an event),
-    and each slot boundary writes the next row with three numpy calls: the
-    vector-matrix product into the row, its sum and the divide in place (or
-    a reset to uniform).  A single row takes another BLAS path than several,
-    so ``_lockstep`` does not serve a stream that runs alone.  The stream
-    may have gaps: each slot is entered by the matrix of its own slot-of-day.
+    A contiguous stream of two days or more splits into chunks of
+    ``SLOTS_PER_DAY`` slots from its first slot, the last of which may be
+    shorter; any other stream is a single chunk.  Every chunk has the same
+    slot-of-day at the same offset, so one ``_advance`` per offset carries
+    all running chunks across their slot boundaries, each as its own 1-D row;
+    an event updates its chunk's row through ``_observe``.
+
+    A chunk's start belief is the end of the chunk before it, carried into
+    its first slot, so the chunks run in rounds until those stop changing.
+    Chunk 0 starts from ``initial`` and every other chunk from uniform, a
+    guess.  After a round, the chunks whose carried-in belief changed,
+    bitwise, run again from the new one.  The filter forgets its start: a
+    run restarted from another belief meets the old trajectory bit for bit
+    within hours of a real stream and stays on it, so a rerun chunk stops
+    once its belief at a slot boundary equals, bitwise, the one its last run
+    wrote there, and real streams settle in two rounds.  When no carried-in
+    belief changes, chunk d's last run started from the final end of chunk
+    d - 1 and chunk 0 from ``initial``, so every chunk is exact.  Chunk d
+    can change no more after round d + 1, so there are at most D rounds.
+    That worst case (restarts that never meet, as under identity
+    transitions) takes D x ``SLOTS_PER_DAY`` lockstep steps, as many as a
+    slot-at-a-time pass, and reapplies a chunk's events in each round that
+    runs it.  Every run writes in place into the trace's ``entry``, ``pre``
+    and ``post``.
     """
     transitions, operations = model
-    n_states = transitions.n_states
+    n_slots, n_states = len(stream), transitions.n_states
     first, event_index = _stream_events(grid, stream)
-    entry = np.empty((len(stream), n_states))
+    entry = np.empty((n_slots, n_states))
     pre = np.empty((len(event_index), n_states))
     post = np.empty((len(event_index), n_states))
     trace = FilterTrace(entry=entry, event_index=event_index, pre=pre, post=post, first=first)
-    if not len(stream):
+    if not n_slots:
         return trace
+    contiguous = stream[-1] - stream[0] == n_slots - 1
+    length = SLOTS_PER_DAY if contiguous and n_slots >= 2 * SLOTS_PER_DAY else n_slots
+    begins = np.arange(0, n_slots, length)
+    n_chunks = len(begins)
+    # The last chunk holds ``short`` slots, and runs no further.
+    short = n_slots - int(begins[-1])
     uniform = uniform_belief(n_states)
     # Indexed by slot-of-day k; list indexing is cheaper than array indexing.
     matrices = [None, *transitions.probs]
+    ks = (stream[:length] % SLOTS_PER_DAY + 1).tolist()
+    # The chunks with events at each offset.
+    chunks_at: dict[int, list[int]] = {}
+    for pos in np.flatnonzero(np.diff(first)).tolist():
+        chunks_at.setdefault(pos % length, []).append(pos // length)
     vectors: dict[tuple[str, str], tuple] = {}
-    events, index = grid.events, event_index.tolist()
-    # The slots with events, in order; -1 once they are all past.
-    event_slots = iter(np.flatnonzero(np.diff(first)).tolist())
-    next_event = next(event_slots, -1)
-    # Bound once, and called with positional arguments only: call overhead
-    # is most of the cost of a product, a sum or a divide of one short row.
-    dot, add_reduce, divide = np.dot, np.add.reduce, np.divide
-    entry[0] = belief = initial
-    for pos, k in enumerate((stream % SLOTS_PER_DAY + 1).tolist()):
-        if pos:
-            row = entry[pos]
-            dot(belief, matrices[k], row)
-            total = add_reduce(row, 0)
-            if total > 0.0:
-                divide(row, total, row)
-            else:
-                row[:] = uniform
-            belief = row
-        if pos == next_event:
-            for i in range(first[pos], first[pos + 1]):
-                pre[i] = belief
-                pair = events[index[i]].pair
-                found = vectors.get(pair)
-                if found is None:
-                    found = vectors[pair] = _event_vectors([operations], pair)
-                vec, _, neutral = found
-                if neutral:
-                    post[i] = belief
-                else:
-                    belief = _observe(belief, vec[0], None, uniform, post[i])
-            next_event = next(event_slots, -1)
+    events, index, starts = grid.events, event_index.tolist(), first.tolist()
+
+    carried = np.tile(uniform, (n_chunks, 1))
+    carried[0] = initial
+    ends = np.empty((n_chunks, n_states))
+    rows, rerun = np.arange(n_chunks), False
+    while len(rows):
+        # The rows of one round: the chunks it runs, their beliefs, and where
+        # each chunk begins in the stream.
+        belief, base = carried[rows], begins[rows]
+        place = {row: i for i, row in enumerate(rows.tolist())}
+        for j, k in enumerate(ks):
+            if j:
+                if j == short and rows[-1] == n_chunks - 1:
+                    rows, belief, base = rows[:-1], belief[:-1], base[:-1]
+                belief = _advance(belief, matrices[k], uniform)
+                if rerun:
+                    # Compared as bit patterns, so that 0.0 and -0.0 differ.
+                    old = entry[base + j]
+                    moved = (belief.view(np.uint64) != old.view(np.uint64)).any(axis=1)
+                    if not moved.all():
+                        rows, belief, base = rows[moved], belief[moved], base[moved]
+                        if not len(rows):
+                            break
+                        place = {row: i for i, row in enumerate(rows.tolist())}
+            entry[base + j] = belief
+            for row in chunks_at.get(j, ()):
+                i = place.get(row)
+                if i is None:
+                    continue
+                pos = row * length + j
+                now = belief[i]
+                for e in range(starts[pos], starts[pos + 1]):
+                    pre[e] = now
+                    pair = events[index[e]].pair
+                    found = vectors.get(pair)
+                    if found is None:
+                        found = vectors[pair] = _event_vectors([operations], pair)
+                    vec, _, neutral = found
+                    if neutral:
+                        post[e] = now
+                    else:
+                        now = _observe(now, vec[0], None, uniform, post[e])
+                belief[i] = now
+        ends[rows] = belief
+        if n_chunks == 1:
+            break
+        # Each chunk after the first is carried into by the end of the one
+        # before it; the chunks whose carried-in belief changed run again.
+        into = _advance(ends[:-1], matrices[ks[0]], uniform)
+        changed = (into.view(np.uint64) != carried[1:].view(np.uint64)).any(axis=1)
+        rows, rerun = np.flatnonzero(changed) + 1, True
+        carried[rows] = into[changed]
     return trace
 
 
@@ -394,11 +471,11 @@ def _lockstep(
     Row ``(m, d)`` of the (M, D, S) belief tensor follows stream ``d`` under
     model ``m``.  One batched ``np.matmul`` advances every row across a slot
     boundary; with two or more rows its products do not depend on the number
-    of rows, so each model's rows come out bitwise as in any other group.  A
-    single row takes another BLAS path: a stream that runs alone goes to
-    ``_filter_alone``.  An event of stream ``d`` updates row ``d`` under
-    every model at once: a multiply, the row sums and a divide on an (M, S)
-    matrix.  Each trace's ``entry`` is a view of one array, and its ``pre``
+    of rows, so each model's rows come out bitwise as in any other group.
+    A lone row's product rounds otherwise (see ``_advance``): a stream that
+    runs alone goes to ``_filter_alone``.  An event of stream ``d`` updates
+    row ``d`` under every model at once: a multiply, the row sums and a
+    divide on an (M, S) matrix.  Each trace's ``entry`` is a view of one array, and its ``pre``
     and ``post`` are views of one (M, n_events, S) array per stream.
     """
     n_models, n_rows = len(models), len(streams)
@@ -485,12 +562,12 @@ def filter_models(
     Contiguous streams of equal length that start at the same slot-of-day
     (the days of a dataset, say) share every transition matrix, so they run
     in lockstep, under every model that wants two or more of them at once.
-    A model that wants a single stream of such a group filters it alone, row
-    by row in place (``_filter_alone``), as does any stream that is empty or
-    has gaps: numpy multiplies a single row by another BLAS path than several
-    rows, whose products do not depend on the number of rows.  So each
-    model's traces are bitwise those of ``filter_streams`` over the streams
-    it wants.
+    A model that wants a single stream of such a group filters it alone
+    (``_filter_alone``), as does any stream that is empty or has gaps: the
+    lockstep product of several rows does not depend on their number, but
+    it is not the product of a lone row, which ``_filter_alone`` keeps for
+    each of its stacked days.  So each model's traces are bitwise those of
+    ``filter_streams`` over the streams it wants.
     """
     n_states = models[0][0].n_states
     init = (
@@ -555,7 +632,8 @@ def run_filter(
     initial: np.ndarray | None = None,
 ) -> FilterTrace:
     """Run the forward filter over a whole grid: one stream, which runs
-    alone, row by row in place (see ``filter_models``)."""
+    alone, its days in lockstep and re-run until the beliefs carried between
+    them stop changing (see ``_filter_alone``)."""
     return filter_streams(grid, [np.arange(len(grid))], transitions, operations, initial)[0]
 
 

@@ -757,9 +757,58 @@ def random_events(rng, n_slots):
     return events
 
 
+def sprinkled_events(rng, positions):
+    """1-2 events of ``PAIRS`` in the grid slot at each of ``positions``."""
+    events = {}
+    for pos in positions:
+        offsets = sorted(float(x) * 0.9 for x in rng.random(int(rng.integers(1, 3))))
+        events[pos] = [
+            ev(pos + offset, *PAIRS[int(rng.integers(0, len(PAIRS)))]) for offset in offsets
+        ]
+    return events
+
+
+STACKED_ROWS = (
+    "numpy no longer multiplies stacked (D, 1, S) rows bitwise as np.dot of each 1-D row, "
+    "or no longer sums them bitwise as the 1-D row: hsmodel._advance, which filters the "
+    "days of a lone stream in lockstep, relies on both"
+)
+
+
+@pytest.mark.parametrize("n_rows", [1, 2, 7, 90])
+def test_stacked_rows_multiply_and_sum_as_lone_rows(n_rows):
+    """The numpy behaviour that ``_filter_alone`` relies on: a (D, 1, S)
+    stack times an (S, S) matrix is, row by row, ``np.dot`` of the 1-D row
+    into a row of a trace, and the stack's row sums are the 1-D sums; for
+    rows read from a contiguous block, a (D, 1, S) result and a strided
+    view, as ``_advance`` reads them."""
+    rng = np.random.default_rng(n_rows)
+    for n_states in range(2, 11):
+        for _ in range(10):
+            matrix = rng.random((n_states, n_states))
+            matrix[rng.random(n_states) < 0.2] = 0.0
+            matrix /= np.maximum(matrix.sum(axis=1, keepdims=True), 1.0)
+            block = rng.random((n_rows, 2 * n_states))
+            for rows in (block[:, :n_states].copy(), block.reshape(n_rows, 1, -1)[:, 0, ::2]):
+                stacked = np.matmul(rows[:, None, :], matrix)[:, 0]
+                sums = np.add.reduce(stacked, -1, None, None, True)
+                lone = np.empty((n_rows + 1, n_states))
+                for d in range(n_rows):
+                    np.dot(rows[d], matrix, lone[d + 1])
+                    assert stacked[d].tobytes() == lone[d + 1].tobytes(), STACKED_ROWS
+                    assert sums[d].tobytes() == np.add.reduce(lone[d + 1], 0).tobytes(), STACKED_ROWS
+                uniform = uniform_belief(n_states)
+                advanced = hsmodel._advance(rows, matrix, uniform)
+                for d in range(n_rows):
+                    total = np.add.reduce(lone[d + 1], 0)
+                    alone = lone[d + 1] / total if total > 0.0 else uniform
+                    assert advanced[d].tobytes() == alone.tobytes(), STACKED_ROWS
+
+
 class TestLoneStream:
-    """A stream that runs alone is filtered row by row in place, bit for bit
-    as the per-event filter reads it."""
+    """A stream that runs alone is filtered with its days in lockstep, re-run
+    until the beliefs carried between them stop changing, bit for bit as the
+    per-event filter reads it."""
 
     def lone_instance(self, rng, n_states=4):
         """A model whose operations reset the belief (``kill``) or leave it
@@ -770,18 +819,14 @@ class TestLoneStream:
         operations.probs[("dev", "kill")] = np.zeros(n_states)
         operations.probs[("dev", "unseen")] = np.ones(n_states)
         p0, n_slots = 1000, 3 * 1440 + 300
-        events = {}
-        for pos in rng.choice(n_slots, 400, replace=False).tolist():
-            offsets = sorted(float(x) * 0.9 for x in rng.random(int(rng.integers(1, 3))))
-            events[p0 + pos] = [
-                ev(p0 + pos + offset, *PAIRS[int(rng.integers(0, len(PAIRS)))])
-                for offset in offsets
-            ]
+        events = sprinkled_events(rng, (p0 + rng.choice(n_slots, 400, replace=False)).tolist())
         grid = make_grid(p0 + n_slots, events=events)
         stream = np.delete(np.arange(p0, p0 + n_slots), np.s_[1700:2100])
         return transitions, operations, grid, stream
 
-    def test_equals_the_per_event_filter(self, monkeypatch):
+    def filtered_alone(self, monkeypatch, grid, stream, transitions, operations):
+        """``stream``'s trace from ``filter_streams``, checked to come from
+        one ``_filter_alone`` call and to be bitwise the per-event filter's."""
         alone = []
         filter_alone = hsmodel._filter_alone
 
@@ -790,14 +835,19 @@ class TestLoneStream:
             return filter_alone(grid, stream, model, initial)
 
         monkeypatch.setattr(hsmodel, "_filter_alone", recording)
-        rng = np.random.default_rng(31)
-        transitions, operations, grid, stream = self.lone_instance(rng)
-        assert stream[0] % 1440 != 0 and stream[-1] // 1440 == 3  # mid-day, three midnights
-        assert np.diff(stream).max() > 1  # a gap
         [got] = filter_streams(grid, [stream], transitions, operations)
         assert alone == [len(stream)]
         [expected] = filter_streams_per_event(grid, [stream], transitions, operations)
         assert_traces_equal(got, expected)
+        return got
+
+    def test_equals_the_per_event_filter(self, monkeypatch):
+        # With its gap, a stream long enough for day chunks is one chunk.
+        rng = np.random.default_rng(31)
+        transitions, operations, grid, stream = self.lone_instance(rng)
+        assert stream[0] % 1440 != 0 and stream[-1] // 1440 == 3  # mid-day, three midnights
+        assert np.diff(stream).max() > 1 and len(stream) > 2 * 1440  # a gap
+        got = self.filtered_alone(monkeypatch, grid, stream, transitions, operations)
         uniform = uniform_belief(transitions.n_states)
         assert any(np.array_equal(row, uniform) for row in got.entry[1:])  # slot reset
         actions = [grid.events[i].action for i in got.event_index]
@@ -805,6 +855,83 @@ class TestLoneStream:
         unseen = [i for i, action in enumerate(actions) if action == "unseen"]
         assert kill and all(np.array_equal(got.post[i], uniform) for i in kill)
         assert unseen and all(np.array_equal(got.post[i], got.pre[i]) for i in unseen)
+
+    @pytest.mark.parametrize(
+        "p0, n_slots",
+        [(1000, 5 * 1440 + 300), (0, 2 * 1440), (1439, 2 * 1440 + 1), (500, 2 * 1440 - 1)],
+        ids=["mid-day-short-last-day", "two-whole-days", "one-slot-last-day", "under-two-days"],
+    )
+    def test_day_chunks_equal_the_per_event_filter(self, monkeypatch, p0, n_slots):
+        # Events before and after the stream belong to other streams.
+        rng = np.random.default_rng(p0 + n_slots)
+        transitions, operations = random_model(rng, 5)
+        n_grid = p0 + n_slots + 200
+        busy = rng.choice(n_grid, n_grid // 10, replace=False)
+        grid = make_grid(n_grid, events=sprinkled_events(rng, busy.tolist()))
+        stream = np.arange(p0, p0 + n_slots)
+        got = self.filtered_alone(monkeypatch, grid, stream, transitions, operations)
+        assert len(got.event_index) < len(grid.events)
+
+    def test_resets_inside_a_later_day(self, monkeypatch):
+        # Every day enters one slot-of-day by an all-zero matrix, and another
+        # by a matrix whose row 0 is dead: only day 3, pinned on state 0 just
+        # before, resets there.  Day 4 sees an operation of probability 0.
+        n_states, p0, n_slots = 4, 200, 6 * 1440 - 100
+        rng = np.random.default_rng(8)
+        probs = rng.random((1440, n_states, n_states))
+        probs /= probs.sum(axis=2, keepdims=True)
+        probs[(p0 + 300) % 1440] = 0.0
+        probs[(p0 + 900) % 1440, 0] = 0.0
+        transitions = TransitionTensor(probs=probs, t_z=np.zeros(1440, dtype=np.int64))
+        operations = OperationTable(probs={
+            ("dev", "a"): rng.random(n_states), ("dev", "pin"): np.eye(n_states)[0],
+            ("dev", "kill"): np.zeros(n_states),
+        })
+        events = {p0 + pos: [ev(p0 + pos + 0.5, "dev", "a")] for pos in range(7, n_slots, 37)}
+        pin, kill = p0 + 3 * 1440 + 899, p0 + 4 * 1440 + 200
+        events[pin] = [ev(pin + 0.5, "dev", "pin")]
+        events[kill] = [ev(kill + 0.5, "dev", "kill")]
+        grid = make_grid(p0 + n_slots, events=events)
+        got = self.filtered_alone(
+            monkeypatch, grid, np.arange(p0, p0 + n_slots), transitions, operations
+        )
+        uniform = uniform_belief(n_states)
+        assert all(np.array_equal(got.entry[d * 1440 + 300], uniform) for d in range(6))
+        assert np.array_equal(got.entry[3 * 1440 + 900], uniform)
+        assert not any(np.array_equal(got.entry[d * 1440 + 900], uniform) for d in (0, 1, 2, 4))
+        [at] = np.flatnonzero(got.event_index == grid.first[kill])
+        assert np.array_equal(got.post[at], uniform) and not np.array_equal(got.pre[at], uniform)
+
+    def test_restarts_that_never_meet(self, monkeypatch):
+        # Identity transitions keep whatever belief a day starts from, so a
+        # day restarted from uniform never meets the belief that the first
+        # day's one informative event pins, and each round settles one more
+        # day: the rounds run to the bound, one per day.
+        n_states, n_days = 4, 6
+        transitions = TransitionTensor(
+            probs=np.tile(np.eye(n_states), (1440, 1, 1)), t_z=np.zeros(1440, dtype=np.int64)
+        )
+        operations = OperationTable(probs={
+            ("dev", "pin"): np.eye(n_states)[2], ("dev", "unseen"): np.ones(n_states),
+        })
+        events = {pos: [ev(pos + 0.5, "dev", "unseen")] for pos in range(3, n_days * 1440, 97)}
+        events[10] = [ev(10.5, "dev", "pin")]
+        grid = make_grid(n_days * 1440, events=events)
+        steps = []
+        advance = hsmodel._advance
+
+        def counting(belief, matrix, uniform):
+            steps.append(len(belief))
+            return advance(belief, matrix, uniform)
+
+        monkeypatch.setattr(hsmodel, "_advance", counting)
+        got = self.filtered_alone(
+            monkeypatch, grid, np.arange(n_days * 1440), transitions, operations
+        )
+        assert (got.entry[11:] == np.eye(n_states)[2]).all()
+        # Each round steps through a day and carries the days' ends over.
+        assert len(steps) == n_days * 1440
+        assert steps[1440 : 2 * 1440 - 1] == [1] * (1440 - 1)
 
     def test_empty_stream(self):
         transitions, operations, grid, _ = self.lone_instance(np.random.default_rng(3))
