@@ -475,8 +475,9 @@ def _lockstep(
     A lone row's product rounds otherwise (see ``_advance``): a stream that
     runs alone goes to ``_filter_alone``.  An event of stream ``d`` updates
     row ``d`` under every model at once: a multiply, the row sums and a
-    divide on an (M, S) matrix.  Each trace's ``entry`` is a view of one array, and its ``pre``
-    and ``post`` are views of one (M, n_events, S) array per stream.
+    divide on an (M, S) matrix.  Each trace's ``entry`` is a view of one
+    array, and its ``pre`` and ``post`` are views of one (M, n_events, S)
+    array per stream.
     """
     n_models, n_rows = len(models), len(streams)
     n_slots, n_states = len(streams[0]), models[0][0].n_states

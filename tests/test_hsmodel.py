@@ -795,8 +795,9 @@ def test_stacked_rows_multiply_and_sum_as_lone_rows(n_rows):
                 lone = np.empty((n_rows + 1, n_states))
                 for d in range(n_rows):
                     np.dot(rows[d], matrix, lone[d + 1])
+                    total = np.add.reduce(lone[d + 1], 0)
                     assert stacked[d].tobytes() == lone[d + 1].tobytes(), STACKED_ROWS
-                    assert sums[d].tobytes() == np.add.reduce(lone[d + 1], 0).tobytes(), STACKED_ROWS
+                    assert sums[d].tobytes() == total.tobytes(), STACKED_ROWS
                 uniform = uniform_belief(n_states)
                 advanced = hsmodel._advance(rows, matrix, uniform)
                 for d in range(n_rows):
