@@ -652,15 +652,15 @@ class TrainedModel:
     baseline_store: TimedSequenceStore
 
     def to_payload(self) -> dict:
+        # The transition rows with a nonzero probability, keyed by slot-of-day
+        # and then by state; the all-zero rows are left out.
+        probs = self.transitions.probs
+        n_states = probs.shape[1]
+        cells = np.flatnonzero(probs.any(axis=2))
         sparse_a: dict[str, dict[str, list[float]]] = {}
-        for k0 in range(self.transitions.probs.shape[0]):
-            rows: dict[str, list[float]] = {}
-            for i in range(self.transitions.n_states):
-                row = self.transitions.probs[k0, i]
-                if row.any():
-                    rows[str(i)] = [float(x) for x in row]
-            if rows:
-                sparse_a[str(k0 + 1)] = rows
+        for cell, row in zip(cells.tolist(), probs.reshape(-1, n_states)[cells].tolist()):
+            k0, i = divmod(cell, n_states)
+            sparse_a.setdefault(str(k0 + 1), {})[str(i)] = row
         return {
             "format_version": FORMAT_VERSION,
             "vocabulary": to_payload(self.vocabulary),

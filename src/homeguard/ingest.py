@@ -36,6 +36,11 @@ first row that fails a check is checked again on its own, which raises the
 error a row-by-row parse raises, and a fault of the reader is raised only
 after the rows before it have been checked, so the error reported is that of
 the first fault in file order.
+
+The writers go through ``write_csv``.  The sensor log is written a column at
+a time (``format_timestamps`` and one ``repr`` per distinct reading), as are
+the per-slot files through ``slot_columns``; the operation log holds free
+text and is written a row at a time.
 """
 
 from __future__ import annotations
@@ -89,10 +94,11 @@ class EventRecord:
 @dataclass(frozen=True, eq=False)
 class SensorFrames:
     """Sensor frames by column: ``values[i]`` holds the readings taken at
-    ``timestamps[i]``, in ``SENSOR_FIELDS`` order, and the timestamps are in
-    order."""
+    ``timestamps[i]``, in ``SENSOR_FIELDS`` order.  The timestamps are a
+    ``datetime64[us]`` array in order, so the first and last frames are its
+    ends."""
 
-    timestamps: list[datetime]
+    timestamps: np.ndarray  # (n,) datetime64[us]
     values: np.ndarray  # (n, len(SENSOR_FIELDS)) float
 
 
@@ -132,6 +138,21 @@ class SlotGrid:
 def format_timestamp(ts: datetime) -> str:
     # strftime would write year 1 as "1", which parse_timestamp rejects.
     return ts.isoformat(timespec="seconds")
+
+
+def format_timestamps(stamps: np.ndarray) -> list[str]:
+    """Each of the ``datetime64`` ``stamps`` as ``format_timestamp`` writes
+    it: whole seconds, the fraction cut off (towards the past, as for a
+    ``datetime`` before 1970)."""
+    return np.datetime_as_string(stamps.astype("datetime64[s]"), unit="s").tolist()
+
+
+def slot_columns(start: datetime | None, n_slots: int) -> tuple[list[int], list[int], list[str]]:
+    """Per slot of a grid from ``start``, its number ``t``, its slot-of-day
+    ``k`` and its start as ``format_timestamp`` writes it."""
+    p = np.arange(n_slots)
+    return ((p + 1).tolist(), (p % SLOTS_PER_DAY + 1).tolist(),
+            format_timestamps(np.datetime64(start, "us") + p * SLOT_MICROS))
 
 
 def parse_timestamp(text: str, line: int | None = None) -> datetime:
@@ -322,7 +343,8 @@ def parse_sensor_log(
     The log is checked as columns, a block of rows at a time: a field-count
     test, one ``parse_timestamps`` call, one ``float`` pass over the
     readings and one mask per range.  The first faulty row in file order
-    raises the error of ``_check_sensor_row``.
+    raises the error of ``_check_sensor_row``.  The timestamps stay the
+    ``datetime64[us]`` array that ``parse_timestamps`` reads.
     """
     times = [np.zeros(0, dtype="datetime64[us]")]
     values = [np.zeros((0, len(SENSOR_FIELDS)))]
@@ -340,7 +362,7 @@ def parse_sensor_log(
         values.append(readings)
     times = np.concatenate(times)
     order = np.argsort(times, kind="stable")
-    return SensorFrames(times[order].tolist(), np.concatenate(values)[order])
+    return SensorFrames(times[order], np.concatenate(values)[order])
 
 
 def _sensor_columns(rows: list[list[str]]) -> tuple[list[str], np.ndarray]:
@@ -400,6 +422,8 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence])
 
 
 def write_operation_log(records: Iterable[EventRecord], path: str | Path) -> None:
+    """Write an operation log one row per record: its device, action and
+    actor are free text, so there is no column to format at once."""
     write_csv(
         path,
         OPERATION_HEADER,
@@ -409,12 +433,23 @@ def write_operation_log(records: Iterable[EventRecord], path: str | Path) -> Non
 
 
 def write_sensor_log(frames: SensorFrames, path: str | Path) -> None:
+    """Write a sensor log a column at a time: the timestamps by one
+    ``format_timestamps`` call, and each reading as ``repr`` writes it,
+    once per distinct value of its column."""
     write_csv(
         path,
         SENSOR_HEADER,
-        ([format_timestamp(ts), *map(repr, readings)]
-         for ts, readings in zip(frames.timestamps, frames.values.tolist())),
+        zip(format_timestamps(frames.timestamps), *map(_reprs, frames.values.T)),
     )
+
+
+def _reprs(column: np.ndarray) -> list[str]:
+    """``repr`` of each value of ``column`` as ``tolist`` gives it, computed
+    once per distinct bit pattern (``0.0`` and ``-0.0`` are equal numbers but
+    write differently)."""
+    bits, inverse = np.unique(column.view(f"u{column.itemsize}"), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(column.dtype).tolist())), dtype=object)
+    return texts[inverse].tolist()
 
 
 def floor_to_day_origin(ts: datetime, day_origin: time) -> datetime:
@@ -452,10 +487,13 @@ def build_timeslots(
     outside the dates ``datetime`` holds, raises ``ValidationError`` before
     anything is allocated.
     """
-    if not events and not frames.timestamps:
+    n_frames = len(frames.timestamps)
+    if not events and not n_frames:
         return SlotGrid(None, [], np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.intp),
                         frames, np.zeros(0, dtype=np.intp))
-    timestamps = [e.timestamp for e in events] + frames.timestamps
+    # The frames are in order: only the first and the last can bound the grid.
+    frame_ends = frames.timestamps[[0, -1]].tolist() if n_frames else []
+    timestamps = [e.timestamp for e in events] + frame_ends
     first, last = min(timestamps), max(timestamps)
     start = _grid_bound(first, day_origin, 0)
     n_days = (_grid_bound(last, day_origin, 1) - start).days
@@ -464,13 +502,13 @@ def build_timeslots(
             f"timestamps from {first} to {last} need a grid of {n_days} days,"
             f" more than the limit of {MAX_SPAN_DAYS}"
         )
-    if not frames.timestamps or frames.timestamps[0] > start:
+    if not n_frames or frame_ends[0] > start:
         raise InitializationError(f"no sensor frame at or before first slot {start}")
     events = sorted(events, key=lambda e: e.timestamp)  # stable: ties keep order
     # Slot starts, events and frames as whole microseconds after ``start``.
     slot_at = np.arange(n_days * SLOTS_PER_DAY, dtype=np.int64) * SLOT_MICROS
     event_at = offsets_from(start, (e.timestamp for e in events))
-    frame_at = offsets_from(start, frames.timestamps)
+    frame_at = (frames.timestamps - np.datetime64(start, "us")).astype(np.int64)
     return SlotGrid(
         start=start,
         events=events,

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .ingest import SLOT, SLOT_MICROS, SLOTS_PER_DAY, SlotGrid, format_timestamp, write_csv
+from .ingest import SLOT_MICROS, SLOTS_PER_DAY, SlotGrid, format_timestamp, slot_columns, write_csv
 from .vocab import Vocabulary
 
 logger = logging.getLogger(__name__)
@@ -445,19 +445,21 @@ _COLUMNS = [(state.u.value, state.d.value) for state in ALPHABET]
 
 
 def export_labels(grid: SlotGrid, labels: LabelArrays, path: str | Path) -> None:
-    """Write the slot-level label stream as ``t,k,date,u,d,excluded``."""
-    rows = zip(labels.state.tolist(), labels.excluded.tolist())
+    """Write the slot-level label stream as ``t,k,date,u,d,excluded``, a
+    column at a time."""
+    u, d = np.array(_COLUMNS, dtype=object)[labels.state].T.tolist()
     write_csv(
         path,
         ["t", "k", "date", "u", "d", "excluded"],
-        ([p + 1, p % SLOTS_PER_DAY + 1, format_timestamp(grid.start + p * SLOT),
-          *_COLUMNS[state], int(excluded)]
-         for p, (state, excluded) in enumerate(rows)),
+        zip(*slot_columns(grid.start, len(labels.state)), u, d,
+            labels.excluded.astype(int).tolist()),
     )
 
 
 def export_event_labels(grid: SlotGrid, labels: LabelArrays, path: str | Path) -> None:
-    """Write the per-event label view as ``t,k,timestamp,device,action,u,d``."""
+    """Write the per-event label view as ``t,k,timestamp,device,action,u,d``,
+    one row per event: the device and action are free text, so there is no
+    column to format at once."""
     write_csv(
         path,
         ["t", "k", "timestamp", "device", "action", "u", "d"],

@@ -68,7 +68,8 @@ def make_grid(
         events=ordered,
         event_at=offsets_from(start, (event.timestamp for event in ordered)),
         first=np.cumsum([0, *counts], dtype=np.intp),
-        frames=SensorFrames([row.timestamp for row in rows], np.array(values)),
+        frames=SensorFrames(np.array([row.timestamp for row in rows], dtype="datetime64[us]"),
+                            np.array(values)),
         frame=frame_of,
     )
 

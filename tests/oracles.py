@@ -22,6 +22,7 @@ from homeguard.detector import Candidates, Levels, two_level_anomalous
 from homeguard.errors import InitializationError, ParseError, SchemaError, ValidationError
 from homeguard.hsmodel import (
     FilterTrace,
+    TransitionTensor,
     filter_streams,
     fit_operations,
     fit_transitions,
@@ -93,14 +94,14 @@ def columns(frames: Sequence[SensorFrame]) -> SensorFrames:
     ties), as ``parse_sensor_log`` returns them."""
     frames = sorted(frames, key=lambda f: f.timestamp)
     values = [[f.value(name) for name in SENSOR_FIELDS] for f in frames]
-    return SensorFrames([f.timestamp for f in frames],
+    return SensorFrames(np.array([f.timestamp for f in frames], dtype="datetime64[us]"),
                         np.array(values, dtype=float).reshape(-1, len(SENSOR_FIELDS)))
 
 
 def frame_rows(frames: SensorFrames) -> list[SensorFrame]:
     """``SensorFrames`` as one record per frame."""
     return [SensorFrame(ts, *values)
-            for ts, values in zip(frames.timestamps, frames.values.tolist())]
+            for ts, values in zip(frames.timestamps.tolist(), frames.values.tolist())]
 
 
 # The logger ``homeguard.ingest`` warns on.
@@ -694,6 +695,18 @@ def decode_labels(slots: Sequence[SlotRecord], labels: LabelArrays) -> list[Labe
     ]
 
 
+def export_labels_rows(grid: SlotGrid, labels: LabelArrays, path) -> None:
+    """The slot-level label stream written one row per slot."""
+    with Path(path).open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["t", "k", "date", "u", "d", "excluded"])
+        for p, (state, excluded) in enumerate(zip(labels.state.tolist(),
+                                                  labels.excluded.tolist())):
+            writer.writerow([p + 1, p % SLOTS_PER_DAY + 1,
+                             format_timestamp(grid.start + timedelta(seconds=p * SLOT_SECONDS)),
+                             ALPHABET[state].u.value, ALPHABET[state].d.value, int(excluded)])
+
+
 @dataclass(frozen=True)
 class EventSequence:
     """An ordered list of (device, action) symbols with its completion time."""
@@ -1126,3 +1139,19 @@ def filter_streams_per_event(grid, streams, transitions, operations) -> list[Fil
                 first=np.cumsum([0, *counts]),
             )
     return traces
+
+
+def sparse_transitions_loop(transitions: TransitionTensor) -> dict[str, dict[str, list[float]]]:
+    """The model file's ``a`` section built row by row: per slot-of-day
+    (from 1), the transition rows that hold a nonzero probability, keyed by
+    state."""
+    sparse_a: dict[str, dict[str, list[float]]] = {}
+    for k0 in range(transitions.probs.shape[0]):
+        rows: dict[str, list[float]] = {}
+        for i in range(transitions.n_states):
+            row = transitions.probs[k0, i]
+            if row.any():
+                rows[str(i)] = [float(x) for x in row]
+        if rows:
+            sparse_a[str(k0 + 1)] = rows
+    return sparse_a

@@ -1,6 +1,7 @@
 """Transition/operation fitting and the forward filter, checked against
 independent brute-force recursions."""
 
+import json
 from dataclasses import replace
 from datetime import timedelta
 
@@ -25,7 +26,9 @@ from homeguard.hsmodel import (
     window_halfwidths,
 )
 from homeguard.labeling import ALPHABET, STATE_INDEX, LabelingParams
+from homeguard.ingest import build_timeslots
 from homeguard.seqstore import SeqParams
+from homeguard.synthgen import generate, scenario_s1
 from homeguard.vocab import Vocabulary
 
 from conftest import BASE, ev, make_grid, make_slots, parse_state_key
@@ -35,6 +38,7 @@ from oracles import (
     filter_streams_per_event,
     slot_records,
     snapshots,
+    sparse_transitions_loop,
 )
 
 S = len(ALPHABET)
@@ -661,6 +665,20 @@ class TestTrainedModelRoundTrip:
             assert np.allclose(clone.operations.probs[pair], vec)
         assert clone.store.to_payload() == model.store.to_payload()
         assert clone.baseline_store.to_payload() == model.baseline_store.to_payload()
+
+    def test_transition_rows_written_as_the_row_loop_writes_them(self):
+        """``to_json`` takes the nonzero transition rows from one mask, and
+        writes the bytes of the row-by-row walk, on a hand-built model and
+        on a trained synthetic home."""
+        result = generate(scenario_s1(seed=3, n_days=7))
+        home = train_model(build_timeslots(result.events, result.frames))
+        for model in (self.build_model(), home):
+            expected = json.dumps(
+                {**model.to_payload(), "a": sparse_transitions_loop(model.transitions)},
+                sort_keys=True, separators=(",", ":"),
+            )
+            assert model.to_json() == expected
+        assert 0 < len(home.to_payload()["a"]) <= 1440
 
     def test_retrain_is_byte_identical(self):
         first = self.build_model().to_json()

@@ -18,6 +18,7 @@ from homeguard.ingest import (
     BLOCK_ROWS,
     MAX_SPAN_DAYS,
     EventRecord,
+    SensorFrames,
     build_timeslots,
     format_timestamp,
     parse_operation_log,
@@ -36,6 +37,7 @@ from oracles import (
     parse_sensor_log_rows,
     parse_timestamp_strptime,
     slot_records,
+    write_sensor_log_rows,
 )
 
 
@@ -179,6 +181,56 @@ class TestParseSensorLog:
         path = tmp_path / "sensors.csv"
         write_sensor_log(columns(frames), path)
         assert frame_rows(parse_sensor_log(path)) == frames
+
+
+def written_both_ways(tmp_path, frames: SensorFrames, rows: list) -> tuple[bytes, bytes]:
+    """The bytes ``write_sensor_log`` writes for ``frames`` and those the
+    per-row writer writes for the same frames as ``rows``."""
+    write_sensor_log(frames, tmp_path / "columns.csv")
+    write_sensor_log_rows(rows, tmp_path / "rows.csv")
+    return (tmp_path / "columns.csv").read_bytes(), (tmp_path / "rows.csv").read_bytes()
+
+
+class TestWriteSensorLog:
+    """The column writer against the per-row writer, on the values and
+    stamps where formatting a column at once could differ from ``repr`` and
+    ``isoformat`` per value."""
+
+    def test_signed_zeros_and_special_values_in_one_column(self, tmp_path):
+        specials = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 1e-05, 1e16, -0.0, 0.1]
+        rows = [SensorFrame(datetime(2021, 3, 1) + timedelta(minutes=5 * i), value, 50.0, -0.0,
+                            0.0 if i % 2 else -0.0, 1e-05)
+                for i, value in enumerate(specials)]
+        got, expected = written_both_ways(tmp_path, columns(rows), rows)
+        assert got == expected
+        temperatures = [line.split(b",")[1] for line in got.splitlines()[1:]]
+        assert temperatures == [b"-0.0", b"0.0", b"nan", b"inf", b"-inf", b"1e-05", b"1e+16",
+                                b"-0.0", b"0.1"]
+
+    def test_fractions_of_a_second_cut_off_and_early_years(self, tmp_path):
+        stamps = [datetime(1, 1, 1, 0, 0, 0, 1), datetime(1, 1, 1, 0, 0, 59, 999_999),
+                  datetime(1969, 12, 31, 23, 59, 59, 500_000), datetime(1970, 1, 1),
+                  datetime(2021, 3, 1, 7, 30, 0, 999_999), datetime(9999, 12, 31, 23, 59, 59, 1)]
+        rows = [frame(ts) for ts in stamps]
+        got, expected = written_both_ways(tmp_path, columns(rows), rows)
+        assert got == expected
+        assert [line.split(b",")[0] for line in got.splitlines()[1:]] == [
+            b"0001-01-01T00:00:00", b"0001-01-01T00:00:59", b"1969-12-31T23:59:59",
+            b"1970-01-01T00:00:00", b"2021-03-01T07:30:00", b"9999-12-31T23:59:59"]
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_frame_and_one_frame(self, tmp_path, n):
+        rows = [frame(datetime(2021, 3, 1, 0, 5))][:n]
+        got, expected = written_both_ways(tmp_path, columns(rows), rows)
+        assert got == expected
+        assert len(got.splitlines()) == 1 + n
+
+    def test_integer_readings_written_as_integers(self, tmp_path):
+        rows = [SensorFrame(datetime(2021, 3, 1), 20, 50, 1010, 600, 40)]
+        frames = SensorFrames(columns(rows).timestamps, np.array([[20, 50, 1010, 600, 40]]))
+        got, expected = written_both_ways(tmp_path, frames, rows)
+        assert got == expected
+        assert got.splitlines()[1] == b"2021-03-01T00:00:00,20,50,1010,600,40"
 
 
 class TestCsvFaults:

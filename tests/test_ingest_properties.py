@@ -9,7 +9,8 @@ read fuzzed sensor logs as the per-row parser does: the same frames, or the
 same first error, which ``label`` reports with exit code 2.  So must
 ``parse_operation_log`` read fuzzed operation logs, the warnings for skipped
 pairs included.  Both are fuzzed at small block sizes too, so that faults
-fall on either side of block bounds.
+fall on either side of block bounds.  ``write_sensor_log`` must write any
+float64 reading and any stamp as the per-row writer does.
 """
 
 import logging
@@ -33,17 +34,20 @@ from homeguard.ingest import (  # noqa: E402
     offsets_from,
     parse_operation_log,
     parse_sensor_log,
+    write_sensor_log,
 )
 from homeguard.vocab import DEFAULT_SENSOR_RANGES, SENSOR_FIELDS  # noqa: E402
 
 from conftest import frame  # noqa: E402
 from oracles import (  # noqa: E402
+    SensorFrame,
     build_timeslots_bisect,
     columns,
     frame_rows,
     parse_operation_log_rows,
     parse_sensor_log_rows,
     slot_records,
+    write_sensor_log_rows,
 )
 from test_ingest import assert_parse_matches_strptime  # noqa: E402
 
@@ -195,6 +199,23 @@ def test_sensor_log_reads_as_the_per_row_parser(tmp_path_factory, rows, ranges, 
         operations.write_text("timestamp,device,action,actor\n")
         code = main(["label", "--operations", str(operations), "--sensors", str(path)])
         assert code == 2 if isinstance(expected, tuple) else code in (0, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(frames=st.lists(
+    st.tuples(st.datetimes(), st.lists(st.integers(0, 2**64 - 1), min_size=5, max_size=5)),
+    max_size=12,
+))
+def test_sensor_log_writes_any_float_as_the_per_row_writer(tmp_path_factory, frames):
+    """Any float64 bit pattern, signed zeros and NaN payloads included, at
+    any stamp a ``datetime`` holds, written as ``repr`` and ``isoformat``
+    write it one value at a time."""
+    rows = [SensorFrame(ts, *np.array(bits, dtype=np.uint64).view(np.float64).tolist())
+            for ts, bits in sorted(frames, key=lambda item: item[0])]
+    directory = tmp_path_factory.mktemp("written")
+    write_sensor_log(columns(rows), directory / "columns.csv")
+    write_sensor_log_rows(rows, directory / "rows.csv")
+    assert (directory / "columns.csv").read_bytes() == (directory / "rows.csv").read_bytes()
 
 
 # Operation-log rows: registered pairs and two that are not, then at most

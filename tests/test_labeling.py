@@ -7,13 +7,14 @@ import numpy as np
 import pytest
 
 from homeguard import labeling
-from homeguard.ingest import build_timeslots, floor_to_day_origin
+from homeguard.ingest import SensorFrames, build_timeslots, floor_to_day_origin
 from homeguard.labeling import (
     ALPHABET,
     DeviceUsage,
     HomeState,
     LabelingParams,
     UserActivity,
+    export_labels,
     label_device_usage,
     label_states,
     label_user_activity,
@@ -26,6 +27,7 @@ from oracles import (
     columns,
     decode_labels,
     encode_labels,
+    export_labels_rows,
     frame_rows,
     label_states_per_slot,
     slot_records,
@@ -428,3 +430,32 @@ class TestCalendarDays:
         monkeypatch.setattr(labeling, "_calendar_days", counting)
         label_states(s1_week, LabelingParams(), vocab)
         assert calls == [len(s1_week)]
+
+
+class TestExportLabels:
+    """``export_labels`` writes its columns at once, and the bytes of the
+    per-slot writer."""
+
+    @pytest.mark.parametrize("origin, occupants", [(time(0, 0), 2), (time(4, 0), 0)])
+    def test_bytes_of_the_per_slot_writer(self, tmp_path, origin, occupants):
+        result = generate(scenario_s1(seed=8, n_days=3))
+        # The home from the first day origin on, so that the grid starts there.
+        cut = datetime.combine(result.start.date(), origin)
+        kept = result.frames.timestamps >= np.datetime64(cut)
+        grid = build_timeslots(
+            [event for event in result.events if event.timestamp >= cut],
+            SensorFrames(result.frames.timestamps[kept], result.frames.values[kept]),
+            origin,
+        )
+        assert grid.start == cut
+        labels = label_states(grid, LabelingParams(initial_occupants=occupants))
+        if occupants == 0:
+            assert labels.excluded.any()  # nobody home at first excludes a date
+        export_labels(grid, labels, tmp_path / "columns.csv")
+        export_labels_rows(grid, labels, tmp_path / "rows.csv")
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    def test_empty_grid_writes_the_header(self, tmp_path):
+        grid = build_timeslots([], columns([]))
+        export_labels(grid, label_states(grid, LabelingParams()), tmp_path / "labels.csv")
+        assert (tmp_path / "labels.csv").read_bytes() == b"t,k,date,u,d,excluded\r\n"

@@ -93,7 +93,7 @@ class TestGenerate:
         paths = generate(scenario_s1(seed=6, n_days=2)).write(tmp_path)
         events = parse_operation_log(paths["operations"])
         frames = parse_sensor_log(paths["sensors"])  # default physical ranges
-        assert events and frames.timestamps
+        assert events and len(frames.timestamps)
         assert len(build_timeslots(events, frames)) == 2 * 1440
 
     def test_sensor_values_within_ranges(self):
