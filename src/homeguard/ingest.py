@@ -62,7 +62,6 @@ logger = logging.getLogger(__name__)
 
 SLOT_SECONDS = 60
 SLOT_MICROS = SLOT_SECONDS * 1_000_000
-SLOT = timedelta(seconds=SLOT_SECONDS)
 SLOTS_PER_DAY = 1440
 # Longest span of input ``build_timeslots`` accepts: two years, leap day
 # included.  A grid of that span holds about a million slots.
@@ -142,9 +141,9 @@ def format_timestamp(ts: datetime) -> str:
 
 def format_timestamps(stamps: np.ndarray) -> list[str]:
     """Each of the ``datetime64`` ``stamps`` as ``format_timestamp`` writes
-    it: whole seconds, the fraction cut off (towards the past, as for a
-    ``datetime`` before 1970)."""
-    return np.datetime_as_string(stamps.astype("datetime64[s]"), unit="s").tolist()
+    it: numpy formats at a unit of seconds by rounding down, which cuts the
+    fraction off as ``isoformat`` does, before 1970 too."""
+    return np.datetime_as_string(stamps, unit="s").tolist()
 
 
 def slot_columns(start: datetime | None, n_slots: int) -> tuple[list[int], list[int], list[str]]:

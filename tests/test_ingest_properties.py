@@ -201,9 +201,18 @@ def test_sensor_log_reads_as_the_per_row_parser(tmp_path_factory, rows, ranges, 
         assert code == 2 if isinstance(expected, tuple) else code in (0, 2)
 
 
+# Any float64 bit pattern, and often one of the values whose texts are
+# special: signed zeros, NaN of either sign, infinities, exponent forms.
+float_bits = st.one_of(
+    st.integers(0, 2**64 - 1),
+    st.sampled_from(np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 1e-05, 1e16])
+                    .view(np.uint64).tolist()),
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(frames=st.lists(
-    st.tuples(st.datetimes(), st.lists(st.integers(0, 2**64 - 1), min_size=5, max_size=5)),
+    st.tuples(st.datetimes(), st.lists(float_bits, min_size=5, max_size=5)),
     max_size=12,
 ))
 def test_sensor_log_writes_any_float_as_the_per_row_writer(tmp_path_factory, frames):

@@ -22,7 +22,7 @@ from homeguard.hsmodel import (
 )
 from homeguard.ingest import (
     MAX_SPAN_DAYS,
-    SLOT,
+    SLOT_SECONDS,
     SLOTS_PER_DAY,
     EventRecord,
     build_timeslots,
@@ -225,7 +225,8 @@ def timed_store_of(events, target_device, params):
     whole days from ``BASE``."""
     slots: dict[int, list[EventRecord]] = {}
     for event in events:
-        slots.setdefault((event.timestamp - BASE) // SLOT, []).append(event)
+        slots.setdefault((event.timestamp - BASE) // timedelta(seconds=SLOT_SECONDS),
+                         []).append(event)
     n_days = max(slots, default=0) // SLOTS_PER_DAY + 1
     grid = make_grid(n_days * SLOTS_PER_DAY, events=slots)
     return build_timed_store(DayWindows(grid, target_device, params), target_device, params)
