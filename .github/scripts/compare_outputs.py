@@ -83,6 +83,9 @@ EVALUATE_RUNS = (
      ("--methods", "estimation", "--initial-occupants", "0")),
     # Sequence alone: no model is fitted and no day is filtered.
     ("sequence-only", "00:00", ("--methods", "sequence")),
+    # The slot counts at ranks 1, 5 and 10 of every fold, each read off the
+    # counts that the filter pass reduces the training days' entries to.
+    ("rank-levels", "00:00", ("--methods", "proposed", "--l-values", "1,5,10")),
 )
 
 # label runs on the same homes, each writing the slot and the per-event label

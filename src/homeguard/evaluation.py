@@ -62,6 +62,7 @@ from .seqstore import (
     SECONDS_PER_DAY,
     DayWindows,
     SeqParams,
+    SlotCounts,
     TrainingBeliefs,
     build_timed_store,
     seconds_of_day,
@@ -72,12 +73,16 @@ from .seqstore import (
 from .vocab import Vocabulary
 
 # Folds filtered together in one lockstep pass.  The pass fills every fold of
-# the group with its model and traces at once, and each fold drops them once
-# its scores are recorded: per fold one (1440, S, S) model and
-# N x 1440 x S floats of slot entries (3.2 MB on 28 days), plus 2 x S floats
-# per event for the beliefs just before and just after it.
-# The fold loop sets the 28-day protocol's peak memory, above its sweeps; a
-# larger group runs faster but raises that peak (seven: 67.5 -> 80.0 MB).
+# the group with its model, traces and slot counts at once, and each fold
+# drops them once its scores are recorded: per fold one (1440, S, S) model
+# (1.2 MB), the 1440 x S floats of its held-out day's slot entries, and
+# 2 x S floats per event for the beliefs just before and just after it.  The
+# training days' slot entries pass through one block of slots into the
+# counts, so beyond its models a pass takes about 28 KB per fold-day (0.8 MB
+# per fold on 28 days).  The 28-day protocol's peak memory is set in its
+# sweeps, above the fold loop; a larger group raises the fold loop's share
+# with its models (in-process peak RSS: four 58.6 MB, seven 61.8, all 28
+# 88.3).
 FOLD_GROUP = 4
 
 
@@ -187,7 +192,8 @@ class FoldContext:
     ``windows`` holds the dataset's target windows; every fold and labeling
     of a run shares it, so each window is enumerated once per run.
     ``model`` is the fold's (transitions, operations), ``training_traces``
-    the traces of its kept days and ``detection_trace`` the trace of its
+    the traces of its kept days, without their slot entries, ``slot_counts``
+    the counts of those entries, and ``detection_trace`` the trace of its
     held-out day: each None until the group pass.
     """
 
@@ -199,18 +205,22 @@ class FoldContext:
     windows: DayWindows
     model: tuple[TransitionTensor, OperationTable] | None = None
     training_traces: list[FilterTrace] | None = None
+    slot_counts: SlotCounts | None = None
     detection_trace: FilterTrace | None = None
 
     @staticmethod
-    def filter_group(folds: Sequence["FoldContext"]) -> None:
+    def filter_group(folds: Sequence["FoldContext"], alphas: Iterable[float] = ()) -> None:
         """Fit the model of each fold of one labeling, then filter the
         folds' training days and held-out days in one lockstep pass, one
         model per fold.
 
         Every model filters every day of the dataset whole (row = day, the
         held-out day included) and the kept part of each day kept only in
-        part.  A fold takes the traces of its kept days and of its held-out
-        day, each bitwise what filtering them on their own would give.
+        part.  A fold takes the trace of its held-out day, and the traces of
+        its kept days without their slot entries, which the pass reduces to
+        the fold's ``slot_counts`` (at every rank, and at each of
+        ``alphas``).  Each is bitwise what filtering them on their own, and
+        counting their entries, would give.
         """
         first = folds[0]
         dataset, arrays = first.dataset, first.arrays
@@ -237,14 +247,18 @@ class FoldContext:
                 fit_transitions(labels, fold.model_params.t_z_max),
                 fit_operations(labels, dataset.vocabulary),
             )
+        n_states = first.model[0].n_states
+        counts = [SlotCounts(n_states, alphas) for _ in folds]
         traces = filter_models(
             dataset.grid,
             streams,
             [fold.model for fold in folds],
-            [fold_kept + [fold.heldout_day] for fold, fold_kept in zip(folds, kept_by_fold)],
+            [[fold.heldout_day] for fold in folds],
+            counted=list(zip(kept_by_fold, counts)),
         )
-        for fold, fold_kept, fold_traces in zip(folds, kept_by_fold, traces):
+        for fold, fold_kept, fold_counts, fold_traces in zip(folds, kept_by_fold, counts, traces):
             fold.training_traces = [fold_traces[stream] for stream in fold_kept]
+            fold.slot_counts = fold_counts
             fold.detection_trace = fold_traces[fold.heldout_day]
 
     def judged_operations(self, injections_per_day: int, seed: int) -> list[OperationContext]:
@@ -575,10 +589,11 @@ def _collect_scores(
     when a method reads beliefs.
     """
     parts: dict[object, list[np.ndarray]] = defaultdict(list)
+    alphas = need_proposed if seq_params_base.criterion == "alpha" else ()
     for start in range(0, len(folds), FOLD_GROUP):
         group = folds[start : start + FOLD_GROUP]
         if need_proposed or need_estimation:
-            FoldContext.filter_group(group)
+            FoldContext.filter_group(group, alphas)
         for fold in group:
             scores = _score_fold(
                 fold, need_proposed, need_estimation, need_sequence, seq_params_base,
@@ -588,7 +603,7 @@ def _collect_scores(
                 parts[key].append(column)
             # The scores are recorded: drop the fold's model and traces, so
             # that none outlives its group.
-            fold.model = fold.training_traces = fold.detection_trace = None
+            fold.model = fold.training_traces = fold.slot_counts = fold.detection_trace = None
     return {key: np.concatenate(columns, axis=-1) for key, columns in parts.items()}
 
 
@@ -616,7 +631,7 @@ def _score_fold(
         batch = batch_candidates(judged, seq_params_base, fold.windows.keys)
     if need_proposed:
         # The stores of every l value share the ranking of the beliefs.
-        training = TrainingBeliefs(fold.training_traces, fold.windows)
+        training = TrainingBeliefs(fold.training_traces, fold.windows, fold.slot_counts)
     for l_value in need_proposed:
         store = store_sequences(
             training,

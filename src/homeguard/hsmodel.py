@@ -24,14 +24,17 @@ per slot; an event updates its day's row under every model at once.  A
 stream that runs alone (the whole stream ``detect`` reads, say) runs its own
 days in lockstep as stacked (1, S) rows, each multiplied bitwise as a lone
 row; as a day starts where the day before ends, its days re-run from a
-guess until the beliefs carried between them stop changing.
+guess until the beliefs carried between them stop changing.  A training
+stream's slot entries are read only as counts: the pass reduces them to a
+``seqstore.SlotCounts`` a block of slots at a time, and its trace keeps none.
 
 A stream is an int array of positions in one ``ingest.SlotGrid``: a whole
 grid, a day of it, or the kept slots of a day.  The filter reads each slot's
 slot-of-day and events from its position.  A ``FilterTrace`` holds arrays
-only and copies none of the grid: the belief entering each slot, the grid
-positions of the stream's events, the beliefs just before and just after
-each of them, in order, and where each slot's events begin.
+only and copies none of the grid: the belief entering each slot (unless
+the stream was counted), the grid positions of the stream's events, the
+beliefs just before and just after each of them, in order, and where each
+slot's events begin.
 
 A ``TrainedModel`` is one JSON document.  Its parameter sections, its
 vocabulary and its stores are read by the rules of ``payload``; the
@@ -60,6 +63,8 @@ from .seqstore import (
     SeqParams,
     SequenceIds,
     SequenceStore,
+    SlotCounts,
+    SlotReducer,
     TimedSequenceStore,
     TrainingBeliefs,
     build_timed_store,
@@ -68,6 +73,10 @@ from .seqstore import (
 from .vocab import VOCABULARY, Vocabulary
 
 FORMAT_VERSION = 3
+
+# Slots whose entry beliefs a lockstep pass holds at a time before it copies
+# them to the traces that keep them and reduces them to slot counts.
+_BLOCK = 64
 
 
 def uniform_belief(n_states: int) -> np.ndarray:
@@ -251,9 +260,13 @@ class FilterTrace:
     are the beliefs just before and just after the update by grid event
     ``event_index[i]``.  The events of slot ``p`` are
     ``first[p]:first[p + 1]``.
+
+    ``entry`` is None for a stream whose slot entries were counted into a
+    ``SlotCounts`` instead (a training stream): only its events' beliefs
+    are kept, which is what the sequence store reads of them.
     """
 
-    entry: np.ndarray  # (n_slots, S)
+    entry: np.ndarray | None  # (n_slots, S)
     event_index: np.ndarray  # (n_events,) int
     pre: np.ndarray  # (n_events, S)
     post: np.ndarray  # (n_events, S)
@@ -463,6 +476,8 @@ def _lockstep(
     streams: Sequence[np.ndarray],
     models: Sequence[tuple[TransitionTensor, OperationTable]],
     initial: np.ndarray,
+    keep: Sequence[Sequence[bool]],
+    counts: Sequence[Sequence[SlotCounts | None]],
 ) -> list[list[FilterTrace]]:
     """Filter two or more streams of equal length whose slots share their
     slot-of-day, under every one of ``models``; ``traces[m][d]`` follows
@@ -475,9 +490,16 @@ def _lockstep(
     A lone row's product rounds otherwise (see ``_advance``): a stream that
     runs alone goes to ``_filter_alone``.  An event of stream ``d`` updates
     row ``d`` under every model at once: a multiply, the row sums and a
-    divide on an (M, S) matrix.  Each trace's ``entry`` is a view of one
-    array, and its ``pre`` and ``post`` are views of one (M, n_events, S)
-    array per stream.
+    divide on an (M, S) matrix.  Each trace's ``pre`` and ``post`` are views
+    of one (M, n_events, S) array per stream.
+
+    The beliefs entering each slot go to a state-major block of ``_BLOCK``
+    slots, reused, before the slot's events.  A full block, and the last
+    one, is copied to the ``entry`` of each row ``(m, d)`` that ``keep[m][d]``
+    marks, a view of one array, and added to ``counts[m][d]`` for each row
+    that has one, by one ``SlotReducer``.  The other rows' traces keep no
+    ``entry`` (None), so a pass allocates slot entries for the rows read
+    again only.
     """
     n_models, n_rows = len(models), len(streams)
     n_slots, n_states = len(streams[0]), models[0][0].n_states
@@ -497,9 +519,14 @@ def _lockstep(
     tables = [operations for _, operations in models]
     vectors: dict[tuple[str, str], tuple] = {}
     uniform = uniform_belief(n_states)
-    # Stream-major, so each trace's beliefs are contiguous for the per-slot
-    # state selection of the sequence store; an update stores all rows at once.
-    entry = np.empty((n_models, n_rows, n_slots, n_states))
+    # The rows that keep their entries, counted m * D + d.  Stream-major, so
+    # each trace's beliefs are contiguous for a judged operation's read.
+    kept = np.flatnonzero(np.ravel(keep))
+    entry = np.empty((len(kept), n_slots, n_states))
+    sinks = [c for model_counts in counts for c in model_counts]
+    reduce = SlotReducer(sinks) if any(c is not None for c in sinks) else None
+    size = min(_BLOCK, n_slots)
+    block = np.empty((n_states, size, n_models, n_rows))
     n_events = first[:, -1].tolist()
     pre = [np.empty((n_models, n, n_states)) for n in n_events]
     post = [np.empty((n_models, n, n_states)) for n in n_events]
@@ -520,7 +547,8 @@ def _lockstep(
                 dead = totals[..., 0] <= 0.0
                 belief[~dead] /= totals[~dead]
                 belief[dead] = uniform
-        entry[..., pos, :] = belief
+        j = pos % size
+        block[:, j] = belief.transpose(2, 0, 1)
         for row in rows_at.get(pos, ()):
             row_pre, row_post = pre[row], post[row]
             now = belief[:, row]  # (M, S)
@@ -536,11 +564,18 @@ def _lockstep(
                 else:
                     now = _observe(now, vec, neutral, uniform, row_post[:, i])
             belief[:, row] = now
+        if j == size - 1 or pos == n_slots - 1:
+            filled = block[:, : j + 1].reshape(n_states, j + 1, n_models * n_rows)
+            if len(kept):
+                entry[:, pos - j : pos + 1] = filled[:, :, kept].transpose(2, 1, 0)
+            if reduce is not None:
+                reduce(filled)
+    entries = dict(zip(kept.tolist(), entry))
     return [
         [
             FilterTrace(
-                entry=entry[m, row], event_index=event_index[row], pre=pre[row][m],
-                post=post[row][m], first=first[row],
+                entry=entries.get(m * n_rows + row), event_index=event_index[row],
+                pre=pre[row][m], post=post[row][m], first=first[row],
             )
             for row in range(n_rows)
         ]
@@ -554,11 +589,18 @@ def filter_models(
     models: Sequence[tuple[TransitionTensor, OperationTable]],
     wanted: Sequence[Iterable[int]],
     initial: np.ndarray | None = None,
+    counted: Sequence[tuple[Iterable[int], SlotCounts]] | None = None,
 ) -> list[dict[int, FilterTrace]]:
     """Filter ``streams`` (arrays of ``grid`` positions) under several
     (transitions, operations) models, all from the same initial belief:
     model ``m`` filters the streams indexed by ``wanted[m]``, and gets its
     traces back keyed by stream index.
+
+    ``counted[m]``, when given, is a pair (stream indices, ``SlotCounts``):
+    model ``m`` filters those streams too, adds the belief entering each of
+    their slots to its counts, and gets their traces back without ``entry``
+    (None).  A model's counted streams and its wanted ones are disjoint.  A
+    counted stream that runs alone is added once it has run.
 
     Contiguous streams of equal length that start at the same slot-of-day
     (the days of a dataset, say) share every transition matrix, so they run
@@ -568,7 +610,8 @@ def filter_models(
     lockstep product of several rows does not depend on their number, but
     it is not the product of a lone row, which ``_filter_alone`` keeps for
     each of its stacked days.  So each model's traces are bitwise those of
-    ``filter_streams`` over the streams it wants.
+    ``filter_streams`` over the streams it wants, and its counts those of
+    their entries.
     """
     n_states = models[0][0].n_states
     init = (
@@ -585,25 +628,34 @@ def filter_models(
         groups.setdefault(key, []).append(index)
 
     wanted_sets = [set(indices) for indices in wanted]
+    counted = counted or [((), None)] * len(models)
+    counted_sets = [set(indices) for indices, _ in counted]
+    counts = [c for _, c in counted]
     traces: list[dict[int, FilterTrace]] = [{} for _ in models]
     for members in groups.values():
         shared, alone = [], []
-        for m, indices in enumerate(wanted_sets):
-            mine = [index for index in members if index in indices]
+        for m, (indices, counted_indices) in enumerate(zip(wanted_sets, counted_sets)):
+            mine = [index for index in members if index in indices or index in counted_indices]
             if len(mine) > 1:
                 shared.append(m)
             elif mine:
                 alone.append((m, mine[0]))
         if shared:
             batch = _lockstep(
-                grid, [streams[index] for index in members], [models[m] for m in shared], init
+                grid, [streams[index] for index in members], [models[m] for m in shared], init,
+                [[index in wanted_sets[m] for index in members] for m in shared],
+                [[counts[m] if index in counted_sets[m] else None for index in members]
+                 for m in shared],
             )
             for m, model_traces in zip(shared, batch):
                 for index, trace in zip(members, model_traces):
-                    if index in wanted_sets[m]:
+                    if index in wanted_sets[m] or index in counted_sets[m]:
                         traces[m][index] = trace
         for m, index in alone:
-            traces[m][index] = _filter_alone(grid, streams[index], models[m], init)
+            trace = traces[m][index] = _filter_alone(grid, streams[index], models[m], init)
+            if index in counted_sets[m]:
+                counts[m].add(trace.entry)
+                trace.entry = None
     return traces
 
 
@@ -613,17 +665,22 @@ def filter_streams(
     transitions: TransitionTensor,
     operations: OperationTable,
     initial: np.ndarray | None = None,
+    counts: SlotCounts | None = None,
 ) -> list[FilterTrace]:
     """Run the forward filter over each stream of ``grid`` positions, all
     from the same initial belief.
 
     Streams aligned on their slots-of-day run in lockstep (see
     ``filter_models``).  Traces come back in the order of ``streams``.
+    With ``counts``, every stream's slot entries are added to them instead,
+    and no trace keeps its ``entry``.
     """
+    every = range(len(streams))
     [traces] = filter_models(
-        grid, streams, [(transitions, operations)], [range(len(streams))], initial
+        grid, streams, [(transitions, operations)], [every if counts is None else ()], initial,
+        None if counts is None else [(every, counts)],
     )
-    return [traces[index] for index in range(len(streams))]
+    return [traces[index] for index in every]
 
 
 def run_filter(
@@ -828,8 +885,10 @@ def train_model(
     # windows, as the folds of an evaluation do.
     target = vocabulary.detection_target
     windows = DayWindows(grid, target, seq_params)
-    traces = filter_streams(grid, kept_day_streams(kept), transitions, operations)
-    beliefs = TrainingBeliefs(traces, windows)
+    alphas = [seq_params.l_alpha] if seq_params.criterion == "alpha" else []
+    counts = SlotCounts(transitions.n_states, alphas)
+    traces = filter_streams(grid, kept_day_streams(kept), transitions, operations, counts=counts)
+    beliefs = TrainingBeliefs(traces, windows, counts)
     store = store_sequences(beliefs, target, seq_params)
     baseline_store = build_timed_store(windows, target, seq_params)
     return TrainedModel(

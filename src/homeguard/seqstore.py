@@ -35,11 +35,14 @@ ascending ids, so a judged candidate, interned once, finds its row in any
 store by one integer search.  A training trace's events are one run: a whole
 day, or the part of a day that an excluded calendar date leaves (a day that
 does not start at midnight), and the trace holds their grid positions.
+The filter pass reduces the training traces' slot entries to ``SlotCounts``
+a block of slots at a time (``SlotReducer``) and keeps none of them.
 ``TrainingBeliefs`` joins the traces to the arrays of their runs and ranks
-every belief once, so the store for each selection value is one comparison,
-one ``np.unique`` of the ids and one count with numpy.  The time-of-day store
-is merged from the arrays of the whole days; only windows that reach back
-across midnight into a left-out day are enumerated again.
+every belief just before an event once, so the store for each selection
+value is one comparison, one ``np.unique`` of the ids and one count with
+numpy.  The time-of-day store is merged from the arrays of the whole days;
+only windows that reach back across midnight into a left-out day are
+enumerated again.
 
 The time-of-day store counts matches through an index built on first use:
 every stored time replaced by its rank among the distinct stored times and
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 from datetime import datetime, timedelta
 from functools import cached_property
 from itertools import repeat
-from typing import TYPE_CHECKING, AbstractSet, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Sequence
 
 import numpy as np
 
@@ -554,33 +557,104 @@ def _ranks(beliefs: np.ndarray) -> np.ndarray:
     return ranks
 
 
+class SlotCounts:
+    """The counts of a training set's slots that its stores' ``slot_counts``
+    are read from, for every selection value.
+
+    ``at_rank[r - 1, i]`` counts the slots whose entry belief ranks state
+    ``i`` r-th (one plus the number of states with a strictly greater
+    belief, so ties share a rank), and ``at_least[a, i]`` those whose entry
+    belief of ``i`` is at least ``alphas[a]``.  A store for any ``l_rank``
+    sums a prefix of ``at_rank``; one for ``l_alpha`` needs it among
+    ``alphas``.  A ``SlotReducer`` adds the slots of many streams at once.
+    """
+
+    def __init__(self, n_states: int, alphas: Iterable[float] = ()) -> None:
+        self.alphas = tuple(dict.fromkeys(map(float, alphas)))
+        self.at_rank = np.zeros((n_states, n_states), dtype=np.int64)
+        self.at_least = np.zeros((len(self.alphas), n_states), dtype=np.int64)
+
+    def add(self, entry: np.ndarray) -> None:
+        """Add the slots of one stream, its (n_slots, S) entry beliefs."""
+        SlotReducer([self])(np.ascontiguousarray(entry.T)[:, :, None])
+
+    def selected(self, params: SeqParams) -> np.ndarray:
+        """Per state, the slots whose entry belief ``params`` selects it at."""
+        if params.criterion == "rank":
+            return self.at_rank[: params.l_rank].sum(axis=0)
+        if params.l_alpha not in self.alphas:
+            raise ValueError(f"no slot counts were taken at l_alpha {params.l_alpha!r}")
+        return self.at_least[self.alphas.index(params.l_alpha)]
+
+
+class SlotReducer:
+    """Adds the beliefs entering a block of slots of R streams to the slot
+    counts of those streams: stream ``r``'s to ``counts[r]``, and none for
+    None.  Several streams may share one ``SlotCounts``."""
+
+    def __init__(self, counts: Sequence[SlotCounts | None]) -> None:
+        owners = {id(c): c for c in counts if c is not None}
+        self.owners = list(owners.values())
+        place = {key: k for k, key in enumerate(owners)}
+        # member[k, r]: stream r's slots go to owners[k].
+        self.member = np.zeros((len(owners), len(counts)), dtype=np.int64)
+        for r, c in enumerate(counts):
+            if c is not None:
+                self.member[place[id(c)], r] = 1
+        n_states = len(self.owners[0].at_rank)
+        # A slot of stream r at which state i ranks q-th counts in cell
+        # (r, q - 1, i): this is the cell less its rank part.
+        self.cell = np.arange(n_states)[:, None, None] + np.arange(len(counts)) * n_states**2
+        self.alphas = sorted({alpha for c in self.owners for alpha in c.alphas})
+
+    def __call__(self, beliefs: np.ndarray) -> None:
+        """Add the state-major (S, n, R) ``beliefs``: those entering ``n``
+        slots of each of the R streams."""
+        n_states, _, n_rows = beliefs.shape
+        flat = beliefs.reshape(n_states, -1)
+        # One comparison row per state: each cell gains S for every state
+        # with a strictly greater belief.
+        below = np.zeros(flat.shape, dtype=np.intp)
+        for row in flat:
+            below += row > flat
+        below *= n_states
+        cells = below.reshape(beliefs.shape)
+        cells += self.cell
+        per_row = np.bincount(cells.ravel(), minlength=n_rows * n_states**2)
+        at_rank = self.member @ per_row.reshape(n_rows, n_states * n_states)
+        if self.alphas:
+            at_least = (beliefs >= np.reshape(self.alphas, (-1, 1, 1, 1))).sum(axis=2)
+            at_least = at_least @ self.member.T  # (alphas, S, owners)
+        for k, owner in enumerate(self.owners):
+            owner.at_rank += at_rank[k].reshape(n_states, n_states)
+            if owner.alphas:
+                owner.at_least += at_least[[self.alphas.index(a) for a in owner.alphas], :, k]
+
+
 class TrainingBeliefs:
-    """The belief traces of a training set, joined to their windows.
+    """The belief traces of a training set, joined to their windows, and
+    the ``SlotCounts`` of their slots.
 
     Each trace's events are one run of the grid's events (a whole day, or
     the kept part of one), and its windows are those of that run, which
-    ``windows`` enumerates once for every fold that keeps it.  On first use
-    every belief is ranked once: the slot entries into a count of rows per
-    (rank, state), the instants just before events row by row.  A store for
-    any ``l_rank`` then takes a prefix sum and one comparison per event, and
-    an ``l_alpha`` store compares the beliefs themselves.
+    ``windows`` enumerates once for every fold that keeps it.  The traces'
+    slot entries are read only as ``counts``, which the filter pass fills,
+    so a training trace keeps none (its ``entry`` is None).  On first use
+    the beliefs just before events are ranked row by row.  A store for any
+    ``l_rank`` then takes a prefix sum of the counts and one comparison per
+    event, and an ``l_alpha`` store compares the beliefs themselves.
     """
 
-    def __init__(self, traces: Sequence["FilterTrace"], windows: DayWindows) -> None:
+    def __init__(
+        self, traces: Sequence["FilterTrace"], windows: DayWindows, counts: SlotCounts
+    ) -> None:
         self.traces = traces
         self.windows = windows
+        self.counts = counts
 
     @cached_property
     def _ranked(self) -> tuple[np.ndarray, ...]:
-        n_states = self.traces[0].entry.shape[1]
-        # at_rank[r - 1, i]: slot entries at which state i ranks r.  Day
-        # by day, so no copy of the entry beliefs is made.
-        at_rank = np.zeros(n_states * n_states, dtype=np.int64)
-        states = np.arange(n_states)
-        for trace in self.traces:
-            if len(trace.entry):
-                cells = (_ranks(trace.entry).astype(np.intp) - 1) * n_states + states
-                at_rank += np.bincount(cells.ravel(), minlength=n_states * n_states)
+        n_states = len(self.counts.at_rank)
         pre = np.concatenate([np.empty((0, n_states)), *(trace.pre for trace in self.traces)])
         ids, finals, offset = [], [], 0
         for trace in self.traces:
@@ -594,27 +668,17 @@ class TrainingBeliefs:
             ids.append(entries.ids)
             finals.append(entries.finals + offset)
             offset += len(index)
-        return (
-            at_rank.reshape(n_states, n_states),
-            pre,
-            _ranks(pre),
-            np.concatenate([_NONE, *ids]),
-            np.concatenate([_NONE, *finals]),
-        )
+        return pre, _ranks(pre), np.concatenate([_NONE, *ids]), np.concatenate([_NONE, *finals])
 
     def store(self, params: SeqParams) -> SequenceStore:
-        at_rank, pre, pre_ranks, ids, finals = self._ranked
-        n_states = len(at_rank)
+        pre, pre_ranks, ids, finals = self._ranked
+        n_states = pre.shape[1]
+        slot_counts = self.counts.selected(params)
         # Each stored subsequence is credited to the states its final event's
         # "just before" belief selects.
         if params.criterion == "rank":
-            slot_counts = at_rank[: params.l_rank].sum(axis=0)
             chosen = (pre_ranks <= params.l_rank)[finals]
         else:
-            slot_counts = np.zeros(n_states, dtype=np.int64)
-            for trace in self.traces:
-                if len(trace.entry):
-                    slot_counts += (trace.entry >= params.l_alpha).sum(axis=0)
             chosen = (pre >= params.l_alpha)[finals]
         credited = chosen.any(axis=1)
         stored, rows = np.unique(ids[credited], return_inverse=True)

@@ -21,13 +21,14 @@ from homeguard.labeling import ALPHABET, HomeState, LabelingParams
 from homeguard.seqstore import (
     SequenceIds,
     SequenceStore,
+    SlotCounts,
     TimedSequenceStore,
     TrainingBeliefs,
     build_timed_store,
     store_sequences,
 )
 from homeguard.vocab import SENSOR_FIELDS, Vocabulary
-from oracles import SensorFrame, columns
+from oracles import SensorFrame, columns, slot_counts_ranked
 
 BASE = datetime(2021, 3, 1, 0, 0, 0)
 
@@ -128,22 +129,40 @@ def id_timed_store(
     return TimedSequenceStore(ids, keys, [stored[k] for k in order.tolist()], target_total)
 
 
-def make_folds(dataset, labeling_params, model_params, seq_params, filled=True):
+def make_folds(dataset, labeling_params, model_params, seq_params, filled=True, alphas=()):
     """One evaluation fold per day, sharing the windows of one enumeration;
-    ``filled`` by one group pass over them all with their models and traces."""
+    ``filled`` by one group pass over them all with their models, traces and
+    slot counts (at every rank, and at each of ``alphas``)."""
     from homeguard.evaluation import FoldContext, _dataset_windows, _make_folds
 
     windows = _dataset_windows(dataset, seq_params)
     folds = _make_folds(dataset, labeling_params, model_params, seq_params, windows)
     if filled:
-        FoldContext.filter_group(folds)
+        FoldContext.filter_group(folds, alphas)
     return folds
+
+
+def training_beliefs(traces, windows, alphas=()) -> TrainingBeliefs:
+    """The training beliefs of traces that keep their slot entries, those
+    counted by the reducer that the filter pass counts with."""
+    counts = SlotCounts(traces[0].entry.shape[1], alphas)
+    for trace in traces:
+        counts.add(trace.entry)
+    return TrainingBeliefs(traces, windows, counts)
+
+
+def assert_counts_equal(counts: SlotCounts, entries) -> None:
+    """``counts`` hold what ranking and comparing ``entries`` (the slot
+    entries of whole traces) row by row gives."""
+    at_rank, at_least = slot_counts_ranked(entries, len(counts.at_rank), counts.alphas)
+    assert np.array_equal(counts.at_rank, at_rank)
+    assert np.array_equal(counts.at_least, at_least)
 
 
 def fold_store(fold, seq_params=None) -> SequenceStore:
     """A filled fold's sequence store under ``seq_params``, its own by
     default, as the scoring of the fold builds it."""
-    beliefs = TrainingBeliefs(fold.training_traces, fold.windows)
+    beliefs = TrainingBeliefs(fold.training_traces, fold.windows, fold.slot_counts)
     target = fold.dataset.vocabulary.detection_target
     return store_sequences(beliefs, target, seq_params or fold.seq_params)
 

@@ -60,6 +60,7 @@ from homeguard.seqstore import (
     SequenceIds,
     SequenceStore,
     TimedSequenceStore,
+    _ranks,
     seconds_of_day,
 )
 from homeguard.synthgen import Interval, Scenario, _jitter
@@ -926,6 +927,24 @@ def select_states(belief: np.ndarray, params: SeqParams) -> list[int]:
     else:
         mask = belief >= params.l_alpha
     return [int(i) for i in np.flatnonzero(mask)]
+
+
+def slot_counts_ranked(
+    entries: Sequence[np.ndarray], n_states: int, alphas: Sequence[float] = ()
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (at_rank, at_least) counts of ``seqstore.SlotCounts`` over the
+    slot entries of whole traces: each trace's (n_slots, S) entries ranked
+    by ``_ranks`` row by row and counted rank by rank, and compared with
+    each of ``alphas``."""
+    at_rank = np.zeros((n_states, n_states), dtype=np.int64)
+    at_least = np.zeros((len(alphas), n_states), dtype=np.int64)
+    for entry in entries:
+        ranks = _ranks(entry)
+        for rank in range(n_states):
+            at_rank[rank] += (ranks == rank + 1).sum(axis=0)
+        for a, alpha in enumerate(alphas):
+            at_least[a] += (entry >= alpha).sum(axis=0)
+    return at_rank, at_least
 
 
 def store_sequences_per_window(

@@ -39,9 +39,10 @@ from homeguard.hsmodel import ModelParams, fit_operations, fit_transitions
 from homeguard.ingest import SLOTS_PER_DAY, EventRecord, build_timeslots
 from homeguard.labeling import ALPHABET, LabelingParams
 from homeguard.seqstore import SeqParams, candidates_ending_at, seconds_of_day
+from homeguard.synthgen import generate, scenario_s1
 from homeguard.vocab import DEFAULT_PAIRS, Vocabulary
 
-from conftest import fold_store, fold_timed_store, frame, make_folds
+from conftest import assert_counts_equal, fold_store, fold_timed_store, frame, make_folds
 from oracles import (
     as_dicts,
     batch_items,
@@ -452,7 +453,11 @@ class TestFoldFits:
         assert [trace.event_index.tolist() for trace in training] == [
             days[day].tolist() for day in (0, 1, 4)
         ]
-        assert [len(trace.entry) for trace in training] == [1440] * 3
+        # The training traces keep no slot entries: the pass counted them.
+        assert [len(trace.first) - 1 for trace in training] == [1440] * 3
+        assert all(trace.entry is None for trace in training)
+        assert fold.slot_counts.at_rank.sum() == 3 * 1440 * len(ALPHABET)
+        assert len(fold.detection_trace.entry) == 1440
         assert np.array_equal(fold.detection_trace.event_index, days[3])
 
     def test_serial_collection_releases_each_fold(self):
@@ -527,8 +532,9 @@ class TestBatchedFoldScores:
         assert len(keys.items) > len(interned)
         assert np.isin(batch.ids, store.ids).any() and not np.isin(batch.ids, store.ids).all()
 
+        [(training, _)] = filter_folds_one_by_one([fold])
         oracle = store_sequences_per_window(
-            fold.dataset.grid, fold.training_traces, "cooking_stove", seq, len(ALPHABET)
+            fold.dataset.grid, training, "cooking_stove", seq, len(ALPHABET)
         )
         timed_oracle = fold_oracle(fold, seq)
         items = batch_items(batch)
@@ -873,9 +879,9 @@ class TestGroupedFoldFilter:
         shapes, alone = [], []
         lockstep, filter_alone = hsmodel._lockstep, hsmodel._filter_alone
 
-        def recording(grid, streams, models, initial):
+        def recording(grid, streams, models, initial, keep, counts):
             shapes.append((len(models), len(streams), len(streams[0])))
-            return lockstep(grid, streams, models, initial)
+            return lockstep(grid, streams, models, initial, keep, counts)
 
         def recording_alone(grid, stream, model, initial):
             alone.append(len(stream))
@@ -888,7 +894,9 @@ class TestGroupedFoldFilter:
         for fold, (training, detection) in zip(folds, expected):
             assert len(fold.training_traces) == len(training)
             for got, ref in zip(fold.training_traces, training):
-                assert_traces_equal(got, ref)
+                assert got.entry is None
+                assert_traces_equal(replace(got, entry=ref.entry), ref)
+            assert_counts_equal(fold.slot_counts, [ref.entry for ref in training])
             assert_traces_equal(fold.detection_trace, detection)
         # Every model of a group filters the six days whole.  A kept part runs
         # in lockstep with the other part of its length under the folds that
@@ -898,6 +906,36 @@ class TestGroupedFoldFilter:
         assert 1200 in alone and 240 in alone
         assert max(m for m, rows, n in shapes if rows == 2 and n < 1440) == sharing
 
+    def test_filter_pass_memory_per_fold_day(self, monkeypatch):
+        # One group pass of the 28-day protocol: four folds, each filtering
+        # its 27 kept days and its held-out day.  Beyond the four fitted
+        # models, the pass holds the held-out days' slot entries, every
+        # day's event beliefs and one block of slots; a training day's
+        # (1440, S) slot entries alone would take 115 KB per fold-day.
+        result = generate(scenario_s1(seed=11, n_days=28))
+        dataset = EvalDataset(build_timeslots(result.events, result.frames), Vocabulary())
+        labeling = LabelingParams(t_x=15, t_y=15, t_c=10, initial_occupants=2)
+        folds = make_folds(dataset, labeling, ModelParams(), SeqParams(), filled=False)[:4]
+        passes = []
+        filter_models = evaluation.filter_models
+
+        def measured(*args, **kwargs):
+            # From the fitted models on: what the pass itself adds.
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            traces = filter_models(*args, **kwargs)
+            passes.append(tracemalloc.get_traced_memory()[1] - before)
+            return traces
+
+        monkeypatch.setattr(evaluation, "filter_models", measured)
+        tracemalloc.start()
+        try:
+            FoldContext.filter_group(folds)
+        finally:
+            tracemalloc.stop()
+        [peak] = passes
+        assert peak < 40_000 * len(folds) * dataset.n_days
+
     def test_collect_scores_filters_each_group_once(self, monkeypatch):
         dataset = early_origin_dataset()
         folds = make_folds(
@@ -906,9 +944,9 @@ class TestGroupedFoldFilter:
         groups = []
         filter_group = FoldContext.filter_group
 
-        def recording(group):
+        def recording(group, alphas):
             groups.append(list(group))
-            filter_group(group)
+            filter_group(group, alphas)
 
         monkeypatch.setattr(FoldContext, "filter_group", staticmethod(recording))
         scores = _collect_scores(folds, (1,), True, (), SeqParams(), 5, 1)

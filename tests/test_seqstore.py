@@ -35,7 +35,6 @@ from homeguard.seqstore import (
     SequenceIds,
     SequenceStore,
     TimedSequenceStore,
-    TrainingBeliefs,
     build_timed_store,
     candidates_ending_at,
     store_sequences,
@@ -54,6 +53,7 @@ from conftest import (
     id_timed_store,
     make_folds,
     make_grid,
+    training_beliefs,
 )
 from oracles import (
     as_dicts,
@@ -61,6 +61,7 @@ from oracles import (
     candidates_ending_at_combinations,
     columns,
     count_near,
+    filter_folds_one_by_one,
     flat_candidates,
     frame_rows,
     generate_subsequences,
@@ -217,7 +218,8 @@ def store_of(grid, traces, target_device, params):
     events."""
     traces = [traces] if isinstance(traces, FilterTrace) else list(traces)
     windows = DayWindows(grid, target_device, params)
-    return store_sequences(TrainingBeliefs(traces, windows), target_device, params)
+    beliefs = training_beliefs(traces, windows, [params.l_alpha])
+    return store_sequences(beliefs, target_device, params)
 
 
 def timed_store_of(events, target_device, params):
@@ -407,7 +409,7 @@ class TestStoreAgainstPerWindowOracle:
         folds = make_folds(
             dataset, LabelingParams(initial_occupants=2), ModelParams(), SeqParams(t_seq=1800)
         )
-        return dataset.grid, [fold.training_traces for fold in folds]
+        return dataset.grid, [training for training, _ in filter_folds_one_by_one(folds)]
 
     @pytest.mark.parametrize("selection", SELECTIONS.values(), ids=SELECTIONS.keys())
     def test_fold_stores(self, dense_traces, selection):
@@ -534,6 +536,8 @@ class TestFoldStoresFromSharedWindows:
         "alpha-0.1": dict(criterion="alpha", l_alpha=0.1),
         "alpha-0.6": dict(criterion="alpha", l_alpha=0.6),
     }
+    # The l_alpha values of the selections, at which the folds count slots.
+    ALPHAS = (0.1, 0.6)
 
     @pytest.mark.parametrize(
         "make, params",
@@ -546,9 +550,10 @@ class TestFoldStoresFromSharedWindows:
     )
     def test_every_fold_and_selection(self, make, params):
         dataset = make()
-        folds = make_folds(dataset, LabelingParams(initial_occupants=2), ModelParams(), params)
-        for fold in folds:
-            traces = fold.training_traces
+        folds = make_folds(
+            dataset, LabelingParams(initial_occupants=2), ModelParams(), params, alphas=self.ALPHAS
+        )
+        for fold, (traces, _) in zip(folds, filter_folds_one_by_one(folds)):
             for selection in self.SELECTIONS.values():
                 selected = replace(params, **selection)
                 store = fold_store(fold, selected)
@@ -567,11 +572,11 @@ class TestFoldStoresFromSharedWindows:
         # day's kept slots, and its windows only their events.
         dataset = partial_day_dataset()
         labeling = LabelingParams(initial_occupants=0)
-        folds = make_folds(dataset, labeling, ModelParams(), params)
+        folds = make_folds(dataset, labeling, ModelParams(), params, alphas=self.ALPHAS)
         partial = 0
-        for fold in folds:
-            traces = fold.training_traces
-            partial += sum(len(trace.entry) < 1440 for trace in traces)
+        for fold, (traces, _) in zip(folds, filter_folds_one_by_one(folds)):
+            assert all(trace.entry is None for trace in fold.training_traces)
+            partial += sum(len(trace.first) - 1 < 1440 for trace in fold.training_traces)
             for selection in self.SELECTIONS.values():
                 selected = replace(params, **selection)
                 oracle = store_sequences_per_window(
@@ -601,10 +606,10 @@ class TestFoldStoresFromSharedWindows:
             served.setdefault((lo, hi), []).append(entries)
             return entries
 
+        expected = filter_folds_one_by_one(folds)
         monkeypatch.setattr(seqstore, "_enumerate_distinct", counting)
         monkeypatch.setattr(DayWindows, "run", recording)
-        for fold in folds:
-            traces = fold.training_traces
+        for fold, (traces, _) in zip(folds, expected):
             oracle = store_sequences_per_window(
                 grid, traces, "cooking_stove", params, len(ALPHABET)
             )
@@ -634,9 +639,11 @@ class TestFoldStoresFromSharedWindows:
             grid, [day, np.delete(day, np.s_[1000:1100])], *fold.model
         )
         assert (np.diff(split.event_index) > 1).any()
-        store_sequences(TrainingBeliefs([whole], fold.windows), "cooking_stove", params)
+        store_sequences(training_beliefs([whole], fold.windows), "cooking_stove", params)
         with pytest.raises(ValueError, match="not one run"):
-            store_sequences(TrainingBeliefs([whole, split], fold.windows), "cooking_stove", params)
+            store_sequences(
+                training_beliefs([whole, split], fold.windows), "cooking_stove", params
+            )
 
     @pytest.mark.parametrize("heldout", [0, 1, 2, 3])
     @pytest.mark.parametrize(
@@ -762,9 +769,9 @@ class TestStoreSizes:
     def test_a_folds_stores(self):
         params = SeqParams(t_seq=600, w_max=4)
         folds = make_folds(midnight_dataset(), LabelingParams(), ModelParams(), params)
-        for fold in folds:
+        for fold, (traces, _) in zip(folds, filter_folds_one_by_one(folds)):
             oracle = store_sequences_per_window(
-                fold.dataset.grid, fold.training_traces, "cooking_stove", params, len(ALPHABET)
+                fold.dataset.grid, traces, "cooking_stove", params, len(ALPHABET)
             )
             assert len(fold_store(fold).counts) == len(oracle.counts)
             assert len(fold_timed_store(fold).times) == len(fold_oracle(fold, params).times) > 0
