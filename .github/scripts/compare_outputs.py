@@ -20,7 +20,9 @@ file as the base does.
 and write the sha256 of the forward filter's every belief over it
 (``run_filter``'s ``entry``, ``pre`` and ``post`` bytes under the trained
 model), where the verdict files hold only the beliefs before target
-operations.  The file
+operations, and of the training days' event beliefs and slot counts under
+that model, which ``model.json`` holds only as far as they change its
+stores.  The file
 runs read the inputs the benchmark never reads: ``train`` and ``detect``
 under a config file that sets every parameter section (``CONFIG``),
 ``train`` with a vocabulary file that each tree saves itself, and ``synth``
@@ -114,6 +116,9 @@ IN_BASE = "in-base"
 TRACE_RUNS = (
     ("midnight", "00:00", ()),
     ("day-origin", "04:00", ()),
+    # With nobody home at first, the first date is excluded and the kept
+    # part-days are filtered as groups of one.
+    ("day-origin-excluded-date", "04:00", ("--initial-occupants", "0")),
 )
 # The days of the home that the filter-trace run "three-weeks" also reads.  The
 # filter runs a lone stream's days in lockstep and re-runs them until the
@@ -122,12 +127,16 @@ TRACE_RUNS = (
 # seconds per tree.
 LONG_HOME_DAYS = 21
 # Python run with the tree's source: argv is the model, the operation and
-# sensor CSVs, the day origin and the file to write.
+# sensor CSVs, the day origin and the file to write.  The training traces are
+# filtered as train filters them, with the model's labeling parameters.
 TRACE_DIGESTS = """
 import hashlib, pathlib, sys
 from datetime import time
-from homeguard.hsmodel import TrainedModel, run_filter
+import numpy as np
+from homeguard.hsmodel import TrainedModel, filter_streams, kept_day_streams, run_filter
 from homeguard.ingest import build_timeslots, parse_operation_log, parse_sensor_log
+from homeguard.labeling import label_states
+from homeguard.seqstore import SlotCounts
 model_path, operations, sensors, origin, out = sys.argv[1:]
 model = TrainedModel.load(model_path)
 ranges = model.vocabulary.sensor_ranges or None
@@ -136,9 +145,19 @@ grid = build_timeslots(
     parse_sensor_log(sensors, ranges=ranges), day_origin=time.fromisoformat(origin),
 )
 trace = run_filter(grid, model.transitions, model.operations)
+arrays = {name: getattr(trace, name) for name in ("entry", "pre", "post")}
+labels = label_states(grid, model.labeling_params, model.vocabulary)
+seq = model.seq_params
+counts = SlotCounts(model.transitions.n_states, [seq.l_alpha] if seq.criterion == "alpha" else [])
+training = filter_streams(
+    grid, kept_day_streams(labels.select(~labels.excluded)), model.transitions,
+    model.operations, counts=counts,
+)
+for name in ("pre", "post"):
+    arrays[f"training-{name}"] = np.concatenate([getattr(t, name) for t in training])
+arrays["training-at_rank"], arrays["training-at_least"] = counts.at_rank, counts.at_least
 pathlib.Path(out).write_text("".join(
-    f"{name} {hashlib.sha256(getattr(trace, name).tobytes()).hexdigest()}\\n"
-    for name in ("entry", "pre", "post")
+    f"{name} {hashlib.sha256(values.tobytes()).hexdigest()}\\n" for name, values in arrays.items()
 ))
 """
 

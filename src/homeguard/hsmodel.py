@@ -14,19 +14,21 @@ Fits count over the integer label arrays that ``labeling.label_states``
 returns (``LabelArrays``); a leave-one-day-out fold selects its slots with a
 mask instead of relabeling or refitting from scratch.
 
-The filter maintains a belief over the state alphabet: a matrix product and
-renormalization at every slot boundary, a componentwise multiply by the
-operation probabilities at every observed event.  Degenerate updates (all
-probability mass annihilated) reset the belief to uniform so detection can
-always proceed.  Days that share their slots-of-day run in lockstep: under
-M models, an (M, D, S) belief tensor advanced by one batched matrix product
-per slot; an event updates its day's row under every model at once.  A
-stream that runs alone (the whole stream ``detect`` reads, say) runs its own
-days in lockstep as stacked (1, S) rows, each multiplied bitwise as a lone
-row; as a day starts where the day before ends, its days re-run from a
-guess until the beliefs carried between them stop changing.  A training
-stream's slot entries are read only as counts: the pass reduces them to a
-``seqstore.SlotCounts`` a block of slots at a time, and its trace keeps none.
+The filter maintains a belief over the state alphabet, uniform at a
+stream's first slot: a matrix product and renormalization at every slot
+boundary, a componentwise multiply by the operation probabilities at every
+observed event.  Degenerate updates (all probability mass annihilated)
+reset the belief to uniform so detection can always proceed.  Streams run
+in lockstep, under M models at once: an (M, D, S) belief tensor advanced by
+one batched matrix product per slot, D days that share their slots-of-day
+or a group of one stream; an event updates its stream's row under every
+model at once.  The whole grid that ``detect`` reads (``run_filter``) runs
+its own days in lockstep as stacked (1, S) rows, each multiplied bitwise as
+a lone row; as a day starts where the day before ends, its days re-run
+from a guess until the beliefs carried between them stop changing.  A
+training stream's slot entries are read only as counts: the pass reduces
+them to a ``seqstore.SlotCounts`` a block of slots at a time, and its trace
+keeps none.
 
 A stream is an int array of positions in one ``ingest.SlotGrid``: a whole
 grid, a day of it, or the kept slots of a day.  The filter reads each slot's
@@ -177,24 +179,28 @@ def fit_transitions(arrays: LabelArrays, t_z_max: int = 720) -> TransitionTensor
     dst = arrays.succ[src]
     both = keep[dst]
     src, dst = src[both], dst[both]
-    # The pair is pooled by the slot-of-day it arrives at.
-    pairs = np.bincount(
-        (k0[dst] * n_states + state[src]) * n_states + state[dst],
-        minlength=SLOTS_PER_DAY * n_states * n_states,
-    ).reshape(SLOTS_PER_DAY, n_states, n_states)
+    # The pair is pooled by the slot-of-day it arrives at, counted in the row
+    # after it, so that the prefix sums below start from a row of zeros.
+    pairs_ps = np.bincount(
+        ((k0[dst] + 1) * n_states + state[src]) * n_states + state[dst],
+        minlength=(SLOTS_PER_DAY + 1) * n_states * n_states,
+    ).reshape(SLOTS_PER_DAY + 1, n_states, n_states)
 
     t_z = window_halfwidths(presence, t_z_max)
     # One day's prefix sums plus whole laps of the day give O(1) circular
     # window sums, windows up to +-720 included (the antipodal slot is counted
     # twice then, exactly as a literal sum over 1441 modular indices would).
-    pairs_ps = np.zeros((SLOTS_PER_DAY + 1, n_states, n_states), dtype=np.int64)
-    np.cumsum(pairs, axis=0, out=pairs_ps[1:])
+    np.cumsum(pairs_ps, axis=0, out=pairs_ps)
     centers = np.arange(SLOTS_PER_DAY)
-    laps, rest = np.divmod(np.stack([centers + t_z + 1, centers - t_z]), SLOTS_PER_DAY)
-    ends = pairs_ps[rest] + laps[..., None, None] * pairs_ps[SLOTS_PER_DAY]  # (2, 1440, S, S)
-    windows = (ends[0] - ends[1]).astype(np.float64)
+    laps_hi, hi = np.divmod(centers + t_z + 1, SLOTS_PER_DAY)
+    laps_lo, lo = np.divmod(centers - t_z, SLOTS_PER_DAY)
+    windows = pairs_ps[hi]
+    windows -= pairs_ps[lo]
+    windows += (laps_hi - laps_lo)[:, None, None] * pairs_ps[SLOTS_PER_DAY]
+    windows = windows.astype(np.float64)
     row_sums = windows.sum(axis=2, keepdims=True)
-    probs = np.divide(windows, row_sums, out=np.zeros_like(windows), where=row_sums > 0)
+    # A row of counts that sums to 0 is all zeros already.
+    probs = np.divide(windows, row_sums, out=windows, where=row_sums > 0)
     return TransitionTensor(probs=probs, t_z=t_z)
 
 
@@ -242,11 +248,18 @@ def fit_operations(arrays: LabelArrays, vocabulary: Vocabulary | None = None) ->
     return table
 
 
-def _normalize_or_uniform(values: np.ndarray) -> np.ndarray:
-    total = values.sum()
-    if total <= 0.0:
-        return uniform_belief(values.shape[0])
-    return values / total
+def _normalize(values: np.ndarray, uniform: np.ndarray) -> np.ndarray:
+    """Divide each belief of ``values`` (along its last axis) by its sum, in
+    place, and return ``values``; a belief whose mass vanished resets to
+    ``uniform``."""
+    totals = np.add.reduce(values, -1, None, None, True)
+    if min(totals.ravel().tolist()) > 0.0:
+        values /= totals
+    else:
+        dead = totals[..., 0] <= 0.0
+        values[~dead] /= totals[~dead]
+        values[dead] = uniform
+    return values
 
 
 @dataclass
@@ -254,10 +267,10 @@ class FilterTrace:
     """Belief trajectory over a slot stream.
 
     ``entry[p]`` is the belief right after entering the stream's slot ``p``
-    (for the first slot this is the initial belief itself: the stream starts
-    there, no transition is applied).  ``event_index`` holds the grid
-    positions of the stream's events, in order; ``pre[i]`` and ``post[i]``
-    are the beliefs just before and just after the update by grid event
+    (for the first slot this is the uniform belief: the stream starts there,
+    no transition is applied).  ``event_index`` holds the grid positions of
+    the stream's events, in order; ``pre[i]`` and ``post[i]`` are the
+    beliefs just before and just after the update by grid event
     ``event_index[i]``.  The events of slot ``p`` are
     ``first[p]:first[p + 1]``.
 
@@ -273,42 +286,54 @@ class FilterTrace:
     first: np.ndarray  # (n_slots + 1,) int
 
 
-def _event_vectors(
-    tables: Sequence[OperationTable], pair: tuple[str, str]
-) -> tuple[np.ndarray, np.ndarray | None, bool]:
-    """The (M, S) operation vectors of ``pair``, one row per model, the mask
-    of the models for which it is all ones (None when there is none), and
-    whether it is all ones for every model.  An all-ones vector marks an
-    operation the model never saw: observing it leaves the belief untouched."""
-    vectors = np.array([table.vector(pair) for table in tables])
-    neutral = (vectors == 1.0).all(axis=1)
-    return vectors, (neutral if neutral.any() else None), bool(neutral.all())
+class _EventVectors(dict):
+    """Per operation, its (M, S) vectors under M models, one row per model,
+    the mask of the models for which it is all ones (None when there is
+    none), and whether it is all ones for every model; looked up on first
+    use.  An all-ones vector marks an operation the model never saw:
+    observing it leaves the belief untouched."""
+
+    def __init__(self, tables: Sequence[OperationTable]) -> None:
+        super().__init__()
+        self.tables = tables
+
+    def __missing__(self, pair: tuple[str, str]) -> tuple[np.ndarray, np.ndarray | None, bool]:
+        vectors = np.array([table.vector(pair) for table in self.tables])
+        neutral = (vectors == 1.0).all(axis=1)
+        found = self[pair] = vectors, (neutral if neutral.any() else None), bool(neutral.all())
+        return found
 
 
 def _observe(
     now: np.ndarray,
-    vectors: np.ndarray,
-    neutral: np.ndarray | None,
+    lo: int,
+    hi: int,
+    pairs: Sequence[tuple[str, str]],
+    vectors: _EventVectors,
     uniform: np.ndarray,
-    out: np.ndarray,
+    pre: np.ndarray,
+    post: np.ndarray,
 ) -> np.ndarray:
-    """Write into ``out`` and return the beliefs ``now`` (one per row of the
-    last axis) after observing an operation whose vectors are ``vectors``:
-    multiply, sum, divide.  A row whose mass vanished resets to uniform, and
-    the rows that ``neutral`` marks (an all-ones vector) keep their belief
-    bitwise.  The caller skips an operation that is all ones for every row.
+    """The (M, S) beliefs ``now`` of one stream under M models after its
+    events ``lo:hi``, whose operations are ``pairs[lo:hi]``, one at a time;
+    event ``i``'s beliefs just before and just after go to ``pre[:, i]`` and
+    ``post[:, i]``.
+
+    An event multiplies each model's belief by its operation's vector, sums
+    and divides; a belief whose mass vanished resets to uniform, and the
+    models for which the vector is all ones keep their belief bitwise (an
+    event that is all ones for every model is skipped).
     """
-    np.multiply(vectors, now, out=out)
-    totals = np.add.reduce(out, -1, None, None, True)
-    if min(totals.ravel().tolist()) > 0.0:
-        out /= totals
-    else:
-        dead = totals[..., 0] <= 0.0
-        out[~dead] /= totals[~dead]
-        out[dead] = uniform
-    if neutral is not None:
-        out[neutral] = now[neutral]
-    return out
+    for i in range(lo, hi):
+        pre[:, i] = now
+        vec, neutral, all_neutral = vectors[pairs[i]]
+        if all_neutral:
+            post[:, i] = now
+            continue
+        now = _normalize(np.multiply(vec, now, out=post[:, i]), uniform)
+        if neutral is not None:
+            now[neutral] = pre[:, i][neutral]
+    return now
 
 
 def _stream_events(grid: SlotGrid, stream: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,18 +344,6 @@ def _stream_events(grid: SlotGrid, stream: np.ndarray) -> tuple[np.ndarray, np.n
     first = np.zeros(len(stream) + 1, dtype=np.intp)
     np.cumsum(counts, out=first[1:])
     return first, np.arange(first[-1]) + np.repeat(lo - first[:-1], counts)
-
-
-class _StackedMatrices:
-    """The (M, S, S) transition matrices of M models into slot-of-day ``k``,
-    stacked when asked for; a stack of every slot-of-day would hold
-    1440 x M x S x S floats through the whole pass."""
-
-    def __init__(self, tensors: Sequence[np.ndarray]) -> None:
-        self.tensors = tensors
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        return np.array([probs[k - 1] for probs in self.tensors])
 
 
 def _advance(belief: np.ndarray, matrix: np.ndarray, uniform: np.ndarray) -> np.ndarray:
@@ -346,79 +359,63 @@ def _advance(belief: np.ndarray, matrix: np.ndarray, uniform: np.ndarray) -> np.
     product, whose sums round differently: its rows differ from a lone row's
     by an ulp.  ``tests/test_hsmodel.py`` pins both facts for this numpy.
     """
-    new = np.matmul(belief[:, None, :], matrix)[:, 0]
-    totals = np.add.reduce(new, -1, None, None, True)
-    if min(totals.ravel().tolist()) > 0.0:
-        new /= totals
-    else:
-        dead = totals[:, 0] <= 0.0
-        new[~dead] /= totals[~dead]
-        new[dead] = uniform
-    return new
+    return _normalize(np.matmul(belief[:, None, :], matrix)[:, 0], uniform)
 
 
-def _filter_alone(
-    grid: SlotGrid,
-    stream: np.ndarray,
-    model: tuple[TransitionTensor, OperationTable],
-    initial: np.ndarray,
-) -> FilterTrace:
-    """Filter one stream under one model, bitwise as a pass over it one slot
-    at a time, with its days in lockstep.
+def _filter_alone(grid: SlotGrid, model: tuple[TransitionTensor, OperationTable]) -> FilterTrace:
+    """Filter a whole grid under one model, bitwise as a pass over it one
+    slot at a time, with its days in lockstep.
 
-    A contiguous stream of two days or more splits into chunks of
-    ``SLOTS_PER_DAY`` slots from its first slot, the last of which may be
-    shorter; any other stream is a single chunk.  Every chunk has the same
-    slot-of-day at the same offset, so one ``_advance`` per offset carries
-    all running chunks across their slot boundaries, each as its own 1-D row;
-    an event updates its chunk's row through ``_observe``.
+    The grid splits into chunks of ``min(SLOTS_PER_DAY, n)`` of its ``n``
+    slots from slot 0, the last of which may be shorter.  Slot 0 is
+    slot-of-day 1, so every chunk has the same slot-of-day at the same
+    offset, and one ``_advance`` per offset carries all running chunks
+    across their slot boundaries, each as its own 1-D row; an event updates
+    its chunk's row as a (1, S) belief under one model.
 
     A chunk's start belief is the end of the chunk before it, carried into
     its first slot, so the chunks run in rounds until those stop changing.
-    Chunk 0 starts from ``initial`` and every other chunk from uniform, a
-    guess.  After a round, the chunks whose carried-in belief changed,
-    bitwise, run again from the new one.  The filter forgets its start: a
-    run restarted from another belief meets the old trajectory bit for bit
-    within hours of a real stream and stays on it, so a rerun chunk stops
-    once its belief at a slot boundary equals, bitwise, the one its last run
-    wrote there, and real streams settle in two rounds.  When no carried-in
-    belief changes, chunk d's last run started from the final end of chunk
-    d - 1 and chunk 0 from ``initial``, so every chunk is exact.  Chunk d
-    can change no more after round d + 1, so there are at most D rounds.
-    That worst case (restarts that never meet, as under identity
-    transitions) takes D x ``SLOTS_PER_DAY`` lockstep steps, as many as a
-    slot-at-a-time pass, and reapplies a chunk's events in each round that
-    runs it.  Every run writes in place into the trace's ``entry``, ``pre``
-    and ``post``.
+    Every chunk starts from uniform: chunk 0 exactly, the others as a guess.
+    After a round, the chunks whose carried-in belief changed, bitwise, run
+    again from the new one.  The filter forgets its start: a run restarted
+    from another belief meets the old trajectory bit for bit within hours
+    of a real stream and stays on it, so a rerun chunk stops once its belief
+    at a slot boundary equals, bitwise, the one its last run wrote there,
+    and real streams settle in two rounds.  When no carried-in belief
+    changes, chunk d's last run started from the final end of chunk d - 1
+    and chunk 0 from uniform, so every chunk is exact.  Chunk d can change
+    no more after round d + 1, so there are at most D rounds.  That worst
+    case (restarts that never meet, as under identity transitions) takes
+    D x ``SLOTS_PER_DAY`` lockstep steps, as many as a slot-at-a-time pass,
+    and reapplies a chunk's events in each round that runs it.  Every run
+    writes in place into the trace's ``entry``, ``pre`` and ``post``.
     """
     transitions, operations = model
-    n_slots, n_states = len(stream), transitions.n_states
-    first, event_index = _stream_events(grid, stream)
+    n_slots, n_states = len(grid), transitions.n_states
+    first, event_index = _stream_events(grid, np.arange(n_slots))
     entry = np.empty((n_slots, n_states))
-    pre = np.empty((len(event_index), n_states))
-    post = np.empty((len(event_index), n_states))
-    trace = FilterTrace(entry=entry, event_index=event_index, pre=pre, post=post, first=first)
+    pre = np.empty((1, len(event_index), n_states))
+    post = np.empty((1, len(event_index), n_states))
+    trace = FilterTrace(entry, event_index, pre[0], post[0], first)
     if not n_slots:
         return trace
-    contiguous = stream[-1] - stream[0] == n_slots - 1
-    length = SLOTS_PER_DAY if contiguous and n_slots >= 2 * SLOTS_PER_DAY else n_slots
+    length = min(SLOTS_PER_DAY, n_slots)
     begins = np.arange(0, n_slots, length)
     n_chunks = len(begins)
     # The last chunk holds ``short`` slots, and runs no further.
     short = n_slots - int(begins[-1])
     uniform = uniform_belief(n_states)
-    # Indexed by slot-of-day k; list indexing is cheaper than array indexing.
-    matrices = [None, *transitions.probs]
-    ks = (stream[:length] % SLOTS_PER_DAY + 1).tolist()
+    # Indexed by offset, the transitions into slot-of-day offset + 1; list
+    # indexing is cheaper than array indexing.
+    matrices = list(transitions.probs)
     # The chunks with events at each offset.
     chunks_at: dict[int, list[int]] = {}
     for pos in np.flatnonzero(np.diff(first)).tolist():
         chunks_at.setdefault(pos % length, []).append(pos // length)
-    vectors: dict[tuple[str, str], tuple] = {}
-    events, index, starts = grid.events, event_index.tolist(), first.tolist()
+    vectors = _EventVectors([operations])
+    pairs, starts = [grid.events[i].pair for i in event_index.tolist()], first.tolist()
 
     carried = np.tile(uniform, (n_chunks, 1))
-    carried[0] = initial
     ends = np.empty((n_chunks, n_states))
     rows, rerun = np.arange(n_chunks), False
     while len(rows):
@@ -426,11 +423,11 @@ def _filter_alone(
         # each chunk begins in the stream.
         belief, base = carried[rows], begins[rows]
         place = {row: i for i, row in enumerate(rows.tolist())}
-        for j, k in enumerate(ks):
+        for j in range(length):
             if j:
                 if j == short and rows[-1] == n_chunks - 1:
                     rows, belief, base = rows[:-1], belief[:-1], base[:-1]
-                belief = _advance(belief, matrices[k], uniform)
+                belief = _advance(belief, matrices[j], uniform)
                 if rerun:
                     # Compared as bit patterns, so that 0.0 and -0.0 differ.
                     old = entry[base + j]
@@ -446,25 +443,16 @@ def _filter_alone(
                 if i is None:
                     continue
                 pos = row * length + j
-                now = belief[i]
-                for e in range(starts[pos], starts[pos + 1]):
-                    pre[e] = now
-                    pair = events[index[e]].pair
-                    found = vectors.get(pair)
-                    if found is None:
-                        found = vectors[pair] = _event_vectors([operations], pair)
-                    vec, _, neutral = found
-                    if neutral:
-                        post[e] = now
-                    else:
-                        now = _observe(now, vec[0], None, uniform, post[e])
-                belief[i] = now
+                belief[i : i + 1] = _observe(
+                    belief[i : i + 1], starts[pos], starts[pos + 1], pairs, vectors, uniform, pre,
+                    post,
+                )
         ends[rows] = belief
         if n_chunks == 1:
             break
         # Each chunk after the first is carried into by the end of the one
         # before it; the chunks whose carried-in belief changed run again.
-        into = _advance(ends[:-1], matrices[ks[0]], uniform)
+        into = _advance(ends[:-1], matrices[0], uniform)
         changed = (into.view(np.uint64) != carried[1:].view(np.uint64)).any(axis=1)
         rows, rerun = np.flatnonzero(changed) + 1, True
         carried[rows] = into[changed]
@@ -475,23 +463,24 @@ def _lockstep(
     grid: SlotGrid,
     streams: Sequence[np.ndarray],
     models: Sequence[tuple[TransitionTensor, OperationTable]],
-    initial: np.ndarray,
     keep: Sequence[Sequence[bool]],
     counts: Sequence[Sequence[SlotCounts | None]],
 ) -> list[list[FilterTrace]]:
-    """Filter two or more streams of equal length whose slots share their
-    slot-of-day, under every one of ``models``; ``traces[m][d]`` follows
+    """Filter streams of equal length whose slots share their slot-of-day,
+    under every one of ``models``, from uniform; ``traces[m][d]`` follows
     stream ``d`` under model ``m``.
 
     Row ``(m, d)`` of the (M, D, S) belief tensor follows stream ``d`` under
-    model ``m``.  One batched ``np.matmul`` advances every row across a slot
-    boundary; with two or more rows its products do not depend on the number
-    of rows, so each model's rows come out bitwise as in any other group.
-    A lone row's product rounds otherwise (see ``_advance``): a stream that
-    runs alone goes to ``_filter_alone``.  An event of stream ``d`` updates
-    row ``d`` under every model at once: a multiply, the row sums and a
-    divide on an (M, S) matrix.  Each trace's ``pre`` and ``post`` are views
-    of one (M, n_events, S) array per stream.
+    model ``m``.  One batched ``np.matmul`` by the M models' (M, S, S)
+    matrices, stacked per step, advances every row across a slot boundary.
+    With two or more streams its products do not depend on their number, so
+    each model's rows come out bitwise as in any other group.  A lone stream
+    (D = 1) is a vector-matrix product per model, bitwise ``_advance``'s,
+    as ``tests/test_hsmodel.py`` pins; a lone stream's gaps do not matter,
+    as every slot's slot-of-day is read from its own position.  An event of
+    stream ``d`` updates row ``d`` under every model at once: a multiply,
+    the row sums and a divide on an (M, S) matrix.  Each trace's ``pre`` and
+    ``post`` are views of one (M, n_events, S) array per stream.
 
     The beliefs entering each slot go to a state-major block of ``_BLOCK``
     slots, reused, before the slot's events.  A full block, and the last
@@ -514,11 +503,10 @@ def _lockstep(
         for pos in np.flatnonzero(np.diff(first[row])).tolist():
             rows_at.setdefault(pos, []).append(row)
 
-    matrices = _StackedMatrices([transitions.probs for transitions, _ in models])
-    belief = np.tile(initial, (n_models, n_rows, 1))
-    tables = [operations for _, operations in models]
-    vectors: dict[tuple[str, str], tuple] = {}
+    tensors = [transitions.probs for transitions, _ in models]
+    vectors = _EventVectors([operations for _, operations in models])
     uniform = uniform_belief(n_states)
+    belief = np.tile(uniform, (n_models, n_rows, 1))
     # The rows that keep their entries, counted m * D + d.  Stream-major, so
     # each trace's beliefs are contiguous for a judged operation's read.
     kept = np.flatnonzero(np.ravel(keep))
@@ -531,39 +519,19 @@ def _lockstep(
     pre = [np.empty((n_models, n, n_states)) for n in n_events]
     post = [np.empty((n_models, n, n_states)) for n in n_events]
     starts = first.tolist()
-    events, index = grid.events, [row_index.tolist() for row_index in event_index]
-    # Bound once: each update is a handful of calls on tiny arrays, so call
-    # overhead is most of its cost.
-    add_reduce = np.add.reduce
+    events = grid.events
+    pairs = [[events[i].pair for i in row_index.tolist()] for row_index in event_index]
     for pos, k in enumerate((streams[0] % SLOTS_PER_DAY + 1).tolist()):
         if pos:
-            belief = np.matmul(belief, matrices[k])
-            totals = add_reduce(belief, -1, None, None, True)
-            if min(totals.ravel().tolist()) > 0.0:
-                belief /= totals
-            else:
-                # A row whose mass vanished resets to uniform; the others
-                # normalize as usual.
-                dead = totals[..., 0] <= 0.0
-                belief[~dead] /= totals[~dead]
-                belief[dead] = uniform
+            matrices = np.array([probs[k - 1] for probs in tensors])
+            belief = _normalize(np.matmul(belief, matrices), uniform)
         j = pos % size
         block[:, j] = belief.transpose(2, 0, 1)
         for row in rows_at.get(pos, ()):
-            row_pre, row_post = pre[row], post[row]
-            now = belief[:, row]  # (M, S)
-            for i in range(starts[row][pos], starts[row][pos + 1]):
-                row_pre[:, i] = now
-                pair = events[index[row][i]].pair
-                found = vectors.get(pair)
-                if found is None:
-                    found = vectors[pair] = _event_vectors(tables, pair)
-                vec, neutral, all_neutral = found
-                if all_neutral:
-                    row_post[:, i] = now
-                else:
-                    now = _observe(now, vec, neutral, uniform, row_post[:, i])
-            belief[:, row] = now
+            belief[:, row] = _observe(
+                belief[:, row], starts[row][pos], starts[row][pos + 1], pairs[row], vectors,
+                uniform, pre[row], post[row],
+            )
         if j == size - 1 or pos == n_slots - 1:
             filled = block[:, : j + 1].reshape(n_states, j + 1, n_models * n_rows)
             if len(kept):
@@ -588,43 +556,34 @@ def filter_models(
     streams: Sequence[np.ndarray],
     models: Sequence[tuple[TransitionTensor, OperationTable]],
     wanted: Sequence[Iterable[int]],
-    initial: np.ndarray | None = None,
     counted: Sequence[tuple[Iterable[int], SlotCounts]] | None = None,
 ) -> list[dict[int, FilterTrace]]:
     """Filter ``streams`` (arrays of ``grid`` positions) under several
-    (transitions, operations) models, all from the same initial belief:
-    model ``m`` filters the streams indexed by ``wanted[m]``, and gets its
-    traces back keyed by stream index.
+    (transitions, operations) models, each from uniform: model ``m``
+    filters the streams indexed by ``wanted[m]``, and gets its traces back
+    keyed by stream index.
 
     ``counted[m]``, when given, is a pair (stream indices, ``SlotCounts``):
     model ``m`` filters those streams too, adds the belief entering each of
     their slots to its counts, and gets their traces back without ``entry``
-    (None).  A model's counted streams and its wanted ones are disjoint.  A
-    counted stream that runs alone is added once it has run.
+    (None).  A model's counted streams and its wanted ones are disjoint.
 
     Contiguous streams of equal length that start at the same slot-of-day
     (the days of a dataset, say) share every transition matrix, so they run
-    in lockstep, under every model that wants two or more of them at once.
-    A model that wants a single stream of such a group filters it alone
-    (``_filter_alone``), as does any stream that is empty or has gaps: the
-    lockstep product of several rows does not depend on their number, but
-    it is not the product of a lone row, which ``_filter_alone`` keeps for
-    each of its stacked days.  So each model's traces are bitwise those of
-    ``filter_streams`` over the streams it wants, and its counts those of
-    their entries.
+    in one ``_lockstep`` call, under every model that wants two or more of
+    them at once.  A stream that a model wants alone among its group, or
+    that is empty or has gaps, runs as a group of one, in one call under
+    every model that wants it so.  The lockstep product of several rows does
+    not depend on their number, and a group of one multiplies as a lone row,
+    so each model's traces are bitwise those of ``filter_streams`` over the
+    streams it wants, and its counts those of their entries.
     """
-    n_states = models[0][0].n_states
-    init = (
-        uniform_belief(n_states)
-        if initial is None
-        else _normalize_or_uniform(np.asarray(initial, dtype=np.float64))
-    )
     groups: dict[object, list[int]] = {}
     for index, stream in enumerate(streams):
         if len(stream) and stream[-1] - stream[0] == len(stream) - 1:
             key: object = (len(stream), int(stream[0]) % SLOTS_PER_DAY)
         else:
-            key = index  # empty, or with gaps: runs alone
+            key = index  # empty, or with gaps: a group of one
         groups.setdefault(key, []).append(index)
 
     wanted_sets = [set(indices) for indices in wanted]
@@ -633,29 +592,25 @@ def filter_models(
     counts = [c for _, c in counted]
     traces: list[dict[int, FilterTrace]] = [{} for _ in models]
     for members in groups.values():
-        shared, alone = [], []
+        # The rows of each call and the models that run it: the whole group
+        # under the models that want two or more of its streams, and each
+        # stream that a model wants alone under the models that do.
+        calls: dict[tuple[int, ...], list[int]] = {}
         for m, (indices, counted_indices) in enumerate(zip(wanted_sets, counted_sets)):
             mine = [index for index in members if index in indices or index in counted_indices]
-            if len(mine) > 1:
-                shared.append(m)
-            elif mine:
-                alone.append((m, mine[0]))
-        if shared:
+            if mine:
+                calls.setdefault(tuple(members if len(mine) > 1 else mine), []).append(m)
+        for rows, shared in calls.items():
             batch = _lockstep(
-                grid, [streams[index] for index in members], [models[m] for m in shared], init,
-                [[index in wanted_sets[m] for index in members] for m in shared],
-                [[counts[m] if index in counted_sets[m] else None for index in members]
+                grid, [streams[index] for index in rows], [models[m] for m in shared],
+                [[index in wanted_sets[m] for index in rows] for m in shared],
+                [[counts[m] if index in counted_sets[m] else None for index in rows]
                  for m in shared],
             )
             for m, model_traces in zip(shared, batch):
-                for index, trace in zip(members, model_traces):
+                for index, trace in zip(rows, model_traces):
                     if index in wanted_sets[m] or index in counted_sets[m]:
                         traces[m][index] = trace
-        for m, index in alone:
-            trace = traces[m][index] = _filter_alone(grid, streams[index], models[m], init)
-            if index in counted_sets[m]:
-                counts[m].add(trace.entry)
-                trace.entry = None
     return traces
 
 
@@ -664,35 +619,31 @@ def filter_streams(
     streams: Sequence[np.ndarray],
     transitions: TransitionTensor,
     operations: OperationTable,
-    initial: np.ndarray | None = None,
     counts: SlotCounts | None = None,
 ) -> list[FilterTrace]:
-    """Run the forward filter over each stream of ``grid`` positions, all
-    from the same initial belief.
+    """Run the forward filter over each stream of ``grid`` positions, each
+    from uniform.
 
-    Streams aligned on their slots-of-day run in lockstep (see
-    ``filter_models``).  Traces come back in the order of ``streams``.
-    With ``counts``, every stream's slot entries are added to them instead,
-    and no trace keeps its ``entry``.
+    Streams aligned on their slots-of-day run in lockstep, and any other
+    stream as a group of one (see ``filter_models``).  Traces come back in
+    the order of ``streams``.  With ``counts``, every stream's slot entries
+    are added to them instead, and no trace keeps its ``entry``.
     """
     every = range(len(streams))
     [traces] = filter_models(
-        grid, streams, [(transitions, operations)], [every if counts is None else ()], initial,
+        grid, streams, [(transitions, operations)], [every if counts is None else ()],
         None if counts is None else [(every, counts)],
     )
     return [traces[index] for index in every]
 
 
 def run_filter(
-    grid: SlotGrid,
-    transitions: TransitionTensor,
-    operations: OperationTable,
-    initial: np.ndarray | None = None,
+    grid: SlotGrid, transitions: TransitionTensor, operations: OperationTable
 ) -> FilterTrace:
-    """Run the forward filter over a whole grid: one stream, which runs
-    alone, its days in lockstep and re-run until the beliefs carried between
-    them stop changing (see ``_filter_alone``)."""
-    return filter_streams(grid, [np.arange(len(grid))], transitions, operations, initial)[0]
+    """Run the forward filter over a whole grid from uniform: one stream,
+    its days in lockstep and re-run until the beliefs carried between them
+    stop changing (see ``_filter_alone``)."""
+    return _filter_alone(grid, (transitions, operations))
 
 
 @dataclass
@@ -774,7 +725,10 @@ class TrainedModel:
         probs = np.zeros((SLOTS_PER_DAY, n_states, n_states))
         ks, states_i = np.array(cells, dtype=np.intp).reshape(-1, 2).T
         probs[ks - 1, states_i] = values
-        pairs = list(json_object(data["b"], None, "b"))
+        vocabulary = VOCABULARY(data["vocabulary"], "vocabulary")
+        # train writes a vector for every registered operation, and no other.
+        operation_keys = [f"{device}:{action}" for device, action in vocabulary.all_pairs()]
+        pairs = list(json_object(data["b"], operation_keys, "b", operation_keys))
         vectors = _payload_probabilities(
             list(data["b"].values()), n_states, lambda j: f"b: operation {pairs[j]!r}"
         )
@@ -782,7 +736,6 @@ class TrainedModel:
         for pair_text, vec in zip(pairs, vectors):
             device, _, action = pair_text.partition(":")
             operations.probs[(device, action)] = vec
-        vocabulary = VOCABULARY(data["vocabulary"], "vocabulary")
         # Both stores take their ids from one table.
         keys, registered = SequenceIds(vocabulary.detection_target), set(vocabulary.all_pairs())
         return cls(

@@ -574,10 +574,6 @@ class SlotCounts:
         self.at_rank = np.zeros((n_states, n_states), dtype=np.int64)
         self.at_least = np.zeros((len(self.alphas), n_states), dtype=np.int64)
 
-    def add(self, entry: np.ndarray) -> None:
-        """Add the slots of one stream, its (n_slots, S) entry beliefs."""
-        SlotReducer([self])(np.ascontiguousarray(entry.T)[:, :, None])
-
     def selected(self, params: SeqParams) -> np.ndarray:
         """Per state, the slots whose entry belief ``params`` selects it at."""
         if params.criterion == "rank":

@@ -22,6 +22,7 @@ from homeguard.seqstore import (
     SequenceIds,
     SequenceStore,
     SlotCounts,
+    SlotReducer,
     TimedSequenceStore,
     TrainingBeliefs,
     build_timed_store,
@@ -146,8 +147,9 @@ def training_beliefs(traces, windows, alphas=()) -> TrainingBeliefs:
     """The training beliefs of traces that keep their slot entries, those
     counted by the reducer that the filter pass counts with."""
     counts = SlotCounts(traces[0].entry.shape[1], alphas)
+    reduce = SlotReducer([counts])
     for trace in traces:
-        counts.add(trace.entry)
+        reduce(np.ascontiguousarray(trace.entry.T)[:, :, None])
     return TrainingBeliefs(traces, windows, counts)
 
 

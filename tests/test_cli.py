@@ -404,6 +404,10 @@ def negative_b_vector(payload):
     payload["b"]["cooking_stove:on"] = [-0.5] * len(ALPHABET)
 
 
+def drop_b_vector(payload):
+    del payload["b"]["tv:on"]
+
+
 def add_action(device, action):
     """Register ``action`` of ``device`` in the model's vocabulary."""
     def edit(payload):
@@ -475,6 +479,9 @@ class TestMalformedModel:
              "seq_params: unknown key 'alpha_select_below'"),
             (add_action("tv:big", "on"), "vocabulary: pairs.tv:big"),
             (add_action("tv", "on|dim"), "vocabulary: pairs.tv[2]"),
+            (set_key("b", "foo:bar", [0.5] * len(ALPHABET)), "b: unknown key 'foo:bar'"),
+            (set_key("b", "tvon", [0.5] * len(ALPHABET)), "b: unknown key 'tvon'"),
+            (drop_b_vector, "b.tv:on: missing"),
         ],
         ids=["no-b", "seq-bogus", "model-bogus", "labeling-bogus", "w_max-text",
              "night_split-text", "states", "short-b", "store-null", "baseline_store-null",
@@ -483,7 +490,8 @@ class TestMalformedModel:
              "a-row-text", "a-row-nan", "t_z-text", "t_z-short", "target_total-text",
              "b-negative", "slot_counts-short", "counts-list", "times-int", "store-n_states",
              "t_seq-huge", "top-bogus", "store-extra", "baseline_store-extra", "store-criterion",
-             "slot_seconds", "alpha_select_below", "device-colon", "action-bar"],
+             "slot_seconds", "alpha_select_below", "device-colon", "action-bar",
+             "b-unregistered", "b-no-colon", "b-missing"],
     )
     def test_exits_2_naming_the_fault(self, tmp_path, model_home, edit, named, method, capsys):
         code, err = self.detect(tmp_path, model_home, edit, method, capsys)

@@ -876,19 +876,18 @@ class TestGroupedFoldFilter:
         expected = filter_folds_one_by_one(folds)
         # Days 0 and 2 keep 04:00-24:00, days 1 and 3 00:00-04:00.
         assert [len(trace.entry) for trace in expected[5][0]] == [1200, 240, 1200, 240, 1440]
-        shapes, alone = [], []
-        lockstep, filter_alone = hsmodel._lockstep, hsmodel._filter_alone
+        shapes = []
+        lockstep = hsmodel._lockstep
 
-        def recording(grid, streams, models, initial, keep, counts):
+        def recording(grid, streams, models, keep, counts):
             shapes.append((len(models), len(streams), len(streams[0])))
-            return lockstep(grid, streams, models, initial, keep, counts)
+            return lockstep(grid, streams, models, keep, counts)
 
-        def recording_alone(grid, stream, model, initial):
-            alone.append(len(stream))
-            return filter_alone(grid, stream, model, initial)
+        def whole_grid_only(*args):
+            raise AssertionError("only run_filter filters a stream by day chunks")
 
         monkeypatch.setattr(hsmodel, "_lockstep", recording)
-        monkeypatch.setattr(hsmodel, "_filter_alone", recording_alone)
+        monkeypatch.setattr(hsmodel, "_filter_alone", whole_grid_only)
         for start in range(0, len(folds), group):
             FoldContext.filter_group(folds[start : start + group])
         for fold, (training, detection) in zip(folds, expected):
@@ -900,10 +899,9 @@ class TestGroupedFoldFilter:
             assert_traces_equal(fold.detection_trace, detection)
         # Every model of a group filters the six days whole.  A kept part runs
         # in lockstep with the other part of its length under the folds that
-        # keep both, and alone, row by row, under the folds that keep one.
+        # keep both, and as a group of one under the folds that keep one.
         assert (min(group, 6), 6, 1440) in shapes
-        assert all(rows > 1 for _, rows, _ in shapes)
-        assert 1200 in alone and 240 in alone
+        assert {n for _, rows, n in shapes if rows == 1} == {1200, 240}
         assert max(m for m, rows, n in shapes if rows == 2 and n < 1440) == sharing
 
     def test_filter_pass_memory_per_fold_day(self, monkeypatch):

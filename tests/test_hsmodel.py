@@ -2,6 +2,7 @@
 independent brute-force recursions."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 from datetime import timedelta
 
@@ -15,7 +16,9 @@ from homeguard.hsmodel import (
     OperationTable,
     TrainedModel,
     TransitionTensor,
-    _normalize_or_uniform,
+    _advance,
+    _EventVectors,
+    _observe,
     filter_models,
     filter_streams,
     fit_operations,
@@ -25,7 +28,7 @@ from homeguard.hsmodel import (
     uniform_belief,
     window_halfwidths,
 )
-from homeguard.labeling import ALPHABET, STATE_INDEX, LabelingParams
+from homeguard.labeling import ALPHABET, STATE_INDEX, LabelingParams, label_states
 from homeguard.ingest import build_timeslots
 from homeguard.seqstore import SeqParams
 from homeguard.synthgen import generate, scenario_s1
@@ -336,6 +339,22 @@ class TestEncodedFits:
             for pair, vec in ref_o.probs.items():
                 assert np.array_equal(got_o.probs[pair], vec)
 
+    def test_fit_allocates_at_most_five_results(self):
+        # A fold of the 28-day protocol: 27 kept days.  The prefix sums, the
+        # window counts and their float copy are transients of one
+        # (1440, S, S) tensor each.
+        result = generate(scenario_s1(seed=11, n_days=28))
+        grid = build_timeslots(result.events, result.frames)
+        labels = label_states(grid, LabelingParams(t_x=15, t_y=15, t_c=10, initial_occupants=2))
+        fold = labels.select((labels.day != 3) & ~labels.excluded)
+        tracemalloc.start()
+        try:
+            tensor = fit_transitions(fold)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * tensor.probs.nbytes
+
     def test_nothing_kept_errors(self):
         arrays = encode_labels(labeled_stream(["active:none"] * 3))
         with pytest.raises(ModelError):
@@ -370,51 +389,48 @@ def toy_tensor(matrix_by_k: dict[int, np.ndarray], n_states: int) -> TransitionT
     return TransitionTensor(probs=probs, t_z=np.zeros(1440, dtype=np.int64))
 
 
-def filter_stream(grid, stream, tensor, table, initial=None):
+def filter_stream(grid, stream, tensor, table):
     """The trace of one stream of ``grid`` positions."""
-    return filter_streams(grid, [stream], tensor, table, initial)[0]
+    return filter_streams(grid, [stream], tensor, table)[0]
 
 
-def step_into(k, tensor, initial):
-    """The snapshot after the filter crosses one slot boundary into
-    slot-of-day ``k``."""
-    grid, stream = make_slots(2, k0=k - 1)
-    table = OperationTable()
-    return snapshots(filter_stream(grid, stream, tensor, table, initial))[1]
+def step_into(k, tensor, belief):
+    """``belief`` carried across the slot boundary into slot-of-day ``k``."""
+    uniform = uniform_belief(len(belief))
+    return _advance(np.array([belief], dtype=np.float64), tensor.probs[k - 1], uniform)[0]
 
 
-def observe(pair, table, initial):
-    """The beliefs just before and just after the one event of a one-slot
-    stream carrying ``pair``."""
-    grid = make_grid(1, events={0: [ev(0.5, *pair)]})
-    tensor = toy_tensor({}, len(initial))
-    trace = run_filter(grid, tensor, table, initial)
-    [pre], [post] = trace.pre, trace.post
-    return pre, post
+def observe(pair, table, belief):
+    """The beliefs just before and just after observing ``pair`` from
+    ``belief``, as the filter observes an event."""
+    now = np.array([belief], dtype=np.float64)
+    pre, post = np.empty((2, 1, 1, len(belief)))
+    vectors, uniform = _EventVectors([table]), uniform_belief(len(belief))
+    _observe(now, 0, 1, [pair], vectors, uniform, pre, post)
+    return pre[0, 0], post[0, 0]
 
 
 class TestBeliefUpdates:
     def test_uniform_fixed_point(self):
         tensor = toy_tensor({5: np.full((2, 2), 0.5)}, 2)
         out = step_into(5, tensor, np.array([0.5, 0.5]))
-        assert np.allclose(out.probs, [0.5, 0.5])
-        assert out.t == 2 and out.event_index == 0
+        assert np.allclose(out, [0.5, 0.5])
 
     def test_hand_advance(self):
         a = np.array([[0.9, 0.1], [0.2, 0.8]])
         tensor = toy_tensor({1: a}, 2)
         out = step_into(1, tensor, np.array([1.0, 0.0]))
-        assert np.allclose(out.probs, [0.9, 0.1])
+        assert np.allclose(out, [0.9, 0.1])
 
     def test_zero_support_resets_to_uniform(self):
         tensor = toy_tensor({}, 3)  # all-zero matrices
         out = step_into(10, tensor, np.array([1.0, 0.0, 0.0]))
-        assert np.allclose(out.probs, [1 / 3] * 3)
+        assert np.allclose(out, [1 / 3] * 3)
 
     def test_hand_observation(self):
         table = OperationTable(probs={("tv", "on"): np.array([0.8, 0.2])})
         grid = make_grid(1, events={0: [ev(0.5, "tv", "on")]})
-        out = snapshots(run_filter(grid, toy_tensor({}, 2), table, np.array([0.5, 0.5])))[-1]
+        out = snapshots(run_filter(grid, toy_tensor({}, 2), table))[-1]
         assert np.allclose(out.probs, [0.8, 0.2])
         assert out.event_index == 1
 
@@ -429,9 +445,9 @@ class TestBeliefUpdates:
         assert np.allclose(post, [0.5, 0.5])
 
 
-def brute_force_trace(slot_ks, slot_events, a_of_k, b_of_pair, initial):
-    """Plain-Python forward recursion; returns the per-instant belief list."""
-    n = len(initial)
+def brute_force_trace(slot_ks, slot_events, a_of_k, b_of_pair, n):
+    """Plain-Python forward recursion over ``n`` states from uniform; returns
+    the per-instant belief list."""
 
     def normalize(values):
         total = sum(values)
@@ -439,7 +455,7 @@ def brute_force_trace(slot_ks, slot_events, a_of_k, b_of_pair, initial):
             return [1.0 / n] * n
         return [v / total for v in values]
 
-    belief = normalize(list(initial))
+    belief = [1.0 / n] * n
     snapshots = []
     for pos, k in enumerate(slot_ks):
         if pos > 0:
@@ -490,16 +506,15 @@ def random_filter_instance(rng):
     for bucket in events.values():
         bucket.sort(key=lambda e: e.timestamp)
 
-    initial = rng.random(n_states) + 0.01
     grid, stream = make_slots(n_slots, events=events, k0=k0)
-    return grid, stream, tensor, table, initial
+    return grid, stream, tensor, table
 
 
 class TestRunFilter:
     def test_empty_stream(self):
         # An empty grid has no slot to hold a belief, so its trace holds none.
         tensor = toy_tensor({}, 2)
-        trace = run_filter(make_grid(0), tensor, OperationTable(), np.array([0.3, 0.7]))
+        trace = run_filter(make_grid(0), tensor, OperationTable())
         assert trace.entry.shape == (0, 2) and trace.pre.shape == (0, 2)
         assert snapshots(trace) == []
 
@@ -507,31 +522,37 @@ class TestRunFilter:
         table = OperationTable(probs={("tv", "on"): np.array([0.8, 0.2])})
         tensor = toy_tensor({1: np.eye(2)}, 2)
         grid = make_grid(1, events={0: [ev(0.5, "tv", "on")]})
-        trace = run_filter(grid, tensor, table, np.array([0.5, 0.5]))
+        trace = run_filter(grid, tensor, table)
         snaps = snapshots(trace)
         assert len(snaps) == 3
         assert np.allclose(snaps[0].probs, [0.5, 0.5])  # slot entry
         assert np.allclose(snaps[1].probs, [0.5, 0.5])  # pre-event
         assert np.allclose(snaps[2].probs, [0.8, 0.2])  # post-event
 
-    def test_first_slot_keeps_initial_belief(self):
-        tensor = toy_tensor({7: np.array([[0.0, 1.0], [1.0, 0.0]])}, 2)
+    def test_first_slot_is_uniform(self):
+        # No transition brings a stream into its first slot, though this one
+        # would move the whole mass to state 0.
+        tensor = toy_tensor({k: np.array([[1.0, 0.0], [1.0, 0.0]]) for k in (2, 7)}, 2)
         grid, stream = make_slots(1, k0=7)
-        trace = filter_stream(grid, stream, tensor, OperationTable(), np.array([0.9, 0.1]))
-        assert np.allclose(trace.entry[0], [0.9, 0.1])
+        traces = filter_stream(grid, stream, tensor, OperationTable()), run_filter(
+            make_grid(2), tensor, OperationTable()
+        )
+        for trace in traces:
+            assert np.array_equal(trace.entry[0], [0.5, 0.5])
+        assert np.array_equal(traces[1].entry[1], [1.0, 0.0])
 
     def test_oracle_equivalence_randomized(self):
         rng = np.random.default_rng(42)
         for _ in range(30):
-            grid, stream, tensor, table, initial = random_filter_instance(rng)
-            trace = filter_stream(grid, stream, tensor, table, initial)
+            grid, stream, tensor, table = random_filter_instance(rng)
+            trace = filter_stream(grid, stream, tensor, table)
             slots = slot_records(grid, stream)
             expected = brute_force_trace(
                 [slot.k for slot in slots],
                 [[event.pair for event in slot.events] for slot in slots],
                 lambda k: tensor.probs[k - 1].tolist(),
                 lambda pair: table.probs[pair].tolist(),
-                initial.tolist(),
+                tensor.n_states,
             )
             got = snapshots(trace)
             assert len(got) == len(expected)
@@ -539,14 +560,14 @@ class TestRunFilter:
                 assert np.max(np.abs(snap.probs - np.array(ref))) <= 1e-9
 
 
-def assert_matches_brute_force(trace, grid, stream, tensor, table, initial):
+def assert_matches_brute_force(trace, grid, stream, tensor, table):
     slots = slot_records(grid, stream)
     expected = brute_force_trace(
         [slot.k for slot in slots],
         [[event.pair for event in slot.events] for slot in slots],
         lambda k: tensor.probs[k - 1].tolist(),
         lambda pair: table.probs[pair].tolist(),
-        list(initial),
+        tensor.n_states,
     )
     got = snapshots(trace)
     assert len(got) == len(expected)
@@ -573,7 +594,7 @@ class TestLockstepFilter:
         rng = np.random.default_rng(99)
         for _ in range(20):
             n_streams = int(rng.integers(2, 6))
-            _, first, tensor, table, _ = random_filter_instance(rng)
+            _, first, tensor, table = random_filter_instance(rng)
             n_slots, p0 = len(first), int(first[0]) % 1440
             specs = []
             for row in range(n_streams):
@@ -591,9 +612,7 @@ class TestLockstepFilter:
             for stream, trace in zip(streams, traces):
                 run = np.arange(grid.first[stream[0]], grid.first[stream[-1] + 1])
                 assert np.array_equal(trace.event_index, run)
-                assert_matches_brute_force(
-                    trace, grid, stream, tensor, table, uniform_belief(tensor.n_states)
-                )
+                assert_matches_brute_force(trace, grid, stream, tensor, table)
 
     def test_resets_stay_in_their_row(self):
         # Row 0 pins its belief on state 0 by an observation, and state 0 has
@@ -623,20 +642,18 @@ class TestLockstepFilter:
         assert np.array_equal(traces[1].post[1], uniform)
         assert not np.allclose(traces[1].entry[3], uniform)
         for stream, trace in zip(streams, traces):
-            assert_matches_brute_force(trace, grid, stream, tensor, table, uniform)
+            assert_matches_brute_force(trace, grid, stream, tensor, table)
 
     def test_unaligned_streams_run_alone(self):
         rng = np.random.default_rng(4)
-        _, _, tensor, table, _ = random_filter_instance(rng)
+        _, _, tensor, table = random_filter_instance(rng)
         grid = make_grid(17)
         streams = [np.arange(9, 16), np.arange(9, 13), np.arange(10, 17), np.arange(0)]
         traces = filter_streams(grid, streams, tensor, table)
         assert not np.shares_memory(traces[0].entry, traces[2].entry)
         assert len(traces[3].entry) == 0 and not len(traces[3].event_index)
         for stream, trace in zip(streams[:3], traces):
-            assert_matches_brute_force(
-                trace, grid, stream, tensor, table, uniform_belief(tensor.n_states)
-            )
+            assert_matches_brute_force(trace, grid, stream, tensor, table)
 
 
 class TestTrainedModelRoundTrip:
@@ -789,7 +806,8 @@ def sprinkled_events(rng, positions):
 STACKED_ROWS = (
     "numpy no longer multiplies stacked (D, 1, S) rows bitwise as np.dot of each 1-D row, "
     "or no longer sums them bitwise as the 1-D row: hsmodel._advance, which filters the "
-    "days of a lone stream in lockstep, relies on both"
+    "days of a lone stream in lockstep, and hsmodel._lockstep, which filters a group of one "
+    "stream under M models at once, rely on both"
 )
 
 
@@ -799,7 +817,9 @@ def test_stacked_rows_multiply_and_sum_as_lone_rows(n_rows):
     stack times an (S, S) matrix is, row by row, ``np.dot`` of the 1-D row
     into a row of a trace, and the stack's row sums are the 1-D sums; for
     rows read from a contiguous block, a (D, 1, S) result and a strided
-    view, as ``_advance`` reads them."""
+    view, as ``_advance`` reads them.  And what a group of one stream in
+    ``_lockstep`` relies on: M (1, S) rows times M (S, S) matrices, one per
+    model, are ``np.dot`` of each model's row and matrix, for M = 1, 3, 6."""
     rng = np.random.default_rng(n_rows)
     for n_states in range(2, 11):
         for _ in range(10):
@@ -822,18 +842,49 @@ def test_stacked_rows_multiply_and_sum_as_lone_rows(n_rows):
                     total = np.add.reduce(lone[d + 1], 0)
                     alone = lone[d + 1] / total if total > 0.0 else uniform
                     assert advanced[d].tobytes() == alone.tobytes(), STACKED_ROWS
+            for n_models in (1, 3, 6):
+                matrices = rng.random((n_models, n_states, n_states))
+                beliefs = rng.random((n_models, 1, n_states))
+                batched = np.matmul(beliefs, matrices)
+                sums = np.add.reduce(batched, -1, None, None, True)
+                for m in range(n_models):
+                    lone = np.dot(beliefs[m, 0], matrices[m])
+                    assert batched[m, 0].tobytes() == lone.tobytes(), STACKED_ROWS
+                    assert sums[m, 0].tobytes() == np.add.reduce(lone, 0).tobytes(), STACKED_ROWS
 
 
 class TestLoneStream:
-    """A stream that runs alone is filtered with its days in lockstep, re-run
-    until the beliefs carried between them stop changing, bit for bit as the
-    per-event filter reads it."""
+    """A whole grid (``run_filter``) is filtered with its days in lockstep,
+    re-run until the beliefs carried between them stop changing, bit for bit
+    as the per-event filter reads it; any other stream that runs alone is a
+    group of one."""
 
-    def lone_instance(self, rng, n_states=4):
-        """A model whose operations reset the belief (``kill``) or leave it
-        untouched (``unseen``), and one stream from 16:40 over three
-        midnights, with a gap across the second, and 1-2 events in 400
-        slots."""
+    def filtered_alone(self, monkeypatch, grid, transitions, operations):
+        """``run_filter``'s trace of ``grid``, checked to come from one
+        ``_filter_alone`` call and to be bitwise the per-event filter's."""
+        alone = []
+        filter_alone = hsmodel._filter_alone
+
+        def recording(grid, model):
+            alone.append(len(grid))
+            return filter_alone(grid, model)
+
+        monkeypatch.setattr(hsmodel, "_filter_alone", recording)
+        got = run_filter(grid, transitions, operations)
+        assert alone == [len(grid)]
+        [expected] = filter_streams_per_event(
+            grid, [np.arange(len(grid))], transitions, operations
+        )
+        assert_traces_equal(got, expected)
+        return got
+
+    def test_equals_the_per_event_filter(self):
+        # A model whose operations reset the belief (``kill``) or leave it
+        # untouched (``unseen``), and one stream from 16:40 over three
+        # midnights, with a gap across the second, and 1-2 events in 400
+        # slots.
+        rng = np.random.default_rng(31)
+        n_states = 4
         transitions, operations = random_model(rng, n_states)
         operations.probs[("dev", "kill")] = np.zeros(n_states)
         operations.probs[("dev", "unseen")] = np.ones(n_states)
@@ -841,32 +892,11 @@ class TestLoneStream:
         events = sprinkled_events(rng, (p0 + rng.choice(n_slots, 400, replace=False)).tolist())
         grid = make_grid(p0 + n_slots, events=events)
         stream = np.delete(np.arange(p0, p0 + n_slots), np.s_[1700:2100])
-        return transitions, operations, grid, stream
-
-    def filtered_alone(self, monkeypatch, grid, stream, transitions, operations):
-        """``stream``'s trace from ``filter_streams``, checked to come from
-        one ``_filter_alone`` call and to be bitwise the per-event filter's."""
-        alone = []
-        filter_alone = hsmodel._filter_alone
-
-        def recording(grid, stream, model, initial):
-            alone.append(len(stream))
-            return filter_alone(grid, stream, model, initial)
-
-        monkeypatch.setattr(hsmodel, "_filter_alone", recording)
-        [got] = filter_streams(grid, [stream], transitions, operations)
-        assert alone == [len(stream)]
-        [expected] = filter_streams_per_event(grid, [stream], transitions, operations)
-        assert_traces_equal(got, expected)
-        return got
-
-    def test_equals_the_per_event_filter(self, monkeypatch):
-        # With its gap, a stream long enough for day chunks is one chunk.
-        rng = np.random.default_rng(31)
-        transitions, operations, grid, stream = self.lone_instance(rng)
         assert stream[0] % 1440 != 0 and stream[-1] // 1440 == 3  # mid-day, three midnights
         assert np.diff(stream).max() > 1 and len(stream) > 2 * 1440  # a gap
-        got = self.filtered_alone(monkeypatch, grid, stream, transitions, operations)
+        [got] = filter_streams(grid, [stream], transitions, operations)
+        [expected] = filter_streams_per_event(grid, [stream], transitions, operations)
+        assert_traces_equal(got, expected)
         uniform = uniform_belief(transitions.n_states)
         assert any(np.array_equal(row, uniform) for row in got.entry[1:])  # slot reset
         actions = [grid.events[i].action for i in got.event_index]
@@ -876,44 +906,40 @@ class TestLoneStream:
         assert unseen and all(np.array_equal(got.post[i], got.pre[i]) for i in unseen)
 
     @pytest.mark.parametrize(
-        "p0, n_slots",
-        [(1000, 5 * 1440 + 300), (0, 2 * 1440), (1439, 2 * 1440 + 1), (500, 2 * 1440 - 1)],
-        ids=["mid-day-short-last-day", "two-whole-days", "one-slot-last-day", "under-two-days"],
+        "n_slots",
+        [5 * 1440 + 300, 2 * 1440, 2 * 1440 + 1, 2 * 1440 - 1, 1440, 700, 1],
+        ids=["short-last-day", "two-whole-days", "one-slot-last-day", "under-two-days",
+             "one-day", "under-one-day", "one-slot"],
     )
-    def test_day_chunks_equal_the_per_event_filter(self, monkeypatch, p0, n_slots):
-        # Events before and after the stream belong to other streams.
-        rng = np.random.default_rng(p0 + n_slots)
+    def test_day_chunks_equal_the_per_event_filter(self, monkeypatch, n_slots):
+        rng = np.random.default_rng(n_slots)
         transitions, operations = random_model(rng, 5)
-        n_grid = p0 + n_slots + 200
-        busy = rng.choice(n_grid, n_grid // 10, replace=False)
-        grid = make_grid(n_grid, events=sprinkled_events(rng, busy.tolist()))
-        stream = np.arange(p0, p0 + n_slots)
-        got = self.filtered_alone(monkeypatch, grid, stream, transitions, operations)
-        assert len(got.event_index) < len(grid.events)
+        busy = rng.choice(n_slots, max(n_slots // 10, 1), replace=False)
+        grid = make_grid(n_slots, events=sprinkled_events(rng, busy.tolist()))
+        got = self.filtered_alone(monkeypatch, grid, transitions, operations)
+        assert len(got.event_index) == len(grid.events)
 
     def test_resets_inside_a_later_day(self, monkeypatch):
         # Every day enters one slot-of-day by an all-zero matrix, and another
         # by a matrix whose row 0 is dead: only day 3, pinned on state 0 just
         # before, resets there.  Day 4 sees an operation of probability 0.
-        n_states, p0, n_slots = 4, 200, 6 * 1440 - 100
+        n_states, n_slots = 4, 6 * 1440 - 100
         rng = np.random.default_rng(8)
         probs = rng.random((1440, n_states, n_states))
         probs /= probs.sum(axis=2, keepdims=True)
-        probs[(p0 + 300) % 1440] = 0.0
-        probs[(p0 + 900) % 1440, 0] = 0.0
+        probs[300] = 0.0
+        probs[900, 0] = 0.0
         transitions = TransitionTensor(probs=probs, t_z=np.zeros(1440, dtype=np.int64))
         operations = OperationTable(probs={
             ("dev", "a"): rng.random(n_states), ("dev", "pin"): np.eye(n_states)[0],
             ("dev", "kill"): np.zeros(n_states),
         })
-        events = {p0 + pos: [ev(p0 + pos + 0.5, "dev", "a")] for pos in range(7, n_slots, 37)}
-        pin, kill = p0 + 3 * 1440 + 899, p0 + 4 * 1440 + 200
+        events = {pos: [ev(pos + 0.5, "dev", "a")] for pos in range(7, n_slots, 37)}
+        pin, kill = 3 * 1440 + 899, 4 * 1440 + 200
         events[pin] = [ev(pin + 0.5, "dev", "pin")]
         events[kill] = [ev(kill + 0.5, "dev", "kill")]
-        grid = make_grid(p0 + n_slots, events=events)
-        got = self.filtered_alone(
-            monkeypatch, grid, np.arange(p0, p0 + n_slots), transitions, operations
-        )
+        grid = make_grid(n_slots, events=events)
+        got = self.filtered_alone(monkeypatch, grid, transitions, operations)
         uniform = uniform_belief(n_states)
         assert all(np.array_equal(got.entry[d * 1440 + 300], uniform) for d in range(6))
         assert np.array_equal(got.entry[3 * 1440 + 900], uniform)
@@ -944,16 +970,15 @@ class TestLoneStream:
             return advance(belief, matrix, uniform)
 
         monkeypatch.setattr(hsmodel, "_advance", counting)
-        got = self.filtered_alone(
-            monkeypatch, grid, np.arange(n_days * 1440), transitions, operations
-        )
+        got = self.filtered_alone(monkeypatch, grid, transitions, operations)
         assert (got.entry[11:] == np.eye(n_states)[2]).all()
         # Each round steps through a day and carries the days' ends over.
         assert len(steps) == n_days * 1440
         assert steps[1440 : 2 * 1440 - 1] == [1] * (1440 - 1)
 
     def test_empty_stream(self):
-        transitions, operations, grid, _ = self.lone_instance(np.random.default_rng(3))
+        transitions, operations = random_model(np.random.default_rng(3), 4)
+        grid = make_grid(20)
         [got] = filter_streams(grid, [np.arange(0)], transitions, operations)
         assert got.entry.shape == (0, transitions.n_states)
         assert not len(got.event_index) and list(got.first) == [0]
@@ -1053,8 +1078,16 @@ class TestFilterModels:
             n_models, n_states = int(rng.integers(1, 6)), int(rng.integers(2, 12))
             pre = rng.random((n_models, n_states))
             vec = rng.random((n_models, n_states)) * (rng.random((n_models, n_states)) < 0.6)
-            product = vec * pre
-            totals = np.add.reduce(product, 1, None, None, True)
+            tables = [OperationTable(probs={PAIRS[0]: row}) for row in vec]
+            uniform = uniform_belief(n_states)
+            # One event under every model at once, then under each model alone.
+            group = np.empty((2, n_models, 1, n_states))
+            _observe(pre, 0, 1, [PAIRS[0]], _EventVectors(tables), uniform, *group)
             for m in range(n_models):
-                if totals[m, 0] > 0.0:
-                    assert np.array_equal(product[m] / totals[m], _normalize_or_uniform(vec[m] * pre[m]))
+                lone = np.empty((2, 1, 1, n_states))
+                _observe(pre[m : m + 1], 0, 1, [PAIRS[0]], _EventVectors(tables[m : m + 1]),
+                         uniform, *lone)
+                assert group[1, m, 0].tobytes() == lone[1, 0, 0].tobytes()
+                product = vec[m] * pre[m]
+                total = product.sum()
+                assert np.array_equal(lone[1, 0, 0], product / total if total > 0.0 else uniform)
