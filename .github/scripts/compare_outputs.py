@@ -25,7 +25,8 @@ that model, which ``model.json`` holds only as far as they change its
 stores.  The file
 runs read the inputs the benchmark never reads: ``train`` and ``detect``
 under a config file that sets every parameter section (``CONFIG``),
-``train`` with a vocabulary file that each tree saves itself, and ``synth``
+``evaluate`` under one that sets every value but those of its grid
+(``EVALUATE_CONFIG``), ``train`` with a vocabulary file that each tree saves itself, and ``synth``
 from scenario files that each tree saves itself (``SCENARIO_FILES``).
 ``SYNTH_RUNS`` compare the generated data itself, which the benchmark
 generates but never digests.  Compares the digests of every file these
@@ -195,6 +196,14 @@ CONFIG = {
     "detector": {"n_single": 0.05, "n_multi": 0.01, "theta": 0.4, "alpha_seq": 1800,
                  "n_seq_single": 0.2, "n_seq_multi": 0.05},
 }
+# The sections of CONFIG that evaluate reads, without the keys that set a
+# value of its grid (the labeling windows, the criterion and l): trees that
+# read those keys differently still agree on every other one.
+EVALUATE_CONFIG = {
+    section: {key: value for key, value in CONFIG[section].items()
+              if key not in ("t_x", "t_y", "t_c", "criterion", "l_rank", "l_alpha")}
+    for section in ("labeling", "seq", "model")
+}
 
 
 def digests(tree: Path, workload: str, seed: int) -> dict[str, str]:
@@ -326,18 +335,29 @@ def trace_steps(home: Path, origin: str, out: Path, args) -> list[tuple]:
     ]
 
 
+def write_step(path: str, payload: dict) -> tuple:
+    """The step that writes ``payload`` as JSON to ``path``."""
+    return ("-c", f"import pathlib; pathlib.Path({path!r}).write_text({json.dumps(payload)!r})")
+
+
 def config_steps(home: Path, origin: str, out: Path, args) -> list[tuple]:
     """Write ``CONFIG``, then ``train`` under it and ``detect`` with each
     method under it."""
     config = str(out / "config.json")
-    write = f"import pathlib; pathlib.Path({config!r}).write_text({json.dumps(CONFIG)!r})"
     model = str(out / "model.json")
     train = ("train", *io_args(home, origin), "--config", config, "--output", model)
-    return [("-c", write), train] + [
+    return [write_step(config, CONFIG), train] + [
         ("detect", "--model", model, *io_args(home, origin), "--config", config,
          "--method", method, "--output", str(out / f"verdicts-{method}.jsonl"))
         for method in DETECT_METHODS
     ]
+
+
+def evaluate_config_steps(home: Path, origin: str, out: Path, args) -> list[tuple]:
+    """Write ``EVALUATE_CONFIG``, then ``evaluate`` under it with ``args``."""
+    config = str(out / "config.json")
+    return [write_step(config, EVALUATE_CONFIG),
+            *evaluate_steps(home, origin, out, ("--config", config, *args))]
 
 
 def vocabulary_steps(home: Path, origin: str, out: Path, args) -> list[tuple]:
@@ -398,6 +418,8 @@ def main(argv=None) -> int:
                 ("base-model-detect", base_model_steps, OPERATOR_RUNS),
                 ("filter-trace", trace_steps, TRACE_RUNS),
                 ("file", config_steps, (("config", "00:00", ()),)),
+                ("file", evaluate_config_steps,
+                 (("evaluate-config", "00:00", ("--methods", "all")),)),
                 ("file", vocabulary_steps, (("vocabulary", "00:00", ()),)),
                 ("file", scenario_steps, SCENARIO_FILES),
                 ("synth", synth_steps, SYNTH_RUNS),

@@ -6,6 +6,7 @@ import argparse
 import sys
 from dataclasses import fields, replace
 from datetime import time
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -59,13 +60,15 @@ def _parse_time(text: str) -> time:
         ) from None
 
 
-def _parse_values(args, name: str, cast, threshold: bool = False, check=None):
-    """The comma list given to the option that sets ``name``.  A threshold
-    list may be "auto" (swept over the recorded scores); otherwise each of
-    its values must lie in [0, 1], as the detector's thresholds do.  Each
-    value must pass ``check``, a parameter class's rule that raises
-    ``ValidationError``, when one is given, and appear once."""
-    text, option = getattr(args, name), f"--{name.replace('_', '-')}"
+def _parse_values(args, name: str, cast, default, threshold: bool = False, check=None):
+    """The comma list given to ``--NAME-values``, else ``default``.  A
+    threshold list may be "auto" (swept over the recorded scores);
+    otherwise each of its values must lie in [0, 1], as the detector's
+    thresholds do.  Each value must pass ``check``, a parameter class's rule
+    that raises ``ValidationError``, when one is given, and appear once."""
+    text, option = getattr(args, f"{name}_values"), f"--{name.replace('_', '-')}-values"
+    if text is None:
+        return default
     if threshold and text == "auto":
         return "auto"
     try:
@@ -210,6 +213,17 @@ def cmd_detect(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    """Score the methods of ``--methods`` over one grid of labelings and
+    values, and write each method's points and frontier.
+
+    Each grid value comes from its ``--*-values`` list, else from the
+    config: the labeling windows from its ``labeling`` section, the
+    criterion and the one ``l`` (``l_rank`` or ``l_alpha``) from its
+    ``seq`` section, each else the parameter class's default; an absent
+    threshold or ``alpha_seq`` list takes its grid class's default.  Every
+    list given is checked, whatever ``--methods`` names, before the logs
+    are read.
+    """
     methods = METHODS if args.methods == "all" else tuple(args.methods.split(","))
     for method in methods:
         if method not in METHODS:
@@ -230,56 +244,56 @@ def cmd_evaluate(args) -> int:
             f"--injections: expected at most {SECONDS_PER_DAY} per day, one per second,"
             f" got {args.injections}"
         )
+    config = _load_config(args)
+    [labeling] = _params(args, config, "labeling")
+    [model_params] = _params(args, config, "model")
+    [seq_params] = _params(args, config, "seq")
     # Each structural value is checked by the rule of the parameter it sets.
-    labelings = {
+    windows = {
         name: _parse_values(
-            args, f"{name}_values", int, check=lambda value: LabelingParams(**{name: value})
+            args, name, int, (getattr(labeling, name),),
+            check=lambda value: LabelingParams(**{name: value}),
         )
         for name in ("t_x", "t_y", "t_c")
     }
-    grids = []
-    for method in methods:
-        if method == "proposed":
-            alpha = args.criterion == "alpha"
-            l_values = _parse_values(
-                args, "l_values", float if alpha else int,
-                check=lambda value: SeqParams(**{"l_alpha" if alpha else "l_rank": value}),
-            )
-            grids.append(ProposedGrid(
-                **labelings,
-                criterion=args.criterion,
-                l_values=l_values,
-                n_single=_parse_values(args, "n_single_values", float, threshold=True),
-                n_multi=_parse_values(args, "n_multi_values", float, threshold=True),
-            ))
-        elif method == "estimation":
-            theta = _parse_values(args, "theta_values", float, threshold=True)
-            grids.append(EstimationGrid(**labelings, theta=theta))
-        else:
-            alpha_seq = _parse_values(args, "alpha_seq_values", float)
-            n_single = _parse_values(args, "n_seq_single_values", float, threshold=True)
-            n_multi = _parse_values(args, "n_seq_multi_values", float, threshold=True)
-            try:
-                grids.append(SequenceGrid(alpha_seq=alpha_seq, n_single=n_single, n_multi=n_multi))
-            except ValidationError as exc:
-                raise UsageError(f"--alpha-seq-values: {exc}") from None
+    labelings = [replace(labeling, **dict(zip(windows, values)))
+                 for values in product(*windows.values())]
+    l_name = "l_rank" if seq_params.criterion == "rank" else "l_alpha"
+    grids = {
+        "proposed": ProposedGrid(
+            _parse_values(
+                args, "l", int if l_name == "l_rank" else float, (getattr(seq_params, l_name),),
+                check=lambda value: SeqParams(**{l_name: value}),
+            ),
+            _parse_values(args, "n_single", float, ProposedGrid.n_single, threshold=True),
+            _parse_values(args, "n_multi", float, ProposedGrid.n_multi, threshold=True),
+        ),
+        "estimation": EstimationGrid(
+            _parse_values(args, "theta", float, EstimationGrid.theta, threshold=True)
+        ),
+    }
+    alpha_seq = _parse_values(args, "alpha_seq", float, SequenceGrid.alpha_seq)
+    try:
+        grids["sequence"] = SequenceGrid(
+            alpha_seq,
+            _parse_values(args, "n_seq_single", float, SequenceGrid.n_single, threshold=True),
+            _parse_values(args, "n_seq_multi", float, SequenceGrid.n_multi, threshold=True),
+        )
+    except ValidationError as exc:
+        raise UsageError(f"--alpha-seq-values: {exc}") from None
 
-    config = _load_config(args)
     vocabulary = _vocabulary(args)
     injected = (vocabulary.detection_target, "on")  # what inject_anomalies injects
     if args.injections > 0 and not vocabulary.is_registered(*injected):
         raise UsageError(f"--injections: the injected operation {injected!r} is not registered"
                          f" in vocabulary file {args.vocabulary}")
-    [labeling] = _params(args, config, "labeling")
-    [model_params] = _params(args, config, "model")
-    [seq_params] = _params(args, config, "seq")
     dataset = EvalDataset(_load_stream(args, vocabulary), vocabulary)
     output_dir = Path(args.output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     points = grid_search(
         dataset,
-        *grids,
-        labeling_params=labeling,
+        *(grids[method] for method in methods),
+        labelings=labelings,
         model_params=model_params,
         seq_params=seq_params,
         injections_per_day=args.injections,
@@ -341,10 +355,10 @@ def _add_io_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with parameter sections")
 
 
-def _add_labeling_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--t-x", type=int, dest="t_x")
-    parser.add_argument("--t-y", type=int, dest="t_y")
-    parser.add_argument("--t-c", type=int, dest="t_c")
+def _add_labeling_arguments(parser: argparse.ArgumentParser, windows: bool = True) -> None:
+    """The labeling flags; ``evaluate`` lists its windows instead."""
+    for name in ("t_x", "t_y", "t_c") if windows else ():
+        parser.add_argument(f"--{name.replace('_', '-')}", type=int, dest=name)
     parser.add_argument("--noise-threshold", type=float, dest="noise_threshold")
     parser.add_argument("--co2-threshold", type=float, dest="co2_threshold")
     parser.add_argument("--night-window", dest="night_window", help="HH:MM-HH:MM")
@@ -395,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("evaluate", help="cross-validated grid evaluation")
     _add_io_arguments(p_eval)
-    _add_labeling_arguments(p_eval)
+    _add_labeling_arguments(p_eval, windows=False)
     p_eval.add_argument("--output-dir", required=True, dest="output_dir")
     p_eval.add_argument("--methods", default="all",
                         help="'all' or comma list of proposed,estimation,sequence")
@@ -405,18 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="accepted for compatibility; the folds always run one "
                              "after another in one process, so only 1 is allowed")
     p_eval.add_argument("--best-at", type=float, dest="best_at")
-    p_eval.add_argument("--t-x-values", default="15", dest="t_x_values")
-    p_eval.add_argument("--t-y-values", default="15", dest="t_y_values")
-    p_eval.add_argument("--t-c-values", default="20", dest="t_c_values")
-    p_eval.add_argument("--criterion", choices=("rank", "alpha"), default="rank")
-    p_eval.add_argument("--l-values", default="1", dest="l_values")
-    p_eval.add_argument("--n-single-values", default="auto", dest="n_single_values")
-    p_eval.add_argument("--n-multi-values", default="auto", dest="n_multi_values")
-    p_eval.add_argument("--theta-values", default="auto", dest="theta_values")
-    p_eval.add_argument("--alpha-seq-values", default="0,900,3600,10800,32400,43200",
-                        dest="alpha_seq_values")
-    p_eval.add_argument("--n-seq-single-values", default="auto", dest="n_seq_single_values")
-    p_eval.add_argument("--n-seq-multi-values", default="auto", dest="n_seq_multi_values")
+    # No list has a default here: an absent one is read in cmd_evaluate.
+    for name in ("t_x", "t_y", "t_c", "l", "n_single", "n_multi", "theta", "alpha_seq",
+                 "n_seq_single", "n_seq_multi"):
+        p_eval.add_argument(f"--{name.replace('_', '-')}-values", dest=f"{name}_values")
+    p_eval.add_argument("--criterion", choices=("rank", "alpha"))
     p_eval.add_argument("--t-seq", type=float, dest="t_seq")
     p_eval.set_defaults(func=cmd_evaluate)
 

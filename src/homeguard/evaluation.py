@@ -322,10 +322,6 @@ def _make_folds(
 @dataclass
 class ProposedGrid:
     method: ClassVar[str] = "proposed"
-    t_x: tuple[int, ...] = (15,)
-    t_y: tuple[int, ...] = (15,)
-    t_c: tuple[int, ...] = (20,)
-    criterion: str = "rank"
     l_values: tuple = (1,)
     n_single: tuple[float, ...] | str = "auto"
     n_multi: tuple[float, ...] | str = "auto"
@@ -334,9 +330,6 @@ class ProposedGrid:
 @dataclass
 class EstimationGrid:
     method: ClassVar[str] = "estimation"
-    t_x: tuple[int, ...] = (15,)
-    t_y: tuple[int, ...] = (15,)
-    t_c: tuple[int, ...] = (20,)
     theta: tuple[float, ...] | str = "auto"
 
 
@@ -473,15 +466,10 @@ def _sweep_two_level(
     return _sweep(method, base_params, axes, injected)
 
 
-def _labelings(grid: ProposedGrid | EstimationGrid | None) -> list[tuple[int, int, int]]:
-    """The grid's (t_x, t_y, t_c) combinations; none without a grid."""
-    return [] if grid is None else list(product(grid.t_x, grid.t_y, grid.t_c))
-
-
 def grid_search(
     dataset: EvalDataset,
     *grids: ProposedGrid | EstimationGrid | SequenceGrid,
-    labeling_params: LabelingParams | None = None,
+    labelings: Sequence[LabelingParams] | None = None,
     model_params: ModelParams | None = None,
     seq_params: SeqParams | None = None,
     injections_per_day: int = 100,
@@ -489,16 +477,20 @@ def grid_search(
 ) -> list[EvalPoint]:
     """One EvalPoint per parameter combination of each grid (one grid per method).
 
-    Structural parameters (labeling windows, state-selection values) retrain
-    the model; threshold parameters are replayed over the recorded scores of
-    each structural combination, so their sweeps are effectively free.  With
-    "auto" thresholds the Pareto-optimal outcomes of a per-score sweep are
-    emitted instead of a fixed list.
+    Structural parameters (the ``labelings``, one ``LabelingParams()``
+    when not given, and the ``l`` values) retrain the model; threshold
+    parameters are replayed over the recorded scores of each structural
+    combination, so their sweeps are effectively free.  With "auto"
+    thresholds the Pareto-optimal outcomes of a per-score sweep are emitted
+    instead of a fixed list.  ``seq_params.criterion`` says whether the
+    proposed grid's ``l`` values are ranks or belief levels.
 
     Every method is scored in one pass over the folds of each labeling: the
-    union of the proposed and estimation labeling combinations is labeled once
-    each, and the sequence method, which reads no labels, rides along on the
-    first of them.  The points of all methods come back in one sorted list.
+    proposed and estimation methods read every labeling, and the sequence
+    method, which reads no labels, rides along on the first of them, the
+    only one labeled when no other method is asked for.  A point names its
+    labeling by (t_x, t_y, t_c), so no two labelings may share those.  The
+    points of all methods come back in one sorted list.
     """
     by_method: dict[str, ProposedGrid | EstimationGrid | SequenceGrid] = {}
     for grid in grids:
@@ -511,46 +503,46 @@ def grid_search(
     estimation = by_method.get("estimation")
     sequence = by_method.get("sequence")
 
-    labeling_base = labeling_params or LabelingParams()
+    labelings = [LabelingParams()] if labelings is None else list(labelings)
+    if not labelings:
+        raise ValidationError("grid_search needs at least one labeling")
+    structurals = [
+        {name: getattr(labeling, name) for name in ("t_x", "t_y", "t_c")}
+        for labeling in labelings
+    ]
+    if len({tuple(windows.values()) for windows in structurals}) < len(structurals):
+        raise ValidationError("two labelings share (t_x, t_y, t_c)")
+    if proposed is None and estimation is None:
+        labelings = labelings[:1]
     model_params = model_params or ModelParams()
-    seq_base = seq_params or SeqParams()
-    if proposed is not None:
-        seq_base = replace(seq_base, criterion=proposed.criterion)
-    proposed_labelings = _labelings(proposed)
-    estimation_labelings = _labelings(estimation)
-    labelings = list(dict.fromkeys(proposed_labelings + estimation_labelings))
-    if sequence is not None and not labelings:
-        labelings = [(labeling_base.t_x, labeling_base.t_y, labeling_base.t_c)]
+    seq_params = seq_params or SeqParams()
+    criterion = seq_params.criterion
+    l_values = proposed.l_values if proposed is not None else ()
 
     # Windows depend on the events alone: one enumeration serves every labeling.
-    windows = _dataset_windows(dataset, seq_base)
+    windows = _dataset_windows(dataset, seq_params)
     points: list[EvalPoint] = []
-    for index, labeling in enumerate(labelings):
-        structural = dict(zip(("t_x", "t_y", "t_c"), labeling))
-        l_values = proposed.l_values if labeling in proposed_labelings else ()
-        need_estimation = labeling in estimation_labelings
+    for index, (labeling, structural) in enumerate(zip(labelings, structurals)):
         alphas = sequence.alpha_seq if sequence is not None and index == 0 else ()
-        folds = _make_folds(
-            dataset, replace(labeling_base, **structural), model_params, seq_base, windows
-        )
+        folds = _make_folds(dataset, labeling, model_params, seq_params, windows)
         scores = _collect_scores(
-            folds, l_values, need_estimation, alphas, seq_base, injections_per_day, seed
+            folds, l_values, estimation is not None, alphas, seq_params, injections_per_day, seed
         )
         injected = scores["injected"]
         for l_value in l_values:
-            base = {**structural, "criterion": proposed.criterion}
-            base["l_rank" if proposed.criterion == "rank" else "l_alpha"] = l_value
+            base = {**structural, "criterion": criterion}
+            base["l_rank" if criterion == "rank" else "l_alpha"] = l_value
             points += _sweep_two_level(
                 "proposed", base, *scores["proposed", l_value], injected,
                 proposed.n_single, proposed.n_multi,
             )
-        if need_estimation:
+        if estimation is not None:
             points += _sweep_estimation(
                 scores["estimation"], injected, structural, estimation.theta
             )
         for alpha in alphas:
             points += _sweep_two_level(
-                "sequence", {"alpha_seq": float(alpha), "t_seq": seq_base.t_seq},
+                "sequence", {"alpha_seq": float(alpha), "t_seq": seq_params.t_seq},
                 *scores["sequence", alpha], injected, sequence.n_single, sequence.n_multi,
                 name1="n_seq_single", name2="n_seq_multi",
             )

@@ -21,13 +21,6 @@ raises ``ParseError`` naming the file and the line.  Every message names the
 physical line a row starts on, so a quoted cell that holds a line break does
 not shift the numbers of the rows after it.
 
-Timestamps are ``YYYY-MM-DDTHH:MM:SS`` text.  ``parse_timestamp`` first
-tries ``datetime.fromisoformat`` and keeps its result only when the value
-is naive and formats back to exactly the input text, which is the case for
-every canonical timestamp the writers here produce; any other text goes
-through ``datetime.strptime`` with ``TIMESTAMP_FORMAT``, so the accepted
-set, the values and the error messages are those of ``strptime`` alone.
-
 Both logs are checked as columns, ``BLOCK_ROWS`` rows at a time: the field
 counts, the timestamps through ``parse_timestamps`` (one numpy parse for
 the texts in the canonical form, ``parse_timestamp`` for any other), the
@@ -155,16 +148,7 @@ def slot_columns(start: datetime | None, n_slots: int) -> tuple[list[int], list[
 
 
 def parse_timestamp(text: str, line: int | None = None) -> datetime:
-    try:
-        value = datetime.fromisoformat(text)
-    except ValueError:
-        pass
-    else:
-        # fromisoformat also takes offsets, fractions, a space separator and
-        # bare dates, which strptime rejects; only text that is already in
-        # the canonical form is taken from it.
-        if value.tzinfo is None and value.isoformat(timespec="seconds") == text:
-            return value
+    """A ``YYYY-MM-DDTHH:MM:SS`` text as ``strptime`` reads ``TIMESTAMP_FORMAT``."""
     try:
         return datetime.strptime(text, TIMESTAMP_FORMAT)
     except ValueError as exc:

@@ -222,9 +222,9 @@ def _s1_operating_points(seed: int):
     # Both methods are judged on the same folds in one pass.
     points = grid_search(
         dataset,
-        ProposedGrid(t_x=(15,), t_y=(15,), t_c=(10,), criterion="rank", l_values=(1, 2)),
+        ProposedGrid(l_values=(1, 2)),
         SequenceGrid(),
-        labeling_params=labeling,
+        labelings=[labeling],
         injections_per_day=100,
         seed=seed,
     )

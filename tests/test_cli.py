@@ -942,6 +942,80 @@ class TestEvaluateCommand:
         assert [line.split(":")[0] for line in lines] == ["sequence", "proposed", "estimation"]
 
 
+class TestEvaluateGridSources:
+    """Each value of evaluate's grid comes from its list flag, else from the
+    config, else from its default: no flag or config key is read and then
+    dropped, and every list given is checked whatever --methods names."""
+
+    def outputs(self, tmp_path, model_home, name, *options, config=None):
+        """The bytes of each CSV that evaluate writes with ``options``."""
+        ops, sensors, _ = model_home
+        out = tmp_path / name
+        argv = ["evaluate", "--operations", str(ops), "--sensors", str(sensors),
+                "--output-dir", str(out), "--methods", "all", "--injections", "10",
+                "--seed", "1", *options]
+        if config is not None:
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        assert main(argv) == 0
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("config, options", [
+        ({"labeling": {"t_x": 30}}, ("--t-x-values", "30")),
+        ({"labeling": {"t_y": 5, "t_c": 3}}, ("--t-y-values", "5", "--t-c-values", "3")),
+        ({"seq": {"criterion": "alpha", "l_alpha": 0.2}},
+         ("--criterion", "alpha", "--l-values", "0.2")),
+        ({"seq": {"l_rank": 2}}, ("--l-values", "2")),
+    ], ids=["t_x", "t_y-t_c", "criterion-l_alpha", "l_rank"])
+    def test_config_value_acts_as_its_list_flag(self, tmp_path, model_home, config, options):
+        from_config = self.outputs(tmp_path, model_home, "config", config=config)
+        assert from_config == self.outputs(tmp_path, model_home, "flags", *options)
+        assert from_config != self.outputs(tmp_path, model_home, "neither")
+
+    def test_flag_beats_config(self, tmp_path, model_home):
+        config = {"labeling": {"t_x": 30}, "seq": {"criterion": "alpha"}}
+        assert self.outputs(
+            tmp_path, model_home, "both", "--t-x-values", "5", "--criterion", "rank",
+            config=config,
+        ) == self.outputs(tmp_path, model_home, "flags", "--t-x-values", "5")
+
+    @pytest.mark.parametrize("window", ["--t-x", "--t-y", "--t-c"])
+    def test_window_flag_is_its_list_flag(self, tmp_path, model_home, window):
+        assert self.outputs(tmp_path, model_home, "short", window, "3") == self.outputs(
+            tmp_path, model_home, "list", f"{window}-values", "3"
+        )
+
+    def test_alpha_criterion_defaults_to_the_seq_l_alpha(self, tmp_path, model_home):
+        outputs = self.outputs(tmp_path, model_home, "alpha", "--criterion", "alpha")
+        rows = list(csv.DictReader(outputs["results_proposed.csv"].decode().splitlines()))
+        assert rows and {json.loads(row["params_json"])["l_alpha"] for row in rows} == {0.1}
+
+    @pytest.mark.parametrize("method, option, text", [
+        ("sequence", "--theta-values", "banana"),
+        ("estimation", "--l-values", "1,1"),
+        ("sequence", "--l-values", "-1"),
+        ("proposed", "--alpha-seq-values", "-900"),
+        ("estimation", "--n-seq-single-values", "2"),
+        ("sequence", "--n-single-values", "0.1,0.1"),
+        ("proposed", "--theta-values", "2"),
+        ("estimation", "--n-multi-values", "x"),
+        ("proposed", "--n-seq-multi-values", ""),
+    ])
+    def test_list_no_method_reads_is_checked(self, tmp_path, model_home, monkeypatch,
+                                             method, option, text, capsys):
+        def no_work(*args, **kwargs):
+            raise AssertionError(f"evaluate read its input before checking {option}")
+
+        monkeypatch.setattr(cli, "parse_operation_log", no_work)
+        ops, sensors, _ = model_home
+        assert main(["evaluate", "--operations", str(ops), "--sensors", str(sensors),
+                     "--output-dir", str(tmp_path / "eval"), "--methods", method,
+                     f"{option}={text}"]) == 2
+        assert option in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
+
 class TestSynthCommand:
     @pytest.mark.parametrize("flags, config, named", [
         (["--days", "-2"], None, "--days"),

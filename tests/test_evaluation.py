@@ -215,15 +215,14 @@ class TestCrossValidate:
     def test_builtin_methods_run(self):
         dataset = toy_dataset(n_days=3)
         grids = [
-            ProposedGrid(t_x=(3,), t_y=(3,), t_c=(2,), l_values=(2,),
-                         n_single=(0.01,), n_multi=(0.01,)),
-            EstimationGrid(t_x=(3,), t_y=(3,), t_c=(2,), theta=(0.001,)),
+            ProposedGrid(l_values=(2,), n_single=(0.01,), n_multi=(0.01,)),
+            EstimationGrid(theta=(0.001,)),
             SequenceGrid(alpha_seq=(3600.0,), n_single=(0.2,), n_multi=(0.2,)),
         ]
         for grid in grids:
             [point] = grid_search(
                 dataset, grid,
-                labeling_params=LabelingParams(t_x=3, t_y=3, t_c=2),
+                labelings=[LabelingParams(t_x=3, t_y=3, t_c=2)],
                 seq_params=SeqParams(l_rank=2),
                 injections_per_day=20, seed=1,
             )
@@ -243,12 +242,9 @@ class TestGridSearch:
 
     def test_cardinality_is_product_of_lists(self):
         dataset = toy_dataset(n_days=2)
-        grid = ProposedGrid(
-            t_x=(2, 3), t_y=(2,), t_c=(1,),
-            criterion="rank", l_values=(1, 2),
-            n_single=(0.05, 0.2), n_multi=(0.1,),
-        )
-        points = grid_search(dataset, grid, injections_per_day=5, seed=3)
+        grid = ProposedGrid(l_values=(1, 2), n_single=(0.05, 0.2), n_multi=(0.1,))
+        labelings = [LabelingParams(t_x=t_x, t_y=2, t_c=1) for t_x in (2, 3)]
+        points = grid_search(dataset, grid, labelings=labelings, injections_per_day=5, seed=3)
         assert len(points) == 2 * 1 * 1 * 2 * 2 * 1
 
     def test_order_free(self):
@@ -278,9 +274,8 @@ class TestGridSearch:
 
         [point] = grid_search(
             dataset,
-            ProposedGrid(t_x=(2,), t_y=(2,), t_c=(1,), criterion="rank",
-                         l_values=(1,), n_single=(n_single,), n_multi=(n_multi,)),
-            labeling_params=labeling, seq_params=seq,
+            ProposedGrid(l_values=(1,), n_single=(n_single,), n_multi=(n_multi,)),
+            labelings=[labeling], seq_params=seq,
             injections_per_day=30, seed=9,
         )
         tally = judge_tally(
@@ -293,8 +288,8 @@ class TestGridSearch:
         labeling = LabelingParams(t_x=2, t_y=2, t_c=1)
         [point] = grid_search(
             dataset,
-            EstimationGrid(t_x=(2,), t_y=(2,), t_c=(1,), theta=(0.001,)),
-            labeling_params=labeling, injections_per_day=30, seed=9,
+            EstimationGrid(theta=(0.001,)),
+            labelings=[labeling], injections_per_day=30, seed=9,
         )
         tally = judge_tally(dataset, estimation_verdicts(0.001), labeling, SeqParams(), 30, 9)
         assert (point.tp, point.fn, point.fp, point.tn) == tally
@@ -581,11 +576,10 @@ class TestFoldWithoutJudgedOperations:
         assert [len(fold.judged_operations(0, 9)) for fold in folds] == [2, 0, 2]
         points = grid_search(
             dataset,
-            ProposedGrid(t_x=(2,), t_y=(2,), t_c=(1,), l_values=(1,),
-                         n_single=(0.05,), n_multi=(0.05,)),
-            EstimationGrid(t_x=(2,), t_y=(2,), t_c=(1,), theta=(0.001,)),
+            ProposedGrid(l_values=(1,), n_single=(0.05,), n_multi=(0.05,)),
+            EstimationGrid(theta=(0.001,)),
             SequenceGrid(alpha_seq=(3600.0,), n_single=(0.2,), n_multi=(0.2,)),
-            labeling_params=labeling, seq_params=seq, injections_per_day=0, seed=9,
+            labelings=[labeling], seq_params=seq, injections_per_day=0, seed=9,
         )
         verdicts = {
             "proposed": proposed_verdicts(Thresholds(0.05, 0.05)),
@@ -606,9 +600,9 @@ class TestWindowEnumeration:
         "grids",
         [
             (SequenceGrid(alpha_seq=(0.0, 900.0, 3600.0)),),
-            (ProposedGrid(t_x=(2,), t_y=(2,), t_c=(1,), l_values=(1, 2)),),
+            (ProposedGrid(l_values=(1, 2)),),
             (
-                ProposedGrid(t_x=(2,), t_y=(2,), t_c=(1,), l_values=(1, 2)),
+                ProposedGrid(l_values=(1, 2)),
                 SequenceGrid(alpha_seq=(0.0, 900.0, 3600.0)),
             ),
         ],
@@ -629,7 +623,10 @@ class TestWindowEnumeration:
 
         monkeypatch.setattr(detector, "candidates_ending_at", counting)
         monkeypatch.setattr(evaluation, "label_states", counting_labels)
-        grid_search(toy_dataset(n_days=3), *grids, injections_per_day=10, seed=2)
+        grid_search(
+            toy_dataset(n_days=3), *grids, labelings=[LabelingParams(t_x=2, t_y=2, t_c=1)],
+            injections_per_day=10, seed=2,
+        )
         # Each fold judges its day's two stove operations and 10 injected ones.
         assert len(calls) == 3 * (2 + 10)
         assert len(labelings) == 1
@@ -644,10 +641,13 @@ class TestWindowEnumeration:
 
         monkeypatch.setattr(seqstore, "_enumerate_distinct", counting)
         grids = (
-            ProposedGrid(t_x=(2, 3), t_y=(2,), t_c=(1,), l_values=(1, 2, 3)),
+            ProposedGrid(l_values=(1, 2, 3)),
             SequenceGrid(alpha_seq=(0.0, 900.0)),
         )
-        grid_search(toy_dataset(n_days=3), *grids, injections_per_day=10, seed=2)
+        labelings = [LabelingParams(t_x=t_x, t_y=2, t_c=1) for t_x in (2, 3)]
+        grid_search(
+            toy_dataset(n_days=3), *grids, labelings=labelings, injections_per_day=10, seed=2
+        )
         # Two labelings, three folds each, three l values and the timed store,
         # yet each day's two stove windows are enumerated once: the timed
         # store's windows start after midnight and are the days' own.
@@ -656,34 +656,61 @@ class TestWindowEnumeration:
 
 
 class TestOneFoldPass:
+    # Given out of order: the labelings are folded in the order given.
+    LABELINGS = [LabelingParams(t_x=t_x, t_y=2, t_c=1) for t_x in (3, 2, 4)]
+
     def grids(self):
         return (
-            ProposedGrid(t_x=(2, 3), t_y=(2,), t_c=(1,), l_values=(1, 2)),
-            EstimationGrid(t_x=(3, 4), t_y=(2,), t_c=(1,)),
+            ProposedGrid(l_values=(1, 2)),
+            EstimationGrid(),
             SequenceGrid(alpha_seq=(900.0, 3600.0)),
         )
 
     def test_all_methods_equal_one_grid_calls(self):
         dataset = toy_dataset(n_days=3)
-        kwargs = dict(labeling_params=LabelingParams(t_x=2, t_y=2, t_c=1),
-                      injections_per_day=15, seed=4)
+        kwargs = dict(labelings=self.LABELINGS, injections_per_day=15, seed=4)
         together = grid_search(dataset, *self.grids(), **kwargs)
         alone = [p for grid in self.grids() for p in grid_search(dataset, grid, **kwargs)]
         assert together == sorted(alone, key=lambda p: p.sort_key)
         assert {p.method for p in together} == {"proposed", "estimation", "sequence"}
+        # Both labeling methods read every labeling; sequence names none.
+        assert {(p.method, dict(p.params).get("t_x")) for p in together} == {
+            *((method, t_x) for method in ("proposed", "estimation") for t_x in (2, 3, 4)),
+            ("sequence", None),
+        }
 
-    def test_each_labeling_is_labeled_once(self, monkeypatch):
+    def labeled(self, monkeypatch, *grids, labelings):
         label = evaluation.label_states
-        labelings = []
+        labelings_seen = []
 
         def counting_labels(*args, **kwargs):
-            labelings.append((args[1].t_x, args[1].t_y, args[1].t_c))
+            labelings_seen.append(args[1])
             return label(*args, **kwargs)
 
         monkeypatch.setattr(evaluation, "label_states", counting_labels)
-        grid_search(toy_dataset(n_days=3), *self.grids(), injections_per_day=5, seed=1)
-        # The union of the proposed and estimation labelings, in grid order.
-        assert labelings == [(2, 2, 1), (3, 2, 1), (4, 2, 1)]
+        grid_search(toy_dataset(n_days=3), *grids, labelings=labelings,
+                    injections_per_day=5, seed=1)
+        return labelings_seen
+
+    def test_each_given_labeling_is_labeled_once_in_order(self, monkeypatch):
+        assert self.labeled(monkeypatch, *self.grids(), labelings=self.LABELINGS) == (
+            self.LABELINGS
+        )
+
+    def test_sequence_alone_labels_the_first_labeling_only(self, monkeypatch):
+        grid = SequenceGrid(alpha_seq=(900.0,))
+        assert self.labeled(monkeypatch, grid, labelings=self.LABELINGS) == self.LABELINGS[:1]
+
+    @pytest.mark.parametrize("labelings", [
+        [LabelingParams(t_x=2, t_y=2, t_c=1), LabelingParams(t_x=3), LabelingParams(t_x=3)],
+        # A point names its labeling by its windows alone.
+        [LabelingParams(t_c=5), LabelingParams(t_c=5, noise_threshold=40.0)],
+        [],
+    ], ids=["repeated", "same-windows", "none"])
+    def test_labelings_that_no_point_tells_apart_are_refused(self, labelings, monkeypatch):
+        monkeypatch.setattr(evaluation, "label_states", None)  # no work before the check
+        with pytest.raises(ValidationError):
+            grid_search(toy_dataset(n_days=2), *self.grids(), labelings=labelings)
 
     @pytest.mark.parametrize(
         "grids",

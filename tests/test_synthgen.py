@@ -3,6 +3,7 @@ and the same bytes as the minute-by-minute generator."""
 
 from dataclasses import replace
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -154,3 +155,13 @@ class TestSameBytesAsPerMinute:
         scenario.habits = tuple(replace(h, rate_per_hour=h.rate_per_hour * 20)
                                 for h in scenario.habits)
         assert_same_files_as_the_per_minute_generator(scenario, tmp_path)
+
+
+# The jitter scenarios: scenario_s1 with the schedule's jitter at each σ.
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+@pytest.mark.parametrize("sigma", [30, 60, 120])
+def test_jitter_scenario_file_is_s1_with_its_jitter(sigma):
+    scenario = load_scenario(SCENARIOS / f"s1-jitter-{sigma}.json")
+    assert scenario == replace(scenario_s1(), jitter_std_minutes=sigma)
