@@ -89,6 +89,11 @@ EVALUATE_RUNS = (
     # The slot counts at ranks 1, 5 and 10 of every fold, each read off the
     # counts that the filter pass reduces the training days' entries to.
     ("rank-levels", "00:00", ("--methods", "proposed", "--l-values", "1,5,10")),
+    # The slot counts at two belief levels, over the kept part-days of
+    # every fold.
+    ("criterion-alpha-excluded-date", "04:00",
+     ("--methods", "proposed", "--criterion", "alpha", "--l-values", "0.05,0.2",
+      "--initial-occupants", "0")),
 )
 
 # label runs on the same homes, each writing the slot and the per-event label
@@ -120,6 +125,10 @@ TRACE_RUNS = (
     # With nobody home at first, the first date is excluded and the kept
     # part-days are filtered as groups of one.
     ("day-origin-excluded-date", "04:00", ("--initial-occupants", "0")),
+    # A model trained by belief level: the training slot counts at its
+    # l_alpha, over part-days.
+    ("alpha-excluded-date", "04:00",
+     ("--criterion", "alpha", "--l-alpha", "0.2", "--initial-occupants", "0")),
 )
 # The days of the home that the filter-trace run "three-weeks" also reads.  The
 # filter runs a lone stream's days in lockstep and re-runs them until the

@@ -219,10 +219,10 @@ def cmd_evaluate(args) -> int:
     Each grid value comes from its ``--*-values`` list, else from the
     config: the labeling windows from its ``labeling`` section, the
     criterion and the one ``l`` (``l_rank`` or ``l_alpha``) from its
-    ``seq`` section, each else the parameter class's default; an absent
-    threshold or ``alpha_seq`` list takes its grid class's default.  Every
-    list given is checked, whatever ``--methods`` names, before the logs
-    are read.
+    ``seq`` section, each else the parameter class's default; a threshold
+    or ``alpha_seq`` list from the key of the same name in its ``detector``
+    section, else its grid class's default.  Every list given is checked,
+    whatever ``--methods`` names, before the logs are read.
     """
     methods = METHODS if args.methods == "all" else tuple(args.methods.split(","))
     for method in methods:
@@ -248,6 +248,12 @@ def cmd_evaluate(args) -> int:
     [labeling] = _params(args, config, "labeling")
     [model_params] = _params(args, config, "model")
     [seq_params] = _params(args, config, "seq")
+    # A detector key given in the config is the one value of its list.
+    detector = {
+        name: (float(getattr(params, name)),)
+        for params in _params(args, config, "detector")
+        for name in config.get("detector", {}) if hasattr(params, name)
+    }
     # Each structural value is checked by the rule of the parameter it sets.
     windows = {
         name: _parse_values(
@@ -265,19 +271,26 @@ def cmd_evaluate(args) -> int:
                 args, "l", int if l_name == "l_rank" else float, (getattr(seq_params, l_name),),
                 check=lambda value: SeqParams(**{l_name: value}),
             ),
-            _parse_values(args, "n_single", float, ProposedGrid.n_single, threshold=True),
-            _parse_values(args, "n_multi", float, ProposedGrid.n_multi, threshold=True),
+            _parse_values(args, "n_single", float, detector.get("n_single", ProposedGrid.n_single),
+                          threshold=True),
+            _parse_values(args, "n_multi", float, detector.get("n_multi", ProposedGrid.n_multi),
+                          threshold=True),
         ),
         "estimation": EstimationGrid(
-            _parse_values(args, "theta", float, EstimationGrid.theta, threshold=True)
+            _parse_values(args, "theta", float, detector.get("theta", EstimationGrid.theta),
+                          threshold=True)
         ),
     }
-    alpha_seq = _parse_values(args, "alpha_seq", float, SequenceGrid.alpha_seq)
+    alpha_seq = _parse_values(
+        args, "alpha_seq", float, detector.get("alpha_seq", SequenceGrid.alpha_seq)
+    )
     try:
         grids["sequence"] = SequenceGrid(
             alpha_seq,
-            _parse_values(args, "n_seq_single", float, SequenceGrid.n_single, threshold=True),
-            _parse_values(args, "n_seq_multi", float, SequenceGrid.n_multi, threshold=True),
+            _parse_values(args, "n_seq_single", float,
+                          detector.get("n_seq_single", SequenceGrid.n_single), threshold=True),
+            _parse_values(args, "n_seq_multi", float,
+                          detector.get("n_seq_multi", SequenceGrid.n_multi), threshold=True),
         )
     except ValidationError as exc:
         raise UsageError(f"--alpha-seq-values: {exc}") from None

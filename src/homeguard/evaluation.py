@@ -187,8 +187,9 @@ class FoldContext:
     """One leave-one-day-out fold: its inputs, and the model and traces that
     ``filter_group`` fills for the folds of one group.
 
-    ``arrays`` holds the dataset's labels; the folds of one labeling share
-    them, and each fold fits by masking its held-out and excluded days.
+    ``arrays`` holds the dataset's labels, None when no method reads them;
+    the folds of one labeling share them, and each fold fits by masking its
+    held-out and excluded days.
     ``windows`` holds the dataset's target windows; every fold and labeling
     of a run shares it, so each window is enumerated once per run.
     ``model`` is the fold's (transitions, operations), ``training_traces``
@@ -198,7 +199,7 @@ class FoldContext:
     """
 
     dataset: EvalDataset
-    arrays: LabelArrays
+    arrays: LabelArrays | None
     heldout_day: int
     model_params: ModelParams
     seq_params: SeqParams
@@ -300,15 +301,18 @@ def _dataset_windows(dataset: EvalDataset, seq_params: SeqParams) -> DayWindows:
 
 def _make_folds(
     dataset: EvalDataset,
-    labeling_params: LabelingParams,
+    labeling_params: LabelingParams | None,
     model_params: ModelParams,
     seq_params: SeqParams,
     windows: DayWindows,
 ) -> list[FoldContext]:
-    """One fold per day, all sharing the run's ``windows``."""
+    """One fold per day, all sharing the run's ``windows``, and labeled by
+    ``labeling_params`` unless it is None."""
     if dataset.n_days < 2:
         raise ModelError("cross-validation needs at least two days of data")
-    arrays = label_states(dataset.grid, labeling_params, dataset.vocabulary)
+    arrays = None
+    if labeling_params is not None:
+        arrays = label_states(dataset.grid, labeling_params, dataset.vocabulary)
     return [
         FoldContext(dataset, arrays, day, model_params, seq_params, windows)
         for day in range(dataset.n_days)
@@ -399,7 +403,7 @@ def _sweep(
     An axis tries the distinct values it is given, or for "auto" the
     ``_candidate_thresholds`` of its scores.  With any "auto" axis the
     Pareto-optimal combinations are kept; otherwise every combination of the
-    given values, repeats included.  The points come sorted by ``sort_key``.
+    given values, repeats included.  ``grid_search`` sorts the points.
     """
     candidates = [
         _candidate_thresholds(scores) if values == "auto" else np.unique(values)
@@ -445,7 +449,6 @@ def _sweep(
             EvalPoint(method, make_params({**base_params, **params}), hits, n_inj - hits,
                       false_alarms, n_real - false_alarms)
         )
-    points.sort(key=lambda p: p.sort_key)
     return points
 
 
@@ -487,8 +490,8 @@ def grid_search(
 
     Every method is scored in one pass over the folds of each labeling: the
     proposed and estimation methods read every labeling, and the sequence
-    method, which reads no labels, rides along on the first of them, the
-    only one labeled when no other method is asked for.  A point names its
+    method, which reads no labels, rides along on the first of them; with
+    no other method asked for, nothing is labeled.  A point names its
     labeling by (t_x, t_y, t_c), so no two labelings may share those.  The
     points of all methods come back in one sorted list.
     """
@@ -512,7 +515,8 @@ def grid_search(
     ]
     if len({tuple(windows.values()) for windows in structurals}) < len(structurals):
         raise ValidationError("two labelings share (t_x, t_y, t_c)")
-    if proposed is None and estimation is None:
+    labeled = proposed is not None or estimation is not None
+    if not labeled:
         labelings = labelings[:1]
     model_params = model_params or ModelParams()
     seq_params = seq_params or SeqParams()
@@ -524,7 +528,9 @@ def grid_search(
     points: list[EvalPoint] = []
     for index, (labeling, structural) in enumerate(zip(labelings, structurals)):
         alphas = sequence.alpha_seq if sequence is not None and index == 0 else ()
-        folds = _make_folds(dataset, labeling, model_params, seq_params, windows)
+        folds = _make_folds(
+            dataset, labeling if labeled else None, model_params, seq_params, windows
+        )
         scores = _collect_scores(
             folds, l_values, estimation is not None, alphas, seq_params, injections_per_day, seed
         )

@@ -26,9 +26,9 @@ model at once.  The whole grid that ``detect`` reads (``run_filter``) runs
 its own days in lockstep as stacked (1, S) rows, each multiplied bitwise as
 a lone row; as a day starts where the day before ends, its days re-run
 from a guess until the beliefs carried between them stop changing.  A
-training stream's slot entries are read only as counts: the pass reduces
-them to a ``seqstore.SlotCounts`` a block of slots at a time, and its trace
-keeps none.
+training stream's slot entries are read only as counts: the pass adds them
+to its model's ``seqstore.SlotCounts`` a block of slots at a time, with one
+``np.bincount`` keyed by model, and its trace keeps none.
 
 A stream is an int array of positions in one ``ingest.SlotGrid``: a whole
 grid, a day of it, or the kept slots of a day.  The filter reads each slot's
@@ -66,10 +66,10 @@ from .seqstore import (
     SequenceIds,
     SequenceStore,
     SlotCounts,
-    SlotReducer,
     TimedSequenceStore,
     TrainingBeliefs,
     build_timed_store,
+    count_slots,
     store_sequences,
 )
 from .vocab import VOCABULARY, Vocabulary
@@ -464,7 +464,8 @@ def _lockstep(
     streams: Sequence[np.ndarray],
     models: Sequence[tuple[TransitionTensor, OperationTable]],
     keep: Sequence[Sequence[bool]],
-    counts: Sequence[Sequence[SlotCounts | None]],
+    counted: Sequence[Sequence[bool]],
+    counts: Sequence[SlotCounts | None],
 ) -> list[list[FilterTrace]]:
     """Filter streams of equal length whose slots share their slot-of-day,
     under every one of ``models``, from uniform; ``traces[m][d]`` follows
@@ -485,10 +486,10 @@ def _lockstep(
     The beliefs entering each slot go to a state-major block of ``_BLOCK``
     slots, reused, before the slot's events.  A full block, and the last
     one, is copied to the ``entry`` of each row ``(m, d)`` that ``keep[m][d]``
-    marks, a view of one array, and added to ``counts[m][d]`` for each row
-    that has one, by one ``SlotReducer``.  The other rows' traces keep no
-    ``entry`` (None), so a pass allocates slot entries for the rows read
-    again only.
+    marks, a view of one array, and added to ``counts[m]`` for each row that
+    ``counted[m][d]`` marks, by one ``seqstore.count_slots`` call.  The other
+    rows' traces keep no ``entry`` (None), so a pass allocates slot entries
+    for the rows read again only.
     """
     n_models, n_rows = len(models), len(streams)
     n_slots, n_states = len(streams[0]), models[0][0].n_states
@@ -511,8 +512,9 @@ def _lockstep(
     # each trace's beliefs are contiguous for a judged operation's read.
     kept = np.flatnonzero(np.ravel(keep))
     entry = np.empty((len(kept), n_slots, n_states))
-    sinks = [c for model_counts in counts for c in model_counts]
-    reduce = SlotReducer(sinks) if any(c is not None for c in sinks) else None
+    # The model whose counts each row adds to, n_models for none.
+    owner = np.where(np.ravel(counted), np.arange(n_models).repeat(n_rows), n_models)
+    counting = bool(np.ravel(counted).any())
     size = min(_BLOCK, n_slots)
     block = np.empty((n_states, size, n_models, n_rows))
     n_events = first[:, -1].tolist()
@@ -536,8 +538,8 @@ def _lockstep(
             filled = block[:, : j + 1].reshape(n_states, j + 1, n_models * n_rows)
             if len(kept):
                 entry[:, pos - j : pos + 1] = filled[:, :, kept].transpose(2, 1, 0)
-            if reduce is not None:
-                reduce(filled)
+            if counting:
+                count_slots(counts, owner, filled)
     entries = dict(zip(kept.tolist(), entry))
     return [
         [
@@ -566,7 +568,8 @@ def filter_models(
     ``counted[m]``, when given, is a pair (stream indices, ``SlotCounts``):
     model ``m`` filters those streams too, adds the belief entering each of
     their slots to its counts, and gets their traces back without ``entry``
-    (None).  A model's counted streams and its wanted ones are disjoint.
+    (None).  A model's counted streams and its wanted ones are disjoint, and
+    the counts of one call share their ``alphas`` (``ValueError`` if not).
 
     Contiguous streams of equal length that start at the same slot-of-day
     (the days of a dataset, say) share every transition matrix, so they run
@@ -590,6 +593,8 @@ def filter_models(
     counted = counted or [((), None)] * len(models)
     counted_sets = [set(indices) for indices, _ in counted]
     counts = [c for _, c in counted]
+    if len({c.alphas for c in counts if c is not None}) > 1:
+        raise ValueError("the slot counts of one pass must share their alphas")
     traces: list[dict[int, FilterTrace]] = [{} for _ in models]
     for members in groups.values():
         # The rows of each call and the models that run it: the whole group
@@ -604,8 +609,8 @@ def filter_models(
             batch = _lockstep(
                 grid, [streams[index] for index in rows], [models[m] for m in shared],
                 [[index in wanted_sets[m] for index in rows] for m in shared],
-                [[counts[m] if index in counted_sets[m] else None for index in rows]
-                 for m in shared],
+                [[index in counted_sets[m] for index in rows] for m in shared],
+                [counts[m] for m in shared],
             )
             for m, model_traces in zip(shared, batch):
                 for index, trace in zip(rows, model_traces):

@@ -35,8 +35,8 @@ ascending ids, so a judged candidate, interned once, finds its row in any
 store by one integer search.  A training trace's events are one run: a whole
 day, or the part of a day that an excluded calendar date leaves (a day that
 does not start at midnight), and the trace holds their grid positions.
-The filter pass reduces the training traces' slot entries to ``SlotCounts``
-a block of slots at a time (``SlotReducer``) and keeps none of them.
+The filter pass adds the training traces' slot entries to ``SlotCounts``
+a block of slots at a time (``count_slots``) and keeps none of them.
 ``TrainingBeliefs`` joins the traces to the arrays of their runs and ranks
 every belief just before an event once, so the store for each selection
 value is one comparison, one ``np.unique`` of the ids and one count with
@@ -566,7 +566,7 @@ class SlotCounts:
     belief, so ties share a rank), and ``at_least[a, i]`` those whose entry
     belief of ``i`` is at least ``alphas[a]``.  A store for any ``l_rank``
     sums a prefix of ``at_rank``; one for ``l_alpha`` needs it among
-    ``alphas``.  A ``SlotReducer`` adds the slots of many streams at once.
+    ``alphas``.  ``count_slots`` adds the slots of many streams at once.
     """
 
     def __init__(self, n_states: int, alphas: Iterable[float] = ()) -> None:
@@ -583,48 +583,35 @@ class SlotCounts:
         return self.at_least[self.alphas.index(params.l_alpha)]
 
 
-class SlotReducer:
-    """Adds the beliefs entering a block of slots of R streams to the slot
-    counts of those streams: stream ``r``'s to ``counts[r]``, and none for
-    None.  Several streams may share one ``SlotCounts``."""
-
-    def __init__(self, counts: Sequence[SlotCounts | None]) -> None:
-        owners = {id(c): c for c in counts if c is not None}
-        self.owners = list(owners.values())
-        place = {key: k for k, key in enumerate(owners)}
-        # member[k, r]: stream r's slots go to owners[k].
-        self.member = np.zeros((len(owners), len(counts)), dtype=np.int64)
-        for r, c in enumerate(counts):
-            if c is not None:
-                self.member[place[id(c)], r] = 1
-        n_states = len(self.owners[0].at_rank)
-        # A slot of stream r at which state i ranks q-th counts in cell
-        # (r, q - 1, i): this is the cell less its rank part.
-        self.cell = np.arange(n_states)[:, None, None] + np.arange(len(counts)) * n_states**2
-        self.alphas = sorted({alpha for c in self.owners for alpha in c.alphas})
-
-    def __call__(self, beliefs: np.ndarray) -> None:
-        """Add the state-major (S, n, R) ``beliefs``: those entering ``n``
-        slots of each of the R streams."""
-        n_states, _, n_rows = beliefs.shape
-        flat = beliefs.reshape(n_states, -1)
-        # One comparison row per state: each cell gains S for every state
-        # with a strictly greater belief.
-        below = np.zeros(flat.shape, dtype=np.intp)
-        for row in flat:
-            below += row > flat
-        below *= n_states
-        cells = below.reshape(beliefs.shape)
-        cells += self.cell
-        per_row = np.bincount(cells.ravel(), minlength=n_rows * n_states**2)
-        at_rank = self.member @ per_row.reshape(n_rows, n_states * n_states)
-        if self.alphas:
-            at_least = (beliefs >= np.reshape(self.alphas, (-1, 1, 1, 1))).sum(axis=2)
-            at_least = at_least @ self.member.T  # (alphas, S, owners)
-        for k, owner in enumerate(self.owners):
-            owner.at_rank += at_rank[k].reshape(n_states, n_states)
-            if owner.alphas:
-                owner.at_least += at_least[[self.alphas.index(a) for a in owner.alphas], :, k]
+def count_slots(
+    counts: Sequence[SlotCounts | None], owner: np.ndarray, beliefs: np.ndarray
+) -> None:
+    """Add the state-major (S, n, R) ``beliefs``, those entering ``n`` slots
+    of each of R rows, to the slot counts: row ``r``'s to
+    ``counts[owner[r]]``, and a row whose owner is ``len(counts)`` to none.
+    The counts share their ``alphas``."""
+    n_states = len(beliefs)
+    flat = beliefs.reshape(n_states, -1)
+    # One comparison row per state: each cell gains S for every state with a
+    # strictly greater belief.
+    below = np.zeros(flat.shape, dtype=np.intp)
+    for row in flat:
+        below += row > flat
+    below *= n_states
+    # A slot of row r at which state i ranks q-th counts in cell
+    # (owner[r], q - 1, i); the rows of no owner count in a block of their own.
+    cells = below.reshape(beliefs.shape)
+    cells += np.arange(n_states)[:, None, None] + owner * n_states**2
+    at_rank = np.bincount(cells.ravel(), minlength=(len(counts) + 1) * n_states**2)
+    at_rank = at_rank.reshape(-1, n_states, n_states)
+    alphas = next(c.alphas for c in counts if c is not None)
+    if alphas:
+        at_least = (beliefs >= np.reshape(alphas, (-1, 1, 1, 1))).sum(axis=2)
+    for k, c in enumerate(counts):
+        if c is not None:
+            c.at_rank += at_rank[k]
+            if alphas:
+                c.at_least += at_least[:, :, owner == k].sum(axis=2)
 
 
 class TrainingBeliefs:

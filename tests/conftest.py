@@ -22,10 +22,10 @@ from homeguard.seqstore import (
     SequenceIds,
     SequenceStore,
     SlotCounts,
-    SlotReducer,
     TimedSequenceStore,
     TrainingBeliefs,
     build_timed_store,
+    count_slots,
     store_sequences,
 )
 from homeguard.vocab import SENSOR_FIELDS, Vocabulary
@@ -145,11 +145,10 @@ def make_folds(dataset, labeling_params, model_params, seq_params, filled=True, 
 
 def training_beliefs(traces, windows, alphas=()) -> TrainingBeliefs:
     """The training beliefs of traces that keep their slot entries, those
-    counted by the reducer that the filter pass counts with."""
+    counted by the function that the filter pass counts with."""
     counts = SlotCounts(traces[0].entry.shape[1], alphas)
-    reduce = SlotReducer([counts])
     for trace in traces:
-        reduce(np.ascontiguousarray(trace.entry.T)[:, :, None])
+        count_slots([counts], np.zeros(1, dtype=np.intp), trace.entry.T[:, :, None])
     return TrainingBeliefs(traces, windows, counts)
 
 

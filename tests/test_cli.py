@@ -5,9 +5,11 @@ import json
 import os
 import subprocess
 import sys
-from datetime import time
+from dataclasses import replace
+from datetime import time, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from homeguard import cli, evaluation
@@ -980,6 +982,32 @@ class TestEvaluateGridSources:
             config=config,
         ) == self.outputs(tmp_path, model_home, "flags", "--t-x-values", "5")
 
+    def test_detector_section_acts_as_its_list_flags(self, tmp_path, model_home):
+        detector = {"theta": 0.4, "n_single": 0.05, "n_multi": 0.01, "alpha_seq": 1800,
+                    "n_seq_single": 0.2, "n_seq_multi": 0.05}
+        from_config = self.outputs(tmp_path, model_home, "config", config={"detector": detector})
+        options = [arg for name, value in detector.items()
+                   for arg in (f"--{name.replace('_', '-')}-values", str(value))]
+        assert from_config == self.outputs(tmp_path, model_home, "flags", *options)
+        assert from_config != self.outputs(tmp_path, model_home, "neither")
+        # A flag beats its key, and an absent key keeps its default.
+        assert self.outputs(
+            tmp_path, model_home, "both", "--theta-values", "0.3",
+            config={"detector": {"theta": 0.4, "n_multi": 0.01}},
+        ) == self.outputs(tmp_path, model_home, "theta", "--theta-values", "0.3",
+                          "--n-multi-values", "0.01")
+
+    @pytest.mark.parametrize("detector", [{"theta": 2}, {"alpha_seq": -1}, {"n_seq": 0.1}])
+    def test_detector_section_is_checked(self, tmp_path, model_home, detector, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"detector": detector}))
+        ops, sensors, _ = model_home
+        assert main(["evaluate", "--operations", str(ops), "--sensors", str(sensors),
+                     "--output-dir", str(tmp_path / "eval"), "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "detector" in err and next(iter(detector)) in err
+        assert not (tmp_path / "eval").exists()
+
     @pytest.mark.parametrize("window", ["--t-x", "--t-y", "--t-c"])
     def test_window_flag_is_its_list_flag(self, tmp_path, model_home, window):
         assert self.outputs(tmp_path, model_home, "short", window, "3") == self.outputs(
@@ -1014,6 +1042,65 @@ class TestEvaluateGridSources:
                      f"{option}={text}"]) == 2
         assert option in capsys.readouterr().err
         assert not (tmp_path / "eval").exists()
+
+
+class TestEvaluateRelations:
+    """Two relations that every evaluate run must keep, and that need no
+    oracle: the outputs do not depend on the calendar weeks the logs fall
+    in, and at fixed thresholds the real operations' counts do not depend
+    on how many operations are injected."""
+
+    THRESHOLDS = ("--n-single-values", "0.01,0.2", "--n-multi-values", "0.001,0.05",
+                  "--theta-values", "0.2,0.6", "--n-seq-single-values", "0.05,0.3",
+                  "--n-seq-multi-values", "0.01,0.2")
+
+    @pytest.fixture(scope="class")
+    def home(self, tmp_path_factory):
+        """Five s1 days, and the same logs a week later."""
+        root = tmp_path_factory.mktemp("relations")
+        result = generate(scenario_s1(seed=23, n_days=5))
+        paths = result.write(root / "data")
+        week = timedelta(days=7)
+        later = root / "later"
+        later.mkdir()
+        write_operation_log([replace(e, timestamp=e.timestamp + week) for e in result.events],
+                            later / "operations.csv")
+        frames = result.frames
+        write_sensor_log(replace(frames, timestamps=frames.timestamps + np.timedelta64(week)),
+                         later / "sensors.csv")
+        return (paths["operations"], paths["sensors"]), (later / "operations.csv",
+                                                        later / "sensors.csv")
+
+    def outputs(self, out, logs, *options):
+        ops, sensors = logs
+        assert main(["evaluate", "--operations", str(ops), "--sensors", str(sensors),
+                     "--output-dir", str(out), "--methods", "all", "--seed", "1",
+                     *options]) == 0
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    def test_a_week_later_every_output_is_the_same(self, tmp_path, home):
+        now, later = home
+        got = self.outputs(tmp_path / "now", now, "--injections", "20")
+        assert len(got) == 6
+        assert got == self.outputs(tmp_path / "later", later, "--injections", "20")
+
+    def test_real_operations_counts_do_not_depend_on_injections(self, tmp_path, home):
+        now, _ = home
+        counts = {}
+        for injections in (0, 20):
+            out = tmp_path / str(injections)
+            self.outputs(out, now, "--injections", str(injections), *self.THRESHOLDS)
+            counts[injections] = {
+                (row["method"], row["params_json"]): (row["fp"], row["tn"], row["tp"])
+                for name in ("proposed", "estimation", "sequence")
+                for row in csv.DictReader((out / f"results_{name}.csv").open())
+            }
+        # Every combination of the fixed lists, one per method and l or alpha_seq.
+        assert len(counts[20]) == 4 + 2 + 6 * 4
+        assert counts[0].keys() == counts[20].keys()
+        for key, (fp, tn, tp) in counts[20].items():
+            assert counts[0][key] == (fp, tn, "0")
+        assert any(tp != "0" for _, _, tp in counts[20].values())
 
 
 class TestSynthCommand:

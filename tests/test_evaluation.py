@@ -629,7 +629,8 @@ class TestWindowEnumeration:
         )
         # Each fold judges its day's two stove operations and 10 injected ones.
         assert len(calls) == 3 * (2 + 10)
-        assert len(labelings) == 1
+        # The sequence method reads no labels.
+        assert len(labelings) == any(not isinstance(g, SequenceGrid) for g in grids)
 
     def test_each_training_window_is_enumerated_once_per_run(self, monkeypatch):
         enumerate_window = seqstore._enumerate_distinct
@@ -697,9 +698,9 @@ class TestOneFoldPass:
             self.LABELINGS
         )
 
-    def test_sequence_alone_labels_the_first_labeling_only(self, monkeypatch):
+    def test_sequence_alone_labels_nothing(self, monkeypatch):
         grid = SequenceGrid(alpha_seq=(900.0,))
-        assert self.labeled(monkeypatch, grid, labelings=self.LABELINGS) == self.LABELINGS[:1]
+        assert self.labeled(monkeypatch, grid, labelings=self.LABELINGS) == []
 
     @pytest.mark.parametrize("labelings", [
         [LabelingParams(t_x=2, t_y=2, t_c=1), LabelingParams(t_x=3), LabelingParams(t_x=3)],
@@ -906,9 +907,9 @@ class TestGroupedFoldFilter:
         shapes = []
         lockstep = hsmodel._lockstep
 
-        def recording(grid, streams, models, keep, counts):
+        def recording(grid, streams, models, *rows):
             shapes.append((len(models), len(streams), len(streams[0])))
-            return lockstep(grid, streams, models, keep, counts)
+            return lockstep(grid, streams, models, *rows)
 
         def whole_grid_only(*args):
             raise AssertionError("only run_filter filters a stream by day chunks")

@@ -30,7 +30,7 @@ from homeguard.hsmodel import (
 )
 from homeguard.labeling import ALPHABET, STATE_INDEX, LabelingParams, label_states
 from homeguard.ingest import build_timeslots
-from homeguard.seqstore import SeqParams
+from homeguard.seqstore import SeqParams, SlotCounts
 from homeguard.synthgen import generate, scenario_s1
 from homeguard.vocab import Vocabulary
 
@@ -1091,3 +1091,17 @@ class TestFilterModels:
                 product = vec[m] * pre[m]
                 total = product.sum()
                 assert np.array_equal(lone[1, 0, 0], product / total if total > 0.0 else uniform)
+
+
+class TestCountedPass:
+    """The slot counts of one filter pass, one per model, share their alphas."""
+
+    def test_counts_with_other_alphas_are_refused(self):
+        rng = np.random.default_rng(17)
+        models = [random_model(rng, 4) for _ in range(2)]
+        grid, streams = make_streams(
+            [(2 * row * 1440, 30, random_events(rng, 30)) for row in range(2)]
+        )
+        counted = [([0], SlotCounts(4, (0.1,))), ([1], SlotCounts(4, (0.2,)))]
+        with pytest.raises(ValueError, match="share their alphas"):
+            filter_models(grid, streams, models, [[], []], counted=counted)

@@ -4,13 +4,14 @@ slot entries row by row.
 
 ``FoldContext.filter_group`` keeps no training stream's slot entries.  Its
 lockstep pass writes the beliefs entering each slot into a block of
-``hsmodel._BLOCK`` slots, and a ``SlotReducer`` adds each full block, and the
-last one, to its fold's ``SlotCounts``; a kept part of a day that a model
-filters alone is added once it has run.  On a 04:00 home whose excluded
-dates leave days kept in part, under 1 to 4 fold models (fitted, or redrawn
-so that beliefs tie or reset to uniform) and at any block size, each fold's
-counts must equal ``_ranks`` and ``>= l_alpha`` taken over the entries that
-``oracles.filter_streams_per_event`` gives the fold's training streams.
+``hsmodel._BLOCK`` slots, and ``seqstore.count_slots`` adds each full block,
+and the last one, to its fold's ``SlotCounts``, keyed by model; a kept part
+of a day that a model filters alone is added once it has run.  On a 04:00
+home whose excluded dates leave days kept in part, under 1 to 4 fold models
+(fitted, or redrawn so that beliefs tie or reset to uniform) and at any
+block size, each fold's counts must equal ``_ranks`` and ``>= l_alpha``
+taken over the entries that ``oracles.filter_streams_per_event`` gives the
+fold's training streams.
 """
 
 from functools import lru_cache
